@@ -9,6 +9,11 @@ Commands::
     hopfw verify --suite axioms --form FORM # per-identity PASS/FAIL/UNCERTIFIED
     hopfw example cyclic2                   # built-in example forms
 
+Suites: axioms, derived, pair-reduction, manin, diagonal-iso, bilinear-iso,
+noninjectivity.  Each reads only the inputs it declares in ``hopf.SUITES``;
+a form file, ``--algebra``, ``--polar``, ``--m`` or ``--n`` that the chosen
+suite does not read is a usage error.
+
 Exit codes: 0 success / all checks pass, 1 a check failed (refutation),
 2 at least one check was uncertified at the degree bound (none failed),
 3 usage or input parse error.  ``HOPFW_DEFAULT_DEGREE`` overrides the
@@ -42,24 +47,15 @@ from .forms import (
     polar,
 )
 from .hopf import (
-    CheckResult,
+    SUITES,
     Presentation,
     Status,
-    bilinear_iso_suite,
+    SuiteInputs,
     build_ahmn,
-    build_bw,
-    build_hb,
-    build_hw,
-    build_hww,
-    check_left_inverse_identity,
+    build_presentation,
     default_degree,
-    derived_relations_suite,
-    diagonal_iso_suite,
-    hopf_axiom_suite,
-    manin_suite,
-    noninjectivity_probe,
-    pair_reduction_suite,
-    system_for,
+    run_suite,
+    worst_status,
 )
 from .ncalg import parse_poly
 from .rewrite import NotCertifiedError, RewriteSystem, complete, normal_form
@@ -69,19 +65,7 @@ REFUTED = 1
 UNCERTIFIED = 2
 USAGE = 3
 
-_SUITES = (
-    "axioms",
-    "derived",
-    "pair-reduction",
-    "manin",
-    "diagonal-iso",
-    "bilinear-iso",
-    "noninjectivity",
-)
-
-
-class _UsageError(Exception):
-    pass
+_ALGEBRAS = ("bw", "hw", "hb", "hww", "ahmn")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,11 +84,7 @@ def _build_parser() -> _Parser:
     pa.set_defaults(func=_cmd_analyze)
 
     pp = sub.add_parser("present", help="build a presentation and dump it")
-    pp.add_argument(
-        "--algebra",
-        required=True,
-        choices=("bw", "hw", "hb", "hww", "ahmn"),
-    )
+    pp.add_argument("--algebra", required=True, choices=_ALGEBRAS)
     pp.add_argument("--form", help="form file (all algebras except ahmn)")
     pp.add_argument("--polar", help="polar tensor file (hww; default: canonical member)")
     pp.add_argument("--m", type=int, help="arity (ahmn)")
@@ -124,9 +104,9 @@ def _build_parser() -> _Parser:
     pn.set_defaults(func=_cmd_nf)
 
     pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("--suite", required=True, choices=_SUITES)
+    pv.add_argument("--suite", required=True, choices=tuple(SUITES))
     pv.add_argument("form", nargs="?", help="form file (suite-dependent)")
-    pv.add_argument("--algebra", choices=("bw", "hw", "hb", "hww", "ahmn"), default="hw")
+    pv.add_argument("--algebra", choices=_ALGEBRAS, help="axioms (default hw)")
     pv.add_argument("--polar", help="polar tensor file")
     pv.add_argument("--degree", type=int)
     pv.add_argument("--m", type=int, help="arity (ahmn / diagonal-iso)")
@@ -151,21 +131,22 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _resolve_degree(flag: int | None, m: int) -> int:
+def _resolve_degree(flag: int | None) -> int | None:
+    """--degree, else HOPFW_DEFAULT_DEGREE, else None (twice the arity)."""
     if flag is not None:
         if flag < 1:
-            raise _UsageError("--degree must be positive")
+            raise ValueError("--degree must be positive")
         return flag
     env = os.environ.get("HOPFW_DEFAULT_DEGREE")
     if env is not None:
         try:
             value = int(env)
         except ValueError:
-            raise _UsageError(f"HOPFW_DEFAULT_DEGREE is not an integer: {env!r}")
+            raise ValueError(f"HOPFW_DEFAULT_DEGREE is not an integer: {env!r}")
         if value < 1:
-            raise _UsageError("HOPFW_DEFAULT_DEGREE must be positive")
+            raise ValueError("HOPFW_DEFAULT_DEGREE must be positive")
         return value
-    return default_degree(m)
+    return None
 
 
 def _bool(v: bool) -> str:
@@ -202,33 +183,20 @@ def _cmd_analyze(args) -> int:
     return OK
 
 
+def _load_optional_form(path: str | None) -> MultilinearForm | None:
+    return load_form(path) if path else None
+
+
 def _build_algebra(args) -> Presentation:
     kind = args.algebra
     if kind == "ahmn":
         if args.m is None or args.n is None:
-            raise _UsageError("ahmn needs --m and --n")
+            raise ValueError("ahmn needs --m and --n")
         return build_ahmn(args.m, args.n)
     if not args.form:
-        raise _UsageError(f"--algebra {kind} needs --form")
-    w = load_form(args.form)
-    if kind == "bw":
-        return build_bw(w)
-    if kind == "hw":
-        return build_hw(w)
-    if kind == "hb":
-        return build_hb(w)
-    # hww
-    wt = _polar_choice(w, args.polar)
-    return build_hww(w, wt)
-
-
-def _polar_choice(w: MultilinearForm, path: str | None) -> MultilinearForm:
-    if path:
-        return load_form(path)
-    sol = polar(w)
-    if sol is None:
-        raise _UsageError("form has no polar tensor (one-site degenerate)")
-    return sol.particular
+        raise ValueError(f"--algebra {kind} needs --form")
+    wt = _load_optional_form(args.polar) if kind == "hww" else None
+    return build_presentation(kind, load_form(args.form), wt)
 
 
 def _cmd_present(args) -> int:
@@ -240,7 +208,7 @@ def _cmd_present(args) -> int:
 def _cmd_gb(args) -> int:
     with open(args.presentation, "r", encoding="utf-8") as fh:
         pres = parse_presentation(fh.read())
-    degree = _resolve_degree(args.degree, pres.m)
+    degree = _resolve_degree(args.degree) or default_degree(pres.m)
 
     def progress(deg: int, nrules: int) -> None:
         print(f"degree {deg}: {nrules} rules", file=sys.stderr)
@@ -276,115 +244,26 @@ def _print_results(results) -> None:
 
 
 def _exit_code(results) -> int:
-    if any(r.status is Status.FAIL for r in results):
-        return REFUTED
-    if any(r.status is Status.UNCERTIFIED for r in results):
-        return UNCERTIFIED
-    return OK
-
-
-def _load_verify_form(args, fallback: MultilinearForm | None = None) -> MultilinearForm:
-    if args.form:
-        return load_form(args.form)
-    if fallback is not None:
-        return fallback
-    raise _UsageError(f"suite {args.suite!r} needs a form file")
+    """A refutation outranks an uncertified check, which outranks a pass."""
+    codes = {Status.FAIL: REFUTED, Status.UNCERTIFIED: UNCERTIFIED, Status.PASS: OK}
+    return codes[worst_status(results)]
 
 
 def _cmd_verify(args) -> int:
-    suite = args.suite
-
-    if suite == "axioms":
-        if args.algebra == "ahmn":
-            if args.m is None or args.n is None:
-                raise _UsageError("ahmn needs --m and --n")
-            pres = build_ahmn(args.m, args.n)
-            degree = _resolve_degree(args.degree, args.m)
-            results = hopf_axiom_suite(pres, degree)
-        else:
-            w = _load_verify_form(args)
-            degree = _resolve_degree(args.degree, w.arity)
-            if args.algebra == "hww":
-                pres = build_hww(w, _polar_choice(w, args.polar))
-            elif args.algebra == "bw":
-                pres = build_bw(w)
-            elif args.algebra == "hb":
-                pres = build_hb(w)
-            else:
-                pres = build_hw(w)
-            system = system_for(pres, degree)
-            results = hopf_axiom_suite(pres, degree, system)
-            if args.algebra == "bw":
-                wt = _polar_choice(w, args.polar)
-                results += check_left_inverse_identity(pres, wt, degree, system)
-        _print_results(results)
-        return _exit_code(results)
-
-    if suite == "derived":
-        w = _load_verify_form(args)
-        degree = _resolve_degree(args.degree, w.arity)
-        pres = build_hw(w)
-        system = system_for(pres, degree)
-        if args.polar:
-            samples = [load_form(args.polar)]
-        else:
-            sol = polar(w)
-            samples = [sol.particular]
-            if sol.kernel_basis:
-                samples.append(sol.member([1] + [0] * (len(sol.kernel_basis) - 1)))
-        results = []
-        for i, wt in enumerate(samples, start=1):
-            part = derived_relations_suite(pres, wt, degree, system)
-            results += [
-                CheckResult(f"sample{i}:{r.name}", r.status, r.detail) for r in part
-            ]
-        _print_results(results)
-        return _exit_code(results)
-
-    if suite == "pair-reduction":
-        w = _load_verify_form(args)
-        degree = _resolve_degree(args.degree, w.arity)
-        pres = build_hw(w)
-        results = pair_reduction_suite(pres, degree)
-        _print_results(results)
-        return _exit_code(results)
-
-    if suite == "manin":
-        w = _load_verify_form(args, fallback=make_signature(3))
-        if w != make_signature(3):
-            raise _UsageError("the manin suite is for the alternating 3x3 form")
-        degree = _resolve_degree(args.degree, 3)
-        results = manin_suite(degree)
-        _print_results(results)
-        return _exit_code(results)
-
-    if suite == "diagonal-iso":
-        n = args.n if args.n is not None else 2
-        m = args.m if args.m is not None else 3
-        degree = _resolve_degree(args.degree, m)
-        results = diagonal_iso_suite(n, m, degree)
-        _print_results(results)
-        return _exit_code(results)
-
-    if suite == "bilinear-iso":
-        w = _load_verify_form(args)
-        if w.arity != 2:
-            raise _UsageError("the bilinear-iso suite needs an arity-2 form")
-        degree = _resolve_degree(args.degree, 2)
-        results = bilinear_iso_suite(w, degree)
-        _print_results(results)
-        return _exit_code(results)
-
-    # noninjectivity
-    w = _load_verify_form(args, fallback=make_signature(3))
-    degree = _resolve_degree(args.degree, w.arity)
-    wt = _polar_choice(w, args.polar)
-    report = noninjectivity_probe(w, wt, degree)
-    _print_results(report.details)
-    print(f"verdict: {report.verdict}")
-    if not report.witness_ok:
-        return REFUTED
-    return OK if report.commutator_certified else UNCERTIFIED
+    inputs = SuiteInputs(
+        form=_load_optional_form(args.form),
+        algebra=args.algebra,
+        polar=_load_optional_form(args.polar),
+        m=args.m,
+        n=args.n,
+        degree=_resolve_degree(args.degree),
+    )
+    results = run_suite(args.suite, inputs)
+    _print_results(results)
+    verdict = SUITES[args.suite].verdict
+    if verdict is not None:
+        print(f"verdict: {verdict(results, inputs)}")
+    return _exit_code(results)
 
 
 _EXAMPLE_SIG = re.compile(r"signature-(\d+)\Z")
@@ -404,7 +283,7 @@ def _example_form(name: str) -> MultilinearForm:
     m = _EXAMPLE_ORTH.match(name)
     if m:
         return make_orthogonal(int(m.group(1)), int(m.group(2)))
-    raise _UsageError(f"unknown example {name!r}")
+    raise ValueError(f"unknown example {name!r}")
 
 
 def _cmd_example(args) -> int:
@@ -418,13 +297,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"hopfw: error: {exc}", file=sys.stderr)
-        return USAGE
-    except (FormFileError, ValueError) as exc:
-        print(f"hopfw: error: {exc}", file=sys.stderr)
-        return USAGE
-    except OSError as exc:
+    except (FormFileError, ValueError, OSError) as exc:
         print(f"hopfw: error: {exc}", file=sys.stderr)
         return USAGE
 

@@ -15,18 +15,39 @@ rational coefficients:
 * ``build_ahmn`` -- the quantum-permutation-flavored presentation with
   row/column annihilation and m-th power sum relations.
 
+Matrix identities are written in generator-matrix algebra
+(:class:`~hopfw.ncalg.PolyMatrix`).  In a product ``A @ B`` the word of the
+``A`` entry comes first: (A B)[i,j] = sum_k A[i,k] B[k,j], words concatenated
+left to right; transposition moves entries and never reverses a word.  With
+U, S the u and s generator matrices, I the identity, Q the twisting element,
+X = Q^-1 U Q, B the matrix of a bilinear form, and P the polar antipode
+matrix P[mu,nu] = sum wt^{mu,L} w_{R,nu} g^{R1}_{L1}...g^{R(m-1)}_{L(m-1)}:
+
+* hw: ``us`` = U S - I and ``tus`` = (X^T S^T)^T - I; antipode u -> S, s -> X;
+* hb: ``bst`` = U^T B U - B and ``binst`` = U B^-1 U^T - B^-1; antipode
+  B^-1 U^T B;
+* hww: antipode P;
+* antipode check on each family G with image matrix S(G): ``antipode-left``
+  = S(G) G - I and ``antipode-right`` = G S(G) - I;
+* bw left inverse: ``leftinv`` = P A - I;
+* derived suite: ``su`` = S U - I, ``tsu`` = (S^T X^T)^T - I, ``Rsu`` = S - P
+  over u, and ``Rus`` = X - P over s with every word reversed.
+
 Every structural claim (counit, coproduct, antipode, derived identities,
 homomorphisms) is checked by reduction against a degree-truncated rewriting
 system; an item whose polynomial exceeds the certified degree reports
-UNCERTIFIED rather than silently recompleting at a higher bound.
+UNCERTIFIED rather than silently recompleting at a higher bound.  The table
+``SUITES`` names every verification suite, the inputs it reads and the
+function that runs it; ``hopfw verify`` is a lookup in it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .exactnum import Matrix, ONE, Scalar, ZERO, mat_inv
 from .forms import (
@@ -36,11 +57,13 @@ from .forms import (
     is_one_site_nondegenerate,
     make_orthogonal,
     make_signature,
+    polar,
 )
 from .ncalg import (
     Alphabet,
     Generator,
     NcPoly,
+    PolyMatrix,
     TensorSquare,
     coproduct_image,
     matric_family,
@@ -107,11 +130,8 @@ class Presentation:
         return f"{self.kind}[n={self.n},m={self.m}]"
 
     def families(self) -> tuple[str, ...]:
-        fams = []
-        for g in self.generators:
-            if g.family != "free" and g.family not in fams:
-                fams.append(g.family)
-        return tuple(fams)
+        """The matric families, in generator order."""
+        return tuple(dict.fromkeys(g.family for g in self.generators if g.family != "free"))
 
 
 def default_degree(m: int) -> int:
@@ -139,98 +159,128 @@ class _RelationBag:
         self.polys.append(poly)
         self.labels.append(label)
 
+    def add_indexed(self, label: str, pairs: Iterable[tuple[Idx, NcPoly]]) -> None:
+        """One relation per (index, polynomial) pair, labelled ``label[index]``."""
+        for idx, poly in pairs:
+            self.add(_idx_label(label, idx), poly)
+
 
 def _idx_label(name: str, idx: Iterable[int]) -> str:
     return f"{name}[{','.join(str(i) for i in idx)}]"
 
 
-def _matric_delta(alphabet: Alphabet, family: str, n: int) -> dict[Generator, TensorSquare]:
-    """Matric coproduct; the s family splits with flipped tensor factors."""
-    out = {}
-    for r in range(1, n + 1):
-        for c in range(1, n + 1):
-            g = Generator(family, r, c)
-            terms = {}
-            for k in range(1, n + 1):
-                if family == "s":
-                    pair = (
-                        alphabet.word([Generator(family, k, c)]),
-                        alphabet.word([Generator(family, r, k)]),
-                    )
-                else:
-                    pair = (
-                        alphabet.word([Generator(family, r, k)]),
-                        alphabet.word([Generator(family, k, c)]),
-                    )
-                terms[pair] = ONE
-            out[g] = TensorSquare(alphabet, terms)
-    return out
-
-
-def _delta_counit(alphabet: Alphabet, families: Sequence[str], n: int):
+def _presentation(
+    kind: str,
+    n: int,
+    m: int,
+    alphabet: Alphabet,
+    bag: _RelationBag,
+    antipode: dict[Generator, NcPoly] | None,
+    provenance: Provenance | None,
+) -> Presentation:
+    """Attach the matric coproduct and counit to every generator family; the
+    s family splits with flipped tensor factors."""
     delta: dict[Generator, TensorSquare] = {}
     counit: dict[Generator, Scalar] = {}
-    for fam in families:
-        delta.update(_matric_delta(alphabet, fam, n))
-        for r in range(1, n + 1):
-            for c in range(1, n + 1):
-                counit[Generator(fam, r, c)] = ONE if r == c else ZERO
-    return delta, counit
+    for g in alphabet.generators:
+        terms = {}
+        for k in range(1, n + 1):
+            left = alphabet.char(Generator(g.family, g.row, k))
+            right = alphabet.char(Generator(g.family, k, g.col))
+            terms[(right, left) if g.family == "s" else (left, right)] = ONE
+        delta[g] = TensorSquare(alphabet, terms)
+        counit[g] = ONE if g.row == g.col else ZERO
+    return Presentation(
+        kind=kind,
+        n=n,
+        m=m,
+        alphabet=alphabet,
+        generators=alphabet.generators,
+        relations=tuple(bag.polys),
+        relation_labels=tuple(bag.labels),
+        structure=HopfStructure(delta, counit, antipode),
+        provenance=provenance,
+    )
 
 
-def _form_preservation(
-    bag: _RelationBag,
+def _preservation(
     alphabet: Alphabet,
     w: MultilinearForm,
     family: str,
-    label: str,
     *,
     lower_is_free: bool = True,
-) -> None:
-    """Relations sum_L w_L g^{L1}_{M1}...g^{Lm}_{Mm} - w_M, one per tuple M.
+    reverse: bool = False,
+) -> Iterable[tuple[Idx, NcPoly]]:
+    """(M, sum_L w_L g^{L1}_{M1}...g^{Lm}_{Mm} - w_M) for every index tuple M.
 
     With ``lower_is_free`` False the roles swap: the *upper* indices are the
-    free tuple M and the lower ones are contracted against w.
+    free tuple M and the lower ones are contracted against w.  ``reverse``
+    writes every word right to left (one character is one letter).
     """
-    n, m = w.dim, w.arity
-    for mu in itertools.product(range(1, n + 1), repeat=m):
-        terms: dict[str, Scalar] = {}
+    rng = range(1, w.dim + 1)
+    char = {}
+    for c, f in itertools.product(rng, repeat=2):
+        row, col = (c, f) if lower_is_free else (f, c)
+        char[(c, f)] = alphabet.char(Generator(family, row, col))
+    for mu in itertools.product(rng, repeat=w.arity):
+        terms: dict[str, Scalar] = {"": -w[mu]}
         for lam, c in w.entries.items():
-            if lower_is_free:
-                gens = [Generator(family, lam[i], mu[i]) for i in range(m)]
-            else:
-                gens = [Generator(family, mu[i], lam[i]) for i in range(m)]
-            word = alphabet.word(gens)
+            word = "".join(char[pair] for pair in zip(lam, mu))
+            if reverse:
+                word = word[::-1]
             terms[word] = terms.get(word, ZERO) + c
-        const = terms.get("", ZERO) - w[mu]
-        if const:
-            terms[""] = const
-        else:
-            terms.pop("", None)
-        bag.add(_idx_label(label, mu), NcPoly(alphabet, terms))
+        yield mu, NcPoly(alphabet, terms)
+
+
+def _twisted(q: Matrix, mat: PolyMatrix) -> PolyMatrix:
+    """X = Q^-1 mat Q."""
+    a = mat.alphabet
+    return PolyMatrix.scalar(a, mat_inv(q)) @ mat @ PolyMatrix.scalar(a, q)
+
+
+def _polar_matrix(
+    alphabet: Alphabet,
+    w: MultilinearForm,
+    wt: MultilinearForm,
+    family: str,
+    *,
+    reverse: bool = False,
+) -> PolyMatrix:
+    """P[mu,nu] = sum wt^{mu,L} w_{R,nu} g^{R1}_{L1}...g^{R(m-1)}_{L(m-1)}, the
+    antipode of g written through a polar tensor; ``reverse`` writes every
+    word right to left (one character is one letter)."""
+    n = w.dim
+    terms: dict[tuple[int, int], dict[str, Scalar]] = {
+        (mu, nu): {} for mu in range(1, n + 1) for nu in range(1, n + 1)
+    }
+    for lidx, c1 in wt.entries.items():
+        for ridx, c2 in w.entries.items():
+            word = alphabet.word(Generator(family, i, j) for i, j in zip(ridx[:-1], lidx[1:]))
+            if reverse:
+                word = word[::-1]
+            entry = terms[(lidx[0], ridx[-1])]
+            entry[word] = entry.get(word, ZERO) + c1 * c2
+    rng = range(1, n + 1)
+    return PolyMatrix(alphabet, ([NcPoly(alphabet, terms[(mu, nu)]) for nu in rng] for mu in rng))
+
+
+def _transposed_power(alphabet: Alphabet, family: str, n: int, k: int) -> PolyMatrix:
+    """The matrix whose (r, c) entry is the k-th power of ``family[c,r]``."""
+    rng = range(1, n + 1)
+    return PolyMatrix(
+        alphabet,
+        ([NcPoly.from_gens(alphabet, [Generator(family, c, r)] * k) for c in rng] for r in rng),
+    )
 
 
 def build_bw(w: MultilinearForm) -> Presentation:
     """Universal bialgebra preserving ``w`` (one-site nondegeneracy required)."""
     if not is_one_site_nondegenerate(w):
         raise ValueError("form fails one-site nondegeneracy")
-    n, m = w.dim, w.arity
-    gens = matric_family("a", n)
-    alphabet = Alphabet(gens)
+    alphabet = Alphabet(matric_family("a", w.dim))
     bag = _RelationBag()
-    _form_preservation(bag, alphabet, w, "a", "form")
-    delta, counit = _delta_counit(alphabet, ("a",), n)
-    return Presentation(
-        kind="bw",
-        n=n,
-        m=m,
-        alphabet=alphabet,
-        generators=tuple(gens),
-        relations=tuple(bag.polys),
-        relation_labels=tuple(bag.labels),
-        structure=HopfStructure(delta, counit, None),
-        provenance=Provenance(form=w),
-    )
+    bag.add_indexed("form", _preservation(alphabet, w, "a"))
+    return _presentation("bw", w.dim, w.arity, alphabet, bag, None, Provenance(form=w))
 
 
 def build_hw(w: MultilinearForm) -> Presentation:
@@ -243,70 +293,18 @@ def build_hw(w: MultilinearForm) -> Presentation:
     report = analyze(w)
     if not report.preregular:
         raise ValueError("form is not preregular")
-    q = report.q
-    qi = mat_inv(q)
-    n, m = w.dim, w.arity
-    gens = matric_family("u", n) + matric_family("s", n)
-    alphabet = Alphabet(gens)
+    n, q = w.dim, report.q
+    alphabet = Alphabet(matric_family("u", n) + matric_family("s", n))
+    u = PolyMatrix.family(alphabet, "u", n)
+    s = PolyMatrix.family(alphabet, "s", n)
+    one = PolyMatrix.identity(alphabet, n)
+    x = _twisted(q, u)
     bag = _RelationBag()
-    rng = range(1, n + 1)
-    for mu in rng:
-        for nu in rng:
-            terms: dict[str, Scalar] = {}
-            for lam in rng:
-                word = alphabet.word([Generator("u", mu, lam), Generator("s", lam, nu)])
-                terms[word] = terms.get(word, ZERO) + ONE
-            terms[""] = terms.get("", ZERO) - (ONE if mu == nu else ZERO)
-            bag.add(_idx_label("us", (mu, nu)), NcPoly(alphabet, terms))
-    for mu in rng:
-        for nu in rng:
-            terms = {}
-            for lam in rng:
-                qe = q.entry(lam - 1, nu - 1)
-                if not qe:
-                    continue
-                for rho in rng:
-                    for sig in rng:
-                        qie = qi.entry(sig - 1, rho - 1)
-                        if not qie:
-                            continue
-                        word = alphabet.word(
-                            [Generator("u", rho, lam), Generator("s", mu, sig)]
-                        )
-                        terms[word] = terms.get(word, ZERO) + qe * qie
-            terms[""] = terms.get("", ZERO) - (ONE if mu == nu else ZERO)
-            bag.add(_idx_label("tus", (mu, nu)), NcPoly(alphabet, terms))
-    _form_preservation(bag, alphabet, w, "u", "invw")
-    delta, counit = _delta_counit(alphabet, ("u", "s"), n)
-    antipode: dict[Generator, NcPoly] = {}
-    for mu in rng:
-        for nu in rng:
-            antipode[Generator("u", mu, nu)] = NcPoly.from_gens(
-                alphabet, [Generator("s", mu, nu)]
-            )
-            sterms: dict[str, Scalar] = {}
-            for rho in rng:
-                qie = qi.entry(mu - 1, rho - 1)
-                if not qie:
-                    continue
-                for lam in rng:
-                    qe = q.entry(lam - 1, nu - 1)
-                    if not qe:
-                        continue
-                    word = alphabet.word([Generator("u", rho, lam)])
-                    sterms[word] = sterms.get(word, ZERO) + qie * qe
-            antipode[Generator("s", mu, nu)] = NcPoly(alphabet, sterms)
-    return Presentation(
-        kind="hw",
-        n=n,
-        m=m,
-        alphabet=alphabet,
-        generators=tuple(gens),
-        relations=tuple(bag.polys),
-        relation_labels=tuple(bag.labels),
-        structure=HopfStructure(delta, counit, antipode),
-        provenance=Provenance(form=w, q=q),
-    )
+    bag.add_indexed("us", (u @ s - one).entries())
+    bag.add_indexed("tus", ((x.T @ s.T).T - one).entries())
+    bag.add_indexed("invw", _preservation(alphabet, w, "u"))
+    antipode = s.images("u") | x.images("s")
+    return _presentation("hw", n, w.arity, alphabet, bag, antipode, Provenance(form=w, q=q))
 
 
 def build_hb(b: MultilinearForm) -> Presentation:
@@ -316,93 +314,15 @@ def build_hb(b: MultilinearForm) -> Presentation:
     n = b.dim
     bm = Matrix(n, n, [b[(i, j)] for i in range(1, n + 1) for j in range(1, n + 1)])
     binv = mat_inv(bm)  # singular b is rejected here
-    gens = matric_family("u", n)
-    alphabet = Alphabet(gens)
+    alphabet = Alphabet(matric_family("u", n))
+    u = PolyMatrix.family(alphabet, "u", n)
+    bb = PolyMatrix.scalar(alphabet, bm)
+    bi = PolyMatrix.scalar(alphabet, binv)
     bag = _RelationBag()
-    rng = range(1, n + 1)
-    for lam in rng:
-        for rho in rng:
-            terms: dict[str, Scalar] = {}
-            for mu in rng:
-                for nu in rng:
-                    c = bm.entry(mu - 1, nu - 1)
-                    if not c:
-                        continue
-                    word = alphabet.word([Generator("u", mu, lam), Generator("u", nu, rho)])
-                    terms[word] = terms.get(word, ZERO) + c
-            const = terms.get("", ZERO) - bm.entry(lam - 1, rho - 1)
-            if const:
-                terms[""] = const
-            else:
-                terms.pop("", None)
-            bag.add(_idx_label("bst", (lam, rho)), NcPoly(alphabet, terms))
-    for lam in rng:
-        for rho in rng:
-            terms = {}
-            for mu in rng:
-                for nu in rng:
-                    c = binv.entry(mu - 1, nu - 1)
-                    if not c:
-                        continue
-                    word = alphabet.word([Generator("u", lam, mu), Generator("u", rho, nu)])
-                    terms[word] = terms.get(word, ZERO) + c
-            const = terms.get("", ZERO) - binv.entry(lam - 1, rho - 1)
-            if const:
-                terms[""] = const
-            else:
-                terms.pop("", None)
-            bag.add(_idx_label("binst", (lam, rho)), NcPoly(alphabet, terms))
-    delta, counit = _delta_counit(alphabet, ("u",), n)
-    antipode = {}
-    for mu in rng:
-        for nu in rng:
-            sterms: dict[str, Scalar] = {}
-            for lam in rng:
-                ce = binv.entry(mu - 1, lam - 1)
-                if not ce:
-                    continue
-                for rho in rng:
-                    de = bm.entry(rho - 1, nu - 1)
-                    if not de:
-                        continue
-                    word = alphabet.word([Generator("u", rho, lam)])
-                    sterms[word] = sterms.get(word, ZERO) + ce * de
-            antipode[Generator("u", mu, nu)] = NcPoly(alphabet, sterms)
-    return Presentation(
-        kind="hb",
-        n=n,
-        m=2,
-        alphabet=alphabet,
-        generators=tuple(gens),
-        relations=tuple(bag.polys),
-        relation_labels=tuple(bag.labels),
-        structure=HopfStructure(delta, counit, antipode),
-        provenance=Provenance(form=b),
-    )
-
-
-def _polar_antipode_images(
-    alphabet: Alphabet, w: MultilinearForm, wt: MultilinearForm, family: str
-) -> dict[Generator, NcPoly]:
-    """S(g^mu_nu) = sum wt^{mu,L} w_{R,nu} g^{R1}_{L1}...g^{R_{m-1}}_{L_{m-1}}."""
-    n, m = w.dim, w.arity
-    out = {}
-    for mu in range(1, n + 1):
-        for nu in range(1, n + 1):
-            terms: dict[str, Scalar] = {}
-            for lidx, c1 in wt.entries.items():
-                if lidx[0] != mu:
-                    continue
-                lam = lidx[1:]
-                for ridx, c2 in w.entries.items():
-                    if ridx[m - 1] != nu:
-                        continue
-                    rho = ridx[: m - 1]
-                    gens = [Generator(family, rho[i], lam[i]) for i in range(m - 1)]
-                    word = alphabet.word(gens)
-                    terms[word] = terms.get(word, ZERO) + c1 * c2
-            out[Generator(family, mu, nu)] = NcPoly(alphabet, terms)
-    return out
+    bag.add_indexed("bst", (u.T @ bb @ u - bb).entries())
+    bag.add_indexed("binst", (u @ bi @ u.T - bi).entries())
+    antipode = (bi @ u.T @ bb).images("u")
+    return _presentation("hb", n, 2, alphabet, bag, antipode, Provenance(form=b))
 
 
 def build_hww(w: MultilinearForm, wt: MultilinearForm) -> Presentation:
@@ -413,25 +333,13 @@ def build_hww(w: MultilinearForm, wt: MultilinearForm) -> Presentation:
         raise ValueError("form is not preregular")
     if not in_polar(wt, w):
         raise ValueError("tensor is not in the polar affine space of the form")
-    n, m = w.dim, w.arity
-    gens = matric_family("v", n)
-    alphabet = Alphabet(gens)
+    alphabet = Alphabet(matric_family("v", w.dim))
     bag = _RelationBag()
-    _form_preservation(bag, alphabet, w, "v", "wv")
-    _form_preservation(bag, alphabet, wt, "v", "wtv", lower_is_free=False)
-    delta, counit = _delta_counit(alphabet, ("v",), n)
-    antipode = _polar_antipode_images(alphabet, w, wt, "v")
-    return Presentation(
-        kind="hww",
-        n=n,
-        m=m,
-        alphabet=alphabet,
-        generators=tuple(gens),
-        relations=tuple(bag.polys),
-        relation_labels=tuple(bag.labels),
-        structure=HopfStructure(delta, counit, antipode),
-        provenance=Provenance(form=w, q=report.q, polar_member=wt),
-    )
+    bag.add_indexed("wv", _preservation(alphabet, w, "v"))
+    bag.add_indexed("wtv", _preservation(alphabet, wt, "v", lower_is_free=False))
+    antipode = _polar_matrix(alphabet, w, wt, "v").images("v")
+    provenance = Provenance(form=w, q=report.q, polar_member=wt)
+    return _presentation("hww", w.dim, w.arity, alphabet, bag, antipode, provenance)
 
 
 def build_ahmn(m: int, n: int) -> Presentation:
@@ -439,66 +347,63 @@ def build_ahmn(m: int, n: int) -> Presentation:
     family; the antipode transposes and raises to the (m-1)-st power."""
     if m < 2 or n < 2:
         raise ValueError("need m >= 2 and n >= 2")
-    gens = matric_family("a", n)
-    alphabet = Alphabet(gens)
+    alphabet = Alphabet(matric_family("a", n))
     bag = _RelationBag()
     rng = range(1, n + 1)
-    for mu in rng:
-        for lam in rng:
-            for nu in rng:
-                if lam == nu:
-                    continue
-                bag.add(
-                    _idx_label("rowzero", (mu, lam, nu)),
-                    NcPoly.from_gens(
-                        alphabet, [Generator("a", mu, lam), Generator("a", mu, nu)]
-                    ),
-                )
-    for mu in rng:
-        for lam in rng:
-            for nu in rng:
-                if lam == nu:
-                    continue
-                bag.add(
-                    _idx_label("colzero", (mu, lam, nu)),
-                    NcPoly.from_gens(
-                        alphabet, [Generator("a", lam, mu), Generator("a", nu, mu)]
-                    ),
-                )
-    for mu in rng:
-        terms: dict[str, Scalar] = {"": -ONE}
-        for lam in rng:
-            word = alphabet.word([Generator("a", mu, lam)] * m)
-            terms[word] = terms.get(word, ZERO) + ONE
-        bag.add(_idx_label("rowpow", (mu,)), NcPoly(alphabet, terms))
-    for mu in rng:
-        terms = {"": -ONE}
-        for lam in rng:
-            word = alphabet.word([Generator("a", lam, mu)] * m)
-            terms[word] = terms.get(word, ZERO) + ONE
-        bag.add(_idx_label("colpow", (mu,)), NcPoly(alphabet, terms))
-    delta, counit = _delta_counit(alphabet, ("a",), n)
-    antipode = {}
-    for mu in rng:
-        for nu in rng:
-            antipode[Generator("a", mu, nu)] = NcPoly.from_gens(
-                alphabet, [Generator("a", nu, mu)] * (m - 1)
-            )
-    return Presentation(
-        kind="ahmn",
-        n=n,
-        m=m,
-        alphabet=alphabet,
-        generators=tuple(gens),
-        relations=tuple(bag.polys),
-        relation_labels=tuple(bag.labels),
-        structure=HopfStructure(delta, counit, antipode),
-        provenance=None,
-    )
+    # a row-side index pair (mu, lam) names a[mu,lam], a column-side one a[lam,mu]
+    sides = {
+        "row": lambda mu, lam: Generator("a", mu, lam),
+        "col": lambda mu, lam: Generator("a", lam, mu),
+    }
+    for side, gen in sides.items():
+        for mu, lam, nu in itertools.product(rng, repeat=3):
+            if lam != nu:
+                poly = NcPoly.from_gens(alphabet, [gen(mu, lam), gen(mu, nu)])
+                bag.add(_idx_label(f"{side}zero", (mu, lam, nu)), poly)
+    for side, gen in sides.items():
+        for mu in rng:
+            powers = {alphabet.word([gen(mu, lam)] * m): ONE for lam in rng}
+            poly = NcPoly(alphabet, powers) - NcPoly.unit(alphabet)
+            bag.add(_idx_label(f"{side}pow", (mu,)), poly)
+    antipode = _transposed_power(alphabet, "a", n, m - 1).images("a")
+    return _presentation("ahmn", n, m, alphabet, bag, antipode, None)
+
+
+_FORM_BUILDERS = {"bw": build_bw, "hw": build_hw, "hb": build_hb}
+
+
+def _polar_choice(w: MultilinearForm, wt: MultilinearForm | None) -> MultilinearForm:
+    """``wt`` when given, else the canonical (particular) polar member."""
+    if wt is not None:
+        return wt
+    sol = polar(w)
+    if sol is None:
+        raise ValueError("form has no polar tensor (one-site degenerate)")
+    return sol.particular
+
+
+def build_presentation(
+    kind: str, w: MultilinearForm, wt: MultilinearForm | None = None
+) -> Presentation:
+    """Build the ``bw``, ``hw``, ``hb`` or ``hww`` presentation of a form; hww
+    takes the polar member ``wt``, or the canonical one when it is None."""
+    if kind == "hww":
+        return build_hww(w, _polar_choice(w, wt))
+    return _FORM_BUILDERS[kind](w)
 
 
 # ---------------------------------------------------------------------------
 # checks
+
+
+def _pass_or_fail(name: str, ok: bool, detail: str) -> CheckResult:
+    """PASS, or FAIL with ``detail``."""
+    return CheckResult(name, Status.PASS) if ok else CheckResult(name, Status.FAIL, detail)
+
+
+def _uncertified(name: str, poly: NcPoly, system: RewriteSystem) -> CheckResult:
+    detail = f"needs degree {poly.degree()}, certified {system.complete_through}"
+    return CheckResult(name, Status.UNCERTIFIED, detail)
 
 
 def system_for(pres: Presentation, degree: int, on_progress=None) -> RewriteSystem:
@@ -518,47 +423,8 @@ def check_counit(pres: Presentation) -> list[CheckResult]:
                 if not f:
                     break
             val += f
-        out.append(
-            CheckResult(
-                f"counit:{label}",
-                Status.PASS if val == 0 else Status.FAIL,
-                "" if val == 0 else f"counit value {val}",
-            )
-        )
+        out.append(_pass_or_fail(f"counit:{label}", val == 0, f"counit value {val}"))
     return out
-
-
-class _TensorReducer:
-    """Componentwise normal form on tensor squares, with a per-run cache of
-    word normal forms."""
-
-    def __init__(self, system: RewriteSystem) -> None:
-        self.system = system
-        self.cache: dict[str, NcPoly] = {}
-
-    def word_nf(self, word: str) -> NcPoly:
-        hit = self.cache.get(word)
-        if hit is None:
-            hit = normal_form(
-                NcPoly.from_word(self.system.alphabet, word), self.system
-            )
-            self.cache[word] = hit
-        return hit
-
-    def reduce(self, t: TensorSquare) -> TensorSquare:
-        out: dict[tuple[str, str], Scalar] = {}
-        for (w1, w2), c in t.terms.items():
-            p1 = self.word_nf(w1)
-            p2 = self.word_nf(w2)
-            for a, ca in p1.terms.items():
-                for b, cb in p2.terms.items():
-                    k = (a, b)
-                    nv = out.get(k, ZERO) + c * ca * cb
-                    if nv:
-                        out[k] = nv
-                    else:
-                        out.pop(k, None)
-        return TensorSquare(t.alphabet, out)
 
 
 def check_coproduct(
@@ -568,27 +434,25 @@ def check_coproduct(
     ideal (certified at the system's completed degree)."""
     if system is None:
         system = system_for(pres, degree)
-    red = _TensorReducer(system)
+
+    @functools.cache
+    def word_nf(word: str) -> dict[str, Scalar]:
+        return normal_form(NcPoly.from_word(system.alphabet, word), system).terms
+
     out = []
     for label, rel in zip(pres.relation_labels, pres.relations):
+        name = f"coproduct:{label}"
         if rel.degree() > system.complete_through:
-            out.append(
-                CheckResult(
-                    f"coproduct:{label}",
-                    Status.UNCERTIFIED,
-                    f"needs degree {rel.degree()}, certified {system.complete_through}",
-                )
-            )
+            out.append(_uncertified(name, rel, system))
             continue
-        t = coproduct_image(rel, pres.structure.delta, target=pres.alphabet)
-        reduced = red.reduce(t)
-        out.append(
-            CheckResult(
-                f"coproduct:{label}",
-                Status.PASS if reduced.is_zero() else Status.FAIL,
-                "" if reduced.is_zero() else f"residue {reduced.to_str()}",
-            )
-        )
+        residue: dict[tuple[str, str], Scalar] = {}
+        image = coproduct_image(rel, pres.structure.delta, target=pres.alphabet)
+        for (w1, w2), c in image.terms.items():
+            for a, ca in word_nf(w1).items():
+                for b, cb in word_nf(w2).items():
+                    residue[(a, b)] = residue.get((a, b), ZERO) + c * ca * cb
+        reduced = TensorSquare(pres.alphabet, residue)  # drops cancelled terms
+        out.append(_pass_or_fail(name, reduced.is_zero(), f"residue {reduced.to_str()}"))
     return out
 
 
@@ -596,15 +460,16 @@ def _nf_verdict(
     name: str, poly: NcPoly, system: RewriteSystem
 ) -> CheckResult:
     if poly.degree() > system.complete_through:
-        return CheckResult(
-            name,
-            Status.UNCERTIFIED,
-            f"needs degree {poly.degree()}, certified {system.complete_through}",
-        )
+        return _uncertified(name, poly, system)
     nf = normal_form(poly, system)
-    if nf.is_zero():
-        return CheckResult(name, Status.PASS)
-    return CheckResult(name, Status.FAIL, f"normal form {nf.to_str()}")
+    return _pass_or_fail(name, nf.is_zero(), f"normal form {nf.to_str()}")
+
+
+def _verdicts(
+    label: str, pairs: Iterable[tuple[Idx, NcPoly]], system: RewriteSystem
+) -> list[CheckResult]:
+    """One verdict per (index, polynomial that must vanish), named ``label[index]``."""
+    return [_nf_verdict(_idx_label(label, idx), p, system) for idx, p in pairs]
 
 
 def check_antipode(
@@ -621,30 +486,14 @@ def check_antipode(
     for label, rel in zip(pres.relation_labels, pres.relations):
         img = substitute(rel, s_images, antihom=True, target=pres.alphabet)
         out.append(_nf_verdict(f"antipode-ideal:{label}", img, system))
-    rng = range(1, pres.n + 1)
+    a, n = pres.alphabet, pres.n
+    one = PolyMatrix.identity(a, n)
     for fam in pres.families():
-        for mu in rng:
-            for nu in rng:
-                left = NcPoly.zero(pres.alphabet)
-                right = NcPoly.zero(pres.alphabet)
-                for lam in rng:
-                    left = left + s_images[Generator(fam, mu, lam)] * NcPoly.from_gens(
-                        pres.alphabet, [Generator(fam, lam, nu)]
-                    )
-                    right = right + NcPoly.from_gens(
-                        pres.alphabet, [Generator(fam, mu, lam)]
-                    ) * s_images[Generator(fam, lam, nu)]
-                d = NcPoly.unit(pres.alphabet, ONE if mu == nu else ZERO)
-                out.append(
-                    _nf_verdict(
-                        _idx_label(f"antipode-left:{fam}", (mu, nu)), left - d, system
-                    )
-                )
-                out.append(
-                    _nf_verdict(
-                        _idx_label(f"antipode-right:{fam}", (mu, nu)), right - d, system
-                    )
-                )
+        g = PolyMatrix.family(a, fam, n)
+        sg = PolyMatrix.of(a, s_images, fam, n)
+        left = _verdicts(f"antipode-left:{fam}", (sg @ g - one).entries(), system)
+        right = _verdicts(f"antipode-right:{fam}", (g @ sg - one).entries(), system)
+        out += [r for pair in zip(left, right) for r in pair]
     return out
 
 
@@ -668,39 +517,16 @@ def check_left_inverse_identity(
     system: RewriteSystem | None = None,
 ) -> list[CheckResult]:
     """In the bialgebra of the form, the polar tensor provides an explicit
-    left inverse for the generator matrix: for each (mu, nu),
-    sum wt^{mu,L} w_{R,sig} a^{R1}_{L1}...a^{R_{m-1}}_{L_{m-1}} a^{sig}_{nu}
-    must reduce to delta^mu_nu."""
+    left inverse for the generator matrix A: P A - I must reduce to zero."""
     w = pres.provenance.form
     fam = pres.families()[0]
     if not in_polar(wt, w):
         raise ValueError("tensor is not in the polar affine space of the form")
     if system is None:
         system = system_for(pres, degree)
-    n, m = w.dim, w.arity
-    out = []
-    for mu in range(1, n + 1):
-        for nu in range(1, n + 1):
-            terms: dict[str, Scalar] = {}
-            for lidx, c1 in wt.entries.items():
-                if lidx[0] != mu:
-                    continue
-                lam = lidx[1:]
-                for ridx, c2 in w.entries.items():
-                    rho, sig = ridx[: m - 1], ridx[m - 1]
-                    gens = [Generator(fam, rho[i], lam[i]) for i in range(m - 1)]
-                    gens.append(Generator(fam, sig, nu))
-                    word = pres.alphabet.word(gens)
-                    terms[word] = terms.get(word, ZERO) + c1 * c2
-            terms[""] = terms.get("", ZERO) - (ONE if mu == nu else ZERO)
-            out.append(
-                _nf_verdict(
-                    _idx_label("leftinv", (mu, nu)),
-                    NcPoly(pres.alphabet, terms),
-                    system,
-                )
-            )
-    return out
+    a, n = pres.alphabet, pres.n
+    left_inverse = _polar_matrix(a, w, wt, fam) @ PolyMatrix.family(a, fam, n)
+    return _verdicts("leftinv", (left_inverse - PolyMatrix.identity(a, n)).entries(), system)
 
 
 def derived_relations_suite(
@@ -721,94 +547,27 @@ def derived_relations_suite(
     if pres.kind != "hw":
         raise ValueError("derived relations are stated for the u/s presentation")
     w = pres.provenance.form
-    q = pres.provenance.q
-    qi = mat_inv(q)
     n, m = pres.n, pres.m
-    A = pres.alphabet
+    a = pres.alphabet
     if system is None:
         system = system_for(pres, degree)
-    rng = range(1, n + 1)
-    out: list[CheckResult] = []
 
     # reversed form preservation on s: sum_M w_M s^{Mm}_{Nm}...s^{M1}_{N1} = w_N
-    for nu in itertools.product(rng, repeat=m):
-        terms: dict[str, Scalar] = {}
-        for lam, c in w.entries.items():
-            gens = [Generator("s", lam[m - 1 - i], nu[m - 1 - i]) for i in range(m)]
-            word = A.word(gens)
-            terms[word] = terms.get(word, ZERO) + c
-        terms[""] = terms.get("", ZERO) - w[nu]
-        out.append(_nf_verdict(_idx_label("sinw", nu), NcPoly(A, terms), system))
+    out = _verdicts("sinw", _preservation(a, w, "s", reverse=True), system)
 
-    # s is also a left inverse: sum_r s^mu_r u^r_nu = delta
-    for mu in rng:
-        for nu in rng:
-            terms = {}
-            for rho in rng:
-                word = A.word([Generator("s", mu, rho), Generator("u", rho, nu)])
-                terms[word] = terms.get(word, ZERO) + ONE
-            terms[""] = terms.get("", ZERO) - (ONE if mu == nu else ZERO)
-            out.append(_nf_verdict(_idx_label("su", (mu, nu)), NcPoly(A, terms), system))
-
-    # twisted left inverse: sum s^l_nu Q^t_l u^r_t (Q^{-1})^mu_r = delta
-    for mu in rng:
-        for nu in rng:
-            terms = {}
-            for lam in rng:
-                for tau in rng:
-                    qe = q.entry(tau - 1, lam - 1)
-                    if not qe:
-                        continue
-                    for rho in rng:
-                        qie = qi.entry(mu - 1, rho - 1)
-                        if not qie:
-                            continue
-                        word = A.word([Generator("s", lam, nu), Generator("u", rho, tau)])
-                        terms[word] = terms.get(word, ZERO) + qe * qie
-            terms[""] = terms.get("", ZERO) - (ONE if mu == nu else ZERO)
-            out.append(_nf_verdict(_idx_label("tsu", (mu, nu)), NcPoly(A, terms), system))
+    u = PolyMatrix.family(a, "u", n)
+    s = PolyMatrix.family(a, "s", n)
+    one = PolyMatrix.identity(a, n)
+    x = _twisted(pres.provenance.q, u)
+    out += _verdicts("su", (s @ u - one).entries(), system)
+    out += _verdicts("tsu", ((s.T @ x.T).T - one).entries(), system)
 
     if wt is not None:
         if not in_polar(wt, w):
             raise ValueError("tensor is not in the polar affine space of the form")
-        # s through u: s^mu_nu = sum wt^{mu,L} w_{R,nu} u^{R1}_{L1}...u^{R_{m-1}}_{L_{m-1}}
-        images = _polar_antipode_images(A, w, wt, "u")
-        for mu in rng:
-            for nu in rng:
-                poly = NcPoly.from_gens(A, [Generator("s", mu, nu)]) - images[
-                    Generator("u", mu, nu)
-                ]
-                out.append(_nf_verdict(_idx_label("Rsu", (mu, nu)), poly, system))
-        # twisted u through s: sum Q^t_nu u^r_t (Qi)^mu_r
-        #   = sum wt^{mu,L} w_{R,nu} s^{R_{m-1}}_{L_{m-1}}...s^{R1}_{L1}
-        for mu in rng:
-            for nu in rng:
-                terms = {}
-                for tau in rng:
-                    qe = q.entry(tau - 1, nu - 1)
-                    if not qe:
-                        continue
-                    for rho in rng:
-                        qie = qi.entry(mu - 1, rho - 1)
-                        if not qie:
-                            continue
-                        word = A.word([Generator("u", rho, tau)])
-                        terms[word] = terms.get(word, ZERO) + qe * qie
-                for lidx, c1 in wt.entries.items():
-                    if lidx[0] != mu:
-                        continue
-                    lam = lidx[1:]
-                    for ridx, c2 in w.entries.items():
-                        if ridx[m - 1] != nu:
-                            continue
-                        rho = ridx[: m - 1]
-                        gens = [
-                            Generator("s", rho[m - 2 - i], lam[m - 2 - i])
-                            for i in range(m - 1)
-                        ]
-                        word = A.word(gens)
-                        terms[word] = terms.get(word, ZERO) - c1 * c2
-                out.append(_nf_verdict(_idx_label("Rus", (mu, nu)), NcPoly(A, terms), system))
+        out += _verdicts("Rsu", (s - _polar_matrix(a, w, wt, "u")).entries(), system)
+        rus = x - _polar_matrix(a, w, wt, "s", reverse=True)
+        out += _verdicts("Rus", rus.entries(), system)
 
     if m >= 3:
         out += _pair_reduction_checks(pres, system)
@@ -829,73 +588,43 @@ def _pair_reduction_checks(
     letters turns a product of two u's into a form-weighted sum --
     sum_M w_{l,r,M} s^{Mm}_{Nm}...s^{M3}_{N3} = sum_{N1,N2} w_N u^{N1}_l u^{N2}_r."""
     w = pres.provenance.form
-    n, m = pres.n, pres.m
-    A = pres.alphabet
-    rng = range(1, n + 1)
+    a = pres.alphabet
     out = []
-    for lam in rng:
-        for rho in rng:
-            for nu_rest in itertools.product(rng, repeat=m - 2):
-                terms: dict[str, Scalar] = {}
-                for widx, c in w.entries.items():
-                    if widx[0] == lam and widx[1] == rho:
-                        musuf = widx[2:]
-                        gens = [
-                            Generator("s", musuf[m - 3 - i], nu_rest[m - 3 - i])
-                            for i in range(m - 2)
-                        ]
-                        word = A.word(gens)
-                        terms[word] = terms.get(word, ZERO) + c
-                for widx, c in w.entries.items():
-                    if widx[2:] == tuple(nu_rest):
-                        gens = [
-                            Generator("u", widx[0], lam),
-                            Generator("u", widx[1], rho),
-                        ]
-                        word = A.word(gens)
-                        terms[word] = terms.get(word, ZERO) - c
-                out.append(
-                    _nf_verdict(
-                        _idx_label("pairred", (lam, rho) + tuple(nu_rest)),
-                        NcPoly(A, terms),
-                        system,
-                    )
-                )
+    for lam, rho, *rest in itertools.product(range(1, pres.n + 1), repeat=pres.m):
+        terms: dict[str, Scalar] = {}
+        for idx, c in w.entries.items():
+            if idx[:2] == (lam, rho):
+                pairs = zip(reversed(idx[2:]), reversed(rest))
+                word = a.word(Generator("s", i, j) for i, j in pairs)
+                terms[word] = terms.get(word, ZERO) + c
+            if list(idx[2:]) == rest:
+                word = a.word([Generator("u", idx[0], lam), Generator("u", idx[1], rho)])
+                terms[word] = terms.get(word, ZERO) - c
+        label = _idx_label("pairred", (lam, rho, *rest))
+        out.append(_nf_verdict(label, NcPoly(a, terms), system))
     return out
 
 
 def _manin_checks(pres: Presentation, system: RewriteSystem) -> list[CheckResult]:
     """Same-column commutation and cross-column commutator exchange."""
-    A = pres.alphabet
+    a = pres.alphabet
     rng = range(1, pres.n + 1)
 
-    def comm(a: Generator, b: Generator) -> NcPoly:
-        return NcPoly.from_gens(A, [a, b]) - NcPoly.from_gens(A, [b, a])
+    def comm(i: int, j: int, k: int, l: int) -> NcPoly:
+        """The commutator [u^i_j, u^k_l]."""
+        p = NcPoly.from_gens(a, [Generator("u", i, j)])
+        q = NcPoly.from_gens(a, [Generator("u", k, l)])
+        return p * q - q * p
 
     out = []
     for nu in rng:
-        for lam in rng:
-            for mu in rng:
-                if lam >= mu:
-                    continue
-                p = comm(Generator("u", lam, nu), Generator("u", mu, nu))
-                out.append(_nf_verdict(_idx_label("column", (lam, mu, nu)), p, system))
-    for lam in rng:
-        for mu in rng:
-            if lam >= mu:
-                continue
-            for nu in rng:
-                for rho in rng:
-                    if nu == rho:
-                        continue
-                    p = comm(
-                        Generator("u", lam, nu), Generator("u", mu, rho)
-                    ) - comm(Generator("u", mu, nu), Generator("u", lam, rho))
-                    out.append(
-                        _nf_verdict(
-                            _idx_label("exchange", (lam, mu, nu, rho)), p, system
-                        )
-                    )
+        for lam, mu in itertools.combinations(rng, 2):
+            p = comm(lam, nu, mu, nu)
+            out.append(_nf_verdict(_idx_label("column", (lam, mu, nu)), p, system))
+    for lam, mu in itertools.combinations(rng, 2):
+        for nu, rho in itertools.permutations(rng, 2):
+            p = comm(lam, nu, mu, rho) - comm(mu, nu, lam, rho)
+            out.append(_nf_verdict(_idx_label("exchange", (lam, mu, nu, rho)), p, system))
     return out
 
 
@@ -903,17 +632,9 @@ def _power_antipode_checks(
     pres: Presentation, system: RewriteSystem
 ) -> list[CheckResult]:
     """s is the transposed (m-1)-st power of u (fully diagonal form only)."""
-    A = pres.alphabet
-    m = pres.m
-    rng = range(1, pres.n + 1)
-    out = []
-    for lam in rng:
-        for mu in rng:
-            p = NcPoly.from_gens(A, [Generator("s", lam, mu)]) - NcPoly.from_gens(
-                A, [Generator("u", mu, lam)] * (m - 1)
-            )
-            out.append(_nf_verdict(_idx_label("spow", (lam, mu)), p, system))
-    return out
+    a, n = pres.alphabet, pres.n
+    spow = PolyMatrix.family(a, "s", n) - _transposed_power(a, "u", n, pres.m - 1)
+    return _verdicts("spow", spow.entries(), system)
 
 
 def pair_reduction_suite(
@@ -953,14 +674,11 @@ def bilinear_iso_suite(b: MultilinearForm, degree: int) -> list[CheckResult]:
     hw_system = system_for(back.target, degree)
     out = check_hom(fwd, degree, hb_system)
     out += check_hom(back, degree, hw_system)
-    hw = fwd.source
-    for mu in range(1, b.dim + 1):
-        for nu in range(1, b.dim + 1):
-            roundtrip = substitute(
-                fwd.images[Generator("s", mu, nu)], back.images, target=hw.alphabet
-            )
-            p = NcPoly.from_gens(hw.alphabet, [Generator("s", mu, nu)]) - roundtrip
-            out.append(_nf_verdict(_idx_label("roundtrip-s", (mu, nu)), p, hw_system))
+    a = fwd.source.alphabet
+    for g in matric_family("s", b.dim):
+        roundtrip = substitute(fwd.images[g], back.images, target=a)
+        p = NcPoly.from_gens(a, [g]) - roundtrip
+        out.append(_nf_verdict(_idx_label("roundtrip-s", (g.row, g.col)), p, hw_system))
     return out
 
 
@@ -986,18 +704,14 @@ def check_hom(
     return out
 
 
+def _antipode_matrix(pres: Presentation, family: str) -> PolyMatrix:
+    return PolyMatrix.of(pres.alphabet, pres.structure.antipode, family, pres.n)
+
+
 def hw_to_hww_hom(hw: Presentation, hww: Presentation) -> HomCandidate:
     """u goes to the generator matrix, s to its antipode image."""
-    images: dict[Generator, NcPoly] = {}
-    n = hw.n
-    for mu in range(1, n + 1):
-        for nu in range(1, n + 1):
-            images[Generator("u", mu, nu)] = NcPoly.from_gens(
-                hww.alphabet, [Generator("v", mu, nu)]
-            )
-            images[Generator("s", mu, nu)] = hww.structure.antipode[
-                Generator("v", mu, nu)
-            ]
+    v = PolyMatrix.family(hww.alphabet, "v", hw.n)
+    images = v.images("u") | _antipode_matrix(hww, "v").images("s")
     return HomCandidate("hw->hww", hw, hww, images)
 
 
@@ -1006,19 +720,9 @@ def theta_iso_homs(n: int, m: int) -> tuple[HomCandidate, HomCandidate]:
     algebra and the power-sum presentation: u <-> a, s -> transposed power."""
     htheta = build_hw(make_orthogonal(n, m))
     ah = build_ahmn(m, n)
-    fwd: dict[Generator, NcPoly] = {}
-    back: dict[Generator, NcPoly] = {}
-    for mu in range(1, n + 1):
-        for nu in range(1, n + 1):
-            fwd[Generator("u", mu, nu)] = NcPoly.from_gens(
-                ah.alphabet, [Generator("a", mu, nu)]
-            )
-            fwd[Generator("s", mu, nu)] = NcPoly.from_gens(
-                ah.alphabet, [Generator("a", nu, mu)] * (m - 1)
-            )
-            back[Generator("a", mu, nu)] = NcPoly.from_gens(
-                htheta.alphabet, [Generator("u", mu, nu)]
-            )
+    a = PolyMatrix.family(ah.alphabet, "a", n)
+    fwd = a.images("u") | _antipode_matrix(ah, "a").images("s")
+    back = PolyMatrix.family(htheta.alphabet, "u", n).images("a")
     return (
         HomCandidate("htheta->ah", htheta, ah, fwd),
         HomCandidate("ah->htheta", ah, htheta, back),
@@ -1030,17 +734,9 @@ def m2_iso_homs(b: MultilinearForm) -> tuple[HomCandidate, HomCandidate]:
     u <-> u, with s carried to the b-conjugated matrix."""
     hw = build_hw(b)
     hb = build_hb(b)
-    fwd: dict[Generator, NcPoly] = {}
-    back: dict[Generator, NcPoly] = {}
-    for mu in range(1, b.dim + 1):
-        for nu in range(1, b.dim + 1):
-            fwd[Generator("u", mu, nu)] = NcPoly.from_gens(
-                hb.alphabet, [Generator("u", mu, nu)]
-            )
-            fwd[Generator("s", mu, nu)] = hb.structure.antipode[Generator("u", mu, nu)]
-            back[Generator("u", mu, nu)] = NcPoly.from_gens(
-                hw.alphabet, [Generator("u", mu, nu)]
-            )
+    u = PolyMatrix.family(hb.alphabet, "u", b.dim)
+    fwd = u.images("u") | _antipode_matrix(hb, "u").images("s")
+    back = PolyMatrix.family(hw.alphabet, "u", b.dim).images("u")
     return (
         HomCandidate("hw->hb", hw, hb, fwd),
         HomCandidate("hb->hw", hb, hw, back),
@@ -1071,13 +767,7 @@ def check_representation(
     results = []
     for label, rel in zip(pres.relation_labels, pres.relations):
         img = substitute(rel, images, target=target)
-        results.append(
-            CheckResult(
-                f"rep:{label}",
-                Status.PASS if img.is_zero() else Status.FAIL,
-                "" if img.is_zero() else f"image {img.to_str()}",
-            )
-        )
+        results.append(_pass_or_fail(f"rep:{label}", img.is_zero(), f"image {img.to_str()}"))
     wimg = None
     distinct = None
     if witness is not None:
@@ -1090,25 +780,19 @@ def check_representation(
 
 def unitriangular_free_images(pres: Presentation) -> dict[Generator, NcPoly]:
     """The two-parameter unitriangular representation of the alternating
-    3x3 instance: u maps to I + x E12 + y E13 and s to I - x E12 - y E13,
+    3x3 instance: u maps to I + N and s to I - N with N = x E12 + y E13,
     inside the free algebra on x, y."""
     if pres.kind != "hw" or pres.n != 3 or pres.m != 3:
         raise ValueError("this representation is for the 3x3 arity-3 instance")
     x = Generator.free("x")
     y = Generator.free("y")
     target = Alphabet([x, y])
-    one = NcPoly.unit(target)
     zero = NcPoly.zero(target)
     px = NcPoly.from_gens(target, [x])
     py = NcPoly.from_gens(target, [y])
-    umat = [[one, px, py], [zero, one, zero], [zero, zero, one]]
-    smat = [[one, -px, -py], [zero, one, zero], [zero, zero, one]]
-    images: dict[Generator, NcPoly] = {}
-    for r in range(3):
-        for c in range(3):
-            images[Generator("u", r + 1, c + 1)] = umat[r][c]
-            images[Generator("s", r + 1, c + 1)] = smat[r][c]
-    return images
+    nil = PolyMatrix(target, [[zero, px, py], [zero, zero, zero], [zero, zero, zero]])
+    one = PolyMatrix.identity(target, 3)
+    return (one + nil).images("u") | (one - nil).images("s")
 
 
 @dataclass
@@ -1118,6 +802,10 @@ class ProbeReport:
     degree: int
     verdict: str
     details: list[CheckResult] = field(default_factory=list)
+
+
+def _probe_verdict(certified: bool, degree: int) -> str:
+    return "noninjective certified" if certified else f"inconclusive at degree {degree}"
 
 
 def noninjectivity_probe(
@@ -1148,22 +836,166 @@ def noninjectivity_probe(
         hww.alphabet, [Generator("v", 1, 2), Generator("v", 1, 3)]
     ) - NcPoly.from_gens(hww.alphabet, [Generator("v", 1, 3), Generator("v", 1, 2)])
     certified = normal_form(comm, system).is_zero()
-    if witness_ok and certified:
-        verdict = "noninjective certified"
-    else:
-        verdict = f"inconclusive at degree {degree}"
-    details = list(rep.results)
-    details.append(
-        CheckResult(
-            "probe:witness-distinct",
-            Status.PASS if witness_ok else Status.FAIL,
-        )
-    )
-    details.append(
+    verdict = _probe_verdict(witness_ok and certified, degree)
+    details = rep.results + [
+        CheckResult("probe:witness-distinct", Status.PASS if witness_ok else Status.FAIL),
         CheckResult(
             "probe:commutator",
             Status.PASS if certified else Status.UNCERTIFIED,
             "" if certified else "nonzero normal form at this truncation",
-        )
-    )
+        ),
+    ]
     return ProbeReport(witness_ok, certified, degree, verdict, details)
+
+
+# ---------------------------------------------------------------------------
+# the suite table
+
+
+@dataclass(frozen=True)
+class SuiteInputs:
+    """Everything a verification suite may read.  Each entry of ``SUITES``
+    declares which of the optional inputs it reads; a ``degree`` of None
+    means twice the arity."""
+
+    form: MultilinearForm | None = None
+    algebra: str | None = None
+    polar: MultilinearForm | None = None
+    m: int | None = None
+    n: int | None = None
+    degree: int | None = None
+
+    def degree_for(self, arity: int) -> int:
+        return default_degree(arity) if self.degree is None else self.degree
+
+    def need_form(self, suite: str) -> MultilinearForm:
+        if self.form is None:
+            raise ValueError(f"suite {suite!r} needs a form file")
+        return self.form
+
+    def form_or_alternating3(self) -> MultilinearForm:
+        return make_signature(3) if self.form is None else self.form
+
+    def refuse_unread(self, reads: Iterable[str], reader: str) -> None:
+        """Raise ValueError for the first input that is given but not read."""
+        for name in ("form", "algebra", "polar", "m", "n"):
+            if name not in reads and getattr(self, name) is not None:
+                flag = "a form file" if name == "form" else f"--{name}"
+                raise ValueError(f"{reader} does not read {flag}")
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One verification suite: the optional inputs it reads, the function
+    that runs it, and (for a semidecision) the verdict line it ends with."""
+
+    reads: frozenset[str]
+    run: Callable[[SuiteInputs], list[CheckResult]]
+    verdict: Callable[[list[CheckResult], SuiteInputs], str] | None = None
+
+
+# what each --algebra of the axioms suite reads besides --algebra itself
+_AXIOM_READS = {
+    "bw": {"form", "polar"},
+    "hw": {"form"},
+    "hb": {"form"},
+    "hww": {"form", "polar"},
+    "ahmn": {"m", "n"},
+}
+
+
+def _axioms(inputs: SuiteInputs) -> list[CheckResult]:
+    """Hopf axioms of one presentation; bw adds the polar left inverse."""
+    kind = inputs.algebra or "hw"
+    if kind not in _AXIOM_READS:
+        raise ValueError(f"unknown algebra kind {kind!r}")
+    inputs.refuse_unread(_AXIOM_READS[kind] | {"algebra"}, f"--algebra {kind}")
+    if kind == "ahmn":
+        if inputs.m is None or inputs.n is None:
+            raise ValueError("ahmn needs --m and --n")
+        return hopf_axiom_suite(build_ahmn(inputs.m, inputs.n), inputs.degree_for(inputs.m))
+    w = inputs.need_form("axioms")
+    degree = inputs.degree_for(w.arity)
+    pres = build_presentation(kind, w, inputs.polar)
+    system = system_for(pres, degree)
+    results = hopf_axiom_suite(pres, degree, system)
+    if kind == "bw":
+        wt = _polar_choice(w, inputs.polar)
+        results += check_left_inverse_identity(pres, wt, degree, system)
+    return results
+
+
+def _derived(inputs: SuiteInputs) -> list[CheckResult]:
+    """The derived suite on the given polar member, or on the canonical one
+    and one kernel step away from it; rows are prefixed ``sampleN:``."""
+    w = inputs.need_form("derived")
+    degree = inputs.degree_for(w.arity)
+    pres = build_hw(w)
+    system = system_for(pres, degree)
+    if inputs.polar is not None:
+        samples = [inputs.polar]
+    else:
+        sol = polar(w)
+        samples = [sol.particular]
+        if sol.kernel_basis:
+            samples.append(sol.member([1] + [0] * (len(sol.kernel_basis) - 1)))
+    return [
+        CheckResult(f"sample{i}:{r.name}", r.status, r.detail)
+        for i, wt in enumerate(samples, start=1)
+        for r in derived_relations_suite(pres, wt, degree, system)
+    ]
+
+
+def _pair_reduction(inputs: SuiteInputs) -> list[CheckResult]:
+    w = inputs.need_form("pair-reduction")
+    return pair_reduction_suite(build_hw(w), inputs.degree_for(w.arity))
+
+
+def _manin(inputs: SuiteInputs) -> list[CheckResult]:
+    if inputs.form_or_alternating3() != make_signature(3):
+        raise ValueError("the manin suite is for the alternating 3x3 form")
+    return manin_suite(inputs.degree_for(3))
+
+
+def _diagonal_iso(inputs: SuiteInputs) -> list[CheckResult]:
+    n = 2 if inputs.n is None else inputs.n
+    m = 3 if inputs.m is None else inputs.m
+    return diagonal_iso_suite(n, m, inputs.degree_for(m))
+
+
+def _bilinear_iso(inputs: SuiteInputs) -> list[CheckResult]:
+    w = inputs.need_form("bilinear-iso")
+    if w.arity != 2:
+        raise ValueError("the bilinear-iso suite needs an arity-2 form")
+    return bilinear_iso_suite(w, inputs.degree_for(2))
+
+
+def _noninjectivity(inputs: SuiteInputs) -> list[CheckResult]:
+    w = inputs.form_or_alternating3()
+    wt = _polar_choice(w, inputs.polar)
+    return noninjectivity_probe(w, wt, inputs.degree_for(w.arity)).details
+
+
+def _noninjectivity_verdict(results: list[CheckResult], inputs: SuiteInputs) -> str:
+    arity = inputs.form_or_alternating3().arity
+    return _probe_verdict(all_pass(results), inputs.degree_for(arity))
+
+
+SUITES: dict[str, Suite] = {
+    "axioms": Suite(frozenset({"algebra"}.union(*_AXIOM_READS.values())), _axioms),
+    "derived": Suite(frozenset({"form", "polar"}), _derived),
+    "pair-reduction": Suite(frozenset({"form"}), _pair_reduction),
+    "manin": Suite(frozenset({"form"}), _manin),
+    "diagonal-iso": Suite(frozenset({"m", "n"}), _diagonal_iso),
+    "bilinear-iso": Suite(frozenset({"form"}), _bilinear_iso),
+    "noninjectivity": Suite(
+        frozenset({"form", "polar"}), _noninjectivity, _noninjectivity_verdict
+    ),
+}
+
+
+def run_suite(name: str, inputs: SuiteInputs) -> list[CheckResult]:
+    """Run one entry of ``SUITES``, refusing any input it does not read."""
+    suite = SUITES[name]
+    inputs.refuse_unread(suite.reads, f"suite {name!r}")
+    return suite.run(inputs)

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .exactnum import ONE, Scalar, ZERO, format_rational, parse_rational, rat
+from .exactnum import ONE, Matrix, Scalar, ZERO, format_rational, parse_rational, rat
 
 _FAMILY_RANK = {"u": 0, "s": 1, "a": 2, "v": 3, "free": 4}
 
@@ -423,6 +423,83 @@ def parse_poly(alphabet: Alphabet, text: str) -> NcPoly:
         if i < n and toks[i][0] != "op":
             raise ValueError("missing operator between terms")
     return NcPoly(alphabet, terms)
+
+
+class PolyMatrix:
+    """A square matrix of :class:`NcPoly` entries over one alphabet.
+
+    Entries are addressed 1-based, like the matric generators.  In ``A @ B``
+    each entry product writes the word of the ``A`` entry before the word of
+    the ``B`` entry, so (A @ B)[i,j] = sum_k A[i,k] B[k,j] with words read
+    left to right; ``.T`` transposes without touching any word.
+    """
+
+    __slots__ = ("alphabet", "rows")
+
+    def __init__(self, alphabet: Alphabet, rows: Iterable[Iterable[NcPoly]]) -> None:
+        self.alphabet = alphabet
+        self.rows = tuple(tuple(r) for r in rows)
+
+    @classmethod
+    def of(
+        cls, alphabet: Alphabet, images: Mapping[Generator, NcPoly], family: str, n: int
+    ) -> "PolyMatrix":
+        """The matrix whose (r, c) entry is the image of ``family[r,c]``."""
+        rng = range(1, n + 1)
+        return cls(alphabet, ([images[Generator(family, r, c)] for c in rng] for r in rng))
+
+    @classmethod
+    def family(cls, alphabet: Alphabet, family: str, n: int) -> "PolyMatrix":
+        """The generator matrix of one matric family."""
+        gens = matric_family(family, n)
+        return cls.of(alphabet, {g: NcPoly.from_gens(alphabet, [g]) for g in gens}, family, n)
+
+    @classmethod
+    def scalar(cls, alphabet: Alphabet, m: Matrix) -> "PolyMatrix":
+        """A matrix of scalars as constant polynomials."""
+        return cls(
+            alphabet,
+            ([NcPoly.unit(alphabet, m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)),
+        )
+
+    @classmethod
+    def identity(cls, alphabet: Alphabet, n: int) -> "PolyMatrix":
+        return cls.scalar(alphabet, Matrix.identity(n))
+
+    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        rng = range(len(self.rows))
+        zero = NcPoly.zero(self.alphabet)
+        return PolyMatrix(
+            self.alphabet,
+            (
+                [sum((row[k] * other.rows[k][j] for k in rng), zero) for j in rng]
+                for row in self.rows
+            ),
+        )
+
+    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
+        return PolyMatrix(
+            self.alphabet, (map(NcPoly.__add__, a, b) for a, b in zip(self.rows, other.rows))
+        )
+
+    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
+        return PolyMatrix(
+            self.alphabet, (map(NcPoly.__sub__, a, b) for a, b in zip(self.rows, other.rows))
+        )
+
+    @property
+    def T(self) -> "PolyMatrix":
+        return PolyMatrix(self.alphabet, zip(*self.rows))
+
+    def entries(self) -> Iterable[tuple[tuple[int, int], NcPoly]]:
+        """((row, col), entry) pairs, 1-based, in row-major order."""
+        for r, row in enumerate(self.rows, start=1):
+            for c, p in enumerate(row, start=1):
+                yield (r, c), p
+
+    def images(self, family: str) -> dict[Generator, NcPoly]:
+        """Read the matrix off as images of the generators ``family[r,c]``."""
+        return {Generator(family, r, c): p for (r, c), p in self.entries()}
 
 
 class TensorSquare:

@@ -100,6 +100,36 @@ class _LeadIndex:
             self.suffixes.get(lead[i:], set()).discard(lead)
         return tail
 
+    def overlaps_as_left(self, lead: str):
+        """Every proper overlap with ``lead`` as the left rule: yields
+        (l2, x, z) with lead = x.b and l2 = b.z for a nonempty proper b."""
+        for i in range(1, len(lead)):
+            b = lead[i:]
+            others = self.prefixes.get(b)
+            if others:
+                for l2 in others:
+                    yield l2, lead[:i], l2[len(b) :]
+
+    def s_poly(self, l1: str, l2: str, x: str, z: str):
+        """Terms of tail(l1).z - x.tail(l2) for the overlap word l1.z = x.l2;
+        None when a parent rule is no longer live."""
+        t1 = self.by_word.get(l1)
+        t2 = self.by_word.get(l2)
+        if t1 is None or t2 is None:
+            return None
+        s_terms: dict[str, Scalar] = {}
+        for w, c in t1.items():
+            kw = w + z
+            s_terms[kw] = s_terms.get(kw, ZERO) + c
+        for w, c in t2.items():
+            kw = x + w
+            nv = s_terms.get(kw, ZERO) - c
+            if nv:
+                s_terms[kw] = nv
+            else:
+                s_terms.pop(kw, None)
+        return s_terms
+
     def find_reduction(self, word: str):
         """Leftmost position, shortest lead there (= deglex-smallest match).
 
@@ -220,6 +250,7 @@ class RewriteSystem:
         through = None
         alphabet = None
         rules: list[Rule] = []
+        leads: set[str] = set()
         for ln in lines[1:]:
             head, _, rest = ln.partition(" ")
             if head == "degree":
@@ -238,9 +269,15 @@ class RewriteSystem:
                 lead_poly = parse_poly(alphabet, lhs.strip())
                 if len(lead_poly.terms) != 1 or lead_poly.leading_coeff() != 1:
                     raise ValueError(f"rule lead must be a single word: {ln!r}")
-                rules.append(
-                    Rule(lead_poly.leading_word(), parse_poly(alphabet, rhs.strip()))
-                )
+                lead = lead_poly.leading_word()
+                tail = parse_poly(alphabet, rhs.strip())
+                # a tail word at or above its lead would make rewriting loop
+                if any(deglex_key(w) >= deglex_key(lead) for w in tail.terms):
+                    raise ValueError(f"rule tail is not below its lead in deglex: {ln!r}")
+                if lead in leads:
+                    raise ValueError(f"lead appears on two rules: {ln!r}")
+                leads.add(lead)
+                rules.append(Rule(lead, tail))
             else:
                 raise ValueError(f"unknown line in system dump: {ln!r}")
         if degree is None or through is None or alphabet is None:
@@ -283,14 +320,6 @@ def ideal_member(p: NcPoly, system: RewriteSystem) -> bool:
     return normal_form(p, system).is_zero()
 
 
-def _proper_overlaps(l1: str, l2: str) -> Iterable[tuple[str, str]]:
-    """Yield (x, z) for each proper overlap l1 = x.b, l2 = b.z with b != ''."""
-    top = min(len(l1), len(l2))
-    for blen in range(1, top):
-        if l1[len(l1) - blen :] == l2[:blen]:
-            yield l1[: len(l1) - blen], l2[blen:]
-
-
 class _Completion:
     """Mutable state for one completion run."""
 
@@ -320,16 +349,10 @@ class _Completion:
     def queue_overlaps_of(self, lead: str) -> None:
         """Queue every overlap ambiguity between ``lead`` and the live rules
         (including itself).  Prefix/suffix maps make this output-sensitive."""
-        n = len(lead)
-        # lead as the left rule: its proper suffixes must prefix the other
-        for i in range(1, n):
-            s = lead[i:]
-            others = self.index.prefixes.get(s)
-            if others:
-                for l2 in others:
-                    self.push_pair(lead, l2, lead[:i], l2[len(s) :])
+        for l2, x, z in self.index.overlaps_as_left(lead):
+            self.push_pair(lead, l2, x, z)
         # lead as the right rule: live leads whose suffix prefixes lead
-        for i in range(1, n):
+        for i in range(1, len(lead)):
             p = lead[:i]
             others = self.index.suffixes.get(p)
             if others:
@@ -366,24 +389,6 @@ class _Completion:
         self.index.add(lead, tail)
         self.queue_overlaps_of(lead)
 
-    def s_poly_terms(self, l1: str, l2: str, x: str, z: str):
-        t1 = self.index.by_word.get(l1)
-        t2 = self.index.by_word.get(l2)
-        if t1 is None or t2 is None:
-            return None  # a parent was retracted; its replacement re-queued
-        s_terms: dict[str, Scalar] = {}
-        for w, c in t1.items():
-            kw = w + z
-            s_terms[kw] = s_terms.get(kw, ZERO) + c
-        for w, c in t2.items():
-            kw = x + w
-            nv = s_terms.get(kw, ZERO) - c
-            if nv:
-                s_terms[kw] = nv
-            else:
-                s_terms.pop(kw, None)
-        return s_terms
-
     def drain(self, on_progress, last_reported: int) -> int:
         while self.heap:
             deg, _, _, pair, terms = heapq.heappop(self.heap)
@@ -391,9 +396,9 @@ class _Completion:
                 on_progress(deg, len(self.index.by_word))
                 last_reported = deg
             if pair is not None:
-                terms = self.s_poly_terms(*pair)
+                terms = self.index.s_poly(*pair)
                 if terms is None:
-                    continue
+                    continue  # a parent was retracted; its replacement re-queued
             reduced = self.index.reduce_terms(terms, self.desc)
             if reduced:
                 self.insert(reduced)
@@ -416,23 +421,13 @@ class _Completion:
         """Reduce every overlap S-polynomial of the final system; push back
         any that fail to vanish.  Returns True when the system is clean."""
         clean = True
-        leads = sorted(self.index.by_word, key=deglex_key)
-        for l1 in leads:
-            n = len(l1)
-            for i in range(1, n):
-                s = l1[i:]
-                others = self.index.prefixes.get(s)
-                if not others:
+        for l1 in sorted(self.index.by_word, key=deglex_key):
+            for l2, x, z in self.index.overlaps_as_left(l1):
+                if len(x) + len(l2) > self.degree_bound:
                     continue
-                for l2 in others:
-                    if len(l1[:i]) + len(l2) > self.degree_bound:
-                        continue
-                    terms = self.s_poly_terms(l1, l2, l1[:i], l2[len(s) :])
-                    if terms is None:
-                        continue
-                    if self.index.reduce_terms(terms, self.desc):
-                        self.push_pair(l1, l2, l1[:i], l2[len(s) :])
-                        clean = False
+                if self.index.reduce_terms(self.index.s_poly(l1, l2, x, z), self.desc):
+                    self.push_pair(l1, l2, x, z)
+                    clean = False
         return clean
 
 
@@ -482,15 +477,16 @@ def unresolved_overlaps(system: RewriteSystem) -> list[tuple[str, str, str]]:
     """Audit confluence at the bound: every overlap word of degree <= D must
     reduce to the same normal form along both one-step resolutions.  Returns
     the offending (lead1, lead2, overlap_word) triples; empty = confluent."""
+    index = system._index
     bad = []
-    for r1 in system.rules:
-        for r2 in system.rules:
-            for x, z in _proper_overlaps(r1.lead, r2.lead):
-                word = r1.lead + z  # equals x + r2.lead
-                if len(word) > system.degree_bound:
-                    continue
-                left = NcPoly(system.alphabet, {x + t: c for t, c in r2.tail.terms.items()})
-                right = NcPoly(system.alphabet, {t + z: c for t, c in r1.tail.terms.items()})
-                if normal_form(left, system) != normal_form(right, system):
-                    bad.append((r1.lead, r2.lead, word))
+    for l1 in index.by_word:
+        for l2, x, z in index.overlaps_as_left(l1):
+            if len(x) + len(l2) > system.degree_bound:
+                continue
+            # normal form is linear: the two resolutions agree iff their
+            # difference, the S-polynomial, reduces to zero
+            if _reduce_terms(index.s_poly(l1, l2, x, z), system):
+                bad.append((l1, l2, x + l2))
+    # rule order for both leads, then overlaps by growing length of b
+    bad.sort(key=lambda t: (deglex_key(t[0]), deglex_key(t[1]), -len(t[2])))
     return bad

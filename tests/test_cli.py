@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from hopfw.cli import __doc__ as CLI_DOC
 from hopfw.cli import _exit_code, main
 from hopfw.formats import (
     FormFileError,
@@ -20,7 +22,16 @@ from hopfw.forms import (
     make_orthogonal,
     make_signature,
 )
-from hopfw.hopf import CheckResult, Status, build_bw, build_hw
+from hopfw.hopf import (
+    SUITES,
+    CheckResult,
+    Status,
+    SuiteInputs,
+    build_bw,
+    build_hw,
+    pair_reduction_suite,
+    run_suite,
+)
 from hopfw.ncalg import Generator
 from hopfw.exactnum import rat
 
@@ -319,6 +330,24 @@ def test_nf_unknown_generator(cyclic2, tmp_path, capsys):
     assert main(["nf", str(system), "--poly", "q[1,1]"]) == 3
 
 
+@pytest.mark.parametrize(
+    "rule, poly, message",
+    [
+        ("rule u[1,1] -> u[1,1]*u[1,2]", "u[1,1]", "not below its lead"),
+        ("rule u[1,2] -> u[1,2]", "u[1,2]", "not below its lead"),
+        ("rule u[1,2] -> u[1,1]\nrule u[1,2] -> 1", "u[1,2]", "two rules"),
+    ],
+)
+def test_nf_refuses_a_system_that_would_not_terminate(tmp_path, capsys, rule, poly, message):
+    path = tmp_path / "sys.txt"
+    path.write_text(
+        f"system\ndegree 4\ncomplete_through 4\ngenerators u[1,1] u[1,2]\n{rule}\n"
+    )
+    assert main(["nf", str(path), "--poly", poly]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("hopfw: error:") and message in err
+
+
 def test_gb_rejects_nonpositive_degree(cyclic2, tmp_path, capsys):
     pres = tmp_path / "hw.txt"
     main(["present", "--algebra", "hw", "--form", cyclic2, "--out", str(pres)])
@@ -449,6 +478,63 @@ def test_verify_noninjectivity_exit_codes(capsys):
 def test_verify_requires_form_when_no_fallback(capsys):
     assert main(["verify", "--suite", "derived"]) == 3
     assert "needs a form file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--suite", "diagonal-iso", "FORM"], "a form file"),
+        (["--suite", "derived", "FORM", "--algebra", "bw"], "--algebra"),
+        (["--suite", "manin", "--polar", "FORM"], "--polar"),
+        (["--suite", "pair-reduction", "FORM", "--m", "3"], "--m"),
+        (["--suite", "bilinear-iso", "FORM", "--n", "2"], "--n"),
+    ],
+)
+def test_verify_refuses_flags_the_suite_does_not_read(cyclic2, capsys, argv, flag):
+    argv = [cyclic2 if a == "FORM" else a for a in argv]
+    assert main(["verify", *argv, "--degree", "4"]) == 3
+    err = capsys.readouterr().err
+    assert f"suite {argv[1]!r} does not read {flag}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["FORM", "--algebra", "hw", "--m", "3"], "--algebra hw does not read --m"),
+        (["FORM", "--algebra", "hb", "--polar", "FORM"], "--algebra hb does not read --polar"),
+        (
+            ["FORM", "--algebra", "ahmn", "--m", "3", "--n", "2"],
+            "--algebra ahmn does not read a form",
+        ),
+        (["--polar", "FORM"], "--algebra hw does not read --polar"),
+    ],
+)
+def test_verify_axioms_refuses_flags_its_algebra_does_not_read(cyclic2, capsys, argv, message):
+    argv = [cyclic2 if a == "FORM" else a for a in argv]
+    assert main(["verify", "--suite", "axioms", *argv, "--degree", "4"]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_run_suite_is_the_table_behind_verify():
+    inputs = SuiteInputs(form=W2, degree=4)
+    assert run_suite("pair-reduction", inputs) == pair_reduction_suite(build_hw(W2), 4)
+    with pytest.raises(ValueError, match="does not read --polar"):
+        run_suite("pair-reduction", SuiteInputs(form=W2, polar=W2))
+
+
+def test_suite_lists_in_docs_follow_the_table():
+    assert "Suites: " + ", ".join(SUITES) + "." in " ".join(CLI_DOC.split())
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, ln in enumerate(lines) if ln.startswith("| suite "))
+    rows = {}
+    for ln in lines[start + 2 :]:
+        if not ln.startswith("|"):
+            break
+        name, reads = (cell.strip() for cell in ln.split("|")[1:3])
+        rows[name.strip("`")] = frozenset(reads.split(", "))
+    assert list(rows) == list(SUITES)
+    assert rows == {name: suite.reads for name, suite in SUITES.items()}
 
 
 def test_argparse_errors_exit_with_usage_code():

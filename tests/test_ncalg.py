@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from hopfw.exactnum import rat
+from hopfw.exactnum import Matrix, rat
 from hopfw.ncalg import (
     Alphabet,
     Generator,
     MissingImageError,
     NcPoly,
+    PolyMatrix,
     TensorSquare,
     coproduct_image,
     deglex_compare,
@@ -300,3 +301,32 @@ def test_coproduct_image_is_multiplicative():
         coproduct_image(p, {Generator("u", 2, 2): TensorSquare.unit(a)})
     with pytest.raises(ValueError):
         coproduct_image(NcPoly.unit(a), {})
+
+
+def test_poly_matrix_product_writes_left_entry_first():
+    a = Alphabet(matric_family("u", 2) + matric_family("s", 2))
+    u = PolyMatrix.family(a, "u", 2)
+    s = PolyMatrix.family(a, "s", 2)
+    us = dict((u @ s).entries())
+    assert us[(1, 2)] == NcPoly.parse(a, "u[1,1]*s[1,2] + u[1,2]*s[2,2]")
+    # transposing moves entries but keeps every word's letter order
+    tst = dict((u.T @ s.T).T.entries())
+    assert tst[(1, 2)] == NcPoly.parse(a, "u[1,2]*s[1,1] + u[2,2]*s[1,2]")
+    # so (U S)^T differs from S^T U^T: no word is reversed
+    assert (u @ s).T.rows != (s.T @ u.T).rows
+
+
+def test_poly_matrix_scalars_sums_and_images():
+    a = Alphabet(matric_family("u", 2))
+    u = PolyMatrix.family(a, "u", 2)
+    one = PolyMatrix.identity(a, 2)
+    q = PolyMatrix.scalar(a, Matrix.from_rows([[0, 1], [1, 0]]))
+    swapped = dict((q @ u @ q).entries())
+    assert swapped[(1, 1)] == NcPoly.parse(a, "u[2,2]")
+    assert swapped[(1, 2)] == NcPoly.parse(a, "u[2,1]")
+    assert (u + one - one).rows == u.rows
+    assert (one @ u).rows == u.rows == (u @ one).rows
+    images = (u - one).images("s")
+    assert list(images) == matric_family("s", 2)
+    assert images[Generator("s", 1, 1)] == NcPoly.parse(a, "u[1,1] - 1")
+    assert PolyMatrix.of(a, u.images("u"), "u", 2).rows == u.rows

@@ -120,6 +120,27 @@ def test_unresolved_overlaps_flags_a_non_confluent_system():
     assert normal_form(parse_poly(a, "x*z"), fixed) == parse_poly(a, "x")
 
 
+def test_unresolved_overlaps_keeps_rule_order_then_growing_overlap():
+    a = free_alphabet("x", "y", "z")
+    x, y, z = (a.char(g) for g in a.generators)
+    rules = [
+        Rule(x + x + x, NcPoly(a, {y: 1})),
+        Rule(y + x, NcPoly(a, {x: 1})),
+        Rule(x + y, NcPoly(a, {z: 1})),
+    ]
+    s = RewriteSystem(a, rules, 5, 5)
+    # ordered by first lead, then second lead (both in rule order), then the
+    # shared factor growing -- so the overlap word shrinks
+    assert unresolved_overlaps(s) == [
+        (x + y, y + x, x + y + x),
+        (y + x, x + y, y + x + y),
+        (y + x, x + x + x, y + x + x + x),
+        (x + x + x, x + y, x + x + x + y),
+        (x + x + x, x + x + x, x * 5),
+        (x + x + x, x + x + x, x * 4),
+    ]
+
+
 def test_normal_form_is_linear_and_idempotent():
     a = free_alphabet("x", "y")
     s = complete([parse_poly(a, "x*x - y"), parse_poly(a, "y*x - x*y")], 6)
@@ -166,6 +187,31 @@ def test_dump_parse_round_trip():
 def test_parse_rejects_malformed_dumps(bad):
     with pytest.raises(ValueError):
         RewriteSystem.parse(bad)
+
+
+_HEADER = "system\ndegree 4\ncomplete_through 4\ngenerators u[1,1] u[1,2]\n"
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        "rule u[1,1] -> u[1,1]*u[1,2]",  # tail above the lead
+        "rule u[1,2] -> u[1,2]",  # tail equal to the lead
+        "rule u[1,2] -> u[1,1] + u[1,1]*u[1,1]",  # one tail word above the lead
+    ],
+)
+def test_parse_rejects_a_tail_not_below_its_lead(rule):
+    with pytest.raises(ValueError, match="not below its lead"):
+        RewriteSystem.parse(_HEADER + rule + "\n")
+
+
+def test_parse_rejects_a_repeated_lead():
+    text = _HEADER + "rule u[1,2] -> u[1,1]\nrule u[1,2] -> 0\n"
+    with pytest.raises(ValueError, match="two rules"):
+        RewriteSystem.parse(text)
+    # one copy of each lead, tails below them, still parses
+    back = RewriteSystem.parse(_HEADER + "rule u[1,2] -> u[1,1]\nrule u[1,1]*u[1,1] -> 1\n")
+    assert len(back.rules) == 2
 
 
 def test_find_reduction_prefers_leftmost_then_smallest():
