@@ -12,7 +12,9 @@ Commands::
 Suites: axioms, derived, pair-reduction, manin, diagonal-iso, bilinear-iso,
 noninjectivity.  Each reads only the inputs it declares in ``hopf.SUITES``;
 a form file, ``--algebra``, ``--polar``, ``--m`` or ``--n`` that the chosen
-suite does not read is a usage error.
+suite does not read is a usage error.  ``present`` reads ``--form`` for bw,
+hw and hb, ``--form`` and ``--polar`` for hww, and ``--m`` and ``--n`` for
+ahmn; any other of them is a usage error too (``hopf.build_algebra``).
 
 Exit codes: 0 success / all checks pass, 1 a check failed (refutation),
 2 at least one check was uncertified at the degree bound (none failed),
@@ -48,11 +50,9 @@ from .forms import (
 )
 from .hopf import (
     SUITES,
-    Presentation,
     Status,
     SuiteInputs,
-    build_ahmn,
-    build_presentation,
+    build_algebra,
     default_degree,
     run_suite,
     worst_status,
@@ -187,21 +187,20 @@ def _load_optional_form(path: str | None) -> MultilinearForm | None:
     return load_form(path) if path else None
 
 
-def _build_algebra(args) -> Presentation:
-    kind = args.algebra
-    if kind == "ahmn":
-        if args.m is None or args.n is None:
-            raise ValueError("ahmn needs --m and --n")
-        return build_ahmn(args.m, args.n)
-    if not args.form:
-        raise ValueError(f"--algebra {kind} needs --form")
-    wt = _load_optional_form(args.polar) if kind == "hww" else None
-    return build_presentation(kind, load_form(args.form), wt)
+def _inputs(args, degree: int | None = None) -> SuiteInputs:
+    """The form, --algebra, --polar, --m and --n given on the command line."""
+    return SuiteInputs(
+        form=_load_optional_form(args.form),
+        algebra=args.algebra,
+        polar=_load_optional_form(args.polar),
+        m=args.m,
+        n=args.n,
+        degree=degree,
+    )
 
 
 def _cmd_present(args) -> int:
-    pres = _build_algebra(args)
-    _write_out(dump_presentation(pres), args.out)
+    _write_out(dump_presentation(build_algebra(_inputs(args))), args.out)
     return OK
 
 
@@ -250,14 +249,7 @@ def _exit_code(results) -> int:
 
 
 def _cmd_verify(args) -> int:
-    inputs = SuiteInputs(
-        form=_load_optional_form(args.form),
-        algebra=args.algebra,
-        polar=_load_optional_form(args.polar),
-        m=args.m,
-        n=args.n,
-        degree=_resolve_degree(args.degree),
-    )
+    inputs = _inputs(args, _resolve_degree(args.degree))
     results = run_suite(args.suite, inputs)
     _print_results(results)
     verdict = SUITES[args.suite].verdict

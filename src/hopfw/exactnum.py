@@ -209,24 +209,43 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     return Matrix(nr, nc, flat), tuple(pivots), len(pivots)
 
 
-def kernel_basis(a: Matrix) -> tuple[tuple, ...]:
-    """Canonical basis of the nullspace of ``a``.
+def solve(a: Matrix, b: Matrix) -> tuple[Matrix | None, tuple[dict[int, Scalar], ...]]:
+    """Solve ``a @ x = b`` exactly for a matrix right-hand side ``b``, with
+    one row reduction of ``[a | b]``.
 
-    One vector per free column, in increasing column order; the vector has a
-    1 in its free column, the forced values in the pivot columns, and 0 in
-    every other free column.
+    Returns ``(particular, kernel)``.  ``particular`` is the canonical
+    solution, with every free variable 0, or None when some column of ``b``
+    is out of reach.  ``kernel`` is the canonical basis of the nullspace of
+    ``a`` (returned either way) as sparse vectors ``{column: value}``: one per
+    free column of ``a``, in increasing order, with a 1 in that column, the
+    forced values in the pivot columns and 0 in every other free column.
     """
-    red, pivots, _ = rref(a)
-    pivset = set(pivots)
-    free = [c for c in range(a.cols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [ZERO] * a.cols
-        v[fc] = ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -red.entry(i, fc)
-        basis.append(tuple(v))
-    return tuple(basis)
+    if b.rows != a.rows:
+        raise ValueError("right-hand side row count mismatch")
+    n = a.cols
+    aug = [x for i in range(a.rows) for x in (*a.row(i), *b.row(i))]
+    red, pivots, _ = rref(Matrix(a.rows, n + b.cols, aug))
+    # the pivots of [a | b] left of column n are those of a, in its first rows
+    a_pivots = [p for p in pivots if p < n]
+    rows = [red.row(i) for i in range(len(a_pivots))]
+    kernel = []
+    for fc in sorted(set(range(n)).difference(a_pivots)):
+        v = {fc: ONE}
+        for pc, row in zip(a_pivots, rows):
+            if row[fc]:
+                v[pc] = -row[fc]
+        kernel.append(v)
+    if len(a_pivots) < len(pivots):
+        return None, tuple(kernel)
+    x = [ZERO] * (n * b.cols)
+    for pc, row in zip(a_pivots, rows):
+        x[pc * b.cols : (pc + 1) * b.cols] = row[n:]
+    return Matrix(n, b.cols, x), tuple(kernel)
+
+
+def kernel_basis(a: Matrix) -> tuple[tuple, ...]:
+    """Canonical basis of the nullspace of ``a`` (see :func:`solve`)."""
+    return solve_affine(a, [ZERO] * a.rows)[1]
 
 
 def solve_affine(a: Matrix, b: Sequence) -> tuple[tuple | None, tuple[tuple, ...]]:
@@ -236,41 +255,21 @@ def solve_affine(a: Matrix, b: Sequence) -> tuple[tuple | None, tuple[tuple, ...
     solution with all free variables set to 0, or None when the system is
     inconsistent (the kernel of ``a`` is returned either way).
     """
-    bb = [rat(x) for x in b]
-    if len(bb) != a.rows:
+    if len(b) != a.rows:
         raise ValueError("rhs length mismatch")
-    aug = Matrix(
-        a.rows, a.cols + 1, [x for i in range(a.rows) for x in (*a.row(i), bb[i])]
-    )
-    red, pivots, _ = rref(aug)
-    kern = kernel_basis(a)
-    if a.cols in pivots:
-        return None, kern
-    x = [ZERO] * a.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = red.entry(i, a.cols)
-    return tuple(x), kern
+    part, kern = solve(a, Matrix(a.rows, 1, b))
+    dense = tuple(tuple(v.get(c, ZERO) for c in range(a.cols)) for v in kern)
+    return (None if part is None else part.entries), dense
 
 
 def mat_inv(m: Matrix) -> Matrix:
     """Exact inverse; raises SingularMatrixError when rank < n."""
     if m.rows != m.cols:
         raise SingularMatrixError("not square")
-    n = m.rows
-    aug = Matrix(
-        n,
-        2 * n,
-        [
-            x
-            for i in range(n)
-            for x in (*m.row(i), *(ONE if j == i else ZERO for j in range(n)))
-        ],
-    )
-    red, pivots, rank = rref(aug)
-    if rank < n or any(p >= n for p in pivots[:n]) or list(pivots[:n]) != list(range(n)):
+    inv, kern = solve(m, Matrix.identity(m.rows))
+    if kern:
         raise SingularMatrixError("singular matrix")
-    out = [red.entry(i, n + j) for i in range(n) for j in range(n)]
-    return Matrix(n, n, out)
+    return inv
 
 
 def is_invertible(m: Matrix) -> bool:

@@ -13,6 +13,16 @@ operations answer three questions exactly, over the rationals:
   sum wt^{k j1...j_{m-1}} w_{j1...j_{m-1} l} = delta^k_l.
 
 "Preregular" = one-site nondegenerate + a (then unique) invertible Q.
+
+All three are equations on two flattenings of w, each solved with one row
+reduction.  With G the first-slot flattening (G[J, j] = w_{j J}), F the
+last-slot one (F[J, l] = w_{J l}) and T the n x n^(m-1) matrix
+T[k, J] = wt^{k J}, twisted cyclicity is G.Q = F, polarity is
+F^T.T^T = I, and for a polar wt the inverse twist is Q^-1 = T.G.  The
+polar space is the particular solution plus the kernel e_k (x) v for
+k = 1..n and each canonical kernel vector v of F^T in order, which is the
+canonical basis of the whole system: it is block-diagonal in the first
+index of wt, and its reduced row echelon form is unique.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from .exactnum import (
     is_invertible,
     rat,
     rref,
-    solve_affine,
+    solve,
 )
 
 Index = tuple[int, ...]
@@ -153,55 +163,29 @@ def is_one_site_nondegenerate(w: MultilinearForm) -> bool:
 
 def check_condition_i_prime(w: MultilinearForm) -> bool:
     """Nondegeneracy in every slot, not just the last."""
-    for slot in range(1, w.arity + 1):
-        _, _, rank = rref(flattening(w, slot))
-        if rank != w.dim:
-            return False
-    return True
+    return all(rref(flattening(w, slot))[2] == w.dim for slot in range(1, w.arity + 1))
 
 
 def twisting_element(w: MultilinearForm) -> Matrix | None:
-    """Solve the twisted-cyclicity equations for Q.
+    """Solve the twisted-cyclicity equations G.Q = F for Q.
 
     Returns the unique solution, None when the system is inconsistent, and
     raises :class:`AmbiguousTwistError` when the solution space has positive
     dimension (never silently picks one).
     """
-    n, m = w.dim, w.arity
-    rows = []
-    rhs = []
-    for idx in _all_indices(n, m):
-        row = [ZERO] * (n * n)
-        shifted_tail = idx[: m - 1]
-        col_base = idx[m - 1] - 1
-        for j in range(1, n + 1):
-            c = w[(j,) + shifted_tail]
-            if c:
-                row[(j - 1) * n + col_base] = c
-        rows.append(row)
-        rhs.append(w[idx])
-    part, kern = solve_affine(Matrix.from_rows(rows), rhs)
-    if part is None:
+    q, kern = solve(flattening(w, 1), flattening(w, w.arity))
+    if q is None:
         return None
     if kern:
         raise AmbiguousTwistError(
-            f"twisting element underdetermined: {len(kern)} free parameters"
+            f"twisting element underdetermined: {w.dim * len(kern)} free parameters"
         )
-    return Matrix(n, n, part)
+    return q
 
 
 def is_q_cyclic(w: MultilinearForm, q: Matrix) -> bool:
     """Does the specific matrix q satisfy the twisted-cyclicity equations."""
-    n, m = w.dim, w.arity
-    for idx in _all_indices(n, m):
-        acc = ZERO
-        for j in range(1, n + 1):
-            qe = q.entry(j - 1, idx[m - 1] - 1)
-            if qe:
-                acc += qe * w[(j,) + idx[: m - 1]]
-        if acc != w[idx]:
-            return False
-    return True
+    return flattening(w, 1) * q == flattening(w, w.arity)
 
 
 @dataclass(frozen=True)
@@ -260,46 +244,40 @@ def polar(w: MultilinearForm) -> PolarSolution | None:
     (free variables zeroed) and the kernel basis are canonical.
     """
     n, m = w.dim, w.arity
-    unknowns = list(_all_indices(n, m))
-    col_of = {idx: i for i, idx in enumerate(unknowns)}
-    rows = []
-    rhs = []
-    for mu in range(1, n + 1):
-        for nu in range(1, n + 1):
-            row = [ZERO] * len(unknowns)
-            for mid in _all_indices(n, m - 1):
-                c = w[mid + (nu,)]
-                if c:
-                    row[col_of[(mu,) + mid]] = c
-            rows.append(row)
-            rhs.append(ONE if mu == nu else ZERO)
-    part, kern = solve_affine(Matrix.from_rows(rows), rhs)
+    part, kern = solve(flattening(w, m).transpose(), Matrix.identity(n))
     if part is None:
         return None
+    t = part.transpose()  # T[k, J] = wt^{k J}, row-major in index order
+    particular = MultilinearForm(n, m, dict(zip(_all_indices(n, m), t.entries)))
+    mids = list(_all_indices(n, m - 1))
+    kernel = tuple(
+        MultilinearForm(n, m, {(k,) + mids[i]: c for i, c in v.items()})
+        for k in range(1, n + 1)
+        for v in kern
+    )
+    return PolarSolution(particular, kernel)
 
-    def tensorize(vec) -> MultilinearForm:
-        return MultilinearForm(
-            n, m, {unknowns[i]: c for i, c in enumerate(vec) if c}
-        )
 
-    return PolarSolution(tensorize(part), tuple(tensorize(v) for v in kern))
+def _contract(wt: MultilinearForm, w: MultilinearForm, slot: int) -> Matrix:
+    """The n x n matrix sum_J wt^{k J} w_{J with l put in the given slot}."""
+    if (wt.dim, wt.arity) != (w.dim, w.arity):
+        raise ValueError("shape mismatch")
+    n = w.dim
+    by_rest: dict[Index, list[tuple[int, Scalar]]] = {}
+    for idx, c in w.entries.items():
+        rest = idx[: slot - 1] + idx[slot:]
+        by_rest.setdefault(rest, []).append((idx[slot - 1], c))
+    acc: dict[tuple[int, int], Scalar] = {}
+    for idx, c in wt.entries.items():
+        for col, c2 in by_rest.get(idx[1:], ()):
+            key = (idx[0] - 1, col - 1)
+            acc[key] = acc.get(key, ZERO) + c * c2
+    return Matrix(n, n, [acc.get((i, j), ZERO) for i in range(n) for j in range(n)])
 
 
 def polar_contraction(wt: MultilinearForm, w: MultilinearForm) -> Matrix:
     """The matrix sum_j wt^{k,j1..j_{m-1}} w_{j1..j_{m-1},l}."""
-    if (wt.dim, wt.arity) != (w.dim, w.arity):
-        raise ValueError("shape mismatch")
-    n, m = w.dim, w.arity
-    acc: dict[tuple[int, int], Scalar] = {}
-    for idx, c in wt.entries.items():
-        mid = idx[1:]
-        for idx2, c2 in w.entries.items():
-            if idx2[: m - 1] == mid:
-                key = (idx[0] - 1, idx2[m - 1] - 1)
-                acc[key] = acc.get(key, ZERO) + c * c2
-    return Matrix(
-        n, n, [acc.get((i, j), ZERO) for i in range(n) for j in range(n)]
-    )
+    return _contract(wt, w, w.arity)
 
 
 def in_polar(wt: MultilinearForm, w: MultilinearForm) -> bool:
@@ -319,34 +297,27 @@ def q_inverse_from_polar(w: MultilinearForm, wt: MultilinearForm) -> Matrix:
     q = twisting_element(w)
     if q is None or not is_invertible(q):
         raise ValueError("form has no invertible twisting element")
-    n, m = w.dim, w.arity
-    acc: dict[tuple[int, int], Scalar] = {}
-    for idx, c in wt.entries.items():
-        mid = idx[1:]
-        for idx2, c2 in w.entries.items():
-            if idx2[1:] == mid:
-                key = (idx[0] - 1, idx2[0] - 1)
-                acc[key] = acc.get(key, ZERO) + c * c2
-    out = Matrix(n, n, [acc.get((i, j), ZERO) for i in range(n) for j in range(n)])
-    if out * q != Matrix.identity(n):
+    out = _contract(wt, w, 1)
+    if out * q != Matrix.identity(w.dim):
         raise InternalConsistencyError(
             "polar contraction does not invert the twisting element"
         )
     return out
 
 
-def _transform(w: MultilinearForm, g: Matrix) -> MultilinearForm:
-    """Entries of (x1,...,xm) -> w(g x1, ..., g xm)."""
+def _transform(w: MultilinearForm, g: Matrix, first: int = 1) -> MultilinearForm:
+    """Entries of (x1,...,xm) -> w(x1, ..., x_{first-1}, g x_first, ..., g xm)."""
     n, m = w.dim, w.arity
     out: dict[Index, Scalar] = {}
     for src, c in w.entries.items():
-        # src are the summation indices contracted against columns of g
-        factors = []
-        for i in src:
-            col = [(j + 1, g.entry(i - 1, j)) for j in range(n) if g.entry(i - 1, j)]
-            factors.append(col)
+        # src[first-1:] are the summation indices contracted against columns of g
+        lead = src[: first - 1]
+        factors = [
+            [(j + 1, g.entry(i - 1, j)) for j in range(n) if g.entry(i - 1, j)]
+            for i in src[first - 1 :]
+        ]
         for combo in itertools.product(*factors):
-            idx = tuple(j for j, _ in combo)
+            idx = lead + tuple(j for j, _ in combo)
             coeff = c
             for _, ge in combo:
                 coeff *= ge
@@ -378,31 +349,11 @@ def pi_q(w: MultilinearForm, q: Matrix) -> MultilinearForm:
     n, m = w.dim, w.arity
     out = MultilinearForm(n, m, {})
     for k in range(1, m + 1):
-        # k-th summand at (l1..lm): sum over rho_k..rho_m of
-        #   prod_{i=k..m} q[rho_i, l_i] * w[rho_k..rho_m, l1..l_{k-1}]
-        # so for a stored entry src of w: src[:m-k+1] are the rho's and
-        # src[m-k+1:] pins (l1..l_{k-1}); the remaining l's are summed out.
-        contrib: dict[Index, Scalar] = {}
-        for src, c in w.entries.items():
-            lead = src[m - k + 1 :]
-            rhos = src[: m - k + 1]
-            factors = []
-            for rho in rhos:
-                factors.append(
-                    [(j + 1, q.entry(rho - 1, j)) for j in range(n) if q.entry(rho - 1, j)]
-                )
-            for combo in itertools.product(*factors):
-                tail = tuple(j for j, _ in combo)
-                coeff = c
-                for _, qe in combo:
-                    coeff *= qe
-                full = lead + tail
-                nval = contrib.get(full, ZERO) + coeff
-                if nval:
-                    contrib[full] = nval
-                else:
-                    contrib.pop(full, None)
-        out = out.add(MultilinearForm(n, m, contrib))
+        # the k-th summand is the form with its first m-k+1 slots rotated to
+        # the end, transformed by q in those slots (now slots k..m)
+        s = m - k + 1
+        rotated = {idx[s:] + idx[:s]: c for idx, c in w.entries.items()}
+        out = out.add(_transform(MultilinearForm(n, m, rotated), q, k))
     return out
 
 

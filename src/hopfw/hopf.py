@@ -894,33 +894,44 @@ class Suite:
     verdict: Callable[[list[CheckResult], SuiteInputs], str] | None = None
 
 
-# what each --algebra of the axioms suite reads besides --algebra itself
-_AXIOM_READS = {
-    "bw": {"form", "polar"},
-    "hw": {"form"},
-    "hb": {"form"},
-    "hww": {"form", "polar"},
-    "ahmn": {"m", "n"},
+# what building each --algebra reads besides --algebra itself
+_ALGEBRA_READS = {
+    "bw": frozenset({"form"}),
+    "hw": frozenset({"form"}),
+    "hb": frozenset({"form"}),
+    "hww": frozenset({"form", "polar"}),
+    "ahmn": frozenset({"m", "n"}),
 }
 
 
-def _axioms(inputs: SuiteInputs) -> list[CheckResult]:
-    """Hopf axioms of one presentation; bw adds the polar left inverse."""
+def build_algebra(inputs: SuiteInputs, also_reads: Iterable[str] = ()) -> Presentation:
+    """Build the presentation ``inputs.algebra`` (default hw) names, refusing
+    any given input that building it does not read, besides ``also_reads``.
+    Behind both ``hopfw present`` and the axioms suite."""
     kind = inputs.algebra or "hw"
-    if kind not in _AXIOM_READS:
+    if kind not in _ALGEBRA_READS:
         raise ValueError(f"unknown algebra kind {kind!r}")
-    inputs.refuse_unread(_AXIOM_READS[kind] | {"algebra"}, f"--algebra {kind}")
+    reads = _ALGEBRA_READS[kind] | {"algebra", *also_reads}
+    inputs.refuse_unread(reads, f"--algebra {kind}")
     if kind == "ahmn":
         if inputs.m is None or inputs.n is None:
             raise ValueError("ahmn needs --m and --n")
-        return hopf_axiom_suite(build_ahmn(inputs.m, inputs.n), inputs.degree_for(inputs.m))
-    w = inputs.need_form("axioms")
-    degree = inputs.degree_for(w.arity)
-    pres = build_presentation(kind, w, inputs.polar)
+        return build_ahmn(inputs.m, inputs.n)
+    if inputs.form is None:
+        raise ValueError(f"--algebra {kind} needs --form, or a form file for verify")
+    return build_presentation(kind, inputs.form, inputs.polar)
+
+
+def _axioms(inputs: SuiteInputs) -> list[CheckResult]:
+    """Hopf axioms of one presentation; bw adds the polar left inverse, so
+    it also reads ``--polar``."""
+    leftinv = (inputs.algebra or "hw") == "bw"
+    pres = build_algebra(inputs, {"polar"} if leftinv else ())
+    degree = inputs.degree_for(pres.m)
     system = system_for(pres, degree)
     results = hopf_axiom_suite(pres, degree, system)
-    if kind == "bw":
-        wt = _polar_choice(w, inputs.polar)
+    if leftinv:
+        wt = _polar_choice(inputs.form, inputs.polar)
         results += check_left_inverse_identity(pres, wt, degree, system)
     return results
 
@@ -982,7 +993,7 @@ def _noninjectivity_verdict(results: list[CheckResult], inputs: SuiteInputs) -> 
 
 
 SUITES: dict[str, Suite] = {
-    "axioms": Suite(frozenset({"algebra"}.union(*_AXIOM_READS.values())), _axioms),
+    "axioms": Suite(frozenset({"algebra"}.union(*_ALGEBRA_READS.values())), _axioms),
     "derived": Suite(frozenset({"form", "polar"}), _derived),
     "pair-reduction": Suite(frozenset({"form"}), _pair_reduction),
     "manin": Suite(frozenset({"form"}), _manin),

@@ -130,6 +130,17 @@ class _LeadIndex:
                 s_terms.pop(kw, None)
         return s_terms
 
+    def unresolved(self, degree_bound: int, desc):
+        """The audit: every overlap (l1, l2, x, z) of degree <= the bound,
+        leads in deglex order, whose S-polynomial does not reduce to zero.
+        Normal form is linear, so the overlap's two one-step resolutions
+        agree exactly when their difference, the S-polynomial, vanishes."""
+        for l1 in sorted(self.by_word, key=deglex_key):
+            for l2, x, z in self.overlaps_as_left(l1):
+                if len(x) + len(l2) <= degree_bound:
+                    if self.reduce_terms(self.s_poly(l1, l2, x, z), desc):
+                        yield l1, l2, x, z
+
     def find_reduction(self, word: str):
         """Leftmost position, shortest lead there (= deglex-smallest match).
 
@@ -420,15 +431,10 @@ class _Completion:
     def audit_and_requeue(self) -> bool:
         """Reduce every overlap S-polynomial of the final system; push back
         any that fail to vanish.  Returns True when the system is clean."""
-        clean = True
-        for l1 in sorted(self.index.by_word, key=deglex_key):
-            for l2, x, z in self.index.overlaps_as_left(l1):
-                if len(x) + len(l2) > self.degree_bound:
-                    continue
-                if self.index.reduce_terms(self.index.s_poly(l1, l2, x, z), self.desc):
-                    self.push_pair(l1, l2, x, z)
-                    clean = False
-        return clean
+        bad = list(self.index.unresolved(self.degree_bound, self.desc))
+        for pair in bad:
+            self.push_pair(*pair)
+        return not bad
 
 
 def complete(
@@ -477,16 +483,8 @@ def unresolved_overlaps(system: RewriteSystem) -> list[tuple[str, str, str]]:
     """Audit confluence at the bound: every overlap word of degree <= D must
     reduce to the same normal form along both one-step resolutions.  Returns
     the offending (lead1, lead2, overlap_word) triples; empty = confluent."""
-    index = system._index
-    bad = []
-    for l1 in index.by_word:
-        for l2, x, z in index.overlaps_as_left(l1):
-            if len(x) + len(l2) > system.degree_bound:
-                continue
-            # normal form is linear: the two resolutions agree iff their
-            # difference, the S-polynomial, reduces to zero
-            if _reduce_terms(index.s_poly(l1, l2, x, z), system):
-                bad.append((l1, l2, x + l2))
+    found = system._index.unresolved(system.degree_bound, system.alphabet.desc_key)
+    bad = [(l1, l2, x + l2) for l1, l2, x, _ in found]
     # rule order for both leads, then overlaps by growing length of b
     bad.sort(key=lambda t: (deglex_key(t[0]), deglex_key(t[1]), -len(t[2])))
     return bad

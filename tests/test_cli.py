@@ -225,6 +225,15 @@ def test_analyze_alternating_form(sig3, capsys):
     assert "self_scale[1/3]: mismatch" in out
 
 
+def test_analyze_signature_6(tmp_path, capsys):
+    path = tmp_path / "sig6.json"
+    assert main(["example", "signature-6", "--out", str(path)]) == 0
+    assert main(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "twist_invertible: true" in out
+    assert "polar_affine_dimension: 46620" in out
+
+
 def test_analyze_degenerate_form(tmp_path, capsys):
     path = tmp_path / "degen.json"
     path.write_text(dump_form(MultilinearForm(2, 3, {(1, 1, 1): 1})))
@@ -273,6 +282,39 @@ def test_present_usage_errors(cyclic2, capsys):
     assert "needs --m and --n" in capsys.readouterr().err
     assert main(["present", "--algebra", "hw"]) == 3
     assert "needs --form" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--algebra", "hw", "--form", "FORM", "--polar", "MISSING", "--m", "7"],
+            "--algebra hw does not read --polar",
+        ),
+        (
+            ["--algebra", "ahmn", "--m", "3", "--n", "2", "--form", "MISSING"],
+            "--algebra ahmn does not read a form file",
+        ),
+        (
+            ["--algebra", "bw", "--form", "FORM", "--polar", "FORM"],
+            "--algebra bw does not read --polar",
+        ),
+    ],
+)
+def test_present_refuses_flags_its_algebra_does_not_read(
+    cyclic2, tmp_path, capsys, argv, message
+):
+    # as given, a missing file is refused when it is loaded, before the check
+    missing = str(tmp_path / "nonexistent.json")
+    given = [cyclic2 if a == "FORM" else missing if a == "MISSING" else a for a in argv]
+    assert main(["present", *given]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "hopfw: error:" in err
+    # with every file present, the unread flag itself is refused
+    given = [cyclic2 if a in ("FORM", "MISSING") else a for a in argv]
+    assert main(["present", *given]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
 
 
 def test_present_power_sum_and_single_matrix(sig3, tmp_path, capsys):

@@ -152,6 +152,18 @@ def test_polar_membership_of_scaled_alternating_forms():
     assert not in_polar(eps4.scale(rat(1, 6)), eps4)
 
 
+def test_signature_6_twist_and_polar():
+    # the dense n^2 x n^m polar system of the alternating 6-form (46 656
+    # unknowns) used to exhaust memory; on the flattenings it is 6 x 7 776
+    w = make_signature(6)
+    assert twisting_element(w) == Matrix.identity(6).scale(-1)
+    sol = polar(w)
+    assert sol.affine_dimension() == 6**6 - 6**2 == 46620
+    # sign (-1)^(m-1) and 1/(m-1)! for m = 6
+    assert in_polar(w.scale(rat(-1, 120)), w)
+    assert not in_polar(w.scale(rat(1, 120)), w)
+
+
 def test_polar_contraction_shape_mismatch():
     with pytest.raises(ValueError):
         polar_contraction(make_signature(3), W2)
