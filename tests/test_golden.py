@@ -12,7 +12,15 @@ The form entries pin the sha256 of a canonical text of ``analyze(w)``, of
 message) and of ``polar(w)`` (the particular, then every kernel-basis form
 in order, or None), for fixed forms and 60 seeded random ones.  The solver
 entries pin ``kernel_basis``, ``solve_affine`` and ``mat_inv`` on the
-inputs of ``tests/test_exactnum.py``.
+inputs of ``tests/test_exactnum.py``.  The core entries pin the sha256 of a
+canonical text of the free-algebra and tensor-square arithmetic and of the
+multiplicative extensions (``substitute``, ``coproduct_image``) on 40 seeded
+random polynomial pairs.  The api entries pin every name in
+``hopfw.__all__`` with its call signature, and the method entries every
+public method and operator of ``NcPoly``, ``TensorSquare`` and
+``PolyMatrix`` (a class may gain methods, not lose or change them).
+Signatures are pinned without annotations: parameter names, order, kinds
+and defaults are what a caller can break on.
 
 Print every pin, to regenerate them (only when a change of output is
 intended), with::
@@ -22,6 +30,7 @@ intended), with::
 
 import contextlib
 import hashlib
+import inspect
 import io
 import itertools
 import json
@@ -29,10 +38,12 @@ import os
 import random
 import sys
 import tempfile
+from enum import EnumMeta
 from fractions import Fraction
 
 import pytest
 
+import hopfw
 from hopfw.cli import _example_form, main
 from hopfw.exactnum import (
     Matrix,
@@ -55,6 +66,18 @@ from hopfw.forms import (
     twisting_element,
 )
 from hopfw.hopf import build_ahmn, build_bw, build_hb, build_hw, build_hww, system_for
+from hopfw.ncalg import (
+    Alphabet,
+    Generator,
+    NcPoly,
+    PolyMatrix,
+    TensorSquare,
+    coproduct_image,
+    matric_family,
+    parse_poly,
+    poly_to_str,
+    substitute,
+)
 
 # a bilinear form whose twist is not a scalar matrix
 BILINEAR_1235 = make_bilinear([[1, 2], [3, 5]])
@@ -129,6 +152,16 @@ SOLVE_AFFINE_CASES = {
     "rank2-3x3": ("rank2-3x3", [6, 12, 3]),
     "rank2-3x3-inconsistent": ("rank2-3x3", [1, 0, 0]),
 }
+
+# u and s matric generators (n = 2) plus free generators
+CORE_ALPHABET = Alphabet(
+    matric_family("u", 2) + matric_family("s", 2) + [Generator.free("x"), Generator.free("y")]
+)
+CORE_COEFFS = (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 5))
+CORE_SEEDS = range(40)
+
+METHOD_CLASSES = (NcPoly, TensorSquare, PolyMatrix)
+OPERATORS = ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__matmul__", "__eq__")
 
 GOLDEN = {
     "presentations": {
@@ -324,6 +357,208 @@ GOLDEN = {
             "lines": 9,
             "stdout_sha256": "996944b3533c4f19d4dbf0e3d88140c56208de03892de81e63dcf57319017a8e"
         }
+    },
+    "core": {
+        "seed-00": "b67e5459e54b62422e491674091c965ff9bfe9b93d39555faf24d4860288cbba",
+        "seed-01": "5fa876a905920801b37fb577c8226cb8b7db4f25d1023f555d2420e00c31faab",
+        "seed-02": "62ca257e789a8886027354c62a3cc211faf98d296f0f1d72c045a8903e550f4f",
+        "seed-03": "5465dd8847876ca51b88bdd3d476b346891115cc2e6f56da8cc1afa27f59ed12",
+        "seed-04": "509d3a7740d54d55196cb054e04fc8dcad3abb676153192a7789cc1bc08ababe",
+        "seed-05": "af0fb88469ba6de66abee160d7f1463bb6308bd171a389deb94930e641dd3ed6",
+        "seed-06": "96252db199fab1f246a1b7b8b90efd6eb0507f6dc86a3dce9ce9cd18aac1b5e8",
+        "seed-07": "7fac2e69f4e2dc75527c91936ad7631e9be3252192e7bc6b410aed929f078097",
+        "seed-08": "82e70eca3b480a7c47fb32244d2fa0e84fdb145ebc9e110d8b078afd734e4155",
+        "seed-09": "3510401f51b52d2efe6d510c84e87ec33e055fdfe0c455fdb24b2308b9fa6e80",
+        "seed-10": "6f5505b30d3d414355115b430a5c8ceea26307ec6a0e9ae6e0ef30d4f1811ce8",
+        "seed-11": "3b8c58ac5ee00c133423478eccee1052897d29a994731c08069964f3bc50bb19",
+        "seed-12": "0ad3ddf5be4ef9e9a897ef4b4bfa32f0bd79161887e642fb093ffc8007739495",
+        "seed-13": "35592ae610dd70a566acb7b69f1e5f2c4e9a11ca691d61728c1d25bb0e37fe30",
+        "seed-14": "bf2a7882c4ed9f560f0ffaa72587a275e1b5a5e75be3e331da2ea0c4364f9a23",
+        "seed-15": "9357827099609969f80f3b94fde92fed592256a716e88ada061f0b9ac02b59c5",
+        "seed-16": "0ad95dc59eefaf3d5e1eec7daf5981e2518a5d56d498ec19a39400f426cb8dfb",
+        "seed-17": "70260e2225d7bfc38cae1a3333e7757d535129133645dedff2b46f9ee595bad9",
+        "seed-18": "5562d07de489f5a9bd17c0f24fd6c77edf6e9794bba58cf9acf90ea873960e93",
+        "seed-19": "efb000c2f8c80b51035d10b77bbf21fa9e30d9b7e9121dc1fc3a2b6e0760c5b3",
+        "seed-20": "0224172a40385ba4cbd1d829287b171315ded9f185069c7521b3c9a52d759840",
+        "seed-21": "39a4ce380c69cc9c383a1db65861e5eb82852e293bf3af0fd83446bb42e3b19f",
+        "seed-22": "fbfaf60f17716d746920468384cef6f2d5bc4e807fdf5c56167220f2909bc68a",
+        "seed-23": "5f3f40500f1f6a41c48d99f2f5e999ce80d23778a8cdc7f10c28ff69e3cd0e73",
+        "seed-24": "c4457599aec3d03c323e603cac8fed2eedabe51e4e103a709a83722ecbfb8f82",
+        "seed-25": "cb41d1725539883ea09b28b0f3340b95eb603e8e3d63002fdb9e34c2c56ed6bd",
+        "seed-26": "a588950ac0d87fe0ed88b73f960d9fc1464dc48d6236b3a25c0438daf367885a",
+        "seed-27": "ad391c873bf78b8d93adecd53664c8ad2a14dde5169a2f515edfc49d363899d9",
+        "seed-28": "9f784431a206734658f879249f2333751ea30d92b05f36a7ad958a8ca6d9bb34",
+        "seed-29": "ab45fabdf3801bf05022af7afe02737d2170d5726a6f9bf78b2eddb4f032ee35",
+        "seed-30": "7d0a7fa00222b775f6d1d8d3f194b603e2b15d12c3abffb722ac77e870da5db5",
+        "seed-31": "7e1dd5f5fb074b9bc1c1243d40ab8e04baee52f022d6cce64d16ad7d18c39c30",
+        "seed-32": "decde00a1845918796a7848c04c5c6c279b742e51d7d7b0b25e458124109c071",
+        "seed-33": "fedb0e2d94971ed186e661f312af34a1cb8c218006b4915cfafd43fc7572a2e2",
+        "seed-34": "c939cb7355e10d6b9a844fdee3498dc262e7e5edccd4de3682f7d3b073274553",
+        "seed-35": "e0bb1f4341183416a4d39b455ba972b83f0cd213e4b21066092b4fb5a9b94de7",
+        "seed-36": "eebf4d21b82a5f2253347f47b93cc3cc28ace9f2aae17b5ac6d96e5baaeb2266",
+        "seed-37": "c35006b43f019d540f47319265d2566c9350463183dca37e562d19ad1207287b",
+        "seed-38": "f715284507b813d1bcfcbe844e155646c051efd9c106859f29a0cf903154167e",
+        "seed-39": "00f9b03eb3411284596018622a2c68c975041e5d4de84abfae7d607a72fc1ed2"
+    },
+    "api": {
+        "Alphabet": "(generators)",
+        "AmbiguousTwistError": "class",
+        "CheckResult": "(name, status, detail='')",
+        "FormFileError": "class",
+        "Generator": "(family, row=0, col=0, name='')",
+        "HomCandidate": "(label, source, target, images)",
+        "HopfStructure": "(delta, counit, antipode)",
+        "InternalConsistencyError": "class",
+        "Matrix": "(rows, cols, entries)",
+        "MissingImageError": "(gen)",
+        "MultilinearForm": "(dim, arity, entries)",
+        "NcPoly": "(alphabet, terms=None)",
+        "NotCertifiedError": "(degree, certified)",
+        "NotInvariantError": "class",
+        "PolarSolution": "(particular, kernel_basis)",
+        "PolyMatrix": "(alphabet, rows)",
+        "Presentation": "(kind, n, m, alphabet, generators, relations, relation_labels, structure=None, provenance=None)",
+        "ProbeReport": "(witness_ok, commutator_certified, degree, verdict, details=<factory>)",
+        "Provenance": "(form=None, q=None, polar_member=None)",
+        "RepresentationReport": "(results, witness_images, witness_distinct)",
+        "RewriteSystem": "(alphabet, rules, degree_bound, complete_through)",
+        "Rule": "(lead, tail)",
+        "SUITES": "dict",
+        "Scalar": "fractions.Fraction",
+        "SingularMatrixError": "class",
+        "Status": "enum PASS FAIL UNCERTIFIED",
+        "SuiteInputs": "(form=None, algebra=None, polar=None, m=None, n=None, degree=None)",
+        "TensorSquare": "(alphabet, terms=None)",
+        "TwistReport": "(nondegenerate, q, preregular, twist_ambiguous=False)",
+        "__version__": "str",
+        "all_pass": "(results)",
+        "analyze": "(w)",
+        "base_change": "(w, g)",
+        "bilinear_iso_suite": "(b, degree)",
+        "build_ahmn": "(m, n)",
+        "build_bw": "(w)",
+        "build_hb": "(b)",
+        "build_hw": "(w)",
+        "build_hww": "(w, wt)",
+        "build_presentation": "(kind, w, wt=None)",
+        "check_antipode": "(pres, degree, system=None)",
+        "check_condition_i_prime": "(w)",
+        "check_coproduct": "(pres, degree, system=None)",
+        "check_counit": "(pres)",
+        "check_hom": "(hom, degree, system=None)",
+        "check_invariance": "(w, q)",
+        "check_left_inverse_identity": "(pres, wt, degree, system=None)",
+        "check_representation": "(pres, images, witness=None)",
+        "complete": "(relations, degree_bound, on_progress=None)",
+        "coproduct_image": "(p, images, *, target=None)",
+        "default_degree": "(m)",
+        "derived_relations_suite": "(pres, wt, degree, system=None)",
+        "diagonal_iso_suite": "(n, m, degree)",
+        "dump_form": "(w)",
+        "dump_presentation": "(pres)",
+        "flattening": "(w, slot)",
+        "form_from_obj": "(obj)",
+        "form_to_obj": "(w)",
+        "format_matrix": "(m)",
+        "format_rational": "(q)",
+        "hopf_axiom_suite": "(pres, degree, system=None)",
+        "hw_to_hww_hom": "(hw, hww)",
+        "ideal_member": "(p, system)",
+        "in_polar": "(wt, w)",
+        "is_invertible": "(m)",
+        "is_one_site_nondegenerate": "(w)",
+        "is_q_cyclic": "(w, q)",
+        "kernel_basis": "(a)",
+        "load_form": "(path)",
+        "load_form_text": "(text, where='form')",
+        "m2_iso_homs": "(b)",
+        "make_bilinear": "(rows)",
+        "make_orthogonal": "(n, m)",
+        "make_signature": "(m, n=None)",
+        "manin_suite": "(degree, system=None)",
+        "mat_inv": "(m)",
+        "mat_mul": "(a, b)",
+        "mat_vec": "(a, v)",
+        "matric_family": "(family, n)",
+        "noninjectivity_probe": "(w, wt, degree, on_progress=None)",
+        "normal_form": "(p, system)",
+        "pair_reduction_suite": "(pres, degree, system=None)",
+        "parse_generator_token": "(text)",
+        "parse_poly": "(alphabet, text)",
+        "parse_presentation": "(text)",
+        "parse_rational": "(text)",
+        "parse_tensor": "(alphabet, text)",
+        "pi_q": "(w, q)",
+        "polar": "(w)",
+        "polar_contraction": "(wt, w)",
+        "poly_to_str": "(p)",
+        "q_inverse_from_polar": "(w, wt)",
+        "rat": "(num, den=1)",
+        "rref": "(m)",
+        "run_suite": "(name, inputs)",
+        "save_form": "(path, w)",
+        "solve_affine": "(a, b)",
+        "substitute": "(p, images, *, antihom=False, target=None)",
+        "system_for": "(pres, degree, on_progress=None)",
+        "theta_iso_homs": "(n, m)",
+        "twisting_element": "(w)",
+        "unitriangular_free_images": "(pres)",
+        "unresolved_overlaps": "(system)",
+        "worst_status": "(results)"
+    },
+    "methods": {
+        "NcPoly.__add__": "(self, other)",
+        "NcPoly.__eq__": "(self, other)",
+        "NcPoly.__hash__": "hashable",
+        "NcPoly.__mul__": "(self, other)",
+        "NcPoly.__neg__": "(self)",
+        "NcPoly.__rmul__": "(self, other)",
+        "NcPoly.__sub__": "(self, other)",
+        "NcPoly.alphabet": "member_descriptor",
+        "NcPoly.constant": "(self)",
+        "NcPoly.degree": "(self)",
+        "NcPoly.from_gens": "(alphabet, gens, c=Fraction(1, 1))",
+        "NcPoly.from_word": "(alphabet, word, c=Fraction(1, 1))",
+        "NcPoly.is_zero": "(self)",
+        "NcPoly.leading_coeff": "(self)",
+        "NcPoly.leading_word": "(self)",
+        "NcPoly.monic": "(self)",
+        "NcPoly.parse": "(alphabet, text)",
+        "NcPoly.scale": "(self, c)",
+        "NcPoly.sorted_terms": "(self)",
+        "NcPoly.terms": "member_descriptor",
+        "NcPoly.to_str": "(self)",
+        "NcPoly.unit": "(alphabet, c=Fraction(1, 1))",
+        "NcPoly.zero": "(alphabet)",
+        "PolyMatrix.T": "property",
+        "PolyMatrix.__add__": "(self, other)",
+        "PolyMatrix.__eq__": "(self, value, /)",
+        "PolyMatrix.__hash__": "hashable",
+        "PolyMatrix.__matmul__": "(self, other)",
+        "PolyMatrix.__sub__": "(self, other)",
+        "PolyMatrix.alphabet": "member_descriptor",
+        "PolyMatrix.entries": "(self)",
+        "PolyMatrix.family": "(alphabet, family, n)",
+        "PolyMatrix.identity": "(alphabet, n)",
+        "PolyMatrix.images": "(self, family)",
+        "PolyMatrix.of": "(alphabet, images, family, n)",
+        "PolyMatrix.rows": "member_descriptor",
+        "PolyMatrix.scalar": "(alphabet, m)",
+        "TensorSquare.__add__": "(self, other)",
+        "TensorSquare.__eq__": "(self, other)",
+        "TensorSquare.__hash__": "unhashable",
+        "TensorSquare.__mul__": "(self, other)",
+        "TensorSquare.__neg__": "(self)",
+        "TensorSquare.__rmul__": "(self, other)",
+        "TensorSquare.__sub__": "(self, other)",
+        "TensorSquare.alphabet": "member_descriptor",
+        "TensorSquare.is_zero": "(self)",
+        "TensorSquare.of": "(left, right)",
+        "TensorSquare.scale": "(self, c)",
+        "TensorSquare.sorted_terms": "(self)",
+        "TensorSquare.terms": "member_descriptor",
+        "TensorSquare.to_str": "(self)",
+        "TensorSquare.unit": "(alphabet, c=Fraction(1, 1))"
     }
 }
 
@@ -448,6 +683,128 @@ def _run_verify(args, workdir):
     return {"exit": code, "lines": len(text.splitlines()), "stdout_sha256": _sha(text)}
 
 
+def _random_poly(rng, max_terms, max_len):
+    """Up to ``max_terms`` random words of length <= ``max_len``; a repeated
+    word adds its coefficients, so terms may cancel."""
+    gens = CORE_ALPHABET.generators
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        word = CORE_ALPHABET.word(rng.choice(gens) for _ in range(rng.randint(0, max_len)))
+        terms[word] = terms.get(word, 0) + rng.choice(CORE_COEFFS)
+    return NcPoly(CORE_ALPHABET, terms)
+
+
+def _matric_delta():
+    """delta(g[i,j]) = sum_k g[i,k] # g[k,j], with the factors flipped for s;
+    free generators are primitive."""
+    a = CORE_ALPHABET
+    delta = {}
+    for g in a.generators:
+        if g.family == "free":
+            terms = {(a.char(g), ""): 1, ("", a.char(g)): 1}
+        else:
+            terms = {}
+            for k in (1, 2):
+                left = a.char(Generator(g.family, g.row, k))
+                right = a.char(Generator(g.family, k, g.col))
+                terms[(right, left) if g.family == "s" else (left, right)] = 1
+        delta[g] = TensorSquare(a, terms)
+    return delta
+
+
+def core_text(seed: int) -> str:
+    """Canonical text of the arithmetic on one seeded pair (p, q)."""
+    rng = random.Random(seed)
+    a = CORE_ALPHABET
+    p, q = _random_poly(rng, 6, 4), _random_poly(rng, 6, 4)
+    # g -> g + noise, so few images vanish; the counit's off-diagonal ones do
+    images = {g: NcPoly.from_gens(a, [g]) + _random_poly(rng, 2, 2) for g in a.generators}
+    counit = {g: NcPoly.unit(a, int(g.row == g.col)) for g in a.generators}
+    t, t2, unit2 = TensorSquare.of(p, q), TensorSquare.of(q, p), TensorSquare.unit(a, 2)
+    values = {
+        "p": p,
+        "q": q,
+        "p+q": p + q,
+        "p-q": p - q,
+        "-p": -p,
+        "p*q": p * q,
+        "q*p": q * p,
+        "2*p": 2 * p,
+        "p.scale(0)": p.scale(0),
+        "p.monic()": p.monic(),
+        "substitute": substitute(p, images),
+        "substitute-antihom": substitute(p, images, antihom=True),
+        "substitute-counit": substitute(p, counit, target=a),
+        "p#q": t,
+        "p#q+q#p": t + t2,
+        "p#q-q#p": t - t2,
+        "-p#q": -t,
+        "p#q*q#p": t * t2,
+        "p#q.scale(-1/3)": t.scale(Fraction(-1, 3)),
+        "unit2*p#q": unit2 * t,
+        "p#q*unit2": t * unit2,
+        "coproduct": coproduct_image(p, _matric_delta()),
+    }
+    lines = []
+    for name, v in values.items():
+        lines += [f"{name}: {v.to_str()}", f"{name} repr: {v!r}"]
+    lines += [
+        f"sorted_terms: {p.sorted_terms()!r}",
+        f"tensor sorted_terms: {t.sorted_terms()!r}",
+        f"poly_to_str: {poly_to_str(q)}",
+        f"degree: {p.degree()} constant: {p.constant()}",
+        f"round trip: {parse_poly(a, p.to_str()) == p}",
+        f"p+q == q+p: {p + q == q + p}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _signature(fn, drop_first=False) -> str:
+    """The call signature without annotations."""
+    try:
+        sig = inspect.signature(fn)
+    except ValueError:
+        return "-"
+    params = [p.replace(annotation=p.empty) for p in sig.parameters.values()]
+    return str(sig.replace(parameters=params[drop_first:], return_annotation=sig.empty))
+
+
+def _api_entry(obj) -> str:
+    if isinstance(obj, EnumMeta):
+        return "enum " + " ".join(obj.__members__)
+    if not callable(obj):
+        return type(obj).__name__
+    if not obj.__module__.startswith("hopfw."):
+        return f"{obj.__module__}.{obj.__qualname__}"
+    if isinstance(obj, type):
+        # the constructor this package defines, if any
+        for k in obj.__mro__:
+            if k.__module__.startswith("hopfw.") and "__init__" in vars(k):
+                return _signature(vars(k)["__init__"], drop_first=True)
+        return "class"
+    return _signature(obj)
+
+
+def api_entries() -> dict:
+    return {name: _api_entry(getattr(hopfw, name)) for name in sorted(hopfw.__all__)}
+
+
+def method_entries() -> dict:
+    out = {}
+    for cls in METHOD_CLASSES:
+        for name in sorted(dir(cls)):
+            if name.startswith("_") and name not in OPERATORS + ("__hash__",):
+                continue
+            attr = getattr(cls, name)
+            if name == "__hash__":
+                out[f"{cls.__name__}.{name}"] = "hashable" if attr else "unhashable"
+            elif callable(attr):
+                out[f"{cls.__name__}.{name}"] = _signature(attr)
+            else:
+                out[f"{cls.__name__}.{name}"] = type(attr).__name__
+    return out
+
+
 def current(workdir):
     """The values this file pins, computed from the code as it stands."""
     return {
@@ -460,6 +817,9 @@ def current(workdir):
         "verify": {key: _run_verify(args, workdir) for key, args in VERIFY_CALLS.items()},
         "forms": {key: _sha(form_text(_form_by_key(key))) for key in FORM_KEYS},
         "solvers": {key: _sha(solver_text(key)) for key in SOLVER_KEYS},
+        "core": {f"seed-{seed:02d}": _sha(core_text(seed)) for seed in CORE_SEEDS},
+        "api": api_entries(),
+        "methods": method_entries(),
     }
 
 
@@ -491,6 +851,20 @@ def test_random_forms_cover_every_twist_outcome():
 @pytest.mark.parametrize("key", SOLVER_KEYS)
 def test_solver_output_is_pinned(key):
     assert _sha(solver_text(key)) == GOLDEN["solvers"][key]
+
+
+@pytest.mark.parametrize("seed", CORE_SEEDS)
+def test_core_arithmetic_is_pinned(seed):
+    assert _sha(core_text(seed)) == GOLDEN["core"][f"seed-{seed:02d}"]
+
+
+def test_public_api_is_pinned():
+    assert api_entries() == GOLDEN["api"]
+
+
+def test_public_methods_are_kept():
+    now = method_entries()
+    assert {k: now.get(k) for k in GOLDEN["methods"]} == GOLDEN["methods"]
 
 
 if __name__ == "__main__":
