@@ -25,6 +25,7 @@ degree default (twice the arity) when ``--degree`` is not given.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import re
@@ -46,7 +47,6 @@ from .forms import (
     make_bilinear,
     make_orthogonal,
     make_signature,
-    polar,
 )
 from .hopf import (
     SUITES,
@@ -54,6 +54,7 @@ from .hopf import (
     SuiteInputs,
     build_algebra,
     default_degree,
+    refuse_unread,
     run_suite,
     worst_status,
 )
@@ -171,9 +172,10 @@ def _cmd_analyze(args) -> int:
         lines.append(f"twist: {format_matrix(report.q)}")
         lines.append(f"twist_invertible: {_bool(is_invertible(report.q))}")
     lines.append(f"preregular: {_bool(report.preregular)}")
-    sol = polar(w) if report.nondegenerate else None
-    if sol is not None:
-        lines.append(f"polar_affine_dimension: {sol.affine_dimension()}")
+    if report.nondegenerate:
+        # the last-slot flattening has rank n, so each of the n rows of a
+        # polar tensor ranges over an n^(m-1) - n dimensional affine space
+        lines.append(f"polar_affine_dimension: {w.dim ** w.arity - w.dim ** 2}")
         for c in (rat(1, math.factorial(w.arity - 1)), rat(1, w.arity)):
             verdict = "member" if in_polar(w.scale(c), w) else "mismatch"
             lines.append(f"self_scale[{format_rational(c)}]: {verdict}")
@@ -183,19 +185,15 @@ def _cmd_analyze(args) -> int:
     return OK
 
 
-def _load_optional_form(path: str | None) -> MultilinearForm | None:
-    return load_form(path) if path else None
-
-
-def _inputs(args, degree: int | None = None) -> SuiteInputs:
-    """The form, --algebra, --polar, --m and --n given on the command line."""
-    return SuiteInputs(
-        form=_load_optional_form(args.form),
-        algebra=args.algebra,
-        polar=_load_optional_form(args.polar),
-        m=args.m,
-        n=args.n,
-        degree=degree,
+def _inputs(args, suite: str | None = None, degree: int | None = None) -> SuiteInputs:
+    """The form, --algebra, --polar, --m and --n given on the command line;
+    unread ones are refused while form and polar are file names, unopened."""
+    given = SuiteInputs(args.form, args.algebra, args.polar, args.m, args.n, degree)
+    refuse_unread(given, suite)
+    return dataclasses.replace(
+        given,
+        form=load_form(args.form) if args.form else None,
+        polar=load_form(args.polar) if args.polar else None,
     )
 
 
@@ -249,7 +247,7 @@ def _exit_code(results) -> int:
 
 
 def _cmd_verify(args) -> int:
-    inputs = _inputs(args, _resolve_degree(args.degree))
+    inputs = _inputs(args, args.suite, _resolve_degree(args.degree))
     results = run_suite(args.suite, inputs)
     _print_results(results)
     verdict = SUITES[args.suite].verdict

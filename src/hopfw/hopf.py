@@ -411,18 +411,12 @@ def system_for(pres: Presentation, degree: int, on_progress=None) -> RewriteSyst
 
 
 def check_counit(pres: Presentation) -> list[CheckResult]:
-    """The counit must send every relation to 0 (pure scalar arithmetic)."""
-    eps = pres.structure.counit
+    """The counit, extended as a character, must send every relation to 0."""
+    a = pres.alphabet
+    eps = {g: NcPoly.unit(a, e) for g, e in pres.structure.counit.items()}
     out = []
     for label, rel in zip(pres.relation_labels, pres.relations):
-        val = ZERO
-        for word, c in rel.terms.items():
-            f = c
-            for g in pres.alphabet.letters(word):
-                f *= eps[g]
-                if not f:
-                    break
-            val += f
+        val = substitute(rel, eps, target=a).constant()
         out.append(_pass_or_fail(f"counit:{label}", val == 0, f"counit value {val}"))
     return out
 
@@ -904,15 +898,35 @@ _ALGEBRA_READS = {
 }
 
 
+def _refuse_unread_by_algebra(inputs: SuiteInputs, also_reads: Iterable[str] = ()) -> str:
+    """Refuse inputs that building ``inputs.algebra`` does not read; return its kind."""
+    kind = inputs.algebra or "hw"
+    if kind not in _ALGEBRA_READS:
+        raise ValueError(f"unknown algebra kind {kind!r}")
+    inputs.refuse_unread(_ALGEBRA_READS[kind] | {"algebra", *also_reads}, f"--algebra {kind}")
+    return kind
+
+
+def _axioms_also_reads(inputs: SuiteInputs) -> frozenset[str]:
+    """bw's axioms add the polar left inverse, so they also read ``--polar``."""
+    return frozenset({"polar"} if (inputs.algebra or "hw") == "bw" else ())
+
+
+def refuse_unread(inputs: SuiteInputs, suite: str | None = None) -> None:
+    """Refuse any given input the suite does not read, or, for axioms and for
+    no suite (``hopfw present``), that building ``inputs.algebra`` does not
+    read.  It looks only at which inputs are given, before any file opens."""
+    if suite is not None:
+        inputs.refuse_unread(SUITES[suite].reads, f"suite {suite!r}")
+    if suite in (None, "axioms"):
+        _refuse_unread_by_algebra(inputs, _axioms_also_reads(inputs) if suite else ())
+
+
 def build_algebra(inputs: SuiteInputs, also_reads: Iterable[str] = ()) -> Presentation:
     """Build the presentation ``inputs.algebra`` (default hw) names, refusing
     any given input that building it does not read, besides ``also_reads``.
     Behind both ``hopfw present`` and the axioms suite."""
-    kind = inputs.algebra or "hw"
-    if kind not in _ALGEBRA_READS:
-        raise ValueError(f"unknown algebra kind {kind!r}")
-    reads = _ALGEBRA_READS[kind] | {"algebra", *also_reads}
-    inputs.refuse_unread(reads, f"--algebra {kind}")
+    kind = _refuse_unread_by_algebra(inputs, also_reads)
     if kind == "ahmn":
         if inputs.m is None or inputs.n is None:
             raise ValueError("ahmn needs --m and --n")
@@ -923,14 +937,13 @@ def build_algebra(inputs: SuiteInputs, also_reads: Iterable[str] = ()) -> Presen
 
 
 def _axioms(inputs: SuiteInputs) -> list[CheckResult]:
-    """Hopf axioms of one presentation; bw adds the polar left inverse, so
-    it also reads ``--polar``."""
-    leftinv = (inputs.algebra or "hw") == "bw"
-    pres = build_algebra(inputs, {"polar"} if leftinv else ())
+    """Hopf axioms of one presentation, plus bw's polar left inverse."""
+    also_reads = _axioms_also_reads(inputs)
+    pres = build_algebra(inputs, also_reads)
     degree = inputs.degree_for(pres.m)
     system = system_for(pres, degree)
     results = hopf_axiom_suite(pres, degree, system)
-    if leftinv:
+    if also_reads:
         wt = _polar_choice(inputs.form, inputs.polar)
         results += check_left_inverse_identity(pres, wt, degree, system)
     return results
@@ -1007,6 +1020,5 @@ SUITES: dict[str, Suite] = {
 
 def run_suite(name: str, inputs: SuiteInputs) -> list[CheckResult]:
     """Run one entry of ``SUITES``, refusing any input it does not read."""
-    suite = SUITES[name]
-    inputs.refuse_unread(suite.reads, f"suite {name!r}")
-    return suite.run(inputs)
+    refuse_unread(inputs, name)
+    return SUITES[name].run(inputs)

@@ -10,10 +10,17 @@ Internally a word is a Python string: an :class:`Alphabet` assigns one
 character per generator, in rank order, so string comparison realises the
 rank-lex order and substring search is cheap inside the rewriting engine.
 The public surface speaks :class:`Generator` tuples; the alphabet translates.
+
+One linear-combination core, ``_LinearCombination``, does the arithmetic
+and canonical text of :class:`NcPoly` (keys are words) and
+:class:`TensorSquare` (keys are word pairs).  One multiplicative extension,
+``_extend``, is behind :func:`substitute`, :func:`coproduct_image` and,
+through scalar images, the counit check.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -170,32 +177,132 @@ def deglex_compare(a: str, b: str) -> int:
     return -1 if ka < kb else (0 if ka == kb else 1)
 
 
-class NcPoly:
-    """Finitely supported map word -> scalar over a fixed alphabet."""
+class _LinearCombination:
+    """Finitely supported map key -> nonzero scalar over a fixed alphabet.  A
+    subclass supplies ``_UNIT`` (the unit's key), ``_concat`` (the product
+    of two keys), ``_sort_key`` (the ascending order of keys) and ``_term``
+    (the text of one term with a positive coefficient)."""
 
     __slots__ = ("alphabet", "terms")
 
-    def __init__(self, alphabet: Alphabet, terms: Mapping[str, Scalar] | None = None):
+    def __init__(self, alphabet: Alphabet, terms: Mapping | None = None):
         self.alphabet = alphabet
-        clean: dict[str, Scalar] = {}
-        if terms:
-            for w, c in terms.items():
-                c = rat(c)
-                if c:
-                    clean[w] = clean.get(w, ZERO) + c
-                    if not clean[w]:
-                        del clean[w]
+        clean: dict = {}
+        for k, c in (terms or {}).items():
+            c = clean.get(k, ZERO) + rat(c)
+            if c:
+                clean[k] = c
+            else:
+                clean.pop(k, None)
         self.terms = clean
 
+    @classmethod
+    def _adopt(cls, alphabet: Alphabet, terms: dict):
+        """Wrap ``terms`` without copying or cleaning: the caller hands over
+        a dict with no zero coefficient and never mutates it again."""
+        x = cls.__new__(cls)
+        x.alphabet = alphabet
+        x.terms = terms
+        return x
+
+    @classmethod
+    def zero(cls, alphabet: Alphabet):
+        return cls._adopt(alphabet, {})
+
+    @classmethod
+    def unit(cls, alphabet: Alphabet, c=ONE):
+        return cls(alphabet, {cls._UNIT: rat(c)})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _check(self, other) -> None:
+        if self.alphabet != other.alphabet:
+            raise ValueError("mixed alphabets")
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            n = out.get(k, ZERO) + c
+            if n:
+                out[k] = n
+            else:
+                out.pop(k, None)
+        return self._adopt(self.alphabet, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._adopt(self.alphabet, {k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if not isinstance(other, type(self)):
+            return self.scale(other)
+        self._check(other)
+        concat = self._concat
+        out: dict = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = concat(k1, k2)
+                n = out.get(k, ZERO) + c1 * c2
+                if n:
+                    out[k] = n
+                else:
+                    del out[k]
+        return self._adopt(self.alphabet, out)
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def scale(self, c):
+        c = rat(c)
+        if not c:
+            return self.zero(self.alphabet)
+        return self._adopt(self.alphabet, {k: c * x for k, x in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, type(self))
+            and self.alphabet == other.alphabet
+            and self.terms == other.terms
+        )
+
+    def sorted_terms(self) -> list:
+        """Terms in descending key order (leading term first)."""
+        return sorted(self.terms.items(), key=lambda t: self._sort_key(t[0]), reverse=True)
+
+    def to_str(self) -> str:
+        """Canonical rendering: terms in descending order, each a sign and
+        the term of its magnitude; a leading ``+`` is dropped."""
+        if not self.terms:
+            return "0"
+        text = " ".join(
+            ("- " if c < 0 else "+ ") + self._term(k, abs(c)) for k, c in self.sorted_terms()
+        )
+        return text[2:] if text[0] == "+" else "-" + text[2:]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.to_str()})"
+
+
+class NcPoly(_LinearCombination):
+    """Finitely supported map word -> scalar over a fixed alphabet."""
+
+    __slots__ = ()
+
+    _UNIT = ""
+    _concat = staticmethod(operator.add)
+    _sort_key = staticmethod(deglex_key)
+
+    def _term(self, word: str, mag: Scalar) -> str:
+        if not word:
+            return format_rational(mag)
+        token = self.alphabet.word_token(word)
+        return token if mag == 1 else f"{format_rational(mag)}*{token}"
+
     # -- constructors ------------------------------------------------------
-    @classmethod
-    def zero(cls, alphabet: Alphabet) -> "NcPoly":
-        return cls(alphabet)
-
-    @classmethod
-    def unit(cls, alphabet: Alphabet, c=ONE) -> "NcPoly":
-        return cls(alphabet, {"": rat(c)})
-
     @classmethod
     def from_word(cls, alphabet: Alphabet, word: str, c=ONE) -> "NcPoly":
         return cls(alphabet, {word: rat(c)})
@@ -205,9 +312,6 @@ class NcPoly:
         return cls(alphabet, {alphabet.word(gens): rat(c)})
 
     # -- structure ---------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         """Max word length; the zero polynomial reports -1."""
         if not self.terms:
@@ -228,89 +332,13 @@ class NcPoly:
         c = self.leading_coeff()
         if c == 1:
             return self
-        return NcPoly(self.alphabet, {w: x / c for w, x in self.terms.items()})
+        return NcPoly._adopt(self.alphabet, {w: x / c for w, x in self.terms.items()})
 
     def constant(self) -> Scalar:
         return self.terms.get("", ZERO)
 
-    def sorted_terms(self) -> list[tuple[str, Scalar]]:
-        """Terms in descending deglex order (leading term first)."""
-        return sorted(self.terms.items(), key=lambda t: deglex_key(t[0]), reverse=True)
-
-    # -- arithmetic --------------------------------------------------------
-    def _check(self, other: "NcPoly") -> None:
-        if self.alphabet != other.alphabet:
-            raise ValueError("mixed alphabets")
-
-    def __add__(self, other: "NcPoly") -> "NcPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            n = out.get(w, ZERO) + c
-            if n:
-                out[w] = n
-            else:
-                out.pop(w, None)
-        p = NcPoly.__new__(NcPoly)
-        p.alphabet = self.alphabet
-        p.terms = out
-        return p
-
-    def __sub__(self, other: "NcPoly") -> "NcPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "NcPoly":
-        p = NcPoly.__new__(NcPoly)
-        p.alphabet = self.alphabet
-        p.terms = {w: -c for w, c in self.terms.items()}
-        return p
-
-    def __mul__(self, other):
-        if isinstance(other, NcPoly):
-            self._check(other)
-            out: dict[str, Scalar] = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    w = w1 + w2
-                    n = out.get(w, ZERO) + c1 * c2
-                    if n:
-                        out[w] = n
-                    else:
-                        del out[w]
-            p = NcPoly.__new__(NcPoly)
-            p.alphabet = self.alphabet
-            p.terms = out
-            return p
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c) -> "NcPoly":
-        c = rat(c)
-        if not c:
-            return NcPoly.zero(self.alphabet)
-        p = NcPoly.__new__(NcPoly)
-        p.alphabet = self.alphabet
-        p.terms = {w: c * x for w, x in self.terms.items()}
-        return p
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NcPoly)
-            and self.alphabet == other.alphabet
-            and self.terms == other.terms
-        )
-
     def __hash__(self) -> int:
         return hash((self.alphabet, frozenset(self.terms.items())))
-
-    def __repr__(self) -> str:
-        return f"NcPoly({self.to_str()})"
-
-    # -- text --------------------------------------------------------------
-    def to_str(self) -> str:
-        return poly_to_str(self)
 
     @classmethod
     def parse(cls, alphabet: Alphabet, text: str) -> "NcPoly":
@@ -320,23 +348,7 @@ class NcPoly:
 def poly_to_str(p: NcPoly) -> str:
     """Canonical rendering: deglex-descending terms, ``1`` for the empty word,
     unit coefficients suppressed, e.g. ``u[1,1]*s[1,1] + u[1,2]*s[2,1] - 1``."""
-    if p.is_zero():
-        return "0"
-    chunks: list[str] = []
-    for i, (w, c) in enumerate(p.sorted_terms()):
-        neg = c < 0
-        mag = -c if neg else c
-        if not w:
-            body = format_rational(mag)
-        elif mag == 1:
-            body = p.alphabet.word_token(w)
-        else:
-            body = f"{format_rational(mag)}*{p.alphabet.word_token(w)}"
-        if i == 0:
-            chunks.append(("-" if neg else "") + body)
-        else:
-            chunks.append(("- " if neg else "+ ") + body)
-    return " ".join(chunks)
+    return p.to_str()
 
 
 _POLY_TOKEN_RE = re.compile(
@@ -502,129 +514,51 @@ class PolyMatrix:
         return {Generator(family, r, c): p for (r, c), p in self.entries()}
 
 
-class TensorSquare:
+class TensorSquare(_LinearCombination):
     """Element of the tensor square of the free algebra: finitely supported
     map (word, word) -> scalar.  Multiplication is componentwise
     concatenation, extended bilinearly."""
 
-    __slots__ = ("alphabet", "terms")
+    __slots__ = ()
 
-    def __init__(self, alphabet: Alphabet, terms=None) -> None:
-        self.alphabet = alphabet
-        clean: dict[tuple[str, str], Scalar] = {}
-        if terms:
-            for k, c in terms.items():
-                c = rat(c)
-                if c:
-                    clean[k] = clean.get(k, ZERO) + c
-                    if not clean[k]:
-                        del clean[k]
-        self.terms = clean
+    _UNIT = ("", "")
+    _concat = staticmethod(lambda k1, k2: (k1[0] + k2[0], k1[1] + k2[1]))
+    _sort_key = staticmethod(lambda k: (deglex_key(k[0]), deglex_key(k[1])))
 
-    @classmethod
-    def unit(cls, alphabet: Alphabet, c=ONE) -> "TensorSquare":
-        return cls(alphabet, {("", ""): rat(c)})
+    def _term(self, k: tuple[str, str], mag: Scalar) -> str:
+        token = f"{self.alphabet.word_token(k[0])}#{self.alphabet.word_token(k[1])}"
+        return token if mag == 1 else f"{format_rational(mag)}*{token}"
 
     @classmethod
     def of(cls, left: NcPoly, right: NcPoly) -> "TensorSquare":
-        if left.alphabet != right.alphabet:
-            raise ValueError("mixed alphabets")
-        out: dict[tuple[str, str], Scalar] = {}
-        for w1, c1 in left.terms.items():
-            for w2, c2 in right.terms.items():
-                out[(w1, w2)] = out.get((w1, w2), ZERO) + c1 * c2
-        return cls(left.alphabet, out)
+        left._check(right)
+        terms = {(a, b): x * y for a, x in left.terms.items() for b, y in right.terms.items()}
+        return cls._adopt(left.alphabet, terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
 
-    def _check(self, other: "TensorSquare") -> None:
-        if self.alphabet != other.alphabet:
-            raise ValueError("mixed alphabets")
-
-    def __add__(self, other: "TensorSquare") -> "TensorSquare":
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            n = out.get(k, ZERO) + c
-            if n:
-                out[k] = n
-            else:
-                out.pop(k, None)
-        t = TensorSquare.__new__(TensorSquare)
-        t.alphabet = self.alphabet
-        t.terms = out
-        return t
-
-    def __neg__(self) -> "TensorSquare":
-        t = TensorSquare.__new__(TensorSquare)
-        t.alphabet = self.alphabet
-        t.terms = {k: -c for k, c in self.terms.items()}
-        return t
-
-    def __sub__(self, other: "TensorSquare") -> "TensorSquare":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, TensorSquare):
-            self._check(other)
-            out: dict[tuple[str, str], Scalar] = {}
-            for (a1, b1), c1 in self.terms.items():
-                for (a2, b2), c2 in other.terms.items():
-                    k = (a1 + a2, b1 + b2)
-                    n = out.get(k, ZERO) + c1 * c2
-                    if n:
-                        out[k] = n
-                    else:
-                        del out[k]
-            t = TensorSquare.__new__(TensorSquare)
-            t.alphabet = self.alphabet
-            t.terms = out
-            return t
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c) -> "TensorSquare":
-        c = rat(c)
-        t = TensorSquare.__new__(TensorSquare)
-        t.alphabet = self.alphabet
-        t.terms = {} if not c else {k: c * x for k, x in self.terms.items()}
-        return t
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorSquare)
-            and self.alphabet == other.alphabet
-            and self.terms == other.terms
-        )
-
-    def sorted_terms(self) -> list[tuple[tuple[str, str], Scalar]]:
-        return sorted(
-            self.terms.items(),
-            key=lambda t: (deglex_key(t[0][0]), deglex_key(t[0][1])),
-            reverse=True,
-        )
-
-    def to_str(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for i, ((w1, w2), c) in enumerate(self.sorted_terms()):
-            neg = c < 0
-            mag = -c if neg else c
-            body = f"{self.alphabet.word_token(w1)}#{self.alphabet.word_token(w2)}"
-            if mag != 1:
-                body = f"{format_rational(mag)}*{body}"
-            if i == 0:
-                chunks.append(("-" if neg else "") + body)
-            else:
-                chunks.append(("- " if neg else "+ ") + body)
-        return " ".join(chunks)
-
-    def __repr__(self) -> str:
-        return f"TensorSquare({self.to_str()})"
+def _extend(p: NcPoly, images: Mapping, kind, target, antihom: bool, caller: str):
+    """The one multiplicative extension: the algebra map into ``kind`` over
+    ``target`` that sends each generator to its image, applied to ``p``.
+    With ``antihom`` every word is read right to left."""
+    if target is None:
+        if not images:
+            raise ValueError(f"{caller} needs images or an explicit target alphabet")
+        target = next(iter(images.values())).alphabet
+    for img in images.values():
+        if img.alphabet != target:
+            raise ValueError("images drawn from mixed alphabets")
+    out = kind.zero(target)
+    for word, c in sorted(p.terms.items(), key=lambda t: deglex_key(t[0])):
+        acc = kind.unit(target, c)
+        for g in p.alphabet.letters(word[::-1] if antihom else word):
+            try:
+                acc = acc * images[g]
+            except KeyError:
+                raise MissingImageError(g) from None
+            if acc.is_zero():
+                break
+        out = out + acc
+    return out
 
 
 def substitute(
@@ -639,29 +573,7 @@ def substitute(
     With ``antihom=True`` the extension reverses words (an algebra
     antihomomorphism), which is how antipode images act on products.
     """
-    if target is None:
-        try:
-            target = next(iter(images.values())).alphabet
-        except StopIteration:
-            raise ValueError("substitute needs images or an explicit target alphabet")
-    for img in images.values():
-        if img.alphabet != target:
-            raise ValueError("images drawn from mixed alphabets")
-    out = NcPoly.zero(target)
-    for word, c in sorted(p.terms.items(), key=lambda t: deglex_key(t[0])):
-        gens = p.alphabet.letters(word)
-        if antihom:
-            gens = tuple(reversed(gens))
-        acc = NcPoly.unit(target, c)
-        for g in gens:
-            try:
-                acc = acc * images[g]
-            except KeyError:
-                raise MissingImageError(g) from None
-            if acc.is_zero():
-                break
-        out = out + acc
-    return out
+    return _extend(p, images, NcPoly, target, antihom, "substitute")
 
 
 def coproduct_image(
@@ -671,20 +583,4 @@ def coproduct_image(
     target: Alphabet | None = None,
 ) -> TensorSquare:
     """Extend generator coproducts multiplicatively to ``p``."""
-    if target is None:
-        try:
-            target = next(iter(images.values())).alphabet
-        except StopIteration:
-            raise ValueError("coproduct_image needs images or a target alphabet")
-    out = TensorSquare(target)
-    for word, c in sorted(p.terms.items(), key=lambda t: deglex_key(t[0])):
-        acc = TensorSquare.unit(target, c)
-        for g in p.alphabet.letters(word):
-            try:
-                acc = acc * images[g]
-            except KeyError:
-                raise MissingImageError(g) from None
-            if acc.is_zero():
-                break
-        out = out + acc
-    return out
+    return _extend(p, images, TensorSquare, target, False, "coproduct_image")

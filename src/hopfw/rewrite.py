@@ -219,7 +219,7 @@ class RewriteSystem:
         self.complete_through = complete_through
         self._index = _LeadIndex()
         for r in self.rules:
-            self._index.add(r.lead, dict(r.tail.terms))
+            self._index.add(r.lead, r.tail.terms)
 
     def find_reduction(self, word: str):
         """Leftmost reducible position; the deglex-smallest lead matching
@@ -228,7 +228,7 @@ class RewriteSystem:
         if hit is None:
             return None
         pos, lead, _ = hit
-        return pos, Rule(lead, NcPoly(self.alphabet, self._index.by_word[lead]))
+        return pos, Rule(lead, NcPoly._adopt(self.alphabet, self._index.by_word[lead]))
 
     def is_normal(self, word: str) -> bool:
         return self._index.find_reduction(word) is None
@@ -305,21 +305,14 @@ class RewriteSystem:
         )
 
 
-def _reduce_terms(terms: dict[str, Scalar], system: RewriteSystem) -> dict[str, Scalar]:
-    return system._index.reduce_terms(terms, system.alphabet.desc_key)
-
-
 def normal_form(p: NcPoly, system: RewriteSystem) -> NcPoly:
     """Fully reduce ``p``; requires degree(p) <= the system degree bound."""
     if p.alphabet != system.alphabet:
         raise ValueError("polynomial alphabet does not match the system")
     if p.degree() > system.degree_bound:
         raise NotCertifiedError(p.degree(), system.degree_bound)
-    reduced = _reduce_terms(p.terms, system)
-    q = NcPoly.__new__(NcPoly)
-    q.alphabet = p.alphabet
-    q.terms = reduced
-    return q
+    reduced = system._index.reduce_terms(p.terms, system.alphabet.desc_key)
+    return NcPoly._adopt(p.alphabet, reduced)
 
 
 def ideal_member(p: NcPoly, system: RewriteSystem) -> bool:
@@ -423,7 +416,7 @@ class _Completion:
                 tail = self.index.by_word.get(lead)
                 if tail is None:
                     continue
-                new_tail = self.index.reduce_terms(dict(tail), self.desc)
+                new_tail = self.index.reduce_terms(tail, self.desc)
                 if new_tail != tail:
                     self.index.by_word[lead] = new_tail
                     changed = True
@@ -463,7 +456,7 @@ def complete(
             )
     st = _Completion(alphabet, degree_bound)
     for r in rels:
-        st.push_poly(r.leading_word(), dict(r.terms))
+        st.push_poly(r.leading_word(), r.terms)
 
     last = -1
     while True:
@@ -472,10 +465,7 @@ def complete(
         if st.audit_and_requeue():
             break
 
-    rules = [
-        Rule(lead, NcPoly(alphabet, tail))
-        for lead, tail in st.index.by_word.items()
-    ]
+    rules = [Rule(lead, NcPoly._adopt(alphabet, tail)) for lead, tail in st.index.by_word.items()]
     return RewriteSystem(alphabet, rules, degree_bound, degree_bound)
 
 

@@ -304,17 +304,33 @@ def test_present_usage_errors(cyclic2, capsys):
 def test_present_refuses_flags_its_algebra_does_not_read(
     cyclic2, tmp_path, capsys, argv, message
 ):
-    # as given, a missing file is refused when it is loaded, before the check
+    # as given, the unread flag is refused before its missing file is opened
     missing = str(tmp_path / "nonexistent.json")
     given = [cyclic2 if a == "FORM" else missing if a == "MISSING" else a for a in argv]
     assert main(["present", *given]) == 3
     out, err = capsys.readouterr()
-    assert out == "" and "hopfw: error:" in err
+    assert out == "" and message in err
     # with every file present, the unread flag itself is refused
     given = [cyclic2 if a in ("FORM", "MISSING") else a for a in argv]
     assert main(["present", *given]) == 3
     out, err = capsys.readouterr()
     assert out == "" and message in err
+
+
+@pytest.fixture(params=["missing", "malformed"])
+def unreadable(request, tmp_path):
+    """A form file that cannot be loaded: absent, or not a form."""
+    path = tmp_path / "form.json"
+    if request.param == "malformed":
+        path.write_text("{not json")
+    return str(path)
+
+
+def test_present_refuses_unread_flags_before_opening_files(unreadable, capsys):
+    argv = ["present", "--algebra", "ahmn", "--m", "3", "--n", "2", "--form", unreadable]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "hopfw: error: --algebra ahmn does not read a form file\n"
 
 
 def test_present_power_sum_and_single_matrix(sig3, tmp_path, capsys):
@@ -555,6 +571,25 @@ def test_verify_axioms_refuses_flags_its_algebra_does_not_read(cyclic2, capsys, 
     argv = [cyclic2 if a == "FORM" else a for a in argv]
     assert main(["verify", "--suite", "axioms", *argv, "--degree", "4"]) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--suite", "diagonal-iso", "FILE"], "suite 'diagonal-iso' does not read a form file"),
+        (["--suite", "manin", "--polar", "FILE"], "suite 'manin' does not read --polar"),
+        (
+            ["--suite", "axioms", "FILE", "--algebra", "ahmn", "--m", "3", "--n", "2"],
+            "--algebra ahmn does not read a form file",
+        ),
+        (["--suite", "axioms", "FILE", "--polar", "FILE"], "--algebra hw does not read --polar"),
+    ],
+)
+def test_verify_refuses_unread_flags_before_opening_files(unreadable, capsys, argv, message):
+    argv = [unreadable if a == "FILE" else a for a in argv]
+    assert main(["verify", *argv]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"hopfw: error: {message}\n"
 
 
 def test_run_suite_is_the_table_behind_verify():

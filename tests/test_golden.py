@@ -843,6 +843,17 @@ def test_form_analysis_and_polar_are_pinned(key):
     assert _sha(form_text(_form_by_key(key))) == GOLDEN["forms"][key]
 
 
+@pytest.mark.parametrize("key", FORM_KEYS)
+def test_polar_dimension_is_read_off_nondegeneracy(key):
+    # what hopfw analyze prints without building the polar space
+    w = _form_by_key(key)
+    sol = polar(w)
+    if analyze(w).nondegenerate:
+        assert sol.affine_dimension() == w.dim**w.arity - w.dim * w.dim
+    else:
+        assert sol is None
+
+
 def test_random_forms_cover_every_twist_outcome():
     outcomes = {_twist_text(_random_form(seed)).split(":")[0] for seed in RANDOM_FORM_SEEDS}
     assert {"None", "AmbiguousTwistError"} <= outcomes and len(outcomes) > 2
