@@ -180,8 +180,8 @@ def deglex_compare(a: str, b: str) -> int:
 class _LinearCombination:
     """Finitely supported map key -> nonzero scalar over a fixed alphabet.  A
     subclass supplies ``_UNIT`` (the unit's key), ``_concat`` (the product
-    of two keys), ``_sort_key`` (the ascending order of keys) and ``_term``
-    (the text of one term with a positive coefficient)."""
+    of two keys), ``_sort_key`` (orders terms by key) and ``_term`` (the
+    text of one term with a positive coefficient)."""
 
     __slots__ = ("alphabet", "terms")
 
@@ -271,15 +271,16 @@ class _LinearCombination:
 
     def sorted_terms(self) -> list:
         """Terms in descending key order (leading term first)."""
-        return sorted(self.terms.items(), key=lambda t: self._sort_key(t[0]), reverse=True)
+        return sorted(self.terms.items(), key=self._sort_key, reverse=True)
 
     def to_str(self) -> str:
         """Canonical rendering: terms in descending order, each a sign and
         the term of its magnitude; a leading ``+`` is dropped."""
         if not self.terms:
             return "0"
+        term = self._term
         text = " ".join(
-            ("- " if c < 0 else "+ ") + self._term(k, abs(c)) for k, c in self.sorted_terms()
+            "- " + term(k, -c) if c < 0 else "+ " + term(k, c) for k, c in self.sorted_terms()
         )
         return text[2:] if text[0] == "+" else "-" + text[2:]
 
@@ -294,7 +295,7 @@ class NcPoly(_LinearCombination):
 
     _UNIT = ""
     _concat = staticmethod(operator.add)
-    _sort_key = staticmethod(deglex_key)
+    _sort_key = staticmethod(lambda t: deglex_key(t[0]))
 
     def _term(self, word: str, mag: Scalar) -> str:
         if not word:
@@ -523,7 +524,7 @@ class TensorSquare(_LinearCombination):
 
     _UNIT = ("", "")
     _concat = staticmethod(lambda k1, k2: (k1[0] + k2[0], k1[1] + k2[1]))
-    _sort_key = staticmethod(lambda k: (deglex_key(k[0]), deglex_key(k[1])))
+    _sort_key = staticmethod(lambda t: (deglex_key(t[0][0]), deglex_key(t[0][1])))
 
     def _term(self, k: tuple[str, str], mag: Scalar) -> str:
         token = f"{self.alphabet.word_token(k[0])}#{self.alphabet.word_token(k[1])}"
@@ -537,9 +538,8 @@ class TensorSquare(_LinearCombination):
 
 
 def _extend(p: NcPoly, images: Mapping, kind, target, antihom: bool, caller: str):
-    """The one multiplicative extension: the algebra map into ``kind`` over
-    ``target`` that sends each generator to its image, applied to ``p``.
-    With ``antihom`` every word is read right to left."""
+    """Apply to ``p`` the algebra map into ``kind`` over ``target`` that sends
+    each generator to its image; with ``antihom`` words read right to left."""
     if target is None:
         if not images:
             raise ValueError(f"{caller} needs images or an explicit target alphabet")
