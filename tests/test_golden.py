@@ -2,9 +2,13 @@
 the form analysis and polar space of a corpus of forms, and the exact
 linear-algebra solvers.
 
-Refactors of the builders, the suites, the CLI, the form analysis and the
-solvers must leave these bytes unchanged.  The presentation and system
-entries are sha256 digests of the dumps; the suite entries pin the exit code
+Refactors of the builders, completion, the suites, the CLI, the form
+analysis and the solvers must leave these bytes unchanged.  The presentation
+entries are sha256 digests of the dumps, and the system entries of
+``system_for(pres, D).dump()`` for every presentation (D = 6, or 4 where 6
+costs too much); each pinned system is also audited with
+``unresolved_overlaps``, the one confluence audit, which completion does not
+run on itself.  The suite entries pin the exit code
 and the sha256 of the whole ``hopfw verify`` stdout, i.e. every (name,
 status, detail) row, the summary line and the noninjectivity verdict line.
 The form entries pin the sha256 of a canonical text of ``analyze(w)``, of
@@ -66,6 +70,7 @@ from hopfw.forms import (
     twisting_element,
 )
 from hopfw.hopf import build_ahmn, build_bw, build_hb, build_hw, build_hww, system_for
+from hopfw.rewrite import unresolved_overlaps
 from hopfw.ncalg import (
     Alphabet,
     Generator,
@@ -95,6 +100,13 @@ PRESENTATIONS = {
     "hb-symplectic2": lambda: build_hb(_example_form("symplectic2")),
     "hb-bilinear-1235": lambda: build_hb(BILINEAR_1235),
     "ahmn-3-2": lambda: build_ahmn(3, 2),
+}
+# completion degree of each pinned system; hw-signature-4 at D=5 takes minutes
+SYSTEM_DEGREES = {key: 6 for key in PRESENTATIONS} | {
+    "hw-signature-3": 4,
+    "hw-signature-4": 4,
+    "bw-signature-4": 4,
+    "hww-signature-4": 4,
 }
 
 # argv after "verify"; FORM:<name> is replaced by a file holding that form,
@@ -178,7 +190,20 @@ GOLDEN = {
         "hww-signature-3": "ef9662ea5c60e9c61a4c4f552c462cdde21b2b7b430fc68888f6e7bb360ffad5",
         "hww-signature-4": "3eeb11784720c213c8599417ac1960c27b58e7c2ba4046532857687e884da42d"
     },
-    "system-hw-cyclic2-D6": "bce3136e0c929ec68b198cd7da9f71a5a5755e0fb3f3c771d0d134ae771f3c7e",
+    "systems": {
+        "ahmn-3-2": "f28addf6bc48d779b46e236ff5ceec53adadbc869a252a6cbbb8db5db4872626",
+        "bw-cyclic2": "6fa1f568dc02bf4bbb3214f626b088491b4249efd8569364449a843c36a89223",
+        "bw-signature-3": "157d00b2b8f5e34365442f127d9b842e5259f0c51f92170beba8631198fea8c9",
+        "bw-signature-4": "8c5091a739dba2c6b75f24ed938a9f6f0d0d7683c5405c158137326b69cb4245",
+        "hb-bilinear-1235": "932b31394463ac118f66414e0821c5fd650f602d9aae3c9036d59bdec46adad8",
+        "hb-symplectic2": "6d7eea7080bb2a924da6a0b71871c4aef1c6f4b26d39e4e177f7a1aefb1cde21",
+        "hw-cyclic2": "bce3136e0c929ec68b198cd7da9f71a5a5755e0fb3f3c771d0d134ae771f3c7e",
+        "hw-signature-3": "35f0bba4d1240bc07cea55e809751f300e568850db28a6373d60e88615561d72",
+        "hw-signature-4": "726f1d9ec60c7a905f63cdf99637bd7c2d8d42a2e5b8ae7a2e3837d13da29927",
+        "hww-cyclic2": "2087491adbe8b1bbfdeaf375fc391262b06c7196a0cc561e15b361ec396cc2fc",
+        "hww-signature-3": "864cf8f59acf5e50d9d68b5c870f55df8f9ee9011f6478e463685c8d4362d0d0",
+        "hww-signature-4": "4a6f7d086fa804699b375f36e37c1b96e52298f55bd6061434a70aa2a97861ae"
+    },
     "forms": {
         "bilinear-1101": "ef1ec8b5ce2368193c961674f705d0544ef15551610ffe022a73832171e06c46",
         "bilinear-1235": "4c3e3135eff7ca6695ab3d80bd3380382d1c9eb44f2aa6f97f91d933b85a2664",
@@ -811,9 +836,10 @@ def current(workdir):
         "presentations": {
             key: _sha(dump_presentation(build())) for key, build in PRESENTATIONS.items()
         },
-        "system-hw-cyclic2-D6": _sha(
-            system_for(build_hw(_example_form("cyclic2")), 6).dump()
-        ),
+        "systems": {
+            key: _sha(system_for(PRESENTATIONS[key](), SYSTEM_DEGREES[key]).dump())
+            for key in PRESENTATIONS
+        },
         "verify": {key: _run_verify(args, workdir) for key, args in VERIFY_CALLS.items()},
         "forms": {key: _sha(form_text(_form_by_key(key))) for key in FORM_KEYS},
         "solvers": {key: _sha(solver_text(key)) for key in SOLVER_KEYS},
@@ -828,9 +854,11 @@ def test_presentation_dump_is_pinned(key):
     assert _sha(dump_presentation(PRESENTATIONS[key]())) == GOLDEN["presentations"][key]
 
 
-def test_system_dump_is_pinned():
-    system = system_for(build_hw(_example_form("cyclic2")), 6)
-    assert _sha(system.dump()) == GOLDEN["system-hw-cyclic2-D6"]
+@pytest.mark.parametrize("key", sorted(PRESENTATIONS))
+def test_system_dump_is_pinned(key):
+    system = system_for(PRESENTATIONS[key](), SYSTEM_DEGREES[key])
+    assert _sha(system.dump()) == GOLDEN["systems"][key]
+    assert unresolved_overlaps(system) == []
 
 
 @pytest.mark.parametrize("key", sorted(VERIFY_CALLS))

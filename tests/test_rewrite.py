@@ -141,6 +141,29 @@ def test_unresolved_overlaps_keeps_rule_order_then_growing_overlap():
     ]
 
 
+def test_random_completions_leave_no_unresolved_overlap():
+    # completion does not audit itself, so the audit runs here: non-homogeneous
+    # relations with constant terms, so unit ideals and evictions both occur
+    rng = random.Random(20261018)
+    units = 0
+    for trial in range(200):
+        a = free_alphabet(*"wxyz"[: rng.randint(2, 4)])
+        chars = [a.char(g) for g in a.generators]
+        rels = []
+        while not rels:
+            for _ in range(rng.randint(1, 4)):
+                terms = {}
+                for _ in range(rng.randint(1, 4)):
+                    w = "".join(rng.choice(chars) for _ in range(rng.randint(0, 3)))
+                    terms[w] = terms.get(w, 0) + rng.choice((-2, -1, 1, 2, 3))
+                rels.append(NcPoly(a, terms))
+            rels = [r for r in rels if not r.is_zero()]
+        system = complete(rels, rng.randint(3, 6))
+        assert unresolved_overlaps(system) == [], f"trial {trial} not confluent"
+        units += system.rules[0].lead == ""
+    assert 0 < units < 200
+
+
 def test_normal_form_is_linear_and_idempotent():
     a = free_alphabet("x", "y")
     s = complete([parse_poly(a, "x*x - y"), parse_poly(a, "y*x - x*y")], 6)
