@@ -25,11 +25,27 @@ Implementation notes, sized for thousands of rules:
 * retraction keeps live leads pairwise factor-free: a new lead evicts every
   longer live lead containing it (checked per length bucket), and the evicted
   polynomial re-enters the queue;
-* after the queue drains the system is interreduced to a fixpoint and then
-  audited: every overlap of the final system must resolve to zero, and any
-  that does not (possible in principle because tails drift during
-  interreduction) is pushed back and completion resumes.  The shipped system
-  therefore always satisfies the truncated confluence property it claims.
+* after the queue drains, each tail is reduced once, leads ascending.
+
+Completion does not audit itself: the shipped system resolves every overlap
+of degree <= D by construction (Bergman, "The diamond lemma for ring
+theory", Adv. Math. 1978), and :func:`unresolved_overlaps` is the one audit,
+which the tests run on pinned and random systems.  The argument:
+
+* every overlap of the final system was already resolved.  A retracted lead
+  can never become a lead again, because it always contains a live proper
+  factor, so the final leads were live from their insertion to the end.  The
+  second of each pair to be inserted queued their overlaps, and each overlap
+  of degree <= D was popped with both parents live and reduced, to zero or
+  to the polynomial of a new rule;
+* eviction keeps those resolutions valid.  Bergman's condition "the
+  S-polynomial lies in I_{<W}" survives eviction, because the evicted
+  polynomial is requeued and reduced; the induction is on the pair (word,
+  lead length);
+* interreduction keeps them valid too: each tail changes only by elements
+  of I_{<lead};
+* one interreduction pass reaches the fixpoint: leads do not change while
+  tails are interreduced, and ``reduce_terms`` returns an irreducible dict.
 
 The final system is canonically sorted and schedule-independent: completing
 the same relations in any order yields the identical rule list.
@@ -129,17 +145,6 @@ class _LeadIndex:
             else:
                 s_terms.pop(kw, None)
         return s_terms
-
-    def unresolved(self, degree_bound: int, desc):
-        """The audit: every overlap (l1, l2, x, z) of degree <= the bound,
-        leads in deglex order, whose S-polynomial does not reduce to zero.
-        Normal form is linear, so the overlap's two one-step resolutions
-        agree exactly when their difference, the S-polynomial, vanishes."""
-        for l1 in sorted(self.by_word, key=deglex_key):
-            for l2, x, z in self.overlaps_as_left(l1):
-                if len(x) + len(l2) <= degree_bound:
-                    if self.reduce_terms(self.s_poly(l1, l2, x, z), desc):
-                        yield l1, l2, x, z
 
     def find_reduction(self, word: str):
         """Leftmost position, shortest lead there (= deglex-smallest match).
@@ -393,12 +398,13 @@ class _Completion:
         self.index.add(lead, tail)
         self.queue_overlaps_of(lead)
 
-    def drain(self, on_progress, last_reported: int) -> int:
+    def drain(self, on_progress) -> None:
+        reported = -1
         while self.heap:
             deg, _, _, pair, terms = heapq.heappop(self.heap)
-            if on_progress and deg > last_reported:
+            if on_progress and deg > reported:
                 on_progress(deg, len(self.index.by_word))
-                last_reported = deg
+                reported = deg
             if pair is not None:
                 terms = self.index.s_poly(*pair)
                 if terms is None:
@@ -406,28 +412,13 @@ class _Completion:
             reduced = self.index.reduce_terms(terms, self.desc)
             if reduced:
                 self.insert(reduced)
-        return last_reported
 
     def interreduce(self) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for lead in sorted(self.index.by_word, key=deglex_key):
-                tail = self.index.by_word.get(lead)
-                if tail is None:
-                    continue
-                new_tail = self.index.reduce_terms(tail, self.desc)
-                if new_tail != tail:
-                    self.index.by_word[lead] = new_tail
-                    changed = True
-
-    def audit_and_requeue(self) -> bool:
-        """Reduce every overlap S-polynomial of the final system; push back
-        any that fail to vanish.  Returns True when the system is clean."""
-        bad = list(self.index.unresolved(self.degree_bound, self.desc))
-        for pair in bad:
-            self.push_pair(*pair)
-        return not bad
+        """One pass suffices: the leads stay fixed, so each reduced tail is
+        already irreducible."""
+        by_word = self.index.by_word
+        for lead in sorted(by_word, key=deglex_key):
+            by_word[lead] = self.index.reduce_terms(by_word[lead], self.desc)
 
 
 def complete(
@@ -440,8 +431,9 @@ def complete(
     The queue is processed in (degree, deglex, arrival) order.  Whenever a
     pending polynomial survives reduction it becomes a monic rule; live rules
     whose lead contains the new lead are retracted and requeued, so live
-    leads stay pairwise factor-free.  Ends with interreduction plus a
-    confluence audit (repeated until clean) and a canonical sort.
+    leads stay pairwise factor-free.  Ends with one interreduction pass and
+    a canonical sort.  Completion does not audit itself (the module
+    docstring says why); :func:`unresolved_overlaps` is the audit.
     """
     rels = [r for r in relations if not r.is_zero()]
     if not rels:
@@ -458,23 +450,27 @@ def complete(
     for r in rels:
         st.push_poly(r.leading_word(), r.terms)
 
-    last = -1
-    while True:
-        last = st.drain(on_progress, last)
-        st.interreduce()
-        if st.audit_and_requeue():
-            break
-
+    st.drain(on_progress)
+    st.interreduce()
     rules = [Rule(lead, NcPoly._adopt(alphabet, tail)) for lead, tail in st.index.by_word.items()]
     return RewriteSystem(alphabet, rules, degree_bound, degree_bound)
 
 
 def unresolved_overlaps(system: RewriteSystem) -> list[tuple[str, str, str]]:
     """Audit confluence at the bound: every overlap word of degree <= D must
-    reduce to the same normal form along both one-step resolutions.  Returns
-    the offending (lead1, lead2, overlap_word) triples; empty = confluent."""
-    found = system._index.unresolved(system.degree_bound, system.alphabet.desc_key)
-    bad = [(l1, l2, x + l2) for l1, l2, x, _ in found]
+    reduce to the same normal form along both one-step resolutions.  Normal
+    form is linear, so the two agree exactly when their difference, the
+    S-polynomial, reduces to zero.  Returns the offending (lead1, lead2,
+    overlap_word) triples; empty = confluent."""
+    index = system._index
+    desc = system.alphabet.desc_key
+    bad = []
+    for rule in system.rules:  # already in deglex order
+        l1 = rule.lead
+        for l2, x, z in index.overlaps_as_left(l1):
+            if len(x) + len(l2) <= system.degree_bound:
+                if index.reduce_terms(index.s_poly(l1, l2, x, z), desc):
+                    bad.append((l1, l2, x + l2))
     # rule order for both leads, then overlaps by growing length of b
     bad.sort(key=lambda t: (deglex_key(t[0]), deglex_key(t[1]), -len(t[2])))
     return bad
