@@ -56,10 +56,11 @@ from .hopf import (
     default_degree,
     refuse_unread,
     run_suite,
+    system_for,
     worst_status,
 )
 from .ncalg import parse_poly
-from .rewrite import NotCertifiedError, RewriteSystem, complete, normal_form
+from .rewrite import NotCertifiedError, RewriteSystem, normal_form
 
 OK = 0
 REFUTED = 1
@@ -210,7 +211,7 @@ def _cmd_gb(args) -> int:
     def progress(deg: int, nrules: int) -> None:
         print(f"degree {deg}: {nrules} rules", file=sys.stderr)
 
-    system = complete(list(pres.relations), degree, on_progress=progress)
+    system = system_for(pres, degree, on_progress=progress)
     _write_out(system.dump(), args.out)
     return OK
 

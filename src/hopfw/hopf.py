@@ -407,6 +407,8 @@ def _uncertified(name: str, poly: NcPoly, system: RewriteSystem) -> CheckResult:
 
 
 def system_for(pres: Presentation, degree: int, on_progress=None) -> RewriteSystem:
+    """Complete the presentation's relations through ``degree``: the one
+    completion entry point of the suites, the probe and ``hopfw gb``."""
     return complete(list(pres.relations), degree, on_progress=on_progress)
 
 
@@ -825,7 +827,7 @@ def noninjectivity_probe(
     witness_ok = rep.ok() and bool(rep.witness_distinct)
 
     hww = build_hww(w, wt)
-    system = complete(list(hww.relations), degree, on_progress=on_progress)
+    system = system_for(hww, degree, on_progress=on_progress)
     comm = NcPoly.from_gens(
         hww.alphabet, [Generator("v", 1, 2), Generator("v", 1, 3)]
     ) - NcPoly.from_gens(hww.alphabet, [Generator("v", 1, 3), Generator("v", 1, 2)])
