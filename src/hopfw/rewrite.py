@@ -465,7 +465,7 @@ def unresolved_overlaps(system: RewriteSystem) -> list[tuple[str, str, str]]:
     index = system._index
     desc = system.alphabet.desc_key
     bad = []
-    for rule in system.rules:  # already in deglex order
+    for rule in system.rules:
         l1 = rule.lead
         for l2, x, z in index.overlaps_as_left(l1):
             if len(x) + len(l2) <= system.degree_bound:

@@ -101,7 +101,7 @@ PRESENTATIONS = {
     "hb-bilinear-1235": lambda: build_hb(BILINEAR_1235),
     "ahmn-3-2": lambda: build_ahmn(3, 2),
 }
-# completion degree of each pinned system; hw-signature-4 at D=5 takes minutes
+# completion degree of each pinned system; hw-signature-4 at D=5 runs for minutes
 SYSTEM_DEGREES = {key: 6 for key in PRESENTATIONS} | {
     "hw-signature-3": 4,
     "hw-signature-4": 4,
