@@ -25,14 +25,17 @@ Presentation dumps are plain text, one fact per line::
     counit u[1,1] -> 1
     antipode u[1,1] -> s[1,1]
 
-Rewriting systems have their own dump/parse on ``RewriteSystem``.
+Polynomials and tensors are written in the text grammar of :mod:`hopfw.ncalg`.
+The ``delta`` and ``counit`` lines cover every generator or none, and so do
+the ``antipode`` lines.  Rewriting systems have their own dump/parse on
+``RewriteSystem``.
 """
 
 from __future__ import annotations
 
 import json
 
-from .exactnum import ONE, Scalar, ZERO, format_rational, parse_rational, rat
+from .exactnum import Scalar, format_rational, parse_rational, rat
 from .forms import MultilinearForm
 from .hopf import HopfStructure, Presentation
 from .ncalg import (
@@ -42,6 +45,7 @@ from .ncalg import (
     TensorSquare,
     parse_generator_token,
     parse_poly,
+    parse_tensor,
 )
 
 _KINDS = ("bw", "hb", "hw", "hww", "ahmn")
@@ -145,56 +149,6 @@ def load_form(path: str) -> MultilinearForm:
 
 
 # ---------------------------------------------------------------------------
-# tensor squares (needed to parse coproduct lines)
-
-
-def _single_term(alphabet: Alphabet, text: str) -> tuple[str, Scalar]:
-    p = parse_poly(alphabet, text)
-    if len(p.terms) != 1:
-        raise ValueError(f"expected a single term, got {text!r}")
-    [(word, coeff)] = p.terms.items()
-    return word, coeff
-
-
-def parse_tensor(alphabet: Alphabet, text: str) -> TensorSquare:
-    text = text.strip()
-    if text == "0":
-        return TensorSquare(alphabet)
-    tokens = text.split()
-    # tokens alternate term, op, term, op, ... (terms contain no spaces)
-    signed: list[tuple[Scalar, str]] = []
-    sign = ONE
-    expect_term = True
-    for tok in tokens:
-        if expect_term:
-            if tok.startswith("-"):
-                signed.append((-sign, tok[1:]))
-            else:
-                signed.append((sign, tok))
-            expect_term = False
-        else:
-            if tok == "+":
-                sign = ONE
-            elif tok == "-":
-                sign = -ONE
-            else:
-                raise ValueError(f"expected + or - between tensor terms, got {tok!r}")
-            expect_term = True
-    if expect_term:
-        raise ValueError("tensor text ends with a dangling sign")
-    terms: dict[tuple[str, str], Scalar] = {}
-    for sgn, term in signed:
-        if term.count("#") != 1:
-            raise ValueError(f"tensor term needs exactly one #: {term!r}")
-        left, right = term.split("#")
-        w1, c1 = _single_term(alphabet, left)
-        w2, c2 = _single_term(alphabet, right)
-        key = (w1, w2)
-        terms[key] = terms.get(key, ZERO) + sgn * c1 * c2
-    return TensorSquare(alphabet, terms)
-
-
-# ---------------------------------------------------------------------------
 # presentations <-> text
 
 
@@ -251,6 +205,8 @@ def parse_presentation(text: str) -> Presentation:
             elif head == "m":
                 m = int(rest)
             elif head == "generators":
+                if alphabet is not None:
+                    raise ValueError("second generators line")
                 generators = [parse_generator_token(t) for t in rest.split()]
                 alphabet = Alphabet(generators)
             elif head == "relation":
@@ -264,12 +220,14 @@ def parse_presentation(text: str) -> Presentation:
                 if not sep:
                     raise ValueError(f"{head} line needs 'generator -> value'")
                 g = parse_generator_token(gtok)
+                if g not in need_alphabet():
+                    raise ValueError(f"{head} of {g.token()}, which is not a generator")
                 if head == "delta":
-                    delta[g] = parse_tensor(need_alphabet(), body)
+                    delta[g] = parse_tensor(alphabet, body)
                 elif head == "counit":
                     counit[g] = parse_rational(body.strip())
                 else:
-                    antipode[g] = parse_poly(need_alphabet(), body)
+                    antipode[g] = parse_poly(alphabet, body)
             else:
                 raise ValueError(f"unknown line type {head!r}")
         except ValueError as exc:
@@ -278,6 +236,12 @@ def parse_presentation(text: str) -> Presentation:
         raise ValueError("presentation needs algebra, n, m and generators lines")
     structure = None
     if delta or counit or antipode:
+        every = set(generators)
+        if set(delta) != every or set(counit) != every or set(antipode) not in (every, set()):
+            raise ValueError(
+                "structure needs delta and counit of every generator,"
+                " and antipode of every generator or none"
+            )
         structure = HopfStructure(delta, counit, antipode or None)
     return Presentation(
         kind=kind,

@@ -16,6 +16,25 @@ and canonical text of :class:`NcPoly` (keys are words) and
 :class:`TensorSquare` (keys are word pairs).  One multiplicative extension,
 ``_extend``, is behind :func:`substitute`, :func:`coproduct_image` and,
 through scalar images, the counit check.
+
+The text grammar, written by ``to_str`` and read by :func:`parse_poly` and
+:func:`parse_tensor`::
+
+    text      := "0" | [signs] term (signs term)*
+    signs     := ("+" | "-")+            an odd number of "-" negates
+    term      := monomial                 (polynomial)
+               | monomial "#" monomial    (tensor square; the legs multiply)
+    monomial  := coefficient | [coefficient ["*"]] token ("*" token)*
+    coefficient := digits ["/" digits]
+    token     := name | family "[" digits "," digits "]"
+
+Spaces may stand between any two symbols and inside none.  The empty word
+is written ``1``, a unit coefficient is left out, and ``to_str`` writes one
+spaced sign between terms, e.g. ``2*u[1,1]#u[1,2] - 1#s[2,1]``.  (It also
+writes ``c*1`` for a leg that is a multiple of the empty word, which this
+grammar does not read.)  A token resolves through its alphabet's token
+table; another spelling of a generator, such as ``u[01,1]``, is read by
+:func:`parse_generator_token`.
 """
 
 from __future__ import annotations
@@ -102,15 +121,23 @@ def parse_generator_token(text: str) -> Generator:
 
 
 class Alphabet:
-    """An ordered generator set with the word <-> string translation."""
+    """An ordered generator set with the word <-> string translation and
+    the token <-> letter table that text is read and written through."""
 
-    __slots__ = ("generators", "_char_of", "_base", "_desc")
+    __slots__ = ("generators", "_char_of", "_letter_of", "_spell", "_base", "_desc")
 
     def __init__(self, generators: Iterable[Generator]) -> None:
         gens = tuple(sorted(set(generators), key=lambda g: g.key))
         object.__setattr__(self, "generators", gens)
         object.__setattr__(
             self, "_char_of", {g: chr(_CHAR_BASE + i) for i, g in enumerate(gens)}
+        )
+        # the token <-> letter table: text is read through _letter_of and
+        # written through its inverse, each letter spelled "token*"
+        letter_of = {g.token(): ch for g, ch in self._char_of.items()}
+        object.__setattr__(self, "_letter_of", letter_of)
+        object.__setattr__(
+            self, "_spell", str.maketrans({ch: tok + "*" for tok, ch in letter_of.items()})
         )
         object.__setattr__(self, "_base", _CHAR_BASE)
         # order-reversing relabeling: descending lex = ascending lex of the
@@ -160,7 +187,17 @@ class Alphabet:
         """Canonical display of a word; the empty word prints as ``1``."""
         if not word:
             return "1"
-        return "*".join(self.gen(c).token() for c in word)
+        return word.translate(self._spell)[:-1]
+
+    def _letter(self, token: str) -> str:
+        """The letter of one stripped generator token."""
+        ch = self._letter_of.get(token)
+        if ch is None:
+            g = parse_generator_token(token)
+            ch = self._char_of.get(g)
+            if ch is None:
+                raise ValueError(f"generator {g.token()} not in alphabet")
+        return ch
 
     def desc_key(self, word: str) -> str:
         """Order-reversing relabeling of a word (see __init__)."""
@@ -177,11 +214,33 @@ def deglex_compare(a: str, b: str) -> int:
     return -1 if ka < kb else (0 if ka == kb else 1)
 
 
+_SIGNS = re.compile(r"([+-][\s+-]*)")
+_COEFFICIENT = re.compile(r"\d+(?:/\d+)?")
+
+
+def _read_monomial(alphabet: Alphabet, text: str) -> tuple[str, Scalar]:
+    """The word and coefficient of one ``monomial`` of the text grammar."""
+    head, *factors = text.split("*")
+    head = head.strip()
+    coeff = ONE
+    m = _COEFFICIENT.match(head)
+    if m:
+        coeff = parse_rational(m[0])
+        head = head[m.end() :].lstrip()  # a token may follow without "*"
+        if not head:
+            if not factors:
+                return "", coeff
+            head = factors.pop(0).strip()
+    letter = alphabet._letter
+    return letter(head) + "".join([letter(f.strip()) for f in factors]), coeff
+
+
 class _LinearCombination:
     """Finitely supported map key -> nonzero scalar over a fixed alphabet.  A
     subclass supplies ``_UNIT`` (the unit's key), ``_concat`` (the product
-    of two keys), ``_sort_key`` (orders terms by key) and ``_term`` (the
-    text of one term with a positive coefficient)."""
+    of two keys), ``_sort_key`` (orders terms by key), ``_term`` (the text
+    of one term with a positive coefficient) and ``_read_term`` (its
+    inverse: the key and coefficient of one unsigned term's text)."""
 
     __slots__ = ("alphabet", "terms")
 
@@ -284,6 +343,29 @@ class _LinearCombination:
         )
         return text[2:] if text[0] == "+" else "-" + text[2:]
 
+    @classmethod
+    def _parse(cls, alphabet: Alphabet, text: str):
+        """Read the text grammar of the module docstring."""
+        if text.strip() == "0":
+            return cls.zero(alphabet)
+        # [term, signs, term, signs, ...]; the first term is blank when the
+        # text opens with a sign
+        parts = _SIGNS.split(text)
+        if parts[0].strip():
+            parts.insert(0, "+")
+        elif len(parts) > 1:
+            del parts[0]
+        else:
+            raise ValueError("empty text")
+        if not parts[-1].strip():
+            raise ValueError("dangling sign at the end")
+        read = cls._read_term
+        terms: dict = {}
+        for signs, body in zip(parts[::2], parts[1::2]):
+            key, c = read(alphabet, body)
+            terms[key] = terms.get(key, ZERO) + (-c if signs.count("-") % 2 else c)
+        return cls._adopt(alphabet, {k: c for k, c in terms.items() if c})
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.to_str()})"
 
@@ -302,6 +384,8 @@ class NcPoly(_LinearCombination):
             return format_rational(mag)
         token = self.alphabet.word_token(word)
         return token if mag == 1 else f"{format_rational(mag)}*{token}"
+
+    _read_term = staticmethod(_read_monomial)
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -352,90 +436,9 @@ def poly_to_str(p: NcPoly) -> str:
     return p.to_str()
 
 
-_POLY_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"(?:\[(?P<row>\d+),(?P<col>\d+)\])?|(?P<op>[+\-*]))"
-)
-
-
-def _tokenize_poly(text: str) -> list:
-    toks = []
-    pos = 0
-    while pos < len(text):
-        m = _POLY_TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ValueError(f"cannot read polynomial at: {rest[:20]!r}")
-        pos = m.end()
-        if m.group("num"):
-            toks.append(("num", m.group("num")))
-        elif m.group("name"):
-            name = m.group("name")
-            if m.group("row"):
-                if name not in MATRIC_FAMILIES:
-                    raise ValueError(f"unknown matric family {name!r}")
-                toks.append(("gen", Generator(name, int(m.group("row")), int(m.group("col")))))
-            else:
-                toks.append(("gen", Generator.free(name)))
-        else:
-            toks.append(("op", m.group("op")))
-    return toks
-
-
 def parse_poly(alphabet: Alphabet, text: str) -> NcPoly:
-    """Parse the canonical polynomial syntax over a known alphabet.
-
-    Grammar: terms joined by + or -, each term an optional rational
-    coefficient and a ``*``-joined word of generator tokens; a bare rational
-    is a constant term and ``1`` doubles as the empty word.
-    """
-    toks = _tokenize_poly(text)
-    if not toks:
-        raise ValueError("empty polynomial")
-    terms: dict[str, Scalar] = {}
-    i = 0
-    n = len(toks)
-    while i < n:
-        sign = ONE
-        while i < n and toks[i][0] == "op" and toks[i][1] in "+-":
-            if toks[i][1] == "-":
-                sign = -sign
-            i += 1
-        if i >= n:
-            raise ValueError("dangling sign in polynomial")
-        if toks[i][0] == "op":
-            raise ValueError("misplaced '*' in polynomial")
-        coeff = sign
-        word_gens: list[Generator] = []
-        if toks[i][0] == "num":
-            coeff = sign * parse_rational(toks[i][1])
-            i += 1
-            if i < n and toks[i] == ("op", "*"):
-                i += 1
-                if i >= n or toks[i][0] != "gen":
-                    raise ValueError("expected generator after coefficient")
-        while i < n and toks[i][0] == "gen":
-            g = toks[i][1]
-            if g not in alphabet:
-                raise ValueError(f"generator {g.token()} not in alphabet")
-            word_gens.append(g)
-            i += 1
-            if i < n and toks[i] == ("op", "*"):
-                nxt = toks[i + 1] if i + 1 < n else None
-                if nxt is not None and nxt[0] == "gen":
-                    i += 1
-                    continue
-                raise ValueError("misplaced '*' in polynomial")
-            break
-        # allow products written with explicit '*': the loop above consumed
-        # one generator per '*'-step; keep consuming while '*' gen follows
-        word = alphabet.word(word_gens)
-        terms[word] = terms.get(word, ZERO) + coeff
-        if i < n and toks[i][0] != "op":
-            raise ValueError("missing operator between terms")
-    return NcPoly(alphabet, terms)
+    """Read a polynomial in the text grammar of the module docstring."""
+    return NcPoly._parse(alphabet, text)
 
 
 class PolyMatrix:
@@ -530,11 +533,24 @@ class TensorSquare(_LinearCombination):
         token = f"{self.alphabet.word_token(k[0])}#{self.alphabet.word_token(k[1])}"
         return token if mag == 1 else f"{format_rational(mag)}*{token}"
 
+    @staticmethod
+    def _read_term(alphabet: Alphabet, text: str) -> tuple[tuple[str, str], Scalar]:
+        legs = text.split("#")
+        if len(legs) != 2:
+            raise ValueError(f"tensor term needs exactly one #: {text.strip()!r}")
+        (w1, c1), (w2, c2) = (_read_monomial(alphabet, leg) for leg in legs)
+        return (w1, w2), c1 * c2
+
     @classmethod
     def of(cls, left: NcPoly, right: NcPoly) -> "TensorSquare":
         left._check(right)
         terms = {(a, b): x * y for a, x in left.terms.items() for b, y in right.terms.items()}
         return cls._adopt(left.alphabet, terms)
+
+
+def parse_tensor(alphabet: Alphabet, text: str) -> TensorSquare:
+    """Read a tensor square in the text grammar of the module docstring."""
+    return TensorSquare._parse(alphabet, text)
 
 
 def _extend(p: NcPoly, images: Mapping, kind, target, antihom: bool, caller: str):

@@ -15,9 +15,11 @@ Implementation notes, sized for thousands of rules:
 * whole-word rule lookup -- reduction probes ``word[pos:pos+k]`` against a
   dict of leads for each k up to the longest lead, so a reduction step costs
   O(word * maxlen) C-speed hashes instead of a scan over the rule list;
-* overlap enumeration through prefix/suffix maps (every proper prefix and
-  suffix of each live lead is indexed), so a new rule meets only the rules
-  it genuinely overlaps;
+* overlap enumeration through prefix/suffix maps keyed by (affix, lead
+  length): every proper prefix and suffix of each live lead is indexed with
+  the lead's length, so a new rule meets only the rules it genuinely
+  overlaps, and only through the lengths that keep the overlap word within
+  the degree bound -- overlaps above D are never built;
 * pending S-polynomials are queued as descriptors (the two leads and the
   splitting words) and materialized against the *current* tails at pop time;
   descriptors whose parent rule has been retracted are dropped, because the
@@ -87,8 +89,9 @@ class _LeadIndex:
     def __init__(self) -> None:
         self.by_word: dict[str, dict[str, Scalar]] = {}
         self.by_len: dict[int, set[str]] = {}
-        self.prefixes: dict[str, set[str]] = {}
-        self.suffixes: dict[str, set[str]] = {}
+        # (affix, length of the lead) -> live leads with that proper affix
+        self.prefixes: dict[tuple[str, int], set[str]] = {}
+        self.suffixes: dict[tuple[str, int], set[str]] = {}
         self.maxlen = 0  # stale-high after removals; only costs extra probes
         self.unit = False
 
@@ -102,29 +105,48 @@ class _LeadIndex:
         if n > self.maxlen:
             self.maxlen = n
         for i in range(1, n):
-            self.prefixes.setdefault(lead[:i], set()).add(lead)
-            self.suffixes.setdefault(lead[i:], set()).add(lead)
+            self.prefixes.setdefault((lead[:i], n), set()).add(lead)
+            self.suffixes.setdefault((lead[i:], n), set()).add(lead)
 
     def remove(self, lead: str) -> dict[str, Scalar]:
         tail = self.by_word.pop(lead)
         if lead == "":
             self.unit = False
             return tail
-        self.by_len[len(lead)].discard(lead)
-        for i in range(1, len(lead)):
-            self.prefixes.get(lead[:i], set()).discard(lead)
-            self.suffixes.get(lead[i:], set()).discard(lead)
+        n = len(lead)
+        self.by_len[n].discard(lead)
+        for i in range(1, n):
+            self.prefixes[lead[:i], n].discard(lead)
+            self.suffixes[lead[i:], n].discard(lead)
         return tail
 
-    def overlaps_as_left(self, lead: str):
-        """Every proper overlap with ``lead`` as the left rule: yields
-        (l2, x, z) with lead = x.b and l2 = b.z for a nonempty proper b."""
-        for i in range(1, len(lead)):
+    def overlaps_as_left(self, lead: str, bound: int):
+        """Every proper overlap of degree <= ``bound`` with ``lead`` as the
+        left rule: yields (l2, x, z) with lead = x.b and l2 = b.z for a
+        nonempty proper b, so the overlap word x.l2 has length |x| + |l2|."""
+        n = len(lead)
+        for i in range(1, n):
             b = lead[i:]
-            others = self.prefixes.get(b)
-            if others:
-                for l2 in others:
-                    yield l2, lead[:i], l2[len(b) :]
+            for n2 in range(n - i + 1, min(bound - i, self.maxlen) + 1):
+                others = self.prefixes.get((b, n2))
+                if others:
+                    for l2 in others:
+                        yield l2, lead[:i], l2[n - i :]
+
+    def overlaps_as_right(self, lead: str, bound: int):
+        """Every proper overlap of degree <= ``bound`` with ``lead`` as the
+        right rule and another live lead l1 as the left one: yields
+        (l1, x, z) with l1 = x.b and lead = b.z for a nonempty proper b.
+        The self-overlaps of ``lead`` are left to :meth:`overlaps_as_left`."""
+        n = len(lead)
+        for i in range(1, n):
+            b = lead[:i]
+            for n1 in range(i + 1, min(bound - n + i, self.maxlen) + 1):
+                others = self.suffixes.get((b, n1))
+                if others:
+                    for l1 in others:
+                        if l1 != lead:
+                            yield l1, l1[: n1 - i], lead[i:]
 
     def s_poly(self, l1: str, l2: str, x: str, z: str):
         """Terms of tail(l1).z - x.tail(l2) for the overlap word l1.z = x.l2;
@@ -274,6 +296,8 @@ class RewriteSystem:
             elif head == "complete_through":
                 through = int(rest)
             elif head == "generators":
+                if alphabet is not None:
+                    raise ValueError(f"second generators line: {ln!r}")
                 gens = [parse_generator_token(t) for t in rest.split()]
                 alphabet = Alphabet(gens)
             elif head == "rule":
@@ -348,27 +372,18 @@ class _Completion:
 
     def push_pair(self, l1: str, l2: str, x: str, z: str) -> None:
         key_word = x + l2
-        if len(key_word) > self.degree_bound:
-            return
         self.seq += 1
         heapq.heappush(
             self.heap, (len(key_word), key_word, self.seq, (l1, l2, x, z), None)
         )
 
     def queue_overlaps_of(self, lead: str) -> None:
-        """Queue every overlap ambiguity between ``lead`` and the live rules
-        (including itself).  Prefix/suffix maps make this output-sensitive."""
-        for l2, x, z in self.index.overlaps_as_left(lead):
+        """Queue every overlap ambiguity of degree <= D between ``lead`` and
+        the live rules (including itself)."""
+        for l2, x, z in self.index.overlaps_as_left(lead, self.degree_bound):
             self.push_pair(lead, l2, x, z)
-        # lead as the right rule: live leads whose suffix prefixes lead
-        for i in range(1, len(lead)):
-            p = lead[:i]
-            others = self.index.suffixes.get(p)
-            if others:
-                for l1 in others:
-                    if l1 == lead:
-                        continue  # self-overlaps queued above
-                    self.push_pair(l1, lead, l1[: len(l1) - i], lead[i:])
+        for l1, x, z in self.index.overlaps_as_right(lead, self.degree_bound):
+            self.push_pair(l1, lead, x, z)
 
     def insert(self, reduced: dict[str, Scalar]) -> None:
         """Make a monic rule out of a reduced nonzero polynomial, retract
@@ -467,10 +482,9 @@ def unresolved_overlaps(system: RewriteSystem) -> list[tuple[str, str, str]]:
     bad = []
     for rule in system.rules:
         l1 = rule.lead
-        for l2, x, z in index.overlaps_as_left(l1):
-            if len(x) + len(l2) <= system.degree_bound:
-                if index.reduce_terms(index.s_poly(l1, l2, x, z), desc):
-                    bad.append((l1, l2, x + l2))
+        for l2, x, z in index.overlaps_as_left(l1, system.degree_bound):
+            if index.reduce_terms(index.s_poly(l1, l2, x, z), desc):
+                bad.append((l1, l2, x + l2))
     # rule order for both leads, then overlaps by growing length of b
     bad.sort(key=lambda t: (deglex_key(t[0]), deglex_key(t[1]), -len(t[2])))
     return bad

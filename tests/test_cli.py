@@ -122,6 +122,10 @@ def test_parse_tensor_round_trip():
     w = lambda fam, i, j: A.word([Generator(fam, i, j)])
     assert t.terms[(w("u", 1, 1), w("u", 2, 2))] == 6
     assert t.terms[(w("u", 1, 2), w("u", 2, 1))] == -1
+    assert parse_tensor(A, "2*u[1,1]#3*u[2,2]").terms == {(w("u", 1, 1), w("u", 2, 2)): 6}
+    # a zero coefficient on a term or a leg reads as a zero term
+    zeros = parse_tensor(A, "0*u[1,1]#u[2,2] + u[1,1]#0 - u[1,2]#u[2,1]")
+    assert zeros.terms == {(w("u", 1, 2), w("u", 2, 1)): -1}
 
 
 @pytest.mark.parametrize(
@@ -132,6 +136,8 @@ def test_parse_tensor_round_trip():
         "u[1,1]",
         "u[1,1]#u[1,1]#u[2,2]",
         "(u[1,1]+u[1,2])#u[2,2]",
+        "u[1,1]#-u[2,2]",  # a leg is a monomial, with no sign of its own
+        "u[1,1]+u[1,1]#u[2,2]",
     ],
 )
 def test_parse_tensor_rejections(text):
@@ -154,6 +160,13 @@ def test_presentation_dump_parse_round_trip():
         assert back.provenance is None
 
 
+_HW = "algebra hw\nn 1\nm 2\n"
+_DELTA_COUNIT = (
+    "delta u[1,1] -> u[1,1]#u[1,1]\ndelta u[1,2] -> u[1,2]#u[1,2]\n"
+    "counit u[1,1] -> 1\ncounit u[1,2] -> 1\n"
+)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -164,6 +177,17 @@ def test_presentation_dump_parse_round_trip():
         ("generators u[1,1]\ndelta u[1,1] u[1,1]#u[1,1]", "needs 'generator"),
         ("generators u[1,1]\ncounit u[1,1] -> x", "line 2"),
         ("algebra hw\nn 2\nm 3", "needs algebra, n, m and generators"),
+        ("generators u[1,1]\ngenerators u[1,2]", "line 2: second generators line"),
+        ("generators u[1,1]\ncounit u[1,2] -> 1", "counit of u\\[1,2\\], which is not a generator"),
+        ("generators u[1,1]\nantipode x -> u[1,1]", "antipode of x, which is not a generator"),
+        # structure maps that miss a generator
+        (_HW + "generators u[1,1] u[1,2]\ncounit u[1,1] -> 1", "structure needs"),
+        (_HW + "generators u[1,1]\ndelta u[1,1] -> u[1,1]#u[1,1]", "structure needs"),
+        (_HW + "generators u[1,1]\nantipode u[1,1] -> u[1,1]", "structure needs"),
+        (
+            _HW + "generators u[1,1] u[1,2]\n" + _DELTA_COUNIT + "antipode u[1,1] -> u[1,1]",
+            "structure needs",
+        ),
     ],
 )
 def test_parse_presentation_rejections(text, message):
@@ -394,6 +418,7 @@ def test_nf_unknown_generator(cyclic2, tmp_path, capsys):
         ("rule u[1,1] -> u[1,1]*u[1,2]", "u[1,1]", "not below its lead"),
         ("rule u[1,2] -> u[1,2]", "u[1,2]", "not below its lead"),
         ("rule u[1,2] -> u[1,1]\nrule u[1,2] -> 1", "u[1,2]", "two rules"),
+        ("rule u[1,2] -> u[1,1]\ngenerators u[1,2]", "u[1,2]*u[1,2]", "second generators"),
     ],
 )
 def test_nf_refuses_a_system_that_would_not_terminate(tmp_path, capsys, rule, poly, message):

@@ -8,7 +8,8 @@ entries are sha256 digests of the dumps, and the system entries of
 ``system_for(pres, D).dump()`` for every presentation (D = 6, or 4 where 6
 costs too much); each pinned system is also audited with
 ``unresolved_overlaps``, the one confluence audit, which completion does not
-run on itself.  The suite entries pin the exit code
+run on itself, and each dump must parse back to an equal object that dumps
+the same bytes.  The suite entries pin the exit code
 and the sha256 of the whole ``hopfw verify`` stdout, i.e. every (name,
 status, detail) row, the summary line and the noninjectivity verdict line.
 The form entries pin the sha256 of a canonical text of ``analyze(w)``, of
@@ -33,6 +34,7 @@ intended), with::
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import inspect
 import io
@@ -57,7 +59,7 @@ from hopfw.exactnum import (
     mat_inv,
     solve_affine,
 )
-from hopfw.formats import dump_form, dump_presentation
+from hopfw.formats import dump_form, dump_presentation, parse_presentation
 from hopfw.forms import (
     AmbiguousTwistError,
     MultilinearForm,
@@ -70,7 +72,7 @@ from hopfw.forms import (
     twisting_element,
 )
 from hopfw.hopf import build_ahmn, build_bw, build_hb, build_hw, build_hww, system_for
-from hopfw.rewrite import unresolved_overlaps
+from hopfw.rewrite import RewriteSystem, unresolved_overlaps
 from hopfw.ncalg import (
     Alphabet,
     Generator,
@@ -851,14 +853,24 @@ def current(workdir):
 
 @pytest.mark.parametrize("key", sorted(PRESENTATIONS))
 def test_presentation_dump_is_pinned(key):
-    assert _sha(dump_presentation(PRESENTATIONS[key]())) == GOLDEN["presentations"][key]
+    pres = PRESENTATIONS[key]()
+    text = dump_presentation(pres)
+    assert _sha(text) == GOLDEN["presentations"][key]
+    # the dump reads back to the same presentation, less its provenance
+    back = parse_presentation(text)
+    assert back == dataclasses.replace(pres, provenance=None)
+    assert dump_presentation(back) == text
 
 
 @pytest.mark.parametrize("key", sorted(PRESENTATIONS))
 def test_system_dump_is_pinned(key):
     system = system_for(PRESENTATIONS[key](), SYSTEM_DEGREES[key])
-    assert _sha(system.dump()) == GOLDEN["systems"][key]
+    text = system.dump()
+    assert _sha(text) == GOLDEN["systems"][key]
     assert unresolved_overlaps(system) == []
+    back = RewriteSystem.parse(text)
+    assert back == system
+    assert back.dump() == text
 
 
 @pytest.mark.parametrize("key", sorted(VERIFY_CALLS))

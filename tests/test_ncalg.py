@@ -152,6 +152,14 @@ def test_parse_poly_merges_and_signs():
     assert parse_poly(a, "x - x") == NcPoly.zero(a)
     assert parse_poly(a, "- - x") == parse_poly(a, "x")
     assert parse_poly(a, "3 - 2") == NcPoly.unit(a)
+    # a coefficient may stand next to its word, signs need no spaces, and a
+    # generator may be spelled with leading zeros
+    b = Alphabet([Generator.free("x"), Generator.free("y"), Generator("u", 1, 1)])
+    assert parse_poly(b, "2x") == parse_poly(b, "2*x")
+    assert parse_poly(b, "3/7 u[1,1]") == parse_poly(b, "3/7*u[1,1]")
+    assert parse_poly(b, "x-y") == parse_poly(b, "x - y")
+    assert parse_poly(b, "+ - x") == parse_poly(b, "-x")
+    assert parse_poly(b, "u[01,1]") == parse_poly(b, "u[1,1]")
 
 
 @pytest.mark.parametrize(
@@ -165,6 +173,7 @@ def test_parse_poly_merges_and_signs():
         "u[1,1]",  # not in this alphabet
         "2 *",
         "x 3",
+        "2*x#3*x",  # a tensor term
     ],
 )
 def test_parse_poly_rejects(bad):

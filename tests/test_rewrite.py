@@ -205,6 +205,8 @@ def test_dump_parse_round_trip():
         "system\ndegree 3\ncomplete_through 3\ngenerators p\nrule 2*p -> 1",
         "system\nwhat 3",
         "system\nrule p -> 1",
+        # a second generators line would re-letter the rules read before it
+        "system\ndegree 3\ncomplete_through 3\ngenerators p q\nrule q -> p\ngenerators q",
     ],
 )
 def test_parse_rejects_malformed_dumps(bad):
