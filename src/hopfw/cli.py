@@ -14,7 +14,7 @@ noninjectivity.  Each reads only the inputs it declares in ``hopf.SUITES``;
 a form file, ``--algebra``, ``--polar``, ``--m`` or ``--n`` that the chosen
 suite does not read is a usage error.  ``present`` reads ``--form`` for bw,
 hw and hb, ``--form`` and ``--polar`` for hww, and ``--m`` and ``--n`` for
-ahmn; any other of them is a usage error too (``hopf.build_algebra``).
+ahmn; any other of them is a usage error too (``hopf.refuse_unread``).
 
 Exit codes: 0 success / all checks pass, 1 a check failed (refutation),
 2 at least one check was uncertified at the degree bound (none failed),

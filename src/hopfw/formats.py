@@ -14,7 +14,8 @@ Form files::
 Coefficients are rational strings (plain integers are accepted on input);
 floats are rejected -- everything in this package is exact.
 
-Presentation dumps are plain text, one fact per line::
+Presentations and rewriting systems are dumped as plain text, one fact per
+line: a presentation dump::
 
     algebra hw
     n 2
@@ -25,30 +26,40 @@ Presentation dumps are plain text, one fact per line::
     counit u[1,1] -> 1
     antipode u[1,1] -> s[1,1]
 
-Polynomials and tensors are written in the text grammar of :mod:`hopfw.ncalg`.
-The ``delta`` and ``counit`` lines cover every generator or none, and so do
-the ``antipode`` lines.  Rewriting systems have their own dump/parse on
-``RewriteSystem``.
+and a system dump (``RewriteSystem.dump``)::
+
+    system
+    degree 4
+    complete_through 4
+    generators u[1,1] ... s[2,2]
+    rule u[2,1]*u[1,1] -> -u[1,1]*u[2,1] + s[2,1]
+
+Polynomials and tensors are written in the text grammar of :mod:`hopfw.ncalg`,
+whose ``read_dump`` and ``write_dump`` read and write both dumps.  Every fact
+is stated once: a header field, the one ``generators`` line (before any
+fact, naming each generator once), a ``delta``, ``counit`` or ``antipode``
+line for one generator, a rule for one lead.  The ``delta`` and ``counit``
+lines cover every generator or none, and so do the ``antipode`` lines.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 
 from .exactnum import Scalar, format_rational, parse_rational, rat
 from .forms import MultilinearForm
-from .hopf import HopfStructure, Presentation
+from .hopf import _ALGEBRA_READS, HopfStructure, Presentation
 from .ncalg import (
     Alphabet,
-    Generator,
     NcPoly,
     TensorSquare,
     parse_generator_token,
     parse_poly,
     parse_tensor,
+    read_dump,
+    write_dump,
 )
-
-_KINDS = ("bw", "hb", "hw", "hww", "ahmn")
 
 
 class FormFileError(ValueError):
@@ -152,88 +163,64 @@ def load_form(path: str) -> MultilinearForm:
 # presentations <-> text
 
 
+def _kind(rest: str) -> str:
+    kind = rest.strip()
+    if kind not in _ALGEBRA_READS:
+        raise ValueError(f"unknown algebra kind {kind!r}")
+    return kind
+
+
+# the header fields of a presentation dump and their readers
+_HEADER = {"algebra": _kind, "n": int, "m": int}
+
+# the reader and the writer of the value on each structure line
+_MAPS = {
+    "delta": (parse_tensor, TensorSquare.to_str),
+    "counit": (lambda alphabet, body: parse_rational(body.strip()), format_rational),
+    "antipode": (parse_poly, NcPoly.to_str),
+}
+
+
 def dump_presentation(pres: Presentation) -> str:
-    lines = [
-        f"algebra {pres.kind}",
-        f"n {pres.n}",
-        f"m {pres.m}",
-        "generators " + " ".join(g.token() for g in pres.generators),
+    facts = [
+        f"relation {label}: {rel.to_str()}"
+        for label, rel in zip(pres.relation_labels, pres.relations)
     ]
-    for label, rel in zip(pres.relation_labels, pres.relations):
-        lines.append(f"relation {label}: {rel.to_str()}")
-    st = pres.structure
-    if st is not None:
-        for g in pres.generators:
-            lines.append(f"delta {g.token()} -> {st.delta[g].to_str()}")
-        for g in pres.generators:
-            lines.append(f"counit {g.token()} -> {format_rational(st.counit[g])}")
-        if st.antipode is not None:
-            for g in pres.generators:
-                lines.append(f"antipode {g.token()} -> {st.antipode[g].to_str()}")
-    return "\n".join(lines) + "\n"
+    if pres.structure is not None:
+        for head, (_, show) in _MAPS.items():
+            images = getattr(pres.structure, head)
+            if images is not None:
+                facts += (f"{head} {g.token()} -> {show(images[g])}" for g in pres.generators)
+    header = [f"algebra {pres.kind}", f"n {pres.n}", f"m {pres.m}"]
+    return write_dump(header, pres.generators, facts)
 
 
 def parse_presentation(text: str) -> Presentation:
-    kind: str | None = None
-    n: int | None = None
-    m: int | None = None
-    generators: list[Generator] = []
-    alphabet: Alphabet | None = None
     labels: list[str] = []
     relations: list[NcPoly] = []
-    delta: dict[Generator, TensorSquare] = {}
-    counit: dict[Generator, Scalar] = {}
-    antipode: dict[Generator, NcPoly] = {}
+    maps: dict[str, dict] = {head: {} for head in _MAPS}
 
-    def need_alphabet() -> Alphabet:
-        if alphabet is None:
-            raise ValueError("generators line must precede relations and structure")
-        return alphabet
+    def relation(alphabet: Alphabet, rest: str) -> None:
+        label, sep, body = rest.partition(":")
+        if not sep:
+            raise ValueError("relation line needs 'label: polynomial'")
+        labels.append(label.strip())
+        relations.append(parse_poly(alphabet, body))
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        try:
-            if head == "algebra":
-                kind = rest.strip()
-                if kind not in _KINDS:
-                    raise ValueError(f"unknown algebra kind {kind!r}")
-            elif head == "n":
-                n = int(rest)
-            elif head == "m":
-                m = int(rest)
-            elif head == "generators":
-                if alphabet is not None:
-                    raise ValueError("second generators line")
-                generators = [parse_generator_token(t) for t in rest.split()]
-                alphabet = Alphabet(generators)
-            elif head == "relation":
-                label, sep, body = rest.partition(":")
-                if not sep:
-                    raise ValueError("relation line needs 'label: polynomial'")
-                labels.append(label.strip())
-                relations.append(parse_poly(need_alphabet(), body))
-            elif head in ("delta", "counit", "antipode"):
-                gtok, sep, body = rest.partition("->")
-                if not sep:
-                    raise ValueError(f"{head} line needs 'generator -> value'")
-                g = parse_generator_token(gtok)
-                if g not in need_alphabet():
-                    raise ValueError(f"{head} of {g.token()}, which is not a generator")
-                if head == "delta":
-                    delta[g] = parse_tensor(alphabet, body)
-                elif head == "counit":
-                    counit[g] = parse_rational(body.strip())
-                else:
-                    antipode[g] = parse_poly(alphabet, body)
-            else:
-                raise ValueError(f"unknown line type {head!r}")
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    if kind is None or n is None or m is None or alphabet is None:
-        raise ValueError("presentation needs algebra, n, m and generators lines")
+    def structure_line(head: str, alphabet: Alphabet, rest: str) -> None:
+        gtok, sep, body = rest.partition("->")
+        if not sep:
+            raise ValueError(f"{head} line needs 'generator -> value'")
+        g = parse_generator_token(gtok)
+        if g not in alphabet:
+            raise ValueError(f"{head} of {g.token()}, which is not a generator")
+        if g in maps[head]:
+            raise ValueError(f"second {head} line for {g.token()}")
+        maps[head][g] = _MAPS[head][0](alphabet, body)
+
+    facts = {head: functools.partial(structure_line, head) for head in _MAPS}
+    header, generators, alphabet = read_dump(text, _HEADER, {"relation": relation, **facts})
+    delta, counit, antipode = maps.values()
     structure = None
     if delta or counit or antipode:
         every = set(generators)
@@ -244,13 +231,12 @@ def parse_presentation(text: str) -> Presentation:
             )
         structure = HopfStructure(delta, counit, antipode or None)
     return Presentation(
-        kind=kind,
-        n=n,
-        m=m,
+        kind=header["algebra"],
+        n=header["n"],
+        m=header["m"],
         alphabet=alphabet,
         generators=tuple(generators),
         relations=tuple(relations),
         relation_labels=tuple(labels),
         structure=structure,
-        provenance=None,
     )

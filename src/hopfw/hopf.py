@@ -872,13 +872,6 @@ class SuiteInputs:
     def form_or_alternating3(self) -> MultilinearForm:
         return make_signature(3) if self.form is None else self.form
 
-    def refuse_unread(self, reads: Iterable[str], reader: str) -> None:
-        """Raise ValueError for the first input that is given but not read."""
-        for name in ("form", "algebra", "polar", "m", "n"):
-            if name not in reads and getattr(self, name) is not None:
-                flag = "a form file" if name == "form" else f"--{name}"
-                raise ValueError(f"{reader} does not read {flag}")
-
 
 @dataclass(frozen=True)
 class Suite:
@@ -900,35 +893,30 @@ _ALGEBRA_READS = {
 }
 
 
-def _refuse_unread_by_algebra(inputs: SuiteInputs, also_reads: Iterable[str] = ()) -> str:
-    """Refuse inputs that building ``inputs.algebra`` does not read; return its kind."""
-    kind = inputs.algebra or "hw"
-    if kind not in _ALGEBRA_READS:
-        raise ValueError(f"unknown algebra kind {kind!r}")
-    inputs.refuse_unread(_ALGEBRA_READS[kind] | {"algebra", *also_reads}, f"--algebra {kind}")
-    return kind
-
-
-def _axioms_also_reads(inputs: SuiteInputs) -> frozenset[str]:
-    """bw's axioms add the polar left inverse, so they also read ``--polar``."""
-    return frozenset({"polar"} if (inputs.algebra or "hw") == "bw" else ())
-
-
 def refuse_unread(inputs: SuiteInputs, suite: str | None = None) -> None:
-    """Refuse any given input the suite does not read, or, for axioms and for
-    no suite (``hopfw present``), that building ``inputs.algebra`` does not
-    read.  It looks only at which inputs are given, before any file opens."""
-    if suite is not None:
-        inputs.refuse_unread(SUITES[suite].reads, f"suite {suite!r}")
+    """Raise ValueError for the first input given but not read by the suite
+    or, for axioms and for no suite (``hopfw present``), by building
+    ``inputs.algebra`` (default hw); bw's axioms also read ``--polar``.  It
+    looks only at which inputs are given, before any file opens."""
     if suite in (None, "axioms"):
-        _refuse_unread_by_algebra(inputs, _axioms_also_reads(inputs) if suite else ())
+        kind = inputs.algebra or "hw"
+        if kind not in _ALGEBRA_READS:
+            raise ValueError(f"unknown algebra kind {kind!r}")
+        reader, reads = f"--algebra {kind}", _ALGEBRA_READS[kind] | {"algebra"}
+        if suite and kind == "bw":
+            reads |= {"polar"}
+    else:
+        reader, reads = f"suite {suite!r}", SUITES[suite].reads
+    for name in ("form", "algebra", "polar", "m", "n"):
+        if name not in reads and getattr(inputs, name) is not None:
+            flag = "a form file" if name == "form" else f"--{name}"
+            raise ValueError(f"{reader} does not read {flag}")
 
 
-def build_algebra(inputs: SuiteInputs, also_reads: Iterable[str] = ()) -> Presentation:
-    """Build the presentation ``inputs.algebra`` (default hw) names, refusing
-    any given input that building it does not read, besides ``also_reads``.
-    Behind both ``hopfw present`` and the axioms suite."""
-    kind = _refuse_unread_by_algebra(inputs, also_reads)
+def build_algebra(inputs: SuiteInputs) -> Presentation:
+    """Build the presentation ``inputs.algebra`` (default hw) names, from
+    inputs :func:`refuse_unread` passed; behind ``present`` and axioms."""
+    kind = inputs.algebra or "hw"
     if kind == "ahmn":
         if inputs.m is None or inputs.n is None:
             raise ValueError("ahmn needs --m and --n")
@@ -940,12 +928,12 @@ def build_algebra(inputs: SuiteInputs, also_reads: Iterable[str] = ()) -> Presen
 
 def _axioms(inputs: SuiteInputs) -> list[CheckResult]:
     """Hopf axioms of one presentation, plus bw's polar left inverse."""
-    also_reads = _axioms_also_reads(inputs)
-    pres = build_algebra(inputs, also_reads)
+    refuse_unread(inputs, "axioms")
+    pres = build_algebra(inputs)
     degree = inputs.degree_for(pres.m)
     system = system_for(pres, degree)
     results = hopf_axiom_suite(pres, degree, system)
-    if also_reads:
+    if pres.kind == "bw":
         wt = _polar_choice(inputs.form, inputs.polar)
         results += check_left_inverse_identity(pres, wt, degree, system)
     return results

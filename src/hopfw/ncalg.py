@@ -26,15 +26,13 @@ The text grammar, written by ``to_str`` and read by :func:`parse_poly` and
                | monomial "#" monomial    (tensor square; the legs multiply)
     monomial  := coefficient | [coefficient ["*"]] token ("*" token)*
     coefficient := digits ["/" digits]
-    token     := name | family "[" digits "," digits "]"
+    token     := name | family "[" digits "," digits "]" | "1"
 
-Spaces may stand between any two symbols and inside none.  The empty word
-is written ``1``, a unit coefficient is left out, and ``to_str`` writes one
-spaced sign between terms, e.g. ``2*u[1,1]#u[1,2] - 1#s[2,1]``.  (It also
-writes ``c*1`` for a leg that is a multiple of the empty word, which this
-grammar does not read.)  A token resolves through its alphabet's token
-table; another spelling of a generator, such as ``u[01,1]``, is read by
-:func:`parse_generator_token`.
+Spaces may stand between any two symbols and inside none.  The token ``1``
+is the empty word, a unit coefficient is left out, and ``to_str`` writes one
+spaced sign between terms, e.g. ``2*u[1,1]#u[1,2] - 1#s[2,1] + 2*1#u[1,1]``.
+A token resolves through its alphabet's token table; another spelling of a
+generator, such as ``u[01,1]``, is read by :func:`parse_generator_token`.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .exactnum import ONE, Matrix, Scalar, ZERO, format_rational, parse_rational, rat
 
@@ -133,12 +131,14 @@ class Alphabet:
             self, "_char_of", {g: chr(_CHAR_BASE + i) for i, g in enumerate(gens)}
         )
         # the token <-> letter table: text is read through _letter_of and
-        # written through its inverse, each letter spelled "token*"
+        # written through its inverse, each letter spelled "token*"; the
+        # token 1 reads as the empty word, the way the writer shows it
         letter_of = {g.token(): ch for g, ch in self._char_of.items()}
-        object.__setattr__(self, "_letter_of", letter_of)
         object.__setattr__(
             self, "_spell", str.maketrans({ch: tok + "*" for tok, ch in letter_of.items()})
         )
+        letter_of["1"] = ""
+        object.__setattr__(self, "_letter_of", letter_of)
         object.__setattr__(self, "_base", _CHAR_BASE)
         # order-reversing relabeling: descending lex = ascending lex of the
         # translated word, used as a cheap max-heap key by the rewriter
@@ -226,11 +226,8 @@ def _read_monomial(alphabet: Alphabet, text: str) -> tuple[str, Scalar]:
     m = _COEFFICIENT.match(head)
     if m:
         coeff = parse_rational(m[0])
-        head = head[m.end() :].lstrip()  # a token may follow without "*"
-        if not head:
-            if not factors:
-                return "", coeff
-            head = factors.pop(0).strip()
+        # a token may follow without "*"; a coefficient alone is c*1
+        head = head[m.end() :].lstrip() or "1"
     letter = alphabet._letter
     return letter(head) + "".join([letter(f.strip()) for f in factors]), coeff
 
@@ -551,6 +548,57 @@ class TensorSquare(_LinearCombination):
 def parse_tensor(alphabet: Alphabet, text: str) -> TensorSquare:
     """Read a tensor square in the text grammar of the module docstring."""
     return TensorSquare._parse(alphabet, text)
+
+
+def write_dump(
+    header: Iterable[str], generators: Iterable[Generator], facts: Iterable[str]
+) -> str:
+    """The line dump :func:`read_dump` reads: the header lines, the
+    ``generators`` line, then the fact lines."""
+    lines = [*header, "generators " + " ".join(g.token() for g in generators), *facts]
+    return "\n".join(lines) + "\n"
+
+
+def read_dump(
+    text: str, fields: Mapping[str, Callable], facts: Mapping[str, Callable]
+) -> tuple[dict[str, object], list[Generator], Alphabet]:
+    """Read a line dump, each fact stated once: each header field of
+    ``fields`` stands once and is read by its reader, one ``generators``
+    line names each generator once before any fact, and each fact line goes
+    with the alphabet to the reader in ``facts`` for its head.  Blank lines
+    are skipped and an error on a line names it.  Returns the header values,
+    the generators in line order and their alphabet."""
+    values: dict[str, object] = {}
+    generators: list[Generator] = []
+    alphabet: Alphabet | None = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        head, _, rest = raw.strip().partition(" ")
+        if not head:
+            continue
+        try:
+            if head in fields:
+                if head in values:
+                    raise ValueError(f"second {head} line")
+                values[head] = fields[head](rest)
+            elif head == "generators":
+                if alphabet is not None:
+                    raise ValueError("second generators line")
+                generators = [parse_generator_token(t) for t in rest.split()]
+                alphabet = Alphabet(generators)
+                if len(alphabet) < len(generators):
+                    twice = next(g for i, g in enumerate(generators) if g in generators[:i])
+                    raise ValueError(f"generators line names {twice.token()} twice")
+            elif head in facts:
+                if alphabet is None:
+                    raise ValueError("generators line must precede every fact")
+                facts[head](alphabet, rest)
+            else:
+                raise ValueError(f"unknown line type {head!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    if len(values) < len(fields) or alphabet is None:
+        raise ValueError(f"dump needs {', '.join(fields)} and generators lines")
+    return values, generators, alphabet
 
 
 def _extend(p: NcPoly, images: Mapping, kind, target, antihom: bool, caller: str):

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .exactnum import Scalar, ZERO, rat
-from .ncalg import Alphabet, NcPoly, deglex_key
+from .ncalg import Alphabet, NcPoly, deglex_key, parse_poly, read_dump, write_dump
 
 
 class NotCertifiedError(Exception):
@@ -73,6 +73,11 @@ class NotCertifiedError(Exception):
         )
         self.degree = degree
         self.certified = certified
+
+
+def _no_value(rest: str) -> None:
+    if rest.strip():
+        raise ValueError(f"system line takes no value: {rest.strip()!r}")
 
 
 @dataclass(frozen=True)
@@ -264,65 +269,37 @@ class RewriteSystem:
         return normal_form(p, self)
 
     def dump(self) -> str:
-        lines = [
-            "system",
-            f"degree {self.degree_bound}",
-            f"complete_through {self.complete_through}",
-            "generators " + " ".join(g.token() for g in self.alphabet.generators),
-        ]
-        for r in self.rules:
-            lines.append(
-                f"rule {self.alphabet.word_token(r.lead)} -> {r.tail.to_str()}"
-            )
-        return "\n".join(lines) + "\n"
+        word = self.alphabet.word_token
+        return write_dump(
+            ["system", f"degree {self.degree_bound}", f"complete_through {self.complete_through}"],
+            self.alphabet.generators,
+            (f"rule {word(r.lead)} -> {r.tail.to_str()}" for r in self.rules),
+        )
 
     @classmethod
     def parse(cls, text: str) -> "RewriteSystem":
-        from .ncalg import parse_generator_token, parse_poly
+        rules: dict[str, Rule] = {}
 
-        lines = [ln.rstrip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln.strip()]
-        if not lines or lines[0].strip() != "system":
-            raise ValueError("not a rewrite system dump (missing 'system' header)")
-        degree = None
-        through = None
-        alphabet = None
-        rules: list[Rule] = []
-        leads: set[str] = set()
-        for ln in lines[1:]:
-            head, _, rest = ln.partition(" ")
-            if head == "degree":
-                degree = int(rest)
-            elif head == "complete_through":
-                through = int(rest)
-            elif head == "generators":
-                if alphabet is not None:
-                    raise ValueError(f"second generators line: {ln!r}")
-                gens = [parse_generator_token(t) for t in rest.split()]
-                alphabet = Alphabet(gens)
-            elif head == "rule":
-                if alphabet is None:
-                    raise ValueError("rule before generators line")
-                lhs, sep, rhs = rest.partition("->")
-                if not sep:
-                    raise ValueError(f"malformed rule line: {ln!r}")
-                lead_poly = parse_poly(alphabet, lhs.strip())
-                if len(lead_poly.terms) != 1 or lead_poly.leading_coeff() != 1:
-                    raise ValueError(f"rule lead must be a single word: {ln!r}")
-                lead = lead_poly.leading_word()
-                tail = parse_poly(alphabet, rhs.strip())
-                # a tail word at or above its lead would make rewriting loop
-                if any(deglex_key(w) >= deglex_key(lead) for w in tail.terms):
-                    raise ValueError(f"rule tail is not below its lead in deglex: {ln!r}")
-                if lead in leads:
-                    raise ValueError(f"lead appears on two rules: {ln!r}")
-                leads.add(lead)
-                rules.append(Rule(lead, tail))
-            else:
-                raise ValueError(f"unknown line in system dump: {ln!r}")
-        if degree is None or through is None or alphabet is None:
-            raise ValueError("incomplete system dump header")
-        return cls(alphabet, rules, degree, through)
+        def rule(alphabet: Alphabet, rest: str) -> None:
+            ln = f"rule {rest}"
+            lhs, sep, rhs = rest.partition("->")
+            if not sep:
+                raise ValueError(f"malformed rule line: {ln!r}")
+            lead_poly = parse_poly(alphabet, lhs)
+            if len(lead_poly.terms) != 1 or lead_poly.leading_coeff() != 1:
+                raise ValueError(f"rule lead must be a single word: {ln!r}")
+            lead = lead_poly.leading_word()
+            tail = parse_poly(alphabet, rhs)
+            # a tail word at or above its lead would make rewriting loop
+            if any(deglex_key(w) >= deglex_key(lead) for w in tail.terms):
+                raise ValueError(f"rule tail is not below its lead in deglex: {ln!r}")
+            if lead in rules:
+                raise ValueError(f"lead appears on two rules: {ln!r}")
+            rules[lead] = Rule(lead, tail)
+
+        fields = {"system": _no_value, "degree": int, "complete_through": int}
+        header, _, alphabet = read_dump(text, fields, {"rule": rule})
+        return cls(alphabet, rules.values(), header["degree"], header["complete_through"])
 
     def __eq__(self, other) -> bool:
         return (

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from hopfw.forms import (
     make_bilinear,
     make_orthogonal,
     make_signature,
+    polar,
 )
 from hopfw.hopf import (
     SUITES,
@@ -188,11 +190,33 @@ _DELTA_COUNIT = (
             _HW + "generators u[1,1] u[1,2]\n" + _DELTA_COUNIT + "antipode u[1,1] -> u[1,1]",
             "structure needs",
         ),
+        # every header field stands once
+        ("algebra hw\nn 1\nm 2\nn 4\ngenerators u[1,1]", "line 4: second n line"),
+        ("algebra hw\nalgebra bw", "line 2: second algebra line"),
+        (_HW + "m 2", "line 4: second m line"),
+        # each generator is named once
+        (_HW + "generators x y x", "line 4: generators line names x twice"),
+        # each structure map gives one image per generator
+        (
+            _HW + "generators u[1,1] u[1,2]\n" + _DELTA_COUNIT + "delta u[1,2] -> 1#u[1,2]",
+            "line 9: second delta line for u\\[1,2\\]",
+        ),
+        (_HW + "generators x\ncounit x -> 1\ncounit x -> 2", "line 6: second counit line for x"),
+        (
+            _HW + "generators x\nantipode x -> x\nantipode x -> -x",
+            "line 6: second antipode line for x",
+        ),
     ],
 )
-def test_parse_presentation_rejections(text, message):
+def test_parse_presentation_rejections(text, message, tmp_path, capsys):
     with pytest.raises(ValueError, match=message):
         parse_presentation(text)
+    # hopfw gb refuses the same dump as a usage error
+    path = tmp_path / "pres.txt"
+    path.write_text(text)
+    assert main(["gb", str(path), "--degree", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and re.search(message, err)
 
 
 # --------------------------------------------------------------------- CLI
@@ -419,6 +443,9 @@ def test_nf_unknown_generator(cyclic2, tmp_path, capsys):
         ("rule u[1,2] -> u[1,2]", "u[1,2]", "not below its lead"),
         ("rule u[1,2] -> u[1,1]\nrule u[1,2] -> 1", "u[1,2]", "two rules"),
         ("rule u[1,2] -> u[1,1]\ngenerators u[1,2]", "u[1,2]*u[1,2]", "second generators"),
+        ("rule u[1,2] -> u[1,1]\ndegree 5", "u[1,2]", "line 6: second degree line"),
+        ("complete_through 2", "u[1,2]", "line 5: second complete_through line"),
+        ("system", "u[1,2]", "line 5: second system line"),
     ],
 )
 def test_nf_refuses_a_system_that_would_not_terminate(tmp_path, capsys, rule, poly, message):
@@ -480,12 +507,18 @@ def test_verify_axioms_uncertified_exit_code(capsys):
     assert out.strip().splitlines()[-1] == "summary: 32 pass, 0 fail, 12 uncertified"
 
 
-def test_verify_axioms_form_presentation_appends_left_inverse(cyclic2, capsys):
+def test_verify_axioms_form_presentation_appends_left_inverse(cyclic2, tmp_path, capsys):
     rc = main(["verify", "--suite", "axioms", cyclic2, "--algebra", "bw", "--degree", "4"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "PASS leftinv[2,2]" in out
     assert out.strip().splitlines()[-1] == "summary: 20 pass, 0 fail, 0 uncertified"
+    # bw's axioms read --polar; the canonical member given prints the same rows
+    wt = tmp_path / "polar.json"
+    wt.write_text(dump_form(polar(load_form(cyclic2)).particular))
+    argv = ["verify", "--suite", "axioms", cyclic2, "--algebra", "bw", "--polar", str(wt)]
+    assert main([*argv, "--degree", "4"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_verify_derived_uses_two_polar_samples(cyclic2, capsys):
@@ -622,6 +655,9 @@ def test_run_suite_is_the_table_behind_verify():
     assert run_suite("pair-reduction", inputs) == pair_reduction_suite(build_hw(W2), 4)
     with pytest.raises(ValueError, match="does not read --polar"):
         run_suite("pair-reduction", SuiteInputs(form=W2, polar=W2))
+    # the axioms suite refuses an unread input when called directly, too
+    with pytest.raises(ValueError, match="--algebra hw does not read --m"):
+        SUITES["axioms"].run(SuiteInputs(form=W2, m=3, degree=4))
 
 
 def test_suite_lists_in_docs_follow_the_table():

@@ -16,6 +16,7 @@ from hopfw.ncalg import (
     matric_family,
     parse_generator_token,
     parse_poly,
+    parse_tensor,
     substitute,
 )
 
@@ -144,6 +145,26 @@ def test_poly_to_str_round_trip():
         p = parse_poly(a, text)
         assert p.to_str() == text
         assert parse_poly(a, p.to_str()) == p
+
+
+def test_text_round_trips_on_seeded_values():
+    # the writer shows a multiple of the empty word on a tensor leg as c*1
+    rng = random.Random(2012)
+    a = Alphabet(matric_family("u", 2) + [Generator.free("x")])
+    letters = [a.char(g) for g in a.generators]
+
+    def word():
+        return "".join(rng.choice(letters) for _ in range(rng.randint(0, 3)))
+
+    def coeff():
+        return rat(rng.randint(-6, 6), rng.randint(1, 4))
+
+    for _ in range(400):
+        p = NcPoly(a, {word(): coeff() for _ in range(rng.randint(0, 5))})
+        assert parse_poly(a, p.to_str()) == p
+        t = TensorSquare(a, {(word(), word()): coeff() for _ in range(rng.randint(0, 5))})
+        assert parse_tensor(a, t.to_str()) == t
+    assert parse_tensor(a, "2*1#x - 1#1").to_str() == "2*1#x - 1#1"
 
 
 def test_parse_poly_merges_and_signs():

@@ -195,22 +195,34 @@ def test_dump_parse_round_trip():
     assert text.splitlines()[0] == "system"
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "",
-        "rules\ndegree 3",
-        "system\ndegree 3",  # missing complete_through and generators
-        "system\ndegree 3\ncomplete_through 3\ngenerators p\nrule p*p",
-        "system\ndegree 3\ncomplete_through 3\ngenerators p\nrule 2*p -> 1",
-        "system\nwhat 3",
-        "system\nrule p -> 1",
-        # a second generators line would re-letter the rules read before it
+_MALFORMED = [
+    ("", None),
+    ("rules\ndegree 3", None),
+    ("system\ndegree 3", None),  # missing complete_through and generators
+    ("system\ndegree 3\ncomplete_through 3\ngenerators p\nrule p*p", "line 5: malformed rule"),
+    ("system\ndegree 3\ncomplete_through 3\ngenerators p\nrule 2*p -> 1", None),
+    ("system\nwhat 3", None),
+    ("system\nrule p -> 1", None),
+    # a second generators line would re-letter the rules read before it
+    (
         "system\ndegree 3\ncomplete_through 3\ngenerators p q\nrule q -> p\ngenerators q",
-    ],
-)
-def test_parse_rejects_malformed_dumps(bad):
-    with pytest.raises(ValueError):
+        None,
+    ),
+    # every header field stands once
+    ("system\ndegree 3\ncomplete_through 3\ngenerators p\ndegree 5", "line 5: second degree"),
+    ("system\ndegree 3\ncomplete_through 3\ncomplete_through 2", "line 4: second complete"),
+    ("system\nsystem\ndegree 3\ncomplete_through 3\ngenerators p", "line 2: second system"),
+    ("system 2\ndegree 3\ncomplete_through 3\ngenerators p", "line 1: system line takes"),
+    # each generator is named once
+    ("system\ndegree 3\ncomplete_through 3\ngenerators p q p", "line 4: .* names p twice"),
+    ("system\ndegree 3\ncomplete_through 3\ngenerators x u[1,1] u[01,1]", "names u\\[1,1\\]"),
+]
+
+
+# each case is named by its dump alone
+@pytest.mark.parametrize("bad, message", _MALFORMED, ids=[bad for bad, _ in _MALFORMED])
+def test_parse_rejects_malformed_dumps(bad, message):
+    with pytest.raises(ValueError, match=message):
         RewriteSystem.parse(bad)
 
 
