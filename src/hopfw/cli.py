@@ -49,6 +49,7 @@ from .forms import (
     make_signature,
 )
 from .hopf import (
+    _ALGEBRAS,
     SUITES,
     Status,
     SuiteInputs,
@@ -67,8 +68,6 @@ REFUTED = 1
 UNCERTIFIED = 2
 USAGE = 3
 
-_ALGEBRAS = ("bw", "hw", "hb", "hww", "ahmn")
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad flags; the contract here is 3."""
@@ -86,7 +85,7 @@ def _build_parser() -> _Parser:
     pa.set_defaults(func=_cmd_analyze)
 
     pp = sub.add_parser("present", help="build a presentation and dump it")
-    pp.add_argument("--algebra", required=True, choices=_ALGEBRAS)
+    pp.add_argument("--algebra", required=True, choices=tuple(_ALGEBRAS))
     pp.add_argument("--form", help="form file (all algebras except ahmn)")
     pp.add_argument("--polar", help="polar tensor file (hww; default: canonical member)")
     pp.add_argument("--m", type=int, help="arity (ahmn)")
@@ -108,7 +107,7 @@ def _build_parser() -> _Parser:
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("--suite", required=True, choices=tuple(SUITES))
     pv.add_argument("form", nargs="?", help="form file (suite-dependent)")
-    pv.add_argument("--algebra", choices=_ALGEBRAS, help="axioms (default hw)")
+    pv.add_argument("--algebra", choices=tuple(_ALGEBRAS), help="axioms (default hw)")
     pv.add_argument("--polar", help="polar tensor file")
     pv.add_argument("--degree", type=int)
     pv.add_argument("--m", type=int, help="arity (ahmn / diagonal-iso)")

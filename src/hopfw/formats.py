@@ -49,7 +49,7 @@ import json
 
 from .exactnum import Scalar, format_rational, parse_rational, rat
 from .forms import MultilinearForm
-from .hopf import _ALGEBRA_READS, HopfStructure, Presentation
+from .hopf import _ALGEBRAS, HopfStructure, Presentation
 from .ncalg import (
     Alphabet,
     NcPoly,
@@ -165,7 +165,7 @@ def load_form(path: str) -> MultilinearForm:
 
 def _kind(rest: str) -> str:
     kind = rest.strip()
-    if kind not in _ALGEBRA_READS:
+    if kind not in _ALGEBRAS:
         raise ValueError(f"unknown algebra kind {kind!r}")
     return kind
 
@@ -220,6 +220,8 @@ def parse_presentation(text: str) -> Presentation:
 
     facts = {head: functools.partial(structure_line, head) for head in _MAPS}
     header, generators, alphabet = read_dump(text, _HEADER, {"relation": relation, **facts})
+    if min(header["n"], header["m"]) < 1:
+        raise ValueError(f"n {header['n']} and m {header['m']} must be at least 1")
     delta, counit, antipode = maps.values()
     structure = None
     if delta or counit or antipode:

@@ -30,8 +30,14 @@ matrix P[mu,nu] = sum wt^{mu,L} w_{R,nu} g^{R1}_{L1}...g^{R(m-1)}_{L(m-1)}:
 * antipode check on each family G with image matrix S(G): ``antipode-left``
   = S(G) G - I and ``antipode-right`` = G S(G) - I;
 * bw left inverse: ``leftinv`` = P A - I;
-* derived suite: ``su`` = S U - I, ``tsu`` = (S^T X^T)^T - I, ``Rsu`` = S - P
-  over u, and ``Rus`` = X - P over s with every word reversed.
+* derived suite: ``su`` = S U - I, ``tsu`` = (S^T X^T)^T - I and ``Rsu`` =
+  S - P over u; ``sinw`` and ``Rus`` = X - P' are antipode images: the
+  antihomomorphism u -> s (``substitute(..., antihom=True)``, which reverses
+  every word) carries ``invw`` to ``sinw`` and P to P'.
+
+Builders return (label, polynomial) pairs.  The private table ``_ALGEBRAS``
+maps each algebra kind to the inputs its build reads and to that build, for
+the API, the presentation reader and the CLI alike.
 
 Every structural claim (counit, coproduct, antipode, derived identities,
 homomorphisms) is checked by reduction against a degree-truncated rewriting
@@ -140,33 +146,13 @@ def default_degree(m: int) -> int:
     return 2 * m
 
 
-class _RelationBag:
-    """Collects relations in construction order, dropping zero polynomials
-    and exact duplicates."""
-
-    def __init__(self) -> None:
-        self.polys: list[NcPoly] = []
-        self.labels: list[str] = []
-        self._seen: set = set()
-
-    def add(self, label: str, poly: NcPoly) -> None:
-        if poly.is_zero():
-            return
-        key = frozenset(poly.terms.items())
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self.polys.append(poly)
-        self.labels.append(label)
-
-    def add_indexed(self, label: str, pairs: Iterable[tuple[Idx, NcPoly]]) -> None:
-        """One relation per (index, polynomial) pair, labelled ``label[index]``."""
-        for idx, poly in pairs:
-            self.add(_idx_label(label, idx), poly)
-
-
 def _idx_label(name: str, idx: Iterable[int]) -> str:
     return f"{name}[{','.join(str(i) for i in idx)}]"
+
+
+def _labelled(name: str, pairs: Iterable[tuple[Idx, NcPoly]]) -> list[tuple[str, NcPoly]]:
+    """One (``name[index]``, polynomial) pair per (index, polynomial) pair."""
+    return [(_idx_label(name, idx), poly) for idx, poly in pairs]
 
 
 def _presentation(
@@ -174,7 +160,7 @@ def _presentation(
     n: int,
     m: int,
     alphabet: Alphabet,
-    bag: _RelationBag,
+    relations: list[tuple[str, NcPoly]],
     antipode: dict[Generator, NcPoly] | None,
     provenance: Provenance | None,
 ) -> Presentation:
@@ -196,8 +182,8 @@ def _presentation(
         m=m,
         alphabet=alphabet,
         generators=alphabet.generators,
-        relations=tuple(bag.polys),
-        relation_labels=tuple(bag.labels),
+        relations=tuple(poly for _, poly in relations),
+        relation_labels=tuple(label for label, _ in relations),
         structure=HopfStructure(delta, counit, antipode),
         provenance=provenance,
     )
@@ -209,13 +195,11 @@ def _preservation(
     family: str,
     *,
     lower_is_free: bool = True,
-    reverse: bool = False,
 ) -> Iterable[tuple[Idx, NcPoly]]:
     """(M, sum_L w_L g^{L1}_{M1}...g^{Lm}_{Mm} - w_M) for every index tuple M.
 
     With ``lower_is_free`` False the roles swap: the *upper* indices are the
-    free tuple M and the lower ones are contracted against w.  ``reverse``
-    writes every word right to left (one character is one letter).
+    free tuple M and the lower ones are contracted against w.
     """
     rng = range(1, w.dim + 1)
     char = {}
@@ -226,8 +210,6 @@ def _preservation(
         terms: dict[str, Scalar] = {"": -w[mu]}
         for lam, c in w.entries.items():
             word = "".join(char[pair] for pair in zip(lam, mu))
-            if reverse:
-                word = word[::-1]
             terms[word] = terms.get(word, ZERO) + c
         yield mu, NcPoly(alphabet, terms)
 
@@ -243,12 +225,9 @@ def _polar_matrix(
     w: MultilinearForm,
     wt: MultilinearForm,
     family: str,
-    *,
-    reverse: bool = False,
 ) -> PolyMatrix:
     """P[mu,nu] = sum wt^{mu,L} w_{R,nu} g^{R1}_{L1}...g^{R(m-1)}_{L(m-1)}, the
-    antipode of g written through a polar tensor; ``reverse`` writes every
-    word right to left (one character is one letter)."""
+    antipode of g written through a polar tensor."""
     n = w.dim
     terms: dict[tuple[int, int], dict[str, Scalar]] = {
         (mu, nu): {} for mu in range(1, n + 1) for nu in range(1, n + 1)
@@ -256,8 +235,6 @@ def _polar_matrix(
     for lidx, c1 in wt.entries.items():
         for ridx, c2 in w.entries.items():
             word = alphabet.word(Generator(family, i, j) for i, j in zip(ridx[:-1], lidx[1:]))
-            if reverse:
-                word = word[::-1]
             entry = terms[(lidx[0], ridx[-1])]
             entry[word] = entry.get(word, ZERO) + c1 * c2
     rng = range(1, n + 1)
@@ -278,9 +255,8 @@ def build_bw(w: MultilinearForm) -> Presentation:
     if not is_one_site_nondegenerate(w):
         raise ValueError("form fails one-site nondegeneracy")
     alphabet = Alphabet(matric_family("a", w.dim))
-    bag = _RelationBag()
-    bag.add_indexed("form", _preservation(alphabet, w, "a"))
-    return _presentation("bw", w.dim, w.arity, alphabet, bag, None, Provenance(form=w))
+    relations = _labelled("form", _preservation(alphabet, w, "a"))
+    return _presentation("bw", w.dim, w.arity, alphabet, relations, None, Provenance(form=w))
 
 
 def build_hw(w: MultilinearForm) -> Presentation:
@@ -299,12 +275,11 @@ def build_hw(w: MultilinearForm) -> Presentation:
     s = PolyMatrix.family(alphabet, "s", n)
     one = PolyMatrix.identity(alphabet, n)
     x = _twisted(q, u)
-    bag = _RelationBag()
-    bag.add_indexed("us", (u @ s - one).entries())
-    bag.add_indexed("tus", ((x.T @ s.T).T - one).entries())
-    bag.add_indexed("invw", _preservation(alphabet, w, "u"))
+    relations = _labelled("us", (u @ s - one).entries())
+    relations += _labelled("tus", ((x.T @ s.T).T - one).entries())
+    relations += _labelled("invw", _preservation(alphabet, w, "u"))
     antipode = s.images("u") | x.images("s")
-    return _presentation("hw", n, w.arity, alphabet, bag, antipode, Provenance(form=w, q=q))
+    return _presentation("hw", n, w.arity, alphabet, relations, antipode, Provenance(form=w, q=q))
 
 
 def build_hb(b: MultilinearForm) -> Presentation:
@@ -318,11 +293,10 @@ def build_hb(b: MultilinearForm) -> Presentation:
     u = PolyMatrix.family(alphabet, "u", n)
     bb = PolyMatrix.scalar(alphabet, bm)
     bi = PolyMatrix.scalar(alphabet, binv)
-    bag = _RelationBag()
-    bag.add_indexed("bst", (u.T @ bb @ u - bb).entries())
-    bag.add_indexed("binst", (u @ bi @ u.T - bi).entries())
+    relations = _labelled("bst", (u.T @ bb @ u - bb).entries())
+    relations += _labelled("binst", (u @ bi @ u.T - bi).entries())
     antipode = (bi @ u.T @ bb).images("u")
-    return _presentation("hb", n, 2, alphabet, bag, antipode, Provenance(form=b))
+    return _presentation("hb", n, 2, alphabet, relations, antipode, Provenance(form=b))
 
 
 def build_hww(w: MultilinearForm, wt: MultilinearForm) -> Presentation:
@@ -334,12 +308,11 @@ def build_hww(w: MultilinearForm, wt: MultilinearForm) -> Presentation:
     if not in_polar(wt, w):
         raise ValueError("tensor is not in the polar affine space of the form")
     alphabet = Alphabet(matric_family("v", w.dim))
-    bag = _RelationBag()
-    bag.add_indexed("wv", _preservation(alphabet, w, "v"))
-    bag.add_indexed("wtv", _preservation(alphabet, wt, "v", lower_is_free=False))
+    relations = _labelled("wv", _preservation(alphabet, w, "v"))
+    relations += _labelled("wtv", _preservation(alphabet, wt, "v", lower_is_free=False))
     antipode = _polar_matrix(alphabet, w, wt, "v").images("v")
     provenance = Provenance(form=w, q=report.q, polar_member=wt)
-    return _presentation("hww", w.dim, w.arity, alphabet, bag, antipode, provenance)
+    return _presentation("hww", w.dim, w.arity, alphabet, relations, antipode, provenance)
 
 
 def build_ahmn(m: int, n: int) -> Presentation:
@@ -348,28 +321,25 @@ def build_ahmn(m: int, n: int) -> Presentation:
     if m < 2 or n < 2:
         raise ValueError("need m >= 2 and n >= 2")
     alphabet = Alphabet(matric_family("a", n))
-    bag = _RelationBag()
     rng = range(1, n + 1)
     # a row-side index pair (mu, lam) names a[mu,lam], a column-side one a[lam,mu]
     sides = {
         "row": lambda mu, lam: Generator("a", mu, lam),
         "col": lambda mu, lam: Generator("a", lam, mu),
     }
+    relations = []
     for side, gen in sides.items():
         for mu, lam, nu in itertools.product(rng, repeat=3):
             if lam != nu:
                 poly = NcPoly.from_gens(alphabet, [gen(mu, lam), gen(mu, nu)])
-                bag.add(_idx_label(f"{side}zero", (mu, lam, nu)), poly)
+                relations.append((_idx_label(f"{side}zero", (mu, lam, nu)), poly))
     for side, gen in sides.items():
         for mu in rng:
             powers = {alphabet.word([gen(mu, lam)] * m): ONE for lam in rng}
             poly = NcPoly(alphabet, powers) - NcPoly.unit(alphabet)
-            bag.add(_idx_label(f"{side}pow", (mu,)), poly)
+            relations.append((_idx_label(f"{side}pow", (mu,)), poly))
     antipode = _transposed_power(alphabet, "a", n, m - 1).images("a")
-    return _presentation("ahmn", n, m, alphabet, bag, antipode, None)
-
-
-_FORM_BUILDERS = {"bw": build_bw, "hw": build_hw, "hb": build_hb}
+    return _presentation("ahmn", n, m, alphabet, relations, antipode, None)
 
 
 def _polar_choice(w: MultilinearForm, wt: MultilinearForm | None) -> MultilinearForm:
@@ -387,9 +357,10 @@ def build_presentation(
 ) -> Presentation:
     """Build the ``bw``, ``hw``, ``hb`` or ``hww`` presentation of a form; hww
     takes the polar member ``wt``, or the canonical one when it is None."""
-    if kind == "hww":
-        return build_hww(w, _polar_choice(w, wt))
-    return _FORM_BUILDERS[kind](w)
+    reads, build = _ALGEBRAS[kind]
+    if "form" not in reads:
+        raise KeyError(kind)
+    return build(SuiteInputs(form=w, polar=wt))
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +436,7 @@ def _verdicts(
     label: str, pairs: Iterable[tuple[Idx, NcPoly]], system: RewriteSystem
 ) -> list[CheckResult]:
     """One verdict per (index, polynomial that must vanish), named ``label[index]``."""
-    return [_nf_verdict(_idx_label(label, idx), p, system) for idx, p in pairs]
+    return [_nf_verdict(name, p, system) for name, p in _labelled(label, pairs)]
 
 
 def check_antipode(
@@ -548,21 +519,24 @@ def derived_relations_suite(
     if system is None:
         system = system_for(pres, degree)
 
-    # reversed form preservation on s: sum_M w_M s^{Mm}_{Nm}...s^{M1}_{N1} = w_N
-    out = _verdicts("sinw", _preservation(a, w, "s", reverse=True), system)
-
     u = PolyMatrix.family(a, "u", n)
     s = PolyMatrix.family(a, "s", n)
     one = PolyMatrix.identity(a, n)
     x = _twisted(pres.provenance.q, u)
+    # the antihomomorphism u -> s, which the antipode restricts to on u
+    u_to_s = functools.partial(substitute, images=s.images("u"), antihom=True, target=a)
+
+    # the image of invw: sum_M w_M s^{Mm}_{Nm}...s^{M1}_{N1} = w_N
+    out = _verdicts("sinw", ((mu, u_to_s(p)) for mu, p in _preservation(a, w, "u")), system)
     out += _verdicts("su", (s @ u - one).entries(), system)
     out += _verdicts("tsu", ((s.T @ x.T).T - one).entries(), system)
 
     if wt is not None:
         if not in_polar(wt, w):
             raise ValueError("tensor is not in the polar affine space of the form")
-        out += _verdicts("Rsu", (s - _polar_matrix(a, w, wt, "u")).entries(), system)
-        rus = x - _polar_matrix(a, w, wt, "s", reverse=True)
+        p = _polar_matrix(a, w, wt, "u")
+        out += _verdicts("Rsu", (s - p).entries(), system)
+        rus = x - PolyMatrix(a, (map(u_to_s, row) for row in p.rows))
         out += _verdicts("Rus", rus.entries(), system)
 
     if m >= 3:
@@ -883,13 +857,16 @@ class Suite:
     verdict: Callable[[list[CheckResult], SuiteInputs], str] | None = None
 
 
-# what building each --algebra reads besides --algebra itself
-_ALGEBRA_READS = {
-    "bw": frozenset({"form"}),
-    "hw": frozenset({"form"}),
-    "hb": frozenset({"form"}),
-    "hww": frozenset({"form", "polar"}),
-    "ahmn": frozenset({"m", "n"}),
+# each --algebra kind: what building it reads besides --algebra, and the build
+_ALGEBRAS: dict[str, tuple[frozenset[str], Callable[[SuiteInputs], Presentation]]] = {
+    "bw": (frozenset({"form"}), lambda i: build_bw(i.form)),
+    "hw": (frozenset({"form"}), lambda i: build_hw(i.form)),
+    "hb": (frozenset({"form"}), lambda i: build_hb(i.form)),
+    "hww": (
+        frozenset({"form", "polar"}),
+        lambda i: build_hww(i.form, _polar_choice(i.form, i.polar)),
+    ),
+    "ahmn": (frozenset({"m", "n"}), lambda i: build_ahmn(i.m, i.n)),
 }
 
 
@@ -900,9 +877,9 @@ def refuse_unread(inputs: SuiteInputs, suite: str | None = None) -> None:
     looks only at which inputs are given, before any file opens."""
     if suite in (None, "axioms"):
         kind = inputs.algebra or "hw"
-        if kind not in _ALGEBRA_READS:
+        if kind not in _ALGEBRAS:
             raise ValueError(f"unknown algebra kind {kind!r}")
-        reader, reads = f"--algebra {kind}", _ALGEBRA_READS[kind] | {"algebra"}
+        reader, reads = f"--algebra {kind}", _ALGEBRAS[kind][0] | {"algebra"}
         if suite and kind == "bw":
             reads |= {"polar"}
     else:
@@ -917,13 +894,12 @@ def build_algebra(inputs: SuiteInputs) -> Presentation:
     """Build the presentation ``inputs.algebra`` (default hw) names, from
     inputs :func:`refuse_unread` passed; behind ``present`` and axioms."""
     kind = inputs.algebra or "hw"
-    if kind == "ahmn":
-        if inputs.m is None or inputs.n is None:
-            raise ValueError("ahmn needs --m and --n")
-        return build_ahmn(inputs.m, inputs.n)
-    if inputs.form is None:
+    reads, build = _ALGEBRAS[kind]
+    if "form" in reads and inputs.form is None:
         raise ValueError(f"--algebra {kind} needs --form, or a form file for verify")
-    return build_presentation(kind, inputs.form, inputs.polar)
+    if "m" in reads and (inputs.m is None or inputs.n is None):
+        raise ValueError(f"{kind} needs --m and --n")
+    return build(inputs)
 
 
 def _axioms(inputs: SuiteInputs) -> list[CheckResult]:
@@ -996,7 +972,7 @@ def _noninjectivity_verdict(results: list[CheckResult], inputs: SuiteInputs) -> 
 
 
 SUITES: dict[str, Suite] = {
-    "axioms": Suite(frozenset({"algebra"}.union(*_ALGEBRA_READS.values())), _axioms),
+    "axioms": Suite(frozenset({"algebra"}.union(*(r for r, _ in _ALGEBRAS.values()))), _axioms),
     "derived": Suite(frozenset({"form", "polar"}), _derived),
     "pair-reduction": Suite(frozenset({"form"}), _pair_reduction),
     "manin": Suite(frozenset({"form"}), _manin),

@@ -299,7 +299,16 @@ class RewriteSystem:
 
         fields = {"system": _no_value, "degree": int, "complete_through": int}
         header, _, alphabet = read_dump(text, fields, {"rule": rule})
-        return cls(alphabet, rules.values(), header["degree"], header["complete_through"])
+        degree, done = header["degree"], header["complete_through"]
+        if min(degree, done) < 0:
+            raise ValueError(f"degree {degree} and complete_through {done} must not be negative")
+        if done > degree:
+            raise ValueError(f"complete_through {done} is above degree {degree}")
+        for lead in rules:
+            if len(lead) > degree:
+                token = alphabet.word_token(lead)
+                raise ValueError(f"rule lead {token} is longer than degree {degree}")
+        return cls(alphabet, rules.values(), degree, done)
 
     def __eq__(self, other) -> bool:
         return (

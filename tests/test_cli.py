@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from hopfw.cli import __doc__ as CLI_DOC
-from hopfw.cli import _exit_code, main
+from hopfw.cli import _build_parser, _exit_code, main
 from hopfw.formats import (
     FormFileError,
     dump_form,
@@ -25,13 +26,16 @@ from hopfw.forms import (
     polar,
 )
 from hopfw.hopf import (
+    _ALGEBRAS,
     SUITES,
     CheckResult,
     Status,
     SuiteInputs,
     build_bw,
     build_hw,
+    build_presentation,
     pair_reduction_suite,
+    refuse_unread,
     run_suite,
 )
 from hopfw.ncalg import Generator
@@ -206,6 +210,9 @@ _DELTA_COUNIT = (
             _HW + "generators x\nantipode x -> x\nantipode x -> -x",
             "line 6: second antipode line for x",
         ),
+        # n and m are at least 1
+        ("algebra hw\nn 0\nm -2\ngenerators u[1,1]", "n 0 and m -2 must be at least 1"),
+        ("algebra hw\nn 1\nm 0\ngenerators u[1,1]", "n 1 and m 0 must be at least 1"),
     ],
 )
 def test_parse_presentation_rejections(text, message, tmp_path, capsys):
@@ -446,6 +453,7 @@ def test_nf_unknown_generator(cyclic2, tmp_path, capsys):
         ("rule u[1,2] -> u[1,1]\ndegree 5", "u[1,2]", "line 6: second degree line"),
         ("complete_through 2", "u[1,2]", "line 5: second complete_through line"),
         ("system", "u[1,2]", "line 5: second system line"),
+        ("rule u[1,2]*u[1,2]*u[1,2]*u[1,2]*u[1,2] -> u[1,1]", "u[1,2]", "longer than degree 4"),
     ],
 )
 def test_nf_refuses_a_system_that_would_not_terminate(tmp_path, capsys, rule, poly, message):
@@ -673,6 +681,33 @@ def test_suite_lists_in_docs_follow_the_table():
         rows[name.strip("`")] = frozenset(reads.split(", "))
     assert list(rows) == list(SUITES)
     assert rows == {name: suite.reads for name, suite in SUITES.items()}
+
+
+def _algebra_choices(command: str) -> list[str]:
+    """The ``--algebra`` choices of one subcommand."""
+    actions = _build_parser()._actions
+    commands = next(a for a in actions if isinstance(a, argparse._SubParsersAction))
+    flags = commands.choices[command]._actions
+    return next(list(a.choices) for a in flags if a.dest == "algebra")
+
+
+def test_every_reader_follows_the_algebra_table(monkeypatch):
+    kinds = list(_ALGEBRAS)
+    assert _algebra_choices("present") == _algebra_choices("verify") == kinds
+    assert SUITES["axioms"].reads == {"algebra"}.union(*(r for r, _ in _ALGEBRAS.values()))
+    for kind in kinds:
+        assert parse_presentation(f"algebra {kind}\nn 1\nm 2\ngenerators x").kind == kind
+    with pytest.raises(KeyError):
+        build_presentation("ahmn", W2)
+    # a kind taken out of the table is gone from every reader
+    monkeypatch.delitem(_ALGEBRAS, "hb")
+    assert "hb" not in _algebra_choices("present") + _algebra_choices("verify")
+    with pytest.raises(ValueError, match="line 1: unknown algebra kind 'hb'"):
+        parse_presentation("algebra hb\nn 1\nm 2\ngenerators x")
+    with pytest.raises(ValueError, match="unknown algebra kind 'hb'"):
+        refuse_unread(SuiteInputs(form="b.json", algebra="hb"))
+    with pytest.raises(KeyError):
+        build_presentation("hb", make_bilinear([[0, 1], [-1, 0]]))
 
 
 def test_argparse_errors_exit_with_usage_code():

@@ -1,4 +1,6 @@
 import collections
+import itertools
+import random
 
 import pytest
 
@@ -15,6 +17,7 @@ from hopfw.hopf import (
     build_hb,
     build_hw,
     build_hww,
+    build_presentation,
     check_antipode,
     check_counit,
     check_hom,
@@ -35,6 +38,7 @@ from hopfw.hopf import (
 )
 from hopfw.ncalg import Alphabet, Generator, NcPoly
 from hopfw.rewrite import complete
+from test_golden import PRESENTATIONS
 
 # the running 2-dimensional example, a polar member of it, and the
 # alternating 3x3 instance with its canonical polar member
@@ -203,6 +207,48 @@ def test_builder_rejections():
         build_ahmn(1, 2)
     with pytest.raises(ValueError):
         build_ahmn(3, 1)
+
+
+def _seeded_form(seed: int) -> MultilinearForm:
+    """Dimension 2-3, arity 2-3, about half the entries nonzero; odd seeds
+    are summed over cyclic rotations, so the twist I exists and hw builds."""
+    rng = random.Random(seed)
+    n, m = rng.choice((2, 3)), rng.choice((2, 3))
+    entries = {}
+    for idx in itertools.product(range(1, n + 1), repeat=m):
+        if rng.random() < 0.5:
+            entries[idx] = rng.choice((-2, -1, 1, 2, 3))
+    if seed % 2:
+        summed = collections.Counter()
+        for idx, c in entries.items():
+            for k in range(m):
+                summed[idx[k:] + idx[:k]] += c
+        entries = dict(summed)
+    return MultilinearForm(n, m, entries)
+
+
+def test_relations_are_nonzero_and_distinct():
+    """No builder can emit a zero relation or two equal ones, so none is
+    filtered out.  Every word of a preservation relation (form, invw, wv)
+    spells its free tuple M in its generator columns, and for wtv in its
+    rows; the us, tus, bst and binst entries and the ahmn relations likewise
+    spell their own index; and forms, polar members and b are nonzero.
+    Checked on the golden presentations, on ahmn for m, n in 2-3, and on
+    every kind that builds for 150 seeded forms."""
+    presentations = [build() for build in PRESENTATIONS.values()]
+    presentations += [build_ahmn(m, n) for m in (2, 3) for n in (2, 3)]
+    for seed in range(150):
+        w = _seeded_form(seed)
+        for kind in ("bw", "hw", "hb", "hww"):
+            try:
+                presentations.append(build_presentation(kind, w))
+            except ValueError:  # the form is degenerate, not preregular or not bilinear
+                pass
+    assert len(presentations) >= 300
+    assert {p.kind for p in presentations} == {"bw", "hw", "hb", "hww", "ahmn"}
+    for pres in presentations:
+        assert not any(rel.is_zero() for rel in pres.relations), pres.label()
+        assert len(set(pres.relations)) == len(pres.relations), pres.label()
 
 
 # ------------------------------------------------------------ axiom suites

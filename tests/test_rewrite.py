@@ -216,6 +216,17 @@ _MALFORMED = [
     # each generator is named once
     ("system\ndegree 3\ncomplete_through 3\ngenerators p q p", "line 4: .* names p twice"),
     ("system\ndegree 3\ncomplete_through 3\ngenerators x u[1,1] u[01,1]", "names u\\[1,1\\]"),
+    # the header values agree with each other and with the rules
+    (
+        "system\ndegree 2\ncomplete_through 9\ngenerators x y\nrule y*x -> x*y",
+        "complete_through 9 is above degree 2",
+    ),
+    ("system\ndegree -1\ncomplete_through -1\ngenerators x", "must not be negative"),
+    ("system\ndegree 3\ncomplete_through -2\ngenerators x", "must not be negative"),
+    (
+        "system\ndegree 3\ncomplete_through 3\ngenerators x\nrule x*x*x*x*x -> x",
+        "rule lead x\\*x\\*x\\*x\\*x is longer than degree 3",
+    ),
 ]
 
 
