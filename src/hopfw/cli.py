@@ -18,8 +18,8 @@ ahmn; any other of them is a usage error too (``hopf.refuse_unread``).
 
 Exit codes: 0 success / all checks pass, 1 a check failed (refutation),
 2 at least one check was uncertified at the degree bound (none failed),
-3 usage or input parse error.  ``HOPFW_DEFAULT_DEGREE`` overrides the
-degree default (twice the arity) when ``--degree`` is not given.
+3 usage or input parse error.  Without ``--degree`` the truncation is
+twice the arity.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import re
 import sys
 
@@ -133,21 +132,10 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _resolve_degree(flag: int | None) -> int | None:
-    """--degree, else HOPFW_DEFAULT_DEGREE, else None (twice the arity)."""
-    if flag is not None:
-        if flag < 1:
-            raise ValueError("--degree must be positive")
-        return flag
-    env = os.environ.get("HOPFW_DEFAULT_DEGREE")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"HOPFW_DEFAULT_DEGREE is not an integer: {env!r}")
-        if value < 1:
-            raise ValueError("HOPFW_DEFAULT_DEGREE must be positive")
-        return value
-    return None
+    """--degree, which must be positive; None means twice the arity."""
+    if flag is not None and flag < 1:
+        raise ValueError("--degree must be positive")
+    return flag
 
 
 def _bool(v: bool) -> str:
@@ -220,6 +208,10 @@ def _cmd_nf(args) -> int:
         system = RewriteSystem.parse(fh.read())
     poly = parse_poly(system.alphabet, args.poly)
     try:
+        # normal_form checks only `degree`; a dump's rules are confluent only
+        # through complete_through, which may lie below it
+        if poly.degree() > system.complete_through:
+            raise NotCertifiedError(poly.degree(), system.complete_through)
         nf = normal_form(poly, system)
     except NotCertifiedError as exc:
         print(f"uncertified: {exc}", file=sys.stderr)

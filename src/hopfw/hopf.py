@@ -37,7 +37,10 @@ matrix P[mu,nu] = sum wt^{mu,L} w_{R,nu} g^{R1}_{L1}...g^{R(m-1)}_{L(m-1)}:
 
 Builders return (label, polynomial) pairs.  The private table ``_ALGEBRAS``
 maps each algebra kind to the inputs its build reads and to that build, for
-the API, the presentation reader and the CLI alike.
+the API, the presentation reader and the CLI alike.  Beside it,
+``_AXIOM_EXTRAS`` maps a kind to what the axioms suite reads and checks
+beyond that build (bw: ``--polar`` and the polar left inverse), for both
+:func:`refuse_unread` and the axioms suite.
 
 Every structural claim (counit, coproduct, antipode, derived identities,
 homomorphisms) is checked by reduction against a degree-truncated rewriting
@@ -146,13 +149,9 @@ def default_degree(m: int) -> int:
     return 2 * m
 
 
-def _idx_label(name: str, idx: Iterable[int]) -> str:
-    return f"{name}[{','.join(str(i) for i in idx)}]"
-
-
 def _labelled(name: str, pairs: Iterable[tuple[Idx, NcPoly]]) -> list[tuple[str, NcPoly]]:
     """One (``name[index]``, polynomial) pair per (index, polynomial) pair."""
-    return [(_idx_label(name, idx), poly) for idx, poly in pairs]
+    return [(f"{name}[{','.join(map(str, idx))}]", poly) for idx, poly in pairs]
 
 
 def _presentation(
@@ -329,15 +328,18 @@ def build_ahmn(m: int, n: int) -> Presentation:
     }
     relations = []
     for side, gen in sides.items():
-        for mu, lam, nu in itertools.product(rng, repeat=3):
-            if lam != nu:
-                poly = NcPoly.from_gens(alphabet, [gen(mu, lam), gen(mu, nu)])
-                relations.append((_idx_label(f"{side}zero", (mu, lam, nu)), poly))
+        zeros = (
+            ((mu, lam, nu), NcPoly.from_gens(alphabet, [gen(mu, lam), gen(mu, nu)]))
+            for mu, lam, nu in itertools.product(rng, repeat=3)
+            if lam != nu
+        )
+        relations += _labelled(f"{side}zero", zeros)
     for side, gen in sides.items():
+        sums = []
         for mu in rng:
             powers = {alphabet.word([gen(mu, lam)] * m): ONE for lam in rng}
-            poly = NcPoly(alphabet, powers) - NcPoly.unit(alphabet)
-            relations.append((_idx_label(f"{side}pow", (mu,)), poly))
+            sums.append(((mu,), NcPoly(alphabet, powers) - NcPoly.unit(alphabet)))
+        relations += _labelled(f"{side}pow", sums)
     antipode = _transposed_power(alphabet, "a", n, m - 1).images("a")
     return _presentation("ahmn", n, m, alphabet, relations, antipode, None)
 
@@ -540,61 +542,14 @@ def derived_relations_suite(
         out += _verdicts("Rus", rus.entries(), system)
 
     if m >= 3:
-        out += _pair_reduction_checks(pres, system)
+        out += pair_reduction_suite(pres, degree, system)
 
     if w == make_signature(3):
-        out += _manin_checks(pres, system)
+        out += manin_suite(degree, system)
 
     if w == make_orthogonal(n, m):
         out += _power_antipode_checks(pres, system)
 
-    return out
-
-
-def _pair_reduction_checks(
-    pres: Presentation, system: RewriteSystem
-) -> list[CheckResult]:
-    """Two-generator reduction: contracting the form against m-2 inverse
-    letters turns a product of two u's into a form-weighted sum --
-    sum_M w_{l,r,M} s^{Mm}_{Nm}...s^{M3}_{N3} = sum_{N1,N2} w_N u^{N1}_l u^{N2}_r."""
-    w = pres.provenance.form
-    a = pres.alphabet
-    out = []
-    for lam, rho, *rest in itertools.product(range(1, pres.n + 1), repeat=pres.m):
-        terms: dict[str, Scalar] = {}
-        for idx, c in w.entries.items():
-            if idx[:2] == (lam, rho):
-                pairs = zip(reversed(idx[2:]), reversed(rest))
-                word = a.word(Generator("s", i, j) for i, j in pairs)
-                terms[word] = terms.get(word, ZERO) + c
-            if list(idx[2:]) == rest:
-                word = a.word([Generator("u", idx[0], lam), Generator("u", idx[1], rho)])
-                terms[word] = terms.get(word, ZERO) - c
-        label = _idx_label("pairred", (lam, rho, *rest))
-        out.append(_nf_verdict(label, NcPoly(a, terms), system))
-    return out
-
-
-def _manin_checks(pres: Presentation, system: RewriteSystem) -> list[CheckResult]:
-    """Same-column commutation and cross-column commutator exchange."""
-    a = pres.alphabet
-    rng = range(1, pres.n + 1)
-
-    def comm(i: int, j: int, k: int, l: int) -> NcPoly:
-        """The commutator [u^i_j, u^k_l]."""
-        p = NcPoly.from_gens(a, [Generator("u", i, j)])
-        q = NcPoly.from_gens(a, [Generator("u", k, l)])
-        return p * q - q * p
-
-    out = []
-    for nu in rng:
-        for lam, mu in itertools.combinations(rng, 2):
-            p = comm(lam, nu, mu, nu)
-            out.append(_nf_verdict(_idx_label("column", (lam, mu, nu)), p, system))
-    for lam, mu in itertools.combinations(rng, 2):
-        for nu, rho in itertools.permutations(rng, 2):
-            p = comm(lam, nu, mu, rho) - comm(mu, nu, lam, rho)
-            out.append(_nf_verdict(_idx_label("exchange", (lam, mu, nu, rho)), p, system))
     return out
 
 
@@ -610,18 +565,56 @@ def _power_antipode_checks(
 def pair_reduction_suite(
     pres: Presentation, degree: int, system: RewriteSystem | None = None
 ) -> list[CheckResult]:
+    """Two-generator reduction: contracting the form against m-2 inverse
+    letters turns a product of two u's into a form-weighted sum --
+    sum_M w_{l,r,M} s^{Mm}_{Nm}...s^{M3}_{N3} = sum_{N1,N2} w_N u^{N1}_l u^{N2}_r."""
     if pres.kind != "hw" or pres.m < 3:
         raise ValueError("the pair reduction needs the u/s presentation with arity >= 3")
     if system is None:
         system = system_for(pres, degree)
-    return _pair_reduction_checks(pres, system)
+    w = pres.provenance.form
+    a = pres.alphabet
+    pairs = []
+    for lam, rho, *rest in itertools.product(range(1, pres.n + 1), repeat=pres.m):
+        terms: dict[str, Scalar] = {}
+        for idx, c in w.entries.items():
+            if idx[:2] == (lam, rho):
+                letters = zip(reversed(idx[2:]), reversed(rest))
+                word = a.word(Generator("s", i, j) for i, j in letters)
+                terms[word] = terms.get(word, ZERO) + c
+            if list(idx[2:]) == rest:
+                word = a.word([Generator("u", idx[0], lam), Generator("u", idx[1], rho)])
+                terms[word] = terms.get(word, ZERO) - c
+        pairs.append(((lam, rho, *rest), NcPoly(a, terms)))
+    return _verdicts("pairred", pairs, system)
 
 
 def manin_suite(degree: int, system: RewriteSystem | None = None) -> list[CheckResult]:
-    pres = build_hw(make_signature(3))
+    """Same-column commutation and cross-column commutator exchange of the
+    u's of the alternating 3x3 instance, over the alphabet of ``system``;
+    hw(signature-3) is built only to complete a system when none is given."""
     if system is None:
-        system = system_for(pres, degree)
-    return _manin_checks(pres, system)
+        system = system_for(build_hw(make_signature(3)), degree)
+    a = system.alphabet
+    rng = range(1, 4)
+
+    def comm(i: int, j: int, k: int, l: int) -> NcPoly:
+        """The commutator [u^i_j, u^k_l]."""
+        p = NcPoly.from_gens(a, [Generator("u", i, j)])
+        q = NcPoly.from_gens(a, [Generator("u", k, l)])
+        return p * q - q * p
+
+    column = (
+        ((lam, mu, nu), comm(lam, nu, mu, nu))
+        for nu in rng
+        for lam, mu in itertools.combinations(rng, 2)
+    )
+    exchange = (
+        ((lam, mu, nu, rho), comm(lam, nu, mu, rho) - comm(mu, nu, lam, rho))
+        for lam, mu in itertools.combinations(rng, 2)
+        for nu, rho in itertools.permutations(rng, 2)
+    )
+    return _verdicts("column", column, system) + _verdicts("exchange", exchange, system)
 
 
 def diagonal_iso_suite(n: int, m: int, degree: int) -> list[CheckResult]:
@@ -644,12 +637,10 @@ def bilinear_iso_suite(b: MultilinearForm, degree: int) -> list[CheckResult]:
     hw_system = system_for(back.target, degree)
     out = check_hom(fwd, degree, hb_system)
     out += check_hom(back, degree, hw_system)
-    a = fwd.source.alphabet
-    for g in matric_family("s", b.dim):
-        roundtrip = substitute(fwd.images[g], back.images, target=a)
-        p = NcPoly.from_gens(a, [g]) - roundtrip
-        out.append(_nf_verdict(_idx_label("roundtrip-s", (g.row, g.col)), p, hw_system))
-    return out
+    a, n = fwd.source.alphabet, b.dim
+    composed = {g: substitute(fwd.images[g], back.images, target=a) for g in matric_family("s", n)}
+    roundtrip = PolyMatrix.family(a, "s", n) - PolyMatrix.of(a, composed, "s", n)
+    return out + _verdicts("roundtrip-s", roundtrip.entries(), hw_system)
 
 
 @dataclass
@@ -869,19 +860,31 @@ _ALGEBRAS: dict[str, tuple[frozenset[str], Callable[[SuiteInputs], Presentation]
     "ahmn": (frozenset({"m", "n"}), lambda i: build_ahmn(i.m, i.n)),
 }
 
+# what the axioms suite reads and checks beyond a kind's build: bw's polar left inverse
+_AXIOM_EXTRAS: dict[str, tuple[frozenset[str], Callable[..., list[CheckResult]]]] = {
+    "bw": (
+        frozenset({"polar"}),
+        lambda i, pres, degree, system: check_left_inverse_identity(
+            pres, _polar_choice(i.form, i.polar), degree, system
+        ),
+    ),
+}
+_NO_EXTRAS: tuple[frozenset[str], Callable[..., list[CheckResult]]] = (frozenset(), lambda *_: [])
+
 
 def refuse_unread(inputs: SuiteInputs, suite: str | None = None) -> None:
     """Raise ValueError for the first input given but not read by the suite
     or, for axioms and for no suite (``hopfw present``), by building
-    ``inputs.algebra`` (default hw); bw's axioms also read ``--polar``.  It
-    looks only at which inputs are given, before any file opens."""
+    ``inputs.algebra`` (default hw); the axioms suite also reads what
+    ``_AXIOM_EXTRAS`` adds.  It looks only at which inputs are given, before
+    any file opens."""
     if suite in (None, "axioms"):
         kind = inputs.algebra or "hw"
         if kind not in _ALGEBRAS:
             raise ValueError(f"unknown algebra kind {kind!r}")
         reader, reads = f"--algebra {kind}", _ALGEBRAS[kind][0] | {"algebra"}
-        if suite and kind == "bw":
-            reads |= {"polar"}
+        if suite:
+            reads |= _AXIOM_EXTRAS.get(kind, _NO_EXTRAS)[0]
     else:
         reader, reads = f"suite {suite!r}", SUITES[suite].reads
     for name in ("form", "algebra", "polar", "m", "n"):
@@ -903,16 +906,13 @@ def build_algebra(inputs: SuiteInputs) -> Presentation:
 
 
 def _axioms(inputs: SuiteInputs) -> list[CheckResult]:
-    """Hopf axioms of one presentation, plus bw's polar left inverse."""
+    """Hopf axioms of one presentation, plus its kind's ``_AXIOM_EXTRAS``."""
     refuse_unread(inputs, "axioms")
     pres = build_algebra(inputs)
     degree = inputs.degree_for(pres.m)
     system = system_for(pres, degree)
-    results = hopf_axiom_suite(pres, degree, system)
-    if pres.kind == "bw":
-        wt = _polar_choice(inputs.form, inputs.polar)
-        results += check_left_inverse_identity(pres, wt, degree, system)
-    return results
+    extras = _AXIOM_EXTRAS.get(pres.kind, _NO_EXTRAS)[1]
+    return hopf_axiom_suite(pres, degree, system) + extras(inputs, pres, degree, system)
 
 
 def _derived(inputs: SuiteInputs) -> list[CheckResult]:

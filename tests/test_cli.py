@@ -27,6 +27,7 @@ from hopfw.forms import (
 )
 from hopfw.hopf import (
     _ALGEBRAS,
+    _AXIOM_EXTRAS,
     SUITES,
     CheckResult,
     Status,
@@ -37,9 +38,17 @@ from hopfw.hopf import (
     pair_reduction_suite,
     refuse_unread,
     run_suite,
+    system_for,
 )
-from hopfw.ncalg import Generator
+from hopfw.ncalg import Generator, NcPoly
 from hopfw.exactnum import rat
+from hopfw.rewrite import (
+    NotCertifiedError,
+    RewriteSystem,
+    ideal_member,
+    normal_form,
+    unresolved_overlaps,
+)
 
 W2 = MultilinearForm(2, 3, {(1, 1, 2): 1, (1, 2, 1): 1, (2, 1, 1): 1})
 
@@ -434,6 +443,36 @@ def test_nf_above_bound_is_uncertified(cyclic2, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("uncertified: degree 5 exceeds")
 
 
+def test_nf_above_complete_through_is_uncertified(cyclic2, tmp_path, capsys):
+    # a dump may state a degree above complete_through, where overlaps stay
+    # unresolved: nf certifies a normal form only through complete_through
+    pres = tmp_path / "hw.txt"
+    system = tmp_path / "sys.txt"
+    main(["present", "--algebra", "hw", "--form", cyclic2, "--out", str(pres)])
+    main(["gb", str(pres), "--degree", "4", "--out", str(system)])
+    system.write_text(system.read_text().replace("degree 4\n", "degree 6\n", 1))
+    loose = RewriteSystem.parse(system.read_text())
+    assert (loose.degree_bound, loose.complete_through) == (6, 4)
+    # the S-polynomial of the first unresolved overlap lies in the ideal
+    l1, l2, word = unresolved_overlaps(loose)[0]
+    a, tails = loose.alphabet, {r.lead: r.tail for r in loose.rules}
+    left = tails[l1] * NcPoly.from_word(a, word[len(l1):])
+    spoly = left - NcPoly.from_word(a, word[: -len(l2)]) * tails[l2]
+    assert spoly.degree() == 5
+    assert not normal_form(spoly, loose).is_zero()
+    assert normal_form(spoly, system_for(build_hw(W2), 6)).is_zero()
+    with pytest.raises(NotCertifiedError):
+        ideal_member(spoly, loose)
+    capsys.readouterr()
+    assert main(["nf", str(system), "--poly", spoly.to_str()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "uncertified: degree 5 exceeds the certified bound 4; "
+        "verdict not certified at this truncation\n"
+    )
+
+
 def test_nf_unknown_generator(cyclic2, tmp_path, capsys):
     pres = tmp_path / "hw.txt"
     system = tmp_path / "sys.txt"
@@ -474,23 +513,16 @@ def test_gb_rejects_nonpositive_degree(cyclic2, tmp_path, capsys):
     assert "--degree must be positive" in capsys.readouterr().err
 
 
-def test_degree_env_override(cyclic2, tmp_path, capsys, monkeypatch):
+def test_degree_env_override(cyclic2, tmp_path, monkeypatch):
     pres = tmp_path / "hw.txt"
     main(["present", "--algebra", "hw", "--form", cyclic2, "--out", str(pres)])
+    # no environment variable overrides the default, twice the arity
     monkeypatch.setenv("HOPFW_DEFAULT_DEGREE", "3")
     out = tmp_path / "sys.txt"
     assert main(["gb", str(pres), "--out", str(out)]) == 0
-    assert "degree 3" in out.read_text().splitlines()[1]
-    # an explicit flag wins over the environment
+    assert out.read_text().splitlines()[1] == "degree 6"
     assert main(["gb", str(pres), "--degree", "4", "--out", str(out)]) == 0
     assert "degree 4" in out.read_text().splitlines()[1]
-    capsys.readouterr()
-    monkeypatch.setenv("HOPFW_DEFAULT_DEGREE", "zero")
-    assert main(["gb", str(pres), "--out", str(out)]) == 3
-    assert "not an integer" in capsys.readouterr().err
-    monkeypatch.setenv("HOPFW_DEFAULT_DEGREE", "0")
-    assert main(["gb", str(pres), "--out", str(out)]) == 3
-    assert "must be positive" in capsys.readouterr().err
 
 
 def test_verify_axioms_bilinear(tmp_path, capsys):
@@ -708,6 +740,20 @@ def test_every_reader_follows_the_algebra_table(monkeypatch):
         refuse_unread(SuiteInputs(form="b.json", algebra="hb"))
     with pytest.raises(KeyError):
         build_presentation("hb", make_bilinear([[0, 1], [-1, 0]]))
+
+
+def test_axiom_extras_follow_their_table_entry(monkeypatch):
+    given = SuiteInputs(form="w.json", algebra="bw", polar="wt.json")
+    refuse_unread(given, "axioms")
+    inputs = SuiteInputs(form=W2, algebra="bw", degree=4)
+    names = [r.name for r in run_suite("axioms", inputs)]
+    assert "leftinv[1,1]" in names
+    # with bw's entry taken out, its axioms neither read --polar nor check leftinv
+    monkeypatch.delitem(_AXIOM_EXTRAS, "bw")
+    with pytest.raises(ValueError, match="--algebra bw does not read --polar"):
+        refuse_unread(given, "axioms")
+    rows = [r.name for r in run_suite("axioms", inputs)]
+    assert rows == [name for name in names if not name.startswith("leftinv")]
 
 
 def test_argparse_errors_exit_with_usage_code():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from hopfw.exactnum import SingularMatrixError
+from hopfw import hopf
 from hopfw.forms import MultilinearForm, make_bilinear, make_orthogonal, make_signature
 from hopfw.hopf import (
     CheckResult,
@@ -373,6 +374,9 @@ def test_derived_relations_alternating_instance(hw3, hw3_sys4):
         "exchange": 18,
     }
     assert all_pass(results)
+    # these rows are the pair-reduction and manin suites on the same system
+    rows = [r for r in results if r.name.split("[")[0] in ("pairred", "column", "exchange")]
+    assert rows == pair_reduction_suite(hw3, 4, hw3_sys4) + manin_suite(4, hw3_sys4)
 
 
 def test_derived_relations_diagonal_instance():
@@ -410,6 +414,16 @@ def test_manin_suite(hw3_sys4):
     results = manin_suite(4, hw3_sys4)
     assert prefix_counts(results) == {"column": 9, "exchange": 18}
     assert all_pass(results)
+
+
+def test_manin_suite_builds_nothing_for_a_given_system(hw3_sys4, monkeypatch):
+    fresh = manin_suite(4)
+
+    def refuse(w):
+        raise AssertionError("manin_suite built a presentation")
+
+    monkeypatch.setattr(hopf, "build_hw", refuse)
+    assert manin_suite(4, hw3_sys4) == fresh
 
 
 # --------------------------------------------------------- homomorphisms
