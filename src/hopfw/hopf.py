@@ -78,7 +78,7 @@ from .ncalg import (
     matric_family,
     substitute,
 )
-from .rewrite import RewriteSystem, complete, normal_form
+from .rewrite import NotCertifiedError, RewriteSystem, complete, normal_form
 
 Idx = tuple[int, ...]
 
@@ -374,8 +374,8 @@ def _pass_or_fail(name: str, ok: bool, detail: str) -> CheckResult:
     return CheckResult(name, Status.PASS) if ok else CheckResult(name, Status.FAIL, detail)
 
 
-def _uncertified(name: str, poly: NcPoly, system: RewriteSystem) -> CheckResult:
-    detail = f"needs degree {poly.degree()}, certified {system.complete_through}"
+def _uncertified(name: str, poly: NcPoly, exc: NotCertifiedError) -> CheckResult:
+    detail = f"needs degree {poly.degree()}, certified {exc.certified}"
     return CheckResult(name, Status.UNCERTIFIED, detail)
 
 
@@ -411,15 +411,16 @@ def check_coproduct(
     out = []
     for label, rel in zip(pres.relation_labels, pres.relations):
         name = f"coproduct:{label}"
-        if rel.degree() > system.complete_through:
-            out.append(_uncertified(name, rel, system))
-            continue
         residue: dict[tuple[str, str], Scalar] = {}
         image = coproduct_image(rel, pres.structure.delta, target=pres.alphabet)
-        for (w1, w2), c in image.terms.items():
-            for a, ca in word_nf(w1).items():
-                for b, cb in word_nf(w2).items():
-                    residue[(a, b)] = residue.get((a, b), ZERO) + c * ca * cb
+        try:
+            for (w1, w2), c in image.terms.items():
+                for a, ca in word_nf(w1).items():
+                    for b, cb in word_nf(w2).items():
+                        residue[(a, b)] = residue.get((a, b), ZERO) + c * ca * cb
+        except NotCertifiedError as exc:
+            out.append(_uncertified(name, rel, exc))
+            continue
         reduced = TensorSquare(pres.alphabet, residue)  # drops cancelled terms
         out.append(_pass_or_fail(name, reduced.is_zero(), f"residue {reduced.to_str()}"))
     return out
@@ -428,9 +429,10 @@ def check_coproduct(
 def _nf_verdict(
     name: str, poly: NcPoly, system: RewriteSystem
 ) -> CheckResult:
-    if poly.degree() > system.complete_through:
-        return _uncertified(name, poly, system)
-    nf = normal_form(poly, system)
+    try:
+        nf = normal_form(poly, system)
+    except NotCertifiedError as exc:
+        return _uncertified(name, poly, exc)
     return _pass_or_fail(name, nf.is_zero(), f"normal form {nf.to_str()}")
 
 

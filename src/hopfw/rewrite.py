@@ -200,7 +200,8 @@ class _LeadIndex:
         Worklist in descending deglex (``desc`` is the order-reversing word
         key): expansions are strictly smaller, so each word is finalized
         exactly once; coefficients of pending duplicates merge before
-        expansion.
+        expansion.  A word is pushed when it enters ``work``, so one that
+        cancels and returns is queued twice; the empty pop is skipped.
         """
         if self.unit:
             return {}
@@ -208,10 +209,8 @@ class _LeadIndex:
         work = dict(terms)
         heap = [(-len(w), desc(w), w) for w in work]
         heapq.heapify(heap)
-        queued = set(work)
         while heap:
             _, _, w = heapq.heappop(heap)
-            queued.discard(w)
             c = work.pop(w, ZERO)
             if not c:
                 continue
@@ -226,10 +225,9 @@ class _LeadIndex:
                 nw = x + t + y
                 nv = work.get(nw, ZERO) + c * tc
                 if nv:
-                    work[nw] = nv
-                    if nw not in queued:
+                    if nw not in work:
                         heapq.heappush(heap, (-len(nw), desc(nw), nw))
-                        queued.add(nw)
+                    work[nw] = nv
                 else:
                     work.pop(nw, None)
         return out
@@ -264,9 +262,6 @@ class RewriteSystem:
 
     def is_normal(self, word: str) -> bool:
         return self._index.find_reduction(word) is None
-
-    def normal_form(self, p: NcPoly) -> NcPoly:
-        return normal_form(p, self)
 
     def dump(self) -> str:
         word = self.alphabet.word_token
@@ -304,11 +299,16 @@ class RewriteSystem:
             raise ValueError(f"degree {degree} and complete_through {done} must not be negative")
         if done > degree:
             raise ValueError(f"complete_through {done} is above degree {degree}")
+        system = cls(alphabet, rules.values(), degree, done)
+        token, find = alphabet.word_token, system._index.find_reduction
         for lead in rules:
             if len(lead) > degree:
-                token = alphabet.word_token(lead)
-                raise ValueError(f"rule lead {token} is longer than degree {degree}")
-        return cls(alphabet, rules.values(), degree, done)
+                raise ValueError(f"rule lead {token(lead)} is longer than degree {degree}")
+            # unresolved_overlaps sees proper overlaps only, not a lead in a lead
+            hit = lead and (find(lead[1:]) or find(lead[:-1]))
+            if hit:
+                raise ValueError(f"rule lead {token(lead)} contains the lead {token(hit[1])}")
+        return system
 
     def __eq__(self, other) -> bool:
         return (
@@ -321,21 +321,21 @@ class RewriteSystem:
 
 
 def normal_form(p: NcPoly, system: RewriteSystem) -> NcPoly:
-    """Fully reduce ``p``; requires degree(p) <= the system degree bound."""
+    """Fully reduce ``p``.  The normal form is certified only through
+    ``complete_through``, the degree where every overlap is resolved; above
+    it this raises NotCertifiedError.  This is the one certification gate."""
     if p.alphabet != system.alphabet:
         raise ValueError("polynomial alphabet does not match the system")
-    if p.degree() > system.degree_bound:
-        raise NotCertifiedError(p.degree(), system.degree_bound)
+    if p.degree() > system.complete_through:
+        raise NotCertifiedError(p.degree(), system.complete_through)
     reduced = system._index.reduce_terms(p.terms, system.alphabet.desc_key)
     return NcPoly._adopt(p.alphabet, reduced)
 
 
 def ideal_member(p: NcPoly, system: RewriteSystem) -> bool:
-    """True = certified member (a certificate of degree <= the completed
-    bound exists); False = no certificate within that bound.  Degrees above
-    ``complete_through`` raise NotCertifiedError rather than answer."""
-    if p.degree() > system.complete_through:
-        raise NotCertifiedError(p.degree(), system.complete_through)
+    """True = certified member (a certificate of degree <= ``complete_through``
+    exists); False = no certificate within that bound.  Degrees above
+    ``complete_through`` raise NotCertifiedError from :func:`normal_form`."""
     return normal_form(p, system).is_zero()
 
 

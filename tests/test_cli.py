@@ -445,7 +445,7 @@ def test_nf_above_bound_is_uncertified(cyclic2, tmp_path, capsys):
 
 def test_nf_above_complete_through_is_uncertified(cyclic2, tmp_path, capsys):
     # a dump may state a degree above complete_through, where overlaps stay
-    # unresolved: nf certifies a normal form only through complete_through
+    # unresolved: normal_form, and so nf, certifies only through complete_through
     pres = tmp_path / "hw.txt"
     system = tmp_path / "sys.txt"
     main(["present", "--algebra", "hw", "--form", cyclic2, "--out", str(pres)])
@@ -459,7 +459,8 @@ def test_nf_above_complete_through_is_uncertified(cyclic2, tmp_path, capsys):
     left = tails[l1] * NcPoly.from_word(a, word[len(l1):])
     spoly = left - NcPoly.from_word(a, word[: -len(l2)]) * tails[l2]
     assert spoly.degree() == 5
-    assert not normal_form(spoly, loose).is_zero()
+    with pytest.raises(NotCertifiedError):
+        normal_form(spoly, loose)
     assert normal_form(spoly, system_for(build_hw(W2), 6)).is_zero()
     with pytest.raises(NotCertifiedError):
         ideal_member(spoly, loose)

@@ -21,6 +21,7 @@ from hopfw.hopf import (
     build_presentation,
     check_antipode,
     check_counit,
+    check_coproduct,
     check_hom,
     check_left_inverse_identity,
     check_representation,
@@ -38,7 +39,7 @@ from hopfw.hopf import (
     worst_status,
 )
 from hopfw.ncalg import Alphabet, Generator, NcPoly
-from hopfw.rewrite import complete
+from hopfw.rewrite import RewriteSystem, complete
 from test_golden import PRESENTATIONS
 
 # the running 2-dimensional example, a polar member of it, and the
@@ -330,6 +331,20 @@ def test_axiom_suite_reports_uncertified_antipode_checks():
     assert worst_status(results) is Status.UNCERTIFIED
     # the check names themselves do not depend on the truncation
     assert [r.name for r in results] == [r.name for r in hopf_axiom_suite(ah, 6)]
+
+
+def test_suites_are_uncertified_above_a_dumps_complete_through(hw2):
+    # a dump may certify less than its degree: the coproduct checks of the
+    # cubic relations go through normal_form, which refuses above degree 2
+    text = system_for(hw2, 4).dump().replace("complete_through 4\n", "complete_through 2\n")
+    loose = RewriteSystem.parse(text)
+    assert (loose.degree_bound, loose.complete_through) == (4, 2)
+    results = check_coproduct(hw2, 4, loose)
+    assert status_counts(results) == {Status.PASS: 8, Status.UNCERTIFIED: 8}
+    uncertified = [r for r in results if r.status is Status.UNCERTIFIED]
+    assert {r.detail for r in uncertified} == {"needs degree 3, certified 2"}
+    suite = hopf_axiom_suite(hw2, 4, loose)
+    assert status_counts(suite) == {Status.PASS: 48, Status.UNCERTIFIED: 16}
 
 
 def test_counit_checks_are_pure_arithmetic():

@@ -185,6 +185,19 @@ def test_normal_form_is_linear_and_idempotent():
         assert ideal_member(p - np_, s)
 
 
+def test_normal_form_keeps_a_word_that_cancels_and_returns():
+    # t and r rewrite to p and -p, which cancel; q brings p back within the
+    # same reduction, after its first copy has left the worklist's dict
+    text = (
+        "system\ndegree 1\ncomplete_through 1\ngenerators p q r t\n"
+        "rule q -> p\nrule r -> -p\nrule t -> p\n"
+    )
+    s = RewriteSystem.parse(text)
+    a = s.alphabet
+    assert normal_form(parse_poly(a, "t + r + q"), s) == parse_poly(a, "p")
+    assert normal_form(parse_poly(a, "t + r"), s).is_zero()
+
+
 def test_dump_parse_round_trip():
     a = free_alphabet("p", "q")
     s = complete([parse_poly(a, "p*q - 1"), parse_poly(a, "q*p - 1")], 4)
@@ -226,6 +239,12 @@ _MALFORMED = [
     (
         "system\ndegree 3\ncomplete_through 3\ngenerators x\nrule x*x*x*x*x -> x",
         "rule lead x\\*x\\*x\\*x\\*x is longer than degree 3",
+    ),
+    # a lead containing another lead is an inclusion ambiguity that the
+    # overlap audit does not see
+    (
+        "system\ndegree 3\ncomplete_through 3\ngenerators w x y z\nrule y -> x\nrule y*z -> w",
+        "rule lead y\\*z contains the lead y",
     ),
 ]
 
