@@ -208,12 +208,6 @@ def deglex_key(word: str) -> tuple[int, str]:
     return (len(word), word)
 
 
-def deglex_compare(a: str, b: str) -> int:
-    """-1, 0, or 1 as word ``a`` is below, equal to, or above ``b``."""
-    ka, kb = deglex_key(a), deglex_key(b)
-    return -1 if ka < kb else (0 if ka == kb else 1)
-
-
 _SIGNS = re.compile(r"([+-][\s+-]*)")
 _COEFFICIENT = re.compile(r"\d+(?:/\d+)?")
 

@@ -174,10 +174,9 @@ class _LeadIndex:
         return s_terms
 
     def find_reduction(self, word: str):
-        """Leftmost position, shortest lead there (= deglex-smallest match).
-
-        Returns (pos, lead, tail) or None.
-        """
+        """The leftmost lead in ``word`` as (pos, lead, tail), or None.  Live
+        leads are pairwise factor-free, so at most one starts at each
+        position."""
         if self.unit:
             return 0, "", self.by_word[""]
         by_word = self.by_word
@@ -234,7 +233,17 @@ class _LeadIndex:
 
 
 class RewriteSystem:
-    """A frozen, interreduced, degree-truncated rewriting system."""
+    """A frozen, interreduced, degree-truncated rewriting system.
+
+    The constructor refuses with ValueError any system whose normal forms
+    could not be trusted, however it was built.  The invariants:
+
+    * ``0 <= complete_through <= degree_bound``;
+    * each lead is on one rule and is at most ``degree_bound`` long;
+    * every tail word is below its lead in deglex, so rewriting ends;
+    * no lead contains another, an inclusion ambiguity that the overlap
+      audit does not see; so at most one lead starts at each position.
+    """
 
     def __init__(
         self,
@@ -243,22 +252,30 @@ class RewriteSystem:
         degree_bound: int,
         complete_through: int,
     ) -> None:
+        degree, done = degree_bound, complete_through
+        if min(degree, done) < 0:
+            raise ValueError(f"degree {degree} and complete_through {done} must not be negative")
+        if done > degree:
+            raise ValueError(f"complete_through {done} is above degree {degree}")
         self.alphabet = alphabet
         self.rules = sorted(rules, key=lambda r: deglex_key(r.lead))
         self.degree_bound = degree_bound
         self.complete_through = complete_through
-        self._index = _LeadIndex()
+        self._index = index = _LeadIndex()
+        token = alphabet.word_token
         for r in self.rules:
-            self._index.add(r.lead, r.tail.terms)
-
-    def find_reduction(self, word: str):
-        """Leftmost reducible position; the deglex-smallest lead matching
-        there.  Returns (pos, rule) or None."""
-        hit = self._index.find_reduction(word)
-        if hit is None:
-            return None
-        pos, lead, _ = hit
-        return pos, Rule(lead, NcPoly._adopt(self.alphabet, self._index.by_word[lead]))
+            lead = r.lead
+            if lead in index.by_word:
+                raise ValueError(f"lead {token(lead)} appears on two rules")
+            if len(lead) > degree:
+                raise ValueError(f"rule lead {token(lead)} is longer than degree {degree}")
+            if any(deglex_key(w) >= deglex_key(lead) for w in r.tail.terms):
+                raise ValueError(f"rule tail is not below its lead {token(lead)} in deglex")
+            index.add(lead, r.tail.terms)
+        for lead in index.by_word:
+            hit = lead and (index.find_reduction(lead[1:]) or index.find_reduction(lead[:-1]))
+            if hit:
+                raise ValueError(f"rule lead {token(lead)} contains the lead {token(hit[1])}")
 
     def is_normal(self, word: str) -> bool:
         return self._index.find_reduction(word) is None
@@ -284,31 +301,13 @@ class RewriteSystem:
             if len(lead_poly.terms) != 1 or lead_poly.leading_coeff() != 1:
                 raise ValueError(f"rule lead must be a single word: {ln!r}")
             lead = lead_poly.leading_word()
-            tail = parse_poly(alphabet, rhs)
-            # a tail word at or above its lead would make rewriting loop
-            if any(deglex_key(w) >= deglex_key(lead) for w in tail.terms):
-                raise ValueError(f"rule tail is not below its lead in deglex: {ln!r}")
             if lead in rules:
                 raise ValueError(f"lead appears on two rules: {ln!r}")
-            rules[lead] = Rule(lead, tail)
+            rules[lead] = Rule(lead, parse_poly(alphabet, rhs))
 
         fields = {"system": _no_value, "degree": int, "complete_through": int}
         header, _, alphabet = read_dump(text, fields, {"rule": rule})
-        degree, done = header["degree"], header["complete_through"]
-        if min(degree, done) < 0:
-            raise ValueError(f"degree {degree} and complete_through {done} must not be negative")
-        if done > degree:
-            raise ValueError(f"complete_through {done} is above degree {degree}")
-        system = cls(alphabet, rules.values(), degree, done)
-        token, find = alphabet.word_token, system._index.find_reduction
-        for lead in rules:
-            if len(lead) > degree:
-                raise ValueError(f"rule lead {token(lead)} is longer than degree {degree}")
-            # unresolved_overlaps sees proper overlaps only, not a lead in a lead
-            hit = lead and (find(lead[1:]) or find(lead[:-1]))
-            if hit:
-                raise ValueError(f"rule lead {token(lead)} contains the lead {token(hit[1])}")
-        return system
+        return cls(alphabet, rules.values(), header["degree"], header["complete_through"])
 
     def __eq__(self, other) -> bool:
         return (

@@ -281,24 +281,46 @@ def test_parse_rejects_a_repeated_lead():
     assert len(back.rules) == 2
 
 
-def test_find_reduction_prefers_leftmost_then_smallest():
-    a = free_alphabet("x", "y")
-    x, y = (a.char(g) for g in a.generators)
+def test_normal_form_rewrites_the_leftmost_lead_first():
+    a = free_alphabet("x", "y", "z")
+    x, y, z = (a.char(g) for g in a.generators)
     rules = [
-        Rule(y, NcPoly(a, {x: 1})),
-        Rule(y + y, NcPoly(a, {"": 1})),
         Rule(x + y, NcPoly(a, {x: 1})),
+        Rule(y + z, NcPoly(a, {y: 1})),
     ]
-    s = RewriteSystem(a, rules, 4, 4)
-    # leftmost reducible position wins: the length-2 rule at 0 beats the
-    # length-1 rule at 1
-    pos, rule = s.find_reduction(x + y + y)
-    assert pos == 0 and rule.lead == x + y
-    # at equal positions the deglex-smallest (shortest) matching lead wins
-    pos, rule = s.find_reduction(y + y + x)
-    assert pos == 0 and rule.lead == y
+    s = RewriteSystem(a, rules, 3, 3)
+    # x*y starts at 0 and y*z at 1: rewriting x*y first gives x*z, while
+    # rewriting y*z first would give x*y and then x
+    assert normal_form(parse_poly(a, "x*y*z"), s) == parse_poly(a, "x*z")
+    assert not s.is_normal(x + y + z)
+    assert s.is_normal(x + z)
     assert s.is_normal(x + x)
-    assert s.find_reduction(x + x) is None
+
+
+# (rules, degree, complete_through, message): each system is refused by the
+# constructor itself, not only when it is read from a dump
+_UNTRUSTED = {
+    "negative bound": ([], 3, -2, "must not be negative"),
+    "complete_through above degree": ([], 3, 9, "complete_through 9 is above degree 3"),
+    "lead longer than degree": (["x*x*x*x -> x"], 3, 3, "lead x\\*x\\*x\\*x is longer than degree 3"),
+    "tail equal to its lead": (["y -> y"], 3, 3, "not below its lead y"),
+    "tail above its lead": (["x -> x*x"], 3, 3, "not below its lead x"),
+    "repeated lead": (["y -> x", "y -> 1"], 3, 3, "lead y appears on two rules"),
+    "lead in a lead": (["y -> x", "y*z -> w"], 3, 3, "lead y\\*z contains the lead y"),
+    "unit lead beside another": (["1 -> 0", "x -> 0"], 3, 3, "lead x contains the lead 1"),
+}
+
+
+@pytest.mark.parametrize("case", _UNTRUSTED)
+def test_constructor_refuses_an_untrusted_system(case):
+    rules, degree, done, message = _UNTRUSTED[case]
+    a = free_alphabet("w", "x", "y", "z")
+    built = []
+    for text in rules:
+        lead, tail = (parse_poly(a, side) for side in text.split("->"))
+        built.append(Rule(lead.leading_word(), tail))
+    with pytest.raises(ValueError, match=message):
+        RewriteSystem(a, built, degree, done)
 
 
 def test_agreement_with_the_span_oracle_seeded():
