@@ -208,8 +208,8 @@ def _preservation(
     for mu in itertools.product(rng, repeat=w.arity):
         terms: dict[str, Scalar] = {"": -w[mu]}
         for lam, c in w.entries.items():
-            word = "".join(char[pair] for pair in zip(lam, mu))
-            terms[word] = terms.get(word, ZERO) + c
+            # for a fixed M each word spells its L, so no two terms meet
+            terms["".join(char[pair] for pair in zip(lam, mu))] = c
         yield mu, NcPoly(alphabet, terms)
 
 
@@ -227,16 +227,13 @@ def _polar_matrix(
 ) -> PolyMatrix:
     """P[mu,nu] = sum wt^{mu,L} w_{R,nu} g^{R1}_{L1}...g^{R(m-1)}_{L(m-1)}, the
     antipode of g written through a polar tensor."""
-    n = w.dim
-    terms: dict[tuple[int, int], dict[str, Scalar]] = {
-        (mu, nu): {} for mu in range(1, n + 1) for nu in range(1, n + 1)
-    }
+    rng = range(1, w.dim + 1)
+    terms: dict[tuple[int, int], dict[str, Scalar]] = {(mu, nu): {} for mu in rng for nu in rng}
     for lidx, c1 in wt.entries.items():
         for ridx, c2 in w.entries.items():
             word = alphabet.word(Generator(family, i, j) for i, j in zip(ridx[:-1], lidx[1:]))
-            entry = terms[(lidx[0], ridx[-1])]
-            entry[word] = entry.get(word, ZERO) + c1 * c2
-    rng = range(1, n + 1)
+            # the entry fixes L1 and Rm and the word spells the rest of L and R
+            terms[lidx[0], ridx[-1]][word] = c1 * c2
     return PolyMatrix(alphabet, ([NcPoly(alphabet, terms[(mu, nu)]) for nu in rng] for mu in rng))
 
 
@@ -578,15 +575,14 @@ def pair_reduction_suite(
     a = pres.alphabet
     pairs = []
     for lam, rho, *rest in itertools.product(range(1, pres.n + 1), repeat=pres.m):
+        # each s word spells its M3..Mm and each u word its N1 N2, so no two terms meet
         terms: dict[str, Scalar] = {}
         for idx, c in w.entries.items():
             if idx[:2] == (lam, rho):
                 letters = zip(reversed(idx[2:]), reversed(rest))
-                word = a.word(Generator("s", i, j) for i, j in letters)
-                terms[word] = terms.get(word, ZERO) + c
+                terms[a.word(Generator("s", i, j) for i, j in letters)] = c
             if list(idx[2:]) == rest:
-                word = a.word([Generator("u", idx[0], lam), Generator("u", idx[1], rho)])
-                terms[word] = terms.get(word, ZERO) - c
+                terms[a.word([Generator("u", idx[0], lam), Generator("u", idx[1], rho)])] = -c
         pairs.append(((lam, rho, *rest), NcPoly(a, terms)))
     return _verdicts("pairred", pairs, system)
 

@@ -237,14 +237,7 @@ class _LinearCombination:
 
     def __init__(self, alphabet: Alphabet, terms: Mapping | None = None):
         self.alphabet = alphabet
-        clean: dict = {}
-        for k, c in (terms or {}).items():
-            c = clean.get(k, ZERO) + rat(c)
-            if c:
-                clean[k] = c
-            else:
-                clean.pop(k, None)
-        self.terms = clean
+        self.terms = {k: c for k, v in (terms or {}).items() if (c := rat(v))}
 
     @classmethod
     def _adopt(cls, alphabet: Alphabet, terms: dict):

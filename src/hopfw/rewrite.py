@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .exactnum import Scalar, ZERO, rat
-from .ncalg import Alphabet, NcPoly, deglex_key, parse_poly, read_dump, write_dump
+from .ncalg import Alphabet, NcPoly, _read_monomial, deglex_key, parse_poly, read_dump, write_dump
 
 
 class NotCertifiedError(Exception):
@@ -160,10 +160,7 @@ class _LeadIndex:
         t2 = self.by_word.get(l2)
         if t1 is None or t2 is None:
             return None
-        s_terms: dict[str, Scalar] = {}
-        for w, c in t1.items():
-            kw = w + z
-            s_terms[kw] = s_terms.get(kw, ZERO) + c
+        s_terms = {w + z: c for w, c in t1.items()}
         for w, c in t2.items():
             kw = x + w
             nv = s_terms.get(kw, ZERO) - c
@@ -240,7 +237,8 @@ class RewriteSystem:
 
     * ``0 <= complete_through <= degree_bound``;
     * each lead is on one rule and is at most ``degree_bound`` long;
-    * every tail word is below its lead in deglex, so rewriting ends;
+    * every tail is over the system's alphabet, and each of its words is
+      below its lead in deglex, so rewriting ends;
     * no lead contains another, an inclusion ambiguity that the overlap
       audit does not see; so at most one lead starts at each position.
     """
@@ -265,6 +263,8 @@ class RewriteSystem:
         token = alphabet.word_token
         for r in self.rules:
             lead = r.lead
+            if r.tail.alphabet != alphabet:
+                raise ValueError(f"rule tail of {token(lead)} is drawn from another alphabet")
             if lead in index.by_word:
                 raise ValueError(f"lead {token(lead)} appears on two rules")
             if len(lead) > degree:
@@ -297,10 +297,9 @@ class RewriteSystem:
             lhs, sep, rhs = rest.partition("->")
             if not sep:
                 raise ValueError(f"malformed rule line: {ln!r}")
-            lead_poly = parse_poly(alphabet, lhs)
-            if len(lead_poly.terms) != 1 or lead_poly.leading_coeff() != 1:
+            lead, c = _read_monomial(alphabet, lhs)
+            if c != 1:
                 raise ValueError(f"rule lead must be a single word: {ln!r}")
-            lead = lead_poly.leading_word()
             if lead in rules:
                 raise ValueError(f"lead appears on two rules: {ln!r}")
             rules[lead] = Rule(lead, parse_poly(alphabet, rhs))

@@ -231,12 +231,13 @@ def _seeded_form(seed: int) -> MultilinearForm:
 
 def test_relations_are_nonzero_and_distinct():
     """No builder can emit a zero relation or two equal ones, so none is
-    filtered out.  Every word of a preservation relation (form, invw, wv)
-    spells its free tuple M in its generator columns, and for wtv in its
-    rows; the us, tus, bst and binst entries and the ahmn relations likewise
-    spell their own index; and forms, polar members and b are nonzero.
-    Checked on the golden presentations, on ahmn for m, n in 2-3, and on
-    every kind that builds for 150 seeded forms."""
+    filtered out, and forms and polar members are nonzero.  A preservation
+    relation (form, invw, wv) has one word per form entry L, spelling its
+    free tuple M in its generator columns; wtv has one per polar entry,
+    spelling M in its rows; and each hww antipode entry P[mu,nu] has one
+    word per pair of a polar entry L and a form entry R with L1 = mu and
+    Rm = nu.  Checked on the golden presentations, on ahmn for m, n in 2-3,
+    and on every kind that builds for 150 seeded forms."""
     presentations = [build() for build in PRESENTATIONS.values()]
     presentations += [build_ahmn(m, n) for m in (2, 3) for n in (2, 3)]
     for seed in range(150):
@@ -251,6 +252,23 @@ def test_relations_are_nonzero_and_distinct():
     for pres in presentations:
         assert not any(rel.is_zero() for rel in pres.relations), pres.label()
         assert len(set(pres.relations)) == len(pres.relations), pres.label()
+        w, wt = (getattr(pres.provenance, f, None) for f in ("form", "polar_member"))
+        assert all(f is None or not f.is_zero() for f in (w, wt)), pres.label()
+        spelled = {"form": (w, "col"), "invw": (w, "col"), "wv": (w, "col"), "wtv": (wt, "row")}
+        for label, rel in zip(pres.relation_labels, pres.relations):
+            name, _, idx = label[:-1].partition("[")
+            if name not in spelled:
+                continue
+            form, side = spelled[name]
+            words = [word for word in rel.terms if word]
+            assert len(words) == len(form.entries), label
+            for word in words:
+                spelt = ",".join(str(getattr(g, side)) for g in pres.alphabet.letters(word))
+                assert spelt == idx, label
+        if pres.kind == "hww":
+            for g, image in pres.structure.antipode.items():
+                pairs = sum(l[0] == g.row and r[-1] == g.col for l in wt.entries for r in w.entries)
+                assert len(image.terms) == pairs, (pres.label(), g)
 
 
 # ------------------------------------------------------------ axiom suites

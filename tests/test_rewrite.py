@@ -246,6 +246,15 @@ _MALFORMED = [
         "system\ndegree 3\ncomplete_through 3\ngenerators w x y z\nrule y -> x\nrule y*z -> w",
         "rule lead y\\*z contains the lead y",
     ),
+    # a lead is one monomial with coefficient 1: no sign, no second term
+    ("system\ndegree 3\ncomplete_through 3\ngenerators p q\nrule -p -> 1", "token: '-p'"),
+    ("system\ndegree 3\ncomplete_through 3\ngenerators p q\nrule p + q -> 1", "token: 'p \\+ q'"),
+    (
+        "system\ndegree 3\ncomplete_through 3\ngenerators p q\nrule p - p + p -> 1",
+        "token: 'p - p \\+ p'",
+    ),
+    ("system\ndegree 3\ncomplete_through 3\ngenerators p q\nrule 0 -> 1", "single word"),
+    ("system\ndegree 3\ncomplete_through 3\ngenerators p q\nrule 1/2*p -> 1", "single word"),
 ]
 
 
@@ -270,6 +279,13 @@ _HEADER = "system\ndegree 4\ncomplete_through 4\ngenerators u[1,1] u[1,2]\n"
 def test_parse_rejects_a_tail_not_below_its_lead(rule):
     with pytest.raises(ValueError, match="not below its lead"):
         RewriteSystem.parse(_HEADER + rule + "\n")
+
+
+def test_parse_reads_the_unit_lead():
+    text = "system\ndegree 3\ncomplete_through 3\ngenerators p q\nrule 1 -> 0\n"
+    s = RewriteSystem.parse(text)
+    assert [r.lead for r in s.rules] == [""]
+    assert normal_form(parse_poly(s.alphabet, "p*q + 2"), s).is_zero()
 
 
 def test_parse_rejects_a_repeated_lead():
@@ -321,6 +337,13 @@ def test_constructor_refuses_an_untrusted_system(case):
         built.append(Rule(lead.leading_word(), tail))
     with pytest.raises(ValueError, match=message):
         RewriteSystem(a, built, degree, done)
+
+
+def test_constructor_refuses_a_tail_from_another_alphabet():
+    a, b = free_alphabet("x", "y"), free_alphabet("p", "q")
+    rule = Rule(a.char(Generator.free("y")), parse_poly(b, "p"))
+    with pytest.raises(ValueError, match="rule tail of y is drawn from another alphabet"):
+        RewriteSystem(a, [rule], 2, 2)
 
 
 def test_agreement_with_the_span_oracle_seeded():
