@@ -27,7 +27,17 @@ Implementation notes, sized for thousands of rules:
 * retraction keeps live leads pairwise factor-free: a new lead evicts every
   longer live lead containing it (checked per length bucket), and the evicted
   polynomial re-enters the queue;
-* after the queue drains, each tail is reduced once, leads ascending.
+* after the queue drains, each tail is reduced once, leads ascending;
+* integer coefficients -- inside the engine an integral coefficient is a
+  plain ``int`` and only a value with a denominator is a ``Fraction``.
+  Input relations, parsed tails and ``normal_form`` queries enter through
+  ``_lean``; ``reduce_terms`` and ``s_poly`` start their sums from ``0``.
+  Insertion makes a rule monic by negating when the lead coefficient is
+  +-1 and otherwise by dividing a ``Fraction`` by it, with an integral
+  quotient turned back into an ``int``: ``int / int`` would give a float,
+  so it never runs.  A frozen system holds each tail once, in this form;
+  values turn back into ``Fraction`` only where they are handed out, in
+  ``RewriteSystem.rules`` and the result of :func:`normal_form`.
 
 Completion does not audit itself: the shipped system resolves every overlap
 of degree <= D by construction (Bergman, "The diamond lemma for ring
@@ -59,7 +69,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .exactnum import Scalar, ZERO, rat
+from .exactnum import Scalar
 from .ncalg import Alphabet, NcPoly, _read_monomial, deglex_key, parse_poly, read_dump, write_dump
 
 
@@ -80,10 +90,47 @@ def _no_value(rest: str) -> None:
         raise ValueError(f"system line takes no value: {rest.strip()!r}")
 
 
+# a term dict inside the engine: integral coefficients are ints
+_Terms = dict[str, "int | Scalar"]
+
+
+def _lean(q: int | Scalar) -> int | Scalar:
+    """``q`` as an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _lean_terms(terms: _Terms) -> _Terms:
+    return {w: _lean(c) for w, c in terms.items()}
+
+
+# Fractions are immutable, so handed-out polynomials share these: a
+# small coefficient costs no new object
+_SMALL = {i: Scalar(i) for i in range(-64, 65)}
+
+
+def _public(terms: _Terms) -> dict[str, Scalar]:
+    return {w: _SMALL.get(c) or Scalar(c) for w, c in terms.items()}
+
+
 @dataclass(frozen=True)
 class Rule:
     lead: str
     tail: NcPoly
+
+
+@dataclass
+class CompletionStats:
+    """Totals of one :func:`complete` run, counted by integer increments.
+    Every popped polynomial and every pair that is not stale is reduced,
+    and each reduction ends in zero or in a new rule:
+    ``pairs_popped - stale_pairs + requeued_polys == reductions_to_zero +
+    new_rules``."""
+
+    pairs_popped: int = 0
+    stale_pairs: int = 0  # a parent rule was retracted before the pop
+    reductions_to_zero: int = 0
+    new_rules: int = 0
+    requeued_polys: int = 0  # the input relations and the evicted rules
 
 
 class _LeadIndex:
@@ -92,7 +139,7 @@ class _LeadIndex:
     __slots__ = ("by_word", "by_len", "prefixes", "suffixes", "maxlen", "unit")
 
     def __init__(self) -> None:
-        self.by_word: dict[str, dict[str, Scalar]] = {}
+        self.by_word: dict[str, _Terms] = {}
         self.by_len: dict[int, set[str]] = {}
         # (affix, length of the lead) -> live leads with that proper affix
         self.prefixes: dict[tuple[str, int], set[str]] = {}
@@ -100,7 +147,7 @@ class _LeadIndex:
         self.maxlen = 0  # stale-high after removals; only costs extra probes
         self.unit = False
 
-    def add(self, lead: str, tail: dict[str, Scalar]) -> None:
+    def add(self, lead: str, tail: _Terms) -> None:
         self.by_word[lead] = tail
         if lead == "":
             self.unit = True
@@ -113,7 +160,7 @@ class _LeadIndex:
             self.prefixes.setdefault((lead[:i], n), set()).add(lead)
             self.suffixes.setdefault((lead[i:], n), set()).add(lead)
 
-    def remove(self, lead: str) -> dict[str, Scalar]:
+    def remove(self, lead: str) -> _Terms:
         tail = self.by_word.pop(lead)
         if lead == "":
             self.unit = False
@@ -163,7 +210,7 @@ class _LeadIndex:
         s_terms = {w + z: c for w, c in t1.items()}
         for w, c in t2.items():
             kw = x + w
-            nv = s_terms.get(kw, ZERO) - c
+            nv = s_terms.get(kw, 0) - c
             if nv:
                 s_terms[kw] = nv
             else:
@@ -190,7 +237,7 @@ class _LeadIndex:
                     return pos, lead, tail
         return None
 
-    def reduce_terms(self, terms: dict[str, Scalar], desc) -> dict[str, Scalar]:
+    def reduce_terms(self, terms: _Terms, desc) -> _Terms:
         """Rewrite a term dict to normal form.
 
         Worklist in descending deglex (``desc`` is the order-reversing word
@@ -201,13 +248,13 @@ class _LeadIndex:
         """
         if self.unit:
             return {}
-        out: dict[str, Scalar] = {}
+        out: _Terms = {}
         work = dict(terms)
         heap = [(-len(w), desc(w), w) for w in work]
         heapq.heapify(heap)
         while heap:
             _, _, w = heapq.heappop(heap)
-            c = work.pop(w, ZERO)
+            c = work.pop(w, 0)
             if not c:
                 continue
             hit = self.find_reduction(w)
@@ -219,7 +266,7 @@ class _LeadIndex:
             y = w[pos + len(lead) :]
             for t, tc in tail.items():
                 nw = x + t + y
-                nv = work.get(nw, ZERO) + c * tc
+                nv = work.get(nw, 0) + c * tc
                 if nv:
                     if nw not in work:
                         heapq.heappush(heap, (-len(nw), desc(nw), nw))
@@ -232,15 +279,22 @@ class _LeadIndex:
 class RewriteSystem:
     """A frozen, interreduced, degree-truncated rewriting system.
 
-    The constructor refuses with ValueError any system whose normal forms
-    could not be trusted, however it was built.  The invariants:
+    One gate, ``_freeze``, refuses with ValueError any system whose normal
+    forms could not be trusted, however it was built: by the constructor,
+    ``parse`` or ``complete``.  The invariants:
 
     * ``0 <= complete_through <= degree_bound``;
-    * each lead is on one rule and is at most ``degree_bound`` long;
+    * each lead is on one rule, is spelled in the system's alphabet and is
+      at most ``degree_bound`` long;
     * every tail is over the system's alphabet, and each of its words is
       below its lead in deglex, so rewriting ends;
     * no lead contains another, an inclusion ambiguity that the overlap
       audit does not see; so at most one lead starts at each position.
+
+    The index holds each tail once, with integral coefficients as ints;
+    ``rules`` builds Fraction-valued rules afresh on each read.  ``stats``
+    is the :class:`CompletionStats` of the run that made the system, or
+    None; it is neither dumped nor compared.
     """
 
     def __init__(
@@ -250,32 +304,65 @@ class RewriteSystem:
         degree_bound: int,
         complete_through: int,
     ) -> None:
-        degree, done = degree_bound, complete_through
+        tails: dict[str, _Terms] = {}
+        token = alphabet.word_token
+        for r in rules:
+            lead = r.lead
+            if r.tail.alphabet != alphabet:
+                raise ValueError(f"rule tail of {token(lead)} is drawn from another alphabet")
+            if lead in tails:
+                raise ValueError(f"lead {token(lead)} appears on two rules")
+            tails[lead] = _lean_terms(r.tail.terms)
+        self._freeze(alphabet, tails, degree_bound, complete_through)
+
+    @classmethod
+    def _of_tails(
+        cls, alphabet: Alphabet, tails: dict[str, _Terms], degree_bound: int,
+        complete_through: int,
+    ) -> "RewriteSystem":
+        """The constructor's gate for engine tails keyed by lead, which the
+        system keeps without a copy (``parse`` and ``complete``)."""
+        system = cls.__new__(cls)
+        system._freeze(alphabet, tails, degree_bound, complete_through)
+        return system
+
+    def _freeze(
+        self, alphabet: Alphabet, tails: dict[str, _Terms], degree: int, done: int
+    ) -> None:
         if min(degree, done) < 0:
             raise ValueError(f"degree {degree} and complete_through {done} must not be negative")
         if done > degree:
             raise ValueError(f"complete_through {done} is above degree {degree}")
         self.alphabet = alphabet
-        self.rules = sorted(rules, key=lambda r: deglex_key(r.lead))
-        self.degree_bound = degree_bound
-        self.complete_through = complete_through
+        self.degree_bound = degree
+        self.complete_through = done
+        self.stats: CompletionStats | None = None
         self._index = index = _LeadIndex()
         token = alphabet.word_token
-        for r in self.rules:
-            lead = r.lead
-            if r.tail.alphabet != alphabet:
-                raise ValueError(f"rule tail of {token(lead)} is drawn from another alphabet")
-            if lead in index.by_word:
-                raise ValueError(f"lead {token(lead)} appears on two rules")
+        for lead in sorted(tails, key=deglex_key):  # ``rules`` reads leads in this order
+            try:
+                alphabet.letters(lead)
+            except KeyError:
+                raise ValueError(f"rule lead {lead!r} is not spelled in the alphabet") from None
             if len(lead) > degree:
                 raise ValueError(f"rule lead {token(lead)} is longer than degree {degree}")
-            if any(deglex_key(w) >= deglex_key(lead) for w in r.tail.terms):
+            tail = tails[lead]
+            if any(deglex_key(w) >= deglex_key(lead) for w in tail):
                 raise ValueError(f"rule tail is not below its lead {token(lead)} in deglex")
-            index.add(lead, r.tail.terms)
+            index.add(lead, tail)
         for lead in index.by_word:
             hit = lead and (index.find_reduction(lead[1:]) or index.find_reduction(lead[:-1]))
             if hit:
                 raise ValueError(f"rule lead {token(lead)} contains the lead {token(hit[1])}")
+
+    @property
+    def rules(self) -> list[Rule]:
+        """The rules, leads in deglex order, with Fraction coefficients."""
+        a = self.alphabet
+        return [
+            Rule(lead, NcPoly._adopt(a, _public(tail)))
+            for lead, tail in self._index.by_word.items()
+        ]
 
     def is_normal(self, word: str) -> bool:
         return self._index.find_reduction(word) is None
@@ -290,7 +377,7 @@ class RewriteSystem:
 
     @classmethod
     def parse(cls, text: str) -> "RewriteSystem":
-        rules: dict[str, Rule] = {}
+        tails: dict[str, _Terms] = {}
 
         def rule(alphabet: Alphabet, rest: str) -> None:
             ln = f"rule {rest}"
@@ -300,19 +387,19 @@ class RewriteSystem:
             lead, c = _read_monomial(alphabet, lhs)
             if c != 1:
                 raise ValueError(f"rule lead must be a single word: {ln!r}")
-            if lead in rules:
+            if lead in tails:
                 raise ValueError(f"lead appears on two rules: {ln!r}")
-            rules[lead] = Rule(lead, parse_poly(alphabet, rhs))
+            tails[lead] = _lean_terms(parse_poly(alphabet, rhs).terms)
 
         fields = {"system": _no_value, "degree": int, "complete_through": int}
         header, _, alphabet = read_dump(text, fields, {"rule": rule})
-        return cls(alphabet, rules.values(), header["degree"], header["complete_through"])
+        return cls._of_tails(alphabet, tails, header["degree"], header["complete_through"])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RewriteSystem)
             and self.alphabet == other.alphabet
-            and self.rules == other.rules
+            and self._index.by_word == other._index.by_word
             and self.degree_bound == other.degree_bound
             and self.complete_through == other.complete_through
         )
@@ -326,8 +413,8 @@ def normal_form(p: NcPoly, system: RewriteSystem) -> NcPoly:
         raise ValueError("polynomial alphabet does not match the system")
     if p.degree() > system.complete_through:
         raise NotCertifiedError(p.degree(), system.complete_through)
-    reduced = system._index.reduce_terms(p.terms, system.alphabet.desc_key)
-    return NcPoly._adopt(p.alphabet, reduced)
+    reduced = system._index.reduce_terms(_lean_terms(p.terms), system.alphabet.desc_key)
+    return NcPoly._adopt(p.alphabet, _public(reduced))
 
 
 def ideal_member(p: NcPoly, system: RewriteSystem) -> bool:
@@ -347,8 +434,9 @@ class _Completion:
         self.index = _LeadIndex()
         self.heap: list = []
         self.seq = 0
+        self.stats = CompletionStats()
 
-    def push_poly(self, key_word: str, terms: dict[str, Scalar]) -> None:
+    def push_poly(self, key_word: str, terms: _Terms) -> None:
         self.seq += 1
         heapq.heappush(
             self.heap, (len(key_word), key_word, self.seq, None, terms)
@@ -369,12 +457,15 @@ class _Completion:
         for l1, x, z in self.index.overlaps_as_right(lead, self.degree_bound):
             self.push_pair(l1, lead, x, z)
 
-    def insert(self, reduced: dict[str, Scalar]) -> None:
+    def insert(self, reduced: _Terms) -> None:
         """Make a monic rule out of a reduced nonzero polynomial, retract
         the live rules its lead divides, and queue its overlaps."""
         lead = max(reduced, key=deglex_key)
-        lc = reduced[lead]
-        tail = {w: -c / lc for w, c in reduced.items() if w != lead}
+        lc = reduced.pop(lead)
+        if lc == 1 or lc == -1:
+            tail = {w: _lean(-lc * c) for w, c in reduced.items()}
+        else:  # through Fraction: int / int would give a float
+            tail = {w: _lean(Scalar(-c) / lc) for w, c in reduced.items()}
 
         if lead == "":
             for old in list(self.index.by_word):
@@ -391,7 +482,7 @@ class _Completion:
             for old in [o for o in bucket if lead in o]:
                 old_tail = self.index.remove(old)
                 terms = {w: -c for w, c in old_tail.items()}
-                terms[old] = rat(1)
+                terms[old] = 1
                 self.push_poly(old, terms)
 
         self.index.add(lead, tail)
@@ -399,25 +490,33 @@ class _Completion:
 
     def drain(self, on_progress) -> None:
         reported = -1
+        stats = self.stats
         while self.heap:
             deg, _, _, pair, terms = heapq.heappop(self.heap)
             if on_progress and deg > reported:
                 on_progress(deg, len(self.index.by_word))
                 reported = deg
-            if pair is not None:
+            if pair is None:
+                stats.requeued_polys += 1
+            else:
+                stats.pairs_popped += 1
                 terms = self.index.s_poly(*pair)
                 if terms is None:
+                    stats.stale_pairs += 1
                     continue  # a parent was retracted; its replacement re-queued
             reduced = self.index.reduce_terms(terms, self.desc)
             if reduced:
+                stats.new_rules += 1
                 self.insert(reduced)
+            else:
+                stats.reductions_to_zero += 1
 
     def interreduce(self) -> None:
         """One pass suffices: the leads stay fixed, so each reduced tail is
         already irreducible."""
         by_word = self.index.by_word
         for lead in sorted(by_word, key=deglex_key):
-            by_word[lead] = self.index.reduce_terms(by_word[lead], self.desc)
+            by_word[lead] = _lean_terms(self.index.reduce_terms(by_word[lead], self.desc))
 
 
 def complete(
@@ -447,12 +546,13 @@ def complete(
             )
     st = _Completion(alphabet, degree_bound)
     for r in rels:
-        st.push_poly(r.leading_word(), r.terms)
+        st.push_poly(r.leading_word(), _lean_terms(r.terms))
 
     st.drain(on_progress)
     st.interreduce()
-    rules = [Rule(lead, NcPoly._adopt(alphabet, tail)) for lead, tail in st.index.by_word.items()]
-    return RewriteSystem(alphabet, rules, degree_bound, degree_bound)
+    system = RewriteSystem._of_tails(alphabet, st.index.by_word, degree_bound, degree_bound)
+    system.stats = st.stats
+    return system
 
 
 def unresolved_overlaps(system: RewriteSystem) -> list[tuple[str, str, str]]:
@@ -464,8 +564,7 @@ def unresolved_overlaps(system: RewriteSystem) -> list[tuple[str, str, str]]:
     index = system._index
     desc = system.alphabet.desc_key
     bad = []
-    for rule in system.rules:
-        l1 = rule.lead
+    for l1 in index.by_word:
         for l2, x, z in index.overlaps_as_left(l1, system.degree_bound):
             if index.reduce_terms(index.s_poly(l1, l2, x, z), desc):
                 bad.append((l1, l2, x + l2))

@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from hopfw.forms import MultilinearForm, make_signature
-from hopfw.hopf import build_hw
+from hopfw.hopf import build_bw, build_hw
 from hopfw.ncalg import Alphabet, Generator, NcPoly, parse_poly
 from hopfw.rewrite import (
     NotCertifiedError,
@@ -344,6 +345,82 @@ def test_constructor_refuses_a_tail_from_another_alphabet():
     rule = Rule(a.char(Generator.free("y")), parse_poly(b, "p"))
     with pytest.raises(ValueError, match="rule tail of y is drawn from another alphabet"):
         RewriteSystem(a, [rule], 2, 2)
+
+
+def test_constructor_refuses_a_lead_outside_the_alphabet():
+    # the letters of x and y are chr(0x100) and chr(0x101); chr(0x105) spells
+    # no generator, so a dump of the rule would write an empty lead
+    a = free_alphabet("x", "y")
+    rule = Rule(chr(0x105), NcPoly.zero(a))
+    with pytest.raises(ValueError, match="rule lead '\u0105' is not spelled in the alphabet"):
+        RewriteSystem(a, [rule], 2, 2)
+
+
+# (degree, (pairs popped, stale pairs, reductions to zero, new rules,
+# requeued polynomials), final rules) of hw(e3) completed in builder order
+_E3_COUNTERS = [
+    (4, (4036, 882, 2115, 1576, 537), 1084),
+    (5, (22701, 6683, 11721, 4834, 537), 4342),
+]
+
+
+@pytest.mark.parametrize("degree, totals, rules", _E3_COUNTERS, ids=["D4", "D5"])
+def test_completion_counters_of_hw_e3(degree, totals, rules):
+    system = complete(list(build_hw(make_signature(3)).relations), degree)
+    st = system.stats
+    got = (st.pairs_popped, st.stale_pairs, st.reductions_to_zero, st.new_rules, st.requeued_polys)
+    assert got == totals
+    assert len(system.rules) == rules
+    # every reduction ends in zero or in a new rule
+    assert st.pairs_popped - st.stale_pairs + st.requeued_polys == (
+        st.reductions_to_zero + st.new_rules
+    )
+    # the totals are neither dumped nor compared
+    parsed = RewriteSystem.parse(system.dump())
+    assert parsed.stats is None and parsed == system
+
+
+CYCLIC2 = MultilinearForm(2, 3, {(1, 1, 2): 1, (1, 2, 1): 1, (2, 1, 1): 1})
+_SCALED = {
+    "hw(cyclic2) D=6": (build_hw, CYCLIC2, 6),
+    "bw(cyclic2) D=6": (build_bw, CYCLIC2, 6),
+    "hw(e3) D=4": (build_hw, make_signature(3), 4),
+}
+_SCALES = (2, -3, Fraction(1, 2), Fraction(-3, 5))
+
+
+@pytest.mark.parametrize("case", _SCALED)
+def test_scaled_relations_complete_to_the_same_dump(case):
+    """A lead coefficient other than +-1 sends insertion through its
+    division branch; the monic rules must not see the scale, and every
+    coefficient handed out is a Fraction, never an int or a float."""
+    build, w, degree = _SCALED[case]
+    relations = list(build(w).relations)
+    rng = random.Random(f"scaled {case}")
+    scaled = [r.scale(rng.choice(_SCALES)) for r in relations]
+    system = complete(scaled, degree)
+    assert system.dump() == complete(relations, degree).dump()
+    rules = system.rules
+    handed = [c for rule in rules for c in rule.tail.terms.values()]
+    for rule in rng.sample(rules, min(20, len(rules))):
+        nf = normal_form(NcPoly.from_word(system.alphabet, rule.lead, 2), system)
+        assert nf == rule.tail.scale(2)
+        handed += nf.terms.values()
+    assert handed and all(type(c) is Fraction for c in handed)
+
+
+def test_handed_out_coefficients_are_fractions_with_and_without_denominators():
+    a = free_alphabet("p", "q")
+    rels = [parse_poly(a, "2*q*p - 3*p + 1/2"), parse_poly(a, "p*p - q")]
+    completed = complete(rels, 4)
+    for system in (completed, RewriteSystem.parse(completed.dump())):
+        handed = [c for rule in system.rules for c in rule.tail.terms.values()]
+        for probe in ("q*p*p + 5*q*p - 7", "7"):
+            handed += normal_form(parse_poly(a, probe), system).terms.values()
+        assert all(type(c) is Fraction for c in handed)
+        # integral values and values with a denominator both come out
+        denominators = {c.denominator for c in handed}
+        assert 1 in denominators and max(denominators) > 1
 
 
 def test_agreement_with_the_span_oracle_seeded():
