@@ -100,7 +100,7 @@ def _lean(q: int | Scalar) -> int | Scalar:
 
 
 def _lean_terms(terms: _Terms) -> _Terms:
-    return {w: _lean(c) for w, c in terms.items()}
+    return {w: c.numerator if c.denominator == 1 else c for w, c in terms.items()}
 
 
 # Fractions are immutable, so handed-out polynomials share these: a
@@ -340,10 +340,8 @@ class RewriteSystem:
         self._index = index = _LeadIndex()
         token = alphabet.word_token
         for lead in sorted(tails, key=deglex_key):  # ``rules`` reads leads in this order
-            try:
-                alphabet.letters(lead)
-            except KeyError:
-                raise ValueError(f"rule lead {lead!r} is not spelled in the alphabet") from None
+            if not alphabet.spells(lead):
+                raise ValueError(f"rule lead {lead!r} is not spelled in the alphabet")
             if len(lead) > degree:
                 raise ValueError(f"rule lead {token(lead)} is longer than degree {degree}")
             tail = tails[lead]
