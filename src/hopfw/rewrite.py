@@ -31,7 +31,8 @@ Implementation notes, sized for thousands of rules:
 * integer coefficients -- inside the engine an integral coefficient is a
   plain ``int`` and only a value with a denominator is a ``Fraction``.
   Input relations, parsed tails and ``normal_form`` queries enter through
-  ``_lean``; ``reduce_terms`` and ``s_poly`` start their sums from ``0``.
+  ``_lean_terms``; ``reduce_terms`` and ``s_poly`` start their sums from
+  ``0``.
   Insertion makes a rule monic by negating when the lead coefficient is
   +-1 and otherwise by dividing a ``Fraction`` by it, with an integral
   quotient turned back into an ``int``: ``int / int`` would give a float,
