@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -347,13 +348,14 @@ def test_constructor_refuses_a_tail_from_another_alphabet():
         RewriteSystem(a, [rule], 2, 2)
 
 
-def test_constructor_refuses_a_lead_outside_the_alphabet():
-    # the letters of x and y are chr(0x100) and chr(0x101); chr(0x105) spells
-    # no generator, so a dump of the rule would write an empty lead
+@pytest.mark.parametrize("lead", ["\u0105", "\u0100\u0102", "\u00ff"])
+def test_constructor_refuses_a_lead_outside_the_alphabet(lead):
+    # the letters of x and y are chr(0x100) and chr(0x101); the others spell
+    # no generator, and a dump of the rule would drop them from its lead
     a = free_alphabet("x", "y")
-    rule = Rule(chr(0x105), NcPoly.zero(a))
-    with pytest.raises(ValueError, match="rule lead '\u0105' is not spelled in the alphabet"):
-        RewriteSystem(a, [rule], 2, 2)
+    message = re.escape(f"rule lead {lead!r} is not spelled in the alphabet")
+    with pytest.raises(ValueError, match=message):
+        RewriteSystem(a, [Rule(lead, NcPoly.zero(a))], 2, 2)
 
 
 # (degree, (pairs popped, stale pairs, reductions to zero, new rules,
