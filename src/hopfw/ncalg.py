@@ -183,12 +183,6 @@ class Alphabet:
     def letters(self, word: str) -> tuple[Generator, ...]:
         return tuple(self.gen(c) for c in word)
 
-    def spells(self, word: str) -> bool:
-        """Whether every letter of ``word`` is one of this alphabet's (the
-        letters are consecutive characters)."""
-        base = self._base
-        return not word or base <= ord(min(word)) and ord(max(word)) < base + len(self.generators)
-
     def word_token(self, word: str) -> str:
         """Canonical display of a word; the empty word prints as ``1``."""
         if not word:
@@ -353,9 +347,7 @@ class _LinearCombination:
         terms: dict = {}
         for signs, body in zip(parts[::2], parts[1::2]):
             key, c = read(alphabet, body)
-            if signs.count("-") % 2:
-                c = -c
-            terms[key] = terms[key] + c if key in terms else c  # add only to a repeat
+            terms[key] = terms.get(key, ZERO) + (-c if signs.count("-") % 2 else c)
         return cls._adopt(alphabet, {k: c for k, c in terms.items() if c})
 
     def __repr__(self) -> str:

@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from .exactnum import Scalar
 from .ncalg import Alphabet, NcPoly, _read_monomial, deglex_key, parse_poly, read_dump, write_dump
@@ -277,6 +277,27 @@ class _LeadIndex:
         return out
 
 
+class _Rules(Sequence):
+    """A frozen system's rules, leads in deglex order; each :class:`Rule` is
+    built, with Fraction coefficients, when it is read."""
+
+    __slots__ = ("_alphabet", "_leads", "_tails")
+
+    def __init__(self, alphabet: Alphabet, tails: dict[str, _Terms]) -> None:
+        self._alphabet = alphabet
+        self._leads = list(tails)
+        self._tails = tails
+
+    def __len__(self) -> int:
+        return len(self._leads)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        lead = self._leads[i]
+        return Rule(lead, NcPoly._adopt(self._alphabet, _public(self._tails[lead])))
+
+
 class RewriteSystem:
     """A frozen, interreduced, degree-truncated rewriting system.
 
@@ -293,7 +314,8 @@ class RewriteSystem:
       audit does not see; so at most one lead starts at each position.
 
     The index holds each tail once, with integral coefficients as ints;
-    ``rules`` builds Fraction-valued rules afresh on each read.  ``stats``
+    ``rules`` is a read-only sequence over it that builds a Fraction-valued
+    rule when one is read.  ``stats``
     is the :class:`CompletionStats` of the run that made the system, or
     None; it is neither dumped nor compared.
     """
@@ -341,8 +363,10 @@ class RewriteSystem:
         self._index = index = _LeadIndex()
         token = alphabet.word_token
         for lead in sorted(tails, key=deglex_key):  # ``rules`` reads leads in this order
-            if not alphabet.spells(lead):
-                raise ValueError(f"rule lead {lead!r} is not spelled in the alphabet")
+            try:
+                alphabet.letters(lead)
+            except KeyError:
+                raise ValueError(f"rule lead {lead!r} is not spelled in the alphabet") from None
             if len(lead) > degree:
                 raise ValueError(f"rule lead {token(lead)} is longer than degree {degree}")
             tail = tails[lead]
@@ -353,15 +377,7 @@ class RewriteSystem:
             hit = lead and (index.find_reduction(lead[1:]) or index.find_reduction(lead[:-1]))
             if hit:
                 raise ValueError(f"rule lead {token(lead)} contains the lead {token(hit[1])}")
-
-    @property
-    def rules(self) -> list[Rule]:
-        """The rules, leads in deglex order, with Fraction coefficients."""
-        a = self.alphabet
-        return [
-            Rule(lead, NcPoly._adopt(a, _public(tail)))
-            for lead, tail in self._index.by_word.items()
-        ]
+        self.rules = _Rules(alphabet, index.by_word)
 
     def is_normal(self, word: str) -> bool:
         return self._index.find_reduction(word) is None
@@ -371,7 +387,11 @@ class RewriteSystem:
         return write_dump(
             ["system", f"degree {self.degree_bound}", f"complete_through {self.complete_through}"],
             self.alphabet.generators,
-            (f"rule {word(r.lead)} -> {r.tail.to_str()}" for r in self.rules),
+            # a wrapper only to render: an int prints as its Fraction does
+            (
+                f"rule {word(lead)} -> {NcPoly._adopt(self.alphabet, tail).to_str()}"
+                for lead, tail in self._index.by_word.items()
+            ),
         )
 
     @classmethod

@@ -5,15 +5,14 @@
         --checkout parent=/path/to/parent-checkout --checkout change=.
 
 Runs every workload that ``BENCHMARK.json`` lists through
-``benchmark/run.py`` once per seed in each checkout, with the same
-``--seconds`` and ``--trace`` everywhere.  The checkouts take turns, and
-which one goes first alternates from run to run, so that drift in the
-machine's speed falls on all of them alike.  For each checkout label and
-workload the file gets each metric's median over the seeds, with its unit
-and the value of every seed, and whether every run was correct; for each
-label also the commit, whether the tree had changes not committed, the
-seeds and the settings.  A label already in the output file is replaced and
-the others are kept, so a file can be filled in several calls.
+``benchmark/run.py`` once per seed in each checkout, for the
+``run_seconds`` that file fixes and with tracing off.  The checkouts take
+turns, and which one goes first alternates from run to run, so that drift
+in the machine's speed falls on all of them alike.  For each checkout
+label and workload the file gets each metric's median over the seeds, with
+its unit and the value of every seed, and whether every run was correct;
+for each label also the commit, whether the tree had changes not committed,
+the seeds and the run length.  Each call writes the output file afresh.
 
 Standard library only.  Each run is a fresh process started from the root
 of its checkout, which is where ``benchmark/run.py`` imports hopfw from.
@@ -31,11 +30,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def workloads() -> list[str]:
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return [w["name"] for w in spec["workloads"]]
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
 def git(checkout: Path, *args: str) -> str:
@@ -43,11 +38,11 @@ def git(checkout: Path, *args: str) -> str:
     return done.stdout.strip() if done.returncode == 0 else ""
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One benchmark run; the JSON of its last output line, or a failed
     record when it printed none."""
     argv = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
+            "--seconds", str(SPEC["run_seconds"]), "--trace", "0"]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     try:
@@ -77,8 +72,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", required=True, type=int, nargs="+")
     ap.add_argument("--checkout", action="append", metavar="LABEL=DIR",
                     help="a checkout to run, under a label (default: change=this checkout)")
-    ap.add_argument("--seconds", type=float, default=20.0)
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
 
     checkouts = {}
@@ -94,18 +87,17 @@ def main(argv=None) -> int:
     labels = list(checkouts)
     turn = 0
     for seed in args.seeds:
-        for workload in workloads():
+        for workload in (w["name"] for w in SPEC["workloads"]):
             order = labels if turn % 2 == 0 else labels[::-1]
             turn += 1
             for label in order:
-                r = run_once(checkouts[label], workload, seed, args.seconds, args.trace)
+                r = run_once(checkouts[label], workload, seed)
                 results[label].setdefault(workload, []).append(r)
                 run_s = r["metrics"].get("run_s", {}).get("value", float("nan"))
                 print(f"{label} {workload} seed {seed}: correct {r['correct']}, "
                       f"run_s {run_s:.3f}", file=sys.stderr, flush=True)
 
-    record = json.loads(args.out.read_text(encoding="utf-8")) if args.out.is_file() else {}
-    record.setdefault("runs", {})
+    record: dict[str, dict] = {"runs": {}}
     host = {"python": platform.python_version(), "cpus": os.cpu_count()}
     correct = True
     for label, path in checkouts.items():
@@ -115,8 +107,7 @@ def main(argv=None) -> int:
             "commit": git(path, "rev-parse", "HEAD"),
             "uncommitted_changes": bool(git(path, "status", "--porcelain")),
             "seeds": args.seeds,
-            "seconds": args.seconds,
-            "trace": args.trace,
+            "seconds": SPEC["run_seconds"],
             "host": host,
             "workloads": summaries,
         }
