@@ -347,7 +347,9 @@ class _LinearCombination:
         terms: dict = {}
         for signs, body in zip(parts[::2], parts[1::2]):
             key, c = read(alphabet, body)
-            terms[key] = terms.get(key, ZERO) + (-c if signs.count("-") % 2 else c)
+            if signs.count("-") % 2:
+                c = -c
+            terms[key] = terms[key] + c if key in terms else c  # add only to a repeat
         return cls._adopt(alphabet, {k: c for k, c in terms.items() if c})
 
     def __repr__(self) -> str:

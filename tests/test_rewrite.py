@@ -6,7 +6,7 @@ import pytest
 
 from hopfw.forms import MultilinearForm, make_signature
 from hopfw.hopf import build_bw, build_hw
-from hopfw.ncalg import Alphabet, Generator, NcPoly, parse_poly
+from hopfw.ncalg import Alphabet, Generator, NcPoly, deglex_key, parse_poly
 from hopfw.rewrite import (
     NotCertifiedError,
     RewriteSystem,
@@ -409,6 +409,20 @@ def test_scaled_relations_complete_to_the_same_dump(case):
         assert nf == rule.tail.scale(2)
         handed += nf.terms.values()
     assert handed and all(type(c) is Fraction for c in handed)
+
+
+def test_rules_are_a_sequence_that_builds_each_rule_when_read():
+    a = free_alphabet("p", "q")
+    system = complete([parse_poly(a, "2*q*p - 3*p + 1/2"), parse_poly(a, "p*p - q")], 4)
+    rules = system.rules
+    whole = list(rules)
+    assert rules is system.rules and len(rules) == len(whole) > 2
+    assert [r.lead for r in whole] == sorted((r.lead for r in whole), key=deglex_key)
+    assert rules[-1] == whole[-1] and rules[1:3] == whole[1:3]
+    # a handed-out tail is a copy: changing it leaves the system alone
+    dump = system.dump()
+    rules[0].tail.terms.clear()
+    assert system.dump() == dump and rules[0] == whole[0]
 
 
 def test_handed_out_coefficients_are_fractions_with_and_without_denominators():
