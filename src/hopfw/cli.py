@@ -40,8 +40,7 @@ from .formats import (
 )
 from .forms import (
     MultilinearForm,
-    analyze,
-    check_condition_i_prime,
+    _analyze_every_slot,
     in_polar,
     make_bilinear,
     make_orthogonal,
@@ -148,10 +147,10 @@ def _bool(v: bool) -> str:
 
 def _cmd_analyze(args) -> int:
     w = load_form(args.form)
-    report = analyze(w)
+    report, all_slots = _analyze_every_slot(w)
     lines = [f"dim: {w.dim}", f"arity: {w.arity}"]
     lines.append(f"one_site_nondegenerate: {_bool(report.nondegenerate)}")
-    lines.append(f"all_slots_nondegenerate: {_bool(check_condition_i_prime(w))}")
+    lines.append(f"all_slots_nondegenerate: {_bool(all_slots)}")
     if report.twist_ambiguous:
         lines.append("twist: ambiguous")
     elif report.q is None:

@@ -196,21 +196,38 @@ class TwistReport:
     twist_ambiguous: bool = False
 
 
+def _twist_report(
+    nondegenerate: bool, first: Matrix, last: Matrix
+) -> tuple[TwistReport, int]:
+    """The report of :func:`analyze` from the one-site verdict and the first
+    and last flattenings, with the nullity of the first flattening, which
+    the one row reduction of G.Q = F gives as well."""
+    q, kern = solve(first, last)
+    ambiguous = q is not None and bool(kern)
+    if ambiguous:
+        q = None
+    prereg = bool(nondegenerate and q is not None and is_invertible(q))
+    return TwistReport(nondegenerate, q, prereg, ambiguous), len(kern)
+
+
 def analyze(w: MultilinearForm) -> TwistReport:
     """Full structure report: nondegeneracy, twisting element, preregularity.
 
     Preregular means: one-site nondegenerate, the twisting element exists
     (unique then), and it is invertible -- all verified exactly.
     """
-    nondeg = is_one_site_nondegenerate(w)
-    ambiguous = False
-    try:
-        q = twisting_element(w)
-    except AmbiguousTwistError:
-        q = None
-        ambiguous = True
-    prereg = bool(nondeg and q is not None and is_invertible(q))
-    return TwistReport(nondeg, q, prereg, ambiguous)
+    last = flattening(w, w.arity)
+    return _twist_report(rref(last)[2] == w.dim, flattening(w, 1), last)[0]
+
+
+def _analyze_every_slot(w: MultilinearForm) -> tuple[TwistReport, bool]:
+    """:func:`analyze` and :func:`check_condition_i_prime` at once, each
+    flattening built and row-reduced once: the first slot's rank is read off
+    the twist's row reduction."""
+    flats = [flattening(w, slot) for slot in range(1, w.arity + 1)]
+    ranks = [rref(f)[2] for f in flats[1:]]
+    report, nullity = _twist_report(ranks[-1] == w.dim, flats[0], flats[-1])
+    return report, nullity == 0 and all(r == w.dim for r in ranks)
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,7 @@ _FAMILY_RANK = {"u": 0, "s": 1, "a": 2, "v": 3, "free": 4}
 MATRIC_FAMILIES = ("u", "s", "a", "v")
 
 _CHAR_BASE = 0x100  # words never collide with printable syntax
+_FIRST_LETTER = chr(_CHAR_BASE)
 
 
 class MissingImageError(KeyError):
@@ -122,7 +123,7 @@ class Alphabet:
     """An ordered generator set with the word <-> string translation and
     the token <-> letter table that text is read and written through."""
 
-    __slots__ = ("generators", "_char_of", "_letter_of", "_spell", "_base", "_desc")
+    __slots__ = ("generators", "_char_of", "_letter_of", "_spell", "_base", "_end", "_desc")
 
     def __init__(self, generators: Iterable[Generator]) -> None:
         gens = tuple(sorted(set(generators), key=lambda g: g.key))
@@ -140,6 +141,7 @@ class Alphabet:
         letter_of["1"] = ""
         object.__setattr__(self, "_letter_of", letter_of)
         object.__setattr__(self, "_base", _CHAR_BASE)
+        object.__setattr__(self, "_end", chr(_CHAR_BASE + len(gens)))  # past the last letter
         # order-reversing relabeling: descending lex = ascending lex of the
         # translated word, used as a cheap max-heap key by the rewriter
         object.__setattr__(
@@ -183,6 +185,10 @@ class Alphabet:
     def letters(self, word: str) -> tuple[Generator, ...]:
         return tuple(self.gen(c) for c in word)
 
+    def spells(self, word: str) -> bool:
+        """Whether every letter of ``word`` is one of this alphabet's."""
+        return not word or (_FIRST_LETTER <= min(word) and max(word) < self._end)
+
     def word_token(self, word: str) -> str:
         """Canonical display of a word; the empty word prints as ``1``."""
         if not word:
@@ -212,18 +218,60 @@ _SIGNS = re.compile(r"([+-][\s+-]*)")
 _COEFFICIENT = re.compile(r"\d+(?:/\d+)?")
 
 
-def _read_monomial(alphabet: Alphabet, text: str) -> tuple[str, Scalar]:
-    """The word and coefficient of one ``monomial`` of the text grammar."""
+# Fractions are immutable, so polynomials share these: a small coefficient
+# costs no new object
+_SMALL = {i: Scalar(i) for i in range(-64, 65)}
+
+
+def _fractions(terms: dict) -> dict:
+    """``terms`` with each int coefficient turned into a Fraction."""
+    return {k: c if type(c) is Scalar else _SMALL.get(c) or Scalar(c) for k, c in terms.items()}
+
+
+def _read_monomial(alphabet: Alphabet, text: str) -> tuple[str, int | Scalar]:
+    """The word and coefficient of one ``monomial`` of the text grammar; an
+    integral coefficient is an int."""
     head, *factors = text.split("*")
     head = head.strip()
-    coeff = ONE
+    coeff: int | Scalar = 1
     m = _COEFFICIENT.match(head)
     if m:
-        coeff = parse_rational(m[0])
+        if "/" in m[0]:
+            q = parse_rational(m[0])
+            coeff = q.numerator if q.denominator == 1 else q
+        else:
+            coeff = int(m[0])
         # a token may follow without "*"; a coefficient alone is c*1
         head = head[m.end() :].lstrip() or "1"
     letter = alphabet._letter
     return letter(head) + "".join([letter(f.strip()) for f in factors]), coeff
+
+
+def _read_terms(alphabet: Alphabet, text: str, read_term: Callable = _read_monomial) -> dict:
+    """The terms of a text of the grammar as a dict key -> nonzero
+    coefficient, an integral coefficient as an int; ``read_term`` reads one
+    unsigned term.  Polynomials, tensors and the tails of a rewrite system's
+    dump are all read here."""
+    if text.strip() == "0":
+        return {}
+    # [term, signs, term, signs, ...]; the first term is blank when the
+    # text opens with a sign
+    parts = _SIGNS.split(text)
+    if parts[0].strip():
+        parts.insert(0, "+")
+    elif len(parts) > 1:
+        del parts[0]
+    else:
+        raise ValueError("empty text")
+    if not parts[-1].strip():
+        raise ValueError("dangling sign at the end")
+    terms: dict = {}
+    for signs, body in zip(parts[::2], parts[1::2]):
+        key, c = read_term(alphabet, body)
+        if signs.count("-") % 2:
+            c = -c
+        terms[key] = terms[key] + c if key in terms else c  # add only to a repeat
+    return {k: c for k, c in terms.items() if c}
 
 
 class _LinearCombination:
@@ -330,27 +378,7 @@ class _LinearCombination:
     @classmethod
     def _parse(cls, alphabet: Alphabet, text: str):
         """Read the text grammar of the module docstring."""
-        if text.strip() == "0":
-            return cls.zero(alphabet)
-        # [term, signs, term, signs, ...]; the first term is blank when the
-        # text opens with a sign
-        parts = _SIGNS.split(text)
-        if parts[0].strip():
-            parts.insert(0, "+")
-        elif len(parts) > 1:
-            del parts[0]
-        else:
-            raise ValueError("empty text")
-        if not parts[-1].strip():
-            raise ValueError("dangling sign at the end")
-        read = cls._read_term
-        terms: dict = {}
-        for signs, body in zip(parts[::2], parts[1::2]):
-            key, c = read(alphabet, body)
-            if signs.count("-") % 2:
-                c = -c
-            terms[key] = terms[key] + c if key in terms else c  # add only to a repeat
-        return cls._adopt(alphabet, {k: c for k, c in terms.items() if c})
+        return cls._adopt(alphabet, _fractions(_read_terms(alphabet, text, cls._read_term)))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.to_str()})"
@@ -520,7 +548,7 @@ class TensorSquare(_LinearCombination):
         return token if mag == 1 else f"{format_rational(mag)}*{token}"
 
     @staticmethod
-    def _read_term(alphabet: Alphabet, text: str) -> tuple[tuple[str, str], Scalar]:
+    def _read_term(alphabet: Alphabet, text: str) -> tuple[tuple[str, str], int | Scalar]:
         legs = text.split("#")
         if len(legs) != 2:
             raise ValueError(f"tensor term needs exactly one #: {text.strip()!r}")

@@ -12,9 +12,18 @@ degree, and a polynomial above the certified degree raises
 
 Implementation notes, sized for thousands of rules:
 
-* whole-word rule lookup -- reduction probes ``word[pos:pos+k]`` against a
-  dict of leads for each k up to the longest lead, so a reduction step costs
-  O(word * maxlen) C-speed hashes instead of a scan over the rule list;
+* one prefix table for every lead lookup -- a dict maps each lead to its
+  tail and each nonempty proper prefix of a lead to a marker.  Reduction
+  scans each word it pops for the leftmost lead: from each position it walks
+  forward one letter a probe and stops at a miss or at a lead.  The table is
+  a trie of the leads; the scan restarts at each position instead of taking
+  Aho & Corasick's failure links (CACM 1975), since a word is at most D
+  letters long.  Live leads are factor-free, so no lead is a prefix of another
+  and the two kinds of key never collide.  Completion counts how many live
+  leads each prefix starts, so that an eviction drops the prefixes it was
+  the last to start.  A frozen system keeps only the table and its tails:
+  completion builds the overlap maps below for itself, and the audit builds
+  its prefix map when it runs;
 * overlap enumeration through prefix/suffix maps keyed by (affix, lead
   length): every proper prefix and suffix of each live lead is indexed with
   the lead's length, so a new rule meets only the rules it genuinely
@@ -30,9 +39,12 @@ Implementation notes, sized for thousands of rules:
 * after the queue drains, each tail is reduced once, leads ascending;
 * integer coefficients -- inside the engine an integral coefficient is a
   plain ``int`` and only a value with a denominator is a ``Fraction``.
-  Input relations, parsed tails and ``normal_form`` queries enter through
-  ``_lean_terms``; ``reduce_terms`` and ``s_poly`` start their sums from
-  ``0``.
+  Input relations enter through ``_lean_terms``, and a dump's tails are
+  read straight into this form by the term reader behind ``parse_poly``.
+  :func:`normal_form` multiplies its query by the common denominator d of
+  its coefficients, reduces over the integers and divides the result by d,
+  which is exact because the normal form is linear.  ``reduce_terms`` and
+  ``s_poly`` start their sums from ``0``.
   Insertion makes a rule monic by negating when the lead coefficient is
   +-1 and otherwise by dividing a ``Fraction`` by it, with an integral
   quotient turned back into an ``int``: ``int / int`` would give a float,
@@ -67,11 +79,21 @@ the same relations in any order yields the identical rule list.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Sequence
 
 from .exactnum import Scalar
-from .ncalg import Alphabet, NcPoly, _read_monomial, deglex_key, parse_poly, read_dump, write_dump
+from .ncalg import (
+    Alphabet,
+    NcPoly,
+    _fractions,
+    _read_monomial,
+    _read_terms,
+    deglex_key,
+    read_dump,
+    write_dump,
+)
 
 
 class NotCertifiedError(Exception):
@@ -104,15 +126,6 @@ def _lean_terms(terms: _Terms) -> _Terms:
     return {w: c.numerator if c.denominator == 1 else c for w, c in terms.items()}
 
 
-# Fractions are immutable, so handed-out polynomials share these: a
-# small coefficient costs no new object
-_SMALL = {i: Scalar(i) for i in range(-64, 65)}
-
-
-def _public(terms: _Terms) -> dict[str, Scalar]:
-    return {w: _SMALL.get(c) or Scalar(c) for w, c in terms.items()}
-
-
 @dataclass(frozen=True)
 class Rule:
     lead: str
@@ -134,72 +147,33 @@ class CompletionStats:
     requeued_polys: int = 0  # the input relations and the evicted rules
 
 
-class _LeadIndex:
-    """Live rules indexed for reduction and overlap queries."""
+# the value a lead index's table gives a proper prefix of a lead
+_PREFIX = object()
 
-    __slots__ = ("by_word", "by_len", "prefixes", "suffixes", "maxlen", "unit")
+
+class _LeadIndex:
+    """A system's leads with their tails, and one prefix table for
+    reduction.
+
+    ``by_word`` maps each lead to its tail, in the order the leads were
+    added.  ``table`` maps each lead to its tail too, and each nonempty
+    proper prefix of a lead to ``_PREFIX``; a lead that is also a prefix of
+    another lead, which only an untrusted system can hold until the gate
+    refuses it, keeps its tail.  The empty lead, the unit ideal's, is in
+    ``table`` as itself and has no prefixes."""
+
+    __slots__ = ("by_word", "table")
 
     def __init__(self) -> None:
         self.by_word: dict[str, _Terms] = {}
-        self.by_len: dict[int, set[str]] = {}
-        # (affix, length of the lead) -> live leads with that proper affix
-        self.prefixes: dict[tuple[str, int], set[str]] = {}
-        self.suffixes: dict[tuple[str, int], set[str]] = {}
-        self.maxlen = 0  # stale-high after removals; only costs extra probes
-        self.unit = False
+        self.table: dict[str, object] = {}
 
     def add(self, lead: str, tail: _Terms) -> None:
         self.by_word[lead] = tail
-        if lead == "":
-            self.unit = True
-            return
-        n = len(lead)
-        self.by_len.setdefault(n, set()).add(lead)
-        if n > self.maxlen:
-            self.maxlen = n
-        for i in range(1, n):
-            self.prefixes.setdefault((lead[:i], n), set()).add(lead)
-            self.suffixes.setdefault((lead[i:], n), set()).add(lead)
-
-    def remove(self, lead: str) -> _Terms:
-        tail = self.by_word.pop(lead)
-        if lead == "":
-            self.unit = False
-            return tail
-        n = len(lead)
-        self.by_len[n].discard(lead)
-        for i in range(1, n):
-            self.prefixes[lead[:i], n].discard(lead)
-            self.suffixes[lead[i:], n].discard(lead)
-        return tail
-
-    def overlaps_as_left(self, lead: str, bound: int):
-        """Every proper overlap of degree <= ``bound`` with ``lead`` as the
-        left rule: yields (l2, x, z) with lead = x.b and l2 = b.z for a
-        nonempty proper b, so the overlap word x.l2 has length |x| + |l2|."""
-        n = len(lead)
-        for i in range(1, n):
-            b = lead[i:]
-            for n2 in range(n - i + 1, min(bound - i, self.maxlen) + 1):
-                others = self.prefixes.get((b, n2))
-                if others:
-                    for l2 in others:
-                        yield l2, lead[:i], l2[n - i :]
-
-    def overlaps_as_right(self, lead: str, bound: int):
-        """Every proper overlap of degree <= ``bound`` with ``lead`` as the
-        right rule and another live lead l1 as the left one: yields
-        (l1, x, z) with l1 = x.b and lead = b.z for a nonempty proper b.
-        The self-overlaps of ``lead`` are left to :meth:`overlaps_as_left`."""
-        n = len(lead)
-        for i in range(1, n):
-            b = lead[:i]
-            for n1 in range(i + 1, min(bound - n + i, self.maxlen) + 1):
-                others = self.suffixes.get((b, n1))
-                if others:
-                    for l1 in others:
-                        if l1 != lead:
-                            yield l1, l1[: n1 - i], lead[i:]
+        table = self.table
+        table[lead] = tail
+        for i in range(1, len(lead)):
+            table.setdefault(lead[:i], _PREFIX)
 
     def s_poly(self, l1: str, l2: str, x: str, z: str):
         """Terms of tail(l1).z - x.tail(l2) for the overlap word l1.z = x.l2;
@@ -218,26 +192,6 @@ class _LeadIndex:
                 s_terms.pop(kw, None)
         return s_terms
 
-    def find_reduction(self, word: str):
-        """The leftmost lead in ``word`` as (pos, lead, tail), or None.  Live
-        leads are pairwise factor-free, so at most one starts at each
-        position."""
-        if self.unit:
-            return 0, "", self.by_word[""]
-        by_word = self.by_word
-        n = len(word)
-        top = self.maxlen
-        for pos in range(n):
-            limit = n - pos
-            if top < limit:
-                limit = top
-            for k in range(1, limit + 1):
-                lead = word[pos : pos + k]
-                tail = by_word.get(lead)
-                if tail is not None:
-                    return pos, lead, tail
-        return None
-
     def reduce_terms(self, terms: _Terms, desc) -> _Terms:
         """Rewrite a term dict to normal form.
 
@@ -246,35 +200,125 @@ class _LeadIndex:
         exactly once; coefficients of pending duplicates merge before
         expansion.  A word is pushed when it enters ``work``, so one that
         cancels and returns is queued twice; the empty pop is skipped.
+
+        Each popped word is scanned for its leftmost lead: from each
+        position the scan walks forward one letter a probe while the table
+        holds a prefix of a lead, and stops at a miss or at a lead, so the
+        lead it finds is the shortest one starting there.
         """
-        if self.unit:
+        table = self.table
+        if "" in table:
             return {}
+        get = table.get
+        heappop, heappush = heapq.heappop, heapq.heappush
         out: _Terms = {}
         work = dict(terms)
         heap = [(-len(w), desc(w), w) for w in work]
         heapq.heapify(heap)
         while heap:
-            _, _, w = heapq.heappop(heap)
+            _, _, w = heappop(heap)
             c = work.pop(w, 0)
             if not c:
                 continue
-            hit = self.find_reduction(w)
-            if hit is None:
+            n = len(w)
+            for pos in range(n):
+                for end in range(pos + 1, n + 1):
+                    tail = get(w[pos:end])
+                    if tail is not _PREFIX:
+                        break
+                else:
+                    continue  # the word ends inside a prefix of a lead
+                if tail is not None:
+                    break  # w[pos:end] is a lead
+            else:
                 out[w] = c
                 continue
-            pos, lead, tail = hit
             x = w[:pos]
-            y = w[pos + len(lead) :]
+            y = w[end:]
             for t, tc in tail.items():
                 nw = x + t + y
                 nv = work.get(nw, 0) + c * tc
                 if nv:
                     if nw not in work:
-                        heapq.heappush(heap, (-len(nw), desc(nw), nw))
+                        heappush(heap, (-len(nw), desc(nw), nw))
                     work[nw] = nv
                 else:
                     work.pop(nw, None)
         return out
+
+
+class _LiveIndex(_LeadIndex):
+    """The index of a completion run, whose live leads are pairwise
+    factor-free: no lead is a prefix of another, so a table entry is a lead
+    or a prefix, never both.  ``counts`` holds how many live leads each
+    prefix starts, so that removing the last of them drops the prefix.
+    Also the leads by length, for eviction, and the overlap maps: every
+    proper prefix and suffix of each live lead, keyed by (affix, length of
+    the lead)."""
+
+    __slots__ = ("counts", "by_len", "prefixes", "suffixes")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.counts: dict[str, int] = {}
+        self.by_len: dict[int, set[str]] = {}
+        self.prefixes: dict[tuple[str, int], set[str]] = {}
+        self.suffixes: dict[tuple[str, int], set[str]] = {}
+
+    def add(self, lead: str, tail: _Terms) -> None:
+        super().add(lead, tail)
+        counts = self.counts
+        n = len(lead)
+        self.by_len.setdefault(n, set()).add(lead)
+        for i in range(1, n):
+            counts[lead[:i]] = counts.get(lead[:i], 0) + 1
+            self.prefixes.setdefault((lead[:i], n), set()).add(lead)
+            self.suffixes.setdefault((lead[i:], n), set()).add(lead)
+
+    def remove(self, lead: str) -> _Terms:
+        tail = self.by_word.pop(lead)
+        table, counts = self.table, self.counts
+        del table[lead]
+        n = len(lead)
+        self.by_len[n].discard(lead)
+        for i in range(1, n):
+            prefix = lead[:i]
+            counts[prefix] -= 1
+            if not counts[prefix]:
+                del counts[prefix], table[prefix]
+            self.prefixes[prefix, n].discard(lead)
+            self.suffixes[lead[i:], n].discard(lead)
+        return tail
+
+    def overlaps_as_right(self, lead: str, bound: int):
+        """Every proper overlap of degree <= ``bound`` with ``lead`` as the
+        right rule and another live lead l1 as the left one: yields
+        (l1, x, z) with l1 = x.b and lead = b.z for a nonempty proper b.
+        The self-overlaps of ``lead`` are left to :func:`_overlaps_as_left`."""
+        n = len(lead)
+        for i in range(1, n):
+            b = lead[:i]
+            for n1 in range(i + 1, bound - n + i + 1):
+                others = self.suffixes.get((b, n1))
+                if others:
+                    for l1 in others:
+                        if l1 != lead:
+                            yield l1, l1[: n1 - i], lead[i:]
+
+
+def _overlaps_as_left(prefixes: dict[tuple[str, int], set[str]], lead: str, bound: int):
+    """Every proper overlap of degree <= ``bound`` with ``lead`` as the left
+    rule, the right one found in ``prefixes``, a map (proper prefix, length
+    of the lead) -> leads: yields (l2, x, z) with lead = x.b and l2 = b.z for
+    a nonempty proper b, so the overlap word x.l2 has length |x| + |l2|."""
+    n = len(lead)
+    for i in range(1, n):
+        b = lead[i:]
+        for n2 in range(n - i + 1, bound - i + 1):
+            others = prefixes.get((b, n2))
+            if others:
+                for l2 in others:
+                    yield l2, lead[:i], l2[n - i :]
 
 
 class _Rules(Sequence):
@@ -295,7 +339,7 @@ class _Rules(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
         lead = self._leads[i]
-        return Rule(lead, NcPoly._adopt(self._alphabet, _public(self._tails[lead])))
+        return Rule(lead, NcPoly._adopt(self._alphabet, _fractions(self._tails[lead])))
 
 
 class RewriteSystem:
@@ -313,11 +357,13 @@ class RewriteSystem:
     * no lead contains another, an inclusion ambiguity that the overlap
       audit does not see; so at most one lead starts at each position.
 
-    The index holds each tail once, with integral coefficients as ints;
-    ``rules`` is a read-only sequence over it that builds a Fraction-valued
-    rule when one is read.  ``stats``
-    is the :class:`CompletionStats` of the run that made the system, or
-    None; it is neither dumped nor compared.
+    The index holds each tail once, with integral coefficients as ints, and
+    the prefix table that reduction scans; ``rules`` is a read-only
+    sequence over it that builds a Fraction-valued rule when one is read.
+    The gate compares strings only, and checks containment with the scan:
+    a word holds no lead exactly when it reduces to itself.  ``stats`` is
+    the :class:`CompletionStats` of the run that made the system, or None;
+    it is neither dumped nor compared.
     """
 
     def __init__(
@@ -362,25 +408,37 @@ class RewriteSystem:
         self.stats: CompletionStats | None = None
         self._index = index = _LeadIndex()
         token = alphabet.word_token
-        for lead in sorted(tails, key=deglex_key):  # ``rules`` reads leads in this order
-            try:
-                alphabet.letters(lead)
-            except KeyError:
-                raise ValueError(f"rule lead {lead!r} is not spelled in the alphabet") from None
-            if len(lead) > degree:
+        # deglex order, which ``rules`` reads leads in: by length, then lex
+        for lead in sorted(sorted(tails), key=len):
+            if not alphabet.spells(lead):
+                raise ValueError(f"rule lead {lead!r} is not spelled in the alphabet")
+            n = len(lead)
+            if n > degree:
                 raise ValueError(f"rule lead {token(lead)} is longer than degree {degree}")
             tail = tails[lead]
-            if any(deglex_key(w) >= deglex_key(lead) for w in tail):
+            if any(len(w) > n or len(w) == n and w >= lead for w in tail):
                 raise ValueError(f"rule tail is not below its lead {token(lead)} in deglex")
             index.add(lead, tail)
-        for lead in index.by_word:
-            hit = lead and (index.find_reduction(lead[1:]) or index.find_reduction(lead[:-1]))
-            if hit:
-                raise ValueError(f"rule lead {token(lead)} contains the lead {token(hit[1])}")
-        self.rules = _Rules(alphabet, index.by_word)
+        # no lead contains another: the two longest proper factors of every
+        # lead reduce to themselves, all in one reduction
+        leads = index.by_word
+        factors = {f: 1 for lead in leads if lead for f in (lead[1:], lead[:-1])}
+        if index.reduce_terms(factors, alphabet.desc_key) != factors:
+            lead, factor = next(
+                (lead, f) for lead in leads if lead for f in (lead[1:], lead[:-1])
+                if not self.is_normal(f)
+            )
+            # the lead that rewriting the factor meets: leftmost, then shortest
+            inner = min(
+                (g for g in leads if g in factor), key=lambda g: (factor.find(g), len(g))
+            )
+            raise ValueError(f"rule lead {token(lead)} contains the lead {token(inner)}")
+        self.rules = _Rules(alphabet, leads)
 
     def is_normal(self, word: str) -> bool:
-        return self._index.find_reduction(word) is None
+        """Whether no lead occurs in ``word``, which holds exactly when the
+        word reduces to itself."""
+        return self._index.reduce_terms({word: 1}, self.alphabet.desc_key) == {word: 1}
 
     def dump(self) -> str:
         word = self.alphabet.word_token
@@ -408,7 +466,7 @@ class RewriteSystem:
                 raise ValueError(f"rule lead must be a single word: {ln!r}")
             if lead in tails:
                 raise ValueError(f"lead appears on two rules: {ln!r}")
-            tails[lead] = _lean_terms(parse_poly(alphabet, rhs).terms)
+            tails[lead] = _read_terms(alphabet, rhs)
 
         fields = {"system": _no_value, "degree": int, "complete_through": int}
         header, _, alphabet = read_dump(text, fields, {"rule": rule})
@@ -432,8 +490,14 @@ def normal_form(p: NcPoly, system: RewriteSystem) -> NcPoly:
         raise ValueError("polynomial alphabet does not match the system")
     if p.degree() > system.complete_through:
         raise NotCertifiedError(p.degree(), system.complete_through)
-    reduced = system._index.reduce_terms(_lean_terms(p.terms), system.alphabet.desc_key)
-    return NcPoly._adopt(p.alphabet, _public(reduced))
+    # reduce d.p, with d the common denominator, over ints: the normal form
+    # is linear, so that of p is the result divided by d
+    d = math.lcm(*[c.denominator for c in p.terms.values()])
+    terms = {w: c.numerator * (d // c.denominator) for w, c in p.terms.items()}
+    reduced = system._index.reduce_terms(terms, system.alphabet.desc_key)
+    if d == 1:
+        return NcPoly._adopt(p.alphabet, _fractions(reduced))
+    return NcPoly._adopt(p.alphabet, {w: Scalar(c, d) for w, c in reduced.items()})
 
 
 def ideal_member(p: NcPoly, system: RewriteSystem) -> bool:
@@ -450,7 +514,7 @@ class _Completion:
         self.alphabet = alphabet
         self.desc = alphabet.desc_key
         self.degree_bound = degree_bound
-        self.index = _LeadIndex()
+        self.index = _LiveIndex()
         self.heap: list = []
         self.seq = 0
         self.stats = CompletionStats()
@@ -471,7 +535,7 @@ class _Completion:
     def queue_overlaps_of(self, lead: str) -> None:
         """Queue every overlap ambiguity of degree <= D between ``lead`` and
         the live rules (including itself)."""
-        for l2, x, z in self.index.overlaps_as_left(lead, self.degree_bound):
+        for l2, x, z in _overlaps_as_left(self.index.prefixes, lead, self.degree_bound):
             self.push_pair(lead, l2, x, z)
         for l1, x, z in self.index.overlaps_as_right(lead, self.degree_bound):
             self.push_pair(l1, lead, x, z)
@@ -494,7 +558,7 @@ class _Completion:
             return
 
         # evict longer live leads containing the new lead
-        for ln in range(len(lead) + 1, self.index.maxlen + 1):
+        for ln in range(len(lead) + 1, self.degree_bound + 1):
             bucket = self.index.by_len.get(ln)
             if not bucket:
                 continue
@@ -533,9 +597,10 @@ class _Completion:
     def interreduce(self) -> None:
         """One pass suffices: the leads stay fixed, so each reduced tail is
         already irreducible."""
-        by_word = self.index.by_word
-        for lead in sorted(by_word, key=deglex_key):
-            by_word[lead] = _lean_terms(self.index.reduce_terms(by_word[lead], self.desc))
+        index = self.index
+        for lead in sorted(index.by_word, key=deglex_key):
+            tail = _lean_terms(index.reduce_terms(index.by_word[lead], self.desc))
+            index.by_word[lead] = index.table[lead] = tail
 
 
 def complete(
@@ -582,9 +647,13 @@ def unresolved_overlaps(system: RewriteSystem) -> list[tuple[str, str, str]]:
     overlap_word) triples; empty = confluent."""
     index = system._index
     desc = system.alphabet.desc_key
+    prefixes: dict[tuple[str, int], set[str]] = {}
+    for lead in index.by_word:
+        for i in range(1, len(lead)):
+            prefixes.setdefault((lead[:i], len(lead)), set()).add(lead)
     bad = []
     for l1 in index.by_word:
-        for l2, x, z in index.overlaps_as_left(l1, system.degree_bound):
+        for l2, x, z in _overlaps_as_left(prefixes, l1, system.degree_bound):
             if index.reduce_terms(index.s_poly(l1, l2, x, z), desc):
                 bad.append((l1, l2, x + l2))
     # rule order for both leads, then overlaps by growing length of b

@@ -63,8 +63,10 @@ from hopfw.formats import dump_form, dump_presentation, parse_presentation
 from hopfw.forms import (
     AmbiguousTwistError,
     MultilinearForm,
+    _analyze_every_slot,
     analyze,
     base_change,
+    check_condition_i_prime,
     make_bilinear,
     make_orthogonal,
     make_signature,
@@ -73,6 +75,7 @@ from hopfw.forms import (
 )
 from hopfw.hopf import build_ahmn, build_bw, build_hb, build_hw, build_hww, system_for
 from hopfw.rewrite import RewriteSystem, unresolved_overlaps
+from slice_oracle import assert_scan_matches_slices
 from hopfw.ncalg import (
     Alphabet,
     Generator,
@@ -871,6 +874,7 @@ def test_system_dump_is_pinned(key):
     back = RewriteSystem.parse(text)
     assert back == system
     assert back.dump() == text
+    assert_scan_matches_slices(back, random.Random(key))
 
 
 @pytest.mark.parametrize("key", sorted(VERIFY_CALLS))
@@ -881,6 +885,13 @@ def test_verify_output_is_pinned(key, tmp_path):
 @pytest.mark.parametrize("key", FORM_KEYS)
 def test_form_analysis_and_polar_are_pinned(key):
     assert _sha(form_text(_form_by_key(key))) == GOLDEN["forms"][key]
+
+
+@pytest.mark.parametrize("key", FORM_KEYS)
+def test_analysis_of_every_slot_agrees_with_its_parts(key):
+    # hopfw analyze builds and reduces each flattening once for both answers
+    w = _form_by_key(key)
+    assert _analyze_every_slot(w) == (analyze(w), check_condition_i_prime(w))
 
 
 @pytest.mark.parametrize("key", FORM_KEYS)

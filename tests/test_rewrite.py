@@ -8,13 +8,21 @@ from hopfw.forms import MultilinearForm, make_signature
 from hopfw.hopf import build_bw, build_hw
 from hopfw.ncalg import Alphabet, Generator, NcPoly, deglex_key, parse_poly
 from hopfw.rewrite import (
+    _PREFIX,
     NotCertifiedError,
     RewriteSystem,
     Rule,
+    _LiveIndex,
     complete,
     ideal_member,
     normal_form,
     unresolved_overlaps,
+)
+from slice_oracle import (
+    assert_scan_matches_slices,
+    first_lead_by_scan,
+    first_lead_by_slices,
+    marker,
 )
 from span_oracle import SpanOracle
 
@@ -143,11 +151,11 @@ def test_unresolved_overlaps_keeps_rule_order_then_growing_overlap():
     ]
 
 
-def test_random_completions_leave_no_unresolved_overlap():
-    # completion does not audit itself, so the audit runs here: non-homogeneous
-    # relations with constant terms, so unit ideals and evictions both occur
+def _random_completions():
+    """(trial, system) for 200 seeded completions of non-homogeneous
+    relations with constant terms, so that unit ideals and evictions both
+    occur."""
     rng = random.Random(20261018)
-    units = 0
     for trial in range(200):
         a = free_alphabet(*"wxyz"[: rng.randint(2, 4)])
         chars = [a.char(g) for g in a.generators]
@@ -160,10 +168,57 @@ def test_random_completions_leave_no_unresolved_overlap():
                     terms[w] = terms.get(w, 0) + rng.choice((-2, -1, 1, 2, 3))
                 rels.append(NcPoly(a, terms))
             rels = [r for r in rels if not r.is_zero()]
-        system = complete(rels, rng.randint(3, 6))
+        yield trial, complete(rels, rng.randint(3, 6))
+
+
+def test_random_completions_leave_no_unresolved_overlap():
+    # completion does not audit itself, so the audit runs here
+    units = 0
+    for trial, system in _random_completions():
         assert unresolved_overlaps(system) == [], f"trial {trial} not confluent"
         units += system.rules[0].lead == ""
     assert 0 < units < 200
+
+
+def test_prefix_table_finds_the_slices_lead_on_random_completions():
+    rng = random.Random(20261019)
+    for _, system in _random_completions():
+        assert_scan_matches_slices(system, rng, words=40)
+
+
+def test_prefix_table_follows_adds_and_removes():
+    """A completion's index through a seeded run of insertions, each of a
+    normal word that first evicts the leads containing it, and removals.
+    After every step the table holds exactly the live leads and their
+    proper prefixes, each prefix counted once per lead it starts; and the
+    scan finds the same (position, lead) as probing every slice."""
+    rng = random.Random(20261020)
+    letters = "\u0100\u0101\u0102"
+    alphabet = Alphabet([Generator.free(n) for n in "xyz"])
+    index = _LiveIndex()
+    markers: dict[str, int] = {}
+    removals = evictions = 0
+    for step in range(600):
+        leads = index.by_word
+        if leads and rng.random() < 0.25:
+            index.remove(rng.choice(sorted(leads)))
+            removals += 1
+        else:
+            lead = "".join(rng.choice(letters) for _ in range(rng.randint(1, 4)))
+            if any(old in lead for old in leads):
+                continue  # a new lead is normal
+            for old in [old for old in leads if lead in old]:
+                index.remove(old)
+                evictions += 1
+            index.add(lead, marker(markers.setdefault(lead, len(markers))))
+        prefixes = [lead[:i] for lead in leads for i in range(1, len(lead))]
+        assert index.counts == {p: prefixes.count(p) for p in prefixes}
+        assert index.table == {p: _PREFIX for p in prefixes} | leads
+        for _ in range(10):
+            word = "".join(rng.choice(letters) for _ in range(rng.randint(0, 8)))
+            hit = first_lead_by_scan(index, word, alphabet.desc_key)
+            assert hit == first_lead_by_slices(word, leads), (step, word)
+    assert removals > 50 and evictions > 50
 
 
 def test_normal_form_is_linear_and_idempotent():
@@ -248,6 +303,14 @@ _MALFORMED = [
         "system\ndegree 3\ncomplete_through 3\ngenerators w x y z\nrule y -> x\nrule y*z -> w",
         "rule lead y\\*z contains the lead y",
     ),
+    (
+        "system\ndegree 3\ncomplete_through 3\ngenerators w x y z\nrule z -> x\nrule y*z -> w",
+        "rule lead y\\*z contains the lead z",
+    ),
+    (
+        "system\ndegree 3\ncomplete_through 3\ngenerators w x y z\nrule y -> x\nrule x*y*z -> w",
+        "rule lead x\\*y\\*z contains the lead y",
+    ),
     # a lead is one monomial with coefficient 1: no sign, no second term
     ("system\ndegree 3\ncomplete_through 3\ngenerators p q\nrule -p -> 1", "token: '-p'"),
     ("system\ndegree 3\ncomplete_through 3\ngenerators p q\nrule p + q -> 1", "token: 'p \\+ q'"),
@@ -325,6 +388,8 @@ _UNTRUSTED = {
     "tail above its lead": (["x -> x*x"], 3, 3, "not below its lead x"),
     "repeated lead": (["y -> x", "y -> 1"], 3, 3, "lead y appears on two rules"),
     "lead in a lead": (["y -> x", "y*z -> w"], 3, 3, "lead y\\*z contains the lead y"),
+    "lead ending a lead": (["z -> x", "y*z -> w"], 3, 3, "lead y\\*z contains the lead z"),
+    "lead inside a lead": (["y -> x", "x*y*z -> w"], 3, 3, "lead x\\*y\\*z contains the lead y"),
     "unit lead beside another": (["1 -> 0", "x -> 0"], 3, 3, "lead x contains the lead 1"),
 }
 
@@ -433,6 +498,13 @@ def test_handed_out_coefficients_are_fractions_with_and_without_denominators():
         handed = [c for rule in system.rules for c in rule.tail.terms.values()]
         for probe in ("q*p*p + 5*q*p - 7", "7"):
             handed += normal_form(parse_poly(a, probe), system).terms.values()
+        # a query with denominators is reduced as d.p over the integers
+        for probe in ("1/2*q*p*p + 2/3*q*p - 3/5", "1/2*p*q - 3/5*q + 2/3*p*p*p"):
+            p = parse_poly(a, probe)
+            nf = normal_form(p, system)
+            assert nf == normal_form(p.scale(30), system).scale(Fraction(1, 30))
+            assert nf == normal_form(p.scale(-60), system).scale(Fraction(-1, 60))
+            handed += nf.terms.values()
         assert all(type(c) is Fraction for c in handed)
         # integral values and values with a denominator both come out
         denominators = {c.denominator for c in handed}
