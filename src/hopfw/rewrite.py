@@ -271,8 +271,9 @@ class _LiveIndex(_LeadIndex):
         n = len(lead)
         self.by_len.setdefault(n, set()).add(lead)
         for i in range(1, n):
-            counts[lead[:i]] = counts.get(lead[:i], 0) + 1
-            self.prefixes.setdefault((lead[:i], n), set()).add(lead)
+            prefix = lead[:i]
+            counts[prefix] = counts.get(prefix, 0) + 1
+            self.prefixes.setdefault((prefix, n), set()).add(lead)
             self.suffixes.setdefault((lead[i:], n), set()).add(lead)
 
     def remove(self, lead: str) -> _Terms:
@@ -497,7 +498,9 @@ def normal_form(p: NcPoly, system: RewriteSystem) -> NcPoly:
     reduced = system._index.reduce_terms(terms, system.alphabet.desc_key)
     if d == 1:
         return NcPoly._adopt(p.alphabet, _fractions(reduced))
-    return NcPoly._adopt(p.alphabet, {w: Scalar(c, d) for w, c in reduced.items()})
+    # an integral quotient shares its Fraction as any int of a result does
+    quotients = {w: _lean(Scalar(c, d)) for w, c in reduced.items()}
+    return NcPoly._adopt(p.alphabet, _fractions(quotients))
 
 
 def ideal_member(p: NcPoly, system: RewriteSystem) -> bool:
