@@ -75,7 +75,6 @@ from hopfw.forms import (
 )
 from hopfw.hopf import build_ahmn, build_bw, build_hb, build_hw, build_hww, system_for
 from hopfw.rewrite import RewriteSystem, unresolved_overlaps
-from slice_oracle import assert_scan_matches_slices
 from hopfw.ncalg import (
     Alphabet,
     Generator,
@@ -88,6 +87,7 @@ from hopfw.ncalg import (
     poly_to_str,
     substitute,
 )
+from slice_oracle import assert_scan_matches_slices
 
 # a bilinear form whose twist is not a scalar matrix
 BILINEAR_1235 = make_bilinear([[1, 2], [3, 5]])
