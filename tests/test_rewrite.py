@@ -424,16 +424,22 @@ def test_constructor_refuses_a_lead_outside_the_alphabet(lead):
 
 
 # (degree, (pairs popped, stale pairs, reductions to zero, new rules,
-# requeued polynomials), final rules) of hw(e3) completed in builder order
+# requeued polynomials), final rules) of hw(w) completed in builder order
 _E3_COUNTERS = [
     (4, (4036, 882, 2115, 1576, 537), 1084),
     (5, (22701, 6683, 11721, 4834, 537), 4342),
 ]
+# cyclic2 has two relations with one leading word, so arrival breaks a tie
+# in the queue, and these totals pin the queue's order as well
+_CYCLIC2_COUNTERS = [
+    (6, (1776, 1097, 603, 191, 115), 92),
+    (8, (2846, 1181, 1487, 297, 119), 194),
+]
+CYCLIC2 = MultilinearForm(2, 3, {(1, 1, 2): 1, (1, 2, 1): 1, (2, 1, 1): 1})
 
 
-@pytest.mark.parametrize("degree, totals, rules", _E3_COUNTERS, ids=["D4", "D5"])
-def test_completion_counters_of_hw_e3(degree, totals, rules):
-    system = complete(list(build_hw(make_signature(3)).relations), degree)
+def _check_completion_counters(w, degree, totals, rules):
+    system = complete(list(build_hw(w).relations), degree)
     st = system.stats
     got = (st.pairs_popped, st.stale_pairs, st.reductions_to_zero, st.new_rules, st.requeued_polys)
     assert got == totals
@@ -447,7 +453,16 @@ def test_completion_counters_of_hw_e3(degree, totals, rules):
     assert parsed.stats is None and parsed == system
 
 
-CYCLIC2 = MultilinearForm(2, 3, {(1, 1, 2): 1, (1, 2, 1): 1, (2, 1, 1): 1})
+@pytest.mark.parametrize("degree, totals, rules", _E3_COUNTERS, ids=["D4", "D5"])
+def test_completion_counters_of_hw_e3(degree, totals, rules):
+    _check_completion_counters(make_signature(3), degree, totals, rules)
+
+
+@pytest.mark.parametrize("degree, totals, rules", _CYCLIC2_COUNTERS, ids=["D6", "D8"])
+def test_completion_counters_of_hw_cyclic2(degree, totals, rules):
+    _check_completion_counters(CYCLIC2, degree, totals, rules)
+
+
 _SCALED = {
     "hw(cyclic2) D=6": (build_hw, CYCLIC2, 6),
     "bw(cyclic2) D=6": (build_bw, CYCLIC2, 6),
