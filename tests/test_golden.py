@@ -389,46 +389,46 @@ GOLDEN = {
         }
     },
     "core": {
-        "seed-00": "b67e5459e54b62422e491674091c965ff9bfe9b93d39555faf24d4860288cbba",
-        "seed-01": "5fa876a905920801b37fb577c8226cb8b7db4f25d1023f555d2420e00c31faab",
-        "seed-02": "62ca257e789a8886027354c62a3cc211faf98d296f0f1d72c045a8903e550f4f",
-        "seed-03": "5465dd8847876ca51b88bdd3d476b346891115cc2e6f56da8cc1afa27f59ed12",
-        "seed-04": "509d3a7740d54d55196cb054e04fc8dcad3abb676153192a7789cc1bc08ababe",
-        "seed-05": "af0fb88469ba6de66abee160d7f1463bb6308bd171a389deb94930e641dd3ed6",
-        "seed-06": "96252db199fab1f246a1b7b8b90efd6eb0507f6dc86a3dce9ce9cd18aac1b5e8",
-        "seed-07": "7fac2e69f4e2dc75527c91936ad7631e9be3252192e7bc6b410aed929f078097",
-        "seed-08": "82e70eca3b480a7c47fb32244d2fa0e84fdb145ebc9e110d8b078afd734e4155",
-        "seed-09": "3510401f51b52d2efe6d510c84e87ec33e055fdfe0c455fdb24b2308b9fa6e80",
-        "seed-10": "6f5505b30d3d414355115b430a5c8ceea26307ec6a0e9ae6e0ef30d4f1811ce8",
-        "seed-11": "3b8c58ac5ee00c133423478eccee1052897d29a994731c08069964f3bc50bb19",
-        "seed-12": "0ad3ddf5be4ef9e9a897ef4b4bfa32f0bd79161887e642fb093ffc8007739495",
-        "seed-13": "35592ae610dd70a566acb7b69f1e5f2c4e9a11ca691d61728c1d25bb0e37fe30",
+        "seed-00": "de6ef02a54af9fdb90fd9e59477c10ac9ccfca4a310e317e6d3fe9b412e21a38",
+        "seed-01": "5f522458f578173c46451ca32ff69e26f9654b51ca13696049d288616bd2e685",
+        "seed-02": "09e0a6eb9324dc22cef80142d5f2435062a4ea4a54251eebfa483e2652c43306",
+        "seed-03": "df4e95ef14ba47df521a7dc626454e5705251ef149a565f79534caa553587741",
+        "seed-04": "8c49be4ed6d92057f9234922ab1cd6715c202d79d114da48268cc146e63a77a6",
+        "seed-05": "dce24c17236a8d2e6bd1b3ad8d8b28d58cafe66b964cbc4cddbde9fbfca756f0",
+        "seed-06": "90b71e173af5189d4d5f783692eb39dc16e4a1716ac69c6729eba75f9c3dffb2",
+        "seed-07": "141a6aaae6c20c4d0c9321a52350d9e74d9d97779f56e07aff138b244dfa8359",
+        "seed-08": "c8b51888eebbc6acba0be9822365d79b0e1055368d951865fbe3ec4674fa6817",
+        "seed-09": "f180a3bedec083ffb79a8e742df158583dd32cefa4babb940ae99467a3f7e40c",
+        "seed-10": "e98c70129d97981b91948feb56ee557b75472cca0b97df14ef66a778a9cc5475",
+        "seed-11": "c087fc9f68a8e8029804a190a8aad111199372d35e386c17c6ab2f2ac7d420cd",
+        "seed-12": "cca855b93a861cf5804d33efc1258938ad886d648b625df1f042c78def8944d8",
+        "seed-13": "b3b8343ea736a78cf1419d48b0f66b0c35ce4b320d7c86a66148c65b2708ca05",
         "seed-14": "bf2a7882c4ed9f560f0ffaa72587a275e1b5a5e75be3e331da2ea0c4364f9a23",
-        "seed-15": "9357827099609969f80f3b94fde92fed592256a716e88ada061f0b9ac02b59c5",
-        "seed-16": "0ad95dc59eefaf3d5e1eec7daf5981e2518a5d56d498ec19a39400f426cb8dfb",
-        "seed-17": "70260e2225d7bfc38cae1a3333e7757d535129133645dedff2b46f9ee595bad9",
-        "seed-18": "5562d07de489f5a9bd17c0f24fd6c77edf6e9794bba58cf9acf90ea873960e93",
-        "seed-19": "efb000c2f8c80b51035d10b77bbf21fa9e30d9b7e9121dc1fc3a2b6e0760c5b3",
-        "seed-20": "0224172a40385ba4cbd1d829287b171315ded9f185069c7521b3c9a52d759840",
-        "seed-21": "39a4ce380c69cc9c383a1db65861e5eb82852e293bf3af0fd83446bb42e3b19f",
-        "seed-22": "fbfaf60f17716d746920468384cef6f2d5bc4e807fdf5c56167220f2909bc68a",
-        "seed-23": "5f3f40500f1f6a41c48d99f2f5e999ce80d23778a8cdc7f10c28ff69e3cd0e73",
-        "seed-24": "c4457599aec3d03c323e603cac8fed2eedabe51e4e103a709a83722ecbfb8f82",
-        "seed-25": "cb41d1725539883ea09b28b0f3340b95eb603e8e3d63002fdb9e34c2c56ed6bd",
-        "seed-26": "a588950ac0d87fe0ed88b73f960d9fc1464dc48d6236b3a25c0438daf367885a",
-        "seed-27": "ad391c873bf78b8d93adecd53664c8ad2a14dde5169a2f515edfc49d363899d9",
+        "seed-15": "2e50ae41ac7d55c4ab1c86ce92bbc02e6f3b27b4d4fcd9a85601bc2818a66122",
+        "seed-16": "52f7767997ef426520c2528ac418ce48ed6756de061fa335eb374eb55d65a898",
+        "seed-17": "b835e948d3af686c1bea8c7b536487f0cc43e818d37e635ae3f6a329cc4ca6f3",
+        "seed-18": "da66a1cb738e3e44f9447cb33db33769a63e122cb667b667e4b1ba0a1d12c4ed",
+        "seed-19": "f3cf6862b416774cb74edae2543399ba109b62d3fb706090e99533db6df9cb0d",
+        "seed-20": "f3db993c0f913c538aae68c49f4f07612d14e5e3eb83e71e4e43c4f1333ca6ce",
+        "seed-21": "55df92e622886020e011fe405ec813a1b851aa6678a76aa0ee94c2b24082be8c",
+        "seed-22": "adf06570bb66cac9695d647e00fb447b452dc4819444419453cc78e203337e29",
+        "seed-23": "e3d4a48b7420c6e91a370f1d3d518170532c7f9028a13a34764ed7d6413e6ec2",
+        "seed-24": "656fe64591b0bb5a6849a97cd55d4f823c86c16e5c4f0b5c5187258d7a3ca370",
+        "seed-25": "c93325e1a37c256e301304d77e40f13f617929a72d9e5799e0eec5bc47451d55",
+        "seed-26": "663e58b1ee604528b04fbd2d79e48db40aa9d39c3a171621f4fdf73a8fd1855e",
+        "seed-27": "c1b2046435365a4d042d57320466cdeafb0698b7cf2897cf2d9da0343201b10a",
         "seed-28": "9f784431a206734658f879249f2333751ea30d92b05f36a7ad958a8ca6d9bb34",
-        "seed-29": "ab45fabdf3801bf05022af7afe02737d2170d5726a6f9bf78b2eddb4f032ee35",
-        "seed-30": "7d0a7fa00222b775f6d1d8d3f194b603e2b15d12c3abffb722ac77e870da5db5",
+        "seed-29": "59c93499f07fb1306652843c365f0d544ca57bf8ff5b2ebc913f60065a194334",
+        "seed-30": "70df5a00076f0c50f28bfc7b4230c3a8c855196fbbe5ef939018a182a5fef95c",
         "seed-31": "7e1dd5f5fb074b9bc1c1243d40ab8e04baee52f022d6cce64d16ad7d18c39c30",
         "seed-32": "decde00a1845918796a7848c04c5c6c279b742e51d7d7b0b25e458124109c071",
-        "seed-33": "fedb0e2d94971ed186e661f312af34a1cb8c218006b4915cfafd43fc7572a2e2",
-        "seed-34": "c939cb7355e10d6b9a844fdee3498dc262e7e5edccd4de3682f7d3b073274553",
-        "seed-35": "e0bb1f4341183416a4d39b455ba972b83f0cd213e4b21066092b4fb5a9b94de7",
-        "seed-36": "eebf4d21b82a5f2253347f47b93cc3cc28ace9f2aae17b5ac6d96e5baaeb2266",
-        "seed-37": "c35006b43f019d540f47319265d2566c9350463183dca37e562d19ad1207287b",
-        "seed-38": "f715284507b813d1bcfcbe844e155646c051efd9c106859f29a0cf903154167e",
-        "seed-39": "00f9b03eb3411284596018622a2c68c975041e5d4de84abfae7d607a72fc1ed2"
+        "seed-33": "66bf3c8488ab31f916169f1817eb2deeeb7f83e3963c4a2dbee808720ff4b7f1",
+        "seed-34": "1794309e0587c1e77f520bc80ecd08f59901837f67947946b5beb83804711f63",
+        "seed-35": "4fb1931d17a617022855b94bcdaa033f5b30e73224825768573c04445bdc56b6",
+        "seed-36": "5511b320dd2be5f71696cb73f0017595748805fe9034808217f9dff5e3b4427a",
+        "seed-37": "f99b7d6385465dcff11f2eb7d176de49ee54962c0bf785947d86b2e018bd2af0",
+        "seed-38": "4535e30a531290ceeb862c058b6d00af32ac03d5b7080307ced087f6e07c5776",
+        "seed-39": "24ea236a2c3784b0ac989ac3919b5d80ce6250f7596f6536e5f9a5c87d4d85b1"
     },
     "api": {
         "Alphabet": "(generators)",
@@ -778,9 +778,12 @@ def core_text(seed: int) -> str:
     lines = []
     for name, v in values.items():
         lines += [f"{name}: {v.to_str()}", f"{name} repr: {v!r}"]
+    spell = a.word_token
     lines += [
-        f"sorted_terms: {p.sorted_terms()!r}",
-        f"tensor sorted_terms: {t.sorted_terms()!r}",
+        # words spelled by token: the letter an alphabet gives a generator
+        # is internal to the engine, the order of the terms is not
+        f"sorted_terms: {[(spell(w), c) for w, c in p.sorted_terms()]!r}",
+        f"tensor sorted_terms: {[((spell(k[0]), spell(k[1])), c) for k, c in t.sorted_terms()]!r}",
         f"poly_to_str: {poly_to_str(q)}",
         f"degree: {p.degree()} constant: {p.constant()}",
         f"round trip: {parse_poly(a, p.to_str()) == p}",
