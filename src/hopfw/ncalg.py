@@ -7,9 +7,12 @@ known only by name.  The total order on generators is family rank first
 deglex: length first, then letterwise by generator rank.
 
 Internally a word is a Python string: an :class:`Alphabet` assigns one
-character per generator, in rank order, so string comparison realises the
-rank-lex order and substring search is cheap inside the rewriting engine.
-The public surface speaks :class:`Generator` tuples; the alphabet translates.
+character per generator, numbered downward from the last generator, so that
+among words of one length plain string order is descending deglex.  Every
+order on words is then the natural key ``(-len(w), w)``, which puts the
+leading word first, and substring search is cheap inside the rewriting
+engine.  The public surface speaks :class:`Generator` tuples; the alphabet
+translates.
 
 One linear-combination core, ``_LinearCombination``, does the arithmetic
 and canonical text of :class:`NcPoly` (keys are words) and
@@ -49,7 +52,7 @@ _FAMILY_RANK = {"u": 0, "s": 1, "a": 2, "v": 3, "free": 4}
 MATRIC_FAMILIES = ("u", "s", "a", "v")
 
 _CHAR_BASE = 0x100  # words never collide with printable syntax
-_FIRST_LETTER = chr(_CHAR_BASE)
+_LOWEST_LETTER = chr(_CHAR_BASE)
 
 
 class MissingImageError(KeyError):
@@ -121,16 +124,23 @@ def parse_generator_token(text: str) -> Generator:
 
 class Alphabet:
     """An ordered generator set with the word <-> string translation and
-    the token <-> letter table that text is read and written through."""
+    the token <-> letter table that text is read and written through.
 
-    __slots__ = ("generators", "_char_of", "_letter_of", "_spell", "_base", "_end", "_desc")
+    Letters are numbered downward: of N generators in ``Generator.key``
+    order, the i-th is the letter ``chr(_CHAR_BASE + N - 1 - i)``.  Among
+    words of one length, ``w1 < w2`` as strings exactly when ``w1`` is above
+    ``w2`` in deglex, so ``(-len(w), w)`` orders words leading word first
+    with no translation: the rewriting engine keys its worklist by the bare
+    word.  ``rank_spelling`` undoes the numbering for the one place that
+    wants deglex ascending as a string, the completion queue."""
+
+    __slots__ = ("generators", "_char_of", "_letter_of", "_spell", "_top", "_end", "_rank")
 
     def __init__(self, generators: Iterable[Generator]) -> None:
         gens = tuple(sorted(set(generators), key=lambda g: g.key))
+        top = _CHAR_BASE + len(gens) - 1  # the first generator's letter
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(
-            self, "_char_of", {g: chr(_CHAR_BASE + i) for i, g in enumerate(gens)}
-        )
+        object.__setattr__(self, "_char_of", {g: chr(top - i) for i, g in enumerate(gens)})
         # the token <-> letter table: text is read through _letter_of and
         # written through its inverse, each letter spelled "token*"; the
         # token 1 reads as the empty word, the way the writer shows it
@@ -140,16 +150,10 @@ class Alphabet:
         )
         letter_of["1"] = ""
         object.__setattr__(self, "_letter_of", letter_of)
-        object.__setattr__(self, "_base", _CHAR_BASE)
-        object.__setattr__(self, "_end", chr(_CHAR_BASE + len(gens)))  # past the last letter
-        # order-reversing relabeling: descending lex = ascending lex of the
-        # translated word, used as a cheap max-heap key by the rewriter
+        object.__setattr__(self, "_top", top)
+        object.__setattr__(self, "_end", chr(top + 1))  # past the first generator's letter
         object.__setattr__(
-            self,
-            "_desc",
-            str.maketrans(
-                {_CHAR_BASE + i: chr(_CHAR_BASE + len(gens) - 1 - i) for i in range(len(gens))}
-            ),
+            self, "_rank", str.maketrans({top - i: chr(_CHAR_BASE + i) for i in range(len(gens))})
         )
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
@@ -174,7 +178,7 @@ class Alphabet:
             raise KeyError(f"generator {g.token()} not in alphabet") from None
 
     def gen(self, ch: str) -> Generator:
-        i = ord(ch) - self._base
+        i = self._top - ord(ch)
         if not 0 <= i < len(self.generators):
             raise KeyError(f"character {ch!r} not in alphabet")
         return self.generators[i]
@@ -187,7 +191,7 @@ class Alphabet:
 
     def spells(self, word: str) -> bool:
         """Whether every letter of ``word`` is one of this alphabet's."""
-        return not word or (_FIRST_LETTER <= min(word) and max(word) < self._end)
+        return not word or (_LOWEST_LETTER <= min(word) and max(word) < self._end)
 
     def word_token(self, word: str) -> str:
         """Canonical display of a word; the empty word prints as ``1``."""
@@ -205,13 +209,22 @@ class Alphabet:
                 raise ValueError(f"generator {g.token()} not in alphabet")
         return ch
 
-    def desc_key(self, word: str) -> str:
-        """Order-reversing relabeling of a word (see __init__)."""
-        return word.translate(self._desc)
+    def rank_spelling(self, word: str) -> str:
+        """The word with the i-th generator spelled ``chr(_CHAR_BASE + i)``:
+        among words of one length its string order is ascending deglex."""
+        return word.translate(self._rank)
 
 
-def deglex_key(word: str) -> tuple[int, str]:
-    return (len(word), word)
+def natural_key(word: str) -> tuple[int, str]:
+    """The sort key of a word in descending deglex, leading word first: the
+    alphabet numbers its letters downward (see :class:`Alphabet`)."""
+    return (-len(word), word)
+
+
+def deglex_key(word: str) -> tuple[int, list[int]]:
+    """Ascending deglex in generator order, for tests and oracles; words
+    themselves sort by the natural key ``(-len(w), w)``, leading word first."""
+    return (len(word), [-ord(c) for c in word])
 
 
 _SIGNS = re.compile(r"([+-][\s+-]*)")
@@ -277,8 +290,8 @@ def _read_terms(alphabet: Alphabet, text: str, read_term: Callable = _read_monom
 class _LinearCombination:
     """Finitely supported map key -> nonzero scalar over a fixed alphabet.  A
     subclass supplies ``_UNIT`` (the unit's key), ``_concat`` (the product
-    of two keys), ``_sort_key`` (orders terms by key), ``_term`` (the text
-    of one term with a positive coefficient) and ``_read_term`` (its
+    of two keys), ``_sort_key`` (orders terms, leading term first),
+    ``_term`` (the text of one term with a positive coefficient) and ``_read_term`` (its
     inverse: the key and coefficient of one unsigned term's text)."""
 
     __slots__ = ("alphabet", "terms")
@@ -361,8 +374,8 @@ class _LinearCombination:
         )
 
     def sorted_terms(self) -> list:
-        """Terms in descending key order (leading term first)."""
-        return sorted(self.terms.items(), key=self._sort_key, reverse=True)
+        """Terms in ``_sort_key`` order, leading term first."""
+        return sorted(self.terms.items(), key=self._sort_key)
 
     def to_str(self) -> str:
         """Canonical rendering: terms in descending order, each a sign and
@@ -391,7 +404,7 @@ class NcPoly(_LinearCombination):
 
     _UNIT = ""
     _concat = staticmethod(operator.add)
-    _sort_key = staticmethod(lambda t: deglex_key(t[0]))
+    _sort_key = staticmethod(lambda t: natural_key(t[0]))
 
     def _term(self, word: str, mag: Scalar) -> str:
         if not word:
@@ -420,7 +433,7 @@ class NcPoly(_LinearCombination):
     def leading_word(self) -> str:
         if not self.terms:
             raise ValueError("zero polynomial has no leading word")
-        return max(self.terms, key=deglex_key)
+        return min(self.terms, key=natural_key)
 
     def leading_coeff(self) -> Scalar:
         return self.terms[self.leading_word()]
@@ -541,7 +554,7 @@ class TensorSquare(_LinearCombination):
 
     _UNIT = ("", "")
     _concat = staticmethod(lambda k1, k2: (k1[0] + k2[0], k1[1] + k2[1]))
-    _sort_key = staticmethod(lambda t: (deglex_key(t[0][0]), deglex_key(t[0][1])))
+    _sort_key = staticmethod(lambda t: (natural_key(t[0][0]), natural_key(t[0][1])))
 
     def _term(self, k: tuple[str, str], mag: Scalar) -> str:
         token = f"{self.alphabet.word_token(k[0])}#{self.alphabet.word_token(k[1])}"
@@ -629,7 +642,8 @@ def _extend(p: NcPoly, images: Mapping, kind, target, antihom: bool, caller: str
         if img.alphabet != target:
             raise ValueError("images drawn from mixed alphabets")
     out = kind.zero(target)
-    for word, c in sorted(p.terms.items(), key=lambda t: deglex_key(t[0])):
+    # ascending deglex
+    for word, c in sorted(p.terms.items(), key=lambda t: natural_key(t[0]), reverse=True):
         acc = kind.unit(target, c)
         for g in p.alphabet.letters(word[::-1] if antihom else word):
             try:

@@ -90,7 +90,7 @@ from .ncalg import (
     _fractions,
     _read_monomial,
     _read_terms,
-    deglex_key,
+    natural_key,
     read_dump,
     write_dump,
 )
@@ -192,13 +192,14 @@ class _LeadIndex:
                 s_terms.pop(kw, None)
         return s_terms
 
-    def reduce_terms(self, terms: _Terms, desc) -> _Terms:
+    def reduce_terms(self, terms: _Terms) -> _Terms:
         """Rewrite a term dict to normal form.
 
-        Worklist in descending deglex (``desc`` is the order-reversing word
-        key): expansions are strictly smaller, so each word is finalized
-        exactly once; coefficients of pending duplicates merge before
-        expansion.  A word is pushed when it enters ``work``, so one that
+        Worklist in descending deglex, a heap keyed by ``(-len(w), w)``:
+        the alphabet's letters are numbered so that this natural key is
+        descending deglex, and no word is translated.  Expansions are
+        strictly smaller, so each word is finalized exactly once;
+        coefficients of pending duplicates merge before expansion.  A word is pushed when it enters ``work``, so one that
         cancels and returns is queued twice; the empty pop is skipped.
 
         Each popped word is scanned for its leftmost lead: from each
@@ -213,10 +214,10 @@ class _LeadIndex:
         heappop, heappush = heapq.heappop, heapq.heappush
         out: _Terms = {}
         work = dict(terms)
-        heap = [(-len(w), desc(w), w) for w in work]
+        heap = [(-len(w), w) for w in work]
         heapq.heapify(heap)
         while heap:
-            _, _, w = heappop(heap)
+            _, w = heappop(heap)
             c = work.pop(w, 0)
             if not c:
                 continue
@@ -240,7 +241,7 @@ class _LeadIndex:
                 nv = work.get(nw, 0) + c * tc
                 if nv:
                     if nw not in work:
-                        heappush(heap, (-len(nw), desc(nw), nw))
+                        heappush(heap, (-len(nw), nw))
                     work[nw] = nv
                 else:
                     work.pop(nw, None)
@@ -409,22 +410,22 @@ class RewriteSystem:
         self.stats: CompletionStats | None = None
         self._index = index = _LeadIndex()
         token = alphabet.word_token
-        # deglex order, which ``rules`` reads leads in: by length, then lex
-        for lead in sorted(sorted(tails), key=len):
+        # ascending deglex, which ``rules`` reads leads in
+        for lead in sorted(tails, key=natural_key, reverse=True):
             if not alphabet.spells(lead):
                 raise ValueError(f"rule lead {lead!r} is not spelled in the alphabet")
             n = len(lead)
             if n > degree:
                 raise ValueError(f"rule lead {token(lead)} is longer than degree {degree}")
             tail = tails[lead]
-            if any(len(w) > n or len(w) == n and w >= lead for w in tail):
+            if any(len(w) > n or len(w) == n and w <= lead for w in tail):
                 raise ValueError(f"rule tail is not below its lead {token(lead)} in deglex")
             index.add(lead, tail)
         # no lead contains another: the two longest proper factors of every
         # lead reduce to themselves, all in one reduction
         leads = index.by_word
         factors = {f: 1 for lead in leads if lead for f in (lead[1:], lead[:-1])}
-        if index.reduce_terms(factors, alphabet.desc_key) != factors:
+        if index.reduce_terms(factors) != factors:
             lead, factor = next(
                 (lead, f) for lead in leads if lead for f in (lead[1:], lead[:-1])
                 if not self.is_normal(f)
@@ -439,7 +440,7 @@ class RewriteSystem:
     def is_normal(self, word: str) -> bool:
         """Whether no lead occurs in ``word``, which holds exactly when the
         word reduces to itself."""
-        return self._index.reduce_terms({word: 1}, self.alphabet.desc_key) == {word: 1}
+        return self._index.reduce_terms({word: 1}) == {word: 1}
 
     def dump(self) -> str:
         word = self.alphabet.word_token
@@ -495,7 +496,7 @@ def normal_form(p: NcPoly, system: RewriteSystem) -> NcPoly:
     # is linear, so that of p is the result divided by d
     d = math.lcm(*[c.denominator for c in p.terms.values()])
     terms = {w: c.numerator * (d // c.denominator) for w, c in p.terms.items()}
-    reduced = system._index.reduce_terms(terms, system.alphabet.desc_key)
+    reduced = system._index.reduce_terms(terms)
     if d == 1:
         return NcPoly._adopt(p.alphabet, _fractions(reduced))
     # an integral quotient shares its Fraction as any int of a result does
@@ -515,7 +516,7 @@ class _Completion:
 
     def __init__(self, alphabet: Alphabet, degree_bound: int) -> None:
         self.alphabet = alphabet
-        self.desc = alphabet.desc_key
+        self.rank = alphabet.rank_spelling
         self.degree_bound = degree_bound
         self.index = _LiveIndex()
         self.heap: list = []
@@ -525,14 +526,14 @@ class _Completion:
     def push_poly(self, key_word: str, terms: _Terms) -> None:
         self.seq += 1
         heapq.heappush(
-            self.heap, (len(key_word), key_word, self.seq, None, terms)
+            self.heap, (len(key_word), self.rank(key_word), self.seq, None, terms)
         )
 
     def push_pair(self, l1: str, l2: str, x: str, z: str) -> None:
         key_word = x + l2
         self.seq += 1
         heapq.heappush(
-            self.heap, (len(key_word), key_word, self.seq, (l1, l2, x, z), None)
+            self.heap, (len(key_word), self.rank(key_word), self.seq, (l1, l2, x, z), None)
         )
 
     def queue_overlaps_of(self, lead: str) -> None:
@@ -546,7 +547,7 @@ class _Completion:
     def insert(self, reduced: _Terms) -> None:
         """Make a monic rule out of a reduced nonzero polynomial, retract
         the live rules its lead divides, and queue its overlaps."""
-        lead = max(reduced, key=deglex_key)
+        lead = min(reduced, key=natural_key)
         lc = reduced.pop(lead)
         if lc == 1 or lc == -1:
             tail = {w: _lean(-lc * c) for w, c in reduced.items()}
@@ -590,7 +591,7 @@ class _Completion:
                 if terms is None:
                     stats.stale_pairs += 1
                     continue  # a parent was retracted; its replacement re-queued
-            reduced = self.index.reduce_terms(terms, self.desc)
+            reduced = self.index.reduce_terms(terms)
             if reduced:
                 stats.new_rules += 1
                 self.insert(reduced)
@@ -601,8 +602,8 @@ class _Completion:
         """One pass suffices: the leads stay fixed, so each reduced tail is
         already irreducible."""
         index = self.index
-        for lead in sorted(index.by_word, key=deglex_key):
-            tail = _lean_terms(index.reduce_terms(index.by_word[lead], self.desc))
+        for lead in sorted(index.by_word, key=natural_key, reverse=True):
+            tail = _lean_terms(index.reduce_terms(index.by_word[lead]))
             index.by_word[lead] = index.table[lead] = tail
 
 
@@ -649,7 +650,6 @@ def unresolved_overlaps(system: RewriteSystem) -> list[tuple[str, str, str]]:
     S-polynomial, reduces to zero.  Returns the offending (lead1, lead2,
     overlap_word) triples; empty = confluent."""
     index = system._index
-    desc = system.alphabet.desc_key
     prefixes: dict[tuple[str, int], set[str]] = {}
     for lead in index.by_word:
         for i in range(1, len(lead)):
@@ -657,8 +657,9 @@ def unresolved_overlaps(system: RewriteSystem) -> list[tuple[str, str, str]]:
     bad = []
     for l1 in index.by_word:
         for l2, x, z in _overlaps_as_left(prefixes, l1, system.degree_bound):
-            if index.reduce_terms(index.s_poly(l1, l2, x, z), desc):
+            if index.reduce_terms(index.s_poly(l1, l2, x, z)):
                 bad.append((l1, l2, x + l2))
     # rule order for both leads, then overlaps by growing length of b
-    bad.sort(key=lambda t: (deglex_key(t[0]), deglex_key(t[1]), -len(t[2])))
+    rank = {lead: i for i, lead in enumerate(index.by_word)}
+    bad.sort(key=lambda t: (rank[t[0]], rank[t[1]], -len(t[2])))
     return bad

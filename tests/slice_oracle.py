@@ -37,10 +37,10 @@ def first_lead_by_slices(word: str, leads) -> tuple[int, str] | None:
     return None
 
 
-def first_lead_by_scan(index: _LeadIndex, word: str, desc) -> tuple[int, str] | None:
+def first_lead_by_scan(index: _LeadIndex, word: str) -> tuple[int, str] | None:
     """(position, lead) of the first rewrite ``reduce_terms`` makes in
     ``word``, for an index whose tails are all :func:`marker` tails."""
-    (normal,) = index.reduce_terms({word: 1}, desc)
+    (normal,) = index.reduce_terms({word: 1})
     for pos, ch in enumerate(normal):
         if ord(ch) >= _MARKER_BASE:
             lead = next(lead for lead, tail in index.by_word.items() if ch in tail)
@@ -64,11 +64,10 @@ def assert_scan_matches_slices(system: RewriteSystem, rng: random.Random, words:
     def noise(n: int) -> str:
         return "".join(rng.choice(letters) for _ in range(n))
 
-    desc = system.alphabet.desc_key
     lead_set = set(leads)
     for i in range(words):
         if i % 2 and leads:
             word = noise(rng.randint(0, 3)) + rng.choice(leads) + noise(rng.randint(0, 3))
         else:
             word = noise(rng.randint(0, system.degree_bound + 2))
-        assert first_lead_by_scan(index, word, desc) == first_lead_by_slices(word, lead_set), word
+        assert first_lead_by_scan(index, word) == first_lead_by_slices(word, lead_set), word

@@ -77,14 +77,30 @@ def test_alphabet_is_immutable():
         a.generators = ()
 
 
-def test_desc_key_reverses_word_order():
-    a = Alphabet(matric_family("u", 3))
+def _deglex_by_keys(a: Alphabet, word: str) -> tuple:
+    """Deglex by brute force: length, then the letters' ``Generator.key``."""
+    return (len(word), [g.key for g in a.letters(word)])
+
+
+def test_string_order_of_one_length_is_descending_deglex():
+    a = Alphabet(matric_family("u", 2) + matric_family("s", 2) + [Generator.free("x")])
     rng = random.Random(11)
     chars = [a.char(g) for g in a.generators]
-    words = ["".join(rng.choice(chars) for _ in range(4)) for _ in range(40)]
-    for w1 in words:
-        for w2 in words:
-            assert (w1 < w2) == (a.desc_key(w1) > a.desc_key(w2))
+    for length in (1, 2, 4):
+        words = ["".join(rng.choice(chars) for _ in range(length)) for _ in range(40)]
+        for w1 in words:
+            for w2 in words:
+                assert (w1 < w2) == (_deglex_by_keys(a, w1) > _deglex_by_keys(a, w2))
+    # leading_word and sorted_terms, over words of every length
+    for _ in range(100):
+        words = {"".join(rng.choice(chars) for _ in range(rng.randint(0, 4))) for _ in range(6)}
+        p = NcPoly(a, {w: rng.choice((-2, 1, rat(1, 3))) for w in words})
+        brute = sorted(words, key=lambda w: _deglex_by_keys(a, w), reverse=True)
+        assert [w for w, _ in p.sorted_terms()] == brute
+        assert p.leading_word() == brute[0]
+        t = TensorSquare.of(p, p.scale(2))
+        pairs = [(w1, w2) for w1 in brute for w2 in brute]
+        assert [k for k, _ in t.sorted_terms()] == pairs
 
 
 def test_deglex():

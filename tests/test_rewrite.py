@@ -194,7 +194,6 @@ def test_prefix_table_follows_adds_and_removes():
     scan finds the same (position, lead) as probing every slice."""
     rng = random.Random(20261020)
     letters = "\u0100\u0101\u0102"
-    alphabet = Alphabet([Generator.free(n) for n in "xyz"])
     index = _LiveIndex()
     markers: dict[str, int] = {}
     removals = evictions = 0
@@ -216,7 +215,7 @@ def test_prefix_table_follows_adds_and_removes():
         assert index.table == {p: _PREFIX for p in prefixes} | leads
         for _ in range(10):
             word = "".join(rng.choice(letters) for _ in range(rng.randint(0, 8)))
-            hit = first_lead_by_scan(index, word, alphabet.desc_key)
+            hit = first_lead_by_scan(index, word)
             assert hit == first_lead_by_slices(word, leads), (step, word)
     assert removals > 50 and evictions > 50
 
@@ -415,7 +414,7 @@ def test_constructor_refuses_a_tail_from_another_alphabet():
 
 @pytest.mark.parametrize("lead", ["\u0105", "\u0100\u0102", "\u00ff"])
 def test_constructor_refuses_a_lead_outside_the_alphabet(lead):
-    # the letters of x and y are chr(0x100) and chr(0x101); the others spell
+    # the letters of x and y are chr(0x101) and chr(0x100); the others spell
     # no generator, and a dump of the rule would drop them from its lead
     a = free_alphabet("x", "y")
     message = re.escape(f"rule lead {lead!r} is not spelled in the alphabet")
@@ -503,6 +502,14 @@ def test_rules_are_a_sequence_that_builds_each_rule_when_read():
     dump = system.dump()
     rules[0].tail.terms.clear()
     assert system.dump() == dump and rules[0] == whole[0]
+
+
+def test_rules_are_in_deglex_order_of_generator_keys():
+    system = complete(list(build_hw(CYCLIC2).relations), 5)
+    a = system.alphabet
+    leads = [r.lead for r in system.rules]
+    by_keys = sorted(leads, key=lambda w: (len(w), [g.key for g in a.letters(w)]))
+    assert len(leads) > 50 and leads == by_keys
 
 
 def test_handed_out_coefficients_are_fractions_with_and_without_denominators():
