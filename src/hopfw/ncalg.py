@@ -243,9 +243,11 @@ def _fractions(terms: dict) -> dict:
 
 def _read_monomial(alphabet: Alphabet, text: str) -> tuple[str, int | Scalar]:
     """The word and coefficient of one ``monomial`` of the text grammar; an
-    integral coefficient is an int."""
-    head, *factors = text.split("*")
-    head = head.strip()
+    integral coefficient is an int.  Each ``token*`` run of the canonical
+    text, the way ``to_str`` writes it, is one lookup in the alphabet's
+    token table; any other spelling goes through ``Alphabet._letter``."""
+    tokens = text.strip().split("*")
+    head = tokens[0]
     coeff: int | Scalar = 1
     m = _COEFFICIENT.match(head)
     if m:
@@ -255,9 +257,12 @@ def _read_monomial(alphabet: Alphabet, text: str) -> tuple[str, int | Scalar]:
         else:
             coeff = int(m[0])
         # a token may follow without "*"; a coefficient alone is c*1
-        head = head[m.end() :].lstrip() or "1"
-    letter = alphabet._letter
-    return letter(head) + "".join([letter(f.strip()) for f in factors]), coeff
+        tokens[0] = head[m.end() :].lstrip() or "1"
+    try:
+        return "".join(map(alphabet._letter_of.__getitem__, tokens)), coeff
+    except KeyError:
+        letter = alphabet._letter
+        return "".join([letter(t.strip()) for t in tokens]), coeff
 
 
 def _read_terms(alphabet: Alphabet, text: str, read_term: Callable = _read_monomial) -> dict:
