@@ -296,8 +296,9 @@ class _LinearCombination:
     """Finitely supported map key -> nonzero scalar over a fixed alphabet.  A
     subclass supplies ``_UNIT`` (the unit's key), ``_concat`` (the product
     of two keys), ``_sort_key`` (orders terms, leading term first),
-    ``_term`` (the text of one term with a positive coefficient) and ``_read_term`` (its
-    inverse: the key and coefficient of one unsigned term's text)."""
+    ``_term`` (the text of one term with a positive coefficient) and
+    ``_read_term`` (its inverse: the key and coefficient of one unsigned
+    term's text)."""
 
     __slots__ = ("alphabet", "terms")
 

@@ -37,6 +37,14 @@ Implementation notes, sized for thousands of rules:
   longer live lead containing it (checked per length bucket), and the evicted
   polynomial re-enters the queue;
 * after the queue drains, each tail is reduced once, leads ascending;
+* no key function in reduction -- the alphabet numbers its letters
+  downward (see :class:`~hopfw.ncalg.Alphabet`), so among words of one
+  length plain string order is descending deglex.  ``reduce_terms`` keys its
+  worklist heap by ``(-len(w), w)``, with no translation of the several
+  hundred thousand words a completion pushes, and every other order on
+  words -- leads, the gate's tail check, interreduction, the audit -- is
+  the same natural key.  Only the completion queue, which pops in
+  ascending deglex, respells its keys with ``Alphabet.rank_spelling``;
 * integer coefficients -- inside the engine an integral coefficient is a
   plain ``int`` and only a value with a denominator is a ``Fraction``.
   Input relations enter through ``_lean_terms``, and a dump's tails are
@@ -196,11 +204,12 @@ class _LeadIndex:
         """Rewrite a term dict to normal form.
 
         Worklist in descending deglex, a heap keyed by ``(-len(w), w)``:
-        the alphabet's letters are numbered so that this natural key is
+        the alphabet numbers its letters so that this natural key is
         descending deglex, and no word is translated.  Expansions are
         strictly smaller, so each word is finalized exactly once;
-        coefficients of pending duplicates merge before expansion.  A word is pushed when it enters ``work``, so one that
-        cancels and returns is queued twice; the empty pop is skipped.
+        coefficients of pending duplicates merge before expansion.  A word
+        is pushed when it enters ``work``, so one that cancels and returns
+        is queued twice; the empty pop is skipped.
 
         Each popped word is scanned for its leftmost lead: from each
         position the scan walks forward one letter a probe while the table
@@ -523,6 +532,8 @@ class _Completion:
         self.seq = 0
         self.stats = CompletionStats()
 
+    # the queue pops in ascending deglex, so its keys spell each word with
+    # the letters in rank order
     def push_poly(self, key_word: str, terms: _Terms) -> None:
         self.seq += 1
         heapq.heappush(
