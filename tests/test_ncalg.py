@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -179,6 +180,22 @@ def test_text_round_trips_on_seeded_values():
         t = TensorSquare(a, {(word(), word()): coeff() for _ in range(rng.randint(0, 5))})
         assert parse_tensor(a, t.to_str()) == t
     assert parse_tensor(a, "2*1#x - 1#1").to_str() == "2*1#x - 1#1"
+
+
+def test_spaced_and_respelled_text_reads_as_the_canonical_text():
+    # the reader looks each token of the canonical text up in one table;
+    # spaces around "*" and other spellings of a generator take the slower
+    # path, to the same terms
+    rng = random.Random(2013)
+    a = Alphabet(matric_family("u", 2) + [Generator.free("x")])
+    letters = [a.char(g) for g in a.generators]
+    star = lambda _: rng.choice(("*", " * ", "* ", " *", "*"))
+    for _ in range(200):
+        words = ["".join(rng.choice(letters) for _ in range(rng.randint(0, 3))) for _ in range(4)]
+        p = NcPoly(a, {w: rat(rng.randint(-6, 6), rng.randint(1, 3)) for w in words})
+        text = p.to_str()
+        assert parse_poly(a, re.sub(r"\*", star, text)) == p
+        assert parse_poly(a, text.replace("u[1,", "u[01,").replace(",2]", ",02]")) == p
 
 
 def test_parse_poly_merges_and_signs():
