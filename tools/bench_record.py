@@ -11,8 +11,9 @@ turns, and which one goes first alternates from run to run, so that drift
 in the machine's speed falls on all of them alike.  For each checkout
 label and workload the file gets each metric's median over the seeds, with
 its unit and the value of every seed, and whether every run was correct;
-for each label also the commit, whether the tree had changes not committed,
-the seeds and the run length.  Each call writes the output file afresh.
+for each label also the commit, whether the tree had changes not committed
+(both read before the first run), the seeds and the run length.  Each call
+writes the output file afresh.
 
 Standard library only.  Each run is a fresh process started from the root
 of its checkout, which is where ``benchmark/run.py`` imports hopfw from.
@@ -83,6 +84,9 @@ def main(argv=None) -> int:
         if not (checkouts[label] / "benchmark" / "run.py").is_file():
             ap.error(f"no benchmark/run.py under {checkouts[label]}")
 
+    # what is measured is the tree as it stands before the first run
+    states = {label: (git(path, "rev-parse", "HEAD"), bool(git(path, "status", "--porcelain")))
+              for label, path in checkouts.items()}
     results: dict[str, dict[str, list]] = {label: {} for label in checkouts}
     labels = list(checkouts)
     turn = 0
@@ -100,12 +104,12 @@ def main(argv=None) -> int:
     record: dict[str, dict] = {"runs": {}}
     host = {"python": platform.python_version(), "cpus": os.cpu_count()}
     correct = True
-    for label, path in checkouts.items():
+    for label in checkouts:
         summaries = {w: summarize(rs) for w, rs in results[label].items()}
         correct = correct and all(s["correct"] for s in summaries.values())
         record["runs"][label] = {
-            "commit": git(path, "rev-parse", "HEAD"),
-            "uncommitted_changes": bool(git(path, "status", "--porcelain")),
+            "commit": states[label][0],
+            "uncommitted_changes": states[label][1],
             "seeds": args.seeds,
             "seconds": SPEC["run_seconds"],
             "host": host,
