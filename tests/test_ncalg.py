@@ -196,6 +196,10 @@ def test_spaced_and_respelled_text_reads_as_the_canonical_text():
         text = p.to_str()
         assert parse_poly(a, re.sub(r"\*", star, text)) == p
         assert parse_poly(a, text.replace("u[1,", "u[01,").replace(",2]", ",02]")) == p
+    # a spaced token reads, and is refused, as the bare token is
+    assert parse_poly(a, "x * 1 + 2 * 1") == parse_poly(a, "x + 2")
+    with pytest.raises(ValueError, match=re.escape("not a generator token: '3y'")):
+        parse_poly(a, "x * 3y ")
 
 
 def test_parse_poly_merges_and_signs():
