@@ -42,12 +42,16 @@ the API, the presentation reader and the CLI alike.  Beside it,
 beyond that build (bw: ``--polar`` and the polar left inverse), for both
 :func:`refuse_unread` and the axioms suite.
 
-Every structural claim (counit, coproduct, antipode, derived identities,
-homomorphisms) is checked by reduction against a degree-truncated rewriting
-system; an item whose polynomial exceeds the certified degree reports
-UNCERTIFIED rather than silently recompleting at a higher bound.  The table
-``SUITES`` names every verification suite, the inputs it reads and the
-function that runs it; ``hopfw verify`` is a lookup in it.
+Every structural claim is a value that must vanish, most of them a normal
+form against a degree-truncated rewriting system.  ``_verdict`` alone turns
+such a value into PASS (zero), FAIL (shown) or UNCERTIFIED (it needs a degree
+above the certified one; nothing recompletes), and ``_per_relation`` feeds it
+one value per labelled relation.  A nonzero normal form at a truncation
+refutes nothing on its own, yet is reported FAIL today (ROADMAP item 2).
+``_from_hw`` builds every map out of hw: u to the target's generator matrix
+G, s to S(G).  The table ``SUITES`` names every verification suite, the
+inputs it reads and the function that runs it; ``hopfw verify`` is a lookup
+in it.
 """
 
 from __future__ import annotations
@@ -366,14 +370,39 @@ def build_presentation(
 # checks
 
 
-def _pass_or_fail(name: str, ok: bool, detail: str) -> CheckResult:
-    """PASS, or FAIL with ``detail``."""
-    return CheckResult(name, Status.PASS) if ok else CheckResult(name, Status.FAIL, detail)
+def _verdict(name: str, what: str, value: Callable[[], NcPoly | TensorSquare]) -> CheckResult:
+    """The one place a value that must vanish becomes a status: PASS when
+    ``value()`` is zero, FAIL showing it as ``what``, and UNCERTIFIED when it
+    needs a normal form above the certified degree, which the detail names."""
+    try:
+        v = value()
+    except NotCertifiedError as exc:
+        detail = f"needs degree {exc.degree}, certified {exc.certified}"
+        return CheckResult(name, Status.UNCERTIFIED, detail)
+    if v.is_zero():
+        return CheckResult(name, Status.PASS)
+    return CheckResult(name, Status.FAIL, f"{what} {v.to_str()}")
 
 
-def _uncertified(name: str, poly: NcPoly, exc: NotCertifiedError) -> CheckResult:
-    detail = f"needs degree {poly.degree()}, certified {exc.certified}"
-    return CheckResult(name, Status.UNCERTIFIED, detail)
+def _per_relation(
+    pres: Presentation, prefix: str, what: str, value: Callable[[NcPoly], NcPoly | TensorSquare]
+) -> list[CheckResult]:
+    """One verdict per labelled relation of ``pres``, named ``prefix:label``,
+    on ``value(relation)``."""
+    return [
+        _verdict(f"{prefix}:{label}", what, functools.partial(value, rel))
+        for label, rel in zip(pres.relation_labels, pres.relations)
+    ]
+
+
+def _verdicts(
+    label: str, pairs: Iterable[tuple[Idx, NcPoly]], system: RewriteSystem
+) -> list[CheckResult]:
+    """One verdict per (index, polynomial that must vanish), named ``label[index]``."""
+    return [
+        _verdict(name, "normal form", functools.partial(normal_form, p, system))
+        for name, p in _labelled(label, pairs)
+    ]
 
 
 def system_for(pres: Presentation, degree: int, on_progress=None) -> RewriteSystem:
@@ -386,11 +415,8 @@ def check_counit(pres: Presentation) -> list[CheckResult]:
     """The counit, extended as a character, must send every relation to 0."""
     a = pres.alphabet
     eps = {g: NcPoly.unit(a, e) for g, e in pres.structure.counit.items()}
-    out = []
-    for label, rel in zip(pres.relation_labels, pres.relations):
-        val = substitute(rel, eps, target=a).constant()
-        out.append(_pass_or_fail(f"counit:{label}", val == 0, f"counit value {val}"))
-    return out
+    value = functools.partial(substitute, images=eps, target=a)
+    return _per_relation(pres, "counit", "counit value", value)
 
 
 def check_coproduct(
@@ -405,39 +431,18 @@ def check_coproduct(
     def word_nf(word: str) -> dict[str, Scalar]:
         return normal_form(NcPoly.from_word(system.alphabet, word), system).terms
 
-    out = []
-    for label, rel in zip(pres.relation_labels, pres.relations):
-        name = f"coproduct:{label}"
-        residue: dict[tuple[str, str], Scalar] = {}
+    def residue(rel: NcPoly) -> TensorSquare:
+        out: dict[tuple[str, str], Scalar] = {}
         image = coproduct_image(rel, pres.structure.delta, target=pres.alphabet)
-        try:
-            for (w1, w2), c in image.terms.items():
-                for a, ca in word_nf(w1).items():
-                    for b, cb in word_nf(w2).items():
-                        residue[(a, b)] = residue.get((a, b), ZERO) + c * ca * cb
-        except NotCertifiedError as exc:
-            out.append(_uncertified(name, rel, exc))
-            continue
-        reduced = TensorSquare(pres.alphabet, residue)  # drops cancelled terms
-        out.append(_pass_or_fail(name, reduced.is_zero(), f"residue {reduced.to_str()}"))
-    return out
+        # longest words first: a word above the certified degree is met at
+        # the relation's own degree
+        for (w1, w2), c in image.sorted_terms():
+            for a, ca in word_nf(w1).items():
+                for b, cb in word_nf(w2).items():
+                    out[(a, b)] = out.get((a, b), ZERO) + c * ca * cb
+        return TensorSquare(pres.alphabet, out)  # drops cancelled terms
 
-
-def _nf_verdict(
-    name: str, poly: NcPoly, system: RewriteSystem
-) -> CheckResult:
-    try:
-        nf = normal_form(poly, system)
-    except NotCertifiedError as exc:
-        return _uncertified(name, poly, exc)
-    return _pass_or_fail(name, nf.is_zero(), f"normal form {nf.to_str()}")
-
-
-def _verdicts(
-    label: str, pairs: Iterable[tuple[Idx, NcPoly]], system: RewriteSystem
-) -> list[CheckResult]:
-    """One verdict per (index, polynomial that must vanish), named ``label[index]``."""
-    return [_nf_verdict(name, p, system) for name, p in _labelled(label, pairs)]
+    return _per_relation(pres, "coproduct", "residue", residue)
 
 
 def check_antipode(
@@ -450,11 +455,13 @@ def check_antipode(
         raise ValueError("presentation has no antipode data")
     if system is None:
         system = system_for(pres, degree)
-    out = []
-    for label, rel in zip(pres.relation_labels, pres.relations):
-        img = substitute(rel, s_images, antihom=True, target=pres.alphabet)
-        out.append(_nf_verdict(f"antipode-ideal:{label}", img, system))
     a, n = pres.alphabet, pres.n
+    out = _per_relation(
+        pres,
+        "antipode-ideal",
+        "normal form",
+        lambda rel: normal_form(substitute(rel, s_images, antihom=True, target=a), system),
+    )
     one = PolyMatrix.identity(a, n)
     for fam in pres.families():
         g = PolyMatrix.family(a, fam, n)
@@ -547,18 +554,16 @@ def derived_relations_suite(
         out += manin_suite(degree, system)
 
     if w == make_orthogonal(n, m):
-        out += _power_antipode_checks(pres, system)
+        out += _verdicts("spow", _power_antipode(pres).entries(), system)
 
     return out
 
 
-def _power_antipode_checks(
-    pres: Presentation, system: RewriteSystem
-) -> list[CheckResult]:
-    """s is the transposed (m-1)-st power of u (fully diagonal form only)."""
+def _power_antipode(pres: Presentation) -> PolyMatrix:
+    """S - P, with P the transposed (m-1)-st power of U: it vanishes when s
+    is that power of u (fully diagonal form only)."""
     a, n = pres.alphabet, pres.n
-    spow = PolyMatrix.family(a, "s", n) - _transposed_power(a, "u", n, pres.m - 1)
-    return _verdicts("spow", spow.entries(), system)
+    return PolyMatrix.family(a, "s", n) - _transposed_power(a, "u", n, pres.m - 1)
 
 
 def pair_reduction_suite(
@@ -615,30 +620,33 @@ def manin_suite(degree: int, system: RewriteSystem | None = None) -> list[CheckR
     return _verdicts("column", column, system) + _verdicts("exchange", exchange, system)
 
 
+def _iso_suite(
+    homs: tuple[HomCandidate, HomCandidate], degree: int, label: str, vanish: PolyMatrix
+) -> list[CheckResult]:
+    """Both directions of an identification of hw with another presentation,
+    then ``label``: the entries of ``vanish``, which must vanish in hw."""
+    fwd, back = homs
+    out = check_hom(fwd, degree, system_for(fwd.target, degree))
+    hw_system = system_for(back.target, degree)
+    out += check_hom(back, degree, hw_system)
+    return out + _verdicts(label, vanish.entries(), hw_system)
+
+
 def diagonal_iso_suite(n: int, m: int, degree: int) -> list[CheckResult]:
     """Both directions of the diagonal-form <-> power-sum identification,
     plus the in-quotient identity s^l_m = (u^m_l)^{m-1}."""
-    fwd, back = theta_iso_homs(n, m)
-    ah_system = system_for(fwd.target, degree)
-    hw_system = system_for(back.target, degree)
-    out = check_hom(fwd, degree, ah_system)
-    out += check_hom(back, degree, hw_system)
-    out += _power_antipode_checks(fwd.source, hw_system)
-    return out
+    homs = theta_iso_homs(n, m)
+    return _iso_suite(homs, degree, "spow", _power_antipode(homs[0].source))
 
 
 def bilinear_iso_suite(b: MultilinearForm, degree: int) -> list[CheckResult]:
     """Mutual homomorphism checks for the arity-2 identification, plus the
     roundtrip fix of s (the composite must send s back to s)."""
     fwd, back = m2_iso_homs(b)
-    hb_system = system_for(fwd.target, degree)
-    hw_system = system_for(back.target, degree)
-    out = check_hom(fwd, degree, hb_system)
-    out += check_hom(back, degree, hw_system)
     a, n = fwd.source.alphabet, b.dim
     composed = {g: substitute(fwd.images[g], back.images, target=a) for g in matric_family("s", n)}
     roundtrip = PolyMatrix.family(a, "s", n) - PolyMatrix.of(a, composed, "s", n)
-    return out + _verdicts("roundtrip-s", roundtrip.entries(), hw_system)
+    return _iso_suite((fwd, back), degree, "roundtrip-s", roundtrip)
 
 
 @dataclass
@@ -656,22 +664,28 @@ def check_hom(
     lands in the target ideal."""
     if system is None:
         system = system_for(hom.target, degree)
-    out = []
-    for label, rel in zip(hom.source.relation_labels, hom.source.relations):
-        img = substitute(rel, hom.images, target=hom.target.alphabet)
-        out.append(_nf_verdict(f"{hom.label}:{label}", img, system))
-    return out
+    t = hom.target.alphabet
+    return _per_relation(
+        hom.source,
+        hom.label,
+        "normal form",
+        lambda rel: normal_form(substitute(rel, hom.images, target=t), system),
+    )
 
 
-def _antipode_matrix(pres: Presentation, family: str) -> PolyMatrix:
-    return PolyMatrix.of(pres.alphabet, pres.structure.antipode, family, pres.n)
+def _from_hw(label: str, hw: Presentation, target: Presentation) -> HomCandidate:
+    """u to the one generator matrix G of ``target`` and s to S(G): a Hopf
+    map out of hw is fixed by the image of u, as s = S(u)."""
+    (fam,) = target.families()
+    a, n = target.alphabet, target.n
+    g = PolyMatrix.family(a, fam, n)
+    sg = PolyMatrix.of(a, target.structure.antipode, fam, n)
+    return HomCandidate(label, hw, target, g.images("u") | sg.images("s"))
 
 
 def hw_to_hww_hom(hw: Presentation, hww: Presentation) -> HomCandidate:
     """u goes to the generator matrix, s to its antipode image."""
-    v = PolyMatrix.family(hww.alphabet, "v", hw.n)
-    images = v.images("u") | _antipode_matrix(hww, "v").images("s")
-    return HomCandidate("hw->hww", hw, hww, images)
+    return _from_hw("hw->hww", hw, hww)
 
 
 def theta_iso_homs(n: int, m: int) -> tuple[HomCandidate, HomCandidate]:
@@ -679,13 +693,8 @@ def theta_iso_homs(n: int, m: int) -> tuple[HomCandidate, HomCandidate]:
     algebra and the power-sum presentation: u <-> a, s -> transposed power."""
     htheta = build_hw(make_orthogonal(n, m))
     ah = build_ahmn(m, n)
-    a = PolyMatrix.family(ah.alphabet, "a", n)
-    fwd = a.images("u") | _antipode_matrix(ah, "a").images("s")
     back = PolyMatrix.family(htheta.alphabet, "u", n).images("a")
-    return (
-        HomCandidate("htheta->ah", htheta, ah, fwd),
-        HomCandidate("ah->htheta", ah, htheta, back),
-    )
+    return _from_hw("htheta->ah", htheta, ah), HomCandidate("ah->htheta", ah, htheta, back)
 
 
 def m2_iso_homs(b: MultilinearForm) -> tuple[HomCandidate, HomCandidate]:
@@ -693,13 +702,8 @@ def m2_iso_homs(b: MultilinearForm) -> tuple[HomCandidate, HomCandidate]:
     u <-> u, with s carried to the b-conjugated matrix."""
     hw = build_hw(b)
     hb = build_hb(b)
-    u = PolyMatrix.family(hb.alphabet, "u", b.dim)
-    fwd = u.images("u") | _antipode_matrix(hb, "u").images("s")
     back = PolyMatrix.family(hw.alphabet, "u", b.dim).images("u")
-    return (
-        HomCandidate("hw->hb", hw, hb, fwd),
-        HomCandidate("hb->hw", hb, hw, back),
-    )
+    return _from_hw("hw->hb", hw, hb), HomCandidate("hb->hw", hb, hw, back)
 
 
 @dataclass
@@ -723,10 +727,8 @@ def check_representation(
     target = next(iter(images.values())).alphabet
     if any(g.family != "free" for g in target.generators):
         raise ValueError("representation targets must be free algebras")
-    results = []
-    for label, rel in zip(pres.relation_labels, pres.relations):
-        img = substitute(rel, images, target=target)
-        results.append(_pass_or_fail(f"rep:{label}", img.is_zero(), f"image {img.to_str()}"))
+    value = functools.partial(substitute, images=images, target=target)
+    results = _per_relation(pres, "rep", "image", value)
     wimg = None
     distinct = None
     if witness is not None:

@@ -19,11 +19,11 @@ Implementation notes, sized for thousands of rules:
   a trie of the leads; the scan restarts at each position instead of taking
   Aho & Corasick's failure links (CACM 1975), since a word is at most D
   letters long.  Live leads are factor-free, so no lead is a prefix of another
-  and the two kinds of key never collide.  Completion counts how many live
-  leads each prefix starts, so that an eviction drops the prefixes it was
-  the last to start.  A frozen system keeps only the table and its tails:
-  completion builds the overlap maps below for itself, and the audit builds
-  its prefix map when it runs;
+  and the two kinds of key never collide.  An eviction drops each prefix
+  of the evicted lead that no live lead still starts with, which the prefix
+  map below already says.  A frozen system keeps only the table and its
+  tails: completion builds the live index with the maps below for itself,
+  and the audit rebuilds it from the frozen rules when it runs;
 * overlap enumeration through prefix/suffix maps keyed by (affix, lead
   length): every proper prefix and suffix of each live lead is indexed with
   the lead's length, so a new rule meets only the rules it genuinely
@@ -258,54 +258,48 @@ class _LeadIndex:
 
 
 class _LiveIndex(_LeadIndex):
-    """The index of a completion run, whose live leads are pairwise
-    factor-free: no lead is a prefix of another, so a table entry is a lead
-    or a prefix, never both.  ``counts`` holds how many live leads each
-    prefix starts, so that removing the last of them drops the prefix.
-    Also the leads by length, for eviction, and the overlap maps: every
-    proper prefix and suffix of each live lead, keyed by (affix, length of
-    the lead)."""
+    """The index of a completion run, or of the audit, whose live leads are
+    pairwise factor-free: no lead is a prefix of another, so a table entry
+    is a lead or a prefix, never both.  Also the leads by length, for
+    eviction, and the overlap maps: every proper prefix and suffix of each
+    live lead, keyed by (affix, length of the lead).  Removing a lead drops
+    each of its prefixes that no live lead of any length still starts with."""
 
-    __slots__ = ("counts", "by_len", "prefixes", "suffixes")
+    __slots__ = ("by_len", "prefixes", "suffixes")
 
     def __init__(self) -> None:
         super().__init__()
-        self.counts: dict[str, int] = {}
         self.by_len: dict[int, set[str]] = {}
         self.prefixes: dict[tuple[str, int], set[str]] = {}
         self.suffixes: dict[tuple[str, int], set[str]] = {}
 
     def add(self, lead: str, tail: _Terms) -> None:
         super().add(lead, tail)
-        counts = self.counts
         n = len(lead)
         self.by_len.setdefault(n, set()).add(lead)
         for i in range(1, n):
-            prefix = lead[:i]
-            counts[prefix] = counts.get(prefix, 0) + 1
-            self.prefixes.setdefault((prefix, n), set()).add(lead)
+            self.prefixes.setdefault((lead[:i], n), set()).add(lead)
             self.suffixes.setdefault((lead[i:], n), set()).add(lead)
 
     def remove(self, lead: str) -> _Terms:
         tail = self.by_word.pop(lead)
-        table, counts = self.table, self.counts
+        table, prefixes = self.table, self.prefixes
         del table[lead]
         n = len(lead)
         self.by_len[n].discard(lead)
         for i in range(1, n):
             prefix = lead[:i]
-            counts[prefix] -= 1
-            if not counts[prefix]:
-                del counts[prefix], table[prefix]
-            self.prefixes[prefix, n].discard(lead)
+            prefixes[prefix, n].discard(lead)
             self.suffixes[lead[i:], n].discard(lead)
+            if not any(prefixes.get((prefix, k)) for k in self.by_len):
+                del table[prefix]
         return tail
 
     def overlaps_as_right(self, lead: str, bound: int):
         """Every proper overlap of degree <= ``bound`` with ``lead`` as the
         right rule and another live lead l1 as the left one: yields
         (l1, x, z) with l1 = x.b and lead = b.z for a nonempty proper b.
-        The self-overlaps of ``lead`` are left to :func:`_overlaps_as_left`."""
+        The self-overlaps of ``lead`` are left to :meth:`overlaps_as_left`."""
         n = len(lead)
         for i in range(1, n):
             b = lead[:i]
@@ -316,20 +310,19 @@ class _LiveIndex(_LeadIndex):
                         if l1 != lead:
                             yield l1, l1[: n1 - i], lead[i:]
 
-
-def _overlaps_as_left(prefixes: dict[tuple[str, int], set[str]], lead: str, bound: int):
-    """Every proper overlap of degree <= ``bound`` with ``lead`` as the left
-    rule, the right one found in ``prefixes``, a map (proper prefix, length
-    of the lead) -> leads: yields (l2, x, z) with lead = x.b and l2 = b.z for
-    a nonempty proper b, so the overlap word x.l2 has length |x| + |l2|."""
-    n = len(lead)
-    for i in range(1, n):
-        b = lead[i:]
-        for n2 in range(n - i + 1, bound - i + 1):
-            others = prefixes.get((b, n2))
-            if others:
-                for l2 in others:
-                    yield l2, lead[:i], l2[n - i :]
+    def overlaps_as_left(self, lead: str, bound: int):
+        """Every proper overlap of degree <= ``bound`` with ``lead`` as the
+        left rule and a live lead l2 as the right one: yields (l2, x, z) with
+        lead = x.b and l2 = b.z for a nonempty proper b, so the overlap word
+        x.l2 has length |x| + |l2|."""
+        n = len(lead)
+        for i in range(1, n):
+            b = lead[i:]
+            for n2 in range(n - i + 1, bound - i + 1):
+                others = self.prefixes.get((b, n2))
+                if others:
+                    for l2 in others:
+                        yield l2, lead[:i], l2[n - i :]
 
 
 class _Rules(Sequence):
@@ -550,7 +543,7 @@ class _Completion:
     def queue_overlaps_of(self, lead: str) -> None:
         """Queue every overlap ambiguity of degree <= D between ``lead`` and
         the live rules (including itself)."""
-        for l2, x, z in _overlaps_as_left(self.index.prefixes, lead, self.degree_bound):
+        for l2, x, z in self.index.overlaps_as_left(lead, self.degree_bound):
             self.push_pair(lead, l2, x, z)
         for l1, x, z in self.index.overlaps_as_right(lead, self.degree_bound):
             self.push_pair(l1, lead, x, z)
@@ -660,14 +653,12 @@ def unresolved_overlaps(system: RewriteSystem) -> list[tuple[str, str, str]]:
     form is linear, so the two agree exactly when their difference, the
     S-polynomial, reduces to zero.  Returns the offending (lead1, lead2,
     overlap_word) triples; empty = confluent."""
-    index = system._index
-    prefixes: dict[tuple[str, int], set[str]] = {}
-    for lead in index.by_word:
-        for i in range(1, len(lead)):
-            prefixes.setdefault((lead[:i], len(lead)), set()).add(lead)
+    index = _LiveIndex()
+    for lead, tail in system._index.by_word.items():
+        index.add(lead, tail)
     bad = []
     for l1 in index.by_word:
-        for l2, x, z in _overlaps_as_left(prefixes, l1, system.degree_bound):
+        for l2, x, z in index.overlaps_as_left(l1, system.degree_bound):
             if index.reduce_terms(index.s_poly(l1, l2, x, z)):
                 bad.append((l1, l2, x + l2))
     # rule order for both leads, then overlaps by growing length of b

@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +38,7 @@ from hopfw.hopf import (
     build_bw,
     build_hw,
     build_presentation,
+    derived_relations_suite,
     pair_reduction_suite,
     refuse_unread,
     run_suite,
@@ -118,6 +122,14 @@ def test_form_file_round_trip(tmp_path):
 def test_form_from_obj_rejections(obj):
     with pytest.raises(FormFileError):
         form_from_obj(obj)
+
+
+def test_form_coefficient_is_an_integer_or_a_rational_string():
+    text = '{"dim": 2, "arity": 3, "entries": [{"idx": [1, 1, 2], "c": %s}]}'
+    assert load_form_text(text % "2") == load_form_text(text % '"2"')
+    assert load_form_text(text % "2") == MultilinearForm(2, 3, {(1, 1, 2): rat(2)})
+    with pytest.raises(FormFileError, match="coefficient must be"):
+        load_form_text(text % "true")
 
 
 def test_load_form_text_reports_json_position():
@@ -496,14 +508,19 @@ def test_nf_unknown_generator(cyclic2, tmp_path, capsys):
         ("rule u[1,2]*u[1,2]*u[1,2]*u[1,2]*u[1,2] -> u[1,1]", "u[1,2]", "longer than degree 4"),
     ],
 )
-def test_nf_refuses_a_system_that_would_not_terminate(tmp_path, capsys, rule, poly, message):
+def test_nf_refuses_a_system_that_would_not_terminate(tmp_path, rule, poly, message):
     path = tmp_path / "sys.txt"
     path.write_text(
         f"system\ndegree 4\ncomplete_through 4\ngenerators u[1,1] u[1,2]\n{rule}\n"
     )
-    assert main(["nf", str(path), "--poly", poly]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("hopfw: error:") and message in err
+    # in a child with a time limit: a gate that let such a rule through
+    # would make this reduction run for ever, which must fail, not hang
+    path_dirs = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_dirs)))
+    argv = [sys.executable, "-m", "hopfw.cli", "nf", str(path), "--poly", poly]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("hopfw: error:") and message in proc.stderr
 
 
 def test_gb_rejects_nonpositive_degree(cyclic2, tmp_path, capsys):
@@ -570,6 +587,33 @@ def test_verify_derived_uses_two_polar_samples(cyclic2, capsys):
     assert lines[0] == "PASS sample1:sinw[1,1,1]"
     assert any(l.startswith("PASS sample2:") for l in lines)
     assert lines[-1] == "summary: 64 pass, 0 fail, 0 uncertified"
+
+
+@pytest.mark.parametrize("degree, code", [(3, 1), (4, 0)])
+def test_verify_derived_on_a_given_polar_member(cyclic2, tmp_path, capsys, degree, code):
+    w = load_form(cyclic2)
+    sol = polar(w)
+    # one kernel step away from the canonical member, which is the default
+    wt = sol.member([1] + [0] * (len(sol.kernel_basis) - 1))
+    path = tmp_path / "polar.json"
+    path.write_text(dump_form(wt))
+    argv = ["verify", "--suite", "derived", cyclic2, "--polar", str(path)]
+    assert main([*argv, "--degree", str(degree)]) == code
+    rows = capsys.readouterr().out.splitlines()[:-1]
+    expected = derived_relations_suite(build_hw(w), wt, degree)
+    assert rows == [
+        f"{r.status.value} sample1:{r.name}" + (f" ({r.detail})" if r.detail else "")
+        for r in expected
+    ]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: a nonzero normal form at D=3 prints FAIL without a refuter",
+)
+def test_verify_axioms_below_the_degree_they_need_is_uncertified(cyclic2):
+    # all 64 rows pass at D=4; at D=3 16 nonzero normal forms print FAIL
+    assert main(["verify", "--suite", "axioms", cyclic2, "--degree", "3"]) == 2
 
 
 def test_verify_pair_reduction(cyclic2, capsys):

@@ -321,6 +321,20 @@ def test_left_inverse_needs_a_polar_member():
         check_left_inverse_identity(bw2, W2, 6)
 
 
+@pytest.mark.parametrize("degree", [3, 4])
+def test_checks_without_a_system_complete_their_own(hw2, degree):
+    # at D=3 some antipode rows fail and at D=4 all pass: either way a check
+    # given no system reads the one system_for completes
+    for check, pres, args in (
+        (check_coproduct, hw2, ()),
+        (check_antipode, hw2, ()),
+        (check_left_inverse_identity, build_bw(W2), (WT2,)),
+    ):
+        own = check(pres, *args, degree)
+        assert own == check(pres, *args, degree, system_for(pres, degree))
+        assert len(own) >= 4
+
+
 def test_axiom_suite_bilinear_presentation():
     results = hopf_axiom_suite(build_hb(B), 4)
     assert len(results) == 32
