@@ -47,6 +47,17 @@ def format_rational(q: Scalar) -> str:
     return str(q)
 
 
+def add_terms(out: dict, pairs: Iterable[tuple]) -> dict:
+    """Add (key, value) pairs into ``out``, a new key from ZERO; drop a key summing to 0."""
+    for k, c in pairs:
+        s = out.get(k, ZERO) + c
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
 class Matrix:
     """Immutable dense matrix of scalars, row-major, 0-based indexing."""
 

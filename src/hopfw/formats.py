@@ -39,7 +39,10 @@ whose ``read_dump`` and ``write_dump`` read and write both dumps.  Every fact
 is stated once: a header field, the one ``generators`` line (before any
 fact, naming each generator once), a ``delta``, ``counit`` or ``antipode``
 line for one generator, a rule for one lead.  The ``delta`` and ``counit``
-lines cover every generator or none, and so do the ``antipode`` lines.
+lines cover every generator or none, and so do the ``antipode`` lines.  In a
+presentation dump each matric family on the ``generators`` line is whole: it
+names g[r,c] for every r, c in 1..n and no other g[r,c], so a wrong ``n``
+header is refused rather than checked on part of the generators.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .ncalg import (
     Alphabet,
     NcPoly,
     TensorSquare,
+    matric_family,
     parse_generator_token,
     parse_poly,
     parse_tensor,
@@ -232,9 +236,14 @@ def parse_presentation(text: str) -> Presentation:
                 " and antipode of every generator or none"
             )
         structure = HopfStructure(delta, counit, antipode or None)
+    n, matric = header["n"], {g for g in generators if g.family != "free"}
+    whole = {g for fam in {g.family for g in matric} for g in matric_family(fam, n)}
+    if odd := min(matric ^ whole, key=lambda g: g.key, default=None):
+        where = "outside" if odd in matric else "missing from"
+        raise ValueError(f"generator {odd.token()} is {where} the {n}x{n} {odd.family} family")
     return Presentation(
         kind=header["algebra"],
-        n=header["n"],
+        n=n,
         m=header["m"],
         alphabet=alphabet,
         generators=tuple(generators),

@@ -28,6 +28,7 @@ index of wt, and its reduced row echelon form is unique.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -37,6 +38,7 @@ from .exactnum import (
     Scalar,
     SingularMatrixError,
     ZERO,
+    add_terms,
     is_invertible,
     rat,
     rref,
@@ -107,18 +109,8 @@ class MultilinearForm:
     def add(self, other: "MultilinearForm") -> "MultilinearForm":
         if (self.dim, self.arity) != (other.dim, other.arity):
             raise ValueError("shape mismatch")
-        out = dict(self.entries)
-        for i, c in other.entries.items():
-            n = out.get(i, ZERO) + c
-            if n:
-                out[i] = n
-            else:
-                out.pop(i, None)
-        w = MultilinearForm.__new__(MultilinearForm)
-        object.__setattr__(w, "dim", self.dim)
-        object.__setattr__(w, "arity", self.arity)
-        object.__setattr__(w, "entries", out)
-        return w
+        out = add_terms(dict(self.entries), other.entries.items())
+        return MultilinearForm(self.dim, self.arity, out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -284,11 +276,12 @@ def _contract(wt: MultilinearForm, w: MultilinearForm, slot: int) -> Matrix:
     for idx, c in w.entries.items():
         rest = idx[: slot - 1] + idx[slot:]
         by_rest.setdefault(rest, []).append((idx[slot - 1], c))
-    acc: dict[tuple[int, int], Scalar] = {}
-    for idx, c in wt.entries.items():
-        for col, c2 in by_rest.get(idx[1:], ()):
-            key = (idx[0] - 1, col - 1)
-            acc[key] = acc.get(key, ZERO) + c * c2
+    products = (
+        ((idx[0] - 1, col - 1), c * c2)
+        for idx, c in wt.entries.items()
+        for col, c2 in by_rest.get(idx[1:], ())
+    )
+    acc = add_terms({}, products)
     return Matrix(n, n, [acc.get((i, j), ZERO) for i in range(n) for j in range(n)])
 
 
@@ -333,16 +326,11 @@ def _transform(w: MultilinearForm, g: Matrix, first: int = 1) -> MultilinearForm
             [(j + 1, g.entry(i - 1, j)) for j in range(n) if g.entry(i - 1, j)]
             for i in src[first - 1 :]
         ]
-        for combo in itertools.product(*factors):
-            idx = lead + tuple(j for j, _ in combo)
-            coeff = c
-            for _, ge in combo:
-                coeff *= ge
-            n0 = out.get(idx, ZERO) + coeff
-            if n0:
-                out[idx] = n0
-            else:
-                out.pop(idx, None)
+        products = (
+            (lead + tuple(j for j, _ in combo), math.prod((e for _, e in combo), start=c))
+            for combo in itertools.product(*factors)
+        )
+        add_terms(out, products)
     return MultilinearForm(n, m, out)
 
 

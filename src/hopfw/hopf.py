@@ -35,6 +35,10 @@ matrix P[mu,nu] = sum wt^{mu,L} w_{R,nu} g^{R1}_{L1}...g^{R(m-1)}_{L(m-1)}:
   antihomomorphism u -> s (``substitute(..., antihom=True)``, which reverses
   every word) carries ``invw`` to ``sinw`` and P to P'.
 
+Each precondition of the paper is checked in one place: ``_twist`` (a
+preregular form), ``_polar_matrix`` (a polar tensor, refused before anything
+reads it) and ``_form_of`` (a presentation built from a form, not parsed).
+
 Builders return (label, polynomial) pairs.  The private table ``_ALGEBRAS``
 maps each algebra kind to the inputs its build reads and to that build, for
 the API, the presentation reader and the CLI alike.  Beside it,
@@ -62,7 +66,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Mapping
 
-from .exactnum import Matrix, ONE, Scalar, ZERO, mat_inv
+from .exactnum import Matrix, ONE, Scalar, ZERO, add_terms, mat_inv
 from .forms import (
     MultilinearForm,
     analyze,
@@ -217,6 +221,22 @@ def _preservation(
         yield mu, NcPoly(alphabet, terms)
 
 
+def _twist(w: MultilinearForm) -> Matrix:
+    """The twisting element Q of a preregular form; any other form is refused."""
+    report = analyze(w)
+    if not report.preregular:
+        raise ValueError("form is not preregular")
+    return report.q
+
+
+def _form_of(pres: Presentation) -> MultilinearForm:
+    """The form ``pres`` was built from; a parsed presentation has none."""
+    form = getattr(pres.provenance, "form", None)
+    if form is None:
+        raise ValueError(f"this check needs a presentation built from a form, not {pres.label()}")
+    return form
+
+
 def _twisted(q: Matrix, mat: PolyMatrix) -> PolyMatrix:
     """X = Q^-1 mat Q."""
     a = mat.alphabet
@@ -230,7 +250,9 @@ def _polar_matrix(
     family: str,
 ) -> PolyMatrix:
     """P[mu,nu] = sum wt^{mu,L} w_{R,nu} g^{R1}_{L1}...g^{R(m-1)}_{L(m-1)}, the
-    antipode of g written through a polar tensor."""
+    antipode of g written through a polar tensor; any other tensor is refused."""
+    if not in_polar(wt, w):
+        raise ValueError("tensor is not in the polar affine space of the form")
     rng = range(1, w.dim + 1)
     terms: dict[tuple[int, int], dict[str, Scalar]] = {(mu, nu): {} for mu in rng for nu in rng}
     for lidx, c1 in wt.entries.items():
@@ -266,10 +288,7 @@ def build_hw(w: MultilinearForm) -> Presentation:
     (Q u Q^{-1}) s = 1, and form preservation on u.  The twisting element is
     recomputed from the form here, never taken on trust.
     """
-    report = analyze(w)
-    if not report.preregular:
-        raise ValueError("form is not preregular")
-    n, q = w.dim, report.q
+    n, q = w.dim, _twist(w)
     alphabet = Alphabet(matric_family("u", n) + matric_family("s", n))
     u = PolyMatrix.family(alphabet, "u", n)
     s = PolyMatrix.family(alphabet, "s", n)
@@ -302,16 +321,12 @@ def build_hb(b: MultilinearForm) -> Presentation:
 def build_hww(w: MultilinearForm, wt: MultilinearForm) -> Presentation:
     """Single-matrix presentation from a form and a member of its polar
     family; the polar membership is verified exactly before building."""
-    report = analyze(w)
-    if not report.preregular:
-        raise ValueError("form is not preregular")
-    if not in_polar(wt, w):
-        raise ValueError("tensor is not in the polar affine space of the form")
+    q = _twist(w)
     alphabet = Alphabet(matric_family("v", w.dim))
+    antipode = _polar_matrix(alphabet, w, wt, "v").images("v")
     relations = _labelled("wv", _preservation(alphabet, w, "v"))
     relations += _labelled("wtv", _preservation(alphabet, wt, "v", lower_is_free=False))
-    antipode = _polar_matrix(alphabet, w, wt, "v").images("v")
-    provenance = Provenance(form=w, q=report.q, polar_member=wt)
+    provenance = Provenance(form=w, q=q, polar_member=wt)
     return _presentation("hww", w.dim, w.arity, alphabet, relations, antipode, provenance)
 
 
@@ -432,15 +447,16 @@ def check_coproduct(
         return normal_form(NcPoly.from_word(system.alphabet, word), system).terms
 
     def residue(rel: NcPoly) -> TensorSquare:
-        out: dict[tuple[str, str], Scalar] = {}
         image = coproduct_image(rel, pres.structure.delta, target=pres.alphabet)
         # longest words first: a word above the certified degree is met at
         # the relation's own degree
-        for (w1, w2), c in image.sorted_terms():
-            for a, ca in word_nf(w1).items():
-                for b, cb in word_nf(w2).items():
-                    out[(a, b)] = out.get((a, b), ZERO) + c * ca * cb
-        return TensorSquare(pres.alphabet, out)  # drops cancelled terms
+        terms = (
+            ((a, b), c * ca * cb)
+            for (w1, w2), c in image.sorted_terms()
+            for a, ca in word_nf(w1).items()
+            for b, cb in word_nf(w2).items()
+        )
+        return TensorSquare(pres.alphabet, add_terms({}, terms))
 
     return _per_relation(pres, "coproduct", "residue", residue)
 
@@ -493,14 +509,10 @@ def check_left_inverse_identity(
 ) -> list[CheckResult]:
     """In the bialgebra of the form, the polar tensor provides an explicit
     left inverse for the generator matrix A: P A - I must reduce to zero."""
-    w = pres.provenance.form
-    fam = pres.families()[0]
-    if not in_polar(wt, w):
-        raise ValueError("tensor is not in the polar affine space of the form")
+    a, n, fam = pres.alphabet, pres.n, pres.families()[0]
+    left_inverse = _polar_matrix(a, _form_of(pres), wt, fam) @ PolyMatrix.family(a, fam, n)
     if system is None:
         system = system_for(pres, degree)
-    a, n = pres.alphabet, pres.n
-    left_inverse = _polar_matrix(a, w, wt, fam) @ PolyMatrix.family(a, fam, n)
     return _verdicts("leftinv", (left_inverse - PolyMatrix.identity(a, n)).entries(), system)
 
 
@@ -521,9 +533,10 @@ def derived_relations_suite(
     """
     if pres.kind != "hw":
         raise ValueError("derived relations are stated for the u/s presentation")
-    w = pres.provenance.form
+    w = _form_of(pres)
     n, m = pres.n, pres.m
     a = pres.alphabet
+    p = None if wt is None else _polar_matrix(a, w, wt, "u")
     if system is None:
         system = system_for(pres, degree)
 
@@ -535,14 +548,11 @@ def derived_relations_suite(
     u_to_s = functools.partial(substitute, images=s.images("u"), antihom=True, target=a)
 
     # the image of invw: sum_M w_M s^{Mm}_{Nm}...s^{M1}_{N1} = w_N
-    out = _verdicts("sinw", ((mu, u_to_s(p)) for mu, p in _preservation(a, w, "u")), system)
+    out = _verdicts("sinw", ((mu, u_to_s(r)) for mu, r in _preservation(a, w, "u")), system)
     out += _verdicts("su", (s @ u - one).entries(), system)
     out += _verdicts("tsu", ((s.T @ x.T).T - one).entries(), system)
 
-    if wt is not None:
-        if not in_polar(wt, w):
-            raise ValueError("tensor is not in the polar affine space of the form")
-        p = _polar_matrix(a, w, wt, "u")
+    if p is not None:
         out += _verdicts("Rsu", (s - p).entries(), system)
         rus = x - PolyMatrix(a, (map(u_to_s, row) for row in p.rows))
         out += _verdicts("Rus", rus.entries(), system)
@@ -574,9 +584,9 @@ def pair_reduction_suite(
     sum_M w_{l,r,M} s^{Mm}_{Nm}...s^{M3}_{N3} = sum_{N1,N2} w_N u^{N1}_l u^{N2}_r."""
     if pres.kind != "hw" or pres.m < 3:
         raise ValueError("the pair reduction needs the u/s presentation with arity >= 3")
+    w = _form_of(pres)
     if system is None:
         system = system_for(pres, degree)
-    w = pres.provenance.form
     a = pres.alphabet
     pairs = []
     for lam, rho, *rest in itertools.product(range(1, pres.n + 1), repeat=pres.m):

@@ -45,7 +45,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .exactnum import ONE, Matrix, Scalar, ZERO, format_rational, parse_rational, rat
+from .exactnum import ONE, Matrix, Scalar, ZERO, add_terms, format_rational, parse_rational, rat
 
 _FAMILY_RANK = {"u": 0, "s": 1, "a": 2, "v": 3, "free": 4}
 
@@ -332,14 +332,7 @@ class _LinearCombination:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            n = out.get(k, ZERO) + c
-            if n:
-                out[k] = n
-            else:
-                out.pop(k, None)
-        return self._adopt(self.alphabet, out)
+        return self._adopt(self.alphabet, add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-other)
@@ -352,16 +345,12 @@ class _LinearCombination:
             return self.scale(other)
         self._check(other)
         concat = self._concat
-        out: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = concat(k1, k2)
-                n = out.get(k, ZERO) + c1 * c2
-                if n:
-                    out[k] = n
-                else:
-                    del out[k]
-        return self._adopt(self.alphabet, out)
+        products = (
+            (concat(k1, k2), c1 * c2)
+            for k1, c1 in self.terms.items()
+            for k2, c2 in other.terms.items()
+        )
+        return self._adopt(self.alphabet, add_terms({}, products))
 
     def __rmul__(self, other):
         return self.scale(other)

@@ -517,7 +517,6 @@ class _Completion:
     """Mutable state for one completion run."""
 
     def __init__(self, alphabet: Alphabet, degree_bound: int) -> None:
-        self.alphabet = alphabet
         self.rank = alphabet.rank_spelling
         self.degree_bound = degree_bound
         self.index = _LiveIndex()
@@ -527,26 +526,18 @@ class _Completion:
 
     # the queue pops in ascending deglex, so its keys spell each word with
     # the letters in rank order
-    def push_poly(self, key_word: str, terms: _Terms) -> None:
+    def push(self, key_word: str, pair: tuple | None, terms: _Terms | None) -> None:
+        """Queue an overlap ``pair`` (l1, l2, x, z) or a polynomial's ``terms``."""
         self.seq += 1
-        heapq.heappush(
-            self.heap, (len(key_word), self.rank(key_word), self.seq, None, terms)
-        )
-
-    def push_pair(self, l1: str, l2: str, x: str, z: str) -> None:
-        key_word = x + l2
-        self.seq += 1
-        heapq.heappush(
-            self.heap, (len(key_word), self.rank(key_word), self.seq, (l1, l2, x, z), None)
-        )
+        heapq.heappush(self.heap, (len(key_word), self.rank(key_word), self.seq, pair, terms))
 
     def queue_overlaps_of(self, lead: str) -> None:
         """Queue every overlap ambiguity of degree <= D between ``lead`` and
         the live rules (including itself)."""
         for l2, x, z in self.index.overlaps_as_left(lead, self.degree_bound):
-            self.push_pair(lead, l2, x, z)
+            self.push(x + l2, (lead, l2, x, z), None)
         for l1, x, z in self.index.overlaps_as_right(lead, self.degree_bound):
-            self.push_pair(l1, lead, x, z)
+            self.push(x + lead, (l1, lead, x, z), None)
 
     def insert(self, reduced: _Terms) -> None:
         """Make a monic rule out of a reduced nonzero polynomial, retract
@@ -574,7 +565,7 @@ class _Completion:
                 old_tail = self.index.remove(old)
                 terms = {w: -c for w, c in old_tail.items()}
                 terms[old] = 1
-                self.push_poly(old, terms)
+                self.push(old, None, terms)
 
         self.index.add(lead, tail)
         self.queue_overlaps_of(lead)
@@ -638,7 +629,7 @@ def complete(
             )
     st = _Completion(alphabet, degree_bound)
     for r in rels:
-        st.push_poly(r.leading_word(), _lean_terms(r.terms))
+        st.push(r.leading_word(), None, _lean_terms(r.terms))
 
     st.drain(on_progress)
     st.interreduce()

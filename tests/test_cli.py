@@ -117,6 +117,8 @@ def test_form_file_round_trip(tmp_path):
         },
         {"dim": 2, "arity": 3, "entries": [{"idx": [1, 1, 3], "c": "1"}]},
         {"dim": 2, "arity": 3, "entries": [{"idx": [1, 1], "c": "1"}]},
+        {"dim": 2, "arity": 3, "entries": [{"idx": [1, 1, 2], "c": None}]},
+        {"dim": 2, "arity": 3, "entries": [{"idx": [1, 1, 2], "c": [1]}]},
     ],
 )
 def test_form_from_obj_rejections(obj):
@@ -234,6 +236,11 @@ _DELTA_COUNIT = (
         # n and m are at least 1
         ("algebra hw\nn 0\nm -2\ngenerators u[1,1]", "n 0 and m -2 must be at least 1"),
         ("algebra hw\nn 1\nm 0\ngenerators u[1,1]", "n 1 and m 0 must be at least 1"),
+        # each matric family is whole at n
+        (
+            "algebra bw\nn 2\nm 3\ngenerators u[1,1] u[1,2] u[2,1] x",
+            "generator u\\[2,2\\] is missing from the 2x2 u family",
+        ),
     ],
 )
 def test_parse_presentation_rejections(text, message, tmp_path, capsys):
@@ -245,6 +252,21 @@ def test_parse_presentation_rejections(text, message, tmp_path, capsys):
     assert main(["gb", str(path), "--degree", "3"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and re.search(message, err)
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        # n 1 would run the antipode checks on the 1x1 corner only
+        (1, "generator u\\[1,2\\] is outside the 1x1 u family"),
+        (3, "generator u\\[1,3\\] is missing from the 3x3 u family"),
+    ],
+)
+def test_parse_presentation_refuses_a_wrong_n_header(n, message):
+    text = dump_presentation(build_hw(W2))
+    assert parse_presentation(text).n == 2
+    with pytest.raises(ValueError, match=message):
+        parse_presentation(text.replace("\nn 2\n", f"\nn {n}\n"))
 
 
 # --------------------------------------------------------------------- CLI
@@ -320,6 +342,21 @@ def test_analyze_degenerate_form(tmp_path, capsys):
         "one_site_nondegenerate: false",
         "all_slots_nondegenerate: false",
         "twist: ambiguous",
+        "preregular: false",
+        "polar_affine_dimension: none",
+    ]
+
+
+def test_analyze_form_with_no_twist(tmp_path, capsys):
+    # one-site degenerate, and the twisted-cyclicity system has no solution
+    path = tmp_path / "w112.json"
+    path.write_text(dump_form(MultilinearForm(2, 3, {(1, 1, 2): 1})))
+    assert main(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[2:] == [
+        "one_site_nondegenerate: false",
+        "all_slots_nondegenerate: false",
+        "twist: none",
         "preregular: false",
         "polar_affine_dimension: none",
     ]

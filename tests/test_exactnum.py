@@ -5,6 +5,7 @@ import pytest
 from hopfw.exactnum import (
     Matrix,
     SingularMatrixError,
+    add_terms,
     format_matrix,
     format_rational,
     is_invertible,
@@ -101,6 +102,18 @@ def test_mat_inv():
         mat_inv(Matrix.from_rows([[1, 2], [2, 4]]))
     assert is_invertible(j)
     assert not is_invertible(Matrix.from_rows([[1, 2], [2, 4]]))
+
+
+def test_is_invertible_refuses_a_non_square_matrix():
+    assert not is_invertible(Matrix.from_rows([[1, 0, 0], [0, 1, 0]]))
+
+
+def test_add_terms_starts_each_key_from_zero_and_drops_zero_sums():
+    out = {"a": rat(1), "b": rat(2)}
+    assert add_terms(out, [("a", -1), ("c", 3), ("b", 1), ("d", 0), ("c", 1)]) is out
+    assert out == {"b": 3, "c": 4}
+    # a new key starts from the Fraction ZERO, so an int value comes back exact
+    assert type(out["c"]) is Fraction
 
 
 def test_exact_fractions_no_drift():

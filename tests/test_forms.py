@@ -180,6 +180,16 @@ def test_q_inverse_from_polar():
         q_inverse_from_polar(W2, W2)  # w itself is not in its polar space
 
 
+def test_q_inverse_from_polar_needs_a_twist():
+    # e111 + e122 is one-site nondegenerate and has polar members, but the
+    # twisted-cyclicity system has no solution
+    w = MultilinearForm(2, 3, {(1, 1, 1): 1, (1, 2, 2): 1})
+    wt = polar(w).particular
+    assert in_polar(wt, w) and twisting_element(w) is None
+    with pytest.raises(ValueError, match="no invertible twisting element"):
+        q_inverse_from_polar(w, wt)
+
+
 def test_pi_q_cyclic_average():
     ind = MultilinearForm(2, 3, {(1, 1, 2): 1})
     avg = pi_q(ind, Matrix.identity(2))

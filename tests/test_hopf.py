@@ -6,6 +6,7 @@ import pytest
 
 from hopfw.exactnum import SingularMatrixError
 from hopfw import hopf
+from hopfw.formats import dump_presentation, parse_presentation
 from hopfw.forms import MultilinearForm, make_bilinear, make_orthogonal, make_signature
 from hopfw.hopf import (
     CheckResult,
@@ -319,6 +320,34 @@ def test_left_inverse_needs_a_polar_member():
     bw2 = build_bw(W2)
     with pytest.raises(ValueError, match="polar"):
         check_left_inverse_identity(bw2, W2, 6)
+
+
+def test_polar_refusals_come_before_any_completion(monkeypatch, hw2):
+    def no_completion(*_):
+        raise AssertionError("a refused tensor reached completion")
+
+    monkeypatch.setattr(hopf, "complete", no_completion)
+    bw2 = build_bw(W2)
+    # W2 itself is not polar; EPS3 has the wrong dimension
+    for wt, message in ((W2, "polar affine space"), (EPS3, "shape mismatch")):
+        with pytest.raises(ValueError, match=message):
+            build_hww(W2, wt)
+        with pytest.raises(ValueError, match=message):
+            check_left_inverse_identity(bw2, wt, 6)
+        with pytest.raises(ValueError, match=message):
+            derived_relations_suite(hw2, wt, 6)
+
+
+def test_checks_on_a_parsed_presentation_need_its_form():
+    hw2, bw2 = (parse_presentation(dump_presentation(p)) for p in (build_hw(W2), build_bw(W2)))
+    assert hw2.provenance is None and bw2.provenance is None
+    message = "needs a presentation built from a form"
+    with pytest.raises(ValueError, match=message):
+        derived_relations_suite(hw2, WT2, 4)
+    with pytest.raises(ValueError, match=message):
+        pair_reduction_suite(hw2, 4)
+    with pytest.raises(ValueError, match=message):
+        check_left_inverse_identity(bw2, WT2, 4)
 
 
 @pytest.mark.parametrize("degree", [3, 4])

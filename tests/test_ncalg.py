@@ -282,6 +282,20 @@ def test_substitute_missing_image():
     assert substitute(NcPoly.unit(src), {}, target=tgt) == NcPoly.unit(tgt)
 
 
+def test_missing_image_message_and_images_from_two_alphabets():
+    src = Alphabet([Generator.free("x"), Generator.free("y")])
+    p_alpha = Alphabet([Generator.free("p")])
+    q_alpha = Alphabet([Generator.free("q")])
+    images = {Generator.free("x"): NcPoly.parse(p_alpha, "p")}
+    with pytest.raises(MissingImageError) as exc:
+        substitute(parse_poly(src, "x*y"), images)
+    assert str(exc.value) == "no image provided for generator y"
+    assert exc.value.generator == Generator.free("y")
+    images[Generator.free("y")] = NcPoly.parse(q_alpha, "q")
+    with pytest.raises(ValueError, match="images drawn from mixed alphabets"):
+        substitute(parse_poly(src, "x*y"), images)
+
+
 def test_tensor_square_multiplication():
     a = Alphabet([Generator.free("x"), Generator.free("y")])
     x = NcPoly.parse(a, "x")
