@@ -4,6 +4,10 @@ Everything downstream (form analysis, rewriting, presentation checks) runs on
 these: no floats, no rounding, anywhere.  ``Scalar`` is an arbitrary-precision
 rational kept in lowest terms with positive denominator; ``Matrix`` is a small
 immutable dense matrix of scalars with plain Gauss-Jordan elimination on top.
+
+A coefficient has two forms, converted here alone: the rewriting engine's,
+an ``int`` when integral (:func:`lean`, :func:`lean_terms`), and the
+handed-out ``Scalar`` (:func:`fraction_terms`).
 """
 
 from __future__ import annotations
@@ -47,6 +51,26 @@ def format_rational(q: Scalar) -> str:
     return str(q)
 
 
+def lean(q: int | Scalar) -> int | Scalar:
+    """``q`` in the engine's form: an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def lean_terms(terms: dict) -> dict:
+    """``terms`` with each integral coefficient as an int."""
+    return {k: c.numerator if c.denominator == 1 else c for k, c in terms.items()}
+
+
+# Fractions are immutable, so handed-out values share these: a small
+# coefficient costs no new object
+_SMALL = {i: Scalar(i) for i in range(-64, 65)}
+
+
+def fraction_terms(terms: dict) -> dict:
+    """``terms`` with each int as a Fraction; a Fraction skips the table, as hashing it is slow."""
+    return {k: c if type(c) is Scalar else _SMALL.get(c) or Scalar(c) for k, c in terms.items()}
+
+
 def add_terms(out: dict, pairs: Iterable[tuple]) -> dict:
     """Add (key, value) pairs into ``out``, a new key from ZERO; drop a key summing to 0."""
     for k, c in pairs:
@@ -73,10 +97,6 @@ class Matrix:
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Matrix is immutable")
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [ZERO] * (rows * cols))
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":

@@ -274,15 +274,13 @@ def _contract(wt: MultilinearForm, w: MultilinearForm, slot: int) -> Matrix:
     n = w.dim
     by_rest: dict[Index, list[tuple[int, Scalar]]] = {}
     for idx, c in w.entries.items():
-        rest = idx[: slot - 1] + idx[slot:]
-        by_rest.setdefault(rest, []).append((idx[slot - 1], c))
-    products = (
-        ((idx[0] - 1, col - 1), c * c2)
-        for idx, c in wt.entries.items()
-        for col, c2 in by_rest.get(idx[1:], ())
-    )
-    acc = add_terms({}, products)
-    return Matrix(n, n, [acc.get((i, j), ZERO) for i in range(n) for j in range(n)])
+        by_rest.setdefault(idx[: slot - 1] + idx[slot:], []).append((idx[slot - 1] - 1, c))
+    out = [ZERO] * (n * n)
+    for idx, c in wt.entries.items():
+        row = (idx[0] - 1) * n
+        for col, c2 in by_rest.get(idx[1:], ()):
+            out[row + col] += c * c2
+    return Matrix(n, n, out)
 
 
 def polar_contraction(wt: MultilinearForm, w: MultilinearForm) -> Matrix:

@@ -38,6 +38,8 @@ matrix P[mu,nu] = sum wt^{mu,L} w_{R,nu} g^{R1}_{L1}...g^{R(m-1)}_{L(m-1)}:
 Each precondition of the paper is checked in one place: ``_twist`` (a
 preregular form), ``_polar_matrix`` (a polar tensor, refused before anything
 reads it) and ``_form_of`` (a presentation built from a form, not parsed).
+``_structure`` reads a coproduct, counit or antipode, which a parsed dump
+may lack.
 
 Builders return (label, polynomial) pairs.  The private table ``_ALGEBRAS``
 maps each algebra kind to the inputs its build reads and to that build, for
@@ -237,6 +239,15 @@ def _form_of(pres: Presentation) -> MultilinearForm:
     return form
 
 
+def _structure(pres: Presentation, part: str) -> dict:
+    """The ``delta``, ``counit`` or ``antipode`` images of ``pres``; a parsed
+    dump may have no structure lines, or no antipode lines."""
+    images = getattr(pres.structure, part, None)
+    if images is None:
+        raise ValueError(f"{pres.label()} has no {part} data")
+    return images
+
+
 def _twisted(q: Matrix, mat: PolyMatrix) -> PolyMatrix:
     """X = Q^-1 mat Q."""
     a = mat.alphabet
@@ -429,7 +440,7 @@ def system_for(pres: Presentation, degree: int, on_progress=None) -> RewriteSyst
 def check_counit(pres: Presentation) -> list[CheckResult]:
     """The counit, extended as a character, must send every relation to 0."""
     a = pres.alphabet
-    eps = {g: NcPoly.unit(a, e) for g, e in pres.structure.counit.items()}
+    eps = {g: NcPoly.unit(a, e) for g, e in _structure(pres, "counit").items()}
     value = functools.partial(substitute, images=eps, target=a)
     return _per_relation(pres, "counit", "counit value", value)
 
@@ -439,6 +450,7 @@ def check_coproduct(
 ) -> list[CheckResult]:
     """Each relation's coproduct image must vanish componentwise modulo the
     ideal (certified at the system's completed degree)."""
+    delta = _structure(pres, "delta")
     if system is None:
         system = system_for(pres, degree)
 
@@ -447,7 +459,7 @@ def check_coproduct(
         return normal_form(NcPoly.from_word(system.alphabet, word), system).terms
 
     def residue(rel: NcPoly) -> TensorSquare:
-        image = coproduct_image(rel, pres.structure.delta, target=pres.alphabet)
+        image = coproduct_image(rel, delta, target=pres.alphabet)
         # longest words first: a word above the certified degree is met at
         # the relation's own degree
         terms = (
@@ -466,9 +478,7 @@ def check_antipode(
 ) -> list[CheckResult]:
     """Antipode images must respect the ideal antimultiplicatively and
     satisfy both unit sums on every matric generator family."""
-    s_images = pres.structure.antipode
-    if s_images is None:
-        raise ValueError("presentation has no antipode data")
+    s_images = _structure(pres, "antipode")
     if system is None:
         system = system_for(pres, degree)
     a, n = pres.alphabet, pres.n
@@ -492,9 +502,9 @@ def hopf_axiom_suite(
     pres: Presentation, degree: int, system: RewriteSystem | None = None
 ) -> list[CheckResult]:
     """Counit + coproduct (+ antipode when present) in one report."""
+    out = check_counit(pres)  # before completing: it refuses a dump with no structure
     if system is None:
         system = system_for(pres, degree)
-    out = check_counit(pres)
     out += check_coproduct(pres, degree, system)
     if pres.structure.antipode is not None:
         out += check_antipode(pres, degree, system)
@@ -686,10 +696,14 @@ def check_hom(
 def _from_hw(label: str, hw: Presentation, target: Presentation) -> HomCandidate:
     """u to the one generator matrix G of ``target`` and s to S(G): a Hopf
     map out of hw is fixed by the image of u, as s = S(u)."""
-    (fam,) = target.families()
-    a, n = target.alphabet, target.n
+    families = target.families()
+    if len(families) != 1:
+        raise ValueError(
+            f"a map out of hw needs one generator matrix; {target.label()} has {len(families)}"
+        )
+    a, n, fam = target.alphabet, target.n, families[0]
     g = PolyMatrix.family(a, fam, n)
-    sg = PolyMatrix.of(a, target.structure.antipode, fam, n)
+    sg = PolyMatrix.of(a, _structure(target, "antipode"), fam, n)
     return HomCandidate(label, hw, target, g.images("u") | sg.images("s"))
 
 
@@ -734,6 +748,8 @@ def check_representation(
     """Validate an assignment into a free algebra (exact, no completion):
     every relation must map to the zero polynomial on the nose.  A witness
     pair with distinct images certifies distinctness in the quotient."""
+    if not images:
+        raise ValueError("a representation needs generator images, and none is given")
     target = next(iter(images.values())).alphabet
     if any(g.family != "free" for g in target.generators):
         raise ValueError("representation targets must be free algebras")

@@ -45,7 +45,10 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .exactnum import ONE, Matrix, Scalar, ZERO, add_terms, format_rational, parse_rational, rat
+from .exactnum import (
+    ONE, Matrix, Scalar, ZERO, add_terms, format_rational, fraction_terms, lean, parse_rational,
+    rat,
+)
 
 _FAMILY_RANK = {"u": 0, "s": 1, "a": 2, "v": 3, "free": 4}
 
@@ -231,16 +234,6 @@ _SIGNS = re.compile(r"([+-][\s+-]*)")
 _COEFFICIENT = re.compile(r"\d+(?:/\d+)?")
 
 
-# Fractions are immutable, so polynomials share these: a small coefficient
-# costs no new object
-_SMALL = {i: Scalar(i) for i in range(-64, 65)}
-
-
-def _fractions(terms: dict) -> dict:
-    """``terms`` with each int coefficient turned into a Fraction."""
-    return {k: c if type(c) is Scalar else _SMALL.get(c) or Scalar(c) for k, c in terms.items()}
-
-
 def _read_monomial(alphabet: Alphabet, text: str) -> tuple[str, int | Scalar]:
     """The word and coefficient of one ``monomial`` of the text grammar; an
     integral coefficient is an int.  Each ``token*`` run of the canonical
@@ -251,11 +244,7 @@ def _read_monomial(alphabet: Alphabet, text: str) -> tuple[str, int | Scalar]:
     coeff: int | Scalar = 1
     m = _COEFFICIENT.match(head)
     if m:
-        if "/" in m[0]:
-            q = parse_rational(m[0])
-            coeff = q.numerator if q.denominator == 1 else q
-        else:
-            coeff = int(m[0])
+        coeff = lean(parse_rational(m[0])) if "/" in m[0] else int(m[0])
         # a token may follow without "*"; a coefficient alone is c*1
         tokens[0] = head[m.end() :].lstrip() or "1"
     try:
@@ -386,7 +375,7 @@ class _LinearCombination:
     @classmethod
     def _parse(cls, alphabet: Alphabet, text: str):
         """Read the text grammar of the module docstring."""
-        return cls._adopt(alphabet, _fractions(_read_terms(alphabet, text, cls._read_term)))
+        return cls._adopt(alphabet, fraction_terms(_read_terms(alphabet, text, cls._read_term)))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.to_str()})"

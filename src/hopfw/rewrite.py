@@ -46,9 +46,10 @@ Implementation notes, sized for thousands of rules:
   the same natural key.  Only the completion queue, which pops in
   ascending deglex, respells its keys with ``Alphabet.rank_spelling``;
 * integer coefficients -- inside the engine an integral coefficient is a
-  plain ``int`` and only a value with a denominator is a ``Fraction``.
-  Input relations enter through ``_lean_terms``, and a dump's tails are
-  read straight into this form by the term reader behind ``parse_poly``.
+  plain ``int`` and only a value with a denominator is a ``Fraction``;
+  :mod:`~hopfw.exactnum` converts between the two forms.  Input relations
+  enter through ``lean_terms``, and a dump's tails are read straight into
+  this form by the term reader behind ``parse_poly``.
   :func:`normal_form` multiplies its query by the common denominator d of
   its coefficients, reduces over the integers and divides the result by d,
   which is exact because the normal form is linear.  ``reduce_terms`` and
@@ -57,8 +58,9 @@ Implementation notes, sized for thousands of rules:
   +-1 and otherwise by dividing a ``Fraction`` by it, with an integral
   quotient turned back into an ``int``: ``int / int`` would give a float,
   so it never runs.  A frozen system holds each tail once, in this form;
-  values turn back into ``Fraction`` only where they are handed out, in
-  ``RewriteSystem.rules`` and the result of :func:`normal_form`.
+  values turn back into ``Fraction`` (``fraction_terms``) only where they
+  are handed out, in ``RewriteSystem.rules`` and the result of
+  :func:`normal_form`.
 
 Completion does not audit itself: the shipped system resolves every overlap
 of degree <= D by construction (Bergman, "The diamond lemma for ring
@@ -91,11 +93,10 @@ import math
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Sequence
 
-from .exactnum import Scalar
+from .exactnum import Scalar, fraction_terms, lean, lean_terms
 from .ncalg import (
     Alphabet,
     NcPoly,
-    _fractions,
     _read_monomial,
     _read_terms,
     natural_key,
@@ -123,15 +124,6 @@ def _no_value(rest: str) -> None:
 
 # a term dict inside the engine: integral coefficients are ints
 _Terms = dict[str, "int | Scalar"]
-
-
-def _lean(q: int | Scalar) -> int | Scalar:
-    """``q`` as an int when it is integral."""
-    return q.numerator if q.denominator == 1 else q
-
-
-def _lean_terms(terms: _Terms) -> _Terms:
-    return {w: c.numerator if c.denominator == 1 else c for w, c in terms.items()}
 
 
 @dataclass(frozen=True)
@@ -343,7 +335,7 @@ class _Rules(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
         lead = self._leads[i]
-        return Rule(lead, NcPoly._adopt(self._alphabet, _fractions(self._tails[lead])))
+        return Rule(lead, NcPoly._adopt(self._alphabet, fraction_terms(self._tails[lead])))
 
 
 class RewriteSystem:
@@ -385,7 +377,7 @@ class RewriteSystem:
                 raise ValueError(f"rule tail of {token(lead)} is drawn from another alphabet")
             if lead in tails:
                 raise ValueError(f"lead {token(lead)} appears on two rules")
-            tails[lead] = _lean_terms(r.tail.terms)
+            tails[lead] = lean_terms(r.tail.terms)
         self._freeze(alphabet, tails, degree_bound, complete_through)
 
     @classmethod
@@ -500,10 +492,10 @@ def normal_form(p: NcPoly, system: RewriteSystem) -> NcPoly:
     terms = {w: c.numerator * (d // c.denominator) for w, c in p.terms.items()}
     reduced = system._index.reduce_terms(terms)
     if d == 1:
-        return NcPoly._adopt(p.alphabet, _fractions(reduced))
+        return NcPoly._adopt(p.alphabet, fraction_terms(reduced))
     # an integral quotient shares its Fraction as any int of a result does
-    quotients = {w: _lean(Scalar(c, d)) for w, c in reduced.items()}
-    return NcPoly._adopt(p.alphabet, _fractions(quotients))
+    quotients = {w: lean(Scalar(c, d)) for w, c in reduced.items()}
+    return NcPoly._adopt(p.alphabet, fraction_terms(quotients))
 
 
 def ideal_member(p: NcPoly, system: RewriteSystem) -> bool:
@@ -545,9 +537,9 @@ class _Completion:
         lead = min(reduced, key=natural_key)
         lc = reduced.pop(lead)
         if lc == 1 or lc == -1:
-            tail = {w: _lean(-lc * c) for w, c in reduced.items()}
+            tail = {w: lean(-lc * c) for w, c in reduced.items()}
         else:  # through Fraction: int / int would give a float
-            tail = {w: _lean(Scalar(-c) / lc) for w, c in reduced.items()}
+            tail = {w: lean(Scalar(-c) / lc) for w, c in reduced.items()}
 
         if lead == "":
             for old in list(self.index.by_word):
@@ -598,7 +590,7 @@ class _Completion:
         already irreducible."""
         index = self.index
         for lead in sorted(index.by_word, key=natural_key, reverse=True):
-            tail = _lean_terms(index.reduce_terms(index.by_word[lead]))
+            tail = lean_terms(index.reduce_terms(index.by_word[lead]))
             index.by_word[lead] = index.table[lead] = tail
 
 
@@ -629,7 +621,7 @@ def complete(
             )
     st = _Completion(alphabet, degree_bound)
     for r in rels:
-        st.push(r.leading_word(), None, _lean_terms(r.terms))
+        st.push(r.leading_word(), None, lean_terms(r.terms))
 
     st.drain(on_progress)
     st.interreduce()

@@ -8,8 +8,11 @@ from hopfw.exactnum import (
     add_terms,
     format_matrix,
     format_rational,
+    fraction_terms,
     is_invertible,
     kernel_basis,
+    lean,
+    lean_terms,
     mat_inv,
     mat_mul,
     mat_vec,
@@ -114,6 +117,19 @@ def test_add_terms_starts_each_key_from_zero_and_drops_zero_sums():
     assert out == {"b": 3, "c": 4}
     # a new key starts from the Fraction ZERO, so an int value comes back exact
     assert type(out["c"]) is Fraction
+
+
+def test_coefficient_forms_convert_both_ways():
+    terms = {"a": Fraction(4, 2), "b": Fraction(-3, 5), "c": 7, "d": Fraction(10**20)}
+    engine = lean_terms(terms)
+    assert engine == terms
+    assert [type(c) for c in engine.values()] == [int, Fraction, int, int]
+    assert type(lean(Fraction(-6, 3))) is int and lean(Fraction(1, 3)) == Fraction(1, 3)
+    out = fraction_terms(engine)
+    assert out == terms and all(type(c) is Fraction for c in out.values())
+    # a small integer comes from one shared table, and a Fraction is kept as is
+    assert out["a"] is fraction_terms({"x": 2})["x"]
+    assert out["b"] is engine["b"]
 
 
 def test_exact_fractions_no_drift():

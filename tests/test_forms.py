@@ -1,6 +1,11 @@
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 
 from hopfw.exactnum import Matrix, format_matrix, mat_inv, rat, rref
+from hopfw import forms
 from hopfw.forms import (
     AmbiguousTwistError,
     MultilinearForm,
@@ -22,6 +27,7 @@ from hopfw.forms import (
     q_inverse_from_polar,
     twisting_element,
 )
+from test_golden import FORM_KEYS, _form_by_key
 
 # the running 2-dimensional example: the cyclic sum of the (1,1,2) indicator
 W2 = MultilinearForm(2, 3, {(1, 1, 2): 1, (1, 2, 1): 1, (2, 1, 1): 1})
@@ -167,6 +173,60 @@ def test_signature_6_twist_and_polar():
 def test_polar_contraction_shape_mismatch():
     with pytest.raises(ValueError):
         polar_contraction(make_signature(3), W2)
+
+
+def _contractions_agree_with_flattening_products(wt, w):
+    """Check ``polar_contraction`` and the first-slot contraction against
+    products of two flattenings, which share no code with them.  Returns how
+    many entries of the products are zero sums of nonzero products."""
+    left = flattening(wt, 1).transpose()
+    cancelled = 0
+    for slot, got in ((w.arity, polar_contraction(wt, w)), (1, forms._contract(wt, w, 1))):
+        right = flattening(w, slot)
+        product = left * right
+        assert got == product
+        cancelled += sum(
+            1
+            for i in range(w.dim)
+            for j in range(w.dim)
+            if not product.entry(i, j)
+            and any(left.entry(i, k) * right.entry(k, j) for k in range(left.cols))
+        )
+    return cancelled
+
+
+@pytest.mark.parametrize("key", FORM_KEYS)
+def test_contraction_agrees_with_flattening_products_on_golden_forms(key):
+    w = _form_by_key(key)
+    sol = polar(w)
+    tensors = [w]
+    if sol is not None:
+        # another polar member, off the particular solution
+        mixed = sol.particular
+        for c, k in zip((1, -2, 3), sol.kernel_basis):
+            mixed = mixed.add(k.scale(c))
+        tensors += [sol.particular, mixed]
+    for wt in tensors:
+        _contractions_agree_with_flattening_products(wt, w)
+
+
+def _random_signed_form(rng, n, m):
+    entries = {}
+    for idx in itertools.product(range(1, n + 1), repeat=m):
+        if rng.random() < 0.5:
+            entries[idx] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
+    return MultilinearForm(n, m, entries)
+
+
+def test_contraction_agrees_with_flattening_products_on_random_pairs():
+    cancelled = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        n, m = rng.choice((2, 3)), rng.choice((2, 3, 4))
+        wt, w = _random_signed_form(rng, n, m), _random_signed_form(rng, n, m)
+        cancelled += _contractions_agree_with_flattening_products(wt, w)
+    # signed coefficients make some entries sum nonzero products to zero
+    assert cancelled > 0
 
 
 def test_q_inverse_from_polar():

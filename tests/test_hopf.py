@@ -350,6 +350,39 @@ def test_checks_on_a_parsed_presentation_need_its_form():
         check_left_inverse_identity(bw2, WT2, 4)
 
 
+def _without_lines(pres, heads):
+    """The dump of ``pres`` with every line whose head is in ``heads`` left out."""
+    lines = dump_presentation(pres).splitlines()
+    return "".join(line + "\n" for line in lines if line.split(" ", 1)[0] not in heads)
+
+
+def test_axiom_checks_on_a_dump_without_structure_are_refused(monkeypatch):
+    # W2 is the cyclic2 example; its dump without delta, counit and antipode
+    # lines is legal and has no structure to check
+    bare = parse_presentation(_without_lines(build_hw(W2), {"delta", "counit", "antipode"}))
+    assert bare.structure is None
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("completed a presentation that has no structure to check")
+
+    monkeypatch.setattr(hopf, "complete", refuse)
+    for call, part in (
+        (lambda: check_counit(bare), "counit"),
+        (lambda: check_coproduct(bare, 4), "delta"),
+        (lambda: check_antipode(bare, 4), "antipode"),
+        (lambda: hopf_axiom_suite(bare, 4), "counit"),
+    ):
+        with pytest.raises(ValueError, match=rf"hw\[n=2,m=3\] has no {part} data"):
+            call()
+
+
+def test_hom_into_a_dump_without_antipode_is_refused():
+    hww = parse_presentation(_without_lines(build_hww(W2, WT2), {"antipode"}))
+    assert hww.structure.antipode is None
+    with pytest.raises(ValueError, match="has no antipode data"):
+        hw_to_hww_hom(build_hw(W2), hww)
+
+
 @pytest.mark.parametrize("degree", [3, 4])
 def test_checks_without_a_system_complete_their_own(hw2, degree):
     # at D=3 some antipode rows fail and at D=4 all pass: either way a check
@@ -544,6 +577,11 @@ def test_bilinear_iso_suite():
     assert all_pass(results)
 
 
+def test_hom_out_of_hw_needs_a_target_with_one_generator_matrix(hw2):
+    with pytest.raises(ValueError, match=r"one generator matrix; hw\[n=2,m=3\] has 2"):
+        hw_to_hww_hom(hw2, hw2)
+
+
 def test_check_hom_flags_a_wrong_assignment():
     hwb = build_hw(B)
     hb = build_hb(B)
@@ -591,6 +629,11 @@ def test_representation_requires_free_targets(hw3):
     }
     with pytest.raises(ValueError, match="free"):
         check_representation(hw3, selfmap)
+
+
+def test_representation_needs_images(hw3):
+    with pytest.raises(ValueError, match="needs generator images, and none is given"):
+        check_representation(hw3, {})
 
 
 def test_unitriangular_images_are_instance_specific(hw2):
