@@ -158,21 +158,26 @@ def test_parse_tensor_round_trip():
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, message",
     [
-        "u[1,1]#u[1,1] +",
-        "u[1,1]#u[1,1] * u[2,2]#u[2,2]",
-        "u[1,1]",
-        "u[1,1]#u[1,1]#u[2,2]",
-        "(u[1,1]+u[1,2])#u[2,2]",
-        "u[1,1]#-u[2,2]",  # a leg is a monomial, with no sign of its own
-        "u[1,1]+u[1,1]#u[2,2]",
+        ("u[1,1]#u[1,1] +", "dangling sign at the end"),
+        (
+            "u[1,1]#u[1,1] * u[2,2]#u[2,2]",
+            "tensor term needs exactly one #: 'u[1,1]#u[1,1] * u[2,2]#u[2,2]'",
+        ),
+        ("u[1,1]", "tensor term needs exactly one #: 'u[1,1]'"),
+        ("u[1,1]#u[1,1]#u[2,2]", "tensor term needs exactly one #: 'u[1,1]#u[1,1]#u[2,2]'"),
+        ("(u[1,1]+u[1,2])#u[2,2]", "tensor term needs exactly one #: '(u[1,1]'"),
+        # a leg is a monomial, with no sign of its own
+        ("u[1,1]#-u[2,2]", "not a generator token: ''"),
+        ("u[1,1]+u[1,1]#u[2,2]", "tensor term needs exactly one #: 'u[1,1]'"),
     ],
 )
-def test_parse_tensor_rejections(text):
+def test_parse_tensor_rejections(text, message):
     pres = build_hw(W2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         parse_tensor(pres.alphabet, text)
+    assert str(exc.value) == message
 
 
 def test_presentation_dump_parse_round_trip():

@@ -210,6 +210,36 @@ def test_contraction_agrees_with_flattening_products_on_golden_forms(key):
         _contractions_agree_with_flattening_products(wt, w)
 
 
+@pytest.mark.parametrize("key", FORM_KEYS)
+def test_polar_member_equals_the_fold_on_golden_forms(key):
+    # the member is particular + sum c_i * k_i, whatever order it adds in
+    sol = polar(_form_by_key(key))
+    if sol is None:
+        return
+    # a dozen nonzero coefficients at most: the fold costs their number
+    # times the form's size
+    rng = random.Random(key)
+    coeffs = [0] * sol.affine_dimension()
+    for _ in range(min(12, len(coeffs))):
+        coeffs[rng.randrange(len(coeffs))] = rng.choice((1, -2, Fraction(1, 3), Fraction(-5, 2)))
+    fold = sol.particular
+    for c, k in zip(coeffs, sol.kernel_basis):
+        if c:
+            fold = fold.add(k.scale(c))
+    assert sol.member(coeffs) == fold
+    assert sol.member([0] * sol.affine_dimension()) == sol.particular
+
+
+def test_signature_5_all_ones_member():
+    # 3 100 kernel vectors, every one in the sum
+    w = make_signature(5)
+    sol = polar(w)
+    wt = sol.member([1] * sol.affine_dimension())
+    assert sol.affine_dimension() == 3100
+    assert in_polar(wt, w)
+    assert wt != sol.particular
+
+
 def _random_signed_form(rng, n, m):
     entries = {}
     for idx in itertools.product(range(1, n + 1), repeat=m):

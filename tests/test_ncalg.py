@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from hopfw.exactnum import Matrix, rat
+from hopfw.exactnum import Matrix, format_rational, lean_terms, rat
 from hopfw.ncalg import (
     Alphabet,
     Generator,
@@ -182,6 +182,77 @@ def test_text_round_trips_on_seeded_values():
     assert parse_tensor(a, "2*1#x - 1#1").to_str() == "2*1#x - 1#1"
 
 
+def _fraction_text(x) -> str:
+    """The text of a polynomial or tensor square the way the writer put it
+    when it compared, negated and printed each coefficient as a Fraction:
+    terms leading first, each a spaced sign and its magnitude, a unit
+    magnitude left out before a word, a leading "+" dropped."""
+    if not x.terms:
+        return "0"
+    a = x.alphabet
+    word = lambda w: "*".join(g.token() for g in a.letters(w)) or "1"
+    if isinstance(x, NcPoly):
+        key = lambda t: deglex_key(t[0])
+        show = lambda k: word(k) if k else ""
+    else:
+        key = lambda t: (deglex_key(t[0][0]), deglex_key(t[0][1]))
+        show = lambda k: f"{word(k[0])}#{word(k[1])}"
+
+    def term(k, mag):
+        token = show(k)
+        if not token:
+            return format_rational(mag)
+        return token if mag == 1 else f"{format_rational(mag)}*{token}"
+
+    parts = []
+    for k, c in sorted(x.terms.items(), key=key, reverse=True):
+        parts.append("- " + term(k, -c) if c < 0 else "+ " + term(k, c))
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def test_writer_matches_the_fraction_writer_on_seeded_values():
+    # polynomials and tensor squares over the u and s families and free
+    # names, with signed, fractional and huge coefficients, the empty word
+    # and c*1 tensor legs; an engine term dict (ints where integral) writes
+    # the same bytes
+    rng = random.Random(1210)
+    a = Alphabet(matric_family("u", 2) + matric_family("s", 2) + [Generator.free("x1")])
+    letters = [a.char(g) for g in a.generators]
+
+    def word():
+        return "".join(rng.choice(letters) for _ in range(rng.choice((0, 0, 1, 2, 3, 4))))
+
+    def coeff():
+        big = rng.choice((1, 1, 1, 2**64 + rng.randrange(2**70)))
+        return rat(rng.randint(-7, 7) * big, rng.choice((1, 1, 2, 3, 12, 2**65 + 1)))
+
+    for _ in range(500):
+        p = NcPoly(a, {word(): coeff() for _ in range(rng.randint(0, 6))})
+        text = p.to_str()
+        assert text == _fraction_text(p)
+        assert NcPoly._adopt(a, lean_terms(p.terms)).to_str() == text
+        assert parse_poly(a, text) == p
+        t = TensorSquare(a, {(word(), word()): coeff() for _ in range(rng.randint(0, 6))})
+        text = t.to_str()
+        assert text == _fraction_text(t)
+        assert TensorSquare._adopt(a, lean_terms(t.terms)).to_str() == text
+        assert parse_tensor(a, text) == t
+    # each corner once, by name
+    g = lambda *tokens: a.word([parse_generator_token(t) for t in tokens])
+    corners = {
+        "-x1*x1 + 1/2*u[1,1] - 1": {g("x1", "x1"): -1, g("u[1,1]"): rat(1, 2), "": -1},
+        f"{2**64 + 1}*s[2,1] - {2**70}/3": {g("s[2,1]"): 2**64 + 1, "": rat(-(2**70), 3)},
+    }
+    for text, terms in corners.items():
+        p = NcPoly(a, terms)
+        assert p.to_str() == _fraction_text(p) == text
+        assert parse_poly(a, text) == p
+    t = TensorSquare(a, {("", g("x1")): rat(-3, 2), (g("u[1,1]"), ""): 1, ("", ""): 2**65})
+    assert t.to_str() == _fraction_text(t) == "u[1,1]#1 - 3/2*1#x1 + 36893488147419103232*1#1"
+    assert parse_tensor(a, t.to_str()) == t
+
+
 def test_spaced_and_respelled_text_reads_as_the_canonical_text():
     # the reader looks each token of the canonical text up in one table;
     # spaces around "*" and other spellings of a generator take the slower
@@ -219,23 +290,24 @@ def test_parse_poly_merges_and_signs():
 
 
 @pytest.mark.parametrize(
-    "bad",
+    "bad, message",
     [
-        "",
-        "x +",
-        "* x",
-        "x * * x",
-        "x x x +",
-        "u[1,1]",  # not in this alphabet
-        "2 *",
-        "x 3",
-        "2*x#3*x",  # a tensor term
+        ("", "empty text"),
+        ("x +", "dangling sign at the end"),
+        ("* x", "not a generator token: ''"),
+        ("x * * x", "not a generator token: ''"),
+        ("x x x +", "dangling sign at the end"),
+        ("u[1,1]", "generator u[1,1] not in alphabet"),  # not in this alphabet
+        ("2 *", "not a generator token: ''"),
+        ("x 3", "not a generator token: 'x 3'"),
+        ("2*x#3*x", "not a generator token: 'x#3'"),  # a tensor term
     ],
 )
-def test_parse_poly_rejects(bad):
+def test_parse_poly_rejects(bad, message):
     a = Alphabet([Generator.free("x")])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         parse_poly(a, bad)
+    assert str(exc.value) == message
 
 
 def test_substitute_is_a_homomorphism():
