@@ -61,14 +61,21 @@ def lean_terms(terms: dict) -> dict:
     return {k: c.numerator if c.denominator == 1 else c for k, c in terms.items()}
 
 
+class _Shared(dict):
+    """int -> Fraction, one shared object for each small int."""
+
+    def __missing__(self, c: int) -> Scalar:
+        return Scalar(c)
+
+
 # Fractions are immutable, so handed-out values share these: a small
 # coefficient costs no new object
-_SMALL = {i: Scalar(i) for i in range(-64, 65)}
+_SMALL = _Shared({i: Scalar(i) for i in range(-64, 65)})
 
 
 def fraction_terms(terms: dict) -> dict:
     """``terms`` with each int as a Fraction; a Fraction skips the table, as hashing it is slow."""
-    return {k: c if type(c) is Scalar else _SMALL.get(c) or Scalar(c) for k, c in terms.items()}
+    return {k: c if type(c) is Scalar else _SMALL[c] for k, c in terms.items()}
 
 
 def add_terms(out: dict, pairs: Iterable[tuple]) -> dict:

@@ -237,12 +237,12 @@ class PolarSolution:
         """particular + sum coeffs[i] * kernel_basis[i]."""
         if len(coeffs) != len(self.kernel_basis):
             raise ValueError("coefficient count mismatch")
-        out = self.particular
+        out = dict(self.particular.entries)
         for c, k in zip(coeffs, self.kernel_basis):
             c = rat(c)
             if c:
-                out = out.add(k.scale(c))
-        return out
+                add_terms(out, ((i, c * x) for i, x in k.entries.items()))
+        return MultilinearForm(self.particular.dim, self.particular.arity, out)
 
 
 def polar(w: MultilinearForm) -> PolarSolution | None:

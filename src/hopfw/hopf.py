@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Mapping
 
-from .exactnum import Matrix, ONE, Scalar, ZERO, add_terms, mat_inv
+from .exactnum import Matrix, ONE, Scalar, ZERO, mat_inv
 from .forms import (
     MultilinearForm,
     analyze,
@@ -215,12 +215,17 @@ def _preservation(
     for c, f in itertools.product(rng, repeat=2):
         row, col = (c, f) if lower_is_free else (f, c)
         char[(c, f)] = alphabet.char(Generator(family, row, col))
+    lams, coeffs = list(w.entries), list(w.entries.values())
+    # columns[k][f]: letter k of every entry's word when M_k = f, so that
+    # each M spells all its words in one zip of m columns
+    columns = [{f: [char[(lam[k], f)] for lam in lams] for f in rng} for k in range(w.arity)]
     for mu in itertools.product(rng, repeat=w.arity):
-        terms: dict[str, Scalar] = {"": -w[mu]}
-        for lam, c in w.entries.items():
-            # for a fixed M each word spells its L, so no two terms meet
-            terms["".join(char[pair] for pair in zip(lam, mu))] = c
-        yield mu, NcPoly(alphabet, terms)
+        constant = w.entries.get(mu)
+        terms: dict[str, Scalar] = {"": -constant} if constant else {}
+        # for a fixed M each word spells its L, so no two terms meet
+        words = map("".join, zip(*[column[f] for column, f in zip(columns, mu)]))
+        terms.update(zip(words, coeffs))
+        yield mu, NcPoly._adopt(alphabet, terms)
 
 
 def _twist(w: MultilinearForm) -> Matrix:
@@ -454,21 +459,36 @@ def check_coproduct(
     if system is None:
         system = system_for(pres, degree)
 
+    top = system.complete_through
+
+    def nf(terms: dict) -> dict[str, Scalar]:
+        return normal_form(NcPoly._adopt(system.alphabet, terms), system).terms
+
     @functools.cache
-    def word_nf(word: str) -> dict[str, Scalar]:
-        return normal_form(NcPoly.from_word(system.alphabet, word), system).terms
+    def vanishes(word: str) -> bool:
+        return not nf({word: ONE})
 
     def residue(rel: NcPoly) -> TensorSquare:
-        image = coproduct_image(rel, delta, target=pres.alphabet)
-        # longest words first: a word above the certified degree is met at
-        # the relation's own degree
-        terms = (
-            ((a, b), c * ca * cb)
-            for (w1, w2), c in image.sorted_terms()
-            for a, ca in word_nf(w1).items()
-            for b, cb in word_nf(w2).items()
-        )
-        return TensorSquare(pres.alphabet, add_terms({}, terms))
+        image = coproduct_image(rel, delta, target=pres.alphabet).terms
+        # the degree that term-by-term reduction, leading term first, meets
+        # first above the certified one: a left word, or a right word whose
+        # left word does not vanish.  Checked before the legs are summed, so
+        # that a left sum that cancels never certifies a word above it
+        above = (k for k in image if len(k[0]) > top or len(k[1]) > top)
+        for w1, w2 in TensorSquare._leading_first(above):
+            if len(w1) > top or not vanishes(w1):
+                raise NotCertifiedError(len(w1) if len(w1) > top else len(w2), top)
+        # nf (x) nf = (id (x) nf) o (nf (x) id): reduce the left sum at each
+        # right word, then the right sum at each left normal word
+        lefts: dict[str, dict] = {}
+        for (w1, w2), c in image.items():
+            lefts.setdefault(w2, {})[w1] = c
+        rights: dict[str, dict] = {}
+        for w2, left in lefts.items():
+            for a, c in nf(left).items():
+                rights.setdefault(a, {})[w2] = c
+        terms = {(a, b): c for a, right in rights.items() for b, c in nf(right).items()}
+        return TensorSquare._adopt(pres.alphabet, terms)
 
     return _per_relation(pres, "coproduct", "residue", residue)
 

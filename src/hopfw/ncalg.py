@@ -36,6 +36,14 @@ is the empty word, a unit coefficient is left out, and ``to_str`` writes one
 spaced sign between terms, e.g. ``2*u[1,1]#u[1,2] - 1#s[2,1] + 2*1#u[1,1]``.
 A token resolves through its alphabet's token table; another spelling of a
 generator, such as ``u[01,1]``, is read by :func:`parse_generator_token`.
+
+The writer spells every word of an element in one ``str.translate`` and
+writes each coefficient from its ``numerator`` and ``denominator``, which an
+engine ``int`` has too, so no ``Fraction`` is compared, negated or printed.
+The reader, ``_read_terms``, reads canonical text, the way ``to_str``
+writes it, with no call per term, and sends a text in any other spelling
+whole down the per-token path of ``_read_monomial``; both read a text to
+the same terms and only the second words a refusal.
 """
 
 from __future__ import annotations
@@ -46,8 +54,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .exactnum import (
-    ONE, Matrix, Scalar, ZERO, add_terms, format_rational, fraction_terms, lean, parse_rational,
-    rat,
+    ONE, Matrix, Scalar, ZERO, add_terms, fraction_terms, lean, parse_rational, rat,
 )
 
 _FAMILY_RANK = {"u": 0, "s": 1, "a": 2, "v": 3, "free": 4}
@@ -198,9 +205,13 @@ class Alphabet:
 
     def word_token(self, word: str) -> str:
         """Canonical display of a word; the empty word prints as ``1``."""
-        if not word:
-            return "1"
-        return word.translate(self._spell)[:-1]
+        return self.spell([word])[0] or "1"
+
+    def spell(self, words: list[str]) -> list[str]:
+        """The display of each word, all translated in one pass; the empty
+        word is spelled ``""`` here, and ``word_token`` shows it as ``1``."""
+        text = "\n".join(words).translate(self._spell) + "\n"
+        return text.replace("*\n", "\n").split("\n")[:-1]
 
     def _letter(self, token: str) -> str:
         """The letter of one stripped generator token."""
@@ -231,14 +242,17 @@ def deglex_key(word: str) -> tuple[int, list[int]]:
 
 
 _SIGNS = re.compile(r"([+-][\s+-]*)")
+# the separators of canonical text, by the number of legs of a term
+_SPLIT = {1: re.compile(" ([+-]) "), 2: re.compile(" ([+-]) |#")}
 _COEFFICIENT = re.compile(r"\d+(?:/\d+)?")
 
 
 def _read_monomial(alphabet: Alphabet, text: str) -> tuple[str, int | Scalar]:
-    """The word and coefficient of one ``monomial`` of the text grammar; an
-    integral coefficient is an int.  Each ``token*`` run of the canonical
-    text, the way ``to_str`` writes it, is one lookup in the alphabet's
-    token table; any other spelling goes through ``Alphabet._letter``."""
+    """The word and coefficient of one ``monomial`` of the text grammar in
+    any spelling; an integral coefficient is an int.  Tokens spelled the
+    canonical way are one lookup each in the alphabet's token table; any
+    other spelling goes through ``Alphabet._letter``.  It reads a rule's
+    lead and each term that ``_read_terms`` does not read itself."""
     tokens = text.strip().split("*")
     head = tokens[0]
     coeff: int | Scalar = 1
@@ -254,13 +268,64 @@ def _read_monomial(alphabet: Alphabet, text: str) -> tuple[str, int | Scalar]:
         return "".join([letter(t.strip()) for t in tokens]), coeff
 
 
-def _read_terms(alphabet: Alphabet, text: str, read_term: Callable = _read_monomial) -> dict:
+def _read_terms(alphabet: Alphabet, text: str, legs: int = 1) -> dict:
     """The terms of a text of the grammar as a dict key -> nonzero
-    coefficient, an integral coefficient as an int; ``read_term`` reads one
-    unsigned term.  Polynomials, tensors and the tails of a rewrite system's
-    dump are all read here."""
-    if text.strip() == "0":
+    coefficient, an integral coefficient as an int; a key is a word, or a
+    pair of words with ``legs`` 2.  Polynomials, tensors and the tails of a
+    rewrite system's dump are all read here.
+
+    Canonical text, the way ``to_str`` writes it, is read with no call per
+    term: one split on the spaced signs (and on ``#``), then for each
+    monomial a split on ``*``, one ``isdecimal`` test of its head and one
+    lookup of each token in the alphabet's token table.  When a monomial
+    does not read that way, the whole text goes through the per-token path,
+    ``_read_monomial``, which reads every other spelling and words each
+    refusal."""
+    body = text.strip()
+    if body == "0":
         return {}
+    letter = alphabet._letter_of.__getitem__
+    negative = body[:1] == "-"
+    # [monomial, sign, monomial, ...]; a tensor's legs are split by a None
+    parts = _SPLIT[legs].split(body[negative:])
+    monomials, signs = parts[::2], ["-" if negative else "+", *parts[1::2]]
+    words, coeffs = [], []
+    try:
+        if legs == 2 and (len(monomials) % 2 or any(signs[1::2]) or None in signs[2::2]):
+            raise KeyError(body)  # a term without exactly one #
+        for sign, monomial in zip(signs, monomials):
+            tokens = monomial.split("*")
+            head = tokens[0]
+            c = 1
+            if head.isdecimal():
+                c = int(head)
+                del tokens[0]
+            elif "/" in head:
+                num, _, den = head.partition("/")
+                if not (num.isdecimal() and den.isdecimal() and int(den)):
+                    raise KeyError(head)
+                c = lean(Scalar(int(num), int(den)))
+                del tokens[0]
+            words.append("".join(map(letter, tokens)))
+            coeffs.append(-c if sign == "-" else c)
+    except (KeyError, ValueError):  # a token or head it does not read
+        terms = _read_spelled_terms(alphabet, text, legs)
+    else:
+        if legs == 2:
+            words = list(zip(words[::2], words[1::2]))
+            coeffs = list(map(operator.mul, coeffs[::2], coeffs[1::2]))
+        terms = dict(zip(words, coeffs))
+        if len(terms) == len(words) and all(coeffs):
+            return terms
+        terms = {}
+        for key, c in zip(words, coeffs):
+            terms[key] = terms[key] + c if key in terms else c  # add only to a repeat
+    return {k: c for k, c in terms.items() if c}
+
+
+def _read_spelled_terms(alphabet: Alphabet, text: str, legs: int) -> dict:
+    """``_read_terms`` of a text in any spelling of the grammar, each term
+    read by ``_read_monomial``; zero sums are kept."""
     # [term, signs, term, signs, ...]; the first term is blank when the
     # text opens with a sign
     parts = _SIGNS.split(text)
@@ -274,20 +339,26 @@ def _read_terms(alphabet: Alphabet, text: str, read_term: Callable = _read_monom
         raise ValueError("dangling sign at the end")
     terms: dict = {}
     for signs, body in zip(parts[::2], parts[1::2]):
-        key, c = read_term(alphabet, body)
+        if legs == 1:
+            key, c = _read_monomial(alphabet, body)
+        else:
+            split = body.split("#")
+            if len(split) != 2:
+                raise ValueError(f"tensor term needs exactly one #: {body.strip()!r}")
+            (w1, c1), (w2, c2) = (_read_monomial(alphabet, leg) for leg in split)
+            key, c = (w1, w2), c1 * c2
         if signs.count("-") % 2:
             c = -c
         terms[key] = terms[key] + c if key in terms else c  # add only to a repeat
-    return {k: c for k, c in terms.items() if c}
+    return terms
 
 
 class _LinearCombination:
     """Finitely supported map key -> nonzero scalar over a fixed alphabet.  A
     subclass supplies ``_UNIT`` (the unit's key), ``_concat`` (the product
-    of two keys), ``_sort_key`` (orders terms, leading term first),
-    ``_term`` (the text of one term with a positive coefficient) and
-    ``_read_term`` (its inverse: the key and coefficient of one unsigned
-    term's text)."""
+    of two keys), ``_leading_first`` (sorts keys, leading key first),
+    ``_tokens`` (the text of each key) and ``_LEGS`` (the number of words
+    in a key's text, 2 for a word pair)."""
 
     __slots__ = ("alphabet", "terms")
 
@@ -358,24 +429,36 @@ class _LinearCombination:
         )
 
     def sorted_terms(self) -> list:
-        """Terms in ``_sort_key`` order, leading term first."""
-        return sorted(self.terms.items(), key=self._sort_key)
+        """Terms in ``_leading_first`` order, leading term first."""
+        terms = self.terms
+        return [(k, terms[k]) for k in self._leading_first(terms)]
 
     def to_str(self) -> str:
-        """Canonical rendering: terms in descending order, each a sign and
-        the term of its magnitude; a leading ``+`` is dropped."""
+        """Canonical rendering: terms in descending order, each a spaced
+        sign and the term of its magnitude; a leading ``+`` is dropped.  A
+        magnitude is written from the coefficient's numerator and
+        denominator, which an engine int has too, and left out before a
+        word when it is 1."""
         if not self.terms:
             return "0"
-        term = self._term
-        text = " ".join(
-            "- " + term(k, -c) if c < 0 else "+ " + term(k, c) for k, c in self.sorted_terms()
-        )
-        return text[2:] if text[0] == "+" else "-" + text[2:]
+        keys = self._leading_first(self.terms)
+        out = []
+        for token, c in zip(self._tokens(keys), map(self.terms.__getitem__, keys)):
+            n, d = c.numerator, c.denominator
+            if n < 0:
+                out.append(" - ")
+                n = -n
+            else:
+                out.append(" + ")
+            mag = str(n) if d == 1 else f"{n}/{d}"
+            out.append(f"{mag}*{token}" if token and mag != "1" else token or mag)
+        text = "".join(out)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     @classmethod
     def _parse(cls, alphabet: Alphabet, text: str):
         """Read the text grammar of the module docstring."""
-        return cls._adopt(alphabet, fraction_terms(_read_terms(alphabet, text, cls._read_term)))
+        return cls._adopt(alphabet, fraction_terms(_read_terms(alphabet, text, cls._LEGS)))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.to_str()})"
@@ -387,16 +470,19 @@ class NcPoly(_LinearCombination):
     __slots__ = ()
 
     _UNIT = ""
+    _LEGS = 1
     _concat = staticmethod(operator.add)
-    _sort_key = staticmethod(lambda t: natural_key(t[0]))
 
-    def _term(self, word: str, mag: Scalar) -> str:
-        if not word:
-            return format_rational(mag)
-        token = self.alphabet.word_token(word)
-        return token if mag == 1 else f"{format_rational(mag)}*{token}"
+    @staticmethod
+    def _leading_first(words) -> list[str]:
+        # string order, then longest first: the stable sort keeps string
+        # order, descending deglex, among words of one length
+        out = sorted(words)
+        out.sort(key=len, reverse=True)
+        return out
 
-    _read_term = staticmethod(_read_monomial)
+    def _tokens(self, words: list[str]) -> list[str]:
+        return self.alphabet.spell(words)
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -537,20 +623,16 @@ class TensorSquare(_LinearCombination):
     __slots__ = ()
 
     _UNIT = ("", "")
+    _LEGS = 2
     _concat = staticmethod(lambda k1, k2: (k1[0] + k2[0], k1[1] + k2[1]))
-    _sort_key = staticmethod(lambda t: (natural_key(t[0][0]), natural_key(t[0][1])))
-
-    def _term(self, k: tuple[str, str], mag: Scalar) -> str:
-        token = f"{self.alphabet.word_token(k[0])}#{self.alphabet.word_token(k[1])}"
-        return token if mag == 1 else f"{format_rational(mag)}*{token}"
 
     @staticmethod
-    def _read_term(alphabet: Alphabet, text: str) -> tuple[tuple[str, str], int | Scalar]:
-        legs = text.split("#")
-        if len(legs) != 2:
-            raise ValueError(f"tensor term needs exactly one #: {text.strip()!r}")
-        (w1, c1), (w2, c2) = (_read_monomial(alphabet, leg) for leg in legs)
-        return (w1, w2), c1 * c2
+    def _leading_first(keys) -> list[tuple[str, str]]:
+        return sorted(keys, key=lambda k: (natural_key(k[0]), natural_key(k[1])))
+
+    def _tokens(self, keys: list[tuple[str, str]]) -> list[str]:
+        legs = self.alphabet.spell([w for k in keys for w in k])
+        return [f"{a or 1}#{b or 1}" for a, b in zip(legs[::2], legs[1::2])]
 
     @classmethod
     def of(cls, left: NcPoly, right: NcPoly) -> "TensorSquare":

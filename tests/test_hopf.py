@@ -441,6 +441,36 @@ def test_suites_are_uncertified_above_a_dumps_complete_through(hw2):
     assert status_counts(suite) == {Status.PASS: 48, Status.UNCERTIFIED: 16}
 
 
+def _free_presentation(relations, delta):
+    """A parsed presentation over free generators, zero counit, no antipode."""
+    gens = sorted(delta)
+    lines = ["algebra hw", "n 1", "m 2", "generators " + " ".join(gens)]
+    lines += [f"relation r{i}: {r}" for i, r in enumerate(relations)]
+    lines += [f"delta {g} -> {delta[g]}" for g in gens]
+    lines += [f"counit {g} -> 0" for g in gens]
+    return parse_presentation("\n".join(lines) + "\n")
+
+
+def test_coproduct_residue_names_the_degree_that_term_by_term_reduction_meets():
+    # the residue reduces the left legs, then the right legs; a right word
+    # above the certified degree is UNCERTIFIED exactly when its left word
+    # does not vanish, even when the left words summed at it cancel
+    pres = _free_presentation(["x - y"], {"x": "x#z*z", "y": "y#z*z", "z": "z#z"})
+    (row,) = check_coproduct(pres, 1)
+    assert (row.status, row.detail) == (Status.UNCERTIFIED, "needs degree 2, certified 1")
+    # the left word x vanishes, so its right word is never reduced
+    pres = _free_presentation(["x"], {"x": "x#y*y", "y": "y#y"})
+    assert [(r.status, r.detail) for r in check_coproduct(pres, 1)] == [(Status.PASS, "")]
+    # a left word above it comes first in term order
+    pres = _free_presentation(["x - y"], {"x": "x*x#1", "y": "y#z*z*z", "z": "z#z"})
+    (row,) = check_coproduct(pres, 1)
+    assert (row.status, row.detail) == (Status.UNCERTIFIED, "needs degree 2, certified 1")
+    # within the certified degree the residue is the normal form of both legs
+    pres = _free_presentation(["x - y"], {"x": "x#z + 2*y#x", "y": "y#z", "z": "z#1"})
+    (row,) = check_coproduct(pres, 1)
+    assert (row.status, row.detail) == (Status.FAIL, "residue 2*x#x")
+
+
 def test_counit_checks_are_pure_arithmetic():
     # no completion involved, so no degree argument and no UNCERTIFIED
     results = check_counit(build_ahmn(3, 2))
