@@ -140,9 +140,10 @@ class Alphabet:
     order, the i-th is the letter ``chr(_CHAR_BASE + N - 1 - i)``.  Among
     words of one length, ``w1 < w2`` as strings exactly when ``w1`` is above
     ``w2`` in deglex, so ``(-len(w), w)`` orders words leading word first
-    with no translation: the rewriting engine keys its worklist by the bare
-    word.  ``rank_spelling`` undoes the numbering for the one place that
-    wants deglex ascending as a string, the completion queue."""
+    with no translation: the rewriting engine keeps one heap of bare words
+    per length and pops the longest length first.  ``rank_spelling`` undoes
+    the numbering for the one place that wants deglex ascending as a
+    string, the completion queue."""
 
     __slots__ = ("generators", "_char_of", "_letter_of", "_spell", "_top", "_end", "_rank")
 

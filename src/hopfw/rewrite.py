@@ -14,8 +14,11 @@ Implementation notes, sized for thousands of rules:
 
 * one prefix table for every lead lookup -- a dict maps each lead to its
   tail and each nonempty proper prefix of a lead to a marker.  Reduction
-  scans each word it pops for the leftmost lead: from each position it walks
-  forward one letter a probe and stops at a miss or at a lead.  The table is
+  scans each word it pops for the leftmost lead: from each position where
+  the shortest lead still fits, its first probe is as long as that lead,
+  then it walks forward one letter a probe and stops at a miss or at a
+  lead.  A shorter first probe could only find a prefix or miss; the
+  index keeps the shortest lead's length as leads come and go.  The table is
   a trie of the leads; the scan restarts at each position instead of taking
   Aho & Corasick's failure links (CACM 1975), since a word is at most D
   letters long.  Live leads are factor-free, so no lead is a prefix of another
@@ -39,12 +42,15 @@ Implementation notes, sized for thousands of rules:
 * after the queue drains, each tail is reduced once, leads ascending;
 * no key function in reduction -- the alphabet numbers its letters
   downward (see :class:`~hopfw.ncalg.Alphabet`), so among words of one
-  length plain string order is descending deglex.  ``reduce_terms`` keys its
-  worklist heap by ``(-len(w), w)``, with no translation of the several
-  hundred thousand words a completion pushes, and every other order on
-  words -- leads, the gate's tail check, interreduction, the audit -- is
-  the same natural key.  Only the completion queue, which pops in
-  ascending deglex, respells its keys with ``Alphabet.rank_spelling``;
+  length plain string order is descending deglex.  ``reduce_terms`` keeps
+  one heap of bare words per length and pops the longest length first,
+  with no translation of the several hundred thousand words a completion
+  pushes; a word that cancels stays in the worklist with value 0, so no
+  word is pushed twice.  Every other order on words -- leads, the gate's
+  tail check, interreduction, the audit -- is the natural key
+  ``(-len(w), w)``, the order the heaps pop in.  Only the completion queue,
+  which pops in ascending deglex, respells its keys with
+  ``Alphabet.rank_spelling``;
 * integer coefficients -- inside the engine an integral coefficient is a
   plain ``int`` and only a value with a denominator is a ``Fraction``;
   :mod:`~hopfw.exactnum` converts between the two forms.  Input relations
@@ -90,6 +96,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Sequence
 
@@ -150,6 +157,10 @@ class CompletionStats:
 # the value a lead index's table gives a proper prefix of a lead
 _PREFIX = object()
 
+# the ``shortest`` of an index with no lead: longer than any word, so a scan
+# makes no probe
+_NO_LEAD = sys.maxsize
+
 
 class _LeadIndex:
     """A system's leads with their tails, and one prefix table for
@@ -160,13 +171,17 @@ class _LeadIndex:
     proper prefix of a lead to ``_PREFIX``; a lead that is also a prefix of
     another lead, which only an untrusted system can hold until the gate
     refuses it, keeps its tail.  The empty lead, the unit ideal's, is in
-    ``table`` as itself and has no prefixes."""
+    ``table`` as itself and has no prefixes.  ``shortest`` is the length of
+    the shortest lead (0 with the empty lead, ``_NO_LEAD`` with none): no
+    key of ``table`` shorter than it is a lead, so a scan starts each probe
+    there."""
 
-    __slots__ = ("by_word", "table")
+    __slots__ = ("by_word", "table", "shortest")
 
     def __init__(self) -> None:
         self.by_word: dict[str, _Terms] = {}
         self.table: dict[str, object] = {}
+        self.shortest = _NO_LEAD
 
     def add(self, lead: str, tail: _Terms) -> None:
         self.by_word[lead] = tail
@@ -174,6 +189,7 @@ class _LeadIndex:
         table[lead] = tail
         for i in range(1, len(lead)):
             table.setdefault(lead[:i], _PREFIX)
+        self.shortest = min(self.shortest, len(lead))
 
     def s_poly(self, l1: str, l2: str, x: str, z: str):
         """Terms of tail(l1).z - x.tail(l2) for the overlap word l1.z = x.l2;
@@ -195,57 +211,66 @@ class _LeadIndex:
     def reduce_terms(self, terms: _Terms) -> _Terms:
         """Rewrite a term dict to normal form.
 
-        Worklist in descending deglex, a heap keyed by ``(-len(w), w)``:
-        the alphabet numbers its letters so that this natural key is
-        descending deglex, and no word is translated.  Expansions are
-        strictly smaller, so each word is finalized exactly once;
-        coefficients of pending duplicates merge before expansion.  A word
-        is pushed when it enters ``work``, so one that cancels and returns
-        is queued twice; the empty pop is skipped.
+        The worklist pops in descending deglex: one heap of bare words per
+        length, longest length first, and within one length plain string
+        order, which the alphabet's downward letters make descending
+        deglex, so no word is translated.  Expansions are strictly smaller
+        than the word they replace, so each word is finalized exactly once;
+        coefficients of pending duplicates merge in ``work`` before
+        expansion.  A word is pushed when it first enters ``work`` and stays
+        there, with 0 once it cancels (an int 0, so a sum that starts again
+        has the type it would have from nothing), so it is never pushed
+        twice; the pop of a cancelled word is skipped.
 
         Each popped word is scanned for its leftmost lead: from each
-        position the scan walks forward one letter a probe while the table
-        holds a prefix of a lead, and stops at a miss or at a lead, so the
-        lead it finds is the shortest one starting there.
+        position where a lead of length ``shortest`` still fits, the scan
+        probes the ``shortest`` letters there, then walks forward one letter
+        a probe while the table holds a prefix of a lead, and stops at a
+        miss or at a lead, so the lead it finds is the shortest one starting
+        there.  The first probe is exact: the table holds every prefix of
+        every lead, and a shorter probe could only say prefix or miss.  The
+        empty lead has length 0, so with it every word's first probe is the
+        empty word, and every word rewrites to 0.
         """
-        table = self.table
-        if "" in table:
-            return {}
-        get = table.get
-        heappop, heappush = heapq.heappop, heapq.heappush
+        get = self.table.get
+        s = self.shortest
+        heapify, heappop, heappush = heapq.heapify, heapq.heappop, heapq.heappush
         out: _Terms = {}
         work = dict(terms)
-        heap = [(-len(w), w) for w in work]
-        heapq.heapify(heap)
-        while heap:
-            _, w = heappop(heap)
-            c = work.pop(w, 0)
-            if not c:
-                continue
-            n = len(w)
-            for pos in range(n):
-                for end in range(pos + 1, n + 1):
+        heaps: list[list[str]] = [[] for _ in range(max(map(len, work), default=-1) + 1)]
+        for w in work:
+            heaps[len(w)].append(w)
+        # a longer word's expansions may land in a shorter heap before it is
+        # reached, so each heap is heapified when its length comes up
+        for heap in reversed(heaps):
+            heapify(heap)
+            while heap:
+                w = heappop(heap)
+                c = work[w]
+                if not c:
+                    continue  # cancelled
+                n = len(w)
+                for pos in range(n - s + 1):
+                    end = pos + s
                     tail = get(w[pos:end])
-                    if tail is not _PREFIX:
-                        break
+                    while tail is _PREFIX and end < n:
+                        end += 1
+                        tail = get(w[pos:end])
+                    if tail is not None and tail is not _PREFIX:
+                        break  # w[pos:end] is a lead
                 else:
-                    continue  # the word ends inside a prefix of a lead
-                if tail is not None:
-                    break  # w[pos:end] is a lead
-            else:
-                out[w] = c
-                continue
-            x = w[:pos]
-            y = w[end:]
-            for t, tc in tail.items():
-                nw = x + t + y
-                nv = work.get(nw, 0) + c * tc
-                if nv:
-                    if nw not in work:
-                        heappush(heap, (-len(nw), nw))
-                    work[nw] = nv
-                else:
-                    work.pop(nw, None)
+                    out[w] = c
+                    continue
+                x = w[:pos]
+                y = w[end:]
+                for t, tc in tail.items():
+                    nw = x + t + y
+                    nv = work.get(nw)
+                    if nv is None:
+                        work[nw] = c * tc
+                        heappush(heaps[len(nw)], nw)
+                    else:
+                        work[nw] = nv + c * tc or 0
         return out
 
 
@@ -255,7 +280,8 @@ class _LiveIndex(_LeadIndex):
     is a lead or a prefix, never both.  Also the leads by length, for
     eviction, and the overlap maps: every proper prefix and suffix of each
     live lead, keyed by (affix, length of the lead).  Removing a lead drops
-    each of its prefixes that no live lead of any length still starts with."""
+    each of its prefixes that no live lead of any length still starts with,
+    and moves ``shortest`` up when it was the last lead of that length."""
 
     __slots__ = ("by_len", "prefixes", "suffixes")
 
@@ -278,12 +304,15 @@ class _LiveIndex(_LeadIndex):
         table, prefixes = self.table, self.prefixes
         del table[lead]
         n = len(lead)
-        self.by_len[n].discard(lead)
+        by_len = self.by_len
+        by_len[n].discard(lead)
+        if n == self.shortest and not by_len[n]:
+            self.shortest = min((k for k, bucket in by_len.items() if bucket), default=_NO_LEAD)
         for i in range(1, n):
             prefix = lead[:i]
             prefixes[prefix, n].discard(lead)
             self.suffixes[lead[i:], n].discard(lead)
-            if not any(prefixes.get((prefix, k)) for k in self.by_len):
+            if not any(prefixes.get((prefix, k)) for k in by_len):
                 del table[prefix]
         return tail
 
@@ -484,8 +513,9 @@ def normal_form(p: NcPoly, system: RewriteSystem) -> NcPoly:
     it this raises NotCertifiedError.  This is the one certification gate."""
     if p.alphabet != system.alphabet:
         raise ValueError("polynomial alphabet does not match the system")
-    if p.degree() > system.complete_through:
-        raise NotCertifiedError(p.degree(), system.complete_through)
+    degree = p.degree()
+    if degree > system.complete_through:
+        raise NotCertifiedError(degree, system.complete_through)
     # reduce d.p, with d the common denominator, over ints: the normal form
     # is linear, so that of p is the result divided by d
     d = math.lcm(*[c.denominator for c in p.terms.values()])

@@ -1,9 +1,14 @@
-"""Brute-force lead search for tests of the rewriting engine's prefix table.
+"""Brute-force lead search and reduction for tests of the rewriting engine.
 
 ``reduce_terms`` finds the leftmost lead of a word by walking the lead
-index's prefix table forward from each position.  The oracle here probes
-every (position, length) slice of the word against the set of leads
-instead, and takes the leftmost position, then the shortest length.
+index's prefix table forward from each position, starting at the length of
+the shortest lead.  The oracle here probes every (position, length) slice
+of the word against the set of leads instead, the empty slice included,
+and takes the leftmost position, then the shortest length.
+
+:func:`reduce_by_slices` reduces a whole term dict with that search alone,
+one rewrite a step, and shares no code with ``reduce_terms``: no prefix
+table, no heaps and no worklist.
 
 The scan's choice is read off ``reduce_terms`` itself: each lead is given a
 one-letter tail, a marker that spells no generator and so stands in no lead.
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import random
 
+from hopfw.ncalg import deglex_key
 from hopfw.rewrite import RewriteSystem, _LeadIndex
 
 _MARKER_BASE = 0x3000  # far above every generator's letter
@@ -29,12 +35,41 @@ def marker(k: int) -> dict[str, int]:
 
 
 def first_lead_by_slices(word: str, leads) -> tuple[int, str] | None:
-    """(position, lead) of the leftmost, then shortest, lead in ``word``."""
-    for pos in range(len(word)):
-        for end in range(pos + 1, len(word) + 1):
+    """(position, lead) of the leftmost, then shortest, lead in ``word``;
+    the empty lead, the unit ideal's, is found at position 0."""
+    for pos in range(len(word) + 1):
+        for end in range(pos, len(word) + 1):
             if word[pos:end] in leads:
                 return pos, word[pos:end]
     return None
+
+
+def reduce_by_slices(terms: dict, tails: dict) -> dict:
+    """The normal form of a term dict under the rules ``lead -> tails[lead]``.
+
+    Each step rewrites the deglex-largest word that holds a lead, at its
+    leftmost and then shortest lead, until no word holds one.  A sum that
+    reaches zero drops its word, and a word that comes back starts again
+    from the int 0, so a value is a ``Fraction`` exactly when a
+    ``Fraction`` went into it since it last left."""
+    out = {}
+    for w, c in terms.items():
+        if c:
+            out[w] = c
+    while True:
+        held = [w for w in out if first_lead_by_slices(w, tails) is not None]
+        if not held:
+            return out
+        w = max(held, key=deglex_key)
+        pos, lead = first_lead_by_slices(w, tails)
+        c = out.pop(w)
+        for t, tc in tails[lead].items():
+            nw = w[:pos] + t + w[pos + len(lead):]
+            nv = out.get(nw, 0) + c * tc
+            if nv:
+                out[nw] = nv
+            else:
+                del out[nw]
 
 
 def first_lead_by_scan(index: _LeadIndex, word: str) -> tuple[int, str] | None:

@@ -8,6 +8,7 @@ from hopfw.forms import MultilinearForm, make_signature
 from hopfw.hopf import build_bw, build_hw
 from hopfw.ncalg import Alphabet, Generator, NcPoly, deglex_key, parse_poly
 from hopfw.rewrite import (
+    _NO_LEAD,
     _PREFIX,
     NotCertifiedError,
     RewriteSystem,
@@ -23,6 +24,7 @@ from slice_oracle import (
     first_lead_by_scan,
     first_lead_by_slices,
     marker,
+    reduce_by_slices,
 )
 from span_oracle import SpanOracle
 
@@ -190,18 +192,22 @@ def test_prefix_table_follows_adds_and_removes():
     """A completion's index through a seeded run of insertions, each of a
     normal word that first evicts the leads containing it, and removals.
     After every step the table holds exactly the live leads and their
-    proper prefixes, each prefix counted once per lead it starts; and the
-    scan finds the same (position, lead) as probing every slice."""
+    proper prefixes, each prefix counted once per lead it starts; its
+    ``shortest`` is the length of the shortest live lead, also after the
+    last lead of that length goes; and the scan finds the same (position,
+    lead) as probing every slice."""
     rng = random.Random(20261020)
     letters = "\u0100\u0101\u0102"
     index = _LiveIndex()
     markers: dict[str, int] = {}
-    removals = evictions = 0
+    removals = evictions = rises = 0
     for step in range(600):
         leads = index.by_word
         if leads and rng.random() < 0.25:
+            before = index.shortest
             index.remove(rng.choice(sorted(leads)))
             removals += 1
+            rises += index.shortest > before
         else:
             lead = "".join(rng.choice(letters) for _ in range(rng.randint(1, 4)))
             if any(old in lead for old in leads):
@@ -212,11 +218,128 @@ def test_prefix_table_follows_adds_and_removes():
             index.add(lead, marker(markers.setdefault(lead, len(markers))))
         prefixes = [lead[:i] for lead in leads for i in range(1, len(lead))]
         assert index.table == {p: _PREFIX for p in prefixes} | leads
+        assert index.shortest == min(map(len, leads), default=_NO_LEAD), step
         for _ in range(10):
             word = "".join(rng.choice(letters) for _ in range(rng.randint(0, 8)))
             hit = first_lead_by_scan(index, word)
             assert hit == first_lead_by_slices(word, leads), (step, word)
-    assert removals > 50 and evictions > 50
+    assert removals > 50 and evictions > 50 and rises > 50
+
+
+# coefficients of the oracle's inputs: ints, and Fractions that can cancel
+# an int's contribution or leave a Fraction with denominator 1
+_COEFFICIENTS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2))
+
+
+def _random_terms(rng, letters, longest, around=()):
+    """1 to 5 terms over ``letters`` with words of length 0 to ``longest``;
+    with ``around`` given, every other word is built around one of them."""
+    def noise(n):
+        return "".join(rng.choice(letters) for _ in range(n))
+
+    terms = {}
+    for i in range(rng.randint(1, 5)):
+        if i % 2 and around:
+            w = noise(rng.randint(0, 2)) + rng.choice(around) + noise(rng.randint(0, 2))
+        else:
+            w = noise(rng.randint(0, longest))
+        terms[w] = rng.choice(_COEFFICIENTS)
+    return terms
+
+
+def _assert_reduces_as_slices(index, terms):
+    """``reduce_terms`` returns exactly the oracle's dict: the same words,
+    values and int/Fraction types; and leaves its input as it was."""
+    given = dict(terms)
+    got = index.reduce_terms(terms)
+    want = reduce_by_slices(terms, index.by_word)
+    assert terms == given
+    assert got == want, terms
+    assert {w: type(c) for w, c in got.items()} == {w: type(c) for w, c in want.items()}, terms
+
+
+def test_reduce_terms_matches_the_slices_on_random_completions():
+    rng = random.Random(20261021)
+    units = 0
+    for _, system in _random_completions():
+        index = system._index
+        units += "" in index.by_word
+        letters = [system.alphabet.char(g) for g in system.alphabet.generators]
+        leads = [lead for lead in index.by_word if lead]
+        for _ in range(4):
+            terms = _random_terms(rng, letters, system.degree_bound + 1, leads)
+            _assert_reduces_as_slices(index, terms)
+    assert units > 0
+
+
+def _index_of_shortest(rng, shortest):
+    """A factor-free index over three letters whose one lead of length
+    ``shortest`` comes first and whose other leads are up to two letters
+    longer, each with 1 to 3 tail words below it in deglex."""
+    letters = "abc"
+    index = _LiveIndex()
+    for k in range(40):
+        n = shortest if k == 0 else rng.randint(shortest + 1, shortest + 2)
+        lead = "".join(rng.choice(letters) for _ in range(n))
+        if any(old in lead or lead in old for old in index.by_word):
+            continue
+        tail = {}
+        for _ in range(rng.randint(1, 3)):
+            w = "".join(rng.choice(letters) for _ in range(rng.randint(0, n)))
+            # among words of one length, a larger string is lower in deglex
+            if len(w) < n or w > lead:
+                tail[w] = rng.choice(_COEFFICIENTS)
+        index.add(lead, tail)
+    return index
+
+
+@pytest.mark.parametrize("shortest", [1, 2, 3])
+def test_reduce_terms_matches_the_slices_on_indexes_of_shortest(shortest):
+    """Hand-made indexes whose shortest lead has length 1, 2 or 3, before
+    and after the eviction of their only shortest lead; and words shorter
+    than every lead, which are already normal."""
+    rng = random.Random(20261022 + shortest)
+    for _ in range(8):
+        index = _index_of_shortest(rng, shortest)
+        assert index.shortest == shortest
+        first = next(iter(index.by_word))
+        for phase in ("before", "after"):
+            leads = list(index.by_word)
+            for _ in range(15):
+                _assert_reduces_as_slices(index, _random_terms(rng, "abc", shortest + 4, leads))
+            below = _random_terms(rng, "abc", index.shortest - 1)
+            assert index.reduce_terms(below) == below
+            _assert_reduces_as_slices(index, below)
+            if phase == "before":
+                index.remove(first)
+                assert index.shortest == min(map(len, index.by_word)) > shortest
+
+
+def test_reduce_terms_restarts_a_cancelled_sum_from_the_int_zero():
+    # t, r and q rewrite to 1/2*p, -1/2*p and 3*p, in that order (the
+    # worklist pops in descending deglex): p cancels to 0 and comes back as
+    # the int 3, as it would from nothing
+    text = (
+        "system\ndegree 1\ncomplete_through 1\ngenerators p q r t\n"
+        "rule q -> 3*p\nrule r -> -1/2*p\nrule t -> 1/2*p\n"
+    )
+    system = RewriteSystem.parse(text)
+    index = system._index
+    p, q, r, t = (system.alphabet.char(g) for g in system.alphabet.generators)
+    got = index.reduce_terms({t: 1, r: 1, q: 1})
+    assert got == {p: 3} and type(got[p]) is int
+    _assert_reduces_as_slices(index, {t: 1, r: 1, q: 1})
+
+
+def test_reduce_terms_sends_every_word_to_zero_in_the_unit_ideal():
+    index = _LiveIndex()
+    index.add("", {})
+    assert index.shortest == 0
+    rng = random.Random(20261023)
+    for _ in range(20):
+        terms = _random_terms(rng, "ab", 4)
+        assert index.reduce_terms(terms) == {}
+        _assert_reduces_as_slices(index, terms)
 
 
 def test_normal_form_is_linear_and_idempotent():
@@ -242,7 +365,7 @@ def test_normal_form_is_linear_and_idempotent():
 
 def test_normal_form_keeps_a_word_that_cancels_and_returns():
     # t and r rewrite to p and -p, which cancel; q brings p back within the
-    # same reduction, after its first copy has left the worklist's dict
+    # same reduction, while p still sits in the worklist with value 0
     text = (
         "system\ndegree 1\ncomplete_through 1\ngenerators p q r t\n"
         "rule q -> p\nrule r -> -p\nrule t -> p\n"
@@ -374,6 +497,12 @@ def test_normal_form_rewrites_the_leftmost_lead_first():
     assert not s.is_normal(x + y + z)
     assert s.is_normal(x + z)
     assert s.is_normal(x + x)
+    assert s._index.shortest == 2
+    # a one-letter lead: every position is probed, one letter first
+    s = RewriteSystem(a, [Rule(z, NcPoly(a, {x: 1})), rules[0]], 3, 3)
+    assert s._index.shortest == 1
+    assert normal_form(parse_poly(a, "y*z*z"), s) == parse_poly(a, "y*x*x")
+    assert normal_form(parse_poly(a, "x*y*z"), s) == parse_poly(a, "x*x")
 
 
 # (rules, degree, complete_through, message): each system is refused by the
@@ -422,21 +551,22 @@ def test_constructor_refuses_a_lead_outside_the_alphabet(lead):
 
 
 # (degree, (pairs popped, stale pairs, reductions to zero, new rules,
-# requeued polynomials), final rules) of hw(w) completed in builder order
+# requeued polynomials), final rules, length of the shortest lead) of hw(w)
+# completed in builder order
 _E3_COUNTERS = [
-    (4, (4036, 882, 2115, 1576, 537), 1084),
-    (5, (22701, 6683, 11721, 4834, 537), 4342),
+    (4, (4036, 882, 2115, 1576, 537), 1084, 2),
+    (5, (22701, 6683, 11721, 4834, 537), 4342, 2),
 ]
 # cyclic2 has two relations with one leading word, so arrival breaks a tie
 # in the queue, and these totals pin the queue's order as well
 _CYCLIC2_COUNTERS = [
-    (6, (1776, 1097, 603, 191, 115), 92),
-    (8, (2846, 1181, 1487, 297, 119), 194),
+    (6, (1776, 1097, 603, 191, 115), 92, 1),
+    (8, (2846, 1181, 1487, 297, 119), 194, 1),
 ]
 CYCLIC2 = MultilinearForm(2, 3, {(1, 1, 2): 1, (1, 2, 1): 1, (2, 1, 1): 1})
 
 
-def _check_completion_counters(w, degree, totals, rules):
+def _check_completion_counters(w, degree, totals, rules, shortest):
     system = complete(list(build_hw(w).relations), degree)
     st = system.stats
     got = (st.pairs_popped, st.stale_pairs, st.reductions_to_zero, st.new_rules, st.requeued_polys)
@@ -449,16 +579,18 @@ def _check_completion_counters(w, degree, totals, rules):
     # the totals are neither dumped nor compared
     parsed = RewriteSystem.parse(system.dump())
     assert parsed.stats is None and parsed == system
+    # a parsed system's scan starts at its shortest lead, as the live one's did
+    assert parsed._index.shortest == system._index.shortest == shortest
 
 
-@pytest.mark.parametrize("degree, totals, rules", _E3_COUNTERS, ids=["D4", "D5"])
-def test_completion_counters_of_hw_e3(degree, totals, rules):
-    _check_completion_counters(make_signature(3), degree, totals, rules)
+@pytest.mark.parametrize("degree, totals, rules, shortest", _E3_COUNTERS, ids=["D4", "D5"])
+def test_completion_counters_of_hw_e3(degree, totals, rules, shortest):
+    _check_completion_counters(make_signature(3), degree, totals, rules, shortest)
 
 
-@pytest.mark.parametrize("degree, totals, rules", _CYCLIC2_COUNTERS, ids=["D6", "D8"])
-def test_completion_counters_of_hw_cyclic2(degree, totals, rules):
-    _check_completion_counters(CYCLIC2, degree, totals, rules)
+@pytest.mark.parametrize("degree, totals, rules, shortest", _CYCLIC2_COUNTERS, ids=["D6", "D8"])
+def test_completion_counters_of_hw_cyclic2(degree, totals, rules, shortest):
+    _check_completion_counters(CYCLIC2, degree, totals, rules, shortest)
 
 
 _SCALED = {
