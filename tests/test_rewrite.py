@@ -579,7 +579,7 @@ def _check_completion_counters(w, degree, totals, rules, shortest):
     # the totals are neither dumped nor compared
     parsed = RewriteSystem.parse(system.dump())
     assert parsed.stats is None and parsed == system
-    # a parsed system's scan starts at its shortest lead, as the live one's did
+    # the scan of a completed or a parsed system starts at its shortest lead
     assert parsed._index.shortest == system._index.shortest == shortest
 
 
