@@ -7,11 +7,15 @@ immutable dense matrix of scalars with plain Gauss-Jordan elimination on top.
 
 A coefficient has two forms, converted here alone: the rewriting engine's,
 an ``int`` when integral (:func:`lean`, :func:`lean_terms`), and the
-handed-out ``Scalar`` (:func:`fraction_terms`).
+handed-out ``Scalar`` (:func:`fraction_terms`).  A sum with denominators
+enters reduction as d times itself over the ints (:func:`cleared_terms`) and
+leaves divided by d (:func:`fraction_quotients`).
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -22,6 +26,11 @@ ZERO = Scalar(0)
 ONE = Scalar(1)
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+
+# the parts of an int or a Fraction, read in one call per value
+_NUMERATOR = operator.attrgetter("numerator")
+_DENOMINATOR = operator.attrgetter("denominator")
+_INTEGRAL = frozenset({1})  # the denominators of integral values
 
 
 class SingularMatrixError(ValueError):
@@ -78,10 +87,30 @@ def fraction_terms(terms: dict) -> dict:
     return {k: c if type(c) is Scalar else _SMALL[c] for k, c in terms.items()}
 
 
-def add_terms(out: dict, pairs: Iterable[tuple]) -> dict:
-    """Add (key, value) pairs into ``out``, a new key from ZERO; drop a key summing to 0."""
+def cleared_terms(terms: dict) -> tuple[dict, int]:
+    """(d times ``terms`` with int values, d), for d the least common
+    multiple of the set of denominators of the values, ints or Fractions."""
+    values = terms.values()
+    denominators = set(map(_DENOMINATOR, values))
+    if denominators <= _INTEGRAL:
+        return dict(zip(terms, map(_NUMERATOR, values))), 1
+    d = math.lcm(*denominators)
+    return {k: c.numerator * (d // c.denominator) for k, c in terms.items()}, d
+
+
+def fraction_quotients(terms: dict, d: int) -> dict:
+    """``terms`` with int values, divided by d: each value a Fraction, and an
+    integral quotient shares the one that ``fraction_terms`` hands out."""
+    if d == 1:
+        return fraction_terms(terms)
+    return {k: Scalar(c, d) if c % d else _SMALL[c // d] for k, c in terms.items()}
+
+
+def add_terms(out: dict, pairs: Iterable[tuple], zero=ZERO) -> dict:
+    """Add (key, value) pairs into ``out``, a new key from ``zero``; drop a
+    key summing to 0.  From the int 0, a sum of ints stays an int."""
     for k, c in pairs:
-        s = out.get(k, ZERO) + c
+        s = out.get(k, zero) + c
         if s:
             out[k] = s
         else:

@@ -68,7 +68,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Mapping
 
-from .exactnum import Matrix, ONE, Scalar, ZERO, mat_inv
+from .exactnum import (
+    Matrix, ONE, Scalar, ZERO, cleared_terms, fraction_quotients, lean_terms, mat_inv,
+)
 from .forms import (
     MultilinearForm,
     analyze,
@@ -88,7 +90,7 @@ from .ncalg import (
     matric_family,
     substitute,
 )
-from .rewrite import NotCertifiedError, RewriteSystem, complete, normal_form
+from .rewrite import NotCertifiedError, RewriteSystem, _reduce, complete, ideal_member
 
 Idx = tuple[int, ...]
 
@@ -401,22 +403,42 @@ def build_presentation(
 # checks
 
 
-def _verdict(name: str, what: str, value: Callable[[], NcPoly | TensorSquare]) -> CheckResult:
+# a value that must vanish, times a positive int d, and d
+_Scaled = tuple[NcPoly | TensorSquare, int]
+
+
+def _verdict(name: str, what: str, value: Callable[[], _Scaled]) -> CheckResult:
     """The one place a value that must vanish becomes a status: PASS when
     ``value()`` is zero, FAIL showing it as ``what``, and UNCERTIFIED when it
-    needs a normal form above the certified degree, which the detail names."""
+    needs a normal form above the certified degree, which the detail names.
+    ``value()`` gives d times the value and d: a normal form keeps the int
+    values of the reduction entry, and only a FAIL divides them by d, into
+    the Fractions it shows."""
     try:
-        v = value()
+        v, d = value()
     except NotCertifiedError as exc:
         detail = f"needs degree {exc.degree}, certified {exc.certified}"
         return CheckResult(name, Status.UNCERTIFIED, detail)
     if v.is_zero():
         return CheckResult(name, Status.PASS)
-    return CheckResult(name, Status.FAIL, f"{what} {v.to_str()}")
+    shown = v._adopt(v.alphabet, fraction_quotients(v.terms, d)) if d != 1 else v
+    return CheckResult(name, Status.FAIL, f"{what} {shown.to_str()}")
+
+
+def _exact(value: Callable[[NcPoly], NcPoly]) -> Callable[[NcPoly], _Scaled]:
+    """A value with no reduction, as ``_verdict`` reads it: d is 1."""
+    return lambda rel: (value(rel), 1)
+
+
+def _normal(system: RewriteSystem, p: NcPoly) -> _Scaled:
+    """d times the normal form of ``p`` and d, from the reduction entry: the
+    int values are wrapped to be tested and shown, never handed out."""
+    reduced, d = _reduce(system, p.alphabet, p.terms)
+    return NcPoly._adopt(p.alphabet, reduced), d
 
 
 def _per_relation(
-    pres: Presentation, prefix: str, what: str, value: Callable[[NcPoly], NcPoly | TensorSquare]
+    pres: Presentation, prefix: str, what: str, value: Callable[[NcPoly], _Scaled]
 ) -> list[CheckResult]:
     """One verdict per labelled relation of ``pres``, named ``prefix:label``,
     on ``value(relation)``."""
@@ -431,7 +453,7 @@ def _verdicts(
 ) -> list[CheckResult]:
     """One verdict per (index, polynomial that must vanish), named ``label[index]``."""
     return [
-        _verdict(name, "normal form", functools.partial(normal_form, p, system))
+        _verdict(name, "normal form", functools.partial(_normal, system, p))
         for name, p in _labelled(label, pairs)
     ]
 
@@ -447,7 +469,7 @@ def check_counit(pres: Presentation) -> list[CheckResult]:
     a = pres.alphabet
     eps = {g: NcPoly.unit(a, e) for g, e in _structure(pres, "counit").items()}
     value = functools.partial(substitute, images=eps, target=a)
-    return _per_relation(pres, "counit", "counit value", value)
+    return _per_relation(pres, "counit", "counit value", _exact(value))
 
 
 def check_coproduct(
@@ -460,16 +482,23 @@ def check_coproduct(
         system = system_for(pres, degree)
 
     top = system.complete_through
+    a = system.alphabet
+    # the images in the engine's form: integral values are ints, so the
+    # image of a relation cleared of its denominators is summed over the ints
+    int_delta = {g: TensorSquare._adopt(t.alphabet, lean_terms(t.terms)) for g, t in delta.items()}
 
-    def nf(terms: dict) -> dict[str, Scalar]:
-        return normal_form(NcPoly._adopt(system.alphabet, terms), system).terms
+    def nf(ints: dict) -> dict[str, int]:
+        # int terms: d is 1
+        return _reduce(system, a, ints)[0]
 
     @functools.cache
     def vanishes(word: str) -> bool:
-        return not nf({word: ONE})
+        return not nf({word: 1})
 
-    def residue(rel: NcPoly) -> TensorSquare:
-        image = coproduct_image(rel, delta, target=pres.alphabet).terms
+    def residue(rel: NcPoly) -> _Scaled:
+        ints, d = cleared_terms(rel.terms)
+        cleared = NcPoly._adopt(rel.alphabet, ints)
+        image = coproduct_image(cleared, int_delta, target=pres.alphabet).terms
         # the degree that term-by-term reduction, leading term first, meets
         # first above the certified one: a left word, or a right word whose
         # left word does not vanish.  Checked before the legs are summed, so
@@ -478,17 +507,21 @@ def check_coproduct(
         for w1, w2 in TensorSquare._leading_first(above):
             if len(w1) > top or not vanishes(w1):
                 raise NotCertifiedError(len(w1) if len(w1) > top else len(w2), top)
-        # nf (x) nf = (id (x) nf) o (nf (x) id): reduce the left sum at each
-        # right word, then the right sum at each left normal word
+        # nf (x) nf = (id (x) nf) o (nf (x) id) on d times the image, over
+        # the ints: reduce the left sum at each right word, then the right
+        # sum at each left normal word.  A delta with denominators leaves
+        # some in the image, which are cleared too
+        ints, e = cleared_terms(image)
+        d *= e
         lefts: dict[str, dict] = {}
-        for (w1, w2), c in image.items():
+        for (w1, w2), c in ints.items():
             lefts.setdefault(w2, {})[w1] = c
         rights: dict[str, dict] = {}
         for w2, left in lefts.items():
-            for a, c in nf(left).items():
-                rights.setdefault(a, {})[w2] = c
-        terms = {(a, b): c for a, right in rights.items() for b, c in nf(right).items()}
-        return TensorSquare._adopt(pres.alphabet, terms)
+            for u, c in nf(left).items():
+                rights.setdefault(u, {})[w2] = c
+        terms = {(u, v): c for u, right in rights.items() for v, c in nf(right).items()}
+        return TensorSquare._adopt(pres.alphabet, terms), d
 
     return _per_relation(pres, "coproduct", "residue", residue)
 
@@ -506,7 +539,7 @@ def check_antipode(
         pres,
         "antipode-ideal",
         "normal form",
-        lambda rel: normal_form(substitute(rel, s_images, antihom=True, target=a), system),
+        lambda rel: _normal(system, substitute(rel, s_images, antihom=True, target=a)),
     )
     one = PolyMatrix.identity(a, n)
     for fam in pres.families():
@@ -709,7 +742,7 @@ def check_hom(
         hom.source,
         hom.label,
         "normal form",
-        lambda rel: normal_form(substitute(rel, hom.images, target=t), system),
+        lambda rel: _normal(system, substitute(rel, hom.images, target=t)),
     )
 
 
@@ -774,7 +807,7 @@ def check_representation(
     if any(g.family != "free" for g in target.generators):
         raise ValueError("representation targets must be free algebras")
     value = functools.partial(substitute, images=images, target=target)
-    results = _per_relation(pres, "rep", "image", value)
+    results = _per_relation(pres, "rep", "image", _exact(value))
     wimg = None
     distinct = None
     if witness is not None:
@@ -842,7 +875,7 @@ def noninjectivity_probe(
     comm = NcPoly.from_gens(
         hww.alphabet, [Generator("v", 1, 2), Generator("v", 1, 3)]
     ) - NcPoly.from_gens(hww.alphabet, [Generator("v", 1, 3), Generator("v", 1, 2)])
-    certified = normal_form(comm, system).is_zero()
+    certified = ideal_member(comm, system)
     verdict = _probe_verdict(witness_ok and certified, degree)
     details = rep.results + [
         CheckResult("probe:witness-distinct", Status.PASS if witness_ok else Status.FAIL),

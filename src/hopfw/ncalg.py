@@ -700,7 +700,9 @@ def read_dump(
 
 def _extend(p: NcPoly, images: Mapping, kind, target, antihom: bool, caller: str):
     """Apply to ``p`` the algebra map into ``kind`` over ``target`` that sends
-    each generator to its image; with ``antihom`` words read right to left."""
+    each generator to its image; with ``antihom`` words read right to left.
+    Sums start from the int 0, so Fraction values give Fraction values and
+    int values (engine terms, wrapped) give ints."""
     if target is None:
         if not images:
             raise ValueError(f"{caller} needs images or an explicit target alphabet")
@@ -708,19 +710,24 @@ def _extend(p: NcPoly, images: Mapping, kind, target, antihom: bool, caller: str
     for img in images.values():
         if img.alphabet != target:
             raise ValueError("images drawn from mixed alphabets")
-    out = kind.zero(target)
+    concat = kind._concat
+    out: dict = {}
     # ascending deglex
     for word, c in sorted(p.terms.items(), key=lambda t: natural_key(t[0]), reverse=True):
-        acc = kind.unit(target, c)
+        acc = {kind._UNIT: c}
         for g in p.alphabet.letters(word[::-1] if antihom else word):
             try:
-                acc = acc * images[g]
+                image = images[g].terms
             except KeyError:
                 raise MissingImageError(g) from None
-            if acc.is_zero():
+            products = (
+                (concat(k1, k2), c1 * c2) for k1, c1 in acc.items() for k2, c2 in image.items()
+            )
+            acc = add_terms({}, products, 0)
+            if not acc:
                 break
-        out = out + acc
-    return out
+        add_terms(out, acc.items(), 0)
+    return kind._adopt(target, out)
 
 
 def substitute(

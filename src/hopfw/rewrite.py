@@ -95,12 +95,11 @@ the same relations in any order yields the identical rule list.
 from __future__ import annotations
 
 import heapq
-import math
 import sys
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Sequence
 
-from .exactnum import Scalar, fraction_terms, lean, lean_terms
+from .exactnum import Scalar, cleared_terms, fraction_quotients, fraction_terms, lean, lean_terms
 from .ncalg import (
     Alphabet,
     NcPoly,
@@ -507,32 +506,37 @@ class RewriteSystem:
         )
 
 
-def normal_form(p: NcPoly, system: RewriteSystem) -> NcPoly:
-    """Fully reduce ``p``.  The normal form is certified only through
-    ``complete_through``, the degree where every overlap is resolved; above
-    it this raises NotCertifiedError.  This is the one certification gate."""
-    if p.alphabet != system.alphabet:
+def _reduce(system: RewriteSystem, alphabet: Alphabet, terms: dict) -> tuple[_Terms, int]:
+    """The one reduction entry of every reader: (d times the normal form of
+    ``terms``, d), the first with int values.  The terms are over
+    ``alphabet``, with int or Fraction values; d clears their denominators,
+    so reduction runs over the ints, and the normal form is linear, so
+    dividing by d gives the normal form of ``terms``.  The normal form is
+    certified only through ``complete_through``, the degree where every
+    overlap is resolved; above it this raises NotCertifiedError.  This is
+    the one certification gate."""
+    if alphabet is not system.alphabet and alphabet != system.alphabet:
         raise ValueError("polynomial alphabet does not match the system")
-    degree = p.degree()
+    degree = max(map(len, terms), default=-1)
     if degree > system.complete_through:
         raise NotCertifiedError(degree, system.complete_through)
-    # reduce d.p, with d the common denominator, over ints: the normal form
-    # is linear, so that of p is the result divided by d
-    d = math.lcm(*[c.denominator for c in p.terms.values()])
-    terms = {w: c.numerator * (d // c.denominator) for w, c in p.terms.items()}
-    reduced = system._index.reduce_terms(terms)
-    if d == 1:
-        return NcPoly._adopt(p.alphabet, fraction_terms(reduced))
-    # an integral quotient shares its Fraction as any int of a result does
-    quotients = {w: lean(Scalar(c, d)) for w, c in reduced.items()}
-    return NcPoly._adopt(p.alphabet, fraction_terms(quotients))
+    ints, d = cleared_terms(terms)
+    return system._index.reduce_terms(ints), d
+
+
+def normal_form(p: NcPoly, system: RewriteSystem) -> NcPoly:
+    """Fully reduce ``p``, every value a Fraction; above the certified degree
+    this raises NotCertifiedError (see ``_reduce``)."""
+    reduced, d = _reduce(system, p.alphabet, p.terms)
+    return NcPoly._adopt(p.alphabet, fraction_quotients(reduced, d))
 
 
 def ideal_member(p: NcPoly, system: RewriteSystem) -> bool:
     """True = certified member (a certificate of degree <= ``complete_through``
     exists); False = no certificate within that bound.  Degrees above
-    ``complete_through`` raise NotCertifiedError from :func:`normal_form`."""
-    return normal_form(p, system).is_zero()
+    ``complete_through`` raise NotCertifiedError.  Only the integer normal
+    form's emptiness is read, so no Fraction is built."""
+    return not _reduce(system, p.alphabet, p.terms)[0]
 
 
 class _Completion:
