@@ -51,7 +51,8 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from itertools import accumulate, islice, repeat
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .exactnum import (
     ONE, Matrix, Scalar, ZERO, add_terms, fraction_terms, lean, parse_rational, rat,
@@ -62,7 +63,6 @@ _FAMILY_RANK = {"u": 0, "s": 1, "a": 2, "v": 3, "free": 4}
 MATRIC_FAMILIES = ("u", "s", "a", "v")
 
 _CHAR_BASE = 0x100  # words never collide with printable syntax
-_LOWEST_LETTER = chr(_CHAR_BASE)
 
 
 class MissingImageError(KeyError):
@@ -145,7 +145,7 @@ class Alphabet:
     the numbering for the one place that wants deglex ascending as a
     string, the completion queue."""
 
-    __slots__ = ("generators", "_char_of", "_letter_of", "_spell", "_top", "_end", "_rank")
+    __slots__ = ("generators", "_char_of", "_letter_of", "_spell", "_top", "_letters", "_rank")
 
     def __init__(self, generators: Iterable[Generator]) -> None:
         gens = tuple(sorted(set(generators), key=lambda g: g.key))
@@ -162,7 +162,7 @@ class Alphabet:
         letter_of["1"] = ""
         object.__setattr__(self, "_letter_of", letter_of)
         object.__setattr__(self, "_top", top)
-        object.__setattr__(self, "_end", chr(top + 1))  # past the first generator's letter
+        object.__setattr__(self, "_letters", "".join(self._char_of.values()))
         object.__setattr__(
             self, "_rank", str.maketrans({top - i: chr(_CHAR_BASE + i) for i in range(len(gens))})
         )
@@ -202,7 +202,7 @@ class Alphabet:
 
     def spells(self, word: str) -> bool:
         """Whether every letter of ``word`` is one of this alphabet's."""
-        return not word or (_LOWEST_LETTER <= min(word) and max(word) < self._end)
+        return not word.strip(self._letters)
 
     def word_token(self, word: str) -> str:
         """Canonical display of a word; the empty word prints as ``1``."""
@@ -246,6 +246,14 @@ _SIGNS = re.compile(r"([+-][\s+-]*)")
 # the separators of canonical text, by the number of legs of a term
 _SPLIT = {1: re.compile(" ([+-]) "), 2: re.compile(" ([+-]) |#")}
 _COEFFICIENT = re.compile(r"\d+(?:/\d+)?")
+# canonical texts read together, one text a line: each monomial is a field
+# that a tab opens and the next field's ``*`` ends, and each field starts
+# with its sign and magnitude (a constant is all sign and magnitude, and its
+# word the token 1).  Every pattern starts with the tab, which the regex
+# engine searches for directly
+_OPENINGS = re.compile(r"\t(-?)([0-9]+(?:/[0-9]+)?)?")
+_CONSTANTS = re.compile(r"\t-?[0-9]+(?:/[0-9]+)?(?=\*[\t\n]|\Z)")
+_SIGNS_AND_FACTORS = re.compile(r"\t(?:-?[0-9]+(?:/[0-9]+)?\*(?![\t\n])|-)")
 
 
 def _read_monomial(alphabet: Alphabet, text: str) -> tuple[str, int | Scalar]:
@@ -311,17 +319,94 @@ def _read_terms(alphabet: Alphabet, text: str, legs: int = 1) -> dict:
             coeffs.append(-c if sign == "-" else c)
     except (KeyError, ValueError):  # a token or head it does not read
         terms = _read_spelled_terms(alphabet, text, legs)
-    else:
-        if legs == 2:
-            words = list(zip(words[::2], words[1::2]))
-            coeffs = list(map(operator.mul, coeffs[::2], coeffs[1::2]))
-        terms = dict(zip(words, coeffs))
-        if len(terms) == len(words) and all(coeffs):
-            return terms
-        terms = {}
-        for key, c in zip(words, coeffs):
-            terms[key] = terms[key] + c if key in terms else c  # add only to a repeat
+        return {k: c for k, c in terms.items() if c}
+    if legs == 2:
+        words = list(zip(words[::2], words[1::2]))
+        coeffs = list(map(operator.mul, coeffs[::2], coeffs[1::2]))
+    terms = dict(zip(words, coeffs))
+    if len(terms) == len(words) and all(coeffs):
+        return terms
+    return _summed(words, coeffs)
+
+
+def _summed(keys: list, coeffs: list) -> dict:
+    """key -> the sum of its coefficients, with no key whose sum is 0."""
+    terms: dict = {}
+    for key, c in zip(keys, coeffs):
+        terms[key] = terms[key] + c if key in terms else c  # add only to a repeat
     return {k: c for k, c in terms.items() if c}
+
+
+class _Openings(dict):
+    """(sign, magnitude) -> the coefficient a canonical monomial opens with,
+    each distinct one read once; a zero denominator is not canonical."""
+
+    def __missing__(self, opening: tuple[str, str]) -> int | Scalar:
+        sign, magnitude = opening
+        c: int | Scalar = 1
+        if "/" in magnitude:
+            num, _, den = magnitude.partition("/")
+            if not int(den):
+                raise KeyError(magnitude)
+            c = lean(Scalar(int(num), int(den)))
+        elif magnitude:
+            c = int(magnitude)
+        self[opening] = c = -c if sign else c
+        return c
+
+
+def _canonical_fields(texts: Sequence[str]) -> str:
+    """The texts as one string, each on its own line and opened by a tab,
+    and a ``*`` before each line break; KeyError when a text holds a line
+    break or a tab."""
+    lines = "*\n\t".join(texts)
+    if lines.count("\n") != len(texts) - 1 or lines.count("\t") != len(texts) - 1:
+        raise KeyError("a text of more than one line")
+    return "\t" + lines
+
+
+def _letters(alphabet: Alphabet, fields: str) -> str:
+    """``fields`` with each token spelled by its letter, all in one ``map``
+    over the ``*``-separated tokens; the tab or the line break and tab that
+    open a token stay in front of its letter, and any other text is a
+    KeyError."""
+    table = {
+        opening + token: opening + letter
+        for token, letter in alphabet._letter_of.items()
+        for opening in ("", "\t", "\n\t")
+    }
+    return "".join(map(table.__getitem__, fields.split("*")))
+
+
+def _read_canonical_words(alphabet: Alphabet, texts: Sequence[str]) -> list[str]:
+    """The word of each text, all read together when each is canonical
+    tokens joined by ``*``; KeyError when a text reads any other way."""
+    return _letters(alphabet, _canonical_fields(texts))[1:].split("\n\t")
+
+
+def _read_canonical_terms(alphabet: Alphabet, texts: Sequence[str]) -> list[dict]:
+    """``_read_terms`` of each text, all read together when each is
+    canonical, the way ``to_str`` writes a polynomial; KeyError when one is
+    not, and the caller reads them one by one.
+
+    No call is made per term: the texts become one string, a line each and
+    a field opened by a tab for each monomial, its sign moved in front of
+    it.  One regex reads every field's sign and magnitude, two more strip
+    them, and ``_letters`` spells every word.  A text's dict is then the zip
+    of its words and coefficients, summed only where a word repeats or a
+    coefficient is 0."""
+    fields = _canonical_fields(texts).replace(" - ", "*\t-").replace(" + ", "*\t")
+    openings = _Openings()
+    coeffs = list(map(openings.__getitem__, _OPENINGS.findall(fields)))
+    letters = _letters(alphabet, _SIGNS_AND_FACTORS.sub("\t", _CONSTANTS.sub("\t1", fields)))[1:]
+    words = letters.replace("\n\t", "\t").split("\t")
+    lengths = [n + 1 for n in map(str.count, letters.split("\n\t"), repeat("\t"))]
+    pairs = zip(words, coeffs)
+    out = [dict(islice(pairs, n)) for n in lengths]
+    if 0 in openings.values() or sum(map(len, out)) < len(coeffs):
+        starts = list(accumulate(lengths, initial=0))
+        out = [_summed(words[i:j], coeffs[i:j]) for i, j in zip(starts, starts[1:])]
+    return out
 
 
 def _read_spelled_terms(alphabet: Alphabet, text: str, legs: int) -> dict:

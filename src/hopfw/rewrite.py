@@ -95,7 +95,9 @@ the same relations in any order yields the identical rule list.
 from __future__ import annotations
 
 import heapq
+import operator
 import sys
+from itertools import chain
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Sequence
 
@@ -103,6 +105,8 @@ from .exactnum import Scalar, cleared_terms, fraction_quotients, fraction_terms,
 from .ncalg import (
     Alphabet,
     NcPoly,
+    _read_canonical_terms,
+    _read_canonical_words,
     _read_monomial,
     _read_terms,
     natural_key,
@@ -156,6 +160,10 @@ class CompletionStats:
 # the value a lead index's table gives a proper prefix of a lead
 _PREFIX = object()
 
+# the two longest proper factors of a word
+_DROP_FIRST = operator.itemgetter(slice(1, None))
+_DROP_LAST = operator.itemgetter(slice(None, -1))
+
 # the ``shortest`` of an index with no lead: longer than any word, so a scan
 # makes no probe
 _NO_LEAD = sys.maxsize
@@ -181,6 +189,18 @@ class _LeadIndex:
         self.by_word: dict[str, _Terms] = {}
         self.table: dict[str, object] = {}
         self.shortest = _NO_LEAD
+
+    @classmethod
+    def of(cls, leads: list[str], tails: dict[str, _Terms]) -> "_LeadIndex":
+        """The index of ``leads``, shortest first, with their ``tails``:
+        what adding each in turn builds, the table filled in two calls."""
+        index = cls()
+        index.by_word = {lead: tails[lead] for lead in leads}
+        prefixes = [lead[:i] for lead in leads for i in range(1, len(lead))]
+        index.table = dict.fromkeys(prefixes, _PREFIX)
+        index.table.update(index.by_word)
+        index.shortest = len(leads[0]) if leads else _NO_LEAD
+        return index
 
     def add(self, lead: str, tail: _Terms) -> None:
         self.by_word[lead] = tail
@@ -366,6 +386,17 @@ class _Rules(Sequence):
         return Rule(lead, NcPoly._adopt(self._alphabet, fraction_terms(self._tails[lead])))
 
 
+def _tails_below(leads: list[str], tails: dict[str, _Terms]) -> bool:
+    """Whether every word of each lead's tail is below the lead in deglex:
+    shorter, or as long and, as a string, larger."""
+    for lead in leads:
+        n = len(lead)
+        for w in tails[lead]:
+            if len(w) >= n and (len(w) > n or w <= lead):
+                return False
+    return True
+
+
 class RewriteSystem:
     """A frozen, interreduced, degree-truncated rewriting system.
 
@@ -430,23 +461,33 @@ class RewriteSystem:
         self.degree_bound = degree
         self.complete_through = done
         self.stats: CompletionStats | None = None
-        self._index = index = _LeadIndex()
         token = alphabet.word_token
-        # ascending deglex, which ``rules`` reads leads in
-        for lead in sorted(tails, key=natural_key, reverse=True):
-            if not alphabet.spells(lead):
-                raise ValueError(f"rule lead {lead!r} is not spelled in the alphabet")
-            n = len(lead)
-            if n > degree:
-                raise ValueError(f"rule lead {token(lead)} is longer than degree {degree}")
-            tail = tails[lead]
-            if any(len(w) > n or len(w) == n and w <= lead for w in tail):
-                raise ValueError(f"rule tail is not below its lead {token(lead)} in deglex")
-            index.add(lead, tail)
+        # ascending deglex, which ``rules`` reads leads in: by length, and
+        # within one length descending string order
+        leads = sorted(tails, reverse=True)
+        leads.sort(key=len)
+        # every lead and tail at once, and lead by lead only to word the
+        # first refusal
+        if not (
+            alphabet.spells("".join(leads))
+            and (not leads or len(leads[-1]) <= degree)
+            and _tails_below(leads, tails)
+        ):
+            for lead in leads:
+                if not alphabet.spells(lead):
+                    raise ValueError(f"rule lead {lead!r} is not spelled in the alphabet")
+                n = len(lead)
+                if n > degree:
+                    raise ValueError(f"rule lead {token(lead)} is longer than degree {degree}")
+                if any(len(w) > n or len(w) == n and w <= lead for w in tails[lead]):
+                    raise ValueError(f"rule tail is not below its lead {token(lead)} in deglex")
+        self._index = index = _LeadIndex.of(leads, tails)
         # no lead contains another: the two longest proper factors of every
-        # lead reduce to themselves, all in one reduction
+        # lead but the empty one, which comes first, reduce to themselves,
+        # all in one reduction
+        words = leads[1:] if leads and not leads[0] else leads
+        factors = dict.fromkeys(chain(map(_DROP_FIRST, words), map(_DROP_LAST, words)), 1)
         leads = index.by_word
-        factors = {f: 1 for lead in leads if lead for f in (lead[1:], lead[:-1])}
         if index.reduce_terms(factors) != factors:
             lead, factor = next(
                 (lead, f) for lead in leads if lead for f in (lead[1:], lead[:-1])
@@ -478,22 +519,18 @@ class RewriteSystem:
 
     @classmethod
     def parse(cls, text: str) -> "RewriteSystem":
-        tails: dict[str, _Terms] = {}
+        """Read a dump and gate it like any other system.
 
-        def rule(alphabet: Alphabet, rest: str) -> None:
-            ln = f"rule {rest}"
-            lhs, sep, rhs = rest.partition("->")
-            if not sep:
-                raise ValueError(f"malformed rule line: {ln!r}")
-            lead, c = _read_monomial(alphabet, lhs)
-            if c != 1:
-                raise ValueError(f"rule lead must be a single word: {ln!r}")
-            if lead in tails:
-                raise ValueError(f"lead appears on two rules: {ln!r}")
-            tails[lead] = _read_terms(alphabet, rhs)
-
-        fields = {"system": _no_value, "degree": int, "complete_through": int}
-        header, _, alphabet = read_dump(text, fields, {"rule": rule})
+        A dump whose rule lines are as ``dump`` writes them, one after the
+        other to the end, is read in one pass over them: every lead in one
+        call and every tail in another.  Any other dump, with a line that
+        does not read that way, is read line by line, so each refusal is
+        worded as it always was and names its line; both ways read a dump
+        to the same tails."""
+        try:
+            header, alphabet, tails = _read_rule_lines_at_once(text)
+        except (KeyError, ValueError):
+            header, alphabet, tails = _read_rule_lines_one_by_one(text)
         return cls._of_tails(alphabet, tails, header["degree"], header["complete_through"])
 
     def __eq__(self, other) -> bool:
@@ -504,6 +541,52 @@ class RewriteSystem:
             and self.degree_bound == other.degree_bound
             and self.complete_through == other.complete_through
         )
+
+
+# the header of a system dump and the reader of each field
+_FIELDS = {"system": _no_value, "degree": int, "complete_through": int}
+
+
+def _read_rule_lines_at_once(text: str) -> tuple[dict, Alphabet, dict[str, _Terms]]:
+    """The header, alphabet and tails of a dump whose rule lines are all
+    canonical and come last, each ``rule LEAD -> TAIL``: the header is read
+    by ``read_dump``, the leads by ``_read_canonical_words`` and the tails
+    by ``_read_canonical_terms``.  KeyError or ValueError for any other
+    dump, which ``_read_rule_lines_one_by_one`` then reads."""
+    head, _, rules = text.partition("\nrule ")
+    header, _, alphabet = read_dump(head, _FIELDS, {})
+    tails: dict[str, _Terms] = {}
+    if rules:
+        bodies = rules.removesuffix("\n").split("\nrule ")
+        leads, arrows, texts = zip(*[body.partition(" -> ") for body in bodies])
+        if not all(arrows):
+            raise KeyError("a rule line with no arrow")
+        words = _read_canonical_words(alphabet, leads)
+        tails = dict(zip(words, _read_canonical_terms(alphabet, texts)))
+        if len(tails) < len(words):
+            raise KeyError("a lead on two rules")
+    return header, alphabet, tails
+
+
+def _read_rule_lines_one_by_one(text: str) -> tuple[dict, Alphabet, dict[str, _Terms]]:
+    """The header, alphabet and tails of a dump in any spelling, each rule
+    line read on its own; every refusal names its line."""
+    tails: dict[str, _Terms] = {}
+
+    def rule(alphabet: Alphabet, rest: str) -> None:
+        ln = f"rule {rest}"
+        lhs, sep, rhs = rest.partition("->")
+        if not sep:
+            raise ValueError(f"malformed rule line: {ln!r}")
+        lead, c = _read_monomial(alphabet, lhs)
+        if c != 1:
+            raise ValueError(f"rule lead must be a single word: {ln!r}")
+        if lead in tails:
+            raise ValueError(f"lead appears on two rules: {ln!r}")
+        tails[lead] = _read_terms(alphabet, rhs)
+
+    header, _, alphabet = read_dump(text, _FIELDS, {"rule": rule})
+    return header, alphabet, tails
 
 
 def _reduce(system: RewriteSystem, alphabet: Alphabet, terms: dict) -> tuple[_Terms, int]:

@@ -20,7 +20,15 @@ import pytest
 
 from hopfw.hopf import system_for
 from hopfw.ncalg import Alphabet, Generator, NcPoly, parse_poly
-from hopfw.rewrite import NotCertifiedError, RewriteSystem, Rule, ideal_member, normal_form
+from hopfw.rewrite import (
+    NotCertifiedError,
+    RewriteSystem,
+    Rule,
+    _read_rule_lines_at_once,
+    _read_rule_lines_one_by_one,
+    ideal_member,
+    normal_form,
+)
 from slice_oracle import reduce_by_slices
 from test_golden import PRESENTATIONS, SYSTEM_DEGREES
 from test_rewrite import _random_completions
@@ -208,7 +216,21 @@ def _matric(token: str) -> Generator:
     return Generator(family, int(row), int(col))
 
 
+def _assert_reads_at_once_as_one_by_one(text: str) -> None:
+    """A canonical dump takes the one-pass path, which reads it to the same
+    header, alphabet and tails, in the same order and with the same value
+    types, as reading each rule line on its own."""
+    at_once = _read_rule_lines_at_once(text)
+    one_by_one = _read_rule_lines_one_by_one(text)
+    assert at_once == one_by_one
+    assert list(at_once[2]) == list(one_by_one[2])
+    for lead, tail in at_once[2].items():
+        assert list(tail.items()) == list(one_by_one[2][lead].items())
+        assert [type(c) for c in tail.values()] == [type(c) for c in one_by_one[2][lead].values()]
+
+
 def _assert_loads_as_reference(text: str) -> RewriteSystem:
+    _assert_reads_at_once_as_one_by_one(text)
     system = RewriteSystem.parse(text)
     want = _reference_load(text)
     assert system == want
@@ -235,13 +257,14 @@ def test_random_dumps_load_as_their_rule_lines_read_one_by_one():
         assert _assert_loads_as_reference(system.dump()) == system, trial
 
 
-# a rule line spelled another way: padded zeros, spaces around every symbol,
-# a coefficient without "*", signs doubled, a term split in two
+# a rule line spelled another way, and whether the one pass reads it: padded
+# zeros, spaces around every symbol, signs doubled, and the lead added to the
+# tail and taken away again, which is canonical text with a repeated word
 _RESPELLINGS = (
-    lambda line: line.replace("[", "[0"),
-    lambda line: line.replace("*", " * ").replace(" -> ", "  ->  "),
-    lambda line: line.replace(" - ", " + -").replace(" + ", " - -"),
-    lambda line: line + " + 1/2*" + line.split(" ")[1] + " - 1/2*" + line.split(" ")[1],
+    (lambda line: line.replace("[", "[0"), False),
+    (lambda line: line.replace("*", " * ").replace(" -> ", "  ->  "), False),
+    (lambda line: line.replace(" - ", " + -").replace(" + ", " - -"), False),
+    (lambda line: line + " + 1/2*" + line.split(" ")[1] + " - 1/2*" + line.split(" ")[1], True),
 )
 
 
@@ -253,9 +276,17 @@ def test_a_dump_with_one_respelled_rule_line_loads_the_same(key, respell):
     rng = random.Random(f"respell {key} {respell}")
     rule_lines = [i for i, line in enumerate(lines) if line.startswith("rule ") and " - " in line]
     i = rng.choice(rule_lines)
-    lines[i] = _RESPELLINGS[respell](lines[i].rstrip("\n")) + "\n"
+    spell, at_once = _RESPELLINGS[respell]
+    lines[i] = spell(lines[i].rstrip("\n")) + "\n"
     respelled = "".join(lines)
     assert respelled != text
+    if at_once:
+        _assert_reads_at_once_as_one_by_one(respelled)
+    else:
+        # the respelled line does not read in one pass, so the whole dump is
+        # read line by line
+        with pytest.raises(KeyError):
+            _read_rule_lines_at_once(respelled)
     system = RewriteSystem.parse(respelled)
     assert system == _golden_system(key)
     assert system.dump() == text
@@ -267,6 +298,48 @@ def test_a_dump_with_blank_lines_and_crlf_endings_loads_the_same():
     spaced = "\n".join(lines[:6] + [""] + lines[6:9] + ["   "] + lines[9:]) + "\n\n"
     for variant in (spaced, text.replace("\n", "\r\n"), text.rstrip("\n"), "  " + text):
         assert RewriteSystem.parse(variant) == _golden_system("hw-cyclic2")
+    # a dump with no final newline is still read in one pass
+    _assert_reads_at_once_as_one_by_one(text.rstrip("\n"))
+
+
+# canonical-looking rule lines that the one pass must not read: each is read
+# line by line, to the same tails or to the same refusal
+_NOT_AT_ONCE = [
+    "rule r*r -> q\trule q*q -> p\n",  # a tab
+    "rule r*r -> q\rrule q*q -> p\n",  # a carriage return, a line break to splitlines
+    "rule r*r -> q\x1crule q*q -> p\n",
+    "rule r*r -> q\n\n",  # a blank line after the rules
+    "rule r*r -> q -> p\n",
+    "rule r*r\n",
+    "rule r*r -> \n",
+    "rule  r*r -> q\n",
+    "rule r*r -> +q\n",
+    "rule r*r -> q + -p\n",
+    "rule r*r -> q - -p\n",
+    "rule r*r -> 2q\n",
+    "rule r*r -> 1/0*q\n",
+    "rule r*r -> 1/2/3*q\n",
+    "rule r*r -> \u0663*q\n",  # an Arabic-Indic digit three
+    "rule 1*r*r -> q\n",
+    "rule r*r -> q*1 + 2*1\n",
+]
+
+
+@pytest.mark.parametrize("rules", _NOT_AT_ONCE, ids=range(len(_NOT_AT_ONCE)))
+def test_a_rule_line_read_one_by_one_reads_as_before(rules):
+    text = _HEAD + rules
+    try:
+        at_once = _read_rule_lines_at_once(text)
+    except (KeyError, ValueError):
+        at_once = None
+    try:
+        one_by_one = _read_rule_lines_one_by_one(text)
+    except ValueError:
+        assert at_once is None
+        return
+    if at_once is not None:
+        _assert_reads_at_once_as_one_by_one(text)
+    assert RewriteSystem.parse(text)._index.by_word == one_by_one[2]
 
 
 _HEAD = "system\ndegree 3\ncomplete_through 3\ngenerators p q r\n"
