@@ -16,6 +16,9 @@ suite does not read is a usage error.  ``present`` reads ``--form`` for bw,
 hw and hb, ``--form`` and ``--polar`` for hww, and ``--m`` and ``--n`` for
 ahmn; any other of them is a usage error too (``hopf.refuse_unread``).
 
+``analyze`` refuses a form whose flattenings would hold more than
+``ANALYZE_MAX_ENTRIES`` entries, before it builds any.
+
 Exit codes: 0 success / all checks pass, 1 a check failed, 2 at least one
 check was uncertified at the degree bound (none failed), 3 usage or input
 parse error.  Without ``--degree`` the truncation is twice the arity.  A
@@ -69,6 +72,11 @@ OK = 0
 REFUTED = 1
 UNCERTIFIED = 2
 USAGE = 3
+
+# the most entries ``analyze`` builds: the m flattenings of a form of dim n
+# and arity m hold m * n^m entries.  signature-6 holds 279 936 of them and
+# runs in under a second; signature-7 would hold 5 764 801
+ANALYZE_MAX_ENTRIES = 1_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,6 +159,12 @@ def _bool(v: bool) -> str:
 
 def _cmd_analyze(args) -> int:
     w = load_form(args.form)
+    entries = w.arity * w.dim**w.arity
+    if entries > ANALYZE_MAX_ENTRIES:
+        raise ValueError(
+            f"the {w.arity} flattenings of a form of dim {w.dim} and arity {w.arity} would hold "
+            f"{entries} entries, above the bound of {ANALYZE_MAX_ENTRIES}"
+        )
     report, all_slots = _analyze_every_slot(w)
     lines = [f"dim: {w.dim}", f"arity: {w.arity}"]
     lines.append(f"one_site_nondegenerate: {_bool(report.nondegenerate)}")

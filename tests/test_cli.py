@@ -4,12 +4,13 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from hopfw.cli import __doc__ as CLI_DOC
-from hopfw.cli import _build_parser, _exit_code, main
+from hopfw.cli import ANALYZE_MAX_ENTRIES, _build_parser, _exit_code, main
 from hopfw.formats import (
     FormFileError,
     dump_form,
@@ -335,6 +336,24 @@ def test_analyze_signature_6(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert "twist_invertible: true" in out
     assert "polar_affine_dimension: 46620" in out
+
+
+def test_analyze_refuses_a_form_whose_flattenings_hold_too_many_entries(tmp_path, capsys):
+    # signature-7 would hold 7 * 7^7 entries in its flattenings; signature-6
+    # (6 * 6^6 = 279 936) is analysed above
+    path = tmp_path / "sig7.json"
+    assert main(["example", "signature-7", "--out", str(path)]) == 0
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["analyze", str(path)]) == 3
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "hopfw: error: the 7 flattenings of a form of dim 7 and arity 7 would hold"
+        " 5764801 entries, above the bound of 1000000\n"
+    )
+    assert 6 * 6**6 <= ANALYZE_MAX_ENTRIES < 7 * 7**7
 
 
 def test_analyze_degenerate_form(tmp_path, capsys):
