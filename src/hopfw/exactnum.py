@@ -99,8 +99,9 @@ def cleared_terms(terms: dict) -> tuple[dict, int]:
 
 
 def fraction_quotients(terms: dict, d: int) -> dict:
-    """``terms`` with int values, divided by d: each value a Fraction, and an
-    integral quotient shares the one that ``fraction_terms`` hands out."""
+    """``terms`` in the engine's form, divided by d: each value a Fraction,
+    and an integral quotient shares the one that ``fraction_terms`` hands
+    out."""
     if d == 1:
         return fraction_terms(terms)
     return {k: Scalar(c, d) if c % d else _SMALL[c // d] for k, c in terms.items()}

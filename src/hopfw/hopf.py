@@ -52,7 +52,9 @@ Every structural claim is a value that must vanish, most of them a normal
 form against a degree-truncated rewriting system.  ``_verdict`` alone turns
 such a value into PASS (zero), FAIL (shown) or UNCERTIFIED (it needs a degree
 above the certified one; nothing recompletes), and ``_per_relation`` feeds it
-one value per labelled relation.  A nonzero normal form at a truncation
+one value per labelled relation.  A normal form comes from the reduction
+entry ``rewrite._reduce`` as d times itself over the integers, with d; it
+becomes Fractions only in a FAIL's detail.  A nonzero normal form at a truncation
 refutes nothing on its own, yet is reported FAIL today (ROADMAP item 2).
 ``_from_hw`` builds every map out of hw: u to the target's generator matrix
 G, s to S(G).  The table ``SUITES`` names every verification suite, the
@@ -69,7 +71,7 @@ from enum import Enum
 from typing import Callable, Iterable, Mapping
 
 from .exactnum import (
-    Matrix, ONE, Scalar, ZERO, cleared_terms, fraction_quotients, lean_terms, mat_inv,
+    Matrix, ONE, Scalar, ZERO, cleared_terms, fraction_quotients, lean, lean_terms, mat_inv,
 )
 from .forms import (
     MultilinearForm,
@@ -411,9 +413,9 @@ def _verdict(name: str, what: str, value: Callable[[], _Scaled]) -> CheckResult:
     """The one place a value that must vanish becomes a status: PASS when
     ``value()`` is zero, FAIL showing it as ``what``, and UNCERTIFIED when it
     needs a normal form above the certified degree, which the detail names.
-    ``value()`` gives d times the value and d: a normal form keeps the int
-    values of the reduction entry, and only a FAIL divides them by d, into
-    the Fractions it shows."""
+    ``value()`` gives d times the value and d: a normal form keeps the
+    engine's values from the reduction entry, and only a FAIL divides them
+    by d, into the Fractions it shows."""
     try:
         v, d = value()
     except NotCertifiedError as exc:
@@ -432,7 +434,7 @@ def _exact(value: Callable[[NcPoly], NcPoly]) -> Callable[[NcPoly], _Scaled]:
 
 def _normal(system: RewriteSystem, p: NcPoly) -> _Scaled:
     """d times the normal form of ``p`` and d, from the reduction entry: the
-    int values are wrapped to be tested and shown, never handed out."""
+    engine's values are wrapped to be tested and shown, never handed out."""
     reduced, d = _reduce(system, p.alphabet, p.terms)
     return NcPoly._adopt(p.alphabet, reduced), d
 
@@ -487,9 +489,11 @@ def check_coproduct(
     # image of a relation cleared of its denominators is summed over the ints
     int_delta = {g: TensorSquare._adopt(t.alphabet, lean_terms(t.terms)) for g, t in delta.items()}
 
-    def nf(ints: dict) -> dict[str, int]:
-        # int terms: d is 1
-        return _reduce(system, a, ints)[0]
+    def nf(terms: dict) -> dict:
+        # the engine's form in and out: a left sum is over the ints, and a
+        # right sum too unless a tail with a denominator reduced into it
+        reduced, e = _reduce(system, a, terms)
+        return reduced if e == 1 else {w: lean(Scalar(c, e)) for w, c in reduced.items()}
 
     @functools.cache
     def vanishes(word: str) -> bool:

@@ -145,7 +145,7 @@ class Alphabet:
     the numbering for the one place that wants deglex ascending as a
     string, the completion queue."""
 
-    __slots__ = ("generators", "_char_of", "_letter_of", "_spell", "_top", "_letters", "_rank")
+    __slots__ = ("generators", "_char_of", "_letter_of", "_spell", "_top", "_every_letter", "_rank")
 
     def __init__(self, generators: Iterable[Generator]) -> None:
         gens = tuple(sorted(set(generators), key=lambda g: g.key))
@@ -162,7 +162,7 @@ class Alphabet:
         letter_of["1"] = ""
         object.__setattr__(self, "_letter_of", letter_of)
         object.__setattr__(self, "_top", top)
-        object.__setattr__(self, "_letters", "".join(self._char_of.values()))
+        object.__setattr__(self, "_every_letter", "".join(self._char_of.values()))
         object.__setattr__(
             self, "_rank", str.maketrans({top - i: chr(_CHAR_BASE + i) for i in range(len(gens))})
         )
@@ -202,7 +202,7 @@ class Alphabet:
 
     def spells(self, word: str) -> bool:
         """Whether every letter of ``word`` is one of this alphabet's."""
-        return not word.strip(self._letters)
+        return not word.strip(self._every_letter)
 
     def word_token(self, word: str) -> str:
         """Canonical display of a word; the empty word prints as ``1``."""

@@ -55,18 +55,28 @@ Implementation notes, sized for thousands of rules:
   plain ``int`` and only a value with a denominator is a ``Fraction``;
   :mod:`~hopfw.exactnum` converts between the two forms.  Input relations
   enter through ``lean_terms``, and a dump's tails are read straight into
-  this form by the term reader behind ``parse_poly``.
-  :func:`normal_form` multiplies its query by the common denominator d of
-  its coefficients, reduces over the integers and divides the result by d,
-  which is exact because the normal form is linear.  ``reduce_terms`` and
-  ``s_poly`` start their sums from ``0``.
+  this form: the rule lines of a canonical dump all at once
+  (``_read_canonical_words`` and ``_read_canonical_terms``), any other dump
+  line by line with the term reader behind ``parse_poly``.
+  Every reader reduces through one private entry, ``_reduce``: it checks the
+  alphabet and the certified degree, multiplies the terms by the least
+  common multiple d of the set of their denominators (``cleared_terms``),
+  reduces over the integers and returns the result with d, which is exact
+  because the normal form is linear.  :func:`normal_form` divides by d and
+  builds its Fraction result once (``fraction_quotients``),
+  :func:`ideal_member` only tests the result for emptiness and builds no
+  Fraction, and the suites in :mod:`~hopfw.hopf` divide by d only to show a
+  ``FAIL``.  ``reduce_terms`` and ``s_poly`` start their sums from ``0``.
   Insertion makes a rule monic by negating when the lead coefficient is
   +-1 and otherwise by dividing a ``Fraction`` by it, with an integral
   quotient turned back into an ``int``: ``int / int`` would give a float,
   so it never runs.  A frozen system holds each tail once, in this form;
   values turn back into ``Fraction`` (``fraction_terms``) only where they
   are handed out, in ``RewriteSystem.rules`` and the result of
-  :func:`normal_form`.
+  :func:`normal_form`;
+* the gate checks every lead's spelling and length and every tail at once,
+  builds the prefix table in two dict calls, and goes lead by lead only to
+  word the first refusal.
 
 Completion does not audit itself: the shipped system resolves every overlap
 of degree <= D by construction (Bergman, "The diamond lemma for ring
@@ -97,9 +107,9 @@ from __future__ import annotations
 import heapq
 import operator
 import sys
-from itertools import chain
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Sequence
+from itertools import chain
 
 from .exactnum import Scalar, cleared_terms, fraction_quotients, fraction_terms, lean, lean_terms
 from .ncalg import (
@@ -591,10 +601,11 @@ def _read_rule_lines_one_by_one(text: str) -> tuple[dict, Alphabet, dict[str, _T
 
 def _reduce(system: RewriteSystem, alphabet: Alphabet, terms: dict) -> tuple[_Terms, int]:
     """The one reduction entry of every reader: (d times the normal form of
-    ``terms``, d), the first with int values.  The terms are over
-    ``alphabet``, with int or Fraction values; d clears their denominators,
-    so reduction runs over the ints, and the normal form is linear, so
-    dividing by d gives the normal form of ``terms``.  The normal form is
+    ``terms``, d), the first in the engine's form.  The terms are over
+    ``alphabet``, with int or Fraction values; d clears their denominators
+    once, so reduction runs over the ints (a tail's own denominators aside),
+    and the normal form is linear, so dividing by d gives the normal form of
+    ``terms``.  The normal form is
     certified only through ``complete_through``, the degree where every
     overlap is resolved; above it this raises NotCertifiedError.  This is
     the one certification gate."""

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -40,7 +41,7 @@ from hopfw.hopf import (
     worst_status,
 )
 from hopfw.ncalg import Alphabet, Generator, NcPoly
-from hopfw.rewrite import RewriteSystem, complete
+from hopfw.rewrite import RewriteSystem, complete, normal_form
 from test_golden import PRESENTATIONS
 
 # the running 2-dimensional example, a polar member of it, and the
@@ -469,6 +470,49 @@ def test_coproduct_residue_names_the_degree_that_term_by_term_reduction_meets():
     pres = _free_presentation(["x - y"], {"x": "x#z + 2*y#x", "y": "y#z", "z": "z#1"})
     (row,) = check_coproduct(pres, 1)
     assert (row.status, row.detail) == (Status.FAIL, "residue 2*x#x")
+
+
+def test_a_failing_coproduct_residue_shows_its_fraction_values():
+    # the rules y -> 1/2*x and z -> 1/2*x put a denominator into a left sum,
+    # which the right sums must keep: the residue of y - z is
+    # 1/2*x#x - 1/2*x#(1/2*x) = 1/4*x#x
+    pres = _free_presentation(["2*y - x", "y - z"], {"x": "x#x", "y": "y#x", "z": "z#z"})
+    rows = check_coproduct(pres, 1)
+    assert [(r.status, r.detail) for r in rows] == [
+        (Status.PASS, ""),
+        (Status.FAIL, "residue 1/4*x#x"),
+    ]
+    # the same with the relations scaled: the residue scales with them
+    pres = _free_presentation(["2/3*y - 1/3*x", "3*y - 3*z"], {"x": "x#x", "y": "y#x", "z": "z#z"})
+    assert [r.detail for r in check_coproduct(pres, 1)] == ["", "residue 3/4*x#x"]
+
+
+def test_a_failing_normal_form_shows_the_normal_form(hw2, hw2_sys6):
+    """Each verdict on a value with denominators is PASS exactly when the
+    normal form is zero, and a FAIL shows that normal form."""
+    a = hw2.alphabet
+    letters = [a.char(g) for g in a.generators]
+    rng = random.Random(20261102)
+    rule = hw2_sys6.rules[40]
+    member = NcPoly.from_word(a, rule.lead) - rule.tail
+    coefficients = (Fraction(1, 2), Fraction(-2, 3), Fraction(5), Fraction(-1, 2**70 + 1))
+    polys = []
+    for _ in range(30):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            terms["".join(rng.choices(letters, k=rng.randint(0, 4)))] = rng.choice(coefficients)
+        polys.append(NcPoly(a, terms))
+        polys.append(member.scale(rng.choice(coefficients)))
+    pairs = [((i,), p) for i, p in enumerate(polys)]
+    fails = 0
+    for row, p in zip(hopf._verdicts("v", pairs, hw2_sys6), polys):
+        nf = normal_form(p, hw2_sys6)
+        if nf.is_zero():
+            assert (row.status, row.detail) == (Status.PASS, "")
+        else:
+            assert (row.status, row.detail) == (Status.FAIL, f"normal form {nf.to_str()}")
+            fails += any(c.denominator > 1 for c in nf.terms.values())
+    assert fails > 5
 
 
 def test_counit_checks_are_pure_arithmetic():
