@@ -485,6 +485,11 @@ def test_a_failing_coproduct_residue_shows_its_fraction_values():
     # the same with the relations scaled: the residue scales with them
     pres = _free_presentation(["2/3*y - 1/3*x", "3*y - 3*z"], {"x": "x#x", "y": "y#x", "z": "z#z"})
     assert [r.detail for r in check_coproduct(pres, 1)] == ["", "residue 3/4*x#x"]
+    # a delta with a denominator: the residue of x - y under y -> x is
+    # 1/2*x#z + x#x - x#z
+    pres = _free_presentation(["x - y"], {"x": "1/2*x#z + y#x", "y": "y#z", "z": "z#1"})
+    (row,) = check_coproduct(pres, 1)
+    assert (row.status, row.detail) == (Status.FAIL, "residue -1/2*x#z + x#x")
 
 
 def test_a_failing_normal_form_shows_the_normal_form(hw2, hw2_sys6):
