@@ -370,7 +370,9 @@ _REFUSED = [
 
 
 @pytest.mark.parametrize(
-    "bad, message", _REFUSED, ids=[f"{i}: {bad.splitlines()[-1]}" for i, (bad, _) in enumerate(_REFUSED)]
+    "bad, message",
+    _REFUSED,
+    ids=[f"{i}: {bad.splitlines()[-1]}" for i, (bad, _) in enumerate(_REFUSED)],
 )
 def test_a_refused_dump_names_the_line_it_meets_first(bad, message):
     with pytest.raises(ValueError, match=message):
