@@ -43,7 +43,11 @@ engine ``int`` has too, so no ``Fraction`` is compared, negated or printed.
 The reader, ``_read_terms``, reads canonical text, the way ``to_str``
 writes it, with no call per term, and sends a text in any other spelling
 whole down the per-token path of ``_read_monomial``; both read a text to
-the same terms and only the second words a refusal.
+the same terms and only the second words a refusal.  Many canonical texts
+at once, the rule lines of a system dump, are read by
+``_read_canonical_words`` and ``_read_canonical_terms`` with no call per
+text or per term; when one of them does not read that way they raise
+KeyError, and the caller reads the texts one by one.
 """
 
 from __future__ import annotations
