@@ -107,11 +107,12 @@ def fraction_quotients(terms: dict, d: int) -> dict:
     return {k: Scalar(c, d) if c % d else _SMALL[c // d] for k, c in terms.items()}
 
 
-def add_terms(out: dict, pairs: Iterable[tuple], zero=ZERO) -> dict:
-    """Add (key, value) pairs into ``out``, a new key from ``zero``; drop a
-    key summing to 0.  From the int 0, a sum of ints stays an int."""
+def add_terms(out: dict, pairs: Iterable[tuple]) -> dict:
+    """Add (key, value) pairs into ``out``, a new key from the int 0; drop a
+    key summing to 0.  A sum of Fractions stays a Fraction and a sum of ints
+    an int."""
     for k, c in pairs:
-        s = out.get(k, zero) + c
+        s = out.get(k, 0) + c
         if s:
             out[k] = s
         else:

@@ -790,8 +790,8 @@ def read_dump(
 def _extend(p: NcPoly, images: Mapping, kind, target, antihom: bool, caller: str):
     """Apply to ``p`` the algebra map into ``kind`` over ``target`` that sends
     each generator to its image; with ``antihom`` words read right to left.
-    Sums start from the int 0, so Fraction values give Fraction values and
-    int values (engine terms, wrapped) give ints."""
+    Fraction values give Fraction values and int values (engine terms,
+    wrapped) give ints, as ``add_terms`` sums from the int 0."""
     if target is None:
         if not images:
             raise ValueError(f"{caller} needs images or an explicit target alphabet")
@@ -812,10 +812,10 @@ def _extend(p: NcPoly, images: Mapping, kind, target, antihom: bool, caller: str
             products = (
                 (concat(k1, k2), c1 * c2) for k1, c1 in acc.items() for k2, c2 in image.items()
             )
-            acc = add_terms({}, products, 0)
+            acc = add_terms({}, products)
             if not acc:
                 break
-        add_terms(out, acc.items(), 0)
+        add_terms(out, acc.items())
     return kind._adopt(target, out)
 
 

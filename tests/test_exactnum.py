@@ -115,8 +115,10 @@ def test_add_terms_starts_each_key_from_zero_and_drops_zero_sums():
     out = {"a": rat(1), "b": rat(2)}
     assert add_terms(out, [("a", -1), ("c", 3), ("b", 1), ("d", 0), ("c", 1)]) is out
     assert out == {"b": 3, "c": 4}
-    # a new key starts from the Fraction ZERO, so an int value comes back exact
-    assert type(out["c"]) is Fraction
+    # a new key starts from the int 0: a sum of Fractions stays a Fraction
+    # and a sum of ints an int
+    assert type(out["b"]) is Fraction and type(out["c"]) is int
+    assert type(add_terms({}, [("a", rat(1, 2)), ("b", rat(2))])["b"]) is Fraction
 
 
 def test_coefficient_forms_convert_both_ways():
