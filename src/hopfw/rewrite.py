@@ -396,15 +396,15 @@ class _Rules(Sequence):
         return Rule(lead, NcPoly._adopt(self._alphabet, fraction_terms(self._tails[lead])))
 
 
-def _tails_below(leads: list[str], tails: dict[str, _Terms]) -> bool:
-    """Whether every word of each lead's tail is below the lead in deglex:
-    shorter, or as long and, as a string, larger."""
+def _first_tail_not_below(leads: list[str], tails: dict[str, _Terms]) -> str | None:
+    """The first of ``leads`` with a word of its tail not below it in deglex
+    (below: shorter, or as long and, as a string, larger), or None."""
     for lead in leads:
         n = len(lead)
         for w in tails[lead]:
             if len(w) >= n and (len(w) > n or w <= lead):
-                return False
-    return True
+                return lead
+    return None
 
 
 class RewriteSystem:
@@ -478,18 +478,18 @@ class RewriteSystem:
         leads.sort(key=len)
         # every lead and tail at once, and lead by lead only to word the
         # first refusal
+        unordered = _first_tail_not_below(leads, tails)
         if not (
             alphabet.spells("".join(leads))
             and (not leads or len(leads[-1]) <= degree)
-            and _tails_below(leads, tails)
+            and unordered is None
         ):
             for lead in leads:
                 if not alphabet.spells(lead):
                     raise ValueError(f"rule lead {lead!r} is not spelled in the alphabet")
-                n = len(lead)
-                if n > degree:
+                if len(lead) > degree:
                     raise ValueError(f"rule lead {token(lead)} is longer than degree {degree}")
-                if any(len(w) > n or len(w) == n and w <= lead for w in tails[lead]):
+                if lead == unordered:
                     raise ValueError(f"rule tail is not below its lead {token(lead)} in deglex")
         self._index = index = _LeadIndex.of(leads, tails)
         # no lead contains another: the two longest proper factors of every
