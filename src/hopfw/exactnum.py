@@ -9,7 +9,11 @@ A coefficient has two forms, converted here alone: the rewriting engine's,
 an ``int`` when integral (:func:`lean`, :func:`lean_terms`), and the
 handed-out ``Scalar`` (:func:`fraction_terms`).  A sum with denominators
 enters reduction as d times itself over the ints (:func:`cleared_terms`) and
-leaves divided by d (:func:`fraction_quotients`).
+leaves divided by d (:func:`fraction_quotients`).  :func:`cleared_terms` is
+the one place denominators are cleared: ``rewrite`` calls it in the
+reduction entry, ``hopf`` on each relation whose coproduct, antipode or
+homomorphism image it checks, and ``forms`` on both tensors of a polar
+contraction.
 """
 
 from __future__ import annotations
@@ -47,6 +51,10 @@ def rat(num, den: int = 1) -> Scalar:
 def parse_rational(text: str) -> Scalar:
     """Parse a rational literal: optional sign, integer, optional ``/`` and a
     positive integer denominator.  Anything else is rejected."""
+    # an integer literal, the common case, is read with no regex and shares
+    # the small Fractions
+    if text.isdecimal() or (text[:1] == "-" and text[1:].isdecimal()):
+        return _SMALL[int(text)]
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational literal: {text!r}")

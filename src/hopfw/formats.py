@@ -101,41 +101,48 @@ def form_from_obj(obj) -> MultilinearForm:
         raise FormFileError("arity must be an integer")
     if not isinstance(entries, list):
         raise FormFileError("entries must be a list")
-    parsed: list[tuple[tuple[int, ...], Scalar]] = []
+    # one pass over the entries: each index's type is checked here, its
+    # length and range in the constructor, and repeats by the dict's size
+    indices: list[tuple] = []
+    values: list[Scalar] = []
     for i, e in enumerate(entries):
-        if not isinstance(e, dict) or set(e) != {"idx", "c"}:
+        if not isinstance(e, dict) or e.keys() != _ENTRY_KEYS:
             raise FormFileError(f"entry {i}: expected an object with idx and c")
         idx = e["idx"]
-        if not isinstance(idx, list) or not all(
-            isinstance(k, int) and not isinstance(k, bool) for k in idx
+        if not isinstance(idx, list) or not (
+            set(map(type, idx)) <= _INT
+            or all(isinstance(k, int) and not isinstance(k, bool) for k in idx)
         ):
             raise FormFileError(f"entry {i}: idx must be a list of integers")
-        c = e["c"]
-        if isinstance(c, bool) or isinstance(c, float):
-            raise FormFileError(f"entry {i}: coefficient must be an integer or a rational string")
-        if isinstance(c, int):
-            val = rat(c)
-        elif isinstance(c, str):
-            try:
-                val = parse_rational(c)
-            except ValueError as exc:
-                raise FormFileError(f"entry {i}: {exc}") from None
-        else:
-            raise FormFileError(f"entry {i}: coefficient must be an integer or a rational string")
-        parsed.append((tuple(idx), val))
+        indices.append(tuple(idx))
+        values.append(_coefficient(i, e["c"]))
+    form_entries = dict(zip(indices, values))
+    if len(form_entries) < len(indices):
+        seen = set()
+        for idx in indices:
+            if idx in seen:
+                raise FormFileError(f"duplicate index {list(idx)}")
+            seen.add(idx)
     try:
-        return MultilinearForm(dim, arity, dict(_checked_pairs(parsed)))
+        return MultilinearForm(dim, arity, form_entries)
     except ValueError as exc:
         raise FormFileError(str(exc)) from None
 
 
-def _checked_pairs(pairs):
-    seen = set()
-    for idx, val in pairs:
-        if idx in seen:
-            raise FormFileError(f"duplicate index {list(idx)}")
-        seen.add(idx)
-        yield idx, val
+_ENTRY_KEYS = frozenset({"idx", "c"})
+_INT = frozenset({int})  # the types of an index that is a plain list of ints
+
+
+def _coefficient(i: int, c) -> Scalar:
+    """The value of entry ``i``'s coefficient: an int, or a rational string."""
+    if isinstance(c, str):
+        try:
+            return parse_rational(c)
+        except ValueError as exc:
+            raise FormFileError(f"entry {i}: {exc}") from None
+    if isinstance(c, int) and not isinstance(c, bool):
+        return rat(c)
+    raise FormFileError(f"entry {i}: coefficient must be an integer or a rational string")
 
 
 def dump_form(w: MultilinearForm) -> str:

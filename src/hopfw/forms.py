@@ -23,6 +23,16 @@ polar space is the particular solution plus the kernel e_k (x) v for
 k = 1..n and each canonical kernel vector v of F^T in order, which is the
 canonical basis of the whole system: it is block-diagonal in the first
 index of wt, and its reduced row echelon form is unique.
+
+Membership in the polar family is tested over the ints: with d and e the
+least common multiples of the denominators of wt and w, wt is polar
+exactly when sum_J (d wt)^{k J} (e w)_{J l} = d e delta^k_l, and no
+Fraction is built.  w's side of that contraction, its entries cleared by e
+and grouped by the index minus the last slot, is built on the first
+membership test and kept in the form's ``_last_slot`` slot, so a form
+queried many times clears and groups its entries once.  That is safe
+because a form is immutable: nothing writes ``entries`` after the
+constructor, and equality, hashing and ``repr`` do not read the slot.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from .exactnum import (
     SingularMatrixError,
     ZERO,
     add_terms,
+    cleared_terms,
     is_invertible,
     rat,
     rref,
@@ -63,7 +74,8 @@ class InternalConsistencyError(RuntimeError):
 class MultilinearForm:
     """Sparse exact tensor: map from 1-based index tuples to scalars."""
 
-    __slots__ = ("dim", "arity", "entries")
+    # _last_slot: the contraction index of in_polar, built on first use
+    __slots__ = ("dim", "arity", "entries", "_last_slot")
 
     def __init__(self, dim: int, arity: int, entries: Mapping[Index, object]) -> None:
         if dim < 2:
@@ -77,7 +89,7 @@ class MultilinearForm:
             idx = tuple(idx)
             if len(idx) != arity:
                 raise ValueError(f"index {idx} has length {len(idx)}, expected {arity}")
-            if any(not (1 <= i <= dim) for i in idx):
+            if min(idx) < 1 or max(idx) > dim:
                 raise ValueError(f"index {idx} out of range 1..{dim}")
             c = rat(c)
             if c:
@@ -85,6 +97,7 @@ class MultilinearForm:
                     raise ValueError(f"duplicate index {idx}")
                 clean[idx] = c
         object.__setattr__(self, "entries", clean)
+        object.__setattr__(self, "_last_slot", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("MultilinearForm is immutable")
@@ -267,20 +280,43 @@ def polar(w: MultilinearForm) -> PolarSolution | None:
     return PolarSolution(particular, kernel)
 
 
-def _contract(wt: MultilinearForm, w: MultilinearForm, slot: int) -> Matrix:
-    """The n x n matrix sum_J wt^{k J} w_{J with l put in the given slot}."""
+def _slot_index(w: MultilinearForm, slot: int) -> tuple[dict[Index, list[tuple[int, int]]], int]:
+    """(w's index minus the given slot -> [(0-based column, e * value)], e),
+    for e the least common multiple of w's denominators."""
+    ints, e = cleared_terms(w.entries)
+    by_rest: dict[Index, list[tuple[int, int]]] = {}
+    for idx, c in ints.items():
+        by_rest.setdefault(idx[: slot - 1] + idx[slot:], []).append((idx[slot - 1] - 1, c))
+    return by_rest, e
+
+
+def _int_contract(wt: MultilinearForm, w: MultilinearForm, slot: int) -> tuple[list[int], int]:
+    """(d * e times the n x n matrix sum_J wt^{k J} w_{J with l put in the
+    given slot}, row-major, d * e), summed over the ints: wt cleared by d
+    and w by e.  w's last-slot index is kept on w (see the module
+    docstring)."""
     if (wt.dim, wt.arity) != (w.dim, w.arity):
         raise ValueError("shape mismatch")
+    if slot == w.arity:
+        if w._last_slot is None:
+            object.__setattr__(w, "_last_slot", _slot_index(w, slot))
+        by_rest, e = w._last_slot
+    else:
+        by_rest, e = _slot_index(w, slot)
+    ints, d = cleared_terms(wt.entries)
     n = w.dim
-    by_rest: dict[Index, list[tuple[int, Scalar]]] = {}
-    for idx, c in w.entries.items():
-        by_rest.setdefault(idx[: slot - 1] + idx[slot:], []).append((idx[slot - 1] - 1, c))
-    out = [ZERO] * (n * n)
-    for idx, c in wt.entries.items():
+    out = [0] * (n * n)
+    for idx, c in ints.items():
         row = (idx[0] - 1) * n
         for col, c2 in by_rest.get(idx[1:], ()):
             out[row + col] += c * c2
-    return Matrix(n, n, out)
+    return out, d * e
+
+
+def _contract(wt: MultilinearForm, w: MultilinearForm, slot: int) -> Matrix:
+    """The n x n matrix sum_J wt^{k J} w_{J with l put in the given slot}."""
+    out, de = _int_contract(wt, w, slot)
+    return Matrix(w.dim, w.dim, [Scalar(c, de) for c in out])
 
 
 def polar_contraction(wt: MultilinearForm, w: MultilinearForm) -> Matrix:
@@ -289,8 +325,11 @@ def polar_contraction(wt: MultilinearForm, w: MultilinearForm) -> Matrix:
 
 
 def in_polar(wt: MultilinearForm, w: MultilinearForm) -> bool:
-    """Exact membership of wt in the polar affine space of w."""
-    return polar_contraction(wt, w).is_identity()
+    """Exact membership of wt in the polar affine space of w: the integer
+    contraction is d * e on the diagonal and 0 off it."""
+    out, de = _int_contract(wt, w, w.arity)
+    n = w.dim
+    return out[:: n + 1].count(de) == n and out.count(0) == n * n - n
 
 
 def q_inverse_from_polar(w: MultilinearForm, wt: MultilinearForm) -> Matrix:

@@ -439,6 +439,35 @@ def _normal(system: RewriteSystem, p: NcPoly) -> _Scaled:
     return NcPoly._adopt(p.alphabet, reduced), d
 
 
+def _engine_images(images: Mapping) -> dict:
+    """Generator images in the engine's form: integral values are ints, so
+    the image of a relation cleared of its denominators is summed over the
+    ints wherever the images are integral."""
+    return {g: t._adopt(t.alphabet, lean_terms(t.terms)) for g, t in images.items()}
+
+
+def _image_normal(
+    system: RewriteSystem,
+    images: Mapping[Generator, NcPoly],
+    target: Alphabet,
+    antihom: bool = False,
+) -> Callable[[NcPoly], _Scaled]:
+    """The value of a relation's image under ``images`` as ``_verdict``
+    reads it: the relation cleared by d, its image in the engine's form, and
+    the reduction entry clearing by e what denominators the images leave
+    (Q^-1 U Q has some), give d e times the normal form of the image."""
+    lean_images = _engine_images(images)
+
+    def value(rel: NcPoly) -> _Scaled:
+        ints, d = cleared_terms(rel.terms)
+        cleared = NcPoly._adopt(rel.alphabet, ints)
+        image = substitute(cleared, lean_images, antihom=antihom, target=target)
+        reduced, e = _normal(system, image)
+        return reduced, d * e
+
+    return value
+
+
 def _per_relation(
     pres: Presentation, prefix: str, what: str, value: Callable[[NcPoly], _Scaled]
 ) -> list[CheckResult]:
@@ -485,9 +514,7 @@ def check_coproduct(
 
     top = system.complete_through
     a = system.alphabet
-    # the images in the engine's form: integral values are ints, so the
-    # image of a relation cleared of its denominators is summed over the ints
-    int_delta = {g: TensorSquare._adopt(t.alphabet, lean_terms(t.terms)) for g, t in delta.items()}
+    int_delta = _engine_images(delta)
 
     def nf(terms: dict) -> dict:
         # the engine's form in and out: a left sum is over the ints, and a
@@ -540,10 +567,7 @@ def check_antipode(
         system = system_for(pres, degree)
     a, n = pres.alphabet, pres.n
     out = _per_relation(
-        pres,
-        "antipode-ideal",
-        "normal form",
-        lambda rel: _normal(system, substitute(rel, s_images, antihom=True, target=a)),
+        pres, "antipode-ideal", "normal form", _image_normal(system, s_images, a, antihom=True)
     )
     one = PolyMatrix.identity(a, n)
     for fam in pres.families():
@@ -741,13 +765,8 @@ def check_hom(
     lands in the target ideal."""
     if system is None:
         system = system_for(hom.target, degree)
-    t = hom.target.alphabet
-    return _per_relation(
-        hom.source,
-        hom.label,
-        "normal form",
-        lambda rel: _normal(system, substitute(rel, hom.images, target=t)),
-    )
+    value = _image_normal(system, hom.images, hom.target.alphabet)
+    return _per_relation(hom.source, hom.label, "normal form", value)
 
 
 def _from_hw(label: str, hw: Presentation, target: Presentation) -> HomCandidate:

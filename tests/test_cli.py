@@ -127,6 +127,57 @@ def test_form_from_obj_rejections(obj):
         form_from_obj(obj)
 
 
+def _entries(*pairs):
+    return {"dim": 2, "arity": 3, "entries": [{"idx": i, "c": c} for i, c in pairs]}
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        # the first bad entry is named, whichever of its index and
+        # coefficient is bad, before any repeat, shape or range is read
+        (_entries(([1, 1, 2], "x"), ([1, True, 2], "1")), "entry 0: not a rational literal: 'x'"),
+        (_entries(([1, 1.0, 2], "1"), ([1, 1, 2], 0.5)), "entry 0: idx must be a list of integers"),
+        (
+            _entries(([1, 1, 2], "1"), ([1, 1, 2], "1/0")),
+            "entry 1: zero denominator in rational literal: '1/0'",
+        ),
+        # a repeat of an index is refused even with a zero coefficient, and
+        # before the shape and the range
+        (_entries(([1, 1], "1"), ([1, 1, 2], "0"), ([1, 1, 2], "2")), "duplicate index [1, 1, 2]"),
+        ({**_entries(([1, 1, 2], "1"), ([1, 1, 2], "1")), "dim": 1}, "duplicate index [1, 1, 2]"),
+        ({**_entries(([1, 1, 3], "1")), "dim": 1}, "dimension must be at least 2"),
+        (_entries(([1, 1, 3], "0"), ([1, 1], "1")), "index (1, 1, 3) out of range 1..2"),
+        (_entries(([1, 1], "1"), ([1, 1, 3], "1")), "index (1, 1) has length 2, expected 3"),
+        (_entries(([0, 1, 2], "-1")), "index (0, 1, 2) out of range 1..2"),
+        (_entries(([1, 1, 2], "--1")), "entry 0: not a rational literal: '--1'"),
+        (_entries(([1, 1, 2], "-")), "entry 0: not a rational literal: '-'"),
+        (_entries(([1, 1, 2], "1_0")), "entry 0: not a rational literal: '1_0'"),
+    ],
+)
+def test_form_from_obj_messages(obj, message):
+    with pytest.raises(FormFileError) as info:
+        form_from_obj(obj)
+    assert str(info.value) == message
+
+
+def test_form_coefficient_spellings():
+    # an integer string, signed, spaced or in other decimal digits, reads as
+    # its int; a zero coefficient is dropped
+    obj = _entries(
+        ([1, 1, 2], "-12345678901234567890123"),
+        ([1, 2, 1], " +7 "),
+        ([2, 1, 1], "\u0663"),
+        ([2, 2, 1], "-0"),
+        ([1, 2, 2], "-6/4"),
+    )
+    assert form_from_obj(obj) == MultilinearForm(
+        2,
+        3,
+        {(1, 1, 2): -12345678901234567890123, (1, 2, 1): 7, (2, 1, 1): 3, (1, 2, 2): rat(-3, 2)},
+    )
+
+
 def test_form_coefficient_is_an_integer_or_a_rational_string():
     text = '{"dim": 2, "arity": 3, "entries": [{"idx": [1, 1, 2], "c": %s}]}'
     assert load_form_text(text % "2") == load_form_text(text % '"2"')

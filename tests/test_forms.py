@@ -1,5 +1,8 @@
+import fractions
 import itertools
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -175,16 +178,26 @@ def test_polar_contraction_shape_mismatch():
         polar_contraction(make_signature(3), W2)
 
 
+def test_in_polar_shape_mismatch():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        in_polar(make_signature(3), W2)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        in_polar(W2, make_bilinear([[1, 0], [0, 1]]))
+
+
 def _contractions_agree_with_flattening_products(wt, w):
-    """Check ``polar_contraction`` and the first-slot contraction against
-    products of two flattenings, which share no code with them.  Returns how
-    many entries of the products are zero sums of nonzero products."""
+    """Check ``polar_contraction``, ``in_polar`` and the first-slot
+    contraction against products of two flattenings over the rationals,
+    which share no code with them.  Returns how many entries of the products
+    are zero sums of nonzero products."""
     left = flattening(wt, 1).transpose()
     cancelled = 0
     for slot, got in ((w.arity, polar_contraction(wt, w)), (1, forms._contract(wt, w, 1))):
         right = flattening(w, slot)
         product = left * right
         assert got == product
+        if slot == w.arity:
+            assert in_polar(wt, w) == (product == Matrix.identity(w.dim))
         cancelled += sum(
             1
             for i in range(w.dim)
@@ -205,9 +218,20 @@ def test_contraction_agrees_with_flattening_products_on_golden_forms(key):
         mixed = sol.particular
         for c, k in zip((1, -2, 3), sol.kernel_basis):
             mixed = mixed.add(k.scale(c))
-        tensors += [sol.particular, mixed]
+        tensors += [sol.particular, mixed, _moved(mixed, w)]
+        assert in_polar(sol.particular, w) and in_polar(mixed, w)
+        assert not in_polar(tensors[-1], w)
     for wt in tensors:
         _contractions_agree_with_flattening_products(wt, w)
+
+
+def _moved(wt, w):
+    """wt with one entry moved by 1/d, for d the least common multiple of
+    its denominators: the entry at (1, J) for the least index (J, l) of w,
+    so that row 1 of the contraction moves by w_{J l} / d."""
+    d = math.lcm(*(c.denominator for c in wt.entries.values()))
+    idx = (1,) + min(w.entries)[:-1]
+    return wt.add(MultilinearForm(wt.dim, wt.arity, {idx: Fraction(1, d)}))
 
 
 @pytest.mark.parametrize("key", FORM_KEYS)
@@ -257,6 +281,116 @@ def test_contraction_agrees_with_flattening_products_on_random_pairs():
         cancelled += _contractions_agree_with_flattening_products(wt, w)
     # signed coefficients make some entries sum nonzero products to zero
     assert cancelled > 0
+
+
+# a denominator above 2^64, so that d * e overflows any machine word
+BIG = 2**64 + 13
+
+
+def _random_fraction_form(rng, n, m):
+    """A seeded form whose values have signs and denominators up to BIG."""
+    entries = {}
+    for idx in itertools.product(range(1, n + 1), repeat=m):
+        if rng.random() < 0.4:
+            sign = rng.choice((-1, 1))
+            entries[idx] = Fraction(sign * rng.randint(1, 7), rng.choice((1, 2, 6, 35, BIG)))
+    return MultilinearForm(n, m, entries)
+
+
+def _seeded_polar_pairs():
+    """(wt, w) pairs from seeded forms with denominators in both slots: the
+    form against itself and a random tensor, and each one-site
+    nondegenerate form against a polar member scaled into w's own
+    denominators, the member moved by 1/d, and the empty tensor."""
+    pairs = []
+    for seed in range(60):
+        rng = random.Random(1000 + seed)
+        n, m = rng.choice((2, 3)), rng.choice((2, 3))
+        w = _random_fraction_form(rng, n, m)
+        pairs += [(w, w), (_random_fraction_form(rng, n, m), w)]
+        sol = polar(w)
+        if sol is None or not w.entries:
+            continue
+        coeffs = [rng.choice((0, 1, Fraction(-1, 3), Fraction(1, BIG))) for _ in sol.kernel_basis]
+        member = sol.member(coeffs)
+        empty = MultilinearForm(n, m, {})
+        pairs += [(member, w), (_moved(member, w), w), (empty, w), (w, empty), (empty, empty)]
+    return pairs
+
+
+def test_in_polar_agrees_with_flattening_products_on_seeded_fractions():
+    pairs = _seeded_polar_pairs()
+    for wt, w in pairs:
+        _contractions_agree_with_flattening_products(wt, w)
+
+    def denominators(f):
+        return {c.denominator for c in f.entries.values()}
+
+    # the seeds give members and non-members, and members whose both slots
+    # have denominators, one of them above 2^64
+    members = [(wt, w) for wt, w in pairs if in_polar(wt, w)]
+    assert 20 <= len(members) < len(pairs) // 2
+    assert any(
+        max(denominators(wt)) % BIG == 0 and max(denominators(w)) > 1 for wt, w in members
+    )
+
+
+def test_in_polar_keeps_each_forms_own_index():
+    # two forms of one shape with different polar spaces, queried in turns
+    a, b = W2, MultilinearForm(2, 3, {(1, 1, 1): 1, (1, 2, 2): Fraction(-1, 3)})
+    a_wt, b_wt = polar(a).particular, polar(b).particular
+    queries = [(a_wt, a), (b_wt, a), (a_wt, b), (b_wt, b), (a_wt.scale(2), a), (b_wt.scale(2), b)]
+    fresh = [
+        in_polar(wt, MultilinearForm(w.dim, w.arity, w.entries)) for wt, w in queries
+    ]
+    assert fresh == [True, False, False, True, False, False]
+    before = [(f, hash(f), repr(f)) for f in (a, b)]
+    for order in (queries, queries[::-1]):
+        got = [in_polar(wt, w) for wt, w in order]
+        assert got == (fresh if order is queries else fresh[::-1])
+        assert [polar_contraction(wt, w) for wt, w in order] == [
+            flattening(wt, 1).transpose() * flattening(w, w.arity) for wt, w in order
+        ]
+    # a queried form equals, hashes and prints as before and as an unqueried copy
+    for f, (h_before, r_before) in zip((a, b), ((h, r) for _, h, r in before)):
+        copy = MultilinearForm(f.dim, f.arity, f.entries)
+        assert f == copy and copy == f
+        assert hash(f) == h_before == hash(copy) and repr(f) == r_before == repr(copy)
+        assert len({f, copy}) == 1
+    # a form equal to b, not the same object, answers as b
+    twin = MultilinearForm(b.dim, b.arity, dict(b.entries))
+    assert twin is not b and twin == b
+    assert [in_polar(wt, twin) for wt in (a_wt, b_wt)] == [False, True]
+    assert [in_polar(wt, b) for wt in (a_wt, b_wt)] == [False, True]
+
+
+def test_in_polar_builds_no_fraction():
+    w = make_signature(4)
+    queries = [w.scale(rat(-1, 6)), w.scale(rat(1, 6)), polar(w).particular, w]
+    made = []
+
+    def watch(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == fractions.__file__:
+            if code.co_name in ("__new__", "_from_coprime_ints"):
+                made.append(code.co_name)
+
+    answers = []
+    sys.setprofile(watch)
+    try:
+        for wt in queries:
+            answers.append(in_polar(wt, w))
+    finally:
+        sys.setprofile(None)
+    assert answers == [True, False, True, False]
+    assert made == []
+    # the watch sees the Fractions the public contraction hands out
+    sys.setprofile(watch)
+    try:
+        polar_contraction(queries[0], w)
+    finally:
+        sys.setprofile(None)
+    assert made
 
 
 def test_q_inverse_from_polar():

@@ -671,6 +671,12 @@ def test_check_hom_flags_a_wrong_assignment():
     assert by_name["broken:us[1,1]"].status is Status.FAIL
     assert by_name["broken:us[1,1]"].detail == "normal form -1"
     assert by_name["broken:us[1,2]"].status is Status.PASS
+    # images with denominators: u -> u/2 and s -> s/2 send U S - I to
+    # U S / 4 - I, whose normal form -3/4 is shown divided by d e
+    halves = {g: NcPoly.from_gens(hwb.alphabet, [g]).scale(Fraction(1, 2)) for g in hwb.generators}
+    by_name = {r.name: r for r in check_hom(HomCandidate("half", hwb, hwb, halves), 4)}
+    assert by_name["half:us[1,1]"].detail == "normal form -3/4"
+    assert by_name["half:us[1,2]"].status is Status.PASS
 
 
 # -------------------------------------------------------- representations
