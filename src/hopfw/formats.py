@@ -85,6 +85,10 @@ def form_to_obj(w: MultilinearForm) -> dict:
     }
 
 
+_ENTRY_KEYS = frozenset({"idx", "c"})
+_INT = frozenset({int})  # the types of an index that is a plain list of ints
+
+
 def form_from_obj(obj) -> MultilinearForm:
     if not isinstance(obj, dict):
         raise FormFileError("form object must be a JSON object")
@@ -127,10 +131,6 @@ def form_from_obj(obj) -> MultilinearForm:
         return MultilinearForm(dim, arity, form_entries)
     except ValueError as exc:
         raise FormFileError(str(exc)) from None
-
-
-_ENTRY_KEYS = frozenset({"idx", "c"})
-_INT = frozenset({int})  # the types of an index that is a plain list of ints
 
 
 def _coefficient(i: int, c) -> Scalar:

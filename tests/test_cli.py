@@ -137,7 +137,10 @@ def _entries(*pairs):
         # the first bad entry is named, whichever of its index and
         # coefficient is bad, before any repeat, shape or range is read
         (_entries(([1, 1, 2], "x"), ([1, True, 2], "1")), "entry 0: not a rational literal: 'x'"),
-        (_entries(([1, 1.0, 2], "1"), ([1, 1, 2], 0.5)), "entry 0: idx must be a list of integers"),
+        (
+            _entries(([1, 1.0, 2], "1"), ([1, 1, 2], 0.5)),
+            "entry 0: idx must be a list of integers",
+        ),
         (
             _entries(([1, 1, 2], "1"), ([1, 1, 2], "1/0")),
             "entry 1: zero denominator in rational literal: '1/0'",

@@ -298,10 +298,10 @@ def _random_fraction_form(rng, n, m):
 
 
 def _seeded_polar_pairs():
-    """(wt, w) pairs from seeded forms with denominators in both slots: the
-    form against itself and a random tensor, and each one-site
-    nondegenerate form against a polar member scaled into w's own
-    denominators, the member moved by 1/d, and the empty tensor."""
+    """(wt, w) pairs from seeded forms with denominators in both slots: each
+    form against itself and against a random tensor, and each one-site
+    nondegenerate form against a polar member (kernel coefficients among 1,
+    -1/3 and 1/BIG), that member moved by 1/d, and the empty tensor."""
     pairs = []
     for seed in range(60):
         rng = random.Random(1000 + seed)
@@ -344,7 +344,7 @@ def test_in_polar_keeps_each_forms_own_index():
         in_polar(wt, MultilinearForm(w.dim, w.arity, w.entries)) for wt, w in queries
     ]
     assert fresh == [True, False, False, True, False, False]
-    before = [(f, hash(f), repr(f)) for f in (a, b)]
+    before = [(hash(f), repr(f)) for f in (a, b)]
     for order in (queries, queries[::-1]):
         got = [in_polar(wt, w) for wt, w in order]
         assert got == (fresh if order is queries else fresh[::-1])
@@ -352,10 +352,10 @@ def test_in_polar_keeps_each_forms_own_index():
             flattening(wt, 1).transpose() * flattening(w, w.arity) for wt, w in order
         ]
     # a queried form equals, hashes and prints as before and as an unqueried copy
-    for f, (h_before, r_before) in zip((a, b), ((h, r) for _, h, r in before)):
+    for f, (h, r) in zip((a, b), before):
         copy = MultilinearForm(f.dim, f.arity, f.entries)
         assert f == copy and copy == f
-        assert hash(f) == h_before == hash(copy) and repr(f) == r_before == repr(copy)
+        assert hash(f) == h == hash(copy) and repr(f) == r == repr(copy)
         assert len({f, copy}) == 1
     # a form equal to b, not the same object, answers as b
     twin = MultilinearForm(b.dim, b.arity, dict(b.entries))
@@ -375,21 +375,19 @@ def test_in_polar_builds_no_fraction():
             if code.co_name in ("__new__", "_from_coprime_ints"):
                 made.append(code.co_name)
 
-    answers = []
-    sys.setprofile(watch)
-    try:
-        for wt in queries:
-            answers.append(in_polar(wt, w))
-    finally:
-        sys.setprofile(None)
+    def watched(call):
+        outer = sys.getprofile()
+        sys.setprofile(watch)
+        try:
+            return call()
+        finally:
+            sys.setprofile(outer)
+
+    answers = [watched(lambda: in_polar(wt, w)) for wt in queries]
     assert answers == [True, False, True, False]
     assert made == []
     # the watch sees the Fractions the public contraction hands out
-    sys.setprofile(watch)
-    try:
-        polar_contraction(queries[0], w)
-    finally:
-        sys.setprofile(None)
+    watched(lambda: polar_contraction(queries[0], w))
     assert made
 
 
