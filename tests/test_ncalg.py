@@ -11,6 +11,8 @@ from hopfw.ncalg import (
     NcPoly,
     PolyMatrix,
     TensorSquare,
+    _read_canonical_terms,
+    _read_terms,
     coproduct_image,
     deglex_key,
     matric_family,
@@ -251,6 +253,35 @@ def test_writer_matches_the_fraction_writer_on_seeded_values():
     t = TensorSquare(a, {("", g("x1")): rat(-3, 2), (g("u[1,1]"), ""): 1, ("", ""): 2**65})
     assert t.to_str() == _fraction_text(t) == "u[1,1]#1 - 3/2*1#x1 + 36893488147419103232*1#1"
     assert parse_tensor(a, t.to_str()) == t
+
+
+def test_a_canonical_text_reads_alone_as_it_reads_in_bulk():
+    # the term reader of one text and the bulk reader of a dump's canonical
+    # texts give the same terms in the same order, each value an int when
+    # it is integral and a Fraction otherwise; negative values, values above
+    # 2**64, unit numerators, the constant term and the zero polynomial
+    rng = random.Random(1224)
+    a = Alphabet(matric_family("u", 2) + matric_family("s", 2) + [Generator.free("x1")])
+    letters = [a.char(g) for g in a.generators]
+    big = 2**64
+
+    def word():
+        return "".join(rng.choice(letters) for _ in range(rng.choice((0, 0, 1, 2, 3))))
+
+    def coeff():
+        num = rng.choice((1, -1, rng.randint(-9, 9), big + rng.randrange(big), -3 * big - 1))
+        return rat(num, rng.choice((1, 1, 2, 7, 12, big + 1)))
+
+    texts = ["0", "1", "-1", f"-{big + 3}", f"1/{big + 1}*x1 - 1/2"]
+    while len(texts) < 500:
+        texts.append(NcPoly(a, {word(): coeff() for _ in range(rng.randint(0, 6))}).to_str())
+    assert {"0"} < set(texts)
+    for text in texts:
+        alone, in_bulk = _read_terms(a, text), _read_canonical_terms(a, [text])[0]
+        assert list(alone.items()) == list(in_bulk.items()), text
+        assert [type(c) for c in alone.values()] == [type(c) for c in in_bulk.values()], text
+        assert all(type(c) is int or c.denominator > 1 for c in alone.values()), text
+    assert _read_canonical_terms(a, texts) == [_read_terms(a, text) for text in texts]
 
 
 def test_spaced_and_respelled_text_reads_as_the_canonical_text():

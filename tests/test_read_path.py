@@ -9,17 +9,31 @@ and sums whose normal form is integral although the query is not.  A dump
 is read against a reference built from each rule line by ``parse_poly``
 and the constructor, so any way of reading a dump must give the same
 system; a dump with one rule line spelled another way must read the same.
+A presentation dump is read, in the same way, against a reference built
+from each of its lines by ``parse_poly``, ``parse_tensor`` and
+``parse_rational``, and each refusal is pinned word for word with the line
+it names.
 """
 
 import functools
+import itertools
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from hopfw.hopf import system_for
-from hopfw.ncalg import Alphabet, Generator, NcPoly, parse_poly
+from hopfw.exactnum import parse_rational
+from hopfw.formats import dump_presentation, parse_presentation
+from hopfw.hopf import HopfStructure, Presentation, build_presentation, system_for
+from hopfw.ncalg import (
+    Alphabet,
+    Generator,
+    NcPoly,
+    parse_generator_token,
+    parse_poly,
+    parse_tensor,
+)
 from hopfw.rewrite import (
     NotCertifiedError,
     RewriteSystem,
@@ -31,6 +45,7 @@ from hopfw.rewrite import (
 )
 from slice_oracle import reduce_by_slices
 from test_golden import PRESENTATIONS, SYSTEM_DEGREES
+from test_hopf import _seeded_form
 from test_rewrite import _random_completions
 
 # denominators of every kind, and values above 2**64 with and without one
@@ -393,3 +408,176 @@ def test_a_tail_that_sums_repeated_words_loads_as_their_sum():
         "r*q": parse_poly(a, "2*p*p"),
     }
     assert system == _reference_load(_HEAD + "rule r*r -> 2*q\nrule q*q -> 0\nrule r*q -> 2*p*p\n")
+
+
+# ---------------------------------------------------------------------------
+# loading presentation dumps
+
+
+def _reference_presentation(text: str) -> Presentation:
+    """A presentation dump read line by line: each relation and antipode
+    body by ``parse_poly``, each delta by ``parse_tensor``, each counit by
+    ``parse_rational``."""
+    header: dict[str, str] = {}
+    labels, relations = [], []
+    maps: dict[str, dict] = {"delta": {}, "counit": {}, "antipode": {}}
+    for line in filter(None, map(str.strip, text.splitlines())):
+        head, _, rest = line.partition(" ")
+        if head == "generators":
+            generators = [parse_generator_token(t) for t in rest.split()]
+            alphabet = Alphabet(generators)
+        elif head == "relation":
+            label, _, body = rest.partition(": ")
+            labels.append(label)
+            relations.append(parse_poly(alphabet, body))
+        elif head in maps:
+            g, _, body = rest.partition(" -> ")
+            read = {"delta": parse_tensor, "antipode": parse_poly}.get(head)
+            value = read(alphabet, body) if read else parse_rational(body)
+            maps[head][parse_generator_token(g)] = value
+        else:
+            header[head] = rest
+    delta, counit, antipode = maps.values()
+    return Presentation(
+        kind=header["algebra"],
+        n=int(header["n"]),
+        m=int(header["m"]),
+        alphabet=alphabet,
+        generators=tuple(generators),
+        relations=tuple(relations),
+        relation_labels=tuple(labels),
+        structure=HopfStructure(delta, counit, antipode or None) if delta else None,
+    )
+
+
+def _seeded_presentations(count: int) -> list[Presentation]:
+    """Presentations of every kind that builds from seeded forms, each form
+    scaled by a value with a sign, a denominator or more than 64 bits, so
+    that relations carry such values."""
+    rng = random.Random("seeded presentations")
+    out = []
+    for seed in itertools.count():
+        w = _seeded_form(seed).scale(rng.choice(_COEFFICIENTS))
+        for kind in ("bw", "hw", "hb", "hww"):
+            try:
+                out.append(build_presentation(kind, w))
+            except ValueError:  # degenerate, not preregular or not bilinear
+                continue
+        if len(out) >= count:
+            return out[:count]
+
+
+def _polynomials(pres: Presentation) -> list[NcPoly]:
+    """The relations, then the antipode images."""
+    antipode = pres.structure and pres.structure.antipode
+    return [*pres.relations, *(antipode or {}).values()]
+
+
+def _assert_reads_as_line_by_line(text: str) -> Presentation:
+    """``parse_presentation`` reads the dump to the presentation that its
+    lines give one by one, every value a Fraction and every polynomial's
+    terms in the same order, and the result dumps the same bytes."""
+    pres, want = parse_presentation(text), _reference_presentation(text)
+    assert pres == want
+    for p, q in zip(_polynomials(pres), _polynomials(want), strict=True):
+        assert list(p.terms.items()) == list(q.terms.items()), p.to_str()
+        assert all(type(c) is Fraction for c in p.terms.values()), p.to_str()
+    if pres.structure is not None:
+        assert all(type(c) is Fraction for c in pres.structure.counit.values())
+        for t in pres.structure.delta.values():
+            assert all(type(c) is Fraction for c in t.terms.values())
+    assert dump_presentation(pres) == text
+    return pres
+
+
+@pytest.mark.parametrize("key", sorted(PRESENTATIONS))
+def test_a_golden_presentation_dump_reads_as_its_lines_one_by_one(key):
+    text = dump_presentation(PRESENTATIONS[key]())
+    _assert_reads_as_line_by_line(text)
+
+
+def test_seeded_presentation_dumps_read_as_their_lines_one_by_one():
+    presentations = _seeded_presentations(50)
+    assert {p.kind for p in presentations} == {"bw", "hw", "hb", "hww"}
+    values = set()
+    for pres in presentations:
+        back = _assert_reads_as_line_by_line(dump_presentation(pres))
+        assert back.relations == pres.relations, pres.label()
+        values |= {c for p in back.relations for c in p.terms.values()}
+    # the relations carry values with and without denominators, of both
+    # signs and of more than 64 bits
+    assert {c.denominator > 1 for c in values} == {False, True}
+    assert min(values) < 0 < max(values) and max(map(abs, values)) > _BIG
+
+
+def test_a_presentation_dump_with_a_respelled_relation_line_reads_the_same():
+    text = dump_presentation(PRESENTATIONS["hw-cyclic2"]())
+    respelled = text.replace(
+        "relation us[1,1]: u[1,2]*s[2,1] + u[1,1]*s[1,1] - 1\n",
+        "relation us[1,1]: u[1,2]*s[2,1] + u[01,1] * s[1,1] - 1\n",
+    )
+    assert respelled != text
+    assert parse_presentation(respelled) == parse_presentation(text)
+    assert dump_presentation(parse_presentation(respelled)) == text
+
+
+def _hw_cyclic2_lines(changes: dict[int, str], extra: str = "") -> str:
+    """The hw(cyclic2) dump with the lines numbered in ``changes`` replaced,
+    and ``extra`` after its last line."""
+    lines = dump_presentation(PRESENTATIONS["hw-cyclic2"]()).splitlines()
+    for lineno, line in changes.items():
+        lines[lineno - 1] = line
+    return "\n".join(lines) + "\n" + extra
+
+
+# (dump, the refusal word for word): a body that does not read names its
+# line, also when a later line would be refused too
+_PRESENTATION_REFUSED = [
+    (
+        _hw_cyclic2_lines({6: "relation us[1,2]: u[1,2]*v[2,2] + u[1,1]*s[1,2]"}),
+        "line 6: generator v[2,2] not in alphabet",
+    ),
+    (
+        _hw_cyclic2_lines({6: "relation us[1,2]: u[1,2]*x + u[1,1]*s[1,2]"}),
+        "line 6: generator x not in alphabet",
+    ),
+    (
+        _hw_cyclic2_lines({7: "relation us[2,1]: 1/0*u[2,2]*s[2,1] + u[2,1]*s[1,1]"}),
+        "line 7: zero denominator in rational literal: '1/0'",
+    ),
+    (
+        _hw_cyclic2_lines({8: "relation us[2,2]: u[2,2]*s[2,2] + u[2,1]*s[1,2] -"}),
+        "line 8: dangling sign at the end",
+    ),
+    (
+        _hw_cyclic2_lines({44: "antipode s[2,2] -> u[2,2] +"}),
+        "line 44: dangling sign at the end",
+    ),
+    (
+        _hw_cyclic2_lines({}, "delta u[1,1] -> u[1,1]#u[1,1]\n"),
+        "line 45: second delta line for u[1,1]",
+    ),
+    (
+        _hw_cyclic2_lines(
+            {9: "relation tus[1,1]: u[2,1]*s[1,2] + u[1,1]*s[1,1] - 1/0"},
+            "delta u[1,1] -> u[1,1]#u[1,1]\n",
+        ),
+        "line 9: zero denominator in rational literal: '1/0'",
+    ),
+    (
+        _hw_cyclic2_lines(
+            {9: "relation tus[1,1]: u[2,1]*s[1,2] + u[1,1]*s[1,1] - 1 +"},
+            "delta u[1,1] -> u[1,1]#u[1,1]\n",
+        ),
+        "line 9: dangling sign at the end",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "bad, message", _PRESENTATION_REFUSED, ids=[m for _, m in _PRESENTATION_REFUSED]
+)
+def test_a_refused_presentation_dump_names_the_line_it_meets_first(bad, message):
+    with pytest.raises(ValueError) as info:
+        parse_presentation(bad)
+    assert str(info.value) == message
