@@ -204,9 +204,6 @@ class Matrix:
                 )
         return Matrix(self.rows, other.cols, out)
 
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and self == Matrix.identity(self.rows)
-
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 

@@ -35,14 +35,17 @@ and a system dump (``RewriteSystem.dump``)::
     rule u[2,1]*u[1,1] -> -u[1,1]*u[2,1] + s[2,1]
 
 Polynomials and tensors are written in the text grammar of :mod:`hopfw.ncalg`,
-whose ``read_dump`` and ``write_dump`` read and write both dumps.  Every fact
-is stated once: a header field, the one ``generators`` line (before any
-fact, naming each generator once), a ``delta``, ``counit`` or ``antipode``
-line for one generator, a rule for one lead.  The ``delta`` and ``counit``
-lines cover every generator or none, and so do the ``antipode`` lines.  In a
-presentation dump each matric family on the ``generators`` line is whole: it
-names g[r,c] for every r, c in 1..n and no other g[r,c], so a wrong ``n``
-header is refused rather than checked on part of the generators.
+whose ``read_dump`` and ``write_dump`` read and write both dumps; the
+polynomials of a dump as it is written are read all at once, and of any
+other dump line by line (``parse_presentation``, ``RewriteSystem.parse``).
+Every fact is stated once: a header field, the one ``generators`` line
+(before any fact, naming each generator once), a ``delta``, ``counit`` or
+``antipode`` line for one generator, a rule for one lead.  The ``delta``
+and ``counit`` lines cover every generator or none, and so do the
+``antipode`` lines.  In a presentation dump each matric family on the
+``generators`` line is whole: it names g[r,c] for every r, c in 1..n and no
+other g[r,c], so a wrong ``n`` header is refused rather than checked on
+part of the generators.
 """
 
 from __future__ import annotations
@@ -50,13 +53,14 @@ from __future__ import annotations
 import functools
 import json
 
-from .exactnum import Scalar, format_rational, parse_rational, rat
+from .exactnum import Scalar, format_rational, fraction_terms, parse_rational, rat
 from .forms import MultilinearForm
 from .hopf import _ALGEBRAS, HopfStructure, Presentation
 from .ncalg import (
     Alphabet,
     NcPoly,
     TensorSquare,
+    _read_canonical_terms,
     matric_family,
     parse_generator_token,
     parse_poly,
@@ -184,11 +188,12 @@ def _kind(rest: str) -> str:
 # the header fields of a presentation dump and their readers
 _HEADER = {"algebra": _kind, "n": int, "m": int}
 
-# the reader and the writer of the value on each structure line
+# the reader and the writer of the value on each structure line; an
+# antipode image is a polynomial, read as a relation's body is
 _MAPS = {
     "delta": (parse_tensor, TensorSquare.to_str),
     "counit": (lambda alphabet, body: parse_rational(body.strip()), format_rational),
-    "antipode": (parse_poly, NcPoly.to_str),
+    "antipode": (None, NcPoly.to_str),
 }
 
 
@@ -207,8 +212,22 @@ def dump_presentation(pres: Presentation) -> str:
 
 
 def parse_presentation(text: str) -> Presentation:
+    """Read a presentation dump: its relation and antipode bodies in one
+    ``_read_canonical_terms`` call, as ``RewriteSystem.parse`` reads rule
+    lines.  A dump that does not read that way, or is refused, is read again
+    line by line with ``parse_poly``, so a refusal names its first bad line."""
+    try:
+        return _read_presentation(text, at_once=True)
+    except (KeyError, ValueError):
+        return _read_presentation(text, at_once=False)
+
+
+def _read_presentation(text: str, at_once: bool) -> Presentation:
+    """The presentation of a dump, each relation and antipode body read on
+    its line by ``parse_poly``, or kept and all read after the last line."""
+    read_poly = (lambda alphabet, body: body.strip()) if at_once else parse_poly
     labels: list[str] = []
-    relations: list[NcPoly] = []
+    relations: list = []
     maps: dict[str, dict] = {head: {} for head in _MAPS}
 
     def relation(alphabet: Alphabet, rest: str) -> None:
@@ -216,7 +235,7 @@ def parse_presentation(text: str) -> Presentation:
         if not sep:
             raise ValueError("relation line needs 'label: polynomial'")
         labels.append(label.strip())
-        relations.append(parse_poly(alphabet, body))
+        relations.append(read_poly(alphabet, body))
 
     def structure_line(head: str, alphabet: Alphabet, rest: str) -> None:
         gtok, sep, body = rest.partition("->")
@@ -227,10 +246,15 @@ def parse_presentation(text: str) -> Presentation:
             raise ValueError(f"{head} of {g.token()}, which is not a generator")
         if g in maps[head]:
             raise ValueError(f"second {head} line for {g.token()}")
-        maps[head][g] = _MAPS[head][0](alphabet, body)
+        maps[head][g] = (_MAPS[head][0] or read_poly)(alphabet, body)
 
     facts = {head: functools.partial(structure_line, head) for head in _MAPS}
     header, generators, alphabet = read_dump(text, _HEADER, {"relation": relation, **facts})
+    if at_once and (texts := [*relations, *maps["antipode"].values()]):
+        terms = _read_canonical_terms(alphabet, texts)
+        polys = [NcPoly._adopt(alphabet, fraction_terms(t)) for t in terms]
+        maps["antipode"] = dict(zip(maps["antipode"], polys[len(relations) :]))
+        relations = polys[: len(relations)]
     if min(header["n"], header["m"]) < 1:
         raise ValueError(f"n {header['n']} and m {header['m']} must be at least 1")
     delta, counit, antipode = maps.values()

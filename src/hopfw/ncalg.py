@@ -40,14 +40,13 @@ generator, such as ``u[01,1]``, is read by :func:`parse_generator_token`.
 The writer spells every word of an element in one ``str.translate`` and
 writes each coefficient from its ``numerator`` and ``denominator``, which an
 engine ``int`` has too, so no ``Fraction`` is compared, negated or printed.
-The reader, ``_read_terms``, reads canonical text, the way ``to_str``
-writes it, with no call per term, and sends a text in any other spelling
-whole down the per-token path of ``_read_monomial``; both read a text to
-the same terms and only the second words a refusal.  Many canonical texts
-at once, the rule lines of a system dump, are read by
-``_read_canonical_words`` and ``_read_canonical_terms`` with no call per
-text or per term; when one of them does not read that way they raise
-KeyError, and the caller reads the texts one by one.
+The canonical texts of a dump, the way ``to_str`` writes them, are read
+all at once by ``_read_canonical_words`` and ``_read_canonical_terms``,
+with no call per text or per term; they raise KeyError on a text that does
+not read that way, and the caller reads the dump again line by line.  Every
+other text is read by ``_read_terms``, token by token through
+``_read_monomial``, in any spelling and to the same terms; it words each
+refusal.
 """
 
 from __future__ import annotations
@@ -247,8 +246,6 @@ def deglex_key(word: str) -> tuple[int, list[int]]:
 
 
 _SIGNS = re.compile(r"([+-][\s+-]*)")
-# the separators of canonical text, by the number of legs of a term
-_SPLIT = {1: re.compile(" ([+-]) "), 2: re.compile(" ([+-]) |#")}
 _COEFFICIENT = re.compile(r"\d+(?:/\d+)?")
 # canonical texts read together, one text a line: each monomial is a field
 # that a tab opens and the next field's ``*`` ends, and each field starts
@@ -265,7 +262,7 @@ def _read_monomial(alphabet: Alphabet, text: str) -> tuple[str, int | Scalar]:
     any spelling; an integral coefficient is an int.  Tokens spelled the
     canonical way are one lookup each in the alphabet's token table; any
     other spelling goes through ``Alphabet._letter``.  It reads a rule's
-    lead and each term that ``_read_terms`` does not read itself."""
+    lead and each term of ``_read_terms``."""
     tokens = text.strip().split("*")
     head = tokens[0]
     coeff: int | Scalar = 1
@@ -282,55 +279,36 @@ def _read_monomial(alphabet: Alphabet, text: str) -> tuple[str, int | Scalar]:
 
 
 def _read_terms(alphabet: Alphabet, text: str, legs: int = 1) -> dict:
-    """The terms of a text of the grammar as a dict key -> nonzero
-    coefficient, an integral coefficient as an int; a key is a word, or a
-    pair of words with ``legs`` 2.  Polynomials, tensors and the tails of a
-    rewrite system's dump are all read here.
-
-    Canonical text, the way ``to_str`` writes it, is read with no call per
-    term: one split on the spaced signs (and on ``#``), then for each
-    monomial a split on ``*``, one ``isdecimal`` test of its head and one
-    lookup of each token in the alphabet's token table.  When a monomial
-    does not read that way, the whole text goes through the per-token path,
-    ``_read_monomial``, which reads every other spelling and words each
-    refusal."""
-    body = text.strip()
-    if body == "0":
-        return {}
-    letter = alphabet._letter_of.__getitem__
-    negative = body[:1] == "-"
-    # [monomial, sign, monomial, ...]; a tensor's legs are split by a None
-    parts = _SPLIT[legs].split(body[negative:])
-    monomials, signs = parts[::2], ["-" if negative else "+", *parts[1::2]]
-    words, coeffs = [], []
-    try:
-        if legs == 2 and (len(monomials) % 2 or any(signs[1::2]) or None in signs[2::2]):
-            raise KeyError(body)  # a term without exactly one #
-        for sign, monomial in zip(signs, monomials):
-            tokens = monomial.split("*")
-            head = tokens[0]
-            c = 1
-            if head.isdecimal():
-                c = int(head)
-                del tokens[0]
-            elif "/" in head:
-                num, _, den = head.partition("/")
-                if not (num.isdecimal() and den.isdecimal() and int(den)):
-                    raise KeyError(head)
-                c = lean(Scalar(int(num), int(den)))
-                del tokens[0]
-            words.append("".join(map(letter, tokens)))
-            coeffs.append(-c if sign == "-" else c)
-    except (KeyError, ValueError):  # a token or head it does not read
-        terms = _read_spelled_terms(alphabet, text, legs)
-        return {k: c for k, c in terms.items() if c}
-    if legs == 2:
-        words = list(zip(words[::2], words[1::2]))
-        coeffs = list(map(operator.mul, coeffs[::2], coeffs[1::2]))
-    terms = dict(zip(words, coeffs))
-    if len(terms) == len(words) and all(coeffs):
-        return terms
-    return _summed(words, coeffs)
+    """The terms of a text of the grammar in any spelling, as a dict key ->
+    nonzero coefficient, an integral coefficient as an int; a key is a
+    word, or a pair of words with ``legs`` 2.  Each term is read by
+    ``_read_monomial``, which words each refusal."""
+    if text.strip() == "0":
+        return {}  # the zero of either kind: no tensor term spells it
+    # [term, signs, term, signs, ...]; the first term is blank when the
+    # text opens with a sign
+    parts = _SIGNS.split(text)
+    if parts[0].strip():
+        parts.insert(0, "+")
+    elif len(parts) > 1:
+        del parts[0]
+    else:
+        raise ValueError("empty text")
+    if not parts[-1].strip():
+        raise ValueError("dangling sign at the end")
+    keys, coeffs = [], []
+    for signs, body in zip(parts[::2], parts[1::2]):
+        if legs == 1:
+            key, c = _read_monomial(alphabet, body)
+        else:
+            split = body.split("#")
+            if len(split) != 2:
+                raise ValueError(f"tensor term needs exactly one #: {body.strip()!r}")
+            (w1, c1), (w2, c2) = (_read_monomial(alphabet, leg) for leg in split)
+            key, c = (w1, w2), c1 * c2
+        keys.append(key)
+        coeffs.append(-c if signs.count("-") % 2 else c)
+    return _summed(keys, coeffs)
 
 
 def _summed(keys: list, coeffs: list) -> dict:
@@ -411,36 +389,6 @@ def _read_canonical_terms(alphabet: Alphabet, texts: Sequence[str]) -> list[dict
         starts = list(accumulate(lengths, initial=0))
         out = [_summed(words[i:j], coeffs[i:j]) for i, j in zip(starts, starts[1:])]
     return out
-
-
-def _read_spelled_terms(alphabet: Alphabet, text: str, legs: int) -> dict:
-    """``_read_terms`` of a text in any spelling of the grammar, each term
-    read by ``_read_monomial``; zero sums are kept."""
-    # [term, signs, term, signs, ...]; the first term is blank when the
-    # text opens with a sign
-    parts = _SIGNS.split(text)
-    if parts[0].strip():
-        parts.insert(0, "+")
-    elif len(parts) > 1:
-        del parts[0]
-    else:
-        raise ValueError("empty text")
-    if not parts[-1].strip():
-        raise ValueError("dangling sign at the end")
-    terms: dict = {}
-    for signs, body in zip(parts[::2], parts[1::2]):
-        if legs == 1:
-            key, c = _read_monomial(alphabet, body)
-        else:
-            split = body.split("#")
-            if len(split) != 2:
-                raise ValueError(f"tensor term needs exactly one #: {body.strip()!r}")
-            (w1, c1), (w2, c2) = (_read_monomial(alphabet, leg) for leg in split)
-            key, c = (w1, w2), c1 * c2
-        if signs.count("-") % 2:
-            c = -c
-        terms[key] = terms[key] + c if key in terms else c  # add only to a repeat
-    return terms
 
 
 class _LinearCombination:

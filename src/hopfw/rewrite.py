@@ -56,8 +56,10 @@ Implementation notes, sized for thousands of rules:
   :mod:`~hopfw.exactnum` converts between the two forms.  Input relations
   enter through ``lean_terms``, and a dump's tails are read straight into
   this form: the rule lines of a canonical dump all at once
-  (``_read_canonical_words`` and ``_read_canonical_terms``), any other dump
-  line by line with the term reader behind ``parse_poly``.
+  (``_read_canonical_words`` and ``_read_canonical_terms``, the bulk reader
+  that also reads a presentation dump's relations), any other dump line by
+  line with ``_read_terms``, the one token-by-token reader, which is behind
+  ``parse_poly`` too.
   Every reader reduces through one private entry, ``_reduce``: it checks the
   alphabet and the certified degree, multiplies the terms by the least
   common multiple d of the set of their denominators (``cleared_terms``),

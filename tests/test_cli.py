@@ -392,6 +392,51 @@ def test_analyze_signature_6(tmp_path, capsys):
     assert "polar_affine_dimension: 46620" in out
 
 
+@pytest.mark.parametrize(
+    "name, builder, entries",
+    [
+        ("signature-9", "make_signature", "9!"),
+        ("signature-10", "make_signature", "10!"),
+        ("signature-1000000000", "make_signature", "1000000000!"),
+        ("orthogonal-100001-2", "make_orthogonal", "100001"),
+    ],
+)
+def test_example_refuses_an_example_of_too_many_entries(
+    name, builder, entries, tmp_path, capsys, monkeypatch
+):
+    def build(*args):
+        raise AssertionError("the example was built")
+
+    # the refusal comes before any entry is enumerated
+    monkeypatch.setattr(cli, builder, build)
+    path = tmp_path / "big.json"
+    assert main(["example", name, "--out", str(path)]) == 3
+    assert not path.exists()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"hopfw: error: example {name} would hold {entries} entries,"
+        f" above the bound of {cli.EXAMPLE_MAX_ENTRIES}\n"
+    )
+    assert cli.EXAMPLE_MAX_ENTRIES == 100_000
+
+
+@pytest.mark.parametrize(
+    "name, builder, args",
+    [
+        ("signature-8", "make_signature", (8,)),
+        ("orthogonal-100000-2", "make_orthogonal", (100_000, 2)),
+    ],
+)
+def test_example_builds_an_example_at_the_bound(name, builder, args, tmp_path, monkeypatch):
+    # 8! = 40 320 and 100 000 entries are built; a small form stands in for
+    # each, so that nothing large is enumerated here
+    built = []
+    monkeypatch.setattr(cli, builder, lambda *a: built.append(a) or W2)
+    assert main(["example", name, "--out", str(tmp_path / "w.json")]) == 0
+    assert built == [args]
+
+
 def test_analyze_refuses_a_form_whose_flattenings_hold_too_many_entries(
     tmp_path, capsys, monkeypatch
 ):

@@ -23,6 +23,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopfw import formats
 from hopfw.exactnum import parse_rational
 from hopfw.formats import dump_presentation, parse_presentation
 from hopfw.hopf import HopfStructure, Presentation, build_presentation, system_for
@@ -519,6 +520,22 @@ def test_a_presentation_dump_with_a_respelled_relation_line_reads_the_same():
     assert respelled != text
     assert parse_presentation(respelled) == parse_presentation(text)
     assert dump_presentation(parse_presentation(respelled)) == text
+
+
+def test_a_canonical_presentation_dump_reads_its_polynomials_at_once(monkeypatch):
+    text = dump_presentation(PRESENTATIONS["hww-cyclic2"]())
+    respelled = text.replace("*", " * ", 1)
+    want = parse_presentation(text)
+    assert parse_presentation(respelled) == want
+
+    def one_by_one(alphabet, body):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(formats, "parse_poly", one_by_one)
+    assert parse_presentation(text) == want
+    # a dump with a line in another spelling is read line by line
+    with pytest.raises(AssertionError, match="^read line by line$"):
+        parse_presentation(respelled)
 
 
 def _hw_cyclic2_lines(changes: dict[int, str], extra: str = "") -> str:
