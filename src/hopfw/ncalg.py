@@ -252,7 +252,7 @@ _COEFFICIENT = re.compile(r"\d+(?:/\d+)?")
 # with its sign and magnitude (a constant is all sign and magnitude, and its
 # word the token 1).  Every pattern starts with the tab, which the regex
 # engine searches for directly
-_OPENINGS = re.compile(r"\t(-?)([0-9]+(?:/[0-9]+)?)?")
+_OPENINGS = re.compile(r"\t(-?(?:[0-9]+(?:/[0-9]+)?)?)")
 _CONSTANTS = re.compile(r"\t-?[0-9]+(?:/[0-9]+)?(?=\*[\t\n]|\Z)")
 _SIGNS_AND_FACTORS = re.compile(r"\t(?:-?[0-9]+(?:/[0-9]+)?\*(?![\t\n])|-)")
 
@@ -320,11 +320,14 @@ def _summed(keys: list, coeffs: list) -> dict:
 
 
 class _Openings(dict):
-    """(sign, magnitude) -> the coefficient a canonical monomial opens with,
-    each distinct one read once; a zero denominator is not canonical."""
+    """The opening of a canonical monomial, its sign and magnitude in one
+    string -> its coefficient, each distinct one read once; a zero
+    denominator is not canonical.  One string, not a (sign, magnitude)
+    tuple: a batch then makes no container per term for the collector."""
 
-    def __missing__(self, opening: tuple[str, str]) -> int | Scalar:
-        sign, magnitude = opening
+    def __missing__(self, opening: str) -> int | Scalar:
+        negative = opening[:1] == "-"
+        magnitude = opening[negative:]
         c: int | Scalar = 1
         if "/" in magnitude:
             num, _, den = magnitude.partition("/")
@@ -333,7 +336,7 @@ class _Openings(dict):
             c = lean(Scalar(int(num), int(den)))
         elif magnitude:
             c = int(magnitude)
-        self[opening] = c = -c if sign else c
+        self[opening] = c = -c if negative else c
         return c
 
 
