@@ -428,6 +428,21 @@ def test_axiom_suite_reports_uncertified_antipode_checks():
     assert [r.name for r in results] == [r.name for r in hopf_axiom_suite(ah, 6)]
 
 
+def test_antipode_sums_follow_the_flipped_coproduct_of_s():
+    # Q = [[4,5],[-1,-1]] does not commute with U, so S(s) = Q^-1 U Q meets
+    # s only through s's own coproduct, s[i,j] -> sum_k s[k,j] (x) s[i,k]
+    hw = build_hw(make_bilinear([[1, 2], [3, 5]]))
+    results = hopf_axiom_suite(hw, 4)
+    labels = hw.relation_labels
+    sums = [f"antipode-{side}:{g.token()}" for g in hw.generators for side in ("left", "right")]
+    assert [r.name for r in results] == [
+        *(f"{check}:{label}" for check in ("counit", "coproduct", "antipode-ideal") for label in labels),
+        *sums,
+    ]
+    assert len(results) == 52
+    assert all_pass(results)
+
+
 def test_suites_are_uncertified_above_a_dumps_complete_through(hw2):
     # a dump may certify less than its degree: the coproduct checks of the
     # cubic relations go through normal_form, which refuses above degree 2
@@ -442,14 +457,85 @@ def test_suites_are_uncertified_above_a_dumps_complete_through(hw2):
     assert status_counts(suite) == {Status.PASS: 48, Status.UNCERTIFIED: 16}
 
 
-def _free_presentation(relations, delta):
-    """A parsed presentation over free generators, zero counit, no antipode."""
+def _free_presentation(relations, delta, counit=None, antipode=None):
+    """A parsed presentation over free generators; the counit is zero where
+    ``counit`` gives none, and there is no antipode unless one is given."""
     gens = sorted(delta)
     lines = ["algebra hw", "n 1", "m 2", "generators " + " ".join(gens)]
     lines += [f"relation r{i}: {r}" for i, r in enumerate(relations)]
     lines += [f"delta {g} -> {delta[g]}" for g in gens]
-    lines += [f"counit {g} -> 0" for g in gens]
+    lines += [f"counit {g} -> {(counit or {}).get(g, 0)}" for g in gens]
+    lines += [f"antipode {g} -> {antipode[g]}" for g in antipode or ()]
     return parse_presentation("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "s_x, detail",
+    [("x", "normal form 2*x"), ("1/2*x", "normal form 3/2*x"), ("-x", None)],
+)
+def test_antipode_sums_run_on_free_generators(s_x, detail):
+    # primitive x and y: both sums of x are S(x) + x, which vanishes only
+    # for S(x) = -x
+    primitive = {"x": "x#1 + 1#x", "y": "y#1 + 1#y"}
+    pres = _free_presentation(["x*y - y*x"], primitive, antipode={"x": s_x, "y": "-y"})
+    results = hopf_axiom_suite(pres, 2)
+    assert [r.name for r in results] == [
+        "counit:r0",
+        "coproduct:r0",
+        "antipode-ideal:r0",
+        "antipode-left:x",
+        "antipode-right:x",
+        "antipode-left:y",
+        "antipode-right:y",
+    ]
+    failed = [(r.name, r.detail) for r in results if r.status is not Status.PASS]
+    if detail is None:
+        assert failed == []
+    else:
+        assert failed == [("antipode-left:x", detail), ("antipode-right:x", detail)]
+
+
+def test_antipode_left_and_right_sums_are_told_apart():
+    # grouplike g and h with g*h = 1 alone: S(g) = h is a right inverse of
+    # g, not a left one, so only S(g) g - 1 and h S(h) - 1 are left over
+    grouplike = {"g": "g#g", "h": "h#h"}
+    pres = _free_presentation(["g*h - 1"], grouplike, {"g": 1, "h": 1}, {"g": "h", "h": "g"})
+    rows = {r.name: (r.status, r.detail) for r in check_antipode(pres, 2)}
+    assert rows == {
+        "antipode-ideal:r0": (Status.PASS, ""),
+        "antipode-left:g": (Status.FAIL, "normal form h*g - 1"),
+        "antipode-right:g": (Status.PASS, ""),
+        "antipode-left:h": (Status.PASS, ""),
+        "antipode-right:h": (Status.FAIL, "normal form h*g - 1"),
+    }
+
+
+def test_exact_images_with_denominators_show_their_fraction_values():
+    # 1/2*u[1,1] - 1/3 is cleared to 3*u[1,1] - 2 before its image is taken;
+    # a FAIL divides the image back
+    lines = [
+        "algebra hw",
+        "n 1",
+        "m 2",
+        "generators u[1,1]",
+        "relation r: 1/2*u[1,1] - 1/3",
+        "delta u[1,1] -> u[1,1]#u[1,1]",
+        "counit u[1,1] -> 1",
+    ]
+    pres = parse_presentation("\n".join(lines) + "\n")
+    assert [(r.name, r.status, r.detail) for r in check_counit(pres)] == [
+        ("counit:r", Status.FAIL, "counit value 1/6")
+    ]
+    x = Generator.free("x")
+    target = Alphabet([x])
+    report = check_representation(pres, {Generator("u", 1, 1): NcPoly(target, {"": Fraction(2, 3)})})
+    assert [(r.name, r.status, r.detail) for r in report.results] == [
+        ("rep:r", Status.PASS, "")
+    ]
+    report = check_representation(pres, {Generator("u", 1, 1): NcPoly.from_gens(target, [x], Fraction(1, 3))})
+    assert [(r.name, r.status, r.detail) for r in report.results] == [
+        ("rep:r", Status.FAIL, "image 1/6*x - 1/3")
+    ]
 
 
 def test_coproduct_residue_names_the_degree_that_term_by_term_reduction_meets():
