@@ -23,12 +23,11 @@ U, S the u and s generator matrices, I the identity, Q the twisting element,
 X = Q^-1 U Q, B the matrix of a bilinear form, and P the polar antipode
 matrix P[mu,nu] = sum wt^{mu,L} w_{R,nu} g^{R1}_{L1}...g^{R(m-1)}_{L(m-1)}:
 
-* hw: ``us`` = U S - I and ``tus`` = (X^T S^T)^T - I; antipode u -> S, s -> X;
+* hw: ``us`` = U S - I and ``tus`` = (X^T S^T)^T - I; antipode u -> S, s -> X,
+  so S^2 is conjugation by Q, and s splits flipped: s[i,j] -> sum_k s[k,j] (x) s[i,k];
 * hb: ``bst`` = U^T B U - B and ``binst`` = U B^-1 U^T - B^-1; antipode
   B^-1 U^T B;
 * hww: antipode P;
-* antipode check on each family G with image matrix S(G): ``antipode-left``
-  = S(G) G - I and ``antipode-right`` = G S(G) - I;
 * bw left inverse: ``leftinv`` = P A - I;
 * derived suite: ``su`` = S U - I, ``tsu`` = (S^T X^T)^T - I and ``Rsu`` =
   S - P over u; ``sinw`` and ``Rus`` = X - P' are antipode images: the
@@ -56,6 +55,10 @@ one value per labelled relation.  A normal form comes from the reduction
 entry ``rewrite._reduce`` as d times itself over the integers, with d; it
 becomes Fractions only in a FAIL's detail.  A nonzero normal form at a truncation
 refutes nothing on its own, yet is reported FAIL today (ROADMAP item 2).
+``_image_values`` is the one path of every map a check applies: a relation
+cleared of its denominators once has its image summed over the integers
+wherever the images are integral.  The antipode's unit sums read each
+generator's own coproduct and counit, which only ``_presentation`` writes.
 ``_from_hw`` builds every map out of hw: u to the target's generator matrix
 G, s to S(G).  The table ``SUITES`` names every verification suite, the
 inputs it reads and the function that runs it; ``hopfw verify`` is a lookup
@@ -71,7 +74,8 @@ from enum import Enum
 from typing import Callable, Iterable, Mapping
 
 from .exactnum import (
-    Matrix, ONE, Scalar, ZERO, cleared_terms, fraction_quotients, lean, lean_terms, mat_inv,
+    Matrix, ONE, Scalar, ZERO, add_terms, cleared_terms, fraction_quotients, lean, lean_terms,
+    mat_inv,
 )
 from .forms import (
     MultilinearForm,
@@ -427,43 +431,37 @@ def _verdict(name: str, what: str, value: Callable[[], _Scaled]) -> CheckResult:
     return CheckResult(name, Status.FAIL, f"{what} {shown.to_str()}")
 
 
-def _exact(value: Callable[[NcPoly], NcPoly]) -> Callable[[NcPoly], _Scaled]:
-    """A value with no reduction, as ``_verdict`` reads it: d is 1."""
-    return lambda rel: (value(rel), 1)
-
-
-def _normal(system: RewriteSystem, p: NcPoly) -> _Scaled:
-    """d times the normal form of ``p`` and d, from the reduction entry: the
+def _normal(system: RewriteSystem, p: NcPoly, d: int = 1) -> _Scaled:
+    """The normal form of ``p`` / d as ``_verdict`` reads it: the reduction
+    entry clears ``p`` by e, to d e times that normal form, and d e.  The
     engine's values are wrapped to be tested and shown, never handed out."""
-    reduced, d = _reduce(system, p.alphabet, p.terms)
-    return NcPoly._adopt(p.alphabet, reduced), d
+    reduced, e = _reduce(system, p.alphabet, p.terms)
+    return NcPoly._adopt(p.alphabet, reduced), d * e
 
 
 def _engine_images(images: Mapping) -> dict:
-    """Generator images in the engine's form: integral values are ints, so
-    the image of a relation cleared of its denominators is summed over the
-    ints wherever the images are integral."""
+    """Generator images in the engine's form: integral values are ints."""
     return {g: t._adopt(t.alphabet, lean_terms(t.terms)) for g, t in images.items()}
 
 
-def _image_normal(
-    system: RewriteSystem,
+def _image_values(
     images: Mapping[Generator, NcPoly],
     target: Alphabet,
+    system: RewriteSystem | None = None,
     antihom: bool = False,
 ) -> Callable[[NcPoly], _Scaled]:
     """The value of a relation's image under ``images`` as ``_verdict``
-    reads it: the relation cleared by d, its image in the engine's form, and
-    the reduction entry clearing by e what denominators the images leave
-    (Q^-1 U Q has some), give d e times the normal form of the image."""
+    reads it, for every map a check applies: the relation cleared by d and
+    its image taken in the engine's form give d times the exact image, and
+    d.  In ``system`` the reduction entry clears by e what denominators the
+    images leave (Q^-1 U Q has some), to d e times its normal form."""
     lean_images = _engine_images(images)
 
     def value(rel: NcPoly) -> _Scaled:
         ints, d = cleared_terms(rel.terms)
         cleared = NcPoly._adopt(rel.alphabet, ints)
         image = substitute(cleared, lean_images, antihom=antihom, target=target)
-        reduced, e = _normal(system, image)
-        return reduced, d * e
+        return (image, d) if system is None else _normal(system, image, d)
 
     return value
 
@@ -499,8 +497,7 @@ def check_counit(pres: Presentation) -> list[CheckResult]:
     """The counit, extended as a character, must send every relation to 0."""
     a = pres.alphabet
     eps = {g: NcPoly.unit(a, e) for g, e in _structure(pres, "counit").items()}
-    value = functools.partial(substitute, images=eps, target=a)
-    return _per_relation(pres, "counit", "counit value", _exact(value))
+    return _per_relation(pres, "counit", "counit value", _image_values(eps, a))
 
 
 def check_coproduct(
@@ -560,22 +557,30 @@ def check_coproduct(
 def check_antipode(
     pres: Presentation, degree: int, system: RewriteSystem | None = None
 ) -> list[CheckResult]:
-    """Antipode images must respect the ideal antimultiplicatively and
-    satisfy both unit sums on every matric generator family."""
+    """Antipode images must respect the ideal antimultiplicatively, and each
+    generator g must satisfy the unit sums of its own coproduct and counit:
+    sum S(x) y - eps(g) and sum x S(y) - eps(g) over the terms x (x) y of delta(g)."""
     s_images = _structure(pres, "antipode")
+    delta, counit = _structure(pres, "delta"), _structure(pres, "counit")
     if system is None:
         system = system_for(pres, degree)
-    a, n = pres.alphabet, pres.n
-    out = _per_relation(
-        pres, "antipode-ideal", "normal form", _image_normal(system, s_images, a, antihom=True)
-    )
-    one = PolyMatrix.identity(a, n)
-    for fam in pres.families():
-        g = PolyMatrix.family(a, fam, n)
-        sg = PolyMatrix.of(a, s_images, fam, n)
-        left = _verdicts(f"antipode-left:{fam}", (sg @ g - one).entries(), system)
-        right = _verdicts(f"antipode-right:{fam}", (g @ sg - one).entries(), system)
-        out += [r for pair in zip(left, right) for r in pair]
+    a = pres.alphabet
+    s_of = _image_values(s_images, a, antihom=True)
+    ideal = _image_values(s_images, a, system, antihom=True)
+    out = _per_relation(pres, "antipode-ideal", "normal form", ideal)
+
+    def unit_sum(g: Generator, right: bool) -> _Scaled:
+        # S(1) = 1, so either sum over delta(g) - eps(g) 1#1 subtracts eps(g)
+        ints, d = cleared_terms((delta[g] - TensorSquare.unit(a, counit[g])).terms)
+        terms: dict = {}
+        for (x, y), c in ints.items():
+            image, _ = s_of(NcPoly.from_word(a, y if right else x, c))  # c is an int: d is 1
+            add_terms(terms, (((x + w if right else w + y), e) for w, e in image.terms.items()))
+        return _normal(system, NcPoly._adopt(a, terms), d)
+
+    for g, side in itertools.product(pres.generators, ("left", "right")):
+        value = functools.partial(unit_sum, g, side == "right")
+        out.append(_verdict(f"antipode-{side}:{g.token()}", "normal form", value))
     return out
 
 
@@ -765,7 +770,7 @@ def check_hom(
     lands in the target ideal."""
     if system is None:
         system = system_for(hom.target, degree)
-    value = _image_normal(system, hom.images, hom.target.alphabet)
+    value = _image_values(hom.images, hom.target.alphabet, system)
     return _per_relation(hom.source, hom.label, "normal form", value)
 
 
@@ -829,15 +834,9 @@ def check_representation(
     target = next(iter(images.values())).alphabet
     if any(g.family != "free" for g in target.generators):
         raise ValueError("representation targets must be free algebras")
-    value = functools.partial(substitute, images=images, target=target)
-    results = _per_relation(pres, "rep", "image", _exact(value))
-    wimg = None
-    distinct = None
-    if witness is not None:
-        left = substitute(witness[0], images, target=target)
-        right = substitute(witness[1], images, target=target)
-        wimg = (left, right)
-        distinct = left != right
+    results = _per_relation(pres, "rep", "image", _image_values(images, target))
+    wimg = witness and tuple(substitute(w, images, target=target) for w in witness)
+    distinct = None if wimg is None else wimg[0] != wimg[1]
     return RepresentationReport(results, wimg, distinct)
 
 

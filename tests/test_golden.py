@@ -328,9 +328,9 @@ GOLDEN = {
             "stdout_sha256": "023b5b03824d6f5786e8c6f907fdc03b42a71eb56d117a500c0c466341f578f2"
         },
         "axioms-hw-bilinear-1235": {
-            "exit": 1,
+            "exit": 0,
             "lines": 53,
-            "stdout_sha256": "36bdab9bb672b9236c201a902e6ab2edee58dd6e58329b7ba1d7f236eb951f3a"
+            "stdout_sha256": "106a025b1f8b1ecdbc2ab90d7dbcb75a88bb80259f7597c8324483a183a4bdf4"
         },
         "axioms-hw-cyclic2": {
             "exit": 0,
