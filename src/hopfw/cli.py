@@ -18,7 +18,8 @@ ahmn; any other of them is a usage error too (``hopf.refuse_unread``).
 
 ``analyze`` refuses a form whose flattenings would hold more than
 ``ANALYZE_MAX_ENTRIES`` entries, before it builds any, and ``example`` an
-example of more than ``EXAMPLE_MAX_ENTRIES`` entries, before it builds it.
+example of more than ``EXAMPLE_MAX_ENTRIES`` entries, or an orthogonal one of
+more than ``EXAMPLE_MAX_INDICES`` indices, before it builds it.
 
 Exit codes: 0 success / all checks pass, 1 a check failed, 2 at least one
 check was uncertified at the degree bound (none failed), 3 usage or input
@@ -85,6 +86,11 @@ ANALYZE_MAX_ENTRIES = 1_000_000
 # orthogonal-N-M has N.  signature-8 has 40 320 and is written in 0.7 s at
 # 92 MB peak RSS (2 CPUs, Python 3.11.7); signature-9 would have 362 880
 EXAMPLE_MAX_ENTRIES = 100_000
+
+# the most indices ``example`` writes for orthogonal-N-M, N entries of M
+# indices each.  The largest signature example, signature-8, holds 322 560
+# indices in 5.6 MB; orthogonal-2-300000 would hold 600 000 (6.6 MB)
+EXAMPLE_MAX_INDICES = 400_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -293,6 +299,11 @@ def _example_form(name: str) -> MultilinearForm:
         dim, arity = int(m.group(1)), int(m.group(2))
         if dim > EXAMPLE_MAX_ENTRIES:
             _refuse_example(name, str(dim))
+        if dim * arity > EXAMPLE_MAX_INDICES:
+            raise ValueError(
+                f"example {name} would hold {dim * arity} indices,"
+                f" above the bound of {EXAMPLE_MAX_INDICES}"
+            )
         return make_orthogonal(dim, arity)
     raise ValueError(f"unknown example {name!r}")
 

@@ -422,10 +422,34 @@ def test_example_refuses_an_example_of_too_many_entries(
 
 
 @pytest.mark.parametrize(
+    "name, indices", [("orthogonal-2-300000", 600_000), ("orthogonal-1-400001", 400_001)]
+)
+def test_example_refuses_an_orthogonal_example_of_too_many_indices(
+    name, indices, tmp_path, capsys, monkeypatch
+):
+    def build(*args):
+        raise AssertionError("the example was built")
+
+    # N entries of M indices each: the refusal comes before any is written
+    monkeypatch.setattr(cli, "make_orthogonal", build)
+    path = tmp_path / "long.json"
+    assert main(["example", name, "--out", str(path)]) == 3
+    assert not path.exists()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"hopfw: error: example {name} would hold {indices} indices,"
+        f" above the bound of {cli.EXAMPLE_MAX_INDICES}\n"
+    )
+    assert cli.EXAMPLE_MAX_INDICES == 400_000
+
+
+@pytest.mark.parametrize(
     "name, builder, args",
     [
         ("signature-8", "make_signature", (8,)),
         ("orthogonal-100000-2", "make_orthogonal", (100_000, 2)),
+        ("orthogonal-2-200000", "make_orthogonal", (2, 200_000)),
     ],
 )
 def test_example_builds_an_example_at_the_bound(name, builder, args, tmp_path, monkeypatch):
