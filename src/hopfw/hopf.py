@@ -566,6 +566,7 @@ def check_antipode(
         system = system_for(pres, degree)
     a = pres.alphabet
     s_of = _image_values(s_images, a, antihom=True)
+    s_word = functools.cache(lambda word: s_of(NcPoly.from_word(a, word))[0].terms)
     ideal = _image_values(s_images, a, system, antihom=True)
     out = _per_relation(pres, "antipode-ideal", "normal form", ideal)
 
@@ -574,8 +575,8 @@ def check_antipode(
         ints, d = cleared_terms((delta[g] - TensorSquare.unit(a, counit[g])).terms)
         terms: dict = {}
         for (x, y), c in ints.items():
-            image, _ = s_of(NcPoly.from_word(a, y if right else x, c))  # c is an int: d is 1
-            add_terms(terms, (((x + w if right else w + y), e) for w, e in image.terms.items()))
+            image = s_word(y if right else x)
+            add_terms(terms, (((x + w if right else w + y), c * e) for w, e in image.items()))
         return _normal(system, NcPoly._adopt(a, terms), d)
 
     for g, side in itertools.product(pres.generators, ("left", "right")):
