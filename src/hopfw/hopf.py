@@ -836,7 +836,7 @@ def check_representation(
     if any(g.family != "free" for g in target.generators):
         raise ValueError("representation targets must be free algebras")
     results = _per_relation(pres, "rep", "image", _image_values(images, target))
-    wimg = witness and tuple(substitute(w, images, target=target) for w in witness)
+    wimg = None if witness is None else tuple(substitute(w, images) for w in witness)
     distinct = None if wimg is None else wimg[0] != wimg[1]
     return RepresentationReport(results, wimg, distinct)
 
