@@ -748,7 +748,7 @@ def _extend(p: NcPoly, images: Mapping, kind, target, antihom: bool, caller: str
             raise ValueError(f"{caller} needs images or an explicit target alphabet")
         target = next(iter(images.values())).alphabet
     for img in images.values():
-        if img.alphabet != target:
+        if img.alphabet is not target and img.alphabet != target:
             raise ValueError("images drawn from mixed alphabets")
     concat = kind._concat
     out: dict = {}

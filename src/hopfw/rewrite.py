@@ -78,7 +78,23 @@ Implementation notes, sized for thousands of rules:
   :func:`normal_form`;
 * the gate checks every lead's spelling and length and every tail at once,
   builds the prefix table in two dict calls, and goes lead by lead only to
-  word the first refusal.
+  word the first refusal;
+* the top degree D may be split with one forked child (see
+  :class:`_TopDegreeChild`): when the queue first holds only degree-D
+  items, at least ``_SPLIT_MIN_ITEMS`` of them, and ``os.fork``, a second
+  CPU and a single thread are at hand, the child reduces the last 9/20 of
+  them modulo the rules at the fork, and the parent reduces each of the
+  child's results once more with its current rules.  This is exact: until a
+  lead shorter than D arrives, the top degree queues and evicts nothing, and
+  a lead of length D matches only a whole word and contains no shorter lead
+  (it was normal when it arrived), so each word's leftmost rewrite is the
+  one the shorter rules make, unless the word is itself a new lead;
+  reduction is linear, so reducing an item with the current rules equals
+  reducing its reduction modulo the shorter rules.  A shorter or empty lead,
+  a failed child or any exception kills and reaps the child, and the rest
+  runs in the parent.  Every insertion and counter is the sequential one, so
+  no dump, ``stats`` total or verdict depends on the split, and the
+  argument below holds as it stands.
 
 Completion does not audit itself: the shipped system resolves every overlap
 of degree <= D by construction (Bergman, "The diamond lemma for ring
@@ -108,6 +124,7 @@ from __future__ import annotations
 
 import heapq
 import operator
+import os
 import sys
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Sequence
@@ -222,15 +239,11 @@ class _LeadIndex:
             table.setdefault(lead[:i], _PREFIX)
         self.shortest = min(self.shortest, len(lead))
 
-    def s_poly(self, l1: str, l2: str, x: str, z: str):
-        """Terms of tail(l1).z - x.tail(l2) for the overlap word l1.z = x.l2;
-        None when a parent rule is no longer live."""
-        t1 = self.by_word.get(l1)
-        t2 = self.by_word.get(l2)
-        if t1 is None or t2 is None:
-            return None
-        s_terms = {w + z: c for w, c in t1.items()}
-        for w, c in t2.items():
+    def s_poly(self, l1: str, l2: str, x: str, z: str) -> _Terms:
+        """Terms of tail(l1).z - x.tail(l2) for the overlap word l1.z = x.l2
+        of two live rules."""
+        s_terms = {w + z: c for w, c in self.by_word[l1].items()}
+        for w, c in self.by_word[l2].items():
             kw = x + w
             nv = s_terms.get(kw, 0) - c
             if nv:
@@ -635,6 +648,145 @@ def ideal_member(p: NcPoly, system: RewriteSystem) -> bool:
     return not _reduce(system, p.alphabet, p.terms)[0]
 
 
+# the top degree is split with a forked child when its queue holds at least
+# this many items
+_SPLIT_MIN_ITEMS = 4000
+# positions of the child's part in one block it sends
+_BLOCK = 1024
+
+
+def _live(index: _LeadIndex, pair: tuple) -> bool:
+    """Whether both parent rules of an overlap ``pair`` are still live."""
+    return pair[0] in index.by_word and pair[1] in index.by_word
+
+
+class _TopDegreeChild:
+    """One forked child that reduces the last 9/20 of the top degree's queue,
+    in pop order, modulo the rules as they stand at the fork.  It sends its
+    nonzero results keyed by position, one pickled block of ``_BLOCK``
+    positions at a time, and the parent reads each block when its pops
+    reach it (see ``_Completion.drain``).  The child keeps the blocks the
+    pipe cannot take yet, so it never waits on the parent until its last
+    block is reduced."""
+
+    __slots__ = ("pid", "pipe", "pickle", "start", "popped", "block")
+
+    def __init__(self, pid: int, pipe, pickle, start: int) -> None:
+        self.pid: int | None = pid
+        self.pipe = pipe
+        self.pickle = pickle
+        self.start = start
+        self.popped = 0
+        self.block: dict[int, _Terms] = {}
+
+    @classmethod
+    def fork(cls, index: _LiveIndex, heap: list) -> "_TopDegreeChild | None":
+        """The child for a queue of ``heap`` that holds only top-degree
+        items, or None: where ``os.sched_getaffinity`` (and with it
+        ``os.fork``) is missing, with no second CPU, while another thread
+        runs (forking it is unsafe, and Python 3.12 warns), or when the fork
+        fails."""
+        if not hasattr(os, "sched_getaffinity"):
+            return None
+        import threading
+
+        if len(os.sched_getaffinity(0)) < 2 or threading.active_count() != 1:
+            return None
+        import pickle  # only a completion that forks pays for it
+
+        start = len(heap) - len(heap) * 9 // 20
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            return None
+        if pid == 0:
+            # never back into the caller: no inherited buffer is flushed and
+            # no ``finally`` of the parent's runs here
+            status = 1
+            try:
+                os.close(r)
+                import gc
+
+                gc.disable()
+                _reduce_in_child(index, sorted(heap)[start:], w, pickle.dumps)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(w)
+        return cls(pid, os.fdopen(r, "rb"), pickle, start)
+
+    def take(self) -> _Terms | None:
+        """Count one pop, and give the child's reduction of the popped item,
+        an empty dict when it vanished; None when the item is the parent's
+        or the child has stopped.  A block that cannot be read stops the
+        child, and the parent reduces the rest."""
+        at = self.popped - self.start
+        self.popped += 1
+        if at < 0 or self.pid is None:
+            return None
+        if at % _BLOCK == 0:
+            try:
+                self.block = self.pickle.load(self.pipe)
+            except (EOFError, OSError, self.pickle.UnpicklingError):
+                self.stop()  # the child died before it wrote the whole block
+                return None
+        return self.block.pop(at, {})
+
+    def stop(self) -> None:
+        """Close the pipe, then kill and reap the child; a second call does
+        nothing."""
+        if self.pid is None:
+            return
+        import signal
+
+        pid, self.pid = self.pid, None
+        self.pipe.close()
+        self.block = {}
+        try:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass  # reaped by a handler of the caller's
+
+
+def _reduce_in_child(index: _LeadIndex, items: list, fd: int, dumps) -> None:
+    """Reduce each queue item of ``items`` that is not stale and write to
+    ``fd`` one block a ``_BLOCK`` positions, the nonzero results keyed by
+    position.  Each block is written as far as the pipe takes it without
+    waiting, and the rest once the last block is reduced."""
+    pending: list[memoryview] = []
+
+    def write() -> None:
+        try:
+            while pending:
+                sent = os.write(fd, pending[0])
+                pending[0] = pending[0][sent:]
+                if not pending[0]:
+                    del pending[0]
+        except BlockingIOError:
+            pass  # the pipe is full: the parent has not reached these yet
+
+    os.set_blocking(fd, False)
+    for first in range(0, len(items), _BLOCK):
+        block = {}
+        for at in range(first, min(first + _BLOCK, len(items))):
+            pair, terms = items[at][3:]
+            if pair is not None:
+                if not _live(index, pair):
+                    continue
+                terms = index.s_poly(*pair)
+            reduced = index.reduce_terms(terms)
+            if reduced:
+                block[at] = reduced
+        pending.append(memoryview(dumps(block)))
+        write()
+    os.set_blocking(fd, True)
+    write()
+
+
 class _Completion:
     """Mutable state for one completion run."""
 
@@ -693,27 +845,47 @@ class _Completion:
         self.queue_overlaps_of(lead)
 
     def drain(self, on_progress) -> None:
+        """Pop and reduce until the queue is empty.  When it first reaches
+        the top degree, a forked child may take the queue's last items (see
+        :class:`_TopDegreeChild`); the parent reduces each of the child's
+        results once more, and stops the child for good when a lead
+        shorter than the top degree arrives."""
         reported = -1
-        stats = self.stats
-        while self.heap:
-            deg, _, _, pair, terms = heapq.heappop(self.heap)
-            if on_progress and deg > reported:
-                on_progress(deg, len(self.index.by_word))
-                reported = deg
-            if pair is None:
-                stats.requeued_polys += 1
-            else:
-                stats.pairs_popped += 1
-                terms = self.index.s_poly(*pair)
-                if terms is None:
-                    stats.stale_pairs += 1
-                    continue  # a parent was retracted; its replacement re-queued
-            reduced = self.index.reduce_terms(terms)
-            if reduced:
-                stats.new_rules += 1
-                self.insert(reduced)
-            else:
-                stats.reductions_to_zero += 1
+        stats, index, heap = self.stats, self.index, self.heap
+        top = self.degree_bound
+        child = None
+        split = True  # the top degree is split at most once
+        try:
+            while heap:
+                if split and heap[0][0] == top and len(heap) >= _SPLIT_MIN_ITEMS:
+                    split = False
+                    child = _TopDegreeChild.fork(index, heap)
+                deg, _, _, pair, terms = heapq.heappop(heap)
+                if on_progress and deg > reported:
+                    on_progress(deg, len(index.by_word))
+                    reported = deg
+                # the item reduced modulo the rules at the fork, or None
+                done = child.take() if child else None
+                if pair is None:
+                    stats.requeued_polys += 1
+                else:
+                    stats.pairs_popped += 1
+                    if not _live(index, pair):
+                        stats.stale_pairs += 1
+                        continue  # a parent was retracted; its replacement re-queued
+                    if done is None:
+                        terms = index.s_poly(*pair)
+                reduced = index.reduce_terms(terms if done is None else done)
+                if reduced:
+                    stats.new_rules += 1
+                    if child and len(max(reduced, key=len)) < top:
+                        child.stop()  # the child's rules are no longer the shorter ones
+                    self.insert(reduced)
+                else:
+                    stats.reductions_to_zero += 1
+        finally:
+            if child:
+                child.stop()
 
     def interreduce(self) -> None:
         """One pass suffices: the leads stay fixed, so each reduced tail is

@@ -1,11 +1,15 @@
+import os
 import random
 import re
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from hopfw.forms import MultilinearForm, make_signature
-from hopfw.hopf import build_bw, build_hw
+from hopfw import rewrite
+from hopfw.forms import MultilinearForm, make_bilinear, make_signature
+from hopfw.hopf import build_bw, build_hb, build_hw
 from hopfw.ncalg import Alphabet, Generator, NcPoly, deglex_key, parse_poly
 from hopfw.rewrite import (
     _NO_LEAD,
@@ -591,6 +595,206 @@ def test_completion_counters_of_hw_e3(degree, totals, rules, shortest):
 @pytest.mark.parametrize("degree, totals, rules, shortest", _CYCLIC2_COUNTERS, ids=["D6", "D8"])
 def test_completion_counters_of_hw_cyclic2(degree, totals, rules, shortest):
     _check_completion_counters(CYCLIC2, degree, totals, rules, shortest)
+
+
+# systems whose top degree the split must leave as the sequential drain
+# leaves it: hw(e3) at D=4 sees 39 leads shorter than 4 arrive at the top
+# degree, so the child is stopped early; the hb rules have Fraction values
+_SPLIT_SYSTEMS = {
+    **{f"hw(cyclic2) D={d}": (build_hw, CYCLIC2, d) for d in range(3, 9)},
+    **{f"hw(e3) D={d}": (build_hw, make_signature(3), d) for d in range(3, 6)},
+    **{f"hb(1235) D={d}": (build_hb, make_bilinear([[1, 2], [3, 5]]), d) for d in range(3, 7)},
+    **{
+        f"hb(3x3) D={d}": (build_hb, make_bilinear([[1, 2, 0], [0, 1, 3], [1, 0, 2]]), d)
+        for d in range(3, 5)
+    },
+}
+
+
+def _split_always(monkeypatch, block=rewrite._BLOCK):
+    """Split every top degree, with two CPUs as far as the split can see,
+    and count the forks."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(rewrite, "_SPLIT_MIN_ITEMS", 1)
+    monkeypatch.setattr(rewrite, "_BLOCK", block)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _sequential(relations, degree):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rewrite, "_SPLIT_MIN_ITEMS", sys.maxsize)
+        return complete(relations, degree)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("block", [rewrite._BLOCK, 7])
+@pytest.mark.parametrize("case", _SPLIT_SYSTEMS)
+def test_split_top_degree_gives_the_sequential_dump_and_stats(case, block, monkeypatch):
+    """A forked child reduces the top degree's last items modulo the shorter
+    rules and the parent reduces each result once more: the dump and every
+    counter are the sequential drain's."""
+    build, w, degree = _SPLIT_SYSTEMS[case]
+    relations = list(build(w).relations)
+    expected = _sequential(relations, degree)
+    forks = _split_always(monkeypatch, block)
+    system = complete(relations, degree)
+    assert forks == [1]
+    assert system.dump() == expected.dump()
+    assert system.stats == expected.stats
+    _assert_no_child_left()
+
+
+def _watch_children(monkeypatch):
+    """Record, for each child, the queue length at the fork and the pops
+    counted when it was first stopped."""
+    seen = []
+    fork, stop = rewrite._TopDegreeChild.fork, rewrite._TopDegreeChild.stop
+
+    def watched_fork(index, heap):
+        seen.append([len(heap), None])
+        return fork(index, heap)
+
+    def watched_stop(child):
+        if child.pid is not None:
+            seen[-1][1] = child.popped
+        stop(child)
+
+    monkeypatch.setattr(rewrite._TopDegreeChild, "fork", staticmethod(watched_fork))
+    monkeypatch.setattr(rewrite._TopDegreeChild, "stop", watched_stop)
+    return seen
+
+
+def test_split_top_degree_leaves_no_child_after_a_run_or_a_cancel(monkeypatch):
+    hb = list(build_hb(make_bilinear([[1, 2], [3, 5]])).relations)
+    e3 = list(build_hw(make_signature(3)).relations)
+    expected = [_sequential(hb, 5), _sequential(e3, 4)]
+    _split_always(monkeypatch)
+    seen = _watch_children(monkeypatch)
+    got = [complete(hb, 5)]
+    _assert_no_child_left()
+    got.append(complete(e3, 4))
+    _assert_no_child_left()
+    assert [s.dump() for s in got] == [s.dump() for s in expected]
+    # hb pops its whole top degree with the child; hw(e3) at D=4 stops it
+    # when the first shorter lead arrives, with the queue not yet empty
+    (n5, popped5), (n4, popped4) = seen
+    assert popped5 == n5 and popped4 < n4
+
+
+def _random_relations(seed):
+    """Nonzero relations of degree 1 to 3 with small integer coefficients
+    in two or three letters, and a degree bound from 4 to 6."""
+    rng = random.Random(seed)
+    a = free_alphabet(*"wxyz"[: rng.randint(2, 3)])
+    chars = [a.char(g) for g in a.generators]
+    rels = []
+    while not rels:
+        for _ in range(rng.randint(1, 4)):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                w = "".join(rng.choice(chars) for _ in range(rng.randint(1, 3)))
+                terms[w] = terms.get(w, 0) + rng.choice((-2, -1, 1, 2, 3))
+            rels.append(NcPoly(a, terms))
+        rels = [r for r in rels if not r.is_zero()]
+    return rels, rng.randint(4, 6)
+
+
+# seeds whose first shorter lead at the top degree arrives after the parent
+# has taken results from the child
+@pytest.mark.parametrize("seed", [0, 308, 721, 1133, 1757, 2165])
+def test_split_top_degree_stops_the_child_after_taking_its_results(seed, monkeypatch):
+    relations, degree = _random_relations(seed)
+    expected = _sequential(relations, degree)
+    _split_always(monkeypatch, block=2)
+    seen = _watch_children(monkeypatch)
+    system = complete(relations, degree)
+    assert system.dump() == expected.dump() and system.stats == expected.stats
+    _assert_no_child_left()
+    [(n_items, popped)] = seen
+    assert n_items - n_items * 9 // 20 < popped < n_items
+
+
+class _DiesAfter:
+    """A lead index whose reductions raise after the first ``n``: a child
+    handed it dies, after sending the blocks it had finished."""
+
+    def __init__(self, index, n):
+        self.by_word = index.by_word
+        self.s_poly = index.s_poly
+        self.index = index
+        self.n = n
+
+    def reduce_terms(self, terms):
+        self.n -= 1
+        if self.n < 0:
+            raise RuntimeError("a broken index")
+        return self.index.reduce_terms(terms)
+
+
+@pytest.mark.parametrize("n", [0, 20])
+def test_split_top_degree_survives_a_child_that_dies(n, monkeypatch):
+    relations = list(build_hb(make_bilinear([[1, 2], [3, 5]])).relations)
+    expected = _sequential(relations, 6)
+    _split_always(monkeypatch, block=8)
+    fork = rewrite._TopDegreeChild.fork
+    monkeypatch.setattr(
+        rewrite._TopDegreeChild, "fork",
+        staticmethod(lambda index, heap: fork(_DiesAfter(index, n), heap)),
+    )
+    seen = _watch_children(monkeypatch)
+    system = complete(relations, 6)
+    assert system.dump() == expected.dump() and system.stats == expected.stats
+    _assert_no_child_left()
+    # the parent stopped the child at a block it could not read, in the
+    # child's part of the queue, and reduced the rest itself
+    [(n_items, popped)] = seen
+    assert n_items - n_items * 9 // 20 < popped < n_items
+
+
+def test_split_top_degree_reaps_the_child_when_the_run_raises(monkeypatch):
+    _split_always(monkeypatch)
+    seen = _watch_children(monkeypatch)
+
+    def progress(degree, rules):
+        if degree == 6:
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        complete(list(build_hw(CYCLIC2).relations), 6, progress)
+    assert len(seen) == 1
+    _assert_no_child_left()
+
+
+def test_split_top_degree_does_not_fork_beside_another_thread(monkeypatch):
+    relations = list(build_hw(make_signature(3)).relations)
+    expected = _sequential(relations, 4)
+    _split_always(monkeypatch)
+
+    def refuse():
+        raise AssertionError("forked beside a second thread")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        system = complete(relations, 4)
+    finally:
+        release.set()
+        waiter.join()
+    assert system.dump() == expected.dump() and system.stats == expected.stats
 
 
 _SCALED = {
