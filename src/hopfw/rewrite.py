@@ -845,8 +845,9 @@ class _Completion:
         self.queue_overlaps_of(lead)
 
     def drain(self, on_progress) -> None:
-        """Pop and reduce until the queue is empty.  When it first reaches
-        the top degree, a forked child may take the queue's last items (see
+        """Pop and reduce until the queue is empty.  The first time the
+        queue holds only top-degree items, at least ``_SPLIT_MIN_ITEMS`` of
+        them, a forked child may take the last of them (see
         :class:`_TopDegreeChild`); the parent reduces each of the child's
         results once more, and stops the child for good when a lead
         shorter than the top degree arrives."""
