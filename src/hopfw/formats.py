@@ -252,7 +252,10 @@ def _read_presentation(text: str, at_once: bool) -> Presentation:
     header, generators, alphabet = read_dump(text, _HEADER, {"relation": relation, **facts})
     if at_once and (texts := [*relations, *maps["antipode"].values()]):
         terms = _read_canonical_terms(alphabet, texts)
-        polys = [NcPoly._adopt(alphabet, fraction_terms(t)) for t in terms]
+        # each engine dict is dropped as it is wrapped, so no polynomial is
+        # held in both forms at once
+        terms.reverse()
+        polys = [NcPoly._adopt(alphabet, fraction_terms(terms.pop())) for _ in range(len(terms))]
         maps["antipode"] = dict(zip(maps["antipode"], polys[len(relations) :]))
         relations = polys[: len(relations)]
     if min(header["n"], header["m"]) < 1:

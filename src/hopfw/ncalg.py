@@ -350,17 +350,31 @@ def _canonical_fields(texts: Sequence[str]) -> str:
     return "\t" + lines
 
 
+# characters of ``fields`` that ``_letters`` splits into tokens at once
+_LETTERS_CHUNK = 1 << 15
+
+
 def _letters(alphabet: Alphabet, fields: str) -> str:
-    """``fields`` with each token spelled by its letter, all in one ``map``
-    over the ``*``-separated tokens; the tab or the line break and tab that
-    open a token stay in front of its letter, and any other text is a
-    KeyError."""
+    """``fields`` with each token spelled by its letter, one ``map`` over
+    the ``*``-separated tokens of each chunk of about ``_LETTERS_CHUNK``
+    characters, cut at a ``*``, so the tokens of a long text are never all
+    held at once; the tab or the line break and tab that open a token stay
+    in front of its letter, and any other text is a KeyError."""
     table = {
         opening + token: opening + letter
         for token, letter in alphabet._letter_of.items()
         for opening in ("", "\t", "\n\t")
     }
-    return "".join(map(table.__getitem__, fields.split("*")))
+    spell = table.__getitem__
+    chunks = []
+    start = 0
+    while start <= len(fields):
+        end = fields.find("*", start + _LETTERS_CHUNK)
+        if end < 0:
+            end = len(fields)
+        chunks.append("".join(map(spell, fields[start:end].split("*"))))
+        start = end + 1
+    return "".join(chunks)
 
 
 def _read_canonical_words(alphabet: Alphabet, texts: Sequence[str]) -> list[str]:

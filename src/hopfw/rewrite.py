@@ -39,7 +39,17 @@ Implementation notes, sized for thousands of rules:
 * retraction keeps live leads pairwise factor-free: a new lead evicts every
   longer live lead containing it (checked per length bucket), and the evicted
   polynomial re-enters the queue;
-* after the queue drains, each tail is reduced once, leads ascending;
+* after the queue drains, interreduction reduces once each tail that a
+  later lead can reach, and leaves the others as they are.  It rests on the
+  fact the top-degree split below rests on too: a word that was normal when
+  it was made can only be rewritten by a lead inserted later, and a lead of
+  length l fits only in a word of length >= l.  A tail was normal when its
+  lead was inserted, so with m the length of the shortest lead inserted
+  after its own, a tail whose words are all shorter than m, or m long and
+  no lead themselves, is normal at the end.  Completion keeps its leads in
+  the order they were inserted, and a walk back over them keeps m as a
+  running minimum.  No lead is inserted twice (an evicted lead keeps a live
+  proper factor), and the unit ideal's empty lead has no tail to reduce;
 * no key function in reduction -- the alphabet numbers its letters
   downward (see :class:`~hopfw.ncalg.Alphabet`), so among words of one
   length plain string order is descending deglex.  ``reduce_terms`` keeps
@@ -47,10 +57,10 @@ Implementation notes, sized for thousands of rules:
   with no translation of the several hundred thousand words a completion
   pushes; a word that cancels stays in the worklist with value 0, so no
   word is pushed twice.  Every other order on words -- leads, the gate's
-  tail check, interreduction, the audit -- is the natural key
-  ``(-len(w), w)``, the order the heaps pop in.  Only the completion queue,
-  which pops in ascending deglex, respells its keys with
-  ``Alphabet.rank_spelling``;
+  tail check, the audit -- is the natural key ``(-len(w), w)``, the order
+  the heaps pop in; interreduction walks the leads back in the order they
+  were inserted.  Only the completion queue, which pops in ascending
+  deglex, respells its keys with ``Alphabet.rank_spelling``;
 * integer coefficients -- inside the engine an integral coefficient is a
   plain ``int`` and only a value with a denominator is a ``Fraction``;
   :mod:`~hopfw.exactnum` converts between the two forms.  Input relations
@@ -80,21 +90,33 @@ Implementation notes, sized for thousands of rules:
   builds the prefix table in two dict calls, and goes lead by lead only to
   word the first refusal;
 * the top degree D may be split with one forked child (see
-  :class:`_TopDegreeChild`): when the queue first holds only degree-D
-  items, at least ``_SPLIT_MIN_ITEMS`` of them, and ``os.fork``, a second
-  CPU and a single thread are at hand, the child reduces the last 9/20 of
-  them modulo the rules at the fork, and the parent reduces each of the
-  child's results once more with its current rules.  This is exact: until a
-  lead shorter than D arrives, the top degree queues and evicts nothing, and
-  a lead of length D matches only a whole word and contains no shorter lead
+  :class:`_ForkedChild`): when the queue first holds only degree-D items,
+  at least ``_SPLIT_MIN_ITEMS`` of them, and ``os.fork``, a second CPU and
+  a single thread are at hand, the child reduces the last 9/20 of them
+  modulo the rules at the fork, and the parent reduces each of the child's
+  results once more with its current rules.  This is exact: until a lead
+  shorter than D arrives, the top degree queues and evicts nothing, and a
+  lead of length D matches only a whole word and contains no shorter lead
   (it was normal when it arrived), so each word's leftmost rewrite is the
   one the shorter rules make, unless the word is itself a new lead;
   reduction is linear, so reducing an item with the current rules equals
-  reducing its reduction modulo the shorter rules.  A shorter or empty lead,
-  a failed child or any exception kills and reaps the child, and the rest
-  runs in the parent.  Every insertion and counter is the sequential one, so
-  no dump, ``stats`` total or verdict depends on the split, and the
-  argument below holds as it stands.
+  reducing its reduction modulo the shorter rules.  By the fact above, the
+  second reduction reads only length-D words: a child's result is normal
+  modulo the rules at the fork, and every lead inserted since has length
+  D, so only a length-D word that is itself such a new lead rewrites; its
+  tail was normal when it was inserted, and no shorter lead has arrived
+  since, so its words in turn rewrite only as whole new leads.  A lead
+  that was live at the fork, whose tail may be older than a shorter lead,
+  never comes up.  ``_LiveIndex.reduce_top_words`` gives ``reduce_terms``'s
+  result this way, with one heap of length-D words and dict lookups.  A
+  shorter or empty lead, a failed child or any exception kills and reaps
+  the child, and the rest runs in the parent.  Every insertion and counter is the sequential one, so no
+  dump, ``stats`` total or verdict depends on the split, and the argument
+  below holds as it stands;
+* the audit hands its last 6/20 overlaps, the heaviest, to the same kind of
+  child from ``_AUDIT_SPLIT_MIN`` overlaps on, with the same guards: the
+  rules are fixed, so the child's verdict on an overlap is the parent's,
+  and a child that dies leaves the rest to the parent.
 
 Completion does not audit itself: the shipped system resolves every overlap
 of degree <= D by construction (Bergman, "The diamond lemma for ring
@@ -114,7 +136,10 @@ which the tests run on pinned and random systems.  The argument:
 * interreduction keeps them valid too: each tail changes only by elements
   of I_{<lead};
 * one interreduction pass reaches the fixpoint: leads do not change while
-  tails are interreduced, and ``reduce_terms`` returns an irreducible dict.
+  tails are interreduced, ``reduce_terms`` returns an irreducible dict,
+  and a tail it skips is already irreducible (see above).  The system is
+  confluent through D when the pass starts, so every word of degree <= D
+  has one normal form, and the order of the pass changes no tail.
 
 The final system is canonically sorted and schedule-independent: completing
 the same relations in any order yields the identical rule list.
@@ -184,6 +209,7 @@ class CompletionStats:
     reductions_to_zero: int = 0
     new_rules: int = 0
     requeued_polys: int = 0  # the input relations and the evicted rules
+    tails_reduced: int = 0  # by interreduction; the other tails are left as they are
 
 
 # the value a lead index's table gives a proper prefix of a lead
@@ -359,6 +385,47 @@ class _LiveIndex(_LeadIndex):
             if not any(prefixes.get((prefix, k)) for k in by_len):
                 del table[prefix]
         return tail
+
+    def may_rewrite(self, tail: _Terms, shortest: int) -> bool:
+        """Whether a lead of length ``shortest`` or more may occur in a word
+        of ``tail``: a word longer than ``shortest``, or as long and itself a
+        lead."""
+        leads = self.by_word
+        return any(len(w) > shortest or len(w) == shortest and w in leads for w in tail)
+
+    def reduce_top_words(self, terms: _Terms, top: int) -> _Terms:
+        """``reduce_terms(terms)`` where only a word of length ``top`` that
+        is itself a lead can rewrite: each word of ``terms``, and each word
+        of the tail of each lead of length ``top``, holds no lead but maybe
+        itself.  One heap of the length-``top`` words pops them as
+        ``reduce_terms`` does and looks each up as a whole; the shorter words
+        are normal and only sum, in the order ``reduce_terms`` sums them,
+        so the values and their int/Fraction types are the same."""
+        leads = self.by_word
+        heappop, heappush = heapq.heappop, heapq.heappush
+        out: _Terms = {}
+        work = dict(terms)
+        heap = [w for w in work if len(w) == top]
+        heapq.heapify(heap)
+        while heap:
+            w = heappop(heap)
+            c = work[w]
+            if not c:
+                continue  # cancelled
+            tail = leads.get(w)
+            if tail is None:
+                out[w] = c
+                continue
+            for t, tc in tail.items():
+                nv = work.get(t)
+                if nv is None:
+                    work[t] = c * tc
+                    if len(t) == top:
+                        heappush(heap, t)
+                else:
+                    work[t] = nv + c * tc or 0
+        out.update((w, c) for w, c in work.items() if c and len(w) < top)
+        return out
 
     def overlaps_as_right(self, lead: str, bound: int):
         """Every proper overlap of degree <= ``bound`` with ``lead`` as the
@@ -651,6 +718,9 @@ def ideal_member(p: NcPoly, system: RewriteSystem) -> bool:
 # the top degree is split with a forked child when its queue holds at least
 # this many items
 _SPLIT_MIN_ITEMS = 4000
+# the audit hands its last overlaps to a forked child when it has at least
+# this many
+_AUDIT_SPLIT_MIN = 1000
 # positions of the child's part in one block it sends
 _BLOCK = 1024
 
@@ -660,14 +730,16 @@ def _live(index: _LeadIndex, pair: tuple) -> bool:
     return pair[0] in index.by_word and pair[1] in index.by_word
 
 
-class _TopDegreeChild:
-    """One forked child that reduces the last 9/20 of the top degree's queue,
-    in pop order, modulo the rules as they stand at the fork.  It sends its
-    nonzero results keyed by position, one pickled block of ``_BLOCK``
-    positions at a time, and the parent reads each block when its pops
-    reach it (see ``_Completion.drain``).  The child keeps the blocks the
-    pipe cannot take yet, so it never waits on the parent until its last
-    block is reduced."""
+class _ForkedChild:
+    """One forked child that reduces the last items of a list modulo the lead
+    index as it stands at the fork: the top degree's queue in completion
+    (see ``_Completion.drain``) or the overlaps of the audit (see
+    :func:`unresolved_overlaps`).  The parent takes the items in order, one
+    ``take`` each, and those from position ``start`` on are the child's.
+    The child sends its nonzero results keyed by position, one pickled block
+    of ``_BLOCK`` positions at a time, and the parent reads each block when
+    its takes reach it.  The child keeps the blocks the pipe cannot take
+    yet, so it never waits on the parent until its last block is reduced."""
 
     __slots__ = ("pid", "pipe", "pickle", "start", "popped", "block")
 
@@ -680,21 +752,23 @@ class _TopDegreeChild:
         self.block: dict[int, _Terms] = {}
 
     @classmethod
-    def fork(cls, index: _LiveIndex, heap: list) -> "_TopDegreeChild | None":
-        """The child for a queue of ``heap`` that holds only top-degree
-        items, or None: where ``os.sched_getaffinity`` (and with it
-        ``os.fork``) is missing, with no second CPU, while another thread
-        runs (forking it is unsafe, and Python 3.12 warns), or when the fork
-        fails."""
+    def fork(
+        cls, index: _LiveIndex, start: int, part: Callable[[], list]
+    ) -> "_ForkedChild | None":
+        """The child that reduces the items ``part()`` lists, which it calls
+        after the fork, each a (pair, terms) with one of the two None: an
+        overlap pair (l1, l2, x, z) or a polynomial's terms.  None where
+        ``os.sched_getaffinity`` (and with it ``os.fork``) is missing, with
+        no second CPU, while another thread runs (forking it is unsafe, and
+        Python 3.12 warns), or when the fork fails."""
         if not hasattr(os, "sched_getaffinity"):
             return None
         import threading
 
         if len(os.sched_getaffinity(0)) < 2 or threading.active_count() != 1:
             return None
-        import pickle  # only a completion that forks pays for it
+        import pickle  # only a run that forks pays for it
 
-        start = len(heap) - len(heap) * 9 // 20
         r, w = os.pipe()
         try:
             pid = os.fork()
@@ -711,7 +785,7 @@ class _TopDegreeChild:
                 import gc
 
                 gc.disable()
-                _reduce_in_child(index, sorted(heap)[start:], w, pickle.dumps)
+                _reduce_in_child(index, part(), w, pickle.dumps)
                 status = 0
             finally:
                 os._exit(status)
@@ -719,7 +793,7 @@ class _TopDegreeChild:
         return cls(pid, os.fdopen(r, "rb"), pickle, start)
 
     def take(self) -> _Terms | None:
-        """Count one pop, and give the child's reduction of the popped item,
+        """Count one take, and give the child's reduction of the item taken,
         an empty dict when it vanished; None when the item is the parent's
         or the child has stopped.  A block that cannot be read stops the
         child, and the parent reduces the rest."""
@@ -753,7 +827,7 @@ class _TopDegreeChild:
 
 
 def _reduce_in_child(index: _LeadIndex, items: list, fd: int, dumps) -> None:
-    """Reduce each queue item of ``items`` that is not stale and write to
+    """Reduce each (pair, terms) of ``items`` that is not stale and write to
     ``fd`` one block a ``_BLOCK`` positions, the nonzero results keyed by
     position.  Each block is written as far as the pipe takes it without
     waiting, and the rest once the last block is reduced."""
@@ -773,7 +847,7 @@ def _reduce_in_child(index: _LeadIndex, items: list, fd: int, dumps) -> None:
     for first in range(0, len(items), _BLOCK):
         block = {}
         for at in range(first, min(first + _BLOCK, len(items))):
-            pair, terms = items[at][3:]
+            pair, terms = items[at]
             if pair is not None:
                 if not _live(index, pair):
                     continue
@@ -797,6 +871,9 @@ class _Completion:
         self.heap: list = []
         self.seq = 0
         self.stats = CompletionStats()
+        # every lead in the order it was inserted; none is inserted twice,
+        # as an evicted lead keeps a live proper factor
+        self.arrivals: list[str] = []
 
     # the queue pops in ascending deglex, so its keys spell each word with
     # the letters in rank order
@@ -823,6 +900,7 @@ class _Completion:
         else:  # through Fraction: int / int would give a float
             tail = {w: lean(Scalar(-c) / lc) for w, c in reduced.items()}
 
+        self.arrivals.append(lead)
         if lead == "":
             for old in list(self.index.by_word):
                 self.index.remove(old)
@@ -847,10 +925,11 @@ class _Completion:
     def drain(self, on_progress) -> None:
         """Pop and reduce until the queue is empty.  The first time the
         queue holds only top-degree items, at least ``_SPLIT_MIN_ITEMS`` of
-        them, a forked child may take the last of them (see
-        :class:`_TopDegreeChild`); the parent reduces each of the child's
-        results once more, and stops the child for good when a lead
-        shorter than the top degree arrives."""
+        them, a forked child may take the last 9/20 of them (see
+        :class:`_ForkedChild`); the parent reduces each of the child's
+        results once more, by their length-D words alone
+        (``_LiveIndex.reduce_top_words``), and stops the child for good when
+        a lead shorter than the top degree arrives."""
         reported = -1
         stats, index, heap = self.stats, self.index, self.heap
         top = self.degree_bound
@@ -860,7 +939,10 @@ class _Completion:
             while heap:
                 if split and heap[0][0] == top and len(heap) >= _SPLIT_MIN_ITEMS:
                     split = False
-                    child = _TopDegreeChild.fork(index, heap)
+                    start = len(heap) - len(heap) * 9 // 20
+                    child = _ForkedChild.fork(
+                        index, start, lambda: [item[3:] for item in sorted(heap)[start:]]
+                    )
                 deg, _, _, pair, terms = heapq.heappop(heap)
                 if on_progress and deg > reported:
                     on_progress(deg, len(index.by_word))
@@ -876,7 +958,10 @@ class _Completion:
                         continue  # a parent was retracted; its replacement re-queued
                     if done is None:
                         terms = index.s_poly(*pair)
-                reduced = index.reduce_terms(terms if done is None else done)
+                if done is None:
+                    reduced = index.reduce_terms(terms)
+                else:
+                    reduced = index.reduce_top_words(done, top)
                 if reduced:
                     stats.new_rules += 1
                     if child and len(max(reduced, key=len)) < top:
@@ -889,12 +974,22 @@ class _Completion:
                 child.stop()
 
     def interreduce(self) -> None:
-        """One pass suffices: the leads stay fixed, so each reduced tail is
-        already irreducible."""
-        index = self.index
-        for lead in sorted(index.by_word, key=natural_key, reverse=True):
-            tail = lean_terms(index.reduce_terms(index.by_word[lead]))
-            index.by_word[lead] = index.table[lead] = tail
+        """Reduce each tail that a lead inserted after its own can reach,
+        and leave the others as they are: a tail was normal when its lead
+        was inserted, and a lead of length m fits only in a word of length
+        >= m, so a tail whose words are all shorter than the shortest later
+        lead, or as long and no lead themselves, is normal now.  One pass
+        suffices: the leads stay fixed, so each reduced tail is already
+        irreducible."""
+        index, stats = self.index, self.stats
+        leads = index.by_word
+        later = _NO_LEAD  # the length of the shortest lead inserted after ``lead``
+        for lead in reversed(self.arrivals):
+            tail = leads.get(lead)
+            if tail is not None and index.may_rewrite(tail, later):
+                stats.tails_reduced += 1
+                leads[lead] = index.table[lead] = lean_terms(index.reduce_terms(tail))
+            later = min(later, len(lead))
 
 
 def complete(
@@ -938,15 +1033,38 @@ def unresolved_overlaps(system: RewriteSystem) -> list[tuple[str, str, str]]:
     reduce to the same normal form along both one-step resolutions.  Normal
     form is linear, so the two agree exactly when their difference, the
     S-polynomial, reduces to zero.  Returns the offending (lead1, lead2,
-    overlap_word) triples; empty = confluent."""
+    overlap_word) triples; empty = confluent.
+
+    From ``_AUDIT_SPLIT_MIN`` overlaps on, a forked child (see
+    :class:`_ForkedChild`) reduces the last 6/20 of them, in the order they
+    are listed, while the parent reduces the rest; a child that dies leaves
+    its overlaps to the parent.  The rules are fixed, so each verdict is
+    the one the parent would reach, and the triples are sorted the same
+    way either way."""
     index = _LiveIndex()
     for lead, tail in system._index.by_word.items():
         index.add(lead, tail)
+    bound = system.degree_bound
+    pairs = [(l1, *o) for l1 in index.by_word for o in index.overlaps_as_left(l1, bound)]
+    child = None
+    if len(pairs) >= _AUDIT_SPLIT_MIN:
+        # the last 6/20 go to a child: the overlaps of the longest leads
+        # come last, and they are the heaviest
+        start = len(pairs) * 14 // 20
+        child = _ForkedChild.fork(index, start, lambda: [(p, None) for p in pairs[start:]])
     bad = []
-    for l1 in index.by_word:
-        for l2, x, z in index.overlaps_as_left(l1, system.degree_bound):
-            if index.reduce_terms(index.s_poly(l1, l2, x, z)):
+    try:
+        for pair in pairs:
+            # the overlap's S-polynomial reduced by the child, or None
+            reduced = child.take() if child else None
+            if reduced is None:
+                reduced = index.reduce_terms(index.s_poly(*pair))
+            if reduced:
+                l1, l2, x, _ = pair
                 bad.append((l1, l2, x + l2))
+    finally:
+        if child:
+            child.stop()
     # rule order for both leads, then overlaps by growing length of b
     rank = {lead: i for i, lead in enumerate(index.by_word)}
     bad.sort(key=lambda t: (rank[t[0]], rank[t[1]], -len(t[2])))

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import re
@@ -9,7 +10,7 @@ import pytest
 
 from hopfw import rewrite
 from hopfw.forms import MultilinearForm, make_bilinear, make_signature
-from hopfw.hopf import build_bw, build_hb, build_hw
+from hopfw.hopf import build_bw, build_hb, build_hw, system_for
 from hopfw.ncalg import Alphabet, Generator, NcPoly, deglex_key, parse_poly
 from hopfw.rewrite import (
     _NO_LEAD,
@@ -31,6 +32,7 @@ from slice_oracle import (
     reduce_by_slices,
 )
 from span_oracle import SpanOracle
+from test_golden import PRESENTATIONS, SYSTEM_DEGREES
 
 
 def free_alphabet(*names):
@@ -120,15 +122,35 @@ def test_presented_quotient_stays_proper():
         assert ideal_member(rel, s)
 
 
-def test_unresolved_overlaps_flags_a_non_confluent_system():
+def _two_rule_system():
+    """ab -> a and bc -> b, which leave the word abc with two distinct normal
+    forms."""
     a = free_alphabet("x", "y", "z")
     x, y, z = (a.char(g) for g in a.generators)
-    # ab -> a and bc -> b leave the word abc with two distinct normal forms
     rules = [
         Rule(x + y, NcPoly(a, {x: 1})),
         Rule(y + z, NcPoly(a, {y: 1})),
     ]
-    s = RewriteSystem(a, rules, 3, 3)
+    return RewriteSystem(a, rules, 3, 3)
+
+
+def _three_rule_system():
+    """aaa -> b, ba -> a and ab -> c, with six unresolved overlaps up to
+    degree 5."""
+    a = free_alphabet("x", "y", "z")
+    x, y, z = (a.char(g) for g in a.generators)
+    rules = [
+        Rule(x + x + x, NcPoly(a, {y: 1})),
+        Rule(y + x, NcPoly(a, {x: 1})),
+        Rule(x + y, NcPoly(a, {z: 1})),
+    ]
+    return RewriteSystem(a, rules, 5, 5)
+
+
+def test_unresolved_overlaps_flags_a_non_confluent_system():
+    s = _two_rule_system()
+    a = s.alphabet
+    x, y, z = (a.char(g) for g in a.generators)
     assert unresolved_overlaps(s) == [(x + y, y + z, x + y + z)]
     fixed = complete([parse_poly(a, "x*y - x"), parse_poly(a, "y*z - y")], 3)
     assert unresolved_overlaps(fixed) == []
@@ -137,14 +159,8 @@ def test_unresolved_overlaps_flags_a_non_confluent_system():
 
 
 def test_unresolved_overlaps_keeps_rule_order_then_growing_overlap():
-    a = free_alphabet("x", "y", "z")
-    x, y, z = (a.char(g) for g in a.generators)
-    rules = [
-        Rule(x + x + x, NcPoly(a, {y: 1})),
-        Rule(y + x, NcPoly(a, {x: 1})),
-        Rule(x + y, NcPoly(a, {z: 1})),
-    ]
-    s = RewriteSystem(a, rules, 5, 5)
+    s = _three_rule_system()
+    x, y, z = (s.alphabet.char(g) for g in s.alphabet.generators)
     # ordered by first lead, then second lead (both in rule order), then the
     # shared factor growing -- so the overlap word shrinks
     assert unresolved_overlaps(s) == [
@@ -555,17 +571,17 @@ def test_constructor_refuses_a_lead_outside_the_alphabet(lead):
 
 
 # (degree, (pairs popped, stale pairs, reductions to zero, new rules,
-# requeued polynomials), final rules, length of the shortest lead) of hw(w)
-# completed in builder order
+# requeued polynomials, tails reduced), final rules, length of the shortest
+# lead) of hw(w) completed in builder order
 _E3_COUNTERS = [
-    (4, (4036, 882, 2115, 1576, 537), 1084, 2),
-    (5, (22701, 6683, 11721, 4834, 537), 4342, 2),
+    (4, (4036, 882, 2115, 1576, 537, 430), 1084, 2),
+    (5, (22701, 6683, 11721, 4834, 537, 430), 4342, 2),
 ]
 # cyclic2 has two relations with one leading word, so arrival breaks a tie
 # in the queue, and these totals pin the queue's order as well
 _CYCLIC2_COUNTERS = [
-    (6, (1776, 1097, 603, 191, 115), 92, 1),
-    (8, (2846, 1181, 1487, 297, 119), 194, 1),
+    (6, (1776, 1097, 603, 191, 115, 37), 92, 1),
+    (8, (2846, 1181, 1487, 297, 119, 78), 194, 1),
 ]
 CYCLIC2 = MultilinearForm(2, 3, {(1, 1, 2): 1, (1, 2, 1): 1, (2, 1, 1): 1})
 
@@ -573,7 +589,10 @@ CYCLIC2 = MultilinearForm(2, 3, {(1, 1, 2): 1, (1, 2, 1): 1, (2, 1, 1): 1})
 def _check_completion_counters(w, degree, totals, rules, shortest):
     system = complete(list(build_hw(w).relations), degree)
     st = system.stats
-    got = (st.pairs_popped, st.stale_pairs, st.reductions_to_zero, st.new_rules, st.requeued_polys)
+    got = (
+        st.pairs_popped, st.stale_pairs, st.reductions_to_zero, st.new_rules, st.requeued_polys,
+        st.tails_reduced,
+    )
     assert got == totals
     assert len(system.rules) == rules
     # every reduction ends in zero or in a new rule
@@ -612,8 +631,8 @@ _SPLIT_SYSTEMS = {
 
 
 def _split_always(monkeypatch, block=rewrite._BLOCK):
-    """Split every top degree, with two CPUs as far as the split can see,
-    and count the forks."""
+    """Split every top degree and every audit, with two CPUs as far as the
+    split can see, and count the forks."""
     forks = []
     fork = os.fork
 
@@ -622,6 +641,7 @@ def _split_always(monkeypatch, block=rewrite._BLOCK):
         return fork()
 
     monkeypatch.setattr(rewrite, "_SPLIT_MIN_ITEMS", 1)
+    monkeypatch.setattr(rewrite, "_AUDIT_SPLIT_MIN", 1)
     monkeypatch.setattr(rewrite, "_BLOCK", block)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", counted)
@@ -660,19 +680,19 @@ def _watch_children(monkeypatch):
     """Record, for each child, the queue length at the fork and the pops
     counted when it was first stopped."""
     seen = []
-    fork, stop = rewrite._TopDegreeChild.fork, rewrite._TopDegreeChild.stop
+    fork, stop = rewrite._ForkedChild.fork, rewrite._ForkedChild.stop
 
-    def watched_fork(index, heap):
-        seen.append([len(heap), None])
-        return fork(index, heap)
+    def watched_fork(index, start, part):
+        seen.append([start + len(part()), None])
+        return fork(index, start, part)
 
     def watched_stop(child):
         if child.pid is not None:
             seen[-1][1] = child.popped
         stop(child)
 
-    monkeypatch.setattr(rewrite._TopDegreeChild, "fork", staticmethod(watched_fork))
-    monkeypatch.setattr(rewrite._TopDegreeChild, "stop", watched_stop)
+    monkeypatch.setattr(rewrite._ForkedChild, "fork", staticmethod(watched_fork))
+    monkeypatch.setattr(rewrite._ForkedChild, "stop", watched_stop)
     return seen
 
 
@@ -713,7 +733,10 @@ def _random_relations(seed):
 
 # seeds whose first shorter lead at the top degree arrives after the parent
 # has taken results from the child
-@pytest.mark.parametrize("seed", [0, 308, 721, 1133, 1757, 2165])
+_LATE_CANCEL_SEEDS = [0, 308, 721, 1133, 1757, 2165]
+
+
+@pytest.mark.parametrize("seed", _LATE_CANCEL_SEEDS)
 def test_split_top_degree_stops_the_child_after_taking_its_results(seed, monkeypatch):
     relations, degree = _random_relations(seed)
     expected = _sequential(relations, degree)
@@ -748,10 +771,10 @@ def test_split_top_degree_survives_a_child_that_dies(n, monkeypatch):
     relations = list(build_hb(make_bilinear([[1, 2], [3, 5]])).relations)
     expected = _sequential(relations, 6)
     _split_always(monkeypatch, block=8)
-    fork = rewrite._TopDegreeChild.fork
+    fork = rewrite._ForkedChild.fork
     monkeypatch.setattr(
-        rewrite._TopDegreeChild, "fork",
-        staticmethod(lambda index, heap: fork(_DiesAfter(index, n), heap)),
+        rewrite._ForkedChild, "fork",
+        staticmethod(lambda index, start, part: fork(_DiesAfter(index, n), start, part)),
     )
     seen = _watch_children(monkeypatch)
     system = complete(relations, 6)
@@ -795,6 +818,284 @@ def test_split_top_degree_does_not_fork_beside_another_thread(monkeypatch):
         release.set()
         waiter.join()
     assert system.dump() == expected.dump() and system.stats == expected.stats
+
+
+def _same_terms(got, want):
+    """The same words with the same values, each of the same int/Fraction
+    type."""
+    return got == want and all(type(c) is type(want[w]) for w, c in got.items())
+
+
+def _checked_skips(monkeypatch):
+    """Check the work completion skips against the full reduction, and count
+    it: a tail that interreduction leaves as it is reduces to itself, and
+    ``reduce_top_words`` gives ``reduce_terms``'s result on every child
+    result it reduces."""
+    seen = {"tails": 0, "top": 0}
+    may_rewrite, reduce_top_words = _LiveIndex.may_rewrite, _LiveIndex.reduce_top_words
+
+    def checked_may_rewrite(index, tail, shortest):
+        if may_rewrite(index, tail, shortest):
+            return True
+        assert _same_terms(index.reduce_terms(tail), tail)
+        seen["tails"] += 1
+        return False
+
+    def checked_reduce_top_words(index, terms, top):
+        got = reduce_top_words(index, terms, top)
+        assert _same_terms(got, index.reduce_terms(terms)), terms
+        seen["top"] += 1
+        return got
+
+    monkeypatch.setattr(_LiveIndex, "may_rewrite", checked_may_rewrite)
+    monkeypatch.setattr(_LiveIndex, "reduce_top_words", checked_reduce_top_words)
+    return seen
+
+
+# the split systems whose child results the parent reduces by length-D
+# words alone: the others stop the child before its part or fork with no
+# top-degree lead yet
+_WHOLE_WORD_SYSTEMS = {"hw(e3) D=5", "hb(1235) D=5", "hb(1235) D=6", "hb(3x3) D=4"}
+
+
+@pytest.mark.parametrize(
+    "case", [*_SPLIT_SYSTEMS, *(f"seed {seed}" for seed in _LATE_CANCEL_SEEDS)]
+)
+def test_split_top_degree_skips_only_work_that_changes_nothing(case, monkeypatch):
+    """With the top degree split, every tail that interreduction skips is
+    normal, every second reduction by length-D words alone is the full one,
+    and the skipped and the reduced tails add up to the rules."""
+    if case in _SPLIT_SYSTEMS:
+        build, w, degree = _SPLIT_SYSTEMS[case]
+        relations = list(build(w).relations)
+    else:
+        relations, degree = _random_relations(int(case.split()[1]))
+    _split_always(monkeypatch, block=2)
+    seen = _checked_skips(monkeypatch)
+    system = complete(relations, degree)
+    _assert_no_child_left()
+    assert seen["tails"] > 0
+    assert seen["tails"] + system.stats.tails_reduced == len(system.rules)
+    if case in _WHOLE_WORD_SYSTEMS:
+        assert seen["top"] > 0
+
+
+def test_split_top_degree_skips_only_work_that_changes_nothing_on_random_completions(
+    monkeypatch,
+):
+    forks = _split_always(monkeypatch)
+    seen = _checked_skips(monkeypatch)
+    skipped = 0
+    for trial, system in _random_completions():
+        assert seen["tails"] - skipped + system.stats.tails_reduced == len(system.rules), trial
+        skipped = seen["tails"]
+    _assert_no_child_left()
+    assert len(forks) > 50 and seen["top"] > 0
+
+
+def _assert_tails_are_normal(system):
+    """No word of any tail holds a lead: all of them reduce to themselves
+    in one reduction."""
+    index = system._index
+    words = dict.fromkeys((w for tail in index.by_word.values() for w in tail), 1)
+    assert index.reduce_terms(words) == words
+
+
+@pytest.mark.parametrize("key", sorted(PRESENTATIONS))
+def test_every_tail_of_a_golden_system_is_normal(key):
+    _assert_tails_are_normal(system_for(PRESENTATIONS[key](), SYSTEM_DEGREES[key]))
+
+
+def test_every_tail_of_a_random_completion_is_normal():
+    for _, system in _random_completions():
+        _assert_tails_are_normal(system)
+
+
+@pytest.mark.parametrize("case", ["hw(cyclic2) D=5", "hw(cyclic2) D=8", "hw(e3) D=4"])
+def test_split_top_degree_forked_after_a_shorter_lead_reads_only_length_d_words(
+    case, monkeypatch
+):
+    """Forked at the first top-only queue after the last shorter lead that
+    arrives while a length-D lead is live, so that an older length-D lead
+    may have a tail that holds a shorter lead: no such tail comes up in the
+    second reduction, which is ``reduce_terms``'s on every child result,
+    and the dump and the stats are the sequential ones."""
+    build, w, degree = _SPLIT_SYSTEMS[case]
+    relations = list(build(w).relations)
+    shorter, fork_after = [], [0]
+    insert = rewrite._Completion.insert
+
+    def watched_insert(st, reduced):
+        had_top = bool(st.index.by_len.get(degree))
+        insert(st, reduced)
+        if had_top and len(st.arrivals[-1]) < degree:
+            # a shorter lead after a length-D lead: is one still live?
+            shorter.append(bool(st.index.by_len.get(degree)))
+            if len(shorter) == fork_after[0]:
+                rewrite._SPLIT_MIN_ITEMS = 1  # the next top-only queue forks
+
+    monkeypatch.setattr(rewrite._Completion, "insert", watched_insert)
+    expected = _sequential(relations, degree)
+    fork_after[0] = len(shorter)
+    shorter.clear()
+    forks = _split_always(monkeypatch, block=2)
+    monkeypatch.setattr(rewrite, "_SPLIT_MIN_ITEMS", sys.maxsize)
+    seen = _checked_skips(monkeypatch)
+    system = complete(relations, degree)
+    _assert_no_child_left()
+    assert fork_after[0] > 0 and shorter[-1] and forks == [1] and seen["top"] > 0
+    assert system.dump() == expected.dump() and system.stats == expected.stats
+
+
+def _sequential_audit(system):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rewrite, "_AUDIT_SPLIT_MIN", sys.maxsize)
+        return unresolved_overlaps(system)
+
+
+def _declared_higher(system, by):
+    """The rules of ``system`` claimed complete ``by`` degrees higher, so
+    that their overlaps above its degree are unresolved."""
+    degree = system.degree_bound + by
+    return RewriteSystem(system.alphabet, system.rules, degree, degree)
+
+
+def _overlap_count(system):
+    index = _LiveIndex()
+    for lead, tail in system._index.by_word.items():
+        index.add(lead, tail)
+    bound = system.degree_bound
+    return sum(1 for lead in index.by_word for _ in index.overlaps_as_left(lead, bound))
+
+
+@pytest.mark.parametrize("key", sorted(PRESENTATIONS))
+def test_split_audit_gives_the_sequential_list_on_golden_systems(key, monkeypatch):
+    system = system_for(PRESENTATIONS[key](), SYSTEM_DEGREES[key])
+    expected = _sequential_audit(system)
+    forks = _split_always(monkeypatch)
+    assert unresolved_overlaps(system) == expected
+    # a system with no overlap, as bw's, has nothing to hand a child
+    assert forks == ([1] if _overlap_count(system) else [])
+    _assert_no_child_left()
+
+
+def _random_rule_systems(count):
+    """Seeded systems of up to 8 rules over three letters, audited to
+    degree 6: pairwise factor-free leads of 2 to 4 letters, each with up to
+    3 tail words below it in deglex.  Most of their overlaps are
+    unresolved."""
+    rng = random.Random(20261024)
+    a = free_alphabet("x", "y", "z")
+    letters = [a.char(g) for g in a.generators]
+
+    def word(n):
+        return "".join(rng.choice(letters) for _ in range(n))
+
+    for _ in range(count):
+        tails = {}
+        for _ in range(8):
+            n = rng.randint(2, 4)
+            lead = word(n)
+            if any(old in lead or lead in old for old in tails):
+                continue
+            words = [word(rng.randint(0, n)) for _ in range(rng.randint(0, 3))]
+            # among words of one length, a larger string is lower in deglex
+            below = [w for w in words if len(w) < n or w > lead]
+            tails[lead] = {w: rng.choice(_COEFFICIENTS) for w in below}
+        yield RewriteSystem(a, [Rule(lead, NcPoly(a, t)) for lead, t in tails.items()], 6, 6)
+
+
+def test_split_audit_gives_the_sequential_list_on_non_confluent_systems(monkeypatch):
+    """The child takes the last overlaps in the order they are listed, one
+    block of two positions at a time; the list and its order are the
+    sequential ones."""
+    systems = [_two_rule_system(), _three_rule_system(), *_random_rule_systems(30)]
+    expected = [_sequential_audit(s) for s in systems]
+    forks = _split_always(monkeypatch, block=2)
+    assert [unresolved_overlaps(s) for s in systems] == expected
+    _assert_no_child_left()
+    assert len(forks) == len(systems) and sum(len(bad) > 5 for bad in expected) > 10
+
+
+def _cyclic2_above_its_degree():
+    """hw(cyclic2) completed at D=6 and claimed complete at D=8: 1 000 and
+    more overlaps, many of them unresolved."""
+    return _declared_higher(complete(list(build_hw(CYCLIC2).relations), 6), 2)
+
+
+@pytest.mark.parametrize("n", [0, 20])
+def test_split_audit_survives_a_child_that_dies(n, monkeypatch):
+    system = _cyclic2_above_its_degree()
+    expected = _sequential_audit(system)
+    assert expected
+    _split_always(monkeypatch, block=8)
+    fork = rewrite._ForkedChild.fork
+    monkeypatch.setattr(
+        rewrite._ForkedChild, "fork",
+        staticmethod(lambda index, start, part: fork(_DiesAfter(index, n), start, part)),
+    )
+    seen = _watch_children(monkeypatch)
+    assert unresolved_overlaps(system) == expected
+    _assert_no_child_left()
+    # the parent stopped the child at a block it could not read, in the
+    # child's part of the overlaps, and audited the rest itself
+    [(n_items, popped)] = seen
+    assert n_items * 14 // 20 < popped < n_items
+
+
+def test_split_audit_leaves_no_child_after_a_run_or_an_exception(monkeypatch):
+    system = _cyclic2_above_its_degree()
+    expected = _sequential_audit(system)
+    forks = _split_always(monkeypatch)
+    assert unresolved_overlaps(system) == expected
+    _assert_no_child_left()
+    parent, calls = os.getpid(), []
+    reduce_terms = _LiveIndex.reduce_terms
+
+    def interrupted(index, terms):
+        if os.getpid() == parent:
+            calls.append(1)
+            if len(calls) > 100:
+                raise KeyboardInterrupt
+        return reduce_terms(index, terms)
+
+    monkeypatch.setattr(_LiveIndex, "reduce_terms", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        unresolved_overlaps(system)
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+def test_split_audit_does_not_fork_beside_another_thread(monkeypatch):
+    system = _cyclic2_above_its_degree()
+    expected = _sequential_audit(system)
+    _split_always(monkeypatch)
+
+    def refuse():
+        raise AssertionError("forked beside a second thread")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert unresolved_overlaps(system) == expected
+    finally:
+        release.set()
+        waiter.join()
+
+
+def test_split_audit_forks_from_its_threshold(monkeypatch):
+    """hw(cyclic2) at D=8 has 1 581 overlaps and forks; at D=6 it has fewer
+    than ``_AUDIT_SPLIT_MIN`` and does not."""
+    systems = [complete(list(build_hw(CYCLIC2).relations), d) for d in (6, 8)]
+    forks = _split_always(monkeypatch)
+    monkeypatch.setattr(rewrite, "_AUDIT_SPLIT_MIN", 1000)
+    assert unresolved_overlaps(systems[0]) == []
+    assert forks == []
+    assert unresolved_overlaps(systems[1]) == []
+    assert forks == [1]
+    _assert_no_child_left()
 
 
 _SCALED = {
