@@ -31,11 +31,44 @@ Implementation notes, sized for thousands of rules:
   length): every proper prefix and suffix of each live lead is indexed with
   the lead's length, so a new rule meets only the rules it genuinely
   overlaps, and only through the lengths that keep the overlap word within
-  the degree bound -- overlaps above D are never built;
+  a window of degrees.  One walker (``_LiveIndex.sets_as_left`` and
+  ``sets_as_right``, and ``overlaps`` over every lead) serves the queue
+  below and the audit, whose window is 1..D;
 * pending S-polynomials are queued as descriptors (the two leads and the
   splitting words) and materialized against the *current* tails at pop time;
   descriptors whose parent rule has been retracted are dropped, because the
   retracting insertion re-queued every overlap of its replacement;
+* the queue is filled a degree at a time.  The frontier is the highest
+  degree the drain has reached.  A new lead queues its overlaps of degree
+  <= the frontier; one of higher degree is neither built nor queued, and
+  when the drain first needs degree d, every live overlap of degree exactly
+  d is listed from the live index at once and heapified into the queue.
+  Polynomials (relations, evicted rules) are queued at once.  An evicted
+  lead leaves the word of each of its overlaps above the frontier, by
+  degree, and these count as popped and stale when their degree is listed.
+  This pops what a queue that takes every overlap of degree <= D when its
+  second lead arrives pops, in the same order, with the same counts:
+
+  - nothing of degree d pops before the drain reaches d, so that queue
+    holds, then, every overlap of degree d whose two leads are live, which
+    is what is listed, and the overlaps that lost a lead, which were left
+    by their evictions (a lead is never inserted twice);
+  - live leads are factor-free, so each overlap word has at most one live
+    pair, and the listed items differ in their words.  A requeued
+    polynomial of the same word as a listed pair was queued no later than
+    that pair: a relation was queued first of all, and an evicted rule's
+    lead has the pair's left lead as a proper prefix, so that lead arrived
+    with the eviction or after it.  The polynomial keeps popping first, as
+    the listed items take one ``seq`` above every earlier push, and every
+    later push pops after them;
+  - the unit ideal clears the queue, and with it the words of the degrees
+    not yet listed.  Of the frontier degree, the stale pairs that queue
+    would still hold are uncounted: those whose words rank above the last
+    item popped at that degree, and those of its word when that item is a
+    polynomial.  A stale pair of the word of a pair in the queue was
+    queued before it: the two pairs differ in a lead, one of the two
+    differing leads lies in the other, and so the stale pair's left no
+    later than the other arrived;
 * retraction keeps live leads pairwise factor-free: a new lead evicts every
   longer live lead containing it (checked per length bucket), and the evicted
   polynomial re-enters the queue;
@@ -125,10 +158,10 @@ which the tests run on pinned and random systems.  The argument:
 
 * every overlap of the final system was already resolved.  A retracted lead
   can never become a lead again, because it always contains a live proper
-  factor, so the final leads were live from their insertion to the end.  The
-  second of each pair to be inserted queued their overlaps, and each overlap
-  of degree <= D was popped with both parents live and reduced, to zero or
-  to the polynomial of a new rule;
+  factor, so the final leads were live from their insertion to the end.  Each
+  overlap of degree <= D of a pair was queued, when the second of the pair
+  was inserted or when the drain reached its degree, and was popped with both
+  parents live and reduced, to zero or to the polynomial of a new rule;
 * eviction keeps those resolutions valid.  Bergman's condition "the
   S-polynomial lies in I_{<W}" survives eviction, because the evicted
   polynomial is requeued and reduced; the induction is on the pair (word,
@@ -202,7 +235,11 @@ class CompletionStats:
     Every popped polynomial and every pair that is not stale is reduced,
     and each reduction ends in zero or in a new rule:
     ``pairs_popped - stale_pairs + requeued_polys == reductions_to_zero +
-    new_rules``."""
+    new_rules``.  A pair whose parent was retracted before its degree was
+    listed is never queued: it counts as popped and stale when the drain
+    reaches its degree, as a queue that took it when its second lead arrived
+    would have popped it then.  ``peak_queue`` is the most items the queue
+    held before a pop."""
 
     pairs_popped: int = 0
     stale_pairs: int = 0  # a parent rule was retracted before the pop
@@ -210,6 +247,7 @@ class CompletionStats:
     new_rules: int = 0
     requeued_polys: int = 0  # the input relations and the evicted rules
     tails_reduced: int = 0  # by interreduction; the other tails are left as they are
+    peak_queue: int = 0
 
 
 # the value a lead index's table gives a proper prefix of a lead
@@ -427,34 +465,58 @@ class _LiveIndex(_LeadIndex):
         out.update((w, c) for w, c in work.items() if c and len(w) < top)
         return out
 
-    def overlaps_as_right(self, lead: str, bound: int):
-        """Every proper overlap of degree <= ``bound`` with ``lead`` as the
-        right rule and another live lead l1 as the left one: yields
-        (l1, x, z) with l1 = x.b and lead = b.z for a nonempty proper b.
-        The self-overlaps of ``lead`` are left to :meth:`overlaps_as_left`."""
-        n = len(lead)
-        for i in range(1, n):
-            b = lead[:i]
-            for n1 in range(i + 1, bound - n + i + 1):
-                others = self.suffixes.get((b, n1))
-                if others:
-                    for l1 in others:
-                        if l1 != lead:
-                            yield l1, l1[: n1 - i], lead[i:]
+    # The one overlap walker.  A proper overlap of two live leads l1 = x.b
+    # and l2 = b.z, for a nonempty b shorter than both, has the word x.l2 =
+    # l1.z, whose degree is |x| + |l2| and exceeds both lengths.  The two
+    # methods below walk the overlaps of one lead in a window lo..hi of
+    # degrees, an affix set at a time, so that completion builds from each
+    # set only what it needs; ``overlaps`` lists the pairs of every lead.
 
-    def overlaps_as_left(self, lead: str, bound: int):
-        """Every proper overlap of degree <= ``bound`` with ``lead`` as the
-        left rule and a live lead l2 as the right one: yields (l2, x, z) with
-        lead = x.b and l2 = b.z for a nonempty proper b, so the overlap word
-        x.l2 has length |x| + |l2|."""
+    def sets_as_left(self, lead: str, lo: int, hi: int):
+        """(i, d, leads) for each split ``lead`` = x.b with |x| = i and each
+        degree d in lo..hi: the live leads l2 of length d - i that start
+        with b, each overlapping ``lead`` in the word x.l2 of degree d."""
         n = len(lead)
+        lo = max(n + 1, lo)
+        if lo > hi:
+            return
+        get = self.prefixes.get
         for i in range(1, n):
             b = lead[i:]
-            for n2 in range(n - i + 1, bound - i + 1):
-                others = self.prefixes.get((b, n2))
-                if others:
-                    for l2 in others:
-                        yield l2, lead[:i], l2[n - i :]
+            for n2 in range(lo - i, hi - i + 1):
+                leads = get((b, n2))
+                if leads:
+                    yield i, i + n2, leads
+
+    def sets_as_right(self, lead: str, lo: int, hi: int):
+        """(i, d, leads) for each split ``lead`` = b.z with |b| = i and each
+        degree d in lo..hi: the live leads l1 of length d - |z| that end
+        with b, each overlapping ``lead`` in the word of degree d that ends
+        with it.  A set may hold ``lead`` itself, whose self-overlaps
+        :meth:`sets_as_left` already walks."""
+        n = len(lead)
+        lo = max(n + 1, lo)
+        if lo > hi:
+            return
+        get = self.suffixes.get
+        for i in range(1, n):
+            b = lead[:i]
+            for n1 in range(lo - n + i, hi - n + i + 1):
+                leads = get((b, n1))
+                if leads:
+                    yield i, n1 + n - i, leads
+
+    def overlaps(self, lo: int, hi: int):
+        """Every proper overlap of two live leads, a lead with itself
+        included, whose word has degree lo..hi, once each: (l1, l2, x, z)
+        with l1 = x.b and l2 = b.z, by left lead in the order of
+        ``by_word``."""
+        for l1 in self.by_word:
+            n = len(l1)
+            for i, _, leads in self.sets_as_left(l1, lo, hi):
+                x = l1[:i]
+                for l2 in leads:
+                    yield l1, l2, x, l2[n - i :]
 
 
 class _Rules(Sequence):
@@ -870,6 +932,15 @@ class _Completion:
         self.index = _LiveIndex()
         self.heap: list = []
         self.seq = 0
+        # the highest degree the drain has reached: an overlap above it is
+        # queued only when the drain reaches its degree (``list_overlaps``)
+        self.frontier = 0
+        # by degree, the word of each overlap that lost a parent before the
+        # drain reached its degree, and the last item popped at the frontier
+        # degree: the unit ideal uncounts the stale pairs a queue of every
+        # overlap would still hold (``unpop_dead``)
+        self.dead: list[list[str]] = [[] for _ in range(degree_bound + 1)]
+        self.last: tuple | None = None
         self.stats = CompletionStats()
         # every lead in the order it was inserted; none is inserted twice,
         # as an evicted lead keeps a live proper factor
@@ -883,12 +954,64 @@ class _Completion:
         heapq.heappush(self.heap, (len(key_word), self.rank(key_word), self.seq, pair, terms))
 
     def queue_overlaps_of(self, lead: str) -> None:
-        """Queue every overlap ambiguity of degree <= D between ``lead`` and
-        the live rules (including itself)."""
-        for l2, x, z in self.index.overlaps_as_left(lead, self.degree_bound):
-            self.push(x + l2, (lead, l2, x, z), None)
-        for l1, x, z in self.index.overlaps_as_right(lead, self.degree_bound):
-            self.push(x + lead, (l1, lead, x, z), None)
+        """Queue every overlap ambiguity of degree <= the frontier between
+        ``lead`` and the live rules (including itself); ``list_overlaps``
+        queues the others when the drain reaches their degree."""
+        index, frontier = self.index, self.frontier
+        n = len(lead)
+        for i, _, leads in index.sets_as_left(lead, 1, frontier):
+            x = lead[:i]
+            for l2 in leads:
+                self.push(x + l2, (lead, l2, x, l2[n - i :]), None)
+        for i, _, leads in index.sets_as_right(lead, 1, frontier):
+            z = lead[i:]
+            for l1 in leads:
+                if l1 != lead:
+                    x = l1[: len(l1) - i]
+                    self.push(x + lead, (l1, lead, x, z), None)
+
+    def bury_overlaps_of(self, lead: str) -> None:
+        """Keep the word of every overlap above the frontier between
+        ``lead``, which is about to be evicted, and the live rules
+        (including itself), by degree: a queue that took each overlap when
+        its second lead arrived holds these, and would pop them stale."""
+        index, dead, lo, hi = self.index, self.dead, self.frontier + 1, self.degree_bound
+        for i, d, leads in index.sets_as_left(lead, lo, hi):
+            dead[d] += [lead[:i] + l2 for l2 in leads]
+        for i, d, leads in index.sets_as_right(lead, lo, hi):
+            dead[d] += [l1[: len(l1) - i] + lead for l1 in leads if l1 != lead]
+
+    def list_overlaps(self, degree: int) -> None:
+        """Queue at once every live overlap of ``degree``, which the drain
+        has just reached, all with one ``seq`` above every earlier push, and
+        count the overlaps of ``degree`` that lost a parent before as popped
+        and stale (the module docstring says why this is the order and the
+        count of a queue that took every overlap when its leads arrived)."""
+        self.seq += 1
+        seq, rank = self.seq, self.rank
+        listed = [
+            (degree, rank(x + l2), seq, (l1, l2, x, z), None)
+            for l1, l2, x, z in self.index.overlaps(degree, degree)
+        ]
+        stale = len(self.dead[degree])
+        self.stats.pairs_popped += stale
+        self.stats.stale_pairs += stale
+        self.heap += listed
+        heapq.heapify(self.heap)
+
+    def unpop_dead(self) -> None:
+        """Uncount the overlaps of the frontier degree that lost a parent
+        before it was listed and that a queue of every overlap would still
+        hold: those above the last item popped at that degree, and those of
+        its word when that item is a polynomial."""
+        dead = self.dead[self.frontier]
+        if not dead:
+            return
+        _, key, _, pair, _ = self.last
+        rank = self.rank
+        unpopped = sum(1 for w in dead if rank(w) > key or pair is None and rank(w) == key)
+        self.stats.pairs_popped -= unpopped
+        self.stats.stale_pairs -= unpopped
 
     def insert(self, reduced: _Terms) -> None:
         """Make a monic rule out of a reduced nonzero polynomial, retract
@@ -906,6 +1029,8 @@ class _Completion:
                 self.index.remove(old)
             self.index.add("", {})
             self.heap.clear()
+            self.unpop_dead()
+            self.dead = [[] for _ in self.dead]
             return
 
         # evict longer live leads containing the new lead
@@ -914,6 +1039,7 @@ class _Completion:
             if not bucket:
                 continue
             for old in [o for o in bucket if lead in o]:
+                self.bury_overlaps_of(old)
                 old_tail = self.index.remove(old)
                 terms = {w: -c for w, c in old_tail.items()}
                 terms[old] = 1
@@ -923,27 +1049,46 @@ class _Completion:
         self.queue_overlaps_of(lead)
 
     def drain(self, on_progress) -> None:
-        """Pop and reduce until the queue is empty.  The first time the
-        queue holds only top-degree items, at least ``_SPLIT_MIN_ITEMS`` of
-        them, a forked child may take the last 9/20 of them (see
-        :class:`_ForkedChild`); the parent reduces each of the child's
-        results once more, by their length-D words alone
-        (``_LiveIndex.reduce_top_words``), and stops the child for good when
-        a lead shorter than the top degree arrives."""
+        """Pop and reduce until the queue is empty and the frontier is at
+        D.  Before each pop, the frontier moves up a degree at a time to the
+        lowest queued degree, and each degree it reaches has its overlaps
+        listed (``list_overlaps``).  The first time the queue holds only
+        top-degree items, at least ``_SPLIT_MIN_ITEMS`` of them, a forked
+        child may take the last 9/20 of them (see :class:`_ForkedChild`);
+        the parent reduces each of the child's results once more, by their
+        length-D words alone (``_LiveIndex.reduce_top_words``), and stops the
+        child for good when a lead shorter than the top degree arrives."""
         reported = -1
         stats, index, heap = self.stats, self.index, self.heap
         top = self.degree_bound
         child = None
         split = True  # the top degree is split at most once
+        peak = 0
+        frontier = self.frontier
         try:
-            while heap:
+            while True:
+                while frontier < top and (not heap or heap[0][0] > frontier):
+                    self.frontier = frontier = frontier + 1
+                    self.list_overlaps(frontier)
+                    # a degree of stale pairs alone, which count as popped
+                    stale_only = self.dead[frontier] and not (heap and heap[0][0] == frontier)
+                    if on_progress and stale_only:
+                        on_progress(frontier, len(index.by_word))
+                        reported = frontier
+                if not heap:
+                    break
+                if len(heap) > peak:
+                    peak = len(heap)
                 if split and heap[0][0] == top and len(heap) >= _SPLIT_MIN_ITEMS:
                     split = False
                     start = len(heap) - len(heap) * 9 // 20
                     child = _ForkedChild.fork(
                         index, start, lambda: [item[3:] for item in sorted(heap)[start:]]
                     )
-                deg, _, _, pair, terms = heapq.heappop(heap)
+                item = heapq.heappop(heap)
+                deg, _, _, pair, terms = item
+                if deg == frontier:
+                    self.last = item
                 if on_progress and deg > reported:
                     on_progress(deg, len(index.by_word))
                     reported = deg
@@ -970,6 +1115,7 @@ class _Completion:
                 else:
                     stats.reductions_to_zero += 1
         finally:
+            stats.peak_queue = peak
             if child:
                 child.stop()
 
@@ -1044,8 +1190,7 @@ def unresolved_overlaps(system: RewriteSystem) -> list[tuple[str, str, str]]:
     index = _LiveIndex()
     for lead, tail in system._index.by_word.items():
         index.add(lead, tail)
-    bound = system.degree_bound
-    pairs = [(l1, *o) for l1 in index.by_word for o in index.overlaps_as_left(l1, bound)]
+    pairs = list(index.overlaps(1, system.degree_bound))
     child = None
     if len(pairs) >= _AUDIT_SPLIT_MIN:
         # the last 6/20 go to a child: the overlaps of the longest leads
