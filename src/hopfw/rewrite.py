@@ -1070,7 +1070,8 @@ class _Completion:
                 while frontier < top and (not heap or heap[0][0] > frontier):
                     self.frontier = frontier = frontier + 1
                     self.list_overlaps(frontier)
-                    # a degree of stale pairs alone, which count as popped
+                    # a degree of stale pairs alone: they count as popped, so
+                    # it is reported as a degree with items is when one pops
                     stale_only = self.dead[frontier] and not (heap and heap[0][0] == frontier)
                     if on_progress and stale_only:
                         on_progress(frontier, len(index.by_word))
