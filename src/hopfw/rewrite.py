@@ -23,19 +23,23 @@ Implementation notes, sized for thousands of rules:
   Aho & Corasick's failure links (CACM 1975), since a word is at most D
   letters long.  Live leads are factor-free, so no lead is a prefix of another
   and the two kinds of key never collide.  An eviction drops each prefix
-  of the evicted lead that no live lead still starts with, which the prefix
-  map below already says.  A frozen system keeps only the table and its
+  of the evicted lead that no live lead still starts with, which the table
+  itself says: walked longest first, a prefix p stays exactly when p.c is a
+  key for some letter c.  A frozen system keeps only the table and its
   tails: completion builds the live index with the maps below for itself,
   and the audit rebuilds it from the frozen rules when it runs;
 * overlap enumeration through prefix/suffix maps keyed by (affix, lead
-  length): every proper prefix and suffix of each live lead is indexed with
-  the lead's length, so a new rule meets only the rules it genuinely
-  overlaps, and only through the lengths that keep the overlap word within
-  a window of degrees.  One walker (``_LiveIndex.sets_as_left`` and
+  length): every proper prefix and suffix of each live lead shorter than D
+  is indexed with the lead's length, so a new rule meets only the rules it
+  genuinely overlaps, and only through the lengths that keep the overlap
+  word within a window of degrees.  A lead of length D is not indexed: an
+  overlap word is longer than both its leads, so such a lead takes part in
+  no overlap of degree <= D.  One walker (``_LiveIndex.sets_as_left`` and
   ``sets_as_right``, and ``overlaps`` over every lead) serves the queue
   below and the audit, whose window is 1..D;
-* pending S-polynomials are queued as descriptors (the two leads and the
-  splitting words) and materialized against the *current* tails at pop time;
+* pending S-polynomials are queued as descriptors, the two leads alone,
+  and materialized against the *current* tails at pop time, which cuts the
+  splitting words from the leads and the item's degree;
   descriptors whose parent rule has been retracted are dropped, because the
   retracting insertion re-queued every overlap of its replacement;
 * the queue is filled a degree at a time.  The frontier is the highest
@@ -121,7 +125,8 @@ Implementation notes, sized for thousands of rules:
   :func:`normal_form`;
 * the gate checks every lead's spelling and length and every tail at once,
   builds the prefix table in two dict calls, and goes lead by lead only to
-  word the first refusal;
+  word the first refusal.  Completion hands it the tails alone: the run's
+  live index, queue and other state are dropped before it builds its own;
 * the top degree D may be split with one forked child (see
   :class:`_ForkedChild`): when the queue first holds only degree-D items,
   at least ``_SPLIT_MIN_ITEMS`` of them, and ``os.fork``, a second CPU and
@@ -303,9 +308,11 @@ class _LeadIndex:
             table.setdefault(lead[:i], _PREFIX)
         self.shortest = min(self.shortest, len(lead))
 
-    def s_poly(self, l1: str, l2: str, x: str, z: str) -> _Terms:
+    def s_poly(self, l1: str, l2: str, degree: int) -> _Terms:
         """Terms of tail(l1).z - x.tail(l2) for the overlap word l1.z = x.l2
-        of two live rules."""
+        of ``degree`` of two live rules."""
+        x = l1[: degree - len(l2)]
+        z = l2[len(l1) - len(x) :]
         s_terms = {w + z: c for w, c in self.by_word[l1].items()}
         for w, c in self.by_word[l2].items():
             kw = x + w
@@ -387,14 +394,21 @@ class _LiveIndex(_LeadIndex):
     pairwise factor-free: no lead is a prefix of another, so a table entry
     is a lead or a prefix, never both.  Also the leads by length, for
     eviction, and the overlap maps: every proper prefix and suffix of each
-    live lead, keyed by (affix, length of the lead).  Removing a lead drops
-    each of its prefixes that no live lead of any length still starts with,
-    and moves ``shortest`` up when it was the last lead of that length."""
+    live lead shorter than ``top``, the degree bound, keyed by (affix,
+    length of the lead).  A lead of length ``top`` has no entry there: an
+    overlap word is longer than both its leads, so such a lead takes part
+    in no overlap of degree <= ``top``.  Removing a lead drops each of its
+    prefixes that no live lead still starts with: walked longest first, a
+    prefix p stays exactly when the table holds p.c for a letter c of
+    ``letters``, and then so do the shorter ones.  It moves ``shortest`` up
+    when the lead was the last of its length."""
 
-    __slots__ = ("by_len", "prefixes", "suffixes")
+    __slots__ = ("top", "letters", "by_len", "prefixes", "suffixes")
 
-    def __init__(self) -> None:
+    def __init__(self, top: int, letters: str) -> None:
         super().__init__()
+        self.top = top
+        self.letters = letters
         self.by_len: dict[int, set[str]] = {}
         self.prefixes: dict[tuple[str, int], set[str]] = {}
         self.suffixes: dict[tuple[str, int], set[str]] = {}
@@ -403,25 +417,29 @@ class _LiveIndex(_LeadIndex):
         super().add(lead, tail)
         n = len(lead)
         self.by_len.setdefault(n, set()).add(lead)
-        for i in range(1, n):
-            self.prefixes.setdefault((lead[:i], n), set()).add(lead)
-            self.suffixes.setdefault((lead[i:], n), set()).add(lead)
+        if n < self.top:
+            for i in range(1, n):
+                self.prefixes.setdefault((lead[:i], n), set()).add(lead)
+                self.suffixes.setdefault((lead[i:], n), set()).add(lead)
 
     def remove(self, lead: str) -> _Terms:
         tail = self.by_word.pop(lead)
-        table, prefixes = self.table, self.prefixes
+        table = self.table
         del table[lead]
         n = len(lead)
         by_len = self.by_len
         by_len[n].discard(lead)
         if n == self.shortest and not by_len[n]:
             self.shortest = min((k for k, bucket in by_len.items() if bucket), default=_NO_LEAD)
-        for i in range(1, n):
+        if n < self.top:
+            for i in range(1, n):
+                self.prefixes[lead[:i], n].discard(lead)
+                self.suffixes[lead[i:], n].discard(lead)
+        for i in range(n - 1, 0, -1):
             prefix = lead[:i]
-            prefixes[prefix, n].discard(lead)
-            self.suffixes[lead[i:], n].discard(lead)
-            if not any(prefixes.get((prefix, k)) for k in by_len):
-                del table[prefix]
+            if any(prefix + c in table for c in self.letters):
+                break  # a live lead starts with it, and with each shorter one
+            del table[prefix]
         return tail
 
     def may_rewrite(self, tail: _Terms, shortest: int) -> bool:
@@ -508,15 +526,13 @@ class _LiveIndex(_LeadIndex):
 
     def overlaps(self, lo: int, hi: int):
         """Every proper overlap of two live leads, a lead with itself
-        included, whose word has degree lo..hi, once each: (l1, l2, x, z)
-        with l1 = x.b and l2 = b.z, by left lead in the order of
+        included, whose word has degree lo..hi, once each: (l1, l2, d) for
+        the word x.l2 = l1.z of degree d, by left lead in the order of
         ``by_word``."""
         for l1 in self.by_word:
-            n = len(l1)
-            for i, _, leads in self.sets_as_left(l1, lo, hi):
-                x = l1[:i]
+            for _, d, leads in self.sets_as_left(l1, lo, hi):
                 for l2 in leads:
-                    yield l1, l2, x, l2[n - i :]
+                    yield l1, l2, d
 
 
 class _Rules(Sequence):
@@ -819,7 +835,7 @@ class _ForkedChild:
     ) -> "_ForkedChild | None":
         """The child that reduces the items ``part()`` lists, which it calls
         after the fork, each a (pair, terms) with one of the two None: an
-        overlap pair (l1, l2, x, z) or a polynomial's terms.  None where
+        overlap (l1, l2, d) of degree d or a polynomial's terms.  None where
         ``os.sched_getaffinity`` (and with it ``os.fork``) is missing, with
         no second CPU, while another thread runs (forking it is unsafe, and
         Python 3.12 warns), or when the fork fails."""
@@ -929,7 +945,7 @@ class _Completion:
     def __init__(self, alphabet: Alphabet, degree_bound: int) -> None:
         self.rank = alphabet.rank_spelling
         self.degree_bound = degree_bound
-        self.index = _LiveIndex()
+        self.index = _LiveIndex(degree_bound, alphabet.word(alphabet.generators))
         self.heap: list = []
         self.seq = 0
         # the highest degree the drain has reached: an overlap above it is
@@ -938,7 +954,8 @@ class _Completion:
         # by degree, the word of each overlap that lost a parent before the
         # drain reached its degree, and the last item popped at the frontier
         # degree: the unit ideal uncounts the stale pairs a queue of every
-        # overlap would still hold (``unpop_dead``)
+        # overlap would still hold (``unpop_dead``).  The words of a degree
+        # go when the frontier passes it
         self.dead: list[list[str]] = [[] for _ in range(degree_bound + 1)]
         self.last: tuple | None = None
         self.stats = CompletionStats()
@@ -949,7 +966,8 @@ class _Completion:
     # the queue pops in ascending deglex, so its keys spell each word with
     # the letters in rank order
     def push(self, key_word: str, pair: tuple | None, terms: _Terms | None) -> None:
-        """Queue an overlap ``pair`` (l1, l2, x, z) or a polynomial's ``terms``."""
+        """Queue an overlap ``pair`` (l1, l2) of the word ``key_word``, or a
+        polynomial's ``terms``."""
         self.seq += 1
         heapq.heappush(self.heap, (len(key_word), self.rank(key_word), self.seq, pair, terms))
 
@@ -958,17 +976,14 @@ class _Completion:
         ``lead`` and the live rules (including itself); ``list_overlaps``
         queues the others when the drain reaches their degree."""
         index, frontier = self.index, self.frontier
-        n = len(lead)
         for i, _, leads in index.sets_as_left(lead, 1, frontier):
             x = lead[:i]
             for l2 in leads:
-                self.push(x + l2, (lead, l2, x, l2[n - i :]), None)
+                self.push(x + l2, (lead, l2), None)
         for i, _, leads in index.sets_as_right(lead, 1, frontier):
-            z = lead[i:]
             for l1 in leads:
                 if l1 != lead:
-                    x = l1[: len(l1) - i]
-                    self.push(x + lead, (l1, lead, x, z), None)
+                    self.push(l1[: len(l1) - i] + lead, (l1, lead), None)
 
     def bury_overlaps_of(self, lead: str) -> None:
         """Keep the word of every overlap above the frontier between
@@ -990,8 +1005,8 @@ class _Completion:
         self.seq += 1
         seq, rank = self.seq, self.rank
         listed = [
-            (degree, rank(x + l2), seq, (l1, l2, x, z), None)
-            for l1, l2, x, z in self.index.overlaps(degree, degree)
+            (degree, rank(l1[: degree - len(l2)] + l2), seq, (l1, l2), None)
+            for l1, l2, _ in self.index.overlaps(degree, degree)
         ]
         stale = len(self.dead[degree])
         self.stats.pairs_popped += stale
@@ -1068,6 +1083,7 @@ class _Completion:
         try:
             while True:
                 while frontier < top and (not heap or heap[0][0] > frontier):
+                    self.dead[frontier].clear()  # only the frontier's words are read
                     self.frontier = frontier = frontier + 1
                     self.list_overlaps(frontier)
                     # a degree of stale pairs alone: they count as popped, so
@@ -1083,9 +1099,10 @@ class _Completion:
                 if split and heap[0][0] == top and len(heap) >= _SPLIT_MIN_ITEMS:
                     split = False
                     start = len(heap) - len(heap) * 9 // 20
-                    child = _ForkedChild.fork(
-                        index, start, lambda: [item[3:] for item in sorted(heap)[start:]]
-                    )
+                    child = _ForkedChild.fork(index, start, lambda: [
+                        (None if pair is None else (*pair, top), terms)
+                        for _, _, _, pair, terms in sorted(heap)[start:]
+                    ])
                 item = heapq.heappop(heap)
                 deg, _, _, pair, terms = item
                 if deg == frontier:
@@ -1103,7 +1120,7 @@ class _Completion:
                         stats.stale_pairs += 1
                         continue  # a parent was retracted; its replacement re-queued
                     if done is None:
-                        terms = index.s_poly(*pair)
+                        terms = index.s_poly(*pair, deg)
                 if done is None:
                     reduced = index.reduce_terms(terms)
                 else:
@@ -1170,8 +1187,12 @@ def complete(
 
     st.drain(on_progress)
     st.interreduce()
-    system = RewriteSystem._of_tails(alphabet, st.index.by_word, degree_bound, degree_bound)
-    system.stats = st.stats
+    # the gate reads the tails alone: the live table, the overlap maps and
+    # the rest of the run's state go before it builds its own index
+    tails, stats = st.index.by_word, st.stats
+    del st
+    system = RewriteSystem._of_tails(alphabet, tails, degree_bound, degree_bound)
+    system.stats = stats
     return system
 
 
@@ -1188,7 +1209,8 @@ def unresolved_overlaps(system: RewriteSystem) -> list[tuple[str, str, str]]:
     its overlaps to the parent.  The rules are fixed, so each verdict is
     the one the parent would reach, and the triples are sorted the same
     way either way."""
-    index = _LiveIndex()
+    alphabet = system.alphabet
+    index = _LiveIndex(system.degree_bound, alphabet.word(alphabet.generators))
     for lead, tail in system._index.by_word.items():
         index.add(lead, tail)
     pairs = list(index.overlaps(1, system.degree_bound))
@@ -1206,8 +1228,8 @@ def unresolved_overlaps(system: RewriteSystem) -> list[tuple[str, str, str]]:
             if reduced is None:
                 reduced = index.reduce_terms(index.s_poly(*pair))
             if reduced:
-                l1, l2, x, _ = pair
-                bad.append((l1, l2, x + l2))
+                l1, l2, d = pair
+                bad.append((l1, l2, l1[: d - len(l2)] + l2))
     finally:
         if child:
             child.stop()

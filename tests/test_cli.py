@@ -485,6 +485,21 @@ def test_analyze_refuses_a_form_whose_flattenings_hold_too_many_entries(
     assert 6 * 6**6 <= ANALYZE_MAX_ENTRIES < 7 * 7**7
 
 
+def test_present_refuses_a_form_whose_relations_hold_too_many_terms(tmp_path, capsys):
+    # signature-6 would have 6^6 form relations of 720 terms each; the
+    # refusal comes before the first of them is built, and nothing is written
+    path, out = tmp_path / "sig6.json", tmp_path / "hw.txt"
+    assert main(["example", "signature-6", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["present", "--algebra", "hw", "--form", str(path), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (
+        "hopfw: error: the form relations of a form of dim 6, arity 6 and 720 entries"
+        " would hold 33592320 terms, above the bound of 1000000\n"
+    )
+
+
 def test_analyze_degenerate_form(tmp_path, capsys):
     path = tmp_path / "degen.json"
     path.write_text(dump_form(MultilinearForm(2, 3, {(1, 1, 1): 1})))

@@ -44,6 +44,7 @@ from hopfw.ncalg import Alphabet, Generator, NcPoly
 from hopfw.rewrite import RewriteSystem, complete, normal_form
 from test_golden import PRESENTATIONS
 
+
 # the running 2-dimensional example, a polar member of it, and the
 # alternating 3x3 instance with its canonical polar member
 W2 = MultilinearForm(2, 3, {(1, 1, 2): 1, (1, 2, 1): 1, (2, 1, 1): 1})
@@ -229,6 +230,21 @@ def _seeded_form(seed: int) -> MultilinearForm:
                 summed[idx[k:] + idx[:k]] += c
         entries = dict(summed)
     return MultilinearForm(n, m, entries)
+
+
+def test_form_relations_are_refused_above_the_bound_before_the_first_is_built():
+    """signature-5's 5^5 form relations of 120 terms, 375 000 in all, are
+    built; signature-6's 6^6 relations of 720 terms, 33 592 320 in all, are
+    refused by hw and bw before the first one is built."""
+    assert 5**5 * 120 <= hopf._PRESERVATION_MAX_TERMS < 6**6 * 720
+    pres = build_hw(make_signature(5))
+    assert pres.relation_labels.count("invw[1,2,3,4,5]") == 1
+    assert len(pres.relations) == 2 * 5**2 + 5**5
+    e6 = make_signature(6)
+    relations = hopf._preservation(Alphabet(hopf.matric_family("u", 6)), e6, "u")
+    for refused in (lambda: next(relations), lambda: build_hw(e6), lambda: build_bw(e6)):
+        with pytest.raises(ValueError, match="would hold 33592320 terms"):
+            refused()
 
 
 def test_relations_are_nonzero_and_distinct():

@@ -17,6 +17,7 @@ from hopfw.ncalg import Alphabet, Generator, NcPoly, deglex_key, parse_poly
 from hopfw.rewrite import (
     _NO_LEAD,
     _PREFIX,
+    _LeadIndex,
     NotCertifiedError,
     RewriteSystem,
     Rule,
@@ -213,14 +214,15 @@ def test_prefix_table_finds_the_slices_lead_on_random_completions():
 def test_prefix_table_follows_adds_and_removes():
     """A completion's index through a seeded run of insertions, each of a
     normal word that first evicts the leads containing it, and removals.
-    After every step the table holds exactly the live leads and their
-    proper prefixes, each prefix counted once per lead it starts; its
-    ``shortest`` is the length of the shortest live lead, also after the
-    last lead of that length goes; and the scan finds the same (position,
-    lead) as probing every slice."""
+    Leads are up to 4 letters long, the index's top length, whose leads
+    have no overlap entries.  After every step the table holds exactly the
+    live leads and their proper prefixes, those of the top-length leads
+    included; its ``shortest`` is the length of the shortest live lead,
+    also after the last lead of that length goes; and the scan finds the
+    same (position, lead) as probing every slice."""
     rng = random.Random(20261020)
     letters = "\u0100\u0101\u0102"
-    index = _LiveIndex()
+    index = _LiveIndex(4, letters)
     markers: dict[str, int] = {}
     removals = evictions = rises = 0
     for step in range(600):
@@ -299,7 +301,7 @@ def _index_of_shortest(rng, shortest):
     ``shortest`` comes first and whose other leads are up to two letters
     longer, each with 1 to 3 tail words below it in deglex."""
     letters = "abc"
-    index = _LiveIndex()
+    index = _LiveIndex(shortest + 2, letters)
     for k in range(40):
         n = shortest if k == 0 else rng.randint(shortest + 1, shortest + 2)
         lead = "".join(rng.choice(letters) for _ in range(n))
@@ -354,7 +356,7 @@ def test_reduce_terms_restarts_a_cancelled_sum_from_the_int_zero():
 
 
 def test_reduce_terms_sends_every_word_to_zero_in_the_unit_ideal():
-    index = _LiveIndex()
+    index = _LiveIndex(4, "ab")
     index.add("", {})
     assert index.shortest == 0
     rng = random.Random(20261023)
@@ -786,19 +788,24 @@ def test_eager_queue_gives_the_same_run_on_random_completions_split(monkeypatch)
     _assert_no_child_left()
 
 
-@pytest.mark.parametrize(
-    "letters, relations, degree",
-    [
-        ("g", ("g - 1", "g"), 3),
-        ("xyz", _UNIT_AT_A_LISTED_DEGREE, 4),
-        ("xy", _UNIT_AFTER_A_POLYNOMIAL, 4),
-        ("xyz", _UNIT_AFTER_A_PAIR, 4),
-    ],
-    ids=["unit", "unit at a listed degree", "unit after a polynomial", "unit after a pair"],
-)
-def test_eager_queue_gives_the_same_run_on_the_unit_ideal(letters, relations, degree):
+# (letters, relations, degree) of completions that end in the unit ideal
+_UNIT_IDEAL_CASES = {
+    "unit": ("g", ("g - 1", "g"), 3),
+    "unit at a listed degree": ("xyz", _UNIT_AT_A_LISTED_DEGREE, 4),
+    "unit after a polynomial": ("xy", _UNIT_AFTER_A_POLYNOMIAL, 4),
+    "unit after a pair": ("xyz", _UNIT_AFTER_A_PAIR, 4),
+}
+
+
+def _unit_ideal_relations(case):
+    letters, relations, degree = _UNIT_IDEAL_CASES[case]
     a = free_alphabet(*letters)
-    polys = [parse_poly(a, text) for text in relations]
+    return [parse_poly(a, text) for text in relations], degree
+
+
+@pytest.mark.parametrize("case", _UNIT_IDEAL_CASES)
+def test_eager_queue_gives_the_same_run_on_the_unit_ideal(case):
+    polys, degree = _unit_ideal_relations(case)
     (got, _), (want, _) = _eager_queue_records(lambda: [complete(polys, degree)])
     assert got == want
     [(arrivals, _, _, stats)] = got
@@ -825,6 +832,56 @@ def test_eager_queue_gives_the_same_run_with_shorter_leads_at_the_top_degree(mon
     assert got == want
     assert len(late) == 2 * 4  # once with the frontier, once eager
     assert (peak, eager_peak) == (583, 1140)
+
+
+def _checked_tables(monkeypatch):
+    """After every insertion of a completion, check the live index against
+    its leads: the prefix table and ``shortest`` are the ones
+    ``_LeadIndex.of`` builds afresh, and no set of the overlap maps holds a
+    lead of the top length D.  Count the insertions, and those that left a
+    lead of length D live."""
+    seen = {"inserts": 0, "with_top": 0}
+    insert = rewrite._Completion.insert
+
+    def checked(st, reduced):
+        insert(st, reduced)
+        index, top = st.index, st.degree_bound
+        leads = index.by_word
+        fresh = _LeadIndex.of(sorted(leads, key=len), leads)
+        assert index.table == fresh.table and index.shortest == fresh.shortest
+        affixed = itertools.chain.from_iterable([*index.prefixes.values(), *index.suffixes.values()])
+        assert top not in set(map(len, affixed))
+        seen["inserts"] += 1
+        seen["with_top"] += bool(index.by_len.get(top))
+
+    monkeypatch.setattr(rewrite._Completion, "insert", checked)
+    return seen
+
+
+@pytest.mark.parametrize("case", _EAGER_QUEUE_CASES)
+def test_live_table_matches_a_fresh_table(case, monkeypatch):
+    """The golden systems and the split systems, hw(e3) at D=4 among them,
+    where 39 shorter leads arrive at the top degree and evict length-4
+    leads whose prefixes other length-4 leads share."""
+    build, degree = _EAGER_QUEUE_CASES[case]
+    relations = list(build().relations)
+    seen = _checked_tables(monkeypatch)
+    system = complete(relations, degree)
+    assert seen["inserts"] == system.stats.new_rules > 0
+
+
+def test_live_table_matches_a_fresh_table_on_random_completions(monkeypatch):
+    seen = _checked_tables(monkeypatch)
+    new_rules = sum(system.stats.new_rules for _, system in _random_completions())
+    assert seen["inserts"] == new_rules and seen["with_top"] > 0
+
+
+@pytest.mark.parametrize("case", _UNIT_IDEAL_CASES)
+def test_live_table_matches_a_fresh_table_on_the_unit_ideal(case, monkeypatch):
+    polys, degree = _unit_ideal_relations(case)
+    seen = _checked_tables(monkeypatch)
+    system = complete(polys, degree)
+    assert system.rules[0].lead == "" and seen["inserts"] == system.stats.new_rules
 
 
 def _watch_children(monkeypatch):
@@ -882,23 +939,77 @@ def _random_relations(seed):
     return rels, rng.randint(4, 6)
 
 
-# seeds whose first shorter lead at the top degree arrives after the parent
-# has taken results from the child, among seeds 0-2399 (those that take more
-# than 10 s with the split forced left out)
+# seeds where a lead shorter than D arrives at the top degree late enough
+# that a fork before it has the parent take results from the child first
 _LATE_CANCEL_SEEDS = [308, 1133, 1757, 2165]
+
+
+def _top_degree_steps(monkeypatch, fork_after=None):
+    """Record the listing of the top degree D and each insertion after it:
+    the length of the new lead (D for the listing), the queue length after
+    the step and the pops counted so far.  With ``fork_after`` given, the
+    pop after that many steps forks."""
+    records = []
+    list_overlaps, insert = rewrite._Completion.list_overlaps, rewrite._Completion.insert
+
+    def record(st, n):
+        if st.frontier == st.degree_bound:
+            pops = st.stats.pairs_popped + st.stats.requeued_polys
+            records.append((n, len(st.heap), pops))
+            if len(records) == fork_after:
+                rewrite._SPLIT_MIN_ITEMS = 1  # the next pop forks
+
+    def watched_list_overlaps(st, degree):
+        list_overlaps(st, degree)
+        record(st, degree)
+
+    def watched_insert(st, reduced):
+        insert(st, reduced)
+        record(st, len(st.arrivals[-1]))
+
+    monkeypatch.setattr(rewrite._Completion, "list_overlaps", watched_list_overlaps)
+    monkeypatch.setattr(rewrite._Completion, "insert", watched_insert)
+    return records
+
+
+def _late_fork(records, degree):
+    """(j, n_items, takes) for the first fork, after the j-th step at the
+    top degree with ``n_items`` items queued, whose child is stopped by the
+    first lead shorter than D there at its take number ``takes``: inside
+    the child's part and before the queue is empty; None if no fork does.
+    No pushes come between: until that lead arrives, the top degree queues
+    and evicts nothing."""
+    cancel = next(pops for n, _, pops in records if n < degree)
+    for j, (n, n_items, pops) in enumerate(records, 1):
+        if n < degree:
+            return None
+        takes = cancel - pops
+        if n_items - n_items * 9 // 20 < takes < n_items:
+            return j, n_items, takes
 
 
 @pytest.mark.parametrize("seed", _LATE_CANCEL_SEEDS)
 def test_split_top_degree_stops_the_child_after_taking_its_results(seed, monkeypatch):
+    """Forked at a pop chosen from a sequential run, so that the first lead
+    shorter than D at the top degree arrives after the parent has taken
+    results from the child: the child is stopped there, and the dump and
+    the stats are the sequential ones."""
     relations, degree = _random_relations(seed)
-    expected = _sequential(relations, degree)
-    _split_always(monkeypatch, block=2)
+    with pytest.MonkeyPatch.context() as mp:
+        records = _top_degree_steps(mp)
+        expected = _sequential(relations, degree)
+    fork = _late_fork(records, degree)
+    assert fork is not None
+    fork_after, n_items, takes = fork
+    forks = _split_always(monkeypatch, block=2)
+    monkeypatch.setattr(rewrite, "_SPLIT_MIN_ITEMS", sys.maxsize)
+    _top_degree_steps(monkeypatch, fork_after)
     seen = _watch_children(monkeypatch)
     system = complete(relations, degree)
     assert system.dump() == expected.dump() and system.stats == expected.stats
     _assert_no_child_left()
-    [(n_items, popped)] = seen
-    assert n_items - n_items * 9 // 20 < popped < n_items
+    assert forks == [1] and seen == [[n_items, takes]]
+    assert n_items - n_items * 9 // 20 < takes < n_items
 
 
 class _DiesAfter:
@@ -1113,7 +1224,8 @@ def _declared_higher(system, by):
 
 
 def _overlap_count(system):
-    index = _LiveIndex()
+    alphabet = system.alphabet
+    index = _LiveIndex(system.degree_bound, alphabet.word(alphabet.generators))
     for lead, tail in system._index.by_word.items():
         index.add(lead, tail)
     return sum(1 for _ in index.overlaps(1, system.degree_bound))
