@@ -19,7 +19,9 @@ ahmn; any other of them is a usage error too (``hopf.refuse_unread``).
 ``analyze`` refuses a form whose flattenings would hold more than
 ``ANALYZE_MAX_ENTRIES`` entries, before it builds any, and ``example`` an
 example of more than ``EXAMPLE_MAX_ENTRIES`` entries, or an orthogonal one of
-more than ``EXAMPLE_MAX_INDICES`` indices, before it builds it.
+more than ``EXAMPLE_MAX_INDICES`` indices, before it builds it.  Every
+command that builds bw, hw or hww refuses a form whose form relations would
+hold too many terms before it builds the first (``hopf._preservation``).
 
 Exit codes: 0 success / all checks pass, 1 a check failed, 2 at least one
 check was uncertified at the degree bound (none failed), 3 usage or input

@@ -849,7 +849,7 @@ def _checked_tables(monkeypatch):
         leads = index.by_word
         fresh = _LeadIndex.of(sorted(leads, key=len), leads)
         assert index.table == fresh.table and index.shortest == fresh.shortest
-        affixed = itertools.chain.from_iterable([*index.prefixes.values(), *index.suffixes.values()])
+        affixed = itertools.chain(*index.prefixes.values(), *index.suffixes.values())
         assert top not in set(map(len, affixed))
         seen["inserts"] += 1
         seen["with_top"] += bool(index.by_len.get(top))
