@@ -46,33 +46,15 @@ Implementation notes, sized for thousands of rules:
   degree the drain has reached.  A new lead queues its overlaps of degree
   <= the frontier; one of higher degree is neither built nor queued, and
   when the drain first needs degree d, every live overlap of degree exactly
-  d is listed from the live index at once and heapified into the queue.
-  Polynomials (relations, evicted rules) are queued at once.  An evicted
-  lead leaves the word of each of its overlaps above the frontier, by
-  degree, and these count as popped and stale when their degree is listed.
-  This pops what a queue that takes every overlap of degree <= D when its
-  second lead arrives pops, in the same order, with the same counts:
-
-  - nothing of degree d pops before the drain reaches d, so that queue
-    holds, then, every overlap of degree d whose two leads are live, which
-    is what is listed, and the overlaps that lost a lead, which were left
-    by their evictions (a lead is never inserted twice);
-  - live leads are factor-free, so each overlap word has at most one live
-    pair, and the listed items differ in their words.  A requeued
-    polynomial of the same word as a listed pair was queued no later than
-    that pair: a relation was queued first of all, and an evicted rule's
-    lead has the pair's left lead as a proper prefix, so that lead arrived
-    with the eviction or after it.  The polynomial keeps popping first, as
-    the listed items take one ``seq`` above every earlier push, and every
-    later push pops after them;
-  - the unit ideal clears the queue, and with it the words of the degrees
-    not yet listed.  Of the frontier degree, the stale pairs that queue
-    would still hold are uncounted: those whose words rank above the last
-    item popped at that degree, and those of its word when that item is a
-    polynomial.  A stale pair of the word of a pair in the queue was
-    queued before it: the two pairs differ in a lead, one of the two
-    differing leads lies in the other, and so the stale pair's left no
-    later than the other arrived;
+  d is listed from the live index at once and heapified into the queue,
+  with one ``seq`` above every earlier push.  Polynomials (relations,
+  evicted rules) are queued at once, and an eviction only removes the
+  lead, so an overlap of it above the frontier is never queued.  Every
+  overlap of two leads that stay live is queued when the second lead
+  arrives or listed when its degree is reached.  A queue that takes every
+  overlap of degree <= D when its second lead arrives pops the same live
+  items in the same order; its extra items are pairs of evicted leads,
+  which pop stale;
 * retraction keeps live leads pairwise factor-free: a new lead evicts every
   longer live lead containing it (checked per length bucket), and the evicted
   polynomial re-enters the queue;
@@ -124,9 +106,10 @@ Implementation notes, sized for thousands of rules:
   are handed out, in ``RewriteSystem.rules`` and the result of
   :func:`normal_form`;
 * the gate checks every lead's spelling and length and every tail at once,
-  builds the prefix table in two dict calls, and goes lead by lead only to
-  word the first refusal.  Completion hands it the tails alone: the run's
-  live index, queue and other state are dropped before it builds its own;
+  adds the leads to the prefix table shortest first, each prefix once, and
+  goes lead by lead only to word the first refusal.  Completion hands it
+  the tails alone: the run's live index, queue and other state are dropped
+  before it builds its own;
 * the top degree D may be split with one forked child (see
   :class:`_ForkedChild`): when the queue first holds only degree-D items,
   at least ``_SPLIT_MIN_ITEMS`` of them, and ``os.fork``, a second CPU and
@@ -240,11 +223,10 @@ class CompletionStats:
     Every popped polynomial and every pair that is not stale is reduced,
     and each reduction ends in zero or in a new rule:
     ``pairs_popped - stale_pairs + requeued_polys == reductions_to_zero +
-    new_rules``.  A pair whose parent was retracted before its degree was
-    listed is never queued: it counts as popped and stale when the drain
-    reaches its degree, as a queue that took it when its second lead arrived
-    would have popped it then.  ``peak_queue`` is the most items the queue
-    held before a pop."""
+    new_rules``.  The counts are of the queue that runs: a pair whose
+    parent was retracted before its degree was listed is never queued, so
+    it is neither popped nor counted.  ``peak_queue`` is the most items the
+    queue held before a pop."""
 
     pairs_popped: int = 0
     stale_pairs: int = 0  # a parent rule was retracted before the pop
@@ -288,25 +270,20 @@ class _LeadIndex:
         self.table: dict[str, object] = {}
         self.shortest = _NO_LEAD
 
-    @classmethod
-    def of(cls, leads: list[str], tails: dict[str, _Terms]) -> "_LeadIndex":
-        """The index of ``leads``, shortest first, with their ``tails``:
-        what adding each in turn builds, the table filled in two calls."""
-        index = cls()
-        index.by_word = {lead: tails[lead] for lead in leads}
-        prefixes = [lead[:i] for lead in leads for i in range(1, len(lead))]
-        index.table = dict.fromkeys(prefixes, _PREFIX)
-        index.table.update(index.by_word)
-        index.shortest = len(leads[0]) if leads else _NO_LEAD
-        return index
-
     def add(self, lead: str, tail: _Terms) -> None:
+        """File ``lead`` with its tail, and each of its proper prefixes,
+        walked longest first up to the first that is already a key: the
+        table is prefix-closed, so the shorter ones are keys too."""
         self.by_word[lead] = tail
         table = self.table
         table[lead] = tail
-        for i in range(1, len(lead)):
-            table.setdefault(lead[:i], _PREFIX)
-        self.shortest = min(self.shortest, len(lead))
+        for i in range(len(lead) - 1, 0, -1):
+            prefix = lead[:i]
+            if prefix in table:
+                break
+            table[prefix] = _PREFIX
+        if len(lead) < self.shortest:
+            self.shortest = len(lead)
 
     def s_poly(self, l1: str, l2: str, degree: int) -> _Terms:
         """Terms of tail(l1).z - x.tail(l2) for the overlap word l1.z = x.l2
@@ -651,7 +628,9 @@ class RewriteSystem:
                     raise ValueError(f"rule lead {token(lead)} is longer than degree {degree}")
                 if lead == unordered:
                     raise ValueError(f"rule tail is not below its lead {token(lead)} in deglex")
-        self._index = index = _LeadIndex.of(leads, tails)
+        self._index = index = _LeadIndex()
+        for lead in leads:
+            index.add(lead, tails[lead])
         # no lead contains another: the two longest proper factors of every
         # lead but the empty one, which comes first, reduce to themselves,
         # all in one reduction
@@ -951,13 +930,6 @@ class _Completion:
         # the highest degree the drain has reached: an overlap above it is
         # queued only when the drain reaches its degree (``list_overlaps``)
         self.frontier = 0
-        # by degree, the word of each overlap that lost a parent before the
-        # drain reached its degree, and the last item popped at the frontier
-        # degree: the unit ideal uncounts the stale pairs a queue of every
-        # overlap would still hold (``unpop_dead``).  The words of a degree
-        # go when the frontier passes it
-        self.dead: list[list[str]] = [[] for _ in range(degree_bound + 1)]
-        self.last: tuple | None = None
         self.stats = CompletionStats()
         # every lead in the order it was inserted; none is inserted twice,
         # as an evicted lead keeps a live proper factor
@@ -985,48 +957,16 @@ class _Completion:
                 if l1 != lead:
                     self.push(l1[: len(l1) - i] + lead, (l1, lead), None)
 
-    def bury_overlaps_of(self, lead: str) -> None:
-        """Keep the word of every overlap above the frontier between
-        ``lead``, which is about to be evicted, and the live rules
-        (including itself), by degree: a queue that took each overlap when
-        its second lead arrived holds these, and would pop them stale."""
-        index, dead, lo, hi = self.index, self.dead, self.frontier + 1, self.degree_bound
-        for i, d, leads in index.sets_as_left(lead, lo, hi):
-            dead[d] += [lead[:i] + l2 for l2 in leads]
-        for i, d, leads in index.sets_as_right(lead, lo, hi):
-            dead[d] += [l1[: len(l1) - i] + lead for l1 in leads if l1 != lead]
-
     def list_overlaps(self, degree: int) -> None:
         """Queue at once every live overlap of ``degree``, which the drain
-        has just reached, all with one ``seq`` above every earlier push, and
-        count the overlaps of ``degree`` that lost a parent before as popped
-        and stale (the module docstring says why this is the order and the
-        count of a queue that took every overlap when its leads arrived)."""
+        has just reached, all with one ``seq`` above every earlier push."""
         self.seq += 1
         seq, rank = self.seq, self.rank
-        listed = [
+        self.heap += [
             (degree, rank(l1[: degree - len(l2)] + l2), seq, (l1, l2), None)
             for l1, l2, _ in self.index.overlaps(degree, degree)
         ]
-        stale = len(self.dead[degree])
-        self.stats.pairs_popped += stale
-        self.stats.stale_pairs += stale
-        self.heap += listed
         heapq.heapify(self.heap)
-
-    def unpop_dead(self) -> None:
-        """Uncount the overlaps of the frontier degree that lost a parent
-        before it was listed and that a queue of every overlap would still
-        hold: those above the last item popped at that degree, and those of
-        its word when that item is a polynomial."""
-        dead = self.dead[self.frontier]
-        if not dead:
-            return
-        _, key, _, pair, _ = self.last
-        rank = self.rank
-        unpopped = sum(1 for w in dead if rank(w) > key or pair is None and rank(w) == key)
-        self.stats.pairs_popped -= unpopped
-        self.stats.stale_pairs -= unpopped
 
     def insert(self, reduced: _Terms) -> None:
         """Make a monic rule out of a reduced nonzero polynomial, retract
@@ -1044,8 +984,6 @@ class _Completion:
                 self.index.remove(old)
             self.index.add("", {})
             self.heap.clear()
-            self.unpop_dead()
-            self.dead = [[] for _ in self.dead]
             return
 
         # evict longer live leads containing the new lead
@@ -1054,7 +992,6 @@ class _Completion:
             if not bucket:
                 continue
             for old in [o for o in bucket if lead in o]:
-                self.bury_overlaps_of(old)
                 old_tail = self.index.remove(old)
                 terms = {w: -c for w, c in old_tail.items()}
                 terms[old] = 1
@@ -1067,7 +1004,8 @@ class _Completion:
         """Pop and reduce until the queue is empty and the frontier is at
         D.  Before each pop, the frontier moves up a degree at a time to the
         lowest queued degree, and each degree it reaches has its overlaps
-        listed (``list_overlaps``).  The first time the queue holds only
+        listed (``list_overlaps``); ``on_progress`` is told of each degree
+        at its first pop.  The first time the queue holds only
         top-degree items, at least ``_SPLIT_MIN_ITEMS`` of them, a forked
         child may take the last 9/20 of them (see :class:`_ForkedChild`);
         the parent reduces each of the child's results once more, by their
@@ -1083,15 +1021,8 @@ class _Completion:
         try:
             while True:
                 while frontier < top and (not heap or heap[0][0] > frontier):
-                    self.dead[frontier].clear()  # only the frontier's words are read
                     self.frontier = frontier = frontier + 1
                     self.list_overlaps(frontier)
-                    # a degree of stale pairs alone: they count as popped, so
-                    # it is reported as a degree with items is when one pops
-                    stale_only = self.dead[frontier] and not (heap and heap[0][0] == frontier)
-                    if on_progress and stale_only:
-                        on_progress(frontier, len(index.by_word))
-                        reported = frontier
                 if not heap:
                     break
                 if len(heap) > peak:
@@ -1103,10 +1034,7 @@ class _Completion:
                         (None if pair is None else (*pair, top), terms)
                         for _, _, _, pair, terms in sorted(heap)[start:]
                     ])
-                item = heapq.heappop(heap)
-                deg, _, _, pair, terms = item
-                if deg == frontier:
-                    self.last = item
+                deg, _, _, pair, terms = heapq.heappop(heap)
                 if on_progress and deg > reported:
                     on_progress(deg, len(index.by_word))
                     reported = deg
@@ -1169,6 +1097,10 @@ def complete(
     leads stay pairwise factor-free.  Ends with one interreduction pass and
     a canonical sort.  Completion does not audit itself (the module
     docstring says why); :func:`unresolved_overlaps` is the audit.
+
+    ``on_progress(degree, rules)``, when given, is called at the first pop
+    of each degree, with the number of live rules before that pop; a degree
+    where nothing pops is not reported.
     """
     rels = [r for r in relations if not r.is_zero()]
     if not rels:

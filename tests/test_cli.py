@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -54,6 +55,7 @@ from hopfw.rewrite import (
     normal_form,
     unresolved_overlaps,
 )
+from test_golden import GOLDEN
 
 W2 = MultilinearForm(2, 3, {(1, 1, 2): 1, (1, 2, 1): 1, (2, 1, 1): 1})
 
@@ -647,6 +649,20 @@ def test_gb_nf_pipeline(cyclic2, tmp_path, capsys):
     # a plain generator is already in normal form
     assert main(["nf", str(system1), "--poly", "u[1,1]"]) == 0
     assert capsys.readouterr().out == "u[1,1]\n"
+
+
+def test_gb_progress_reports_only_the_degrees_that_pop(cyclic2, tmp_path, capsys):
+    """Completion reports each degree at its first pop: hww(cyclic2) at
+    degree 6 pops nothing of degree 6, so its last report is degree 5, and
+    its dump is the pinned one."""
+    pres = tmp_path / "hww.txt"
+    system = tmp_path / "hww.gb"
+    assert main(["present", "--algebra", "hww", "--form", cyclic2, "--out", str(pres)]) == 0
+    assert main(["gb", str(pres), "--degree", "6", "--out", str(system)]) == 0
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["degree 3: 0 rules", "degree 4: 15 rules", "degree 5: 15 rules"]
+    digest = hashlib.sha256(system.read_bytes()).hexdigest()
+    assert digest == GOLDEN["systems"]["hww-cyclic2"]
 
 
 def test_nf_above_bound_is_uncertified(cyclic2, tmp_path, capsys):
