@@ -59,16 +59,19 @@ Implementation notes, sized for thousands of rules:
   longer live lead containing it (checked per length bucket), and the evicted
   polynomial re-enters the queue;
 * after the queue drains, interreduction reduces once each tail that a
-  later lead can reach, and leaves the others as they are.  It rests on the
-  fact the top-degree split below rests on too: a word that was normal when
-  it was made can only be rewritten by a lead inserted later, and a lead of
-  length l fits only in a word of length >= l.  A tail was normal when its
-  lead was inserted, so with m the length of the shortest lead inserted
-  after its own, a tail whose words are all shorter than m, or m long and
-  no lead themselves, is normal at the end.  Completion keeps its leads in
-  the order they were inserted, and a walk back over them keeps m as a
-  running minimum.  No lead is inserted twice (an evicted lead keeps a live
-  proper factor), and the unit ideal's empty lead has no tail to reduce;
+  later lead can reach, and leaves the others as they are.  A word that
+  was normal when it was made can only be rewritten by a lead inserted
+  later, and a lead of length l fits only in a word of length >= l.  A
+  tail was normal when its lead was inserted, so with m the length of the
+  shortest lead inserted after its own, a tail whose words are all shorter
+  than m, or m long and no lead themselves, is normal at the end.  The
+  live leads alone give m.  ``by_word`` keeps them in the order they were
+  inserted, and no lead is inserted twice (an evicted lead keeps a live
+  proper factor).  A lead is evicted only by a later lead that is a
+  proper factor of it, so a shorter one, and following the evictions ends
+  at a live lead inserted later still and no longer.  So a walk back over
+  ``by_word`` keeps m as a running minimum; the unit ideal's empty lead
+  has no tail to reduce;
 * no key function in reduction -- the alphabet numbers its letters
   downward (see :class:`~hopfw.ncalg.Alphabet`), so among words of one
   length plain string order is descending deglex.  ``reduce_terms`` keeps
@@ -115,25 +118,17 @@ Implementation notes, sized for thousands of rules:
   at least ``_SPLIT_MIN_ITEMS`` of them, and ``os.fork``, a second CPU and
   a single thread are at hand, the child reduces the last 9/20 of them
   modulo the rules at the fork, and the parent reduces each of the child's
-  results once more with its current rules.  This is exact: until a lead
-  shorter than D arrives, the top degree queues and evicts nothing, and a
-  lead of length D matches only a whole word and contains no shorter lead
-  (it was normal when it arrived), so each word's leftmost rewrite is the
-  one the shorter rules make, unless the word is itself a new lead;
-  reduction is linear, so reducing an item with the current rules equals
-  reducing its reduction modulo the shorter rules.  By the fact above, the
-  second reduction reads only length-D words: a child's result is normal
-  modulo the rules at the fork, and every lead inserted since has length
-  D, so only a length-D word that is itself such a new lead rewrites; its
-  tail was normal when it was inserted, and no shorter lead has arrived
-  since, so its words in turn rewrite only as whole new leads.  A lead
-  that was live at the fork, whose tail may be older than a shorter lead,
-  never comes up.  ``_LiveIndex.reduce_top_words`` gives ``reduce_terms``'s
-  result this way, with one heap of length-D words and dict lookups.  A
-  shorter or empty lead, a failed child or any exception kills and reaps
-  the child, and the rest runs in the parent.  Every insertion and counter is the sequential one, so no
-  dump, ``stats`` total or verdict depends on the split, and the argument
-  below holds as it stands;
+  results once more with its current rules, by ``reduce_terms``.  This is
+  exact: until a lead shorter than D arrives, the top degree queues and
+  evicts nothing, and a lead of length D matches only a whole word and
+  contains no shorter lead (it was normal when it arrived), so each word's
+  leftmost rewrite is the one the rules at the fork make, unless the word
+  is itself a new lead; reduction is linear, so reducing an item with the
+  current rules equals reducing its reduction modulo the rules at the
+  fork.  A shorter or empty lead, a failed child or any exception kills
+  and reaps the child, and the rest runs in the parent.  Every insertion
+  and counter is the sequential one, so no dump, ``stats`` total or
+  verdict depends on the split, and the argument below holds as it stands;
 * the audit hands its last 6/20 overlaps, the heaviest, to the same kind of
   child from ``_AUDIT_SPLIT_MIN`` overlaps on, with the same guards: the
   rules are fixed, so the child's verdict on an overlap is the parent's,
@@ -425,40 +420,6 @@ class _LiveIndex(_LeadIndex):
         lead."""
         leads = self.by_word
         return any(len(w) > shortest or len(w) == shortest and w in leads for w in tail)
-
-    def reduce_top_words(self, terms: _Terms, top: int) -> _Terms:
-        """``reduce_terms(terms)`` where only a word of length ``top`` that
-        is itself a lead can rewrite: each word of ``terms``, and each word
-        of the tail of each lead of length ``top``, holds no lead but maybe
-        itself.  One heap of the length-``top`` words pops them as
-        ``reduce_terms`` does and looks each up as a whole; the shorter words
-        are normal and only sum, in the order ``reduce_terms`` sums them,
-        so the values and their int/Fraction types are the same."""
-        leads = self.by_word
-        heappop, heappush = heapq.heappop, heapq.heappush
-        out: _Terms = {}
-        work = dict(terms)
-        heap = [w for w in work if len(w) == top]
-        heapq.heapify(heap)
-        while heap:
-            w = heappop(heap)
-            c = work[w]
-            if not c:
-                continue  # cancelled
-            tail = leads.get(w)
-            if tail is None:
-                out[w] = c
-                continue
-            for t, tc in tail.items():
-                nv = work.get(t)
-                if nv is None:
-                    work[t] = c * tc
-                    if len(t) == top:
-                        heappush(heap, t)
-                else:
-                    work[t] = nv + c * tc or 0
-        out.update((w, c) for w, c in work.items() if c and len(w) < top)
-        return out
 
     # The one overlap walker.  A proper overlap of two live leads l1 = x.b
     # and l2 = b.z, for a nonempty b shorter than both, has the word x.l2 =
@@ -923,7 +884,6 @@ class _Completion:
 
     def __init__(self, alphabet: Alphabet, degree_bound: int) -> None:
         self.rank = alphabet.rank_spelling
-        self.degree_bound = degree_bound
         self.index = _LiveIndex(degree_bound, alphabet.word(alphabet.generators))
         self.heap: list = []
         self.seq = 0
@@ -931,9 +891,6 @@ class _Completion:
         # queued only when the drain reaches its degree (``list_overlaps``)
         self.frontier = 0
         self.stats = CompletionStats()
-        # every lead in the order it was inserted; none is inserted twice,
-        # as an evicted lead keeps a live proper factor
-        self.arrivals: list[str] = []
 
     # the queue pops in ascending deglex, so its keys spell each word with
     # the letters in rank order
@@ -978,7 +935,6 @@ class _Completion:
         else:  # through Fraction: int / int would give a float
             tail = {w: lean(Scalar(-c) / lc) for w, c in reduced.items()}
 
-        self.arrivals.append(lead)
         if lead == "":
             for old in list(self.index.by_word):
                 self.index.remove(old)
@@ -987,7 +943,7 @@ class _Completion:
             return
 
         # evict longer live leads containing the new lead
-        for ln in range(len(lead) + 1, self.degree_bound + 1):
+        for ln in range(len(lead) + 1, self.index.top + 1):
             bucket = self.index.by_len.get(ln)
             if not bucket:
                 continue
@@ -1008,12 +964,12 @@ class _Completion:
         at its first pop.  The first time the queue holds only
         top-degree items, at least ``_SPLIT_MIN_ITEMS`` of them, a forked
         child may take the last 9/20 of them (see :class:`_ForkedChild`);
-        the parent reduces each of the child's results once more, by their
-        length-D words alone (``_LiveIndex.reduce_top_words``), and stops the
-        child for good when a lead shorter than the top degree arrives."""
+        the parent reduces each of the child's results once more with
+        ``reduce_terms``, and stops the child for good when a lead shorter
+        than the top degree arrives."""
         reported = -1
         stats, index, heap = self.stats, self.index, self.heap
-        top = self.degree_bound
+        top = index.top
         child = None
         split = True  # the top degree is split at most once
         peak = 0
@@ -1049,10 +1005,7 @@ class _Completion:
                         continue  # a parent was retracted; its replacement re-queued
                     if done is None:
                         terms = index.s_poly(*pair, deg)
-                if done is None:
-                    reduced = index.reduce_terms(terms)
-                else:
-                    reduced = index.reduce_top_words(done, top)
+                reduced = index.reduce_terms(terms if done is None else done)
                 if reduced:
                     stats.new_rules += 1
                     if child and len(max(reduced, key=len)) < top:
@@ -1070,15 +1023,15 @@ class _Completion:
         and leave the others as they are: a tail was normal when its lead
         was inserted, and a lead of length m fits only in a word of length
         >= m, so a tail whose words are all shorter than the shortest later
-        lead, or as long and no lead themselves, is normal now.  One pass
-        suffices: the leads stay fixed, so each reduced tail is already
-        irreducible."""
+        lead, or as long and no lead themselves, is normal now.  A walk back
+        over ``by_word``, the live leads in insertion order, finds that
+        length (the module docstring says why).  One pass suffices: the
+        leads stay fixed, so each reduced tail is already irreducible."""
         index, stats = self.index, self.stats
         leads = index.by_word
         later = _NO_LEAD  # the length of the shortest lead inserted after ``lead``
-        for lead in reversed(self.arrivals):
-            tail = leads.get(lead)
-            if tail is not None and index.may_rewrite(tail, later):
+        for lead, tail in reversed(leads.items()):
+            if index.may_rewrite(tail, later):
                 stats.tails_reduced += 1
                 leads[lead] = index.table[lead] = lean_terms(index.reduce_terms(tail))
             later = min(later, len(lead))

@@ -13,7 +13,7 @@ import pytest
 from hopfw import rewrite
 from hopfw.forms import MultilinearForm, make_bilinear, make_signature
 from hopfw.hopf import build_bw, build_hb, build_hw, system_for
-from hopfw.ncalg import Alphabet, Generator, NcPoly, deglex_key, parse_poly
+from hopfw.ncalg import Alphabet, Generator, NcPoly, deglex_key, natural_key, parse_poly
 from hopfw.rewrite import (
     _NO_LEAD,
     _PREFIX,
@@ -690,20 +690,34 @@ def test_split_top_degree_gives_the_sequential_dump_and_stats(case, block, monke
     _assert_no_child_left()
 
 
+def _lead_of(reduced):
+    """The lead that ``_Completion.insert`` makes of ``reduced``, read
+    before it pops it."""
+    return min(reduced, key=natural_key)
+
+
 @contextlib.contextmanager
-def _completion_states(eager):
+def _completion_states(eager=False):
     """Keep the state of each completion run in the block, with its frontier
     started at D when ``eager``: every overlap is then queued when its
     second lead arrives, as a queue with no frontier does.  Each state
-    keeps its drain's progress reports too."""
+    keeps its drain's progress reports too, and ``inserted``, every lead
+    in the order it was inserted."""
     states = []
-    init, drain = rewrite._Completion.__init__, rewrite._Completion.drain
+    init, insert, drain = (
+        rewrite._Completion.__init__, rewrite._Completion.insert, rewrite._Completion.drain
+    )
 
     def watched_init(st, alphabet, degree_bound):
         init(st, alphabet, degree_bound)
         if eager:
             st.frontier = degree_bound
+        st.inserted = []
         states.append(st)
+
+    def watched_insert(st, reduced):
+        st.inserted.append(_lead_of(reduced))
+        insert(st, reduced)
 
     def watched_drain(st, on_progress):
         st.reports = []
@@ -711,6 +725,7 @@ def _completion_states(eager):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rewrite._Completion, "__init__", watched_init)
+        mp.setattr(rewrite._Completion, "insert", watched_insert)
         mp.setattr(rewrite._Completion, "drain", watched_drain)
         yield states
 
@@ -726,7 +741,7 @@ def _run_record(state, system):
     st = system.stats
     live = st.pairs_popped - st.stale_pairs
     shared = dataclasses.replace(st, pairs_popped=live, stale_pairs=0, peak_queue=0)
-    return (state.arrivals, system.dump(), shared), st.stale_pairs, state.reports, st.peak_queue
+    return (state.inserted, system.dump(), shared), st.stale_pairs, state.reports, st.peak_queue
 
 
 def _is_sublist(short, long):
@@ -816,11 +831,11 @@ def _unit_ideal_relations(case):
 @pytest.mark.parametrize("case", _UNIT_IDEAL_CASES)
 def test_eager_queue_gives_the_same_run_on_the_unit_ideal(case):
     polys, degree = _unit_ideal_relations(case)
-    [((arrivals, _, shared), _, _, _)], _ = _compare_with_the_eager_queue(
+    [((inserted, _, shared), _, _, _)], _ = _compare_with_the_eager_queue(
         lambda: [complete(polys, degree)]
     )
     # the shared pairs popped are those that were not stale
-    assert arrivals[-1] == "" and shared.pairs_popped + shared.requeued_polys == (
+    assert inserted[-1] == "" and shared.pairs_popped + shared.requeued_polys == (
         shared.reductions_to_zero + shared.new_rules
     )
 
@@ -833,10 +848,11 @@ def test_eager_queue_gives_the_same_run_with_shorter_leads_at_the_top_degree(mon
     insert = rewrite._Completion.insert
 
     def watched(st, reduced):
+        lead = _lead_of(reduced)
         insert(st, reduced)
         # the drain reports each degree at its first pop
-        if st.reports[-1][0] == 8 and len(st.arrivals[-1]) < 8:
-            late.append(st.arrivals[-1])
+        if st.reports[-1][0] == 8 and len(lead) < 8:
+            late.append(lead)
 
     monkeypatch.setattr(rewrite._Completion, "insert", watched)
     relations = list(build_hw(CYCLIC2).relations)
@@ -845,6 +861,55 @@ def test_eager_queue_gives_the_same_run_with_shorter_leads_at_the_top_degree(mon
     )
     assert len(late) == 2 * 4  # once with the frontier, once eager
     assert (peak, eager_peak) == (583, 1140)
+
+
+def _shortest_later_leads(state):
+    """Check the walk of ``interreduce`` against the leads one run
+    inserted: ``by_word`` holds the live leads in the order they were
+    inserted, none was inserted twice, and at each live lead the shortest
+    live lead inserted after it is as long as the shortest of all the leads
+    inserted after it.  Count the live leads with an evicted lead inserted
+    after them."""
+    leads, inserted = state.index.by_word, state.inserted
+    assert len(set(inserted)) == len(inserted)
+    assert list(leads) == [lead for lead in inserted if lead in leads]
+    live = every = _NO_LEAD
+    evicted_after = False
+    counted = 0
+    for lead in reversed(inserted):
+        if lead in leads:
+            assert live == every, lead
+            counted += evicted_after
+            live = min(live, len(lead))
+        else:
+            evicted_after = True
+        every = min(every, len(lead))
+    return counted
+
+
+@pytest.mark.parametrize(
+    "case", [*(f"golden {key}" for key in sorted(PRESENTATIONS)), *_UNIT_IDEAL_CASES]
+)
+def test_live_leads_give_the_shortest_later_lead(case):
+    """Interreduction walks back over the live leads alone and keeps the
+    length of the shortest as the shortest of every lead inserted later:
+    each evicted lead was evicted by a later, shorter one."""
+    if case in _UNIT_IDEAL_CASES:
+        relations, degree = _unit_ideal_relations(case)
+    else:
+        build, degree = _EAGER_QUEUE_CASES[case]
+        relations = list(build().relations)
+    with _completion_states() as states:
+        complete(relations, degree)
+    [state] = states
+    _shortest_later_leads(state)
+
+
+def test_live_leads_give_the_shortest_later_lead_on_random_completions():
+    with _completion_states() as states:
+        runs = sum(1 for _ in _random_completions())
+    assert len(states) == runs
+    assert sum(map(_shortest_later_leads, states)) > 0
 
 
 def _checked_tables(monkeypatch):
@@ -859,7 +924,7 @@ def _checked_tables(monkeypatch):
 
     def checked(st, reduced):
         insert(st, reduced)
-        index, top = st.index, st.degree_bound
+        index, top = st.index, st.index.top
         leads = index.by_word
         fresh = dict.fromkeys((lead[:i] for lead in leads for i in range(1, len(lead))), _PREFIX)
         fresh.update(leads)
@@ -969,7 +1034,7 @@ def _top_degree_steps(monkeypatch, fork_after=None):
     list_overlaps, insert = rewrite._Completion.list_overlaps, rewrite._Completion.insert
 
     def record(st, n):
-        if st.frontier == st.degree_bound:
+        if st.frontier == st.index.top:
             pops = st.stats.pairs_popped + st.stats.requeued_polys
             records.append((n, len(st.heap), pops))
             if len(records) == fork_after:
@@ -980,8 +1045,9 @@ def _top_degree_steps(monkeypatch, fork_after=None):
         record(st, degree)
 
     def watched_insert(st, reduced):
+        n = len(_lead_of(reduced))
         insert(st, reduced)
-        record(st, len(st.arrivals[-1]))
+        record(st, n)
 
     monkeypatch.setattr(rewrite._Completion, "list_overlaps", watched_list_overlaps)
     monkeypatch.setattr(rewrite._Completion, "insert", watched_insert)
@@ -1107,11 +1173,9 @@ def _same_terms(got, want):
 
 def _checked_skips(monkeypatch):
     """Check the work completion skips against the full reduction, and count
-    it: a tail that interreduction leaves as it is reduces to itself, and
-    ``reduce_top_words`` gives ``reduce_terms``'s result on every child
-    result it reduces."""
-    seen = {"tails": 0, "top": 0}
-    may_rewrite, reduce_top_words = _LiveIndex.may_rewrite, _LiveIndex.reduce_top_words
+    it: a tail that interreduction leaves as it is reduces to itself."""
+    seen = {"tails": 0}
+    may_rewrite = _LiveIndex.may_rewrite
 
     def checked_may_rewrite(index, tail, shortest):
         if may_rewrite(index, tail, shortest):
@@ -1120,21 +1184,8 @@ def _checked_skips(monkeypatch):
         seen["tails"] += 1
         return False
 
-    def checked_reduce_top_words(index, terms, top):
-        got = reduce_top_words(index, terms, top)
-        assert _same_terms(got, index.reduce_terms(terms)), terms
-        seen["top"] += 1
-        return got
-
     monkeypatch.setattr(_LiveIndex, "may_rewrite", checked_may_rewrite)
-    monkeypatch.setattr(_LiveIndex, "reduce_top_words", checked_reduce_top_words)
     return seen
-
-
-# the split systems whose child results the parent reduces by length-D
-# words alone: the others stop the child before its part or fork with no
-# top-degree lead yet
-_WHOLE_WORD_SYSTEMS = {"hw(e3) D=5", "hb(1235) D=5", "hb(1235) D=6", "hb(3x3) D=4"}
 
 
 @pytest.mark.parametrize(
@@ -1142,8 +1193,7 @@ _WHOLE_WORD_SYSTEMS = {"hw(e3) D=5", "hb(1235) D=5", "hb(1235) D=6", "hb(3x3) D=
 )
 def test_split_top_degree_skips_only_work_that_changes_nothing(case, monkeypatch):
     """With the top degree split, every tail that interreduction skips is
-    normal, every second reduction by length-D words alone is the full one,
-    and the skipped and the reduced tails add up to the rules."""
+    normal, and the skipped and the reduced tails add up to the rules."""
     if case in _SPLIT_SYSTEMS:
         build, w, degree = _SPLIT_SYSTEMS[case]
         relations = list(build(w).relations)
@@ -1155,8 +1205,6 @@ def test_split_top_degree_skips_only_work_that_changes_nothing(case, monkeypatch
     _assert_no_child_left()
     assert seen["tails"] > 0
     assert seen["tails"] + system.stats.tails_reduced == len(system.rules)
-    if case in _WHOLE_WORD_SYSTEMS:
-        assert seen["top"] > 0
 
 
 def test_split_top_degree_skips_only_work_that_changes_nothing_on_random_completions(
@@ -1169,7 +1217,7 @@ def test_split_top_degree_skips_only_work_that_changes_nothing_on_random_complet
         assert seen["tails"] - skipped + system.stats.tails_reduced == len(system.rules), trial
         skipped = seen["tails"]
     _assert_no_child_left()
-    assert len(forks) > 50 and seen["top"] > 0
+    assert len(forks) > 50
 
 
 def _assert_tails_are_normal(system):
@@ -1191,14 +1239,13 @@ def test_every_tail_of_a_random_completion_is_normal():
 
 
 @pytest.mark.parametrize("case", ["hw(cyclic2) D=5", "hw(cyclic2) D=8", "hw(e3) D=4"])
-def test_split_top_degree_forked_after_a_shorter_lead_reads_only_length_d_words(
+def test_split_top_degree_forked_after_a_shorter_lead_gives_the_sequential_run(
     case, monkeypatch
 ):
     """Forked at the first top-only queue after the last shorter lead that
     arrives while a length-D lead is live, so that an older length-D lead
-    may have a tail that holds a shorter lead: no such tail comes up in the
-    second reduction, which is ``reduce_terms``'s on every child result,
-    and the dump and the stats are the sequential ones."""
+    may have a tail that holds a shorter lead: the dump and the stats are
+    the sequential ones."""
     build, w, degree = _SPLIT_SYSTEMS[case]
     relations = list(build(w).relations)
     shorter, fork_after = [], [0]
@@ -1206,8 +1253,9 @@ def test_split_top_degree_forked_after_a_shorter_lead_reads_only_length_d_words(
 
     def watched_insert(st, reduced):
         had_top = bool(st.index.by_len.get(degree))
+        n = len(_lead_of(reduced))
         insert(st, reduced)
-        if had_top and len(st.arrivals[-1]) < degree:
+        if had_top and n < degree:
             # a shorter lead after a length-D lead: is one still live?
             shorter.append(bool(st.index.by_len.get(degree)))
             if len(shorter) == fork_after[0]:
@@ -1219,10 +1267,55 @@ def test_split_top_degree_forked_after_a_shorter_lead_reads_only_length_d_words(
     shorter.clear()
     forks = _split_always(monkeypatch, block=2)
     monkeypatch.setattr(rewrite, "_SPLIT_MIN_ITEMS", sys.maxsize)
-    seen = _checked_skips(monkeypatch)
+    _checked_skips(monkeypatch)
     system = complete(relations, degree)
     _assert_no_child_left()
-    assert fork_after[0] > 0 and shorter[-1] and forks == [1] and seen["top"] > 0
+    assert fork_after[0] > 0 and shorter[-1] and forks == [1]
+    assert system.dump() == expected.dump() and system.stats == expected.stats
+
+
+def _second_reductions(monkeypatch):
+    """Count the child results that the parent reduces once more, and those
+    that the second reduction changes."""
+    seen = {"taken": 0, "changed": 0}
+    taken = []
+    take, reduce_terms = rewrite._ForkedChild.take, rewrite._LeadIndex.reduce_terms
+
+    def watched_take(child):
+        done = take(child)
+        taken[:] = [] if done is None else [done]
+        return done
+
+    def watched_reduce_terms(index, terms):
+        reduced = reduce_terms(index, terms)
+        if taken and terms is taken[0]:
+            taken.clear()
+            seen["taken"] += 1
+            seen["changed"] += reduced != terms
+        return reduced
+
+    monkeypatch.setattr(rewrite._ForkedChild, "take", watched_take)
+    monkeypatch.setattr(rewrite._LeadIndex, "reduce_terms", watched_reduce_terms)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "case, split_min", [("hw(e3) D=5", rewrite._SPLIT_MIN_ITEMS), ("hb(1235) D=6", 1)]
+)
+def test_split_top_degree_second_reduction_rewrites_child_results(case, split_min, monkeypatch):
+    """Leads of length D inserted after the fork rewrite some of the
+    child's results, so the parent's second reduction does real work: 473
+    of 5 788 results at hw(e3) D=5, which forks at the shipped threshold,
+    and 54 of 61 at hb(1235) D=6 when every top degree forks."""
+    build, w, degree = _SPLIT_SYSTEMS[case]
+    relations = list(build(w).relations)
+    expected = _sequential(relations, degree)
+    forks = _split_always(monkeypatch)
+    monkeypatch.setattr(rewrite, "_SPLIT_MIN_ITEMS", split_min)
+    seen = _second_reductions(monkeypatch)
+    system = complete(relations, degree)
+    _assert_no_child_left()
+    assert forks == [1] and seen["changed"] > 0
     assert system.dump() == expected.dump() and system.stats == expected.stats
 
 
