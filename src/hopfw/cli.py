@@ -21,7 +21,9 @@ ahmn; any other of them is a usage error too (``hopf.refuse_unread``).
 example of more than ``EXAMPLE_MAX_ENTRIES`` entries, or an orthogonal one of
 more than ``EXAMPLE_MAX_INDICES`` indices, before it builds it.  Every
 command that builds bw, hw or hww refuses a form whose form relations would
-hold too many terms before it builds the first (``hopf._preservation``).
+hold too many terms before it flattens the form or builds a relation
+(``hopf._bounded``), and ahmn is refused on the same bound before its first
+relation is built.
 
 Exit codes: 0 success / all checks pass, 1 a check failed, 2 at least one
 check was uncertified at the degree bound (none failed), 3 usage or input

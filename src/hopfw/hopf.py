@@ -209,8 +209,30 @@ def _presentation(
 # the most terms the form relations of one form may hold: n^m relations of
 # a form of dim n and arity m, each with a term per entry.  signature-5 has
 # 375 000 of them, and build_hw takes 0.11 s and 40 MB to write them;
-# signature-6 would have 33 592 320
+# signature-6 would have 33 592 320.  ahmn's relations are held to it too
 _PRESERVATION_MAX_TERMS = 1_000_000
+
+
+def _refuse_above_the_bound(relations: str, terms: int) -> None:
+    """Raise ValueError when ``relations`` would hold more than
+    ``_PRESERVATION_MAX_TERMS`` terms."""
+    if terms > _PRESERVATION_MAX_TERMS:
+        raise ValueError(
+            f"{relations} would hold {terms} terms, above the bound of {_PRESERVATION_MAX_TERMS}"
+        )
+
+
+def _bounded(w: MultilinearForm) -> MultilinearForm:
+    """``w``, unless its form relations would hold more than
+    ``_PRESERVATION_MAX_TERMS`` terms.  Each builder of form relations asks
+    before it reads the form in any other way: a flattening of an oversized
+    form can outgrow memory before the relations would be refused."""
+    _refuse_above_the_bound(
+        f"the form relations of a form of dim {w.dim}, arity {w.arity} and "
+        f"{len(w.entries)} entries",
+        w.dim**w.arity * len(w.entries),
+    )
+    return w
 
 
 def _preservation(
@@ -227,13 +249,7 @@ def _preservation(
     relations would hold more than ``_PRESERVATION_MAX_TERMS`` terms is
     refused before the first is built.
     """
-    terms = w.dim**w.arity * len(w.entries)
-    if terms > _PRESERVATION_MAX_TERMS:
-        raise ValueError(
-            f"the form relations of a form of dim {w.dim}, arity {w.arity} and "
-            f"{len(w.entries)} entries would hold {terms} terms, above the bound of "
-            f"{_PRESERVATION_MAX_TERMS}"
-        )
+    _bounded(w)
     rng = range(1, w.dim + 1)
     char = {}
     for c, f in itertools.product(rng, repeat=2):
@@ -314,7 +330,7 @@ def _transposed_power(alphabet: Alphabet, family: str, n: int, k: int) -> PolyMa
 
 def build_bw(w: MultilinearForm) -> Presentation:
     """Universal bialgebra preserving ``w`` (one-site nondegeneracy required)."""
-    if not is_one_site_nondegenerate(w):
+    if not is_one_site_nondegenerate(_bounded(w)):
         raise ValueError("form fails one-site nondegeneracy")
     alphabet = Alphabet(matric_family("a", w.dim))
     relations = _labelled("form", _preservation(alphabet, w, "a"))
@@ -328,7 +344,7 @@ def build_hw(w: MultilinearForm) -> Presentation:
     (Q u Q^{-1}) s = 1, and form preservation on u.  The twisting element is
     recomputed from the form here, never taken on trust.
     """
-    n, q = w.dim, _twist(w)
+    n, q = w.dim, _twist(_bounded(w))
     alphabet = Alphabet(matric_family("u", n) + matric_family("s", n))
     u = PolyMatrix.family(alphabet, "u", n)
     s = PolyMatrix.family(alphabet, "s", n)
@@ -361,7 +377,8 @@ def build_hb(b: MultilinearForm) -> Presentation:
 def build_hww(w: MultilinearForm, wt: MultilinearForm) -> Presentation:
     """Single-matrix presentation from a form and a member of its polar
     family; the polar membership is verified exactly before building."""
-    q = _twist(w)
+    _bounded(wt)
+    q = _twist(_bounded(w))
     alphabet = Alphabet(matric_family("v", w.dim))
     antipode = _polar_matrix(alphabet, w, wt, "v").images("v")
     relations = _labelled("wv", _preservation(alphabet, w, "v"))
@@ -375,6 +392,9 @@ def build_ahmn(m: int, n: int) -> Presentation:
     family; the antipode transposes and raises to the (m-1)-st power."""
     if m < 2 or n < 2:
         raise ValueError("need m >= 2 and n >= 2")
+    # each side: n^2 (n - 1) one-term zero relations and n power sums of
+    # n + 1 terms
+    _refuse_above_the_bound(f"the relations of ahmn with n={n}", 2 * n**3 + 2 * n)
     alphabet = Alphabet(matric_family("a", n))
     rng = range(1, n + 1)
     # a row-side index pair (mu, lam) names a[mu,lam], a column-side one a[lam,mu]
@@ -401,10 +421,12 @@ def build_ahmn(m: int, n: int) -> Presentation:
 
 
 def _polar_choice(w: MultilinearForm, wt: MultilinearForm | None) -> MultilinearForm:
-    """``wt`` when given, else the canonical (particular) polar member."""
+    """``wt`` when given, else the canonical (particular) polar member.
+    Every caller builds the form relations of ``w``, so an oversized form is
+    refused before ``polar`` flattens it."""
     if wt is not None:
         return wt
-    sol = polar(w)
+    sol = polar(_bounded(w))
     if sol is None:
         raise ValueError("form has no polar tensor (one-site degenerate)")
     return sol.particular

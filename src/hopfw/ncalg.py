@@ -148,12 +148,17 @@ class Alphabet:
     the numbering for the one place that wants deglex ascending as a
     string, the completion queue."""
 
-    __slots__ = ("generators", "_char_of", "_letter_of", "_spell", "_top", "_every_letter", "_rank")
+    __slots__ = (
+        "generators", "_keys", "_char_of", "_letter_of", "_spell", "_top", "_every_letter", "_rank"
+    )
 
     def __init__(self, generators: Iterable[Generator]) -> None:
         gens = tuple(sorted(set(generators), key=lambda g: g.key))
         top = _CHAR_BASE + len(gens) - 1  # the first generator's letter
         object.__setattr__(self, "generators", gens)
+        # equality and hash read the generators' keys, plain tuples that
+        # compare in C, and not the dataclass __eq__ field by field
+        object.__setattr__(self, "_keys", tuple(g.key for g in gens))
         object.__setattr__(self, "_char_of", {g: chr(top - i) for i, g in enumerate(gens)})
         # the token <-> letter table: text is read through _letter_of and
         # written through its inverse, each letter spelled "token*"; the
@@ -180,10 +185,10 @@ class Alphabet:
         return g in self._char_of
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Alphabet) and self.generators == other.generators
+        return self is other or (isinstance(other, Alphabet) and self._keys == other._keys)
 
     def __hash__(self) -> int:
-        return hash(self.generators)
+        return hash(self._keys)
 
     def char(self, g: Generator) -> str:
         try:

@@ -128,11 +128,7 @@ Implementation notes, sized for thousands of rules:
   fork.  A shorter or empty lead, a failed child or any exception kills
   and reaps the child, and the rest runs in the parent.  Every insertion
   and counter is the sequential one, so no dump, ``stats`` total or
-  verdict depends on the split, and the argument below holds as it stands;
-* the audit hands its last 6/20 overlaps, the heaviest, to the same kind of
-  child from ``_AUDIT_SPLIT_MIN`` overlaps on, with the same guards: the
-  rules are fixed, so the child's verdict on an overlap is the parent's,
-  and a child that dies leaves the rest to the parent.
+  verdict depends on the split, and the argument below holds as it stands.
 
 Completion does not audit itself: the shipped system resolves every overlap
 of degree <= D by construction (Bergman, "The diamond lemma for ring
@@ -736,9 +732,6 @@ def ideal_member(p: NcPoly, system: RewriteSystem) -> bool:
 # the top degree is split with a forked child when its queue holds at least
 # this many items
 _SPLIT_MIN_ITEMS = 4000
-# the audit hands its last overlaps to a forked child when it has at least
-# this many
-_AUDIT_SPLIT_MIN = 1000
 # positions of the child's part in one block it sends
 _BLOCK = 1024
 
@@ -749,10 +742,9 @@ def _live(index: _LeadIndex, pair: tuple) -> bool:
 
 
 class _ForkedChild:
-    """One forked child that reduces the last items of a list modulo the lead
-    index as it stands at the fork: the top degree's queue in completion
-    (see ``_Completion.drain``) or the overlaps of the audit (see
-    :func:`unresolved_overlaps`).  The parent takes the items in order, one
+    """One forked child that reduces the last items of the top degree's queue
+    modulo the lead index as it stands at the fork (see
+    ``_Completion.drain``).  The parent takes the items in order, one
     ``take`` each, and those from position ``start`` on are the child's.
     The child sends its nonzero results keyed by position, one pickled block
     of ``_BLOCK`` positions at a time, and the parent reads each block when
@@ -1086,38 +1078,15 @@ def unresolved_overlaps(system: RewriteSystem) -> list[tuple[str, str, str]]:
     reduce to the same normal form along both one-step resolutions.  Normal
     form is linear, so the two agree exactly when their difference, the
     S-polynomial, reduces to zero.  Returns the offending (lead1, lead2,
-    overlap_word) triples; empty = confluent.
-
-    From ``_AUDIT_SPLIT_MIN`` overlaps on, a forked child (see
-    :class:`_ForkedChild`) reduces the last 6/20 of them, in the order they
-    are listed, while the parent reduces the rest; a child that dies leaves
-    its overlaps to the parent.  The rules are fixed, so each verdict is
-    the one the parent would reach, and the triples are sorted the same
-    way either way."""
+    overlap_word) triples; empty = confluent."""
     alphabet = system.alphabet
     index = _LiveIndex(system.degree_bound, alphabet.word(alphabet.generators))
     for lead, tail in system._index.by_word.items():
         index.add(lead, tail)
-    pairs = list(index.overlaps(1, system.degree_bound))
-    child = None
-    if len(pairs) >= _AUDIT_SPLIT_MIN:
-        # the last 6/20 go to a child: the overlaps of the longest leads
-        # come last, and they are the heaviest
-        start = len(pairs) * 14 // 20
-        child = _ForkedChild.fork(index, start, lambda: [(p, None) for p in pairs[start:]])
     bad = []
-    try:
-        for pair in pairs:
-            # the overlap's S-polynomial reduced by the child, or None
-            reduced = child.take() if child else None
-            if reduced is None:
-                reduced = index.reduce_terms(index.s_poly(*pair))
-            if reduced:
-                l1, l2, d = pair
-                bad.append((l1, l2, l1[: d - len(l2)] + l2))
-    finally:
-        if child:
-            child.stop()
+    for l1, l2, d in index.overlaps(1, system.degree_bound):
+        if index.reduce_terms(index.s_poly(l1, l2, d)):
+            bad.append((l1, l2, l1[: d - len(l2)] + l2))
     # rule order for both leads, then overlaps by growing length of b
     rank = {lead: i for i, lead in enumerate(index.by_word)}
     bad.sort(key=lambda t: (rank[t[0]], rank[t[1]], -len(t[2])))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hopfw import cli
+from hopfw import cli, forms, hopf
 from hopfw.cli import __doc__ as CLI_DOC
 from hopfw.cli import ANALYZE_MAX_ENTRIES, _build_parser, _exit_code, main
 from hopfw.formats import (
@@ -500,6 +500,54 @@ def test_present_refuses_a_form_whose_relations_hold_too_many_terms(tmp_path, ca
         "hopfw: error: the form relations of a form of dim 6, arity 6 and 720 entries"
         " would hold 33592320 terms, above the bound of 1000000\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["present", "--algebra", k, "--form", "FORM"] for k in ("bw", "hw", "hww")),
+        *(["verify", "--suite", "axioms", "FORM", "--algebra", k] for k in ("bw", "hw", "hww")),
+        *(["verify", "--suite", s, "FORM"] for s in ("derived", "pair-reduction")),
+        ["verify", "--suite", "noninjectivity", "FORM"],
+    ],
+)
+def test_a_form_whose_relations_hold_too_many_terms_is_refused_before_it_is_flattened(
+    argv, tmp_path, capsys, monkeypatch
+):
+    # orthogonal-2-21 passes every example bound, but its 2^21 form
+    # relations hold 2 terms each, and each of its flattenings 2^21 entries
+    path = tmp_path / "o21.json"
+    assert main(["example", "orthogonal-2-21", "--out", str(path)]) == 0
+    capsys.readouterr()
+
+    def flattening(w, slot):
+        raise AssertionError("a flattening was built")
+
+    monkeypatch.setattr(forms, "flattening", flattening)
+    assert main([str(path) if a == "FORM" else a for a in argv]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "hopfw: error: the form relations of a form of dim 2, arity 21 and 2 entries"
+        " would hold 4194304 terms, above the bound of 1000000\n",
+    )
+
+
+def test_present_refuses_ahmn_above_the_bound_before_the_first_relation(
+    tmp_path, capsys, monkeypatch
+):
+    def labelled(*args):
+        raise AssertionError("a relation was built")
+
+    monkeypatch.setattr(hopf, "_labelled", labelled)
+    out = tmp_path / "ahmn.txt"
+    argv = ["present", "--algebra", "ahmn", "--m", "2", "--n", "200", "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr() == (
+        "",
+        "hopfw: error: the relations of ahmn with n=200 would hold 16000400 terms,"
+        " above the bound of 1000000\n",
+    )
+    assert not out.exists()
 
 
 def test_analyze_degenerate_form(tmp_path, capsys):

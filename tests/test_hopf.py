@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hopfw.exactnum import SingularMatrixError
-from hopfw import hopf
+from hopfw import forms, hopf
 from hopfw.formats import dump_presentation, parse_presentation
 from hopfw.forms import MultilinearForm, make_bilinear, make_orthogonal, make_signature
 from hopfw.hopf import (
@@ -232,10 +232,13 @@ def _seeded_form(seed: int) -> MultilinearForm:
     return MultilinearForm(n, m, entries)
 
 
-def test_form_relations_are_refused_above_the_bound_before_the_first_is_built():
+def test_form_relations_are_refused_above_the_bound_before_the_first_is_built(monkeypatch):
     """signature-5's 5^5 form relations of 120 terms, 375 000 in all, are
     built; signature-6's 6^6 relations of 720 terms, 33 592 320 in all, are
-    refused by hw and bw before the first one is built."""
+    refused by hw and bw before the first one is built.  orthogonal-2-21,
+    of 2^21 relations of 2 terms, is refused by bw, hw and hww before a
+    flattening of it is built: its flattenings would hold 2^21 entries
+    each."""
     assert 5**5 * 120 <= hopf._PRESERVATION_MAX_TERMS < 6**6 * 720
     pres = build_hw(make_signature(5))
     assert pres.relation_labels.count("invw[1,2,3,4,5]") == 1
@@ -245,6 +248,48 @@ def test_form_relations_are_refused_above_the_bound_before_the_first_is_built():
     for refused in (lambda: next(relations), lambda: build_hw(e6), lambda: build_bw(e6)):
         with pytest.raises(ValueError, match="would hold 33592320 terms"):
             refused()
+
+    def flattening(w, slot):
+        raise AssertionError("a flattening was built")
+
+    monkeypatch.setattr(forms, "flattening", flattening)
+    o21 = make_orthogonal(2, 21)
+    refusals = [
+        lambda: build_bw(o21),
+        lambda: build_hw(o21),
+        lambda: build_hww(o21, o21),
+        lambda: build_hww(o21, WT2),
+        lambda: build_hww(W2, o21),
+        *(lambda kind=kind: build_presentation(kind, o21) for kind in ("bw", "hw", "hww")),
+    ]
+    for refused in refusals:
+        with pytest.raises(ValueError) as caught:
+            refused()
+        assert str(caught.value) == (
+            "the form relations of a form of dim 2, arity 21 and 2 entries would hold"
+            " 4194304 terms, above the bound of 1000000"
+        )
+
+
+def test_ahmn_is_refused_above_the_bound_before_the_first_relation_is_built(monkeypatch):
+    """ahmn(m, n) has 2n^3 + 2n relation terms: n = 79 is within the bound
+    and n = 80 is refused, whatever m, before any relation is built."""
+    terms = {n: 2 * n**3 + 2 * n for n in (2, 3, 79, 80)}
+    assert terms[79] <= hopf._PRESERVATION_MAX_TERMS < terms[80]
+    for n in (2, 3):
+        assert sum(len(r.terms) for r in build_ahmn(3, n).relations) == terms[n]
+
+    def labelled(*args):
+        raise AssertionError("a relation was built")
+
+    monkeypatch.setattr(hopf, "_labelled", labelled)
+    for m in (2, 7):
+        with pytest.raises(ValueError) as caught:
+            build_ahmn(m, 80)
+        assert str(caught.value) == (
+            "the relations of ahmn with n=80 would hold 1024160 terms,"
+            " above the bound of 1000000"
+        )
 
 
 def test_relations_are_nonzero_and_distinct():

@@ -74,6 +74,32 @@ def test_alphabet_sorts_and_dedupes():
     assert hash(a) == hash(Alphabet(fam))
 
 
+def test_separately_built_alphabets_compare_without_comparing_generators(monkeypatch):
+    def gens():
+        return matric_family("u", 3) + matric_family("s", 3) + [Generator.free("x")]
+
+    # equal generators, each built twice: a tuple compares identical items
+    # without calling their __eq__
+    a, b = Alphabet(gens()), Alphabet(reversed(gens()))
+    x, y = parse_poly(a, "u[1,1]"), parse_poly(b, "u[1,2]")
+    x_plus_y = parse_poly(a, "u[1,1] + u[1,2]")
+    calls = []
+    generator_eq = Generator.__eq__
+
+    def counted(self, other):
+        calls.append(1)
+        return generator_eq(self, other)
+
+    monkeypatch.setattr(Generator, "__eq__", counted)
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert x + y == x_plus_y and y + x == x_plus_y
+    assert calls == []
+    # a free generator spelled like a matric one is another generator
+    free, matric = Alphabet([Generator.free("u[1,1]")]), Alphabet([Generator("u", 1, 1)])
+    assert free != matric and matric != free
+    assert free != Alphabet([Generator.free("u[1,2]")])
+
+
 def test_alphabet_is_immutable():
     a = Alphabet(matric_family("u", 2))
     with pytest.raises(AttributeError):

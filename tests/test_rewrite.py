@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import dataclasses
 import itertools
@@ -645,8 +646,8 @@ _SPLIT_SYSTEMS = {
 
 
 def _split_always(monkeypatch, block=rewrite._BLOCK):
-    """Split every top degree and every audit, with two CPUs as far as the
-    split can see, and count the forks."""
+    """Split every top degree, with two CPUs as far as the split can see,
+    and count the forks."""
     forks = []
     fork = os.fork
 
@@ -655,7 +656,6 @@ def _split_always(monkeypatch, block=rewrite._BLOCK):
         return fork()
 
     monkeypatch.setattr(rewrite, "_SPLIT_MIN_ITEMS", 1)
-    monkeypatch.setattr(rewrite, "_AUDIT_SPLIT_MIN", 1)
     monkeypatch.setattr(rewrite, "_BLOCK", block)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", counted)
@@ -1319,36 +1319,11 @@ def test_split_top_degree_second_reduction_rewrites_child_results(case, split_mi
     assert system.dump() == expected.dump() and system.stats == expected.stats
 
 
-def _sequential_audit(system):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rewrite, "_AUDIT_SPLIT_MIN", sys.maxsize)
-        return unresolved_overlaps(system)
-
-
 def _declared_higher(system, by):
     """The rules of ``system`` claimed complete ``by`` degrees higher, so
     that their overlaps above its degree are unresolved."""
     degree = system.degree_bound + by
     return RewriteSystem(system.alphabet, system.rules, degree, degree)
-
-
-def _overlap_count(system):
-    alphabet = system.alphabet
-    index = _LiveIndex(system.degree_bound, alphabet.word(alphabet.generators))
-    for lead, tail in system._index.by_word.items():
-        index.add(lead, tail)
-    return sum(1 for _ in index.overlaps(1, system.degree_bound))
-
-
-@pytest.mark.parametrize("key", sorted(PRESENTATIONS))
-def test_split_audit_gives_the_sequential_list_on_golden_systems(key, monkeypatch):
-    system = system_for(PRESENTATIONS[key](), SYSTEM_DEGREES[key])
-    expected = _sequential_audit(system)
-    forks = _split_always(monkeypatch)
-    assert unresolved_overlaps(system) == expected
-    # a system with no overlap, as bw's, has nothing to hand a child
-    assert forks == ([1] if _overlap_count(system) else [])
-    _assert_no_child_left()
 
 
 def _random_rule_systems(count):
@@ -1377,97 +1352,78 @@ def _random_rule_systems(count):
         yield RewriteSystem(a, [Rule(lead, NcPoly(a, t)) for lead, t in tails.items()], 6, 6)
 
 
-def test_split_audit_gives_the_sequential_list_on_non_confluent_systems(monkeypatch):
-    """The child takes the last overlaps in the order they are listed, one
-    block of two positions at a time; the list and its order are the
-    sequential ones."""
-    systems = [_two_rule_system(), _three_rule_system(), *_random_rule_systems(30)]
-    expected = [_sequential_audit(s) for s in systems]
-    forks = _split_always(monkeypatch, block=2)
-    assert [unresolved_overlaps(s) for s in systems] == expected
-    _assert_no_child_left()
-    assert len(forks) == len(systems) and sum(len(bad) > 5 for bad in expected) > 10
-
-
 def _cyclic2_above_its_degree():
     """hw(cyclic2) completed at D=6 and claimed complete at D=8: 1 000 and
     more overlaps, many of them unresolved."""
     return _declared_higher(complete(list(build_hw(CYCLIC2).relations), 6), 2)
 
 
-@pytest.mark.parametrize("n", [0, 20])
-def test_split_audit_survives_a_child_that_dies(n, monkeypatch):
-    system = _cyclic2_above_its_degree()
-    expected = _sequential_audit(system)
-    assert expected
-    _split_always(monkeypatch, block=8)
-    fork = rewrite._ForkedChild.fork
-    monkeypatch.setattr(
-        rewrite._ForkedChild, "fork",
-        staticmethod(lambda index, start, part: fork(_DiesAfter(index, n), start, part)),
-    )
-    seen = _watch_children(monkeypatch)
-    assert unresolved_overlaps(system) == expected
-    _assert_no_child_left()
-    # the parent stopped the child at a block it could not read, in the
-    # child's part of the overlaps, and audited the rest itself
-    [(n_items, popped)] = seen
-    assert n_items * 14 // 20 < popped < n_items
+def _unresolved_by_brute_force(system):
+    """The unresolved (l1, l2, word) overlaps of ``system``, found with no
+    code of the audit's: every ordered pair of leads and every suffix of l1
+    that is a prefix of l2, shorter than both, whose word l1.z = x.l2 has
+    degree <= D; each S-polynomial tail(l1).z - x.tail(l2) is reduced by
+    the slices."""
+    tails = system._index.by_word
+    bad = []
+    for l1, l2 in itertools.product(tails, repeat=2):
+        for k in range(1, min(len(l1), len(l2))):
+            word = l1 + l2[k:]
+            if l1[-k:] != l2[:k] or len(word) > system.degree_bound:
+                continue
+            x, z = l1[:-k], l2[k:]
+            terms = collections.Counter()
+            for w, c in tails[l1].items():
+                terms[w + z] += c
+            for w, c in tails[l2].items():
+                terms[x + w] -= c
+            if reduce_by_slices(dict(terms), tails):
+                bad.append((l1, l2, word))
+    return bad
 
 
-def test_split_audit_leaves_no_child_after_a_run_or_an_exception(monkeypatch):
-    system = _cyclic2_above_its_degree()
-    expected = _sequential_audit(system)
-    forks = _split_always(monkeypatch)
-    assert unresolved_overlaps(system) == expected
-    _assert_no_child_left()
-    parent, calls = os.getpid(), []
-    reduce_terms = _LiveIndex.reduce_terms
-
-    def interrupted(index, terms):
-        if os.getpid() == parent:
-            calls.append(1)
-            if len(calls) > 100:
-                raise KeyboardInterrupt
-        return reduce_terms(index, terms)
-
-    monkeypatch.setattr(_LiveIndex, "reduce_terms", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        unresolved_overlaps(system)
-    assert len(forks) == 2
-    _assert_no_child_left()
+_AUDITED = {
+    "two rules": lambda: [_two_rule_system()],
+    "three rules": lambda: [_three_rule_system()],
+    "30 random systems": lambda: list(_random_rule_systems(30)),
+    "hw(cyclic2) D=6 declared D=8": lambda: [_cyclic2_above_its_degree()],
+    "hw(cyclic2) D=8": lambda: [complete(list(build_hw(CYCLIC2).relations), 8)],
+    **{
+        key: lambda key=key: [system_for(PRESENTATIONS[key](), SYSTEM_DEGREES[key])]
+        for key in sorted(PRESENTATIONS)
+    },
+}
+# how many overlaps each case leaves unresolved; the golden systems none
+_UNRESOLVED = {"two rules": 1, "three rules": 6, "30 random systems": 225,
+               "hw(cyclic2) D=6 declared D=8": 291}
 
 
-def test_split_audit_does_not_fork_beside_another_thread(monkeypatch):
-    system = _cyclic2_above_its_degree()
-    expected = _sequential_audit(system)
-    _split_always(monkeypatch)
+@pytest.mark.parametrize("case", _AUDITED)
+def test_unresolved_overlaps_match_a_brute_force_oracle(case):
+    """The audit flags the overlaps the brute-force oracle finds unresolved,
+    each once, by the rule rank of the first lead, then of the second, then
+    longest word first."""
+    total = 0
+    for system in _AUDITED[case]():
+        got = unresolved_overlaps(system)
+        assert sorted(got) == sorted(_unresolved_by_brute_force(system))
+        rank = {rule.lead: i for i, rule in enumerate(system.rules)}
+        assert got == sorted(got, key=lambda t: (rank[t[0]], rank[t[1]], -len(t[2])))
+        total += len(got)
+    assert total == _UNRESOLVED.get(case, 0)
+
+
+def test_unresolved_overlaps_never_forks(monkeypatch):
+    """The audit runs in one process, with a second CPU at hand or not."""
+    systems = [complete(list(build_hw(CYCLIC2).relations), 8), _cyclic2_above_its_degree()]
 
     def refuse():
-        raise AssertionError("forked beside a second thread")
+        raise AssertionError("the audit forked")
 
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", refuse)
-    release = threading.Event()
-    waiter = threading.Thread(target=release.wait)
-    waiter.start()
-    try:
-        assert unresolved_overlaps(system) == expected
-    finally:
-        release.set()
-        waiter.join()
-
-
-def test_split_audit_forks_from_its_threshold(monkeypatch):
-    """hw(cyclic2) at D=8 has 1 581 overlaps and forks; at D=6 it has fewer
-    than ``_AUDIT_SPLIT_MIN`` and does not."""
-    systems = [complete(list(build_hw(CYCLIC2).relations), d) for d in (6, 8)]
-    forks = _split_always(monkeypatch)
-    monkeypatch.setattr(rewrite, "_AUDIT_SPLIT_MIN", 1000)
     assert unresolved_overlaps(systems[0]) == []
-    assert forks == []
-    assert unresolved_overlaps(systems[1]) == []
-    assert forks == [1]
-    _assert_no_child_left()
+    assert len(unresolved_overlaps(systems[1])) == 291
 
 
 _SCALED = {
