@@ -47,17 +47,19 @@ the API, the presentation reader and the CLI alike.  Beside it,
 beyond that build (bw: ``--polar`` and the polar left inverse), for both
 :func:`refuse_unread` and the axioms suite.
 
-Every structural claim is a value that must vanish, most of them a normal
-form against a degree-truncated rewriting system.  ``_verdict`` alone turns
-such a value into PASS (zero), FAIL (shown) or UNCERTIFIED (it needs a degree
-above the certified one; nothing recompletes), and ``_per_relation`` feeds it
-one value per labelled relation.  A normal form comes from the reduction
-entry ``rewrite._reduce`` as d times itself over the integers, with d; it
-becomes Fractions only in a FAIL's detail.  A nonzero normal form at a truncation
+Every structural claim is a value that must vanish, most of them in the
+quotient by a degree-truncated rewriting system.  Each check hands
+``_verdict`` d times that value, d, and the system when a quotient is meant;
+``_verdict`` alone reduces it, once, through the reduction entry
+``rewrite._reduce`` over the integers, and turns it into PASS (zero), FAIL
+(shown, in Fractions only there) or UNCERTIFIED (it needs a degree above the
+certified one; nothing recompletes).  A nonzero normal form at a truncation
 refutes nothing on its own, yet is reported FAIL today (ROADMAP item 2).
-``_image_values`` is the one path of every map a check applies: a relation
-cleared of its denominators once has its image summed over the integers
-wherever the images are integral.  The antipode's unit sums read each
+``_images`` is the one path of every map a check applies (counit, hom,
+representation, antipode and coproduct): a relation cleared of its
+denominators once has its image summed over the integers wherever the images
+are integral.  Only the coproduct reduces on its own, leg by leg, and hands
+``_verdict`` the residue.  The antipode's unit sums read each
 generator's own coproduct and counit, which only ``_presentation`` writes.
 ``_from_hw`` builds every map out of hw: u to the target's generator matrix
 G, s to S(G).  The table ``SUITES`` names every verification suite, the
@@ -213,12 +215,12 @@ def _presentation(
 _PRESERVATION_MAX_TERMS = 1_000_000
 
 
-def _refuse_above_the_bound(relations: str, terms: int) -> None:
+def _refuse_above_the_bound(relations: str, count: int, unit: str = "terms") -> None:
     """Raise ValueError when ``relations`` would hold more than
-    ``_PRESERVATION_MAX_TERMS`` terms."""
-    if terms > _PRESERVATION_MAX_TERMS:
+    ``_PRESERVATION_MAX_TERMS`` terms, or letters."""
+    if count > _PRESERVATION_MAX_TERMS:
         raise ValueError(
-            f"{relations} would hold {terms} terms, above the bound of {_PRESERVATION_MAX_TERMS}"
+            f"{relations} would hold {count} {unit}, above the bound of {_PRESERVATION_MAX_TERMS}"
         )
 
 
@@ -393,8 +395,10 @@ def build_ahmn(m: int, n: int) -> Presentation:
     if m < 2 or n < 2:
         raise ValueError("need m >= 2 and n >= 2")
     # each side: n^2 (n - 1) one-term zero relations and n power sums of
-    # n + 1 terms
+    # n + 1 terms, n of them words of m letters
     _refuse_above_the_bound(f"the relations of ahmn with n={n}", 2 * n**3 + 2 * n)
+    letters = 2 * n * n * m
+    _refuse_above_the_bound(f"the power sums of ahmn with m={m} and n={n}", letters, "letters")
     alphabet = Alphabet(matric_family("a", n))
     rng = range(1, n + 1)
     # a row-side index pair (mu, lam) names a[mu,lam], a column-side one a[lam,mu]
@@ -447,82 +451,61 @@ def build_presentation(
 # checks
 
 
-# a value that must vanish, times a positive int d, and d
-_Scaled = tuple[NcPoly | TensorSquare, int]
+def _uncertified(name: str, exc: NotCertifiedError) -> CheckResult:
+    """UNCERTIFIED, naming the degree a normal form needs above the certified one."""
+    detail = f"needs degree {exc.degree}, certified {exc.certified}"
+    return CheckResult(name, Status.UNCERTIFIED, detail)
 
 
-def _verdict(name: str, what: str, value: Callable[[], _Scaled]) -> CheckResult:
-    """The one place a value that must vanish becomes a status: PASS when
-    ``value()`` is zero, FAIL showing it as ``what``, and UNCERTIFIED when it
-    needs a normal form above the certified degree, which the detail names.
-    ``value()`` gives d times the value and d: a normal form keeps the
-    engine's values from the reduction entry, and only a FAIL divides them
-    by d, into the Fractions it shows."""
-    try:
-        v, d = value()
-    except NotCertifiedError as exc:
-        detail = f"needs degree {exc.degree}, certified {exc.certified}"
-        return CheckResult(name, Status.UNCERTIFIED, detail)
-    if v.is_zero():
+def _verdict(
+    name: str,
+    what: str,
+    value: NcPoly | TensorSquare,
+    d: int = 1,
+    system: RewriteSystem | None = None,
+) -> CheckResult:
+    """The one place a value that must vanish becomes a status.  ``value`` is
+    d times it, in the engine's form; with ``system`` it is meant in that
+    quotient, and the one reduction here takes its normal form, which the
+    reduction entry hands out as e times itself for its own e.  PASS when
+    zero, FAIL showing it as ``what``, divided by d into the Fractions shown,
+    and UNCERTIFIED when the normal form needs a degree above the certified
+    one, which the detail names."""
+    if system is not None:
+        try:
+            terms, e = _reduce(system, value.alphabet, value.terms)
+        except NotCertifiedError as exc:
+            return _uncertified(name, exc)
+        value, d = value._adopt(value.alphabet, terms), d * e
+    if value.is_zero():
         return CheckResult(name, Status.PASS)
-    shown = v._adopt(v.alphabet, fraction_quotients(v.terms, d)) if d != 1 else v
+    shown = value._adopt(value.alphabet, fraction_quotients(value.terms, d)) if d != 1 else value
     return CheckResult(name, Status.FAIL, f"{what} {shown.to_str()}")
 
 
-def _normal(system: RewriteSystem, p: NcPoly, d: int = 1) -> _Scaled:
-    """The normal form of ``p`` / d as ``_verdict`` reads it: the reduction
-    entry clears ``p`` by e, to d e times that normal form, and d e.  The
-    engine's values are wrapped to be tested and shown, never handed out."""
-    reduced, e = _reduce(system, p.alphabet, p.terms)
-    return NcPoly._adopt(p.alphabet, reduced), d * e
+def _images(
+    images: Mapping, target: Alphabet, extend: Callable = substitute, **kw
+) -> Callable[[NcPoly], tuple[NcPoly | TensorSquare, int]]:
+    """The map a check applies, as ``image(rel)``: (d times the image of
+    ``rel``, d), for ``extend`` (``substitute``, with ``antihom`` in ``kw``
+    for an antipode, or ``coproduct_image``) of ``images`` into ``target``.
+    The relation is cleared of its denominators by d and the images are
+    taken in the engine's form, so the image is summed over the ints
+    wherever the images are integral."""
+    lean_images = {g: t._adopt(t.alphabet, lean_terms(t.terms)) for g, t in images.items()}
 
-
-def _engine_images(images: Mapping) -> dict:
-    """Generator images in the engine's form: integral values are ints."""
-    return {g: t._adopt(t.alphabet, lean_terms(t.terms)) for g, t in images.items()}
-
-
-def _image_values(
-    images: Mapping[Generator, NcPoly],
-    target: Alphabet,
-    system: RewriteSystem | None = None,
-    antihom: bool = False,
-) -> Callable[[NcPoly], _Scaled]:
-    """The value of a relation's image under ``images`` as ``_verdict``
-    reads it, for every map a check applies: the relation cleared by d and
-    its image taken in the engine's form give d times the exact image, and
-    d.  In ``system`` the reduction entry clears by e what denominators the
-    images leave (Q^-1 U Q has some), to d e times its normal form."""
-    lean_images = _engine_images(images)
-
-    def value(rel: NcPoly) -> _Scaled:
+    def image(rel: NcPoly) -> tuple[NcPoly | TensorSquare, int]:
         ints, d = cleared_terms(rel.terms)
-        cleared = NcPoly._adopt(rel.alphabet, ints)
-        image = substitute(cleared, lean_images, antihom=antihom, target=target)
-        return (image, d) if system is None else _normal(system, image, d)
+        return extend(NcPoly._adopt(rel.alphabet, ints), lean_images, target=target, **kw), d
 
-    return value
-
-
-def _per_relation(
-    pres: Presentation, prefix: str, what: str, value: Callable[[NcPoly], _Scaled]
-) -> list[CheckResult]:
-    """One verdict per labelled relation of ``pres``, named ``prefix:label``,
-    on ``value(relation)``."""
-    return [
-        _verdict(f"{prefix}:{label}", what, functools.partial(value, rel))
-        for label, rel in zip(pres.relation_labels, pres.relations)
-    ]
+    return image
 
 
 def _verdicts(
     label: str, pairs: Iterable[tuple[Idx, NcPoly]], system: RewriteSystem
 ) -> list[CheckResult]:
     """One verdict per (index, polynomial that must vanish), named ``label[index]``."""
-    return [
-        _verdict(name, "normal form", functools.partial(_normal, system, p))
-        for name, p in _labelled(label, pairs)
-    ]
+    return [_verdict(name, "normal form", p, 1, system) for name, p in _labelled(label, pairs)]
 
 
 def system_for(pres: Presentation, degree: int, on_progress=None) -> RewriteSystem:
@@ -534,8 +517,11 @@ def system_for(pres: Presentation, degree: int, on_progress=None) -> RewriteSyst
 def check_counit(pres: Presentation) -> list[CheckResult]:
     """The counit, extended as a character, must send every relation to 0."""
     a = pres.alphabet
-    eps = {g: NcPoly.unit(a, e) for g, e in _structure(pres, "counit").items()}
-    return _per_relation(pres, "counit", "counit value", _image_values(eps, a))
+    image = _images({g: NcPoly.unit(a, e) for g, e in _structure(pres, "counit").items()}, a)
+    return [
+        _verdict(f"counit:{label}", "counit value", *image(rel))
+        for label, rel in zip(pres.relation_labels, pres.relations)
+    ]
 
 
 def check_coproduct(
@@ -543,13 +529,10 @@ def check_coproduct(
 ) -> list[CheckResult]:
     """Each relation's coproduct image must vanish componentwise modulo the
     ideal (certified at the system's completed degree)."""
-    delta = _structure(pres, "delta")
+    image = _images(_structure(pres, "delta"), pres.alphabet, coproduct_image)
     if system is None:
         system = system_for(pres, degree)
-
-    top = system.complete_through
-    a = system.alphabet
-    int_delta = _engine_images(delta)
+    top, a = system.complete_through, system.alphabet
 
     def nf(terms: dict) -> dict:
         # the engine's form in and out: a left sum is over the ints, and a
@@ -561,35 +544,39 @@ def check_coproduct(
     def vanishes(word: str) -> bool:
         return not nf({word: 1})
 
-    def residue(rel: NcPoly) -> _Scaled:
-        ints, d = cleared_terms(rel.terms)
-        cleared = NcPoly._adopt(rel.alphabet, ints)
-        image = coproduct_image(cleared, int_delta, target=pres.alphabet).terms
-        # the degree that term-by-term reduction, leading term first, meets
-        # first above the certified one: a left word, or a right word whose
-        # left word does not vanish.  Checked before the legs are summed, so
-        # that a left sum that cancels never certifies a word above it
-        above = (k for k in image if len(k[0]) > top or len(k[1]) > top)
-        for w1, w2 in TensorSquare._leading_first(above):
-            if len(w1) > top or not vanishes(w1):
-                raise NotCertifiedError(len(w1) if len(w1) > top else len(w2), top)
-        # nf (x) nf = (id (x) nf) o (nf (x) id) on d times the image, over
-        # the ints: reduce the left sum at each right word, then the right
-        # sum at each left normal word.  A delta with denominators leaves
-        # some in the image, which are cleared too
-        ints, e = cleared_terms(image)
-        d *= e
-        lefts: dict[str, dict] = {}
-        for (w1, w2), c in ints.items():
-            lefts.setdefault(w2, {})[w1] = c
-        rights: dict[str, dict] = {}
-        for w2, left in lefts.items():
-            for u, c in nf(left).items():
-                rights.setdefault(u, {})[w2] = c
-        terms = {(u, v): c for u, right in rights.items() for v, c in nf(right).items()}
-        return TensorSquare._adopt(pres.alphabet, terms), d
+    def residue(name: str, rel: NcPoly) -> CheckResult:
+        value, d = image(rel)
+        try:
+            # the degree that term-by-term reduction, leading term first,
+            # meets first above the certified one: a left word, or a right
+            # word whose left word does not vanish.  Checked before the legs
+            # are summed, so that a left sum that cancels never certifies a
+            # word above it
+            above = (k for k in value.terms if len(k[0]) > top or len(k[1]) > top)
+            for w1, w2 in TensorSquare._leading_first(above):
+                if len(w1) > top or not vanishes(w1):
+                    raise NotCertifiedError(len(w1) if len(w1) > top else len(w2), top)
+            # nf (x) nf = (id (x) nf) o (nf (x) id) on d times the image,
+            # over the ints: reduce the left sum at each right word, then
+            # the right sum at each left normal word.  A delta with
+            # denominators leaves some in the image, which are cleared too
+            ints, e = cleared_terms(value.terms)
+            lefts: dict[str, dict] = {}
+            for (w1, w2), c in ints.items():
+                lefts.setdefault(w2, {})[w1] = c
+            rights: dict[str, dict] = {}
+            for w2, left in lefts.items():
+                for u, c in nf(left).items():
+                    rights.setdefault(u, {})[w2] = c
+            terms = {(u, v): c for u, right in rights.items() for v, c in nf(right).items()}
+        except NotCertifiedError as exc:
+            return _uncertified(name, exc)
+        return _verdict(name, "residue", TensorSquare._adopt(pres.alphabet, terms), d * e)
 
-    return _per_relation(pres, "coproduct", "residue", residue)
+    return [
+        residue(f"coproduct:{label}", rel)
+        for label, rel in zip(pres.relation_labels, pres.relations)
+    ]
 
 
 def check_antipode(
@@ -603,23 +590,22 @@ def check_antipode(
     if system is None:
         system = system_for(pres, degree)
     a = pres.alphabet
-    s_of = _image_values(s_images, a, antihom=True)
+    s_of = _images(s_images, a, antihom=True)
     s_word = functools.cache(lambda word: s_of(NcPoly.from_word(a, word))[0].terms)
-    ideal = _image_values(s_images, a, system, antihom=True)
-    out = _per_relation(pres, "antipode-ideal", "normal form", ideal)
-
-    def unit_sum(g: Generator, right: bool) -> _Scaled:
+    out = [
+        _verdict(f"antipode-ideal:{label}", "normal form", *s_of(rel), system)
+        for label, rel in zip(pres.relation_labels, pres.relations)
+    ]
+    for g, side in itertools.product(pres.generators, ("left", "right")):
         # S(1) = 1, so either sum over delta(g) - eps(g) 1#1 subtracts eps(g)
         ints, d = cleared_terms((delta[g] - TensorSquare.unit(a, counit[g])).terms)
         terms: dict = {}
+        right = side == "right"
         for (x, y), c in ints.items():
             image = s_word(y if right else x)
             add_terms(terms, (((x + w if right else w + y), c * e) for w, e in image.items()))
-        return _normal(system, NcPoly._adopt(a, terms), d)
-
-    for g, side in itertools.product(pres.generators, ("left", "right")):
-        value = functools.partial(unit_sum, g, side == "right")
-        out.append(_verdict(f"antipode-{side}:{g.token()}", "normal form", value))
+        name = f"antipode-{side}:{g.token()}"
+        out.append(_verdict(name, "normal form", NcPoly._adopt(a, terms), d, system))
     return out
 
 
@@ -809,8 +795,11 @@ def check_hom(
     lands in the target ideal."""
     if system is None:
         system = system_for(hom.target, degree)
-    value = _image_values(hom.images, hom.target.alphabet, system)
-    return _per_relation(hom.source, hom.label, "normal form", value)
+    image, source = _images(hom.images, hom.target.alphabet), hom.source
+    return [
+        _verdict(f"{hom.label}:{label}", "normal form", *image(rel), system)
+        for label, rel in zip(source.relation_labels, source.relations)
+    ]
 
 
 def _from_hw(label: str, hw: Presentation, target: Presentation) -> HomCandidate:
@@ -873,7 +862,11 @@ def check_representation(
     target = next(iter(images.values())).alphabet
     if any(g.family != "free" for g in target.generators):
         raise ValueError("representation targets must be free algebras")
-    results = _per_relation(pres, "rep", "image", _image_values(images, target))
+    image = _images(images, target)
+    results = [
+        _verdict(f"rep:{label}", "image", *image(rel))
+        for label, rel in zip(pres.relation_labels, pres.relations)
+    ]
     wimg = None if witness is None else tuple(substitute(w, images) for w in witness)
     distinct = None if wimg is None else wimg[0] != wimg[1]
     return RepresentationReport(results, wimg, distinct)

@@ -54,7 +54,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .exactnum import (
@@ -640,15 +640,20 @@ class PolyMatrix:
         return cls.scalar(alphabet, Matrix.identity(n))
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        rng = range(len(self.rows))
         zero = NcPoly.zero(self.alphabet)
-        return PolyMatrix(
-            self.alphabet,
-            (
-                [sum((row[k] * other.rows[k][j] for k in rng), zero) for j in rng]
-                for row in self.rows
-            ),
-        )
+        # every factor is refused on mixed alphabets, as * and + refuse it
+        for p in chain(*self.rows, *other.rows):
+            zero._check(p)
+        cols = [[q.terms.items() for q in col] for col in zip(*other.rows)]
+
+        def entry(row: tuple[NcPoly, ...], col: list) -> NcPoly:
+            # the products of every k added into one dict
+            pairs = (
+                (v + w, c * e) for p, q in zip(row, col) for v, c in p.terms.items() for w, e in q
+            )
+            return NcPoly._adopt(self.alphabet, add_terms({}, pairs))
+
+        return PolyMatrix(self.alphabet, ([entry(row, col) for col in cols] for row in self.rows))
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         return PolyMatrix(

@@ -548,6 +548,15 @@ def test_present_refuses_ahmn_above_the_bound_before_the_first_relation(
         " above the bound of 1000000\n",
     )
     assert not out.exists()
+    # the power sums' 2 n^2 m letters are held to the bound too
+    argv = ["present", "--algebra", "ahmn", "--m", "1000000", "--n", "2", "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr() == (
+        "",
+        "hopfw: error: the power sums of ahmn with m=1000000 and n=2 would hold 8000000"
+        " letters, above the bound of 1000000\n",
+    )
+    assert not out.exists()
 
 
 def test_analyze_degenerate_form(tmp_path, capsys):

@@ -273,7 +273,9 @@ def test_form_relations_are_refused_above_the_bound_before_the_first_is_built(mo
 
 def test_ahmn_is_refused_above_the_bound_before_the_first_relation_is_built(monkeypatch):
     """ahmn(m, n) has 2n^3 + 2n relation terms: n = 79 is within the bound
-    and n = 80 is refused, whatever m, before any relation is built."""
+    and n = 80 is refused, whatever m, before any relation is built.  Its
+    power sums spell 2n^2 m letters, held to the same bound: at n = 2,
+    m = 125 000 is within it and m = 125 001 is refused."""
     terms = {n: 2 * n**3 + 2 * n for n in (2, 3, 79, 80)}
     assert terms[79] <= hopf._PRESERVATION_MAX_TERMS < terms[80]
     for n in (2, 3):
@@ -290,6 +292,13 @@ def test_ahmn_is_refused_above_the_bound_before_the_first_relation_is_built(monk
             "the relations of ahmn with n=80 would hold 1024160 terms,"
             " above the bound of 1000000"
         )
+    assert 2 * 2**2 * 125_000 <= hopf._PRESERVATION_MAX_TERMS < 2 * 2**2 * 125_001
+    with pytest.raises(ValueError) as caught:
+        build_ahmn(125_001, 2)
+    assert str(caught.value) == (
+        "the power sums of ahmn with m=125001 and n=2 would hold 1000008 letters,"
+        " above the bound of 1000000"
+    )
 
 
 def test_relations_are_nonzero_and_distinct():

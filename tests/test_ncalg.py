@@ -1,5 +1,7 @@
+import itertools
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -522,6 +524,54 @@ def test_poly_matrix_product_writes_left_entry_first():
     assert tst[(1, 2)] == NcPoly.parse(a, "u[1,2]*s[1,1] + u[2,2]*s[1,2]")
     # so (U S)^T differs from S^T U^T: no word is reversed
     assert (u @ s).T.rows != (s.T @ u.T).rows
+
+
+def _sum_of_products(a, b):
+    """The rows of A @ B by the first definition: each entry a sum() of the
+    products of NcPoly entries."""
+    rng = range(len(a.rows))
+    zero = NcPoly.zero(a.alphabet)
+    return tuple(
+        tuple(sum((row[k] * b.rows[k][j] for k in rng), zero) for j in rng) for row in a.rows
+    )
+
+
+def test_poly_matrix_product_is_the_sum_of_entry_products():
+    """A @ B adds every product of an entry into one dict: on seeded random
+    matrices, scalar ones among them, it equals the sum() of NcPoly
+    products, every value a Fraction, and a factor drawn from another
+    alphabet is refused on either side."""
+    a = Alphabet(matric_family("u", 2) + [Generator.free("x")])
+    letters = [a.char(g) for g in a.generators]
+    rng = random.Random(20261020)
+    coefficients = (1, -1, 2, Fraction(1, 2), Fraction(-3, 4))
+
+    def matrix(n):
+        if rng.random() < 0.25:
+            rows = [[rng.choice((0, 1, -1, Fraction(2, 3))) for _ in range(n)] for _ in range(n)]
+            return PolyMatrix.scalar(a, Matrix.from_rows(rows))
+        rows = [[{} for _ in range(n)] for _ in range(n)]
+        for terms in itertools.chain(*rows):
+            for _ in range(rng.randint(0, 4)):
+                terms["".join(rng.choices(letters, k=rng.randint(0, 2)))] = rng.choice(coefficients)
+        return PolyMatrix(a, ([NcPoly(a, terms) for terms in row] for row in rows))
+
+    cancelled = 0
+    for n in [1, 2, 3, 4] * 15:
+        x, y = matrix(n), matrix(n)
+        product = x @ y
+        assert product.rows == _sum_of_products(x, y)
+        entries = list(itertools.chain(*product.rows))
+        assert all(type(c) is Fraction for p in entries for c in p.terms.values())
+        cancelled += sum(p.is_zero() for p in entries)
+    assert cancelled > 10
+
+    other = Alphabet(matric_family("u", 2))
+    u, v = PolyMatrix.family(a, "u", 2), PolyMatrix.family(other, "u", 2)
+    stray = PolyMatrix(a, [[u.rows[0][0], NcPoly.unit(other)], list(u.rows[1])])
+    for x, y in ((u, v), (v, u), (u, stray), (stray, u)):
+        with pytest.raises(ValueError, match="mixed alphabets"):
+            x @ y
 
 
 def test_poly_matrix_scalars_sums_and_images():
