@@ -12,6 +12,8 @@ from hopfw.forms import MultilinearForm, make_bilinear, make_orthogonal, make_si
 from hopfw.hopf import (
     CheckResult,
     HomCandidate,
+    HopfStructure,
+    Presentation,
     Status,
     all_pass,
     bilinear_iso_suite,
@@ -40,7 +42,7 @@ from hopfw.hopf import (
     unitriangular_free_images,
     worst_status,
 )
-from hopfw.ncalg import Alphabet, Generator, NcPoly
+from hopfw.ncalg import Alphabet, Generator, NcPoly, TensorSquare
 from hopfw.rewrite import RewriteSystem, complete, normal_form
 from test_golden import PRESENTATIONS
 
@@ -644,6 +646,101 @@ def test_a_failing_coproduct_residue_shows_its_fraction_values():
     pres = _free_presentation(["x - y"], {"x": "1/2*x#z + y#x", "y": "y#z", "z": "z#1"})
     (row,) = check_coproduct(pres, 1)
     assert (row.status, row.detail) == (Status.FAIL, "residue -1/2*x#z + x#x")
+
+
+_ORACLE_COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
+
+
+def _seeded_coproduct_presentation(seed: int) -> Presentation:
+    """Free x, y, z with one to three relations of degree <= 2, and a delta
+    of each generator of one to three terms w1 (x) w2 with w1 != w2, both
+    words of up to two letters; every coefficient is one of
+    ``_ORACLE_COEFFS``."""
+    rng = random.Random(seed)
+    gens = [Generator.free(t) for t in "xyz"]
+    a = Alphabet(gens)
+
+    def word(longest: int) -> list[Generator]:
+        return [rng.choice(gens) for _ in range(rng.randint(0, longest))]
+
+    relations: list[NcPoly] = []
+    count = rng.randint(1, 3)
+    while len(relations) < count:
+        rel = NcPoly.zero(a)
+        for _ in range(rng.randint(1, 4)):
+            rel = rel + NcPoly.from_gens(a, word(2), rng.choice(_ORACLE_COEFFS))
+        if not rel.is_zero() and rel not in relations:
+            relations.append(rel)
+    delta = {}
+    for g in gens:
+        image = TensorSquare.zero(a)
+        while image.is_zero():
+            for _ in range(rng.randint(1, 3)):
+                left, right = word(2), word(2)
+                if left != right:
+                    c = rng.choice(_ORACLE_COEFFS)
+                    image = image + TensorSquare.of(
+                        NcPoly.from_gens(a, left), NcPoly.from_gens(a, right, c)
+                    )
+        delta[g] = image
+    labels = tuple(f"r{i}" for i in range(len(relations)))
+    structure = HopfStructure(delta, {g: Fraction(0) for g in gens}, None)
+    return Presentation("hw", 1, 2, a, a.generators, tuple(relations), labels, structure)
+
+
+def _definitional_coproduct_row(pres, label, rel, system) -> tuple:
+    """(name, status, detail) of the coproduct row of ``rel``, from the
+    definition: the image is the product of the generators' deltas, and its
+    residue is sum c * nf(w1) (x) nf(w2), each word reduced alone.  Walking
+    the terms leading first, a left word above the certified degree, or a
+    right word above it whose left word does not vanish, needs that word's
+    degree."""
+    a, top = pres.alphabet, system.complete_through
+    delta = pres.structure.delta
+    image = TensorSquare.zero(a)
+    for w, c in rel.terms.items():
+        term = TensorSquare.unit(a, c)
+        for g in a.letters(w):
+            term = term * delta[g]
+        image = image + term
+    residue = TensorSquare.zero(a)
+    for w1, w2 in TensorSquare._leading_first(image.terms):
+        if len(w1) > top:
+            return f"coproduct:{label}", Status.UNCERTIFIED, f"needs degree {len(w1)}, certified {top}"
+        left = normal_form(NcPoly.from_word(a, w1), system)
+        if left.is_zero():
+            continue
+        if len(w2) > top:
+            return f"coproduct:{label}", Status.UNCERTIFIED, f"needs degree {len(w2)}, certified {top}"
+        right = normal_form(NcPoly.from_word(a, w2), system)
+        residue = residue + TensorSquare.of(left, right).scale(image.terms[w1, w2])
+    if residue.is_zero():
+        return f"coproduct:{label}", Status.PASS, ""
+    return f"coproduct:{label}", Status.FAIL, f"residue {residue.to_str()}"
+
+
+def test_coproduct_rows_match_the_definitional_oracle():
+    """Every coproduct row of 200 seeded free presentations, at D=2, at D=3
+    and on the D=3 system re-declared certified through 2, is the one the
+    definition gives: PASS, FAIL with sum c * nf(w1) (x) nf(w2), or
+    UNCERTIFIED naming the degree the leading-first walk meets first."""
+    seen = collections.Counter()
+    for seed in range(200):
+        pres = _seeded_coproduct_presentation(seed)
+        d2, d3 = complete(list(pres.relations), 2), complete(list(pres.relations), 3)
+        loose = RewriteSystem.parse(
+            d3.dump().replace("complete_through 3\n", "complete_through 2\n")
+        )
+        assert (loose.degree_bound, loose.complete_through) == (3, 2)
+        for system in (d2, d3, loose):
+            rows = check_coproduct(pres, system.degree_bound, system)
+            expected = [
+                _definitional_coproduct_row(pres, label, rel, system)
+                for label, rel in zip(pres.relation_labels, pres.relations)
+            ]
+            assert [(r.name, r.status, r.detail) for r in rows] == expected, seed
+            seen.update(r.status for r in rows)
+    assert seen == {Status.UNCERTIFIED: 516, Status.FAIL: 306, Status.PASS: 339}
 
 
 def test_a_failing_normal_form_shows_the_normal_form(hw2, hw2_sys6):
