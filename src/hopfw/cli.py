@@ -20,10 +20,11 @@ ahmn; any other of them is a usage error too (``hopf.refuse_unread``).
 ``ANALYZE_MAX_ENTRIES`` entries, before it builds any, and ``example`` an
 example of more than ``EXAMPLE_MAX_ENTRIES`` entries, or an orthogonal one of
 more than ``EXAMPLE_MAX_INDICES`` indices, before it builds it.  Every
-command that builds bw, hw or hww refuses a form whose form relations would
-hold too many terms before it flattens the form or builds a relation
-(``hopf._bounded``), and ahmn is refused on the same bound before its first
-relation is built.
+command that builds bw, hw, hb or hww refuses a form whose form relations
+would hold too many terms before it flattens the form or builds a relation
+(``hopf._bounded``); hw's tus relations, counted from Q and Q^-1, hb's
+binst relations, counted from b^-1, and ahmn are refused on the same bound
+before any relation is built.
 
 Exit codes: 0 success / all checks pass, 1 a check failed, 2 at least one
 check was uncertified at the degree bound (none failed), 3 usage or input

@@ -11,9 +11,8 @@ handed-out ``Scalar`` (:func:`fraction_terms`).  A sum with denominators
 enters reduction as d times itself over the ints (:func:`cleared_terms`) and
 leaves divided by d (:func:`fraction_quotients`).  :func:`cleared_terms` is
 the one place denominators are cleared: ``rewrite`` calls it in the
-reduction entry, ``hopf`` on each relation whose coproduct, antipode or
-homomorphism image it checks, and ``forms`` on both tensors of a polar
-contraction.
+reduction entry, which every value a ``hopf`` check reduces goes through,
+and ``forms`` on both tensors of a polar contraction.
 """
 
 from __future__ import annotations

@@ -49,18 +49,18 @@ beyond that build (bw: ``--polar`` and the polar left inverse), for both
 
 Every structural claim is a value that must vanish, most of them in the
 quotient by a degree-truncated rewriting system.  Each check hands
-``_verdict`` d times that value, d, and the system when a quotient is meant;
-``_verdict`` alone reduces it, once, through the reduction entry
-``rewrite._reduce`` over the integers, and turns it into PASS (zero), FAIL
-(shown, in Fractions only there) or UNCERTIFIED (it needs a degree above the
-certified one; nothing recompletes).  A nonzero normal form at a truncation
-refutes nothing on its own, yet is reported FAIL today (ROADMAP item 2).
-``_images`` is the one path of every map a check applies (counit, hom,
-representation, antipode and coproduct): a relation cleared of its
-denominators once has its image summed over the integers wherever the images
-are integral.  Only the coproduct reduces on its own, leg by leg, and hands
-``_verdict`` the residue.  The antipode's unit sums read each
-generator's own coproduct and counit, which only ``_presentation`` writes.
+``_verdict`` that value in the engine's form and the system when a quotient
+is meant; ``_verdict`` alone reduces it, once, and turns it into PASS
+(zero), FAIL (shown, in Fractions only there) or UNCERTIFIED (it needs a
+degree above the certified one; nothing recompletes).  The reduction entry
+``rewrite._reduce`` is the one place its denominators are cleared; a tensor
+square goes through ``_reduce_tensor``, which reduces its legs through that
+entry.  A nonzero normal form at a truncation refutes nothing on its own,
+yet is reported FAIL today (ROADMAP item 2).  ``_images`` is the one path of
+every map a check applies (counit, hom, representation, antipode and
+coproduct), and ``_rows`` gives the verdict of each relation's image.  The
+antipode's unit sums read each generator's own coproduct and counit, which
+only ``_presentation`` writes.
 ``_from_hw`` builds every map out of hw: u to the target's generator matrix
 G, s to S(G).  The table ``SUITES`` names every verification suite, the
 inputs it reads and the function that runs it; ``hopfw verify`` is a lookup
@@ -76,8 +76,7 @@ from enum import Enum
 from typing import Callable, Iterable, Mapping
 
 from .exactnum import (
-    Matrix, ONE, Scalar, ZERO, add_terms, cleared_terms, fraction_quotients, lean, lean_terms,
-    mat_inv,
+    Matrix, ONE, Scalar, ZERO, add_terms, fraction_quotients, lean, lean_terms, mat_inv,
 )
 from .forms import (
     MultilinearForm,
@@ -187,13 +186,13 @@ def _presentation(
     s family splits with flipped tensor factors."""
     delta: dict[Generator, TensorSquare] = {}
     counit: dict[Generator, Scalar] = {}
+    letter = {(g.family, g.row, g.col): alphabet.char(g) for g in alphabet.generators}
     for g in alphabet.generators:
-        terms = {}
-        for k in range(1, n + 1):
-            left = alphabet.char(Generator(g.family, g.row, k))
-            right = alphabet.char(Generator(g.family, k, g.col))
-            terms[(right, left) if g.family == "s" else (left, right)] = ONE
-        delta[g] = TensorSquare(alphabet, terms)
+        f = g.family
+        legs = [(letter[f, g.row, k], letter[f, k, g.col]) for k in range(1, n + 1)]
+        if f == "s":
+            legs = [(right, left) for left, right in legs]
+        delta[g] = TensorSquare._adopt(alphabet, dict.fromkeys(legs, ONE))
         counit[g] = ONE if g.row == g.col else ZERO
     return Presentation(
         kind=kind,
@@ -226,13 +225,14 @@ def _refuse_above_the_bound(relations: str, count: int, unit: str = "terms") -> 
 
 def _bounded(w: MultilinearForm) -> MultilinearForm:
     """``w``, unless its form relations would hold more than
-    ``_PRESERVATION_MAX_TERMS`` terms.  Each builder of form relations asks
-    before it reads the form in any other way: a flattening of an oversized
-    form can outgrow memory before the relations would be refused."""
+    ``_PRESERVATION_MAX_TERMS`` terms, each of its n^m relations counted as
+    at least one.  Each builder of form relations asks before it reads the
+    form in any other way: a flattening of an oversized form, even an empty
+    one, can outgrow memory before the relations would be refused."""
     _refuse_above_the_bound(
         f"the form relations of a form of dim {w.dim}, arity {w.arity} and "
         f"{len(w.entries)} entries",
-        w.dim**w.arity * len(w.entries),
+        w.dim**w.arity * max(len(w.entries), 1),
     )
     return w
 
@@ -295,10 +295,10 @@ def _structure(pres: Presentation, part: str) -> dict:
     return images
 
 
-def _twisted(q: Matrix, mat: PolyMatrix) -> PolyMatrix:
+def _twisted(q: Matrix, q_inv: Matrix, mat: PolyMatrix) -> PolyMatrix:
     """X = Q^-1 mat Q."""
     a = mat.alphabet
-    return PolyMatrix.scalar(a, mat_inv(q)) @ mat @ PolyMatrix.scalar(a, q)
+    return PolyMatrix.scalar(a, q_inv) @ mat @ PolyMatrix.scalar(a, q)
 
 
 def _polar_matrix(
@@ -347,11 +347,19 @@ def build_hw(w: MultilinearForm) -> Presentation:
     recomputed from the form here, never taken on trust.
     """
     n, q = w.dim, _twist(_bounded(w))
+    q_inv = mat_inv(q)
+    # tus[i,j] = sum over k and the nonzero Q^-1[k,a] and Q[b,j] of u[a,b] s[i,k]
+    nq, nq_inv = (sum(map(bool, m.entries)) for m in (q, q_inv))
+    _refuse_above_the_bound(
+        f"the tus relations of a form of dim {n} with {nq} and {nq_inv} nonzero entries"
+        " in Q and Q^-1",
+        n * nq * nq_inv,
+    )
     alphabet = Alphabet(matric_family("u", n) + matric_family("s", n))
     u = PolyMatrix.family(alphabet, "u", n)
     s = PolyMatrix.family(alphabet, "s", n)
     one = PolyMatrix.identity(alphabet, n)
-    x = _twisted(q, u)
+    x = _twisted(q, q_inv, u)
     relations = _labelled("us", (u @ s - one).entries())
     relations += _labelled("tus", ((x.T @ s.T).T - one).entries())
     relations += _labelled("invw", _preservation(alphabet, w, "u"))
@@ -363,9 +371,14 @@ def build_hb(b: MultilinearForm) -> Presentation:
     """Arity-2 universal Hopf algebra written through b and its inverse."""
     if b.arity != 2:
         raise ValueError("this presentation needs a bilinear form")
-    n = b.dim
+    n = _bounded(b).dim  # bst holds the n^2 |entries| terms of the form relations
     bm = Matrix(n, n, [b[(i, j)] for i in range(1, n + 1) for j in range(1, n + 1)])
     binv = mat_inv(bm)  # singular b is rejected here
+    nb_inv = sum(map(bool, binv.entries))
+    _refuse_above_the_bound(
+        f"the binst relations of a form of dim {n} with {nb_inv} nonzero entries in b^-1",
+        n * n * nb_inv,
+    )
     alphabet = Alphabet(matric_family("u", n))
     u = PolyMatrix.family(alphabet, "u", n)
     bb = PolyMatrix.scalar(alphabet, bm)
@@ -451,61 +464,92 @@ def build_presentation(
 # checks
 
 
-def _uncertified(name: str, exc: NotCertifiedError) -> CheckResult:
-    """UNCERTIFIED, naming the degree a normal form needs above the certified one."""
-    detail = f"needs degree {exc.degree}, certified {exc.certified}"
-    return CheckResult(name, Status.UNCERTIFIED, detail)
+def _reduce_tensor(system: RewriteSystem, alphabet: Alphabet, terms: dict) -> tuple[dict, int]:
+    """What ``rewrite._reduce`` gives for the terms of a tensor square:
+    (nf (x) nf of them, 1), in the engine's form.  The legs go through that
+    entry one sum at a time: the left sum at each right word, then the right
+    sum at each left normal word.  Before any sum, term-by-term reduction,
+    leading term first, names the first word it meets above the certified
+    degree: a left word, or a right word whose left word does not vanish.
+    So a left sum that cancels never certifies a word above it."""
+    top = system.complete_through
+
+    def nf(leg: dict) -> dict:
+        reduced, e = _reduce(system, alphabet, leg)
+        return reduced if e == 1 else {w: lean(Scalar(c, e)) for w, c in reduced.items()}
+
+    above = (k for k in terms if len(k[0]) > top or len(k[1]) > top)
+    for w1, w2 in TensorSquare._leading_first(above):
+        if nf({w1: 1}):  # which raises for a left word above the degree
+            raise NotCertifiedError(len(w2), top)
+    lefts: dict[str, dict] = {}
+    for (w1, w2), c in terms.items():
+        lefts.setdefault(w2, {})[w1] = c
+    rights: dict[str, dict] = {}
+    for w2, left in lefts.items():
+        for u, c in nf(left).items():
+            rights.setdefault(u, {})[w2] = c
+    return {(u, v): c for u, right in rights.items() for v, c in nf(right).items()}, 1
 
 
 def _verdict(
-    name: str,
-    what: str,
-    value: NcPoly | TensorSquare,
-    d: int = 1,
-    system: RewriteSystem | None = None,
+    name: str, what: str, value: NcPoly | TensorSquare, system: RewriteSystem | None = None
 ) -> CheckResult:
-    """The one place a value that must vanish becomes a status.  ``value`` is
-    d times it, in the engine's form; with ``system`` it is meant in that
-    quotient, and the one reduction here takes its normal form, which the
-    reduction entry hands out as e times itself for its own e.  PASS when
-    zero, FAIL showing it as ``what``, divided by d into the Fractions shown,
-    and UNCERTIFIED when the normal form needs a degree above the certified
-    one, which the detail names."""
+    """The one place a value that must vanish becomes a status.  ``value``
+    is in the engine's form; with ``system`` it is meant in that quotient,
+    and the one reduction here takes its normal form (``_reduce_tensor`` for
+    a tensor square), which the reduction entry hands out as e times itself
+    for its own e.  PASS when zero, FAIL showing it as ``what``, in
+    Fractions, and UNCERTIFIED when the normal form needs a degree above the
+    certified one, which the detail names."""
     if system is not None:
+        reduce = _reduce_tensor if isinstance(value, TensorSquare) else _reduce
         try:
-            terms, e = _reduce(system, value.alphabet, value.terms)
+            terms, e = reduce(system, value.alphabet, value.terms)
         except NotCertifiedError as exc:
-            return _uncertified(name, exc)
-        value, d = value._adopt(value.alphabet, terms), d * e
+            detail = f"needs degree {exc.degree}, certified {exc.certified}"
+            return CheckResult(name, Status.UNCERTIFIED, detail)
+        value = value._adopt(value.alphabet, fraction_quotients(terms, e))
     if value.is_zero():
         return CheckResult(name, Status.PASS)
-    shown = value._adopt(value.alphabet, fraction_quotients(value.terms, d)) if d != 1 else value
-    return CheckResult(name, Status.FAIL, f"{what} {shown.to_str()}")
+    return CheckResult(name, Status.FAIL, f"{what} {value.to_str()}")
 
 
 def _images(
     images: Mapping, target: Alphabet, extend: Callable = substitute, **kw
-) -> Callable[[NcPoly], tuple[NcPoly | TensorSquare, int]]:
-    """The map a check applies, as ``image(rel)``: (d times the image of
-    ``rel``, d), for ``extend`` (``substitute``, with ``antihom`` in ``kw``
-    for an antipode, or ``coproduct_image``) of ``images`` into ``target``.
-    The relation is cleared of its denominators by d and the images are
-    taken in the engine's form, so the image is summed over the ints
-    wherever the images are integral."""
+) -> Callable[[NcPoly], NcPoly | TensorSquare]:
+    """The map a check applies, as ``image(rel)``: the image of ``rel``
+    under ``extend`` (``substitute``, with ``antihom`` in ``kw`` for an
+    antipode, or ``coproduct_image``) of ``images`` into ``target``.  The
+    relation and the images are taken in the engine's form, so the image is
+    summed over the ints wherever both are integral."""
     lean_images = {g: t._adopt(t.alphabet, lean_terms(t.terms)) for g, t in images.items()}
+    return lambda rel: extend(
+        rel._adopt(rel.alphabet, lean_terms(rel.terms)), lean_images, target=target, **kw
+    )
 
-    def image(rel: NcPoly) -> tuple[NcPoly | TensorSquare, int]:
-        ints, d = cleared_terms(rel.terms)
-        return extend(NcPoly._adopt(rel.alphabet, ints), lean_images, target=target, **kw), d
 
-    return image
+def _rows(
+    prefix: str,
+    pres: Presentation,
+    what: str,
+    image: Callable[[NcPoly], NcPoly | TensorSquare],
+    system: RewriteSystem | None = None,
+) -> list[CheckResult]:
+    """One verdict per relation of ``pres``, named ``prefix:label``: the
+    ``image`` of the relation must vanish, in the quotient by ``system``
+    when one is given."""
+    return [
+        _verdict(f"{prefix}:{label}", what, image(rel), system)
+        for label, rel in zip(pres.relation_labels, pres.relations)
+    ]
 
 
 def _verdicts(
     label: str, pairs: Iterable[tuple[Idx, NcPoly]], system: RewriteSystem
 ) -> list[CheckResult]:
     """One verdict per (index, polynomial that must vanish), named ``label[index]``."""
-    return [_verdict(name, "normal form", p, 1, system) for name, p in _labelled(label, pairs)]
+    return [_verdict(name, "normal form", p, system) for name, p in _labelled(label, pairs)]
 
 
 def system_for(pres: Presentation, degree: int, on_progress=None) -> RewriteSystem:
@@ -518,10 +562,7 @@ def check_counit(pres: Presentation) -> list[CheckResult]:
     """The counit, extended as a character, must send every relation to 0."""
     a = pres.alphabet
     image = _images({g: NcPoly.unit(a, e) for g, e in _structure(pres, "counit").items()}, a)
-    return [
-        _verdict(f"counit:{label}", "counit value", *image(rel))
-        for label, rel in zip(pres.relation_labels, pres.relations)
-    ]
+    return _rows("counit", pres, "counit value", image)
 
 
 def check_coproduct(
@@ -532,51 +573,7 @@ def check_coproduct(
     image = _images(_structure(pres, "delta"), pres.alphabet, coproduct_image)
     if system is None:
         system = system_for(pres, degree)
-    top, a = system.complete_through, system.alphabet
-
-    def nf(terms: dict) -> dict:
-        # the engine's form in and out: a left sum is over the ints, and a
-        # right sum too unless a tail with a denominator reduced into it
-        reduced, e = _reduce(system, a, terms)
-        return reduced if e == 1 else {w: lean(Scalar(c, e)) for w, c in reduced.items()}
-
-    @functools.cache
-    def vanishes(word: str) -> bool:
-        return not nf({word: 1})
-
-    def residue(name: str, rel: NcPoly) -> CheckResult:
-        value, d = image(rel)
-        try:
-            # the degree that term-by-term reduction, leading term first,
-            # meets first above the certified one: a left word, or a right
-            # word whose left word does not vanish.  Checked before the legs
-            # are summed, so that a left sum that cancels never certifies a
-            # word above it
-            above = (k for k in value.terms if len(k[0]) > top or len(k[1]) > top)
-            for w1, w2 in TensorSquare._leading_first(above):
-                if len(w1) > top or not vanishes(w1):
-                    raise NotCertifiedError(len(w1) if len(w1) > top else len(w2), top)
-            # nf (x) nf = (id (x) nf) o (nf (x) id) on d times the image,
-            # over the ints: reduce the left sum at each right word, then
-            # the right sum at each left normal word.  A delta with
-            # denominators leaves some in the image, which are cleared too
-            ints, e = cleared_terms(value.terms)
-            lefts: dict[str, dict] = {}
-            for (w1, w2), c in ints.items():
-                lefts.setdefault(w2, {})[w1] = c
-            rights: dict[str, dict] = {}
-            for w2, left in lefts.items():
-                for u, c in nf(left).items():
-                    rights.setdefault(u, {})[w2] = c
-            terms = {(u, v): c for u, right in rights.items() for v, c in nf(right).items()}
-        except NotCertifiedError as exc:
-            return _uncertified(name, exc)
-        return _verdict(name, "residue", TensorSquare._adopt(pres.alphabet, terms), d * e)
-
-    return [
-        residue(f"coproduct:{label}", rel)
-        for label, rel in zip(pres.relation_labels, pres.relations)
-    ]
+    return _rows("coproduct", pres, "residue", image, system)
 
 
 def check_antipode(
@@ -591,21 +588,18 @@ def check_antipode(
         system = system_for(pres, degree)
     a = pres.alphabet
     s_of = _images(s_images, a, antihom=True)
-    s_word = functools.cache(lambda word: s_of(NcPoly.from_word(a, word))[0].terms)
-    out = [
-        _verdict(f"antipode-ideal:{label}", "normal form", *s_of(rel), system)
-        for label, rel in zip(pres.relation_labels, pres.relations)
-    ]
+    s_word = functools.cache(lambda word: s_of(NcPoly.from_word(a, word)).terms)
+    out = _rows("antipode-ideal", pres, "normal form", s_of, system)
     for g, side in itertools.product(pres.generators, ("left", "right")):
         # S(1) = 1, so either sum over delta(g) - eps(g) 1#1 subtracts eps(g)
-        ints, d = cleared_terms((delta[g] - TensorSquare.unit(a, counit[g])).terms)
+        unit_sum = lean_terms((delta[g] - TensorSquare.unit(a, counit[g])).terms)
         terms: dict = {}
         right = side == "right"
-        for (x, y), c in ints.items():
+        for (x, y), c in unit_sum.items():
             image = s_word(y if right else x)
             add_terms(terms, (((x + w if right else w + y), c * e) for w, e in image.items()))
         name = f"antipode-{side}:{g.token()}"
-        out.append(_verdict(name, "normal form", NcPoly._adopt(a, terms), d, system))
+        out.append(_verdict(name, "normal form", NcPoly._adopt(a, terms), system))
     return out
 
 
@@ -664,7 +658,8 @@ def derived_relations_suite(
     u = PolyMatrix.family(a, "u", n)
     s = PolyMatrix.family(a, "s", n)
     one = PolyMatrix.identity(a, n)
-    x = _twisted(pres.provenance.q, u)
+    q = pres.provenance.q
+    x = _twisted(q, mat_inv(q), u)
     # the antihomomorphism u -> s, which the antipode restricts to on u
     u_to_s = functools.partial(substitute, images=s.images("u"), antihom=True, target=a)
 
@@ -795,11 +790,8 @@ def check_hom(
     lands in the target ideal."""
     if system is None:
         system = system_for(hom.target, degree)
-    image, source = _images(hom.images, hom.target.alphabet), hom.source
-    return [
-        _verdict(f"{hom.label}:{label}", "normal form", *image(rel), system)
-        for label, rel in zip(source.relation_labels, source.relations)
-    ]
+    image = _images(hom.images, hom.target.alphabet)
+    return _rows(hom.label, hom.source, "normal form", image, system)
 
 
 def _from_hw(label: str, hw: Presentation, target: Presentation) -> HomCandidate:
@@ -862,11 +854,7 @@ def check_representation(
     target = next(iter(images.values())).alphabet
     if any(g.family != "free" for g in target.generators):
         raise ValueError("representation targets must be free algebras")
-    image = _images(images, target)
-    results = [
-        _verdict(f"rep:{label}", "image", *image(rel))
-        for label, rel in zip(pres.relation_labels, pres.relations)
-    ]
+    results = _rows("rep", pres, "image", _images(images, target))
     wimg = None if witness is None else tuple(substitute(w, images) for w in witness)
     distinct = None if wimg is None else wimg[0] != wimg[1]
     return RepresentationReport(results, wimg, distinct)

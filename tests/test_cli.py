@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -530,6 +531,54 @@ def test_a_form_whose_relations_hold_too_many_terms_is_refused_before_it_is_flat
         "hopfw: error: the form relations of a form of dim 2, arity 21 and 2 entries"
         " would hold 4194304 terms, above the bound of 1000000\n",
     )
+
+
+@pytest.mark.parametrize(
+    "kind, rows, message",
+    [
+        (
+            "hw",
+            [[random.Random(20 * i + j).randint(1, 9) for j in range(20)] for i in range(20)],
+            "the tus relations of a form of dim 20 with 400 and 400 nonzero entries in Q and"
+            " Q^-1 would hold 3200000 terms",
+        ),
+        (
+            "hb",
+            [[(i * j) % 7 + 1 for j in range(32)] for i in range(32)],
+            "the form relations of a form of dim 32, arity 2 and 1024 entries would hold"
+            " 1048576 terms",
+        ),
+        (
+            "hb",
+            [[int(j - i in (0, 1)) for j in range(40)] for i in range(40)],
+            "the binst relations of a form of dim 40 with 820 nonzero entries in b^-1 would"
+            " hold 1312000 terms",
+        ),
+        (
+            "hw",
+            None,
+            "the form relations of a form of dim 2000, arity 2 and 0 entries would hold"
+            " 4000000 terms",
+        ),
+    ],
+    ids=["hw-dense-20", "hb-dense-32", "hb-bidiagonal-40", "hw-empty-2000"],
+)
+def test_present_refuses_hw_and_hb_above_the_bound_before_any_product(
+    kind, rows, message, tmp_path, capsys, monkeypatch
+):
+    form = MultilinearForm(2000, 2, {}) if rows is None else make_bilinear(rows)
+    path, out = tmp_path / "w.json", tmp_path / "pres.txt"
+    path.write_text(dump_form(form))
+
+    def refused_step(*args):
+        raise AssertionError("a matrix product or a flattening was built")
+
+    monkeypatch.setattr(hopf.PolyMatrix, "__matmul__", refused_step)
+    if rows is None:
+        monkeypatch.setattr(forms, "flattening", refused_step)
+    assert main(["present", "--algebra", kind, "--form", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", f"hopfw: error: {message}, above the bound of 1000000\n")
+    assert not out.exists()
 
 
 def test_present_refuses_ahmn_above_the_bound_before_the_first_relation(

@@ -273,6 +273,88 @@ def test_form_relations_are_refused_above_the_bound_before_the_first_is_built(mo
         )
 
 
+def _dense_bilinear(n: int) -> MultilinearForm:
+    """An unsymmetric bilinear form of dim n with every entry in 1..9, seeded by n."""
+    rng = random.Random(n)
+    return make_bilinear([[rng.randint(1, 9) for _ in range(n)] for _ in range(n)])
+
+
+def _bidiagonal(n: int) -> MultilinearForm:
+    """1 on the diagonal and just above it: b^-1 is dense upper triangular."""
+    return make_bilinear([[int(j - i in (0, 1)) for j in range(n)] for i in range(n)])
+
+
+def test_tus_and_binst_are_counted_from_q_and_b_inverse():
+    """hw's tus relations hold n nnz(Q) nnz(Q^-1) terms and n constants, and
+    hb's binst relations n^2 nnz(b^-1) terms and nnz(b^-1) constants: the
+    counts that the builders hold to the bound."""
+    nonzeros = collections.Counter()
+    for n, w in itertools.product((3, 6), (_dense_bilinear, _bidiagonal)):
+        pres = build_hw(w(n))
+        q = pres.provenance.q
+        nq, nq_inv = (sum(map(bool, m.entries)) for m in (q, hopf.mat_inv(q)))
+        nonzeros[nq, nq_inv] += 1
+        tus = [r for label, r in zip(pres.relation_labels, pres.relations) if "tus" in label]
+        assert sum(len(r.terms) for r in tus) == n * nq * nq_inv + n
+    assert len(nonzeros) == 4
+    for n in (3, 6):
+        pres = build_hb(_bidiagonal(n))
+        binst = [r for label, r in zip(pres.relation_labels, pres.relations) if "binst" in label]
+        nb_inv = n * (n + 1) // 2
+        assert sum(len(r.terms) for r in binst) == n * n * nb_inv + nb_inv
+
+
+def test_hw_and_hb_relations_are_refused_above_the_bound_before_any_product(monkeypatch):
+    """A dense unsymmetric 16x16 form has form relations of 65 536 terms, but
+    its tus relations would hold 16 nnz(Q) nnz(Q^-1) of them; hb holds its
+    bst relations, n^2 |entries| terms, to the bound of the form relations,
+    and its binst relations, n^2 nnz(b^-1) terms, to the same bound.  Each is
+    refused before any matrix product is taken."""
+
+    def matmul(self, other):
+        raise AssertionError("a matrix product was taken")
+
+    monkeypatch.setattr(hopf.PolyMatrix, "__matmul__", matmul)
+    refusals = {
+        lambda: build_hw(_dense_bilinear(16)): (
+            "the tus relations of a form of dim 16 with 256 and 256 nonzero entries in Q and"
+            " Q^-1 would hold 1048576 terms, above the bound of 1000000"
+        ),
+        lambda: build_hb(_dense_bilinear(32)): (
+            "the form relations of a form of dim 32, arity 2 and 1024 entries would hold"
+            " 1048576 terms, above the bound of 1000000"
+        ),
+        lambda: build_hb(_bidiagonal(40)): (
+            "the binst relations of a form of dim 40 with 820 nonzero entries in b^-1 would"
+            " hold 1312000 terms, above the bound of 1000000"
+        ),
+    }
+    for refused, message in refusals.items():
+        with pytest.raises(ValueError) as caught:
+            refused()
+        assert str(caught.value) == message
+
+
+def test_an_empty_form_is_refused_by_its_dim_before_it_is_flattened(monkeypatch):
+    """An empty form has n^m relations with no terms, and flattenings of n^m
+    entries: each relation counts as one term, so an empty form of dim 2000
+    is refused by every builder before a flattening or b^-1 is built."""
+
+    def refused_step(*args):
+        raise AssertionError("a flattening or an inverse was built")
+
+    monkeypatch.setattr(forms, "flattening", refused_step)
+    monkeypatch.setattr(hopf, "mat_inv", refused_step)
+    empty = MultilinearForm(2000, 2, {})
+    for kind in ("bw", "hw", "hb", "hww"):
+        with pytest.raises(ValueError) as caught:
+            build_presentation(kind, empty)
+        assert str(caught.value) == (
+            "the form relations of a form of dim 2000, arity 2 and 0 entries would hold"
+            " 4000000 terms, above the bound of 1000000"
+        )
+
+
 def test_ahmn_is_refused_above_the_bound_before_the_first_relation_is_built(monkeypatch):
     """ahmn(m, n) has 2n^3 + 2n relation terms: n = 79 is within the bound
     and n = 80 is refused, whatever m, before any relation is built.  Its
