@@ -135,11 +135,15 @@ VERIFY_CALLS = {
     "noninjectivity-D3": ["--suite", "noninjectivity", "--degree", "3"],
     # below the degree these identities need: the cyclic2 axioms (16 FAIL in
     # antipode-ideal/left/right), the cyclic2 derived suite (64 FAIL) and
-    # manin (27 FAIL) print FAIL for identities that hold and pass at D=4.
+    # manin (27 FAIL) print FAIL for identities that hold and pass at D=4,
+    # and so does the bilinear-1235 derived suite at D=2 (20 FAIL), which
+    # passes at D=3; its twist Q = [[4, 5], [-1, -1]] is not I, so its tsu
+    # and Rus rows show the X = Q^-1 U Q they are stated through.
     # That is ROADMAP item 2's bug, pinned byte for byte until item 15 makes
     # these rows UNCERTIFIED on purpose; ahmn(3,2) gives 12 UNCERTIFIED
     "axioms-hw-cyclic2-D3": ["--suite", "axioms", "FORM:cyclic2", "--degree", "3"],
     "derived-cyclic2-D3": ["--suite", "derived", "FORM:cyclic2", "--degree", "3"],
+    "derived-bilinear-1235-D2": ["--suite", "derived", "FORM:bilinear-1235", "--degree", "2"],
     "manin-D3": ["--suite", "manin", "--degree", "3"],
     "axioms-ahmn-3-2-D3": [
         "--suite", "axioms", "--algebra", "ahmn", "--m", "3", "--n", "2", "--degree", "3"
@@ -377,6 +381,11 @@ GOLDEN = {
             "exit": 0,
             "lines": 21,
             "stdout_sha256": "0c6dbde980e07c417e313910d4dd2f4d04d167adb93ed07dc14b194ae3c3ed58"
+        },
+        "derived-bilinear-1235-D2": {
+            "exit": 1,
+            "lines": 21,
+            "stdout_sha256": "11c7689688522fa594833213b92eff5425477f41c96e534f95eb697697a4ab7f"
         },
         "derived-cyclic2": {
             "exit": 0,

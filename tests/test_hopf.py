@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -911,6 +912,25 @@ def test_derived_relations_diagonal_instance():
         "spow": 4,
     }
     assert all_pass(results)
+
+
+def test_derived_rows_of_a_twist_with_denominators_are_pinned():
+    # every other derived test below the default degree has twist I, where
+    # X = U; this form's Q has denominators 4 and 8, so a wrong X shows in
+    # the tsu and Rus rows.  At D=2 all 45 rows print FAIL (ROADMAP item 2),
+    # pinned byte for byte
+    w = make_bilinear([[1, 2, 0], [0, 1, 3], [1, 0, 2]])
+    pres = build_hw(w)
+    assert str(pres.provenance.q) == "[[1/8, 7/8, 7/8], [-1/4, -3/4, 5/4], [7/8, 9/8, -7/8]]"
+    rows = derived_relations_suite(pres, forms.polar(w).particular, 2, system_for(pres, 2))
+    assert prefix_counts(rows) == {"sinw": 9, "su": 9, "tsu": 9, "Rsu": 9, "Rus": 9}
+    assert status_counts(rows) == {Status.FAIL: 45}
+    assert rows[9] == CheckResult(
+        "su[1,1]", Status.FAIL, "normal form s[1,3]*u[3,1] + s[1,2]*u[2,1] + s[1,1]*u[1,1] - 1"
+    )
+    text = "".join(f"{r.name} {r.status.value} {r.detail}\n" for r in rows)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "5a18f12314131f507ad5dd6150c2a099673e8be97a38ff290deef7c06061c6b8"
 
 
 def test_derived_relations_rejections(hw2, hw2_sys6):
