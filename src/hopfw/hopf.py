@@ -23,16 +23,17 @@ U, S the u and s generator matrices, I the identity, Q the twisting element,
 X = Q^-1 U Q, B the matrix of a bilinear form, and P the polar antipode
 matrix P[mu,nu] = sum wt^{mu,L} w_{R,nu} g^{R1}_{L1}...g^{R(m-1)}_{L(m-1)}:
 
-* hw: ``us`` = U S - I and ``tus`` = (X^T S^T)^T - I; antipode u -> S, s -> X,
-  so S^2 is conjugation by Q, and s splits flipped: s[i,j] -> sum_k s[k,j] (x) s[i,k];
+* hw: ``us`` = U S - I and its antipode image ``tus`` = (X^T S^T)^T - I;
+  antipode u -> S, s -> X, so S^2 is conjugation by Q, and s splits flipped:
+  s[i,j] -> sum_k s[k,j] (x) s[i,k];
 * hb: ``bst`` = U^T B U - B and ``binst`` = U B^-1 U^T - B^-1; antipode
   B^-1 U^T B;
 * hww: antipode P;
 * bw left inverse: ``leftinv`` = P A - I;
-* derived suite: ``su`` = S U - I, ``tsu`` = (S^T X^T)^T - I and ``Rsu`` =
-  S - P over u; ``sinw`` and ``Rus`` = X - P' are antipode images: the
-  antihomomorphism u -> s (``substitute(..., antihom=True)``, which reverses
-  every word) carries ``invw`` to ``sinw`` and P to P'.
+* derived suite: ``su`` = S U - I and ``Rsu`` = S - P over u, and the images
+  under the presentation's antipode, which reverses every word: ``sinw`` of
+  ``invw``, ``tsu`` = (S^T X^T)^T - I of ``su`` and ``Rus`` = X - P' of
+  ``Rsu``, with P' the image of P.
 
 Each precondition of the paper is checked in one place: ``_twist`` (a
 preregular form), ``_polar_matrix`` (a polar tensor, refused before anything
@@ -53,14 +54,16 @@ quotient by a degree-truncated rewriting system.  Each check hands
 is meant; ``_verdict`` alone reduces it, once, and turns it into PASS
 (zero), FAIL (shown, in Fractions only there) or UNCERTIFIED (it needs a
 degree above the certified one; nothing recompletes).  The reduction entry
-``rewrite._reduce`` is the one place its denominators are cleared; a tensor
-square goes through ``_reduce_tensor``, which reduces its legs through that
-entry.  A nonzero normal form at a truncation refutes nothing on its own,
-yet is reported FAIL today (ROADMAP item 2).  ``_images`` is the one path of
-every map a check applies (counit, hom, representation, antipode and
-coproduct), and ``_rows`` gives the verdict of each relation's image.  The
-antipode's unit sums read each generator's own coproduct and counit, which
-only ``_presentation`` writes.
+``rewrite._reduce`` is the one place its denominators are cleared and the
+one place that refuses a word above the certified degree; a tensor square
+goes through ``_reduce_tensor``, which reduces every word and leg sum
+through that entry.  A nonzero normal form at a truncation refutes nothing
+on its own, yet is reported FAIL today (ROADMAP item 2).  ``_images`` is the
+one path of every map a check applies (counit, hom, representation,
+antipode and coproduct; the derived suite's antipode images too), and
+``_rows`` gives the verdict of each relation's image.  The antipode's unit
+sums read each generator's own coproduct and counit, which only
+``_presentation`` writes.
 ``_from_hw`` builds every map out of hw: u to the target's generator matrix
 G, s to S(G).  The table ``SUITES`` names every verification suite, the
 inputs it reads and the function that runs it; ``hopfw verify`` is a lookup
@@ -295,12 +298,6 @@ def _structure(pres: Presentation, part: str) -> dict:
     return images
 
 
-def _twisted(q: Matrix, q_inv: Matrix, mat: PolyMatrix) -> PolyMatrix:
-    """X = Q^-1 mat Q."""
-    a = mat.alphabet
-    return PolyMatrix.scalar(a, q_inv) @ mat @ PolyMatrix.scalar(a, q)
-
-
 def _polar_matrix(
     alphabet: Alphabet,
     w: MultilinearForm,
@@ -359,7 +356,7 @@ def build_hw(w: MultilinearForm) -> Presentation:
     u = PolyMatrix.family(alphabet, "u", n)
     s = PolyMatrix.family(alphabet, "s", n)
     one = PolyMatrix.identity(alphabet, n)
-    x = _twisted(q, q_inv, u)
+    x = PolyMatrix.scalar(alphabet, q_inv) @ u @ PolyMatrix.scalar(alphabet, q)
     relations = _labelled("us", (u @ s - one).entries())
     relations += _labelled("tus", ((x.T @ s.T).T - one).entries())
     relations += _labelled("invw", _preservation(alphabet, w, "u"))
@@ -468,10 +465,11 @@ def _reduce_tensor(system: RewriteSystem, alphabet: Alphabet, terms: dict) -> tu
     """What ``rewrite._reduce`` gives for the terms of a tensor square:
     (nf (x) nf of them, 1), in the engine's form.  The legs go through that
     entry one sum at a time: the left sum at each right word, then the right
-    sum at each left normal word.  Before any sum, term-by-term reduction,
-    leading term first, names the first word it meets above the certified
-    degree: a left word, or a right word whose left word does not vanish.
-    So a left sum that cancels never certifies a word above it."""
+    sum at each left normal word.  Before any sum, the words of the terms
+    above the certified degree go through that entry one at a time, leading
+    term first: the left word, then the right word when the left one does
+    not vanish.  So the first of them above the degree is the one the entry
+    refuses, and a left sum that cancels never certifies a word above it."""
     top = system.complete_through
 
     def nf(leg: dict) -> dict:
@@ -480,8 +478,8 @@ def _reduce_tensor(system: RewriteSystem, alphabet: Alphabet, terms: dict) -> tu
 
     above = (k for k in terms if len(k[0]) > top or len(k[1]) > top)
     for w1, w2 in TensorSquare._leading_first(above):
-        if nf({w1: 1}):  # which raises for a left word above the degree
-            raise NotCertifiedError(len(w2), top)
+        if nf({w1: 1}):  # each nf raises for a word above the degree
+            nf({w2: 1})
     lefts: dict[str, dict] = {}
     for (w1, w2), c in terms.items():
         lefts.setdefault(w2, {})[w1] = c
@@ -639,12 +637,14 @@ def derived_relations_suite(
 ) -> list[CheckResult]:
     """Consequences of the defining relations of the u/s presentation.
 
-    Always checked: the reversed form-preservation on s, the two-sided and
-    twisted-two-sided inverse identities, and (when a polar tensor is given)
-    the closed formulas expressing s through u and back.  For arity >= 3 the
-    two-generator reduction identity is included; for the alternating and the
-    fully diagonal instances the suite adds their special consequences
-    (column/commutator exchange relations, and s as a power of u).
+    Always checked: ``su`` = S U - I, and the images under the presentation's
+    antipode of ``invw`` (the reversed form-preservation on s, ``sinw``) and
+    of ``su`` (``tsu``); when a polar tensor is given, ``Rsu`` = S - P
+    expresses s through u, and its image ``Rus`` u through s.  For arity >= 3
+    the two-generator reduction identity is included; for the alternating
+    and the fully diagonal instances the suite adds their special
+    consequences (column/commutator exchange relations, and s as a power of
+    u).
     """
     if pres.kind != "hw":
         raise ValueError("derived relations are stated for the u/s presentation")
@@ -655,23 +655,18 @@ def derived_relations_suite(
     if system is None:
         system = system_for(pres, degree)
 
-    u = PolyMatrix.family(a, "u", n)
     s = PolyMatrix.family(a, "s", n)
-    one = PolyMatrix.identity(a, n)
-    q = pres.provenance.q
-    x = _twisted(q, mat_inv(q), u)
-    # the antihomomorphism u -> s, which the antipode restricts to on u
-    u_to_s = functools.partial(substitute, images=s.images("u"), antihom=True, target=a)
-
-    # the image of invw: sum_M w_M s^{Mm}_{Nm}...s^{M1}_{N1} = w_N
-    out = _verdicts("sinw", ((mu, u_to_s(r)) for mu, r in _preservation(a, w, "u")), system)
-    out += _verdicts("su", (s @ u - one).entries(), system)
-    out += _verdicts("tsu", ((s.T @ x.T).T - one).entries(), system)
+    su = list((s @ PolyMatrix.family(a, "u", n) - PolyMatrix.identity(a, n)).entries())
+    # sinw, tsu and Rus are the antipode's images of invw, su and Rsu
+    s_of = _images(_structure(pres, "antipode"), a, antihom=True)
+    out = _verdicts("sinw", ((mu, s_of(r)) for mu, r in _preservation(a, w, "u")), system)
+    out += _verdicts("su", su, system)
+    out += _verdicts("tsu", ((idx, s_of(r)) for idx, r in su), system)
 
     if p is not None:
-        out += _verdicts("Rsu", (s - p).entries(), system)
-        rus = x - PolyMatrix(a, (map(u_to_s, row) for row in p.rows))
-        out += _verdicts("Rus", rus.entries(), system)
+        rsu = list((s - p).entries())
+        out += _verdicts("Rsu", rsu, system)
+        out += _verdicts("Rus", ((idx, s_of(r)) for idx, r in rsu), system)
 
     if m >= 3:
         out += pair_reduction_suite(pres, degree, system)

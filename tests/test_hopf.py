@@ -1,4 +1,6 @@
 import collections
+import copy
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -43,7 +45,7 @@ from hopfw.hopf import (
     unitriangular_free_images,
     worst_status,
 )
-from hopfw.ncalg import Alphabet, Generator, NcPoly, TensorSquare
+from hopfw.ncalg import Alphabet, Generator, NcPoly, PolyMatrix, TensorSquare
 from hopfw.rewrite import RewriteSystem, complete, normal_form
 from test_golden import PRESENTATIONS
 
@@ -826,6 +828,27 @@ def test_coproduct_rows_match_the_definitional_oracle():
     assert seen == {Status.UNCERTIFIED: 516, Status.FAIL: 306, Status.PASS: 339}
 
 
+def test_the_coproduct_walk_certifies_only_through_the_reduction_entry(monkeypatch):
+    # the left words x^3 and y^3 survive, so their right words are reduced:
+    # above the certified degree, the reduction entry alone refuses them
+    pres = _free_presentation(["x*x*x - y*y*y"], {"x": "x#x", "y": "y#y"})
+    d3 = system_for(pres, 3)
+    loose = RewriteSystem.parse(d3.dump().replace("complete_through 3\n", "complete_through 2\n"))
+    (row,) = check_coproduct(pres, 3, loose)
+    assert (row.status, row.detail) == (Status.UNCERTIFIED, "needs degree 3, certified 2")
+    # an entry that certifies every degree makes the same walk a verdict:
+    # x^3 (x) x^3 - y^3 (x) y^3 reduces to zero under y^3 -> x^3
+    reduce = hopf._reduce
+
+    def certify_every_degree(system, alphabet, terms):
+        wide = copy.copy(system)
+        wide.complete_through = max(map(len, terms), default=0)
+        return reduce(wide, alphabet, terms)
+
+    monkeypatch.setattr(hopf, "_reduce", certify_every_degree)
+    assert check_coproduct(pres, 3, loose) == [CheckResult("coproduct:r0", Status.PASS)]
+
+
 def test_a_failing_normal_form_shows_the_normal_form(hw2, hw2_sys6):
     """Each verdict on a value with denominators is PASS exactly when the
     normal form is zero, and a FAIL shows that normal form."""
@@ -931,6 +954,28 @@ def test_derived_rows_of_a_twist_with_denominators_are_pinned():
     text = "".join(f"{r.name} {r.status.value} {r.detail}\n" for r in rows)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "5a18f12314131f507ad5dd6150c2a099673e8be97a38ff290deef7c06061c6b8"
+
+
+def test_derived_rows_read_the_presentations_antipode():
+    # sinw, tsu and Rus are images under the presentation's antipode: with
+    # S(s) = U, which is wrong for this form (Q != I), exactly the images of
+    # su and Rsu change, and nothing else does
+    w = make_bilinear([[1, 2], [3, 5]])
+    pres = build_hw(w)
+    assert str(pres.provenance.q) == "[[4, 5], [-1, -1]]"
+    antipode = pres.structure.antipode | PolyMatrix.family(pres.alphabet, "u", 2).images("s")
+    wrong = dataclasses.replace(
+        pres, structure=dataclasses.replace(pres.structure, antipode=antipode)
+    )
+    system, wt = system_for(pres, 3), forms.polar(w).particular
+    rows = derived_relations_suite(pres, wt, 3, system)
+    assert prefix_counts(rows) == {"sinw": 4, "su": 4, "tsu": 4, "Rsu": 4, "Rus": 4}
+    assert all_pass(rows)
+    changed = [
+        new.name for old, new in zip(rows, derived_relations_suite(wrong, wt, 3, system))
+        if new != old
+    ]
+    assert [name.split("[")[0] for name in changed] == ["tsu"] * 4 + ["Rus"] * 4
 
 
 def test_derived_relations_rejections(hw2, hw2_sys6):
