@@ -24,7 +24,9 @@ command that builds bw, hw, hb or hww refuses a form whose form relations
 would hold too many terms before it flattens the form or builds a relation
 (``hopf._bounded``); hw's tus relations, counted from Q and Q^-1, hb's
 binst relations, counted from b^-1, and ahmn are refused on the same bound
-before any relation is built.
+before any relation is built.  A count with a power n^m of more than 4096
+bits is refused without being multiplied out, and written ``k * n^m``
+(``hopf._refuse_above_the_bound``).
 
 Exit codes: 0 success / all checks pass, 1 a check failed, 2 at least one
 check was uncertified at the degree bound (none failed), 3 usage or input
@@ -67,6 +69,7 @@ from .hopf import (
     SUITES,
     Status,
     SuiteInputs,
+    _refuse_above_the_bound,
     build_algebra,
     default_degree,
     refuse_unread,
@@ -178,12 +181,13 @@ def _bool(v: bool) -> str:
 
 def _cmd_analyze(args) -> int:
     w = load_form(args.form)
-    entries = w.arity * w.dim**w.arity
-    if entries > ANALYZE_MAX_ENTRIES:
-        raise ValueError(
-            f"the {w.arity} flattenings of a form of dim {w.dim} and arity {w.arity} would hold "
-            f"{entries} entries, above the bound of {ANALYZE_MAX_ENTRIES}"
-        )
+    _refuse_above_the_bound(
+        f"the {w.arity} flattenings of a form of dim {w.dim} and arity {w.arity}",
+        w.arity,
+        "entries",
+        (w.dim, w.arity),
+        ANALYZE_MAX_ENTRIES,
+    )
     report, all_slots = _analyze_every_slot(w)
     lines = [f"dim: {w.dim}", f"arity: {w.arity}"]
     lines.append(f"one_site_nondegenerate: {_bool(report.nondegenerate)}")

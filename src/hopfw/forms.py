@@ -427,10 +427,8 @@ def _perm_sign(p: Sequence[int]) -> int:
     return sign
 
 
-def make_signature(m: int, n: int | None = None) -> MultilinearForm:
+def make_signature(m: int) -> MultilinearForm:
     """The alternating m-linear form on K^m (entries = permutation signs)."""
-    if n is not None and n != m:
-        raise ValueError("the alternating form needs dimension equal to arity")
     entries = {}
     for perm in itertools.permutations(range(m)):
         idx = tuple(p + 1 for p in perm)

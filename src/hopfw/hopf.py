@@ -36,17 +36,15 @@ matrix P[mu,nu] = sum wt^{mu,L} w_{R,nu} g^{R1}_{L1}...g^{R(m-1)}_{L(m-1)}:
   ``Rsu``, with P' the image of P.
 
 Each precondition of the paper is checked in one place: ``_twist`` (a
-preregular form), ``_polar_matrix`` (a polar tensor, refused before anything
-reads it) and ``_form_of`` (a presentation built from a form, not parsed).
-``_structure`` reads a coproduct, counit or antipode, which a parsed dump
-may lack.
+preregular form), ``_refuse_unless_polar`` (a polar tensor, refused before
+anything reads it or completes) and ``_form_of`` (``Presentation.form``, set
+by a builder and not by the parser).  ``_structure`` reads a coproduct,
+counit or antipode, which a parsed dump may lack.
 
 Builders return (label, polynomial) pairs.  The private table ``_ALGEBRAS``
 maps each algebra kind to the inputs its build reads and to that build, for
-the API, the presentation reader and the CLI alike.  Beside it,
-``_AXIOM_EXTRAS`` maps a kind to what the axioms suite reads and checks
-beyond that build (bw: ``--polar`` and the polar left inverse), for both
-:func:`refuse_unread` and the axioms suite.
+the API, the presentation reader and the CLI alike.  Beyond its build, bw's
+axioms read ``--polar`` and check that member's left inverse.
 
 Every structural claim is a value that must vanish, most of them in the
 quotient by a degree-truncated rewriting system.  Each check hands
@@ -139,13 +137,6 @@ class HopfStructure:
 
 
 @dataclass
-class Provenance:
-    form: MultilinearForm | None = None
-    q: Matrix | None = None
-    polar_member: MultilinearForm | None = None
-
-
-@dataclass
 class Presentation:
     kind: str
     n: int
@@ -155,7 +146,7 @@ class Presentation:
     relations: tuple[NcPoly, ...]
     relation_labels: tuple[str, ...]
     structure: HopfStructure | None = None
-    provenance: Provenance | None = None
+    form: MultilinearForm | None = None
 
     def label(self) -> str:
         return f"{self.kind}[n={self.n},m={self.m}]"
@@ -183,7 +174,7 @@ def _presentation(
     alphabet: Alphabet,
     relations: list[tuple[str, NcPoly]],
     antipode: dict[Generator, NcPoly] | None,
-    provenance: Provenance | None,
+    form: MultilinearForm | None,
 ) -> Presentation:
     """Attach the matric coproduct and counit to every generator family; the
     s family splits with flipped tensor factors."""
@@ -206,7 +197,7 @@ def _presentation(
         relations=tuple(poly for _, poly in relations),
         relation_labels=tuple(label for label, _ in relations),
         structure=HopfStructure(delta, counit, antipode),
-        provenance=provenance,
+        form=form,
     )
 
 
@@ -217,13 +208,25 @@ def _presentation(
 _PRESERVATION_MAX_TERMS = 1_000_000
 
 
-def _refuse_above_the_bound(relations: str, count: int, unit: str = "terms") -> None:
-    """Raise ValueError when ``relations`` would hold more than
-    ``_PRESERVATION_MAX_TERMS`` terms, or letters."""
-    if count > _PRESERVATION_MAX_TERMS:
-        raise ValueError(
-            f"{relations} would hold {count} {unit}, above the bound of {_PRESERVATION_MAX_TERMS}"
-        )
+# a power n^m of more bits than this is never multiplied out: with n >= 2 it
+# is at least 2^2048, above every bound, and Python refuses to print an int
+# of more than 4 300 digits
+_POWER_MAX_BITS = 4096
+
+
+def _refuse_above_the_bound(
+    relations: str, count: int, unit: str = "terms", power=(1, 1), bound=_PRESERVATION_MAX_TERMS
+) -> None:
+    """Raise ValueError when ``relations`` would hold more than ``bound``
+    ``unit``: ``count`` times n^m of them for ``power`` (n, m).  A power of
+    more than ``_POWER_MAX_BITS`` bits is refused without being multiplied
+    out, and the message writes it ``count * n^m``."""
+    n, m = power
+    if n > 1 and m * n.bit_length() > _POWER_MAX_BITS:
+        total: int | str = f"{count} * {n}^{m}"
+    elif (total := count * n**m) <= bound:
+        return
+    raise ValueError(f"{relations} would hold {total} {unit}, above the bound of {bound}")
 
 
 def _bounded(w: MultilinearForm) -> MultilinearForm:
@@ -235,7 +238,8 @@ def _bounded(w: MultilinearForm) -> MultilinearForm:
     _refuse_above_the_bound(
         f"the form relations of a form of dim {w.dim}, arity {w.arity} and "
         f"{len(w.entries)} entries",
-        w.dim**w.arity * max(len(w.entries), 1),
+        max(len(w.entries), 1),
+        power=(w.dim, w.arity),
     )
     return w
 
@@ -283,10 +287,9 @@ def _twist(w: MultilinearForm) -> Matrix:
 
 def _form_of(pres: Presentation) -> MultilinearForm:
     """The form ``pres`` was built from; a parsed presentation has none."""
-    form = getattr(pres.provenance, "form", None)
-    if form is None:
+    if pres.form is None:
         raise ValueError(f"this check needs a presentation built from a form, not {pres.label()}")
-    return form
+    return pres.form
 
 
 def _structure(pres: Presentation, part: str) -> dict:
@@ -298,6 +301,12 @@ def _structure(pres: Presentation, part: str) -> dict:
     return images
 
 
+def _refuse_unless_polar(wt: MultilinearForm, w: MultilinearForm) -> None:
+    """Raise ValueError unless ``wt`` is in the polar affine space of ``w``."""
+    if not in_polar(wt, w):
+        raise ValueError("tensor is not in the polar affine space of the form")
+
+
 def _polar_matrix(
     alphabet: Alphabet,
     w: MultilinearForm,
@@ -306,8 +315,7 @@ def _polar_matrix(
 ) -> PolyMatrix:
     """P[mu,nu] = sum wt^{mu,L} w_{R,nu} g^{R1}_{L1}...g^{R(m-1)}_{L(m-1)}, the
     antipode of g written through a polar tensor; any other tensor is refused."""
-    if not in_polar(wt, w):
-        raise ValueError("tensor is not in the polar affine space of the form")
+    _refuse_unless_polar(wt, w)
     rng = range(1, w.dim + 1)
     terms: dict[tuple[int, int], dict[str, Scalar]] = {(mu, nu): {} for mu in rng for nu in rng}
     for lidx, c1 in wt.entries.items():
@@ -333,7 +341,7 @@ def build_bw(w: MultilinearForm) -> Presentation:
         raise ValueError("form fails one-site nondegeneracy")
     alphabet = Alphabet(matric_family("a", w.dim))
     relations = _labelled("form", _preservation(alphabet, w, "a"))
-    return _presentation("bw", w.dim, w.arity, alphabet, relations, None, Provenance(form=w))
+    return _presentation("bw", w.dim, w.arity, alphabet, relations, None, w)
 
 
 def build_hw(w: MultilinearForm) -> Presentation:
@@ -361,7 +369,7 @@ def build_hw(w: MultilinearForm) -> Presentation:
     relations += _labelled("tus", ((x.T @ s.T).T - one).entries())
     relations += _labelled("invw", _preservation(alphabet, w, "u"))
     antipode = s.images("u") | x.images("s")
-    return _presentation("hw", n, w.arity, alphabet, relations, antipode, Provenance(form=w, q=q))
+    return _presentation("hw", n, w.arity, alphabet, relations, antipode, w)
 
 
 def build_hb(b: MultilinearForm) -> Presentation:
@@ -383,20 +391,19 @@ def build_hb(b: MultilinearForm) -> Presentation:
     relations = _labelled("bst", (u.T @ bb @ u - bb).entries())
     relations += _labelled("binst", (u @ bi @ u.T - bi).entries())
     antipode = (bi @ u.T @ bb).images("u")
-    return _presentation("hb", n, 2, alphabet, relations, antipode, Provenance(form=b))
+    return _presentation("hb", n, 2, alphabet, relations, antipode, b)
 
 
 def build_hww(w: MultilinearForm, wt: MultilinearForm) -> Presentation:
     """Single-matrix presentation from a form and a member of its polar
     family; the polar membership is verified exactly before building."""
     _bounded(wt)
-    q = _twist(_bounded(w))
+    _twist(_bounded(w))  # refuses a form that is not preregular
     alphabet = Alphabet(matric_family("v", w.dim))
     antipode = _polar_matrix(alphabet, w, wt, "v").images("v")
     relations = _labelled("wv", _preservation(alphabet, w, "v"))
     relations += _labelled("wtv", _preservation(alphabet, wt, "v", lower_is_free=False))
-    provenance = Provenance(form=w, q=q, polar_member=wt)
-    return _presentation("hww", w.dim, w.arity, alphabet, relations, antipode, provenance)
+    return _presentation("hww", w.dim, w.arity, alphabet, relations, antipode, w)
 
 
 def build_ahmn(m: int, n: int) -> Presentation:
@@ -811,8 +818,8 @@ def hw_to_hww_hom(hw: Presentation, hww: Presentation) -> HomCandidate:
 def theta_iso_homs(n: int, m: int) -> tuple[HomCandidate, HomCandidate]:
     """Mutually inverse assignments between the fully diagonal form's Hopf
     algebra and the power-sum presentation: u <-> a, s -> transposed power."""
+    ah = build_ahmn(m, n)  # bounded in n and m before the form's n tuples of m indices
     htheta = build_hw(make_orthogonal(n, m))
-    ah = build_ahmn(m, n)
     back = PolyMatrix.family(htheta.alphabet, "u", n).images("a")
     return _from_hw("htheta->ah", htheta, ah), HomCandidate("ah->htheta", ah, htheta, back)
 
@@ -885,9 +892,7 @@ def _probe_verdict(certified: bool, degree: int) -> str:
     return "noninjective certified" if certified else f"inconclusive at degree {degree}"
 
 
-def noninjectivity_probe(
-    w: MultilinearForm, wt: MultilinearForm, degree: int, on_progress=None
-) -> ProbeReport:
+def noninjectivity_probe(w: MultilinearForm, wt: MultilinearForm, degree: int) -> ProbeReport:
     """Semidecision that the canonical map from the u/s presentation to the
     single-matrix one is not injective for the alternating 3x3 instance.
 
@@ -908,7 +913,7 @@ def noninjectivity_probe(
     witness_ok = rep.ok() and bool(rep.witness_distinct)
 
     hww = build_hww(w, wt)
-    system = system_for(hww, degree, on_progress=on_progress)
+    system = system_for(hww, degree)
     comm = NcPoly.from_gens(
         hww.alphabet, [Generator("v", 1, 2), Generator("v", 1, 3)]
     ) - NcPoly.from_gens(hww.alphabet, [Generator("v", 1, 3), Generator("v", 1, 2)])
@@ -976,31 +981,18 @@ _ALGEBRAS: dict[str, tuple[frozenset[str], Callable[[SuiteInputs], Presentation]
     "ahmn": (frozenset({"m", "n"}), lambda i: build_ahmn(i.m, i.n)),
 }
 
-# what the axioms suite reads and checks beyond a kind's build: bw's polar left inverse
-_AXIOM_EXTRAS: dict[str, tuple[frozenset[str], Callable[..., list[CheckResult]]]] = {
-    "bw": (
-        frozenset({"polar"}),
-        lambda i, pres, degree, system: check_left_inverse_identity(
-            pres, _polar_choice(i.form, i.polar), degree, system
-        ),
-    ),
-}
-_NO_EXTRAS: tuple[frozenset[str], Callable[..., list[CheckResult]]] = (frozenset(), lambda *_: [])
-
-
 def refuse_unread(inputs: SuiteInputs, suite: str | None = None) -> None:
     """Raise ValueError for the first input given but not read by the suite
     or, for axioms and for no suite (``hopfw present``), by building
-    ``inputs.algebra`` (default hw); the axioms suite also reads what
-    ``_AXIOM_EXTRAS`` adds.  It looks only at which inputs are given, before
-    any file opens."""
+    ``inputs.algebra`` (default hw); bw's axioms also read ``--polar``.  It
+    looks only at which inputs are given, before any file opens."""
     if suite in (None, "axioms"):
         kind = inputs.algebra or "hw"
         if kind not in _ALGEBRAS:
             raise ValueError(f"unknown algebra kind {kind!r}")
         reader, reads = f"--algebra {kind}", _ALGEBRAS[kind][0] | {"algebra"}
-        if suite:
-            reads |= _AXIOM_EXTRAS.get(kind, _NO_EXTRAS)[0]
+        if suite and kind == "bw":
+            reads |= {"polar"}
     else:
         reader, reads = f"suite {suite!r}", SUITES[suite].reads
     for name in ("form", "algebra", "polar", "m", "n"):
@@ -1022,29 +1014,38 @@ def build_algebra(inputs: SuiteInputs) -> Presentation:
 
 
 def _axioms(inputs: SuiteInputs) -> list[CheckResult]:
-    """Hopf axioms of one presentation, plus its kind's ``_AXIOM_EXTRAS``."""
+    """Hopf axioms of one presentation; bw's also check the left inverse of
+    its polar member, which is refused unless polar before anything
+    completes."""
     refuse_unread(inputs, "axioms")
     pres = build_algebra(inputs)
     degree = inputs.degree_for(pres.m)
+    if pres.kind != "bw":
+        return hopf_axiom_suite(pres, degree)
+    wt = _polar_choice(inputs.form, inputs.polar)
+    _refuse_unless_polar(wt, inputs.form)
     system = system_for(pres, degree)
-    extras = _AXIOM_EXTRAS.get(pres.kind, _NO_EXTRAS)[1]
-    return hopf_axiom_suite(pres, degree, system) + extras(inputs, pres, degree, system)
+    return hopf_axiom_suite(pres, degree, system) + check_left_inverse_identity(
+        pres, wt, degree, system
+    )
 
 
 def _derived(inputs: SuiteInputs) -> list[CheckResult]:
     """The derived suite on the given polar member, or on the canonical one
-    and one kernel step away from it; rows are prefixed ``sampleN:``."""
+    and one kernel step away from it; rows are prefixed ``sampleN:``.  A
+    given member is refused unless polar before anything completes."""
     w = inputs.need_form("derived")
     degree = inputs.degree_for(w.arity)
     pres = build_hw(w)
-    system = system_for(pres, degree)
     if inputs.polar is not None:
+        _refuse_unless_polar(inputs.polar, w)
         samples = [inputs.polar]
     else:
         sol = polar(w)
         samples = [sol.particular]
         if sol.kernel_basis:
             samples.append(sol.member([1] + [0] * (len(sol.kernel_basis) - 1)))
+    system = system_for(pres, degree)
     return [
         CheckResult(f"sample{i}:{r.name}", r.status, r.detail)
         for i, wt in enumerate(samples, start=1)

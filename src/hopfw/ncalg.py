@@ -244,12 +244,6 @@ def natural_key(word: str) -> tuple[int, str]:
     return (-len(word), word)
 
 
-def deglex_key(word: str) -> tuple[int, list[int]]:
-    """Ascending deglex in generator order, for tests and oracles; words
-    themselves sort by the natural key ``(-len(w), w)``, leading word first."""
-    return (len(word), [-ord(c) for c in word])
-
-
 _SIGNS = re.compile(r"([+-][\s+-]*)")
 _COEFFICIENT = re.compile(r"\d+(?:/\d+)?")
 # canonical texts read together, one text a line: each monomial is a field
@@ -487,11 +481,6 @@ class _LinearCombination:
             and self.alphabet == other.alphabet
             and self.terms == other.terms
         )
-
-    def sorted_terms(self) -> list:
-        """Terms in ``_leading_first`` order, leading term first."""
-        terms = self.terms
-        return [(k, terms[k]) for k in self._leading_first(terms)]
 
     def to_str(self) -> str:
         """Canonical rendering: terms in descending order, each a spaced

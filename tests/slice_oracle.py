@@ -23,10 +23,16 @@ from __future__ import annotations
 
 import random
 
-from hopfw.ncalg import deglex_key
 from hopfw.rewrite import RewriteSystem, _LeadIndex
 
 _MARKER_BASE = 0x3000  # far above every generator's letter
+
+
+def deglex_key(word: str) -> tuple[int, list[int]]:
+    """Ascending deglex in generator order: the alphabet numbers its letters
+    downward, and the engine sorts words by ``(-len(w), w)``, leading word
+    first (``ncalg.natural_key``)."""
+    return (len(word), [-ord(c) for c in word])
 
 
 def marker(k: int) -> dict[str, int]:

@@ -27,7 +27,7 @@ import itertools
 
 from hopfw import Alphabet, NcPoly
 from hopfw.exactnum import Scalar, ZERO
-from hopfw.ncalg import deglex_key
+from slice_oracle import deglex_key
 
 
 def _words(alphabet: Alphabet, max_len: int):

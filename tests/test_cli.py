@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,6 @@ from hopfw.forms import (
 )
 from hopfw.hopf import (
     _ALGEBRAS,
-    _AXIOM_EXTRAS,
     SUITES,
     CheckResult,
     Status,
@@ -249,7 +249,7 @@ def test_presentation_dump_parse_round_trip():
         assert back.structure.delta == pres.structure.delta
         assert back.structure.counit == pres.structure.counit
         assert back.structure.antipode == pres.structure.antipode
-        assert back.provenance is None
+        assert back.form is None
 
 
 _HW = "algebra hw\nn 1\nm 2\n"
@@ -486,6 +486,64 @@ def test_analyze_refuses_a_form_whose_flattenings_hold_too_many_entries(
         " 5764801 entries, above the bound of 1000000\n"
     )
     assert 6 * 6**6 <= ANALYZE_MAX_ENTRIES < 7 * 7**7
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["analyze", "FORM"],
+            "the 10000000 flattenings of a form of dim 3 and arity 10000000 would hold"
+            " 10000000 * 3^10000000 entries",
+        ),
+        (
+            ["present", "--algebra", "hw", "--form", "FORM"],
+            "the form relations of a form of dim 3, arity 10000000 and 0 entries would hold"
+            " 1 * 3^10000000 terms",
+        ),
+        (
+            ["verify", "--suite", "diagonal-iso", "--n", "3", "--m", "10000000"],
+            "the power sums of ahmn with m=10000000 and n=3 would hold 180000000 letters",
+        ),
+    ],
+    ids=["analyze", "present", "diagonal-iso"],
+)
+def test_a_huge_arity_is_refused_with_the_bounds_message_at_once(
+    argv, message, tmp_path, capsys, monkeypatch
+):
+    # 3^10000000 has 4 771 213 digits: it is never multiplied out (seconds)
+    # nor printed (past Python's 4 300 digits); diagonal-iso bounds ahmn's
+    # power sums first, so it builds no form of 3 tuples of 10^7 indices
+    path = tmp_path / "long.json"
+    path.write_text('{"dim": 3, "arity": 10000000, "entries": []}')
+
+    def make_orthogonal(n, m):
+        raise AssertionError("the diagonal form was built")
+
+    monkeypatch.setattr(hopf, "make_orthogonal", make_orthogonal)
+    start = time.perf_counter()
+    assert main([str(path) if a == "FORM" else a for a in argv]) == 3
+    assert time.perf_counter() - start < 1
+    bound = ", above the bound of 1000000\n"
+    assert capsys.readouterr() == ("", f"hopfw: error: {message}{bound}")
+
+
+@pytest.mark.parametrize(
+    "arity, count",
+    [(2048, str(2**2048)), (2049, "1 * 2^2049"), (20000, "1 * 2^20000")],
+    ids=["2048", "2049", "20000"],
+)
+def test_a_power_is_written_out_up_to_its_bit_bound(arity, count, tmp_path, capsys):
+    # an empty form of dim 2: its 2^m form relations are counted one term
+    # each, and 2^m is multiplied out while m times the 2 bits of 2 is at
+    # most 4096
+    path = tmp_path / "long.json"
+    path.write_text(f'{{"dim": 2, "arity": {arity}, "entries": []}}')
+    assert main(["present", "--algebra", "hw", "--form", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        f"hopfw: error: the form relations of a form of dim 2, arity {arity} and 0 entries"
+        f" would hold {count} terms, above the bound of 1000000\n"
+    )
 
 
 def test_present_refuses_a_form_whose_relations_hold_too_many_terms(tmp_path, capsys):
@@ -919,9 +977,8 @@ def test_verify_derived_uses_two_polar_samples(cyclic2, capsys):
 @pytest.mark.parametrize("degree, code", [(3, 1), (4, 0)])
 def test_verify_derived_on_a_given_polar_member(cyclic2, tmp_path, capsys, degree, code):
     w = load_form(cyclic2)
-    sol = polar(w)
     # one kernel step away from the canonical member, which is the default
-    wt = sol.member([1] + [0] * (len(sol.kernel_basis) - 1))
+    wt = _kernel_step(w)
     path = tmp_path / "polar.json"
     path.write_text(dump_form(wt))
     argv = ["verify", "--suite", "derived", cyclic2, "--polar", str(path)]
@@ -1114,18 +1171,51 @@ def test_every_reader_follows_the_algebra_table(monkeypatch):
         build_presentation("hb", make_bilinear([[0, 1], [-1, 0]]))
 
 
-def test_axiom_extras_follow_their_table_entry(monkeypatch):
+def test_bw_axioms_read_polar_and_add_the_left_inverse():
     given = SuiteInputs(form="w.json", algebra="bw", polar="wt.json")
     refuse_unread(given, "axioms")
-    inputs = SuiteInputs(form=W2, algebra="bw", degree=4)
-    names = [r.name for r in run_suite("axioms", inputs)]
-    assert "leftinv[1,1]" in names
-    # with bw's entry taken out, its axioms neither read --polar nor check leftinv
-    monkeypatch.delitem(_AXIOM_EXTRAS, "bw")
+    # building bw reads no --polar, and neither do the hw and hb axioms
     with pytest.raises(ValueError, match="--algebra bw does not read --polar"):
-        refuse_unread(given, "axioms")
-    rows = [r.name for r in run_suite("axioms", inputs)]
-    assert rows == [name for name in names if not name.startswith("leftinv")]
+        refuse_unread(given)
+    for kind in ("hw", "hb"):
+        with pytest.raises(ValueError, match=f"--algebra {kind} does not read --polar"):
+            refuse_unread(SuiteInputs(form="w.json", algebra=kind, polar="wt.json"), "axioms")
+    # bw's axioms are its Hopf axioms, then P A - I for the canonical polar
+    # member, or for the given one
+    axioms = [r.name for r in hopf.hopf_axiom_suite(build_bw(W2), 4)]
+    leftinv = [f"leftinv[{i},{j}]" for i in (1, 2) for j in (1, 2)]
+    for wt in (None, _kernel_step(W2)):
+        rows = run_suite("axioms", SuiteInputs(form=W2, algebra="bw", polar=wt, degree=4))
+        assert [r.name for r in rows] == axioms + leftinv
+        assert all(r.status is Status.PASS for r in rows)
+
+
+def _kernel_step(w: MultilinearForm) -> MultilinearForm:
+    """The polar member one kernel step away from the canonical one."""
+    sol = polar(w)
+    return sol.member([1] + [0] * (len(sol.kernel_basis) - 1))
+
+
+@pytest.mark.parametrize(
+    "argv", [["--suite", "derived"], ["--suite", "axioms", "--algebra", "bw"]], ids=["derived", "bw"]
+)
+def test_a_non_polar_member_is_refused_before_anything_completes(
+    argv, sig3, tmp_path, capsys, monkeypatch
+):
+    # eps3/3 is not polar to eps3 (eps3/2 is); hw(eps3) would complete
+    # through D=6 for seconds before the old refusal
+    path = tmp_path / "third.json"
+    path.write_text(dump_form(make_signature(3).scale(rat(1, 3))))
+
+    def complete(*args, **kwargs):
+        raise AssertionError("completed before the polar member was refused")
+
+    monkeypatch.setattr(hopf, "complete", complete)
+    assert main(["verify", *argv, sig3, "--polar", str(path)]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "hopfw: error: tensor is not in the polar affine space of the form\n",
+    )
 
 
 def test_argparse_errors_exit_with_usage_code():

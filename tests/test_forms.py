@@ -471,9 +471,6 @@ def test_make_signature():
         ((3, 1, 2), 1),
         ((3, 2, 1), -1),
     ]
-    assert make_signature(3, 3) == eps3
-    with pytest.raises(ValueError):
-        make_signature(3, 2)
     assert analyze(eps3).preregular
 
 

@@ -100,8 +100,8 @@ def test_us_presentation_shape(hw2):
     assert len(set(hw2.relation_labels)) == 16
     counts = collections.Counter(l.split("[")[0] for l in hw2.relation_labels)
     assert counts == {"us": 4, "tus": 4, "invw": 8}
-    assert hw2.provenance.form == W2
-    assert str(hw2.provenance.q) == "[[1, 0], [0, 1]]"
+    assert hw2.form == W2
+    assert str(hopf._twist(W2)) == "[[1, 0], [0, 1]]"
 
 
 def test_us_presentation_relations(hw2):
@@ -294,7 +294,7 @@ def test_tus_and_binst_are_counted_from_q_and_b_inverse():
     nonzeros = collections.Counter()
     for n, w in itertools.product((3, 6), (_dense_bilinear, _bidiagonal)):
         pres = build_hw(w(n))
-        q = pres.provenance.q
+        q = hopf._twist(w(n))
         nq, nq_inv = (sum(map(bool, m.entries)) for m in (q, hopf.mat_inv(q)))
         nonzeros[nq, nq_inv] += 1
         tus = [r for label, r in zip(pres.relation_labels, pres.relations) if "tus" in label]
@@ -411,7 +411,9 @@ def test_relations_are_nonzero_and_distinct():
     for pres in presentations:
         assert not any(rel.is_zero() for rel in pres.relations), pres.label()
         assert len(set(pres.relations)) == len(pres.relations), pres.label()
-        w, wt = (getattr(pres.provenance, f, None) for f in ("form", "polar_member"))
+        w = pres.form
+        # every hww here is built on the canonical polar member
+        wt = forms.polar(w).particular if pres.kind == "hww" else None
         assert all(f is None or not f.is_zero() for f in (w, wt)), pres.label()
         spelled = {"form": (w, "col"), "invw": (w, "col"), "wv": (w, "col"), "wtv": (wt, "row")}
         for label, rel in zip(pres.relation_labels, pres.relations):
@@ -498,7 +500,7 @@ def test_polar_refusals_come_before_any_completion(monkeypatch, hw2):
 
 def test_checks_on_a_parsed_presentation_need_its_form():
     hw2, bw2 = (parse_presentation(dump_presentation(p)) for p in (build_hw(W2), build_bw(W2)))
-    assert hw2.provenance is None and bw2.provenance is None
+    assert hw2.form is None and bw2.form is None
     message = "needs a presentation built from a form"
     with pytest.raises(ValueError, match=message):
         derived_relations_suite(hw2, WT2, 4)
@@ -944,7 +946,7 @@ def test_derived_rows_of_a_twist_with_denominators_are_pinned():
     # pinned byte for byte
     w = make_bilinear([[1, 2, 0], [0, 1, 3], [1, 0, 2]])
     pres = build_hw(w)
-    assert str(pres.provenance.q) == "[[1/8, 7/8, 7/8], [-1/4, -3/4, 5/4], [7/8, 9/8, -7/8]]"
+    assert str(hopf._twist(w)) == "[[1/8, 7/8, 7/8], [-1/4, -3/4, 5/4], [7/8, 9/8, -7/8]]"
     rows = derived_relations_suite(pres, forms.polar(w).particular, 2, system_for(pres, 2))
     assert prefix_counts(rows) == {"sinw": 9, "su": 9, "tsu": 9, "Rsu": 9, "Rus": 9}
     assert status_counts(rows) == {Status.FAIL: 45}
@@ -962,7 +964,7 @@ def test_derived_rows_read_the_presentations_antipode():
     # su and Rsu change, and nothing else does
     w = make_bilinear([[1, 2], [3, 5]])
     pres = build_hw(w)
-    assert str(pres.provenance.q) == "[[4, 5], [-1, -1]]"
+    assert str(hopf._twist(w)) == "[[4, 5], [-1, -1]]"
     antipode = pres.structure.antipode | PolyMatrix.family(pres.alphabet, "u", 2).images("s")
     wrong = dataclasses.replace(
         pres, structure=dataclasses.replace(pres.structure, antipode=antipode)

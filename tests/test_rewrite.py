@@ -14,7 +14,7 @@ import pytest
 from hopfw import rewrite
 from hopfw.forms import MultilinearForm, make_bilinear, make_signature
 from hopfw.hopf import build_bw, build_hb, build_hw, system_for
-from hopfw.ncalg import Alphabet, Generator, NcPoly, deglex_key, natural_key, parse_poly
+from hopfw.ncalg import Alphabet, Generator, NcPoly, natural_key, parse_poly
 from hopfw.rewrite import (
     _NO_LEAD,
     _PREFIX,
@@ -29,6 +29,7 @@ from hopfw.rewrite import (
 )
 from slice_oracle import (
     assert_scan_matches_slices,
+    deglex_key,
     first_lead_by_scan,
     first_lead_by_slices,
     marker,
