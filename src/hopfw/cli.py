@@ -15,18 +15,20 @@ a form file, ``--algebra``, ``--polar``, ``--m`` or ``--n`` that the chosen
 suite does not read is a usage error.  ``present`` reads ``--form`` for bw,
 hw and hb, ``--form`` and ``--polar`` for hww, and ``--m`` and ``--n`` for
 ahmn; any other of them is a usage error too (``hopf.refuse_unread``).
+These inputs are the fields of ``hopf.SuiteInputs`` but its degree.
 
 ``analyze`` refuses a form whose flattenings would hold more than
 ``ANALYZE_MAX_ENTRIES`` entries, before it builds any, and ``example`` an
 example of more than ``EXAMPLE_MAX_ENTRIES`` entries, or an orthogonal one of
-more than ``EXAMPLE_MAX_INDICES`` indices, before it builds it.  Every
+more than ``EXAMPLE_MAX_INDICES`` indices, before it builds it or reads a
+numeral too long for that bound as an int.  Every
 command that builds bw, hw, hb or hww refuses a form whose form relations
 would hold too many terms before it flattens the form or builds a relation
 (``hopf._bounded``); hw's tus relations, counted from Q and Q^-1, hb's
 binst relations, counted from b^-1, and ahmn are refused on the same bound
-before any relation is built.  A count with a power n^m of more than 4096
-bits is refused without being multiplied out, and written ``k * n^m``
-(``hopf._refuse_above_the_bound``).
+before any relation is built, and ``diagonal-iso`` before it builds either.
+A count with a power n^m of more than 4096 bits is refused without being
+multiplied out, and written ``k * n^m`` (``hopf._refuse_above_the_bound``).
 
 Exit codes: 0 success / all checks pass, 1 a check failed, 2 at least one
 check was uncertified at the degree bound (none failed), 3 usage or input
@@ -66,6 +68,7 @@ from .forms import (
 )
 from .hopf import (
     _ALGEBRAS,
+    _OPTIONAL_INPUTS,
     SUITES,
     Status,
     SuiteInputs,
@@ -214,9 +217,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _inputs(args, suite: str | None = None, degree: int | None = None) -> SuiteInputs:
-    """The form, --algebra, --polar, --m and --n given on the command line;
-    unread ones are refused while form and polar are file names, unopened."""
-    given = SuiteInputs(args.form, args.algebra, args.polar, args.m, args.n, degree)
+    """The inputs given on the command line; unread ones are refused while
+    form and polar are file names, unopened."""
+    given = SuiteInputs(degree=degree, **{name: getattr(args, name) for name in _OPTIONAL_INPUTS})
     refuse_unread(given, suite)
     return dataclasses.replace(
         given,
@@ -285,8 +288,12 @@ def _cmd_verify(args) -> int:
     return _exit_code(results)
 
 
-_EXAMPLE_SIG = re.compile(r"signature-(\d+)\Z")
-_EXAMPLE_ORTH = re.compile(r"orthogonal-(\d+)-(\d+)\Z")
+_EXAMPLE_SIG = re.compile(r"signature-0*(\d+)\Z")
+_EXAMPLE_ORTH = re.compile(r"orthogonal-0*(\d+)-0*(\d+)\Z")
+
+# a numeral of more digits in an example's name is above every example
+# bound, and is never read as an int: Python reads none of over 4 300 digits
+_EXAMPLE_MAX_DIGITS = len(str(EXAMPLE_MAX_INDICES))
 
 
 def _example_form(name: str) -> MultilinearForm:
@@ -296,31 +303,26 @@ def _example_form(name: str) -> MultilinearForm:
         return MultilinearForm(
             2, 3, {(1, 1, 2): rat(1), (1, 2, 1): rat(1), (2, 1, 1): rat(1)}
         )
+    example = f"example {name}"
     m = _EXAMPLE_SIG.match(name)
     if m:
-        arity = int(m.group(1))
+        arity = m.group(1)
         # M! is multiplied out only until it passes the bound
-        if any(p > EXAMPLE_MAX_ENTRIES for p in accumulate(range(1, arity + 1), operator.mul)):
-            _refuse_example(name, f"{arity}!")
-        return make_signature(arity)
+        if len(arity) > _EXAMPLE_MAX_DIGITS or any(
+            p > EXAMPLE_MAX_ENTRIES for p in accumulate(range(1, int(arity) + 1), operator.mul)
+        ):
+            _refuse_above_the_bound(example, f"{arity}!", "entries", bound=EXAMPLE_MAX_ENTRIES)
+        return make_signature(int(arity))
     m = _EXAMPLE_ORTH.match(name)
     if m:
-        dim, arity = int(m.group(1)), int(m.group(2))
-        if dim > EXAMPLE_MAX_ENTRIES:
-            _refuse_example(name, str(dim))
-        if dim * arity > EXAMPLE_MAX_INDICES:
-            raise ValueError(
-                f"example {name} would hold {dim * arity} indices,"
-                f" above the bound of {EXAMPLE_MAX_INDICES}"
-            )
-        return make_orthogonal(dim, arity)
+        dim, arity = m.groups()
+        entries = dim if len(dim) > _EXAMPLE_MAX_DIGITS else int(dim)
+        _refuse_above_the_bound(example, entries, "entries", bound=EXAMPLE_MAX_ENTRIES)
+        long = len(arity) > _EXAMPLE_MAX_DIGITS and dim != "0"
+        indices = f"{dim} * {arity}" if long else int(dim) * int(arity)
+        _refuse_above_the_bound(example, indices, "indices", bound=EXAMPLE_MAX_INDICES)
+        return make_orthogonal(int(dim), int(arity))
     raise ValueError(f"unknown example {name!r}")
-
-
-def _refuse_example(name: str, entries: str) -> None:
-    raise ValueError(
-        f"example {name} would hold {entries} entries, above the bound of {EXAMPLE_MAX_ENTRIES}"
-    )
 
 
 def _cmd_example(args) -> int:

@@ -232,10 +232,6 @@ def format_matrix(m: Matrix) -> str:
     return "[" + ", ".join(rows) + "]"
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return a * b
-
-
 def mat_vec(a: Matrix, v: Sequence) -> tuple:
     if a.cols != len(v):
         raise ValueError("shape mismatch")

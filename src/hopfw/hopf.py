@@ -43,8 +43,9 @@ counit or antipode, which a parsed dump may lack.
 
 Builders return (label, polynomial) pairs.  The private table ``_ALGEBRAS``
 maps each algebra kind to the inputs its build reads and to that build, for
-the API, the presentation reader and the CLI alike.  Beyond its build, bw's
-axioms read ``--polar`` and check that member's left inverse.
+the presentation reader and the CLI alike; ``build_algebra`` builds every
+kind.  The inputs are named once, as the fields of ``SuiteInputs``.  Beyond
+its build, bw's axioms read ``--polar`` and check that member's left inverse.
 
 Every structural claim is a value that must vanish, most of them in the
 quotient by a degree-truncated rewriting system.  Each check hands
@@ -72,7 +73,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, Iterable, Mapping
 
@@ -215,32 +216,38 @@ _POWER_MAX_BITS = 4096
 
 
 def _refuse_above_the_bound(
-    relations: str, count: int, unit: str = "terms", power=(1, 1), bound=_PRESERVATION_MAX_TERMS
+    relations: str, count: int | str, unit="terms", power=(1, 1), bound=_PRESERVATION_MAX_TERMS
 ) -> None:
     """Raise ValueError when ``relations`` would hold more than ``bound``
     ``unit``: ``count`` times n^m of them for ``power`` (n, m).  A power of
     more than ``_POWER_MAX_BITS`` bits is refused without being multiplied
-    out, and the message writes it ``count * n^m``."""
+    out, and the message writes it ``count * n^m``; a ``count`` given as
+    text, one too large to write out, is above the bound and written so."""
     n, m = power
-    if n > 1 and m * n.bit_length() > _POWER_MAX_BITS:
-        total: int | str = f"{count} * {n}^{m}"
+    if isinstance(count, str):
+        total = count
+    elif n > 1 and m * n.bit_length() > _POWER_MAX_BITS:
+        total = f"{count} * {n}^{m}"
     elif (total := count * n**m) <= bound:
         return
     raise ValueError(f"{relations} would hold {total} {unit}, above the bound of {bound}")
 
 
-def _bounded(w: MultilinearForm) -> MultilinearForm:
-    """``w``, unless its form relations would hold more than
-    ``_PRESERVATION_MAX_TERMS`` terms, each of its n^m relations counted as
-    at least one.  Each builder of form relations asks before it reads the
-    form in any other way: a flattening of an oversized form, even an empty
-    one, can outgrow memory before the relations would be refused."""
+def _refuse_form_relations(dim: int, arity: int, entries: int) -> None:
+    """Refuse form relations of more than ``_PRESERVATION_MAX_TERMS`` terms:
+    n^m relations, each counted as max(``entries``, 1) terms."""
     _refuse_above_the_bound(
-        f"the form relations of a form of dim {w.dim}, arity {w.arity} and "
-        f"{len(w.entries)} entries",
-        max(len(w.entries), 1),
-        power=(w.dim, w.arity),
+        f"the form relations of a form of dim {dim}, arity {arity} and {entries} entries",
+        max(entries, 1),
+        power=(dim, arity),
     )
+
+
+def _bounded(w: MultilinearForm) -> MultilinearForm:
+    """``w``, unless its form relations are refused.  Each builder of them
+    asks before it reads the form in any other way: a flattening of an
+    oversized form, even an empty one, can outgrow memory first."""
+    _refuse_form_relations(w.dim, w.arity, len(w.entries))
     return w
 
 
@@ -406,16 +413,24 @@ def build_hww(w: MultilinearForm, wt: MultilinearForm) -> Presentation:
     return _presentation("hww", w.dim, w.arity, alphabet, relations, antipode, w)
 
 
+def _refuse_ahmn(m: int, n: int) -> None:
+    """Refuse ahmn(m, n) unless m, n >= 2 and it is within the bound.  Each
+    side has n^2 (n - 1) one-term zero relations and n power sums of n + 1
+    terms, n of them words of m letters: 2n^3 + 2n terms and 2n^2 m letters."""
+    if m < 2 or n < 2:
+        raise ValueError("need m >= 2 and n >= 2")
+    big = 3 * n.bit_length() > _POWER_MAX_BITS  # decided before it is multiplied out
+    terms = f"2 * {n}^3 + 2 * {n}" if big else 2 * n**3 + 2 * n
+    _refuse_above_the_bound(f"the relations of ahmn with n={n}", terms)
+    _refuse_above_the_bound(
+        f"the power sums of ahmn with m={m} and n={n}", 2 * n * n, "letters", (m, 1)
+    )
+
+
 def build_ahmn(m: int, n: int) -> Presentation:
     """Row/column annihilation plus m-th power-sum relations on one matric
     family; the antipode transposes and raises to the (m-1)-st power."""
-    if m < 2 or n < 2:
-        raise ValueError("need m >= 2 and n >= 2")
-    # each side: n^2 (n - 1) one-term zero relations and n power sums of
-    # n + 1 terms, n of them words of m letters
-    _refuse_above_the_bound(f"the relations of ahmn with n={n}", 2 * n**3 + 2 * n)
-    letters = 2 * n * n * m
-    _refuse_above_the_bound(f"the power sums of ahmn with m={m} and n={n}", letters, "letters")
+    _refuse_ahmn(m, n)
     alphabet = Alphabet(matric_family("a", n))
     rng = range(1, n + 1)
     # a row-side index pair (mu, lam) names a[mu,lam], a column-side one a[lam,mu]
@@ -451,17 +466,6 @@ def _polar_choice(w: MultilinearForm, wt: MultilinearForm | None) -> Multilinear
     if sol is None:
         raise ValueError("form has no polar tensor (one-site degenerate)")
     return sol.particular
-
-
-def build_presentation(
-    kind: str, w: MultilinearForm, wt: MultilinearForm | None = None
-) -> Presentation:
-    """Build the ``bw``, ``hw``, ``hb`` or ``hww`` presentation of a form; hww
-    takes the polar member ``wt``, or the canonical one when it is None."""
-    reads, build = _ALGEBRAS[kind]
-    if "form" not in reads:
-        raise KeyError(kind)
-    return build(SuiteInputs(form=w, polar=wt))
 
 
 # ---------------------------------------------------------------------------
@@ -818,7 +822,10 @@ def hw_to_hww_hom(hw: Presentation, hww: Presentation) -> HomCandidate:
 def theta_iso_homs(n: int, m: int) -> tuple[HomCandidate, HomCandidate]:
     """Mutually inverse assignments between the fully diagonal form's Hopf
     algebra and the power-sum presentation: u <-> a, s -> transposed power."""
-    ah = build_ahmn(m, n)  # bounded in n and m before the form's n tuples of m indices
+    # every bound before anything is built, the form's n tuples of m indices last
+    _refuse_ahmn(m, n)
+    _refuse_form_relations(n, m, n)
+    ah = build_ahmn(m, n)
     htheta = build_hw(make_orthogonal(n, m))
     back = PolyMatrix.family(htheta.alphabet, "u", n).images("a")
     return _from_hw("htheta->ah", htheta, ah), HomCandidate("ah->htheta", ah, htheta, back)
@@ -959,6 +966,10 @@ class SuiteInputs:
         return make_signature(3) if self.form is None else self.form
 
 
+# what a suite or a build may leave unread: every field but the degree
+_OPTIONAL_INPUTS = tuple(f.name for f in fields(SuiteInputs) if f.name != "degree")
+
+
 @dataclass(frozen=True)
 class Suite:
     """One verification suite: the optional inputs it reads, the function
@@ -995,15 +1006,16 @@ def refuse_unread(inputs: SuiteInputs, suite: str | None = None) -> None:
             reads |= {"polar"}
     else:
         reader, reads = f"suite {suite!r}", SUITES[suite].reads
-    for name in ("form", "algebra", "polar", "m", "n"):
+    for name in _OPTIONAL_INPUTS:
         if name not in reads and getattr(inputs, name) is not None:
             flag = "a form file" if name == "form" else f"--{name}"
             raise ValueError(f"{reader} does not read {flag}")
 
 
 def build_algebra(inputs: SuiteInputs) -> Presentation:
-    """Build the presentation ``inputs.algebra`` (default hw) names, from
-    inputs :func:`refuse_unread` passed; behind ``present`` and axioms."""
+    """Build the presentation ``inputs.algebra`` (default hw) names, of any
+    kind, from what its entry of ``_ALGEBRAS`` reads; hww without ``polar``
+    is built on the canonical polar member."""
     kind = inputs.algebra or "hw"
     reads, build = _ALGEBRAS[kind]
     if "form" in reads and inputs.form is None:

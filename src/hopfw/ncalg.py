@@ -571,16 +571,6 @@ class NcPoly(_LinearCombination):
     def __hash__(self) -> int:
         return hash((self.alphabet, frozenset(self.terms.items())))
 
-    @classmethod
-    def parse(cls, alphabet: Alphabet, text: str) -> "NcPoly":
-        return parse_poly(alphabet, text)
-
-
-def poly_to_str(p: NcPoly) -> str:
-    """Canonical rendering: deglex-descending terms, ``1`` for the empty word,
-    unit coefficients suppressed, e.g. ``u[1,1]*s[1,1] + u[1,2]*s[2,1] - 1``."""
-    return p.to_str()
-
 
 def parse_poly(alphabet: Alphabet, text: str) -> NcPoly:
     """Read a polynomial in the text grammar of the module docstring."""

@@ -40,7 +40,7 @@ from hopfw.hopf import (
     SuiteInputs,
     build_bw,
     build_hw,
-    build_presentation,
+    build_algebra,
     derived_relations_suite,
     pair_reduction_suite,
     refuse_unread,
@@ -528,6 +528,62 @@ def test_a_huge_arity_is_refused_with_the_bounds_message_at_once(
     assert capsys.readouterr() == ("", f"hopfw: error: {message}{bound}")
 
 
+_HUGE_N = "1" + "0" * 1500
+_NINES = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["present", "--algebra", "ahmn", "--m", "2", "--n", _HUGE_N],
+            f"the relations of ahmn with n={_HUGE_N} would hold 2 * {_HUGE_N}^3 + 2 * {_HUGE_N}"
+            " terms, above the bound of 1000000",
+        ),
+        (
+            ["verify", "--suite", "diagonal-iso", "--n", "2", "--m", "100000"],
+            "the form relations of a form of dim 2, arity 100000 and 2 entries would hold"
+            " 2 * 2^100000 terms, above the bound of 1000000",
+        ),
+        (
+            ["example", f"signature-{_NINES}"],
+            f"example signature-{_NINES} would hold {_NINES}! entries,"
+            " above the bound of 100000",
+        ),
+        (
+            ["example", f"orthogonal-2-{_NINES}"],
+            f"example orthogonal-2-{_NINES} would hold 2 * {_NINES} indices,"
+            " above the bound of 400000",
+        ),
+        (
+            ["example", f"orthogonal-{_NINES}-2"],
+            f"example orthogonal-{_NINES}-2 would hold {_NINES} entries,"
+            " above the bound of 100000",
+        ),
+    ],
+    ids=["ahmn-n", "diagonal-iso", "signature", "orthogonal-m", "orthogonal-n"],
+)
+def test_a_count_past_the_digit_limit_is_refused_before_anything_is_built(
+    argv, message, capsys, monkeypatch
+):
+    # 2n^3 + 2n at n = 10^1500, and the numerals of 5 000 digits, are past
+    # the 4 300 digits Python prints or reads; diagonal-iso decides hw's form
+    # relations, 2 * 2^100000 terms, from n and m before it builds ahmn
+    def built(*args):
+        raise AssertionError("a presentation or an example was built")
+
+    monkeypatch.setattr(hopf, "Alphabet", built)
+    if "diagonal-iso" in argv:
+        monkeypatch.setattr(hopf, "build_ahmn", built)
+    for module in (hopf, cli):
+        monkeypatch.setattr(module, "make_orthogonal", built)
+    monkeypatch.setattr(cli, "make_signature", built)
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", f"hopfw: error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "arity, count",
     [(2048, str(2**2048)), (2049, "1 * 2^2049"), (20000, "1 * 2^20000")],
@@ -815,6 +871,7 @@ def test_gb_nf_pipeline(cyclic2, tmp_path, capsys):
     assert capsys.readouterr().out == "u[1,1]\n"
 
 
+@pytest.mark.hashseed
 def test_gb_progress_reports_only_the_degrees_that_pop(cyclic2, tmp_path, capsys):
     """Completion reports each degree at its first pop: hww(cyclic2) at
     degree 6 pops nothing of degree 6, so its last report is degree 5, and
@@ -1158,8 +1215,6 @@ def test_every_reader_follows_the_algebra_table(monkeypatch):
     assert SUITES["axioms"].reads == {"algebra"}.union(*(r for r, _ in _ALGEBRAS.values()))
     for kind in kinds:
         assert parse_presentation(f"algebra {kind}\nn 1\nm 2\ngenerators x").kind == kind
-    with pytest.raises(KeyError):
-        build_presentation("ahmn", W2)
     # a kind taken out of the table is gone from every reader
     monkeypatch.delitem(_ALGEBRAS, "hb")
     assert "hb" not in _algebra_choices("present") + _algebra_choices("verify")
@@ -1168,7 +1223,7 @@ def test_every_reader_follows_the_algebra_table(monkeypatch):
     with pytest.raises(ValueError, match="unknown algebra kind 'hb'"):
         refuse_unread(SuiteInputs(form="b.json", algebra="hb"))
     with pytest.raises(KeyError):
-        build_presentation("hb", make_bilinear([[0, 1], [-1, 0]]))
+        build_algebra(SuiteInputs(form=make_bilinear([[0, 1], [-1, 0]]), algebra="hb"))
 
 
 def test_bw_axioms_read_polar_and_add_the_left_inverse():

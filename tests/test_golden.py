@@ -84,10 +84,13 @@ from hopfw.ncalg import (
     coproduct_image,
     matric_family,
     parse_poly,
-    poly_to_str,
     substitute,
 )
 from slice_oracle import assert_scan_matches_slices
+
+# every pin here is checked again under two hash seeds: no dump, verdict or
+# printed value may follow the order in which completion pops its queue
+pytestmark = pytest.mark.hashseed
 
 # a bilinear form whose twist is not a scalar matrix
 BILINEAR_1235 = make_bilinear([[1, 2], [3, 5]])
@@ -505,11 +508,11 @@ GOLDEN = {
         "base_change": "(w, g)",
         "bilinear_iso_suite": "(b, degree)",
         "build_ahmn": "(m, n)",
+        "build_algebra": "(inputs)",
         "build_bw": "(w)",
         "build_hb": "(b)",
         "build_hw": "(w)",
         "build_hww": "(w, wt)",
-        "build_presentation": "(kind, w, wt=None)",
         "check_antipode": "(pres, degree, system=None)",
         "check_condition_i_prime": "(w)",
         "check_coproduct": "(pres, degree, system=None)",
@@ -546,7 +549,6 @@ GOLDEN = {
         "make_signature": "(m)",
         "manin_suite": "(degree, system=None)",
         "mat_inv": "(m)",
-        "mat_mul": "(a, b)",
         "mat_vec": "(a, v)",
         "matric_family": "(family, n)",
         "noninjectivity_probe": "(w, wt, degree)",
@@ -560,7 +562,6 @@ GOLDEN = {
         "pi_q": "(w, q)",
         "polar": "(w)",
         "polar_contraction": "(wt, w)",
-        "poly_to_str": "(p)",
         "q_inverse_from_polar": "(w, wt)",
         "rat": "(num, den=1)",
         "rref": "(m)",
@@ -592,7 +593,6 @@ GOLDEN = {
         "NcPoly.leading_coeff": "(self)",
         "NcPoly.leading_word": "(self)",
         "NcPoly.monic": "(self)",
-        "NcPoly.parse": "(alphabet, text)",
         "NcPoly.scale": "(self, c)",
         "NcPoly.terms": "member_descriptor",
         "NcPoly.to_str": "(self)",
@@ -826,7 +826,7 @@ def core_text(seed: int) -> str:
         # is internal to the engine, the order of the terms is not
         f"sorted_terms: {[(spell(w), c) for w, c in _sorted_terms(p)]!r}",
         f"tensor sorted_terms: {[((spell(k[0]), spell(k[1])), c) for k, c in _sorted_terms(t)]!r}",
-        f"poly_to_str: {poly_to_str(q)}",
+        f"poly_to_str: {q.to_str()}",
         f"degree: {p.degree()} constant: {p.constant()}",
         f"round trip: {parse_poly(a, p.to_str()) == p}",
         f"p+q == q+p: {p + q == q + p}",

@@ -18,6 +18,7 @@ from hopfw.hopf import (
     HopfStructure,
     Presentation,
     Status,
+    SuiteInputs,
     all_pass,
     bilinear_iso_suite,
     build_ahmn,
@@ -25,7 +26,7 @@ from hopfw.hopf import (
     build_hb,
     build_hw,
     build_hww,
-    build_presentation,
+    build_algebra,
     check_antipode,
     check_counit,
     check_coproduct,
@@ -265,7 +266,10 @@ def test_form_relations_are_refused_above_the_bound_before_the_first_is_built(mo
         lambda: build_hww(o21, o21),
         lambda: build_hww(o21, WT2),
         lambda: build_hww(W2, o21),
-        *(lambda kind=kind: build_presentation(kind, o21) for kind in ("bw", "hw", "hww")),
+        *(
+            lambda kind=kind: build_algebra(SuiteInputs(form=o21, algebra=kind))
+            for kind in ("bw", "hw", "hww")
+        ),
     ]
     for refused in refusals:
         with pytest.raises(ValueError) as caught:
@@ -351,11 +355,29 @@ def test_an_empty_form_is_refused_by_its_dim_before_it_is_flattened(monkeypatch)
     empty = MultilinearForm(2000, 2, {})
     for kind in ("bw", "hw", "hb", "hww"):
         with pytest.raises(ValueError) as caught:
-            build_presentation(kind, empty)
+            build_algebra(SuiteInputs(form=empty, algebra=kind))
         assert str(caught.value) == (
             "the form relations of a form of dim 2000, arity 2 and 0 entries would hold"
             " 4000000 terms, above the bound of 1000000"
         )
+
+
+def test_build_algebra_gives_each_builders_presentation():
+    """``build_algebra`` builds every kind of ``_ALGEBRAS``, and the same
+    presentation dump as that kind's builder; hww without a polar member is
+    built on the canonical one."""
+    w, b = W2, make_bilinear([[1, 2], [3, 5]])
+    builders = {
+        "bw": (build_bw(w), SuiteInputs(form=w)),
+        "hw": (build_hw(w), SuiteInputs(form=w)),
+        "hb": (build_hb(b), SuiteInputs(form=b)),
+        "hww": (build_hww(w, forms.polar(w).particular), SuiteInputs(form=w)),
+        "ahmn": (build_ahmn(3, 2), SuiteInputs(m=3, n=2)),
+    }
+    assert set(builders) == set(hopf._ALGEBRAS)
+    for kind, (built, inputs) in builders.items():
+        by_table = build_algebra(dataclasses.replace(inputs, algebra=kind))
+        assert dump_presentation(by_table) == dump_presentation(built), kind
 
 
 def test_ahmn_is_refused_above_the_bound_before_the_first_relation_is_built(monkeypatch):
@@ -403,7 +425,7 @@ def test_relations_are_nonzero_and_distinct():
         w = _seeded_form(seed)
         for kind in ("bw", "hw", "hb", "hww"):
             try:
-                presentations.append(build_presentation(kind, w))
+                presentations.append(build_algebra(SuiteInputs(form=w, algebra=kind)))
             except ValueError:  # the form is degenerate, not preregular or not bilinear
                 pass
     assert len(presentations) >= 300

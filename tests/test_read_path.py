@@ -26,7 +26,7 @@ import pytest
 from hopfw import formats
 from hopfw.exactnum import parse_rational
 from hopfw.formats import dump_presentation, parse_presentation
-from hopfw.hopf import HopfStructure, Presentation, build_presentation, system_for
+from hopfw.hopf import HopfStructure, Presentation, SuiteInputs, build_algebra, system_for
 from hopfw.ncalg import (
     Alphabet,
     Generator,
@@ -461,7 +461,7 @@ def _seeded_presentations(count: int) -> list[Presentation]:
         w = _seeded_form(seed).scale(rng.choice(_COEFFICIENTS))
         for kind in ("bw", "hw", "hb", "hww"):
             try:
-                out.append(build_presentation(kind, w))
+                out.append(build_algebra(SuiteInputs(form=w, algebra=kind)))
             except ValueError:  # degenerate, not preregular or not bilinear
                 continue
         if len(out) >= count:

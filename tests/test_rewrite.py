@@ -623,11 +623,13 @@ def _check_completion_counters(w, degree, totals, rules, shortest, monkeypatch):
 
 
 @pytest.mark.parametrize("degree, totals, rules, shortest", _E3_COUNTERS, ids=["D4", "D5"])
+@pytest.mark.hashseed
 def test_completion_counters_of_hw_e3(degree, totals, rules, shortest, monkeypatch):
     _check_completion_counters(make_signature(3), degree, totals, rules, shortest, monkeypatch)
 
 
 @pytest.mark.parametrize("degree, totals, rules, shortest", _CYCLIC2_COUNTERS, ids=["D6", "D8"])
+@pytest.mark.hashseed
 def test_completion_counters_of_hw_cyclic2(degree, totals, rules, shortest, monkeypatch):
     _check_completion_counters(CYCLIC2, degree, totals, rules, shortest, monkeypatch)
 
@@ -676,6 +678,7 @@ def _assert_no_child_left():
 
 @pytest.mark.parametrize("block", [rewrite._BLOCK, 7])
 @pytest.mark.parametrize("case", _SPLIT_SYSTEMS)
+@pytest.mark.hashseed
 def test_split_top_degree_gives_the_sequential_dump_and_stats(case, block, monkeypatch):
     """A forked child reduces the top degree's last items modulo the shorter
     rules and the parent reduces each result once more: the dump and every
@@ -788,6 +791,7 @@ _EAGER_QUEUE_CASES = {
 
 
 @pytest.mark.parametrize("case", _EAGER_QUEUE_CASES)
+@pytest.mark.hashseed
 def test_eager_queue_gives_the_same_run(case):
     """Queuing each degree's overlaps when the drain reaches it inserts the
     same leads in the same order, with the same dump and counters, as
@@ -798,6 +802,7 @@ def test_eager_queue_gives_the_same_run(case):
     _compare_with_the_eager_queue(lambda: [complete(relations, degree)])
 
 
+@pytest.mark.hashseed
 def test_eager_queue_gives_the_same_run_on_random_completions():
     runs, eager_runs = _compare_with_the_eager_queue(
         lambda: [system for _, system in _random_completions()]
@@ -807,6 +812,7 @@ def test_eager_queue_gives_the_same_run_on_random_completions():
     assert sum(run[2] != eager[2] for run, eager in zip(runs, eager_runs)) == 6
 
 
+@pytest.mark.hashseed
 def test_eager_queue_gives_the_same_run_on_random_completions_split(monkeypatch):
     forks = _split_always(monkeypatch)
     _compare_with_the_eager_queue(lambda: [system for _, system in _random_completions()])
@@ -830,6 +836,7 @@ def _unit_ideal_relations(case):
 
 
 @pytest.mark.parametrize("case", _UNIT_IDEAL_CASES)
+@pytest.mark.hashseed
 def test_eager_queue_gives_the_same_run_on_the_unit_ideal(case):
     polys, degree = _unit_ideal_relations(case)
     [((inserted, _, shared), _, _, _)], _ = _compare_with_the_eager_queue(
@@ -841,6 +848,7 @@ def test_eager_queue_gives_the_same_run_on_the_unit_ideal(case):
     )
 
 
+@pytest.mark.hashseed
 def test_eager_queue_gives_the_same_run_with_shorter_leads_at_the_top_degree(monkeypatch):
     """hw(cyclic2) at D=8 inserts four leads shorter than 8 after the drain
     has popped its first item of degree 8; their overlaps are queued at
@@ -891,6 +899,7 @@ def _shortest_later_leads(state):
 @pytest.mark.parametrize(
     "case", [*(f"golden {key}" for key in sorted(PRESENTATIONS)), *_UNIT_IDEAL_CASES]
 )
+@pytest.mark.hashseed
 def test_live_leads_give_the_shortest_later_lead(case):
     """Interreduction walks back over the live leads alone and keeps the
     length of the shortest as the shortest of every lead inserted later:
@@ -906,6 +915,7 @@ def test_live_leads_give_the_shortest_later_lead(case):
     _shortest_later_leads(state)
 
 
+@pytest.mark.hashseed
 def test_live_leads_give_the_shortest_later_lead_on_random_completions():
     with _completion_states() as states:
         runs = sum(1 for _ in _random_completions())
@@ -941,6 +951,7 @@ def _checked_tables(monkeypatch):
 
 
 @pytest.mark.parametrize("case", _EAGER_QUEUE_CASES)
+@pytest.mark.hashseed
 def test_live_table_matches_a_fresh_table(case, monkeypatch):
     """The golden systems and the split systems, hw(e3) at D=4 among them,
     where 39 shorter leads arrive at the top degree and evict length-4
@@ -952,6 +963,7 @@ def test_live_table_matches_a_fresh_table(case, monkeypatch):
     assert seen["inserts"] == system.stats.new_rules > 0
 
 
+@pytest.mark.hashseed
 def test_live_table_matches_a_fresh_table_on_random_completions(monkeypatch):
     seen = _checked_tables(monkeypatch)
     new_rules = sum(system.stats.new_rules for _, system in _random_completions())
@@ -959,6 +971,7 @@ def test_live_table_matches_a_fresh_table_on_random_completions(monkeypatch):
 
 
 @pytest.mark.parametrize("case", _UNIT_IDEAL_CASES)
+@pytest.mark.hashseed
 def test_live_table_matches_a_fresh_table_on_the_unit_ideal(case, monkeypatch):
     polys, degree = _unit_ideal_relations(case)
     seen = _checked_tables(monkeypatch)
@@ -986,6 +999,7 @@ def _watch_children(monkeypatch):
     return seen
 
 
+@pytest.mark.hashseed
 def test_split_top_degree_leaves_no_child_after_a_run_or_a_cancel(monkeypatch):
     hb = list(build_hb(make_bilinear([[1, 2], [3, 5]])).relations)
     e3 = list(build_hw(make_signature(3)).relations)
@@ -1072,6 +1086,7 @@ def _late_fork(records, degree):
 
 
 @pytest.mark.parametrize("seed", _LATE_CANCEL_SEEDS)
+@pytest.mark.hashseed
 def test_split_top_degree_stops_the_child_after_taking_its_results(seed, monkeypatch):
     """Forked at a pop chosen from a sequential run, so that the first lead
     shorter than D at the top degree arrives after the parent has taken
@@ -1113,6 +1128,7 @@ class _DiesAfter:
 
 
 @pytest.mark.parametrize("n", [0, 20])
+@pytest.mark.hashseed
 def test_split_top_degree_survives_a_child_that_dies(n, monkeypatch):
     relations = list(build_hb(make_bilinear([[1, 2], [3, 5]])).relations)
     expected = _sequential(relations, 6)
@@ -1132,6 +1148,7 @@ def test_split_top_degree_survives_a_child_that_dies(n, monkeypatch):
     assert n_items - n_items * 9 // 20 < popped < n_items
 
 
+@pytest.mark.hashseed
 def test_split_top_degree_reaps_the_child_when_the_run_raises(monkeypatch):
     _split_always(monkeypatch)
     seen = _watch_children(monkeypatch)
@@ -1146,6 +1163,7 @@ def test_split_top_degree_reaps_the_child_when_the_run_raises(monkeypatch):
     _assert_no_child_left()
 
 
+@pytest.mark.hashseed
 def test_split_top_degree_does_not_fork_beside_another_thread(monkeypatch):
     relations = list(build_hw(make_signature(3)).relations)
     expected = _sequential(relations, 4)
@@ -1192,6 +1210,7 @@ def _checked_skips(monkeypatch):
 @pytest.mark.parametrize(
     "case", [*_SPLIT_SYSTEMS, *(f"seed {seed}" for seed in _LATE_CANCEL_SEEDS)]
 )
+@pytest.mark.hashseed
 def test_split_top_degree_skips_only_work_that_changes_nothing(case, monkeypatch):
     """With the top degree split, every tail that interreduction skips is
     normal, and the skipped and the reduced tails add up to the rules."""
@@ -1208,6 +1227,7 @@ def test_split_top_degree_skips_only_work_that_changes_nothing(case, monkeypatch
     assert seen["tails"] + system.stats.tails_reduced == len(system.rules)
 
 
+@pytest.mark.hashseed
 def test_split_top_degree_skips_only_work_that_changes_nothing_on_random_completions(
     monkeypatch,
 ):
@@ -1230,6 +1250,7 @@ def _assert_tails_are_normal(system):
 
 
 @pytest.mark.parametrize("key", sorted(PRESENTATIONS))
+@pytest.mark.hashseed
 def test_every_tail_of_a_golden_system_is_normal(key):
     _assert_tails_are_normal(system_for(PRESENTATIONS[key](), SYSTEM_DEGREES[key]))
 
@@ -1240,6 +1261,7 @@ def test_every_tail_of_a_random_completion_is_normal():
 
 
 @pytest.mark.parametrize("case", ["hw(cyclic2) D=5", "hw(cyclic2) D=8", "hw(e3) D=4"])
+@pytest.mark.hashseed
 def test_split_top_degree_forked_after_a_shorter_lead_gives_the_sequential_run(
     case, monkeypatch
 ):
@@ -1303,6 +1325,7 @@ def _second_reductions(monkeypatch):
 @pytest.mark.parametrize(
     "case, split_min", [("hw(e3) D=5", rewrite._SPLIT_MIN_ITEMS), ("hb(1235) D=6", 1)]
 )
+@pytest.mark.hashseed
 def test_split_top_degree_second_reduction_rewrites_child_results(case, split_min, monkeypatch):
     """Leads of length D inserted after the fork rewrite some of the
     child's results, so the parent's second reduction does real work: 473
