@@ -249,7 +249,10 @@ def _cmd_gb(args) -> int:
 def _cmd_nf(args) -> int:
     with open(args.system, "r", encoding="utf-8") as fh:
         system = RewriteSystem.parse(fh.read())
-    poly = parse_poly(system.alphabet, args.poly)
+    try:
+        poly = parse_poly(system.alphabet, args.poly)
+    except ValueError as exc:
+        raise ValueError(f"--poly: {exc}") from None
     try:
         nf = normal_form(poly, system)
     except NotCertifiedError as exc:
@@ -316,12 +319,13 @@ def _example_form(name: str) -> MultilinearForm:
     m = _EXAMPLE_ORTH.match(name)
     if m:
         dim, arity = m.groups()
-        entries = dim if len(dim) > _EXAMPLE_MAX_DIGITS else int(dim)
-        _refuse_above_the_bound(example, entries, "entries", bound=EXAMPLE_MAX_ENTRIES)
-        long = len(arity) > _EXAMPLE_MAX_DIGITS and dim != "0"
-        indices = f"{dim} * {arity}" if long else int(dim) * int(arity)
+        n = dim if len(dim) > _EXAMPLE_MAX_DIGITS else int(dim)
+        _refuse_above_the_bound(example, n, "entries", bound=EXAMPLE_MAX_ENTRIES)
+        if n == 0:  # no indices to count: the dimension is refused before the arity is read
+            raise ValueError("dimension must be at least 2")
+        indices = f"{dim} * {arity}" if len(arity) > _EXAMPLE_MAX_DIGITS else n * int(arity)
         _refuse_above_the_bound(example, indices, "indices", bound=EXAMPLE_MAX_INDICES)
-        return make_orthogonal(int(dim), int(arity))
+        return make_orthogonal(n, int(arity))
     raise ValueError(f"unknown example {name!r}")
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -47,19 +48,31 @@ def rat(num, den: int = 1) -> Scalar:
     return Scalar(num, den)
 
 
+def read_int(text: str, what: str) -> int:
+    """``int(text)``, the integer read of every text reader: a numeral of
+    more digits than Python reads is refused as ``what``, in these words."""
+    try:
+        return int(text)
+    except ValueError:
+        limit, digits = getattr(sys, "get_int_max_str_digits", int)(), sum(map(str.isdecimal, text))
+        if not limit or digits <= limit:
+            raise
+    raise ValueError(f"{what} has {digits} digits, more than the {limit} Python reads")
+
+
 def parse_rational(text: str) -> Scalar:
     """Parse a rational literal: optional sign, integer, optional ``/`` and a
     positive integer denominator.  Anything else is rejected."""
     # an integer literal, the common case, is read with no regex and shares
     # the small Fractions
     if text.isdecimal() or (text[:1] == "-" and text[1:].isdecimal()):
-        return _SMALL[int(text)]
+        return _SMALL[read_int(text, "coefficient")]
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational literal: {text!r}")
     if "/" in s and s.split("/")[1].lstrip("0") == "":
         raise ValueError(f"zero denominator in rational literal: {text!r}")
-    return Scalar(s)
+    return Scalar(*(read_int(part, "coefficient") for part in s.split("/")))
 
 
 def format_rational(q: Scalar) -> str:

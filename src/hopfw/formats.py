@@ -53,7 +53,7 @@ from __future__ import annotations
 import functools
 import json
 
-from .exactnum import Scalar, format_rational, fraction_terms, parse_rational, rat
+from .exactnum import Scalar, format_rational, fraction_terms, parse_rational, rat, read_int
 from .forms import MultilinearForm
 from .hopf import _ALGEBRAS, HopfStructure, Presentation
 from .ncalg import (
@@ -93,6 +93,28 @@ _ENTRY_KEYS = frozenset({"idx", "c"})
 _INT = frozenset({int})  # the types of an index that is a plain list of ints
 
 
+class _LongNumeral(str):
+    """A form file's integer too long for ``int``, kept for its field to refuse."""
+
+
+def _json_int(numeral: str) -> int | _LongNumeral:
+    """json's integer reader: ``int`` refuses only a numeral that is too long."""
+    try:
+        return int(numeral)
+    except ValueError:
+        return _LongNumeral(numeral)
+
+
+def _is_int(value, what: str) -> bool:
+    """Whether ``value`` is an integer; a ``_LongNumeral`` is refused as ``what``."""
+    if isinstance(value, _LongNumeral):
+        try:
+            read_int(value, what)
+        except ValueError as exc:
+            raise FormFileError(str(exc)) from None
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def form_from_obj(obj) -> MultilinearForm:
     if not isinstance(obj, dict):
         raise FormFileError("form object must be a JSON object")
@@ -103,9 +125,9 @@ def form_from_obj(obj) -> MultilinearForm:
         if key not in obj:
             raise FormFileError(f"form object is missing {key!r}")
     dim, arity, entries = obj["dim"], obj["arity"], obj["entries"]
-    if not isinstance(dim, int) or isinstance(dim, bool):
+    if not _is_int(dim, "dim"):
         raise FormFileError("dim must be an integer")
-    if not isinstance(arity, int) or isinstance(arity, bool):
+    if not _is_int(arity, "arity"):
         raise FormFileError("arity must be an integer")
     if not isinstance(entries, list):
         raise FormFileError("entries must be a list")
@@ -119,7 +141,7 @@ def form_from_obj(obj) -> MultilinearForm:
         idx = e["idx"]
         if not isinstance(idx, list) or not (
             set(map(type, idx)) <= _INT
-            or all(isinstance(k, int) and not isinstance(k, bool) for k in idx)
+            or all(_is_int(k, f"entry {i}: index") for k in idx)
         ):
             raise FormFileError(f"entry {i}: idx must be a list of integers")
         indices.append(tuple(idx))
@@ -155,7 +177,7 @@ def dump_form(w: MultilinearForm) -> str:
 
 def load_form_text(text: str, where: str = "form") -> MultilinearForm:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise FormFileError(
             f"{where}: line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -186,7 +208,7 @@ def _kind(rest: str) -> str:
 
 
 # the header fields of a presentation dump and their readers
-_HEADER = {"algebra": _kind, "n": int, "m": int}
+_HEADER = {"algebra": _kind} | {f: functools.partial(read_int, what=f) for f in ("n", "m")}
 
 # the reader and the writer of the value on each structure line; an
 # antipode image is a polynomial, read as a relation's body is

@@ -62,7 +62,11 @@ one path of every map a check applies (counit, hom, representation,
 antipode and coproduct; the derived suite's antipode images too), and
 ``_rows`` gives the verdict of each relation's image.  The antipode's unit
 sums read each generator's own coproduct and counit, which only
-``_presentation`` writes.
+``_presentation`` writes.  A check (``check_*``) reduces only in the system
+it is handed (counit and representation checks need none) and completes
+nothing; a suite (``*_suite``, and the probe) completes through
+``system_for`` when handed none.  Every check and the probe return only
+their ``CheckResult`` rows; the probe's ``SUITES`` verdict is read off them.
 ``_from_hw`` builds every map out of hw: u to the target's generator matrix
 G, s to S(G).  The table ``SUITES`` names every verification suite, the
 inputs it reads and the function that runs it; ``hopfw verify`` is a lookup
@@ -73,7 +77,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, Iterable, Mapping
 
@@ -574,29 +578,20 @@ def check_counit(pres: Presentation) -> list[CheckResult]:
     return _rows("counit", pres, "counit value", image)
 
 
-def check_coproduct(
-    pres: Presentation, degree: int, system: RewriteSystem | None = None
-) -> list[CheckResult]:
+def check_coproduct(pres: Presentation, system: RewriteSystem) -> list[CheckResult]:
     """Each relation's coproduct image must vanish componentwise modulo the
     ideal (certified at the system's completed degree)."""
     image = _images(_structure(pres, "delta"), pres.alphabet, coproduct_image)
-    if system is None:
-        system = system_for(pres, degree)
     return _rows("coproduct", pres, "residue", image, system)
 
 
-def check_antipode(
-    pres: Presentation, degree: int, system: RewriteSystem | None = None
-) -> list[CheckResult]:
+def check_antipode(pres: Presentation, system: RewriteSystem) -> list[CheckResult]:
     """Antipode images must respect the ideal antimultiplicatively, and each
     generator g must satisfy the unit sums of its own coproduct and counit:
     sum S(x) y - eps(g) and sum x S(y) - eps(g) over the terms x (x) y of delta(g)."""
-    s_images = _structure(pres, "antipode")
-    delta, counit = _structure(pres, "delta"), _structure(pres, "counit")
-    if system is None:
-        system = system_for(pres, degree)
     a = pres.alphabet
-    s_of = _images(s_images, a, antihom=True)
+    s_of = _images(_structure(pres, "antipode"), a, antihom=True)
+    delta, counit = _structure(pres, "delta"), _structure(pres, "counit")
     s_word = functools.cache(lambda word: s_of(NcPoly.from_word(a, word)).terms)
     out = _rows("antipode-ideal", pres, "normal form", s_of, system)
     for g, side in itertools.product(pres.generators, ("left", "right")):
@@ -619,24 +614,19 @@ def hopf_axiom_suite(
     out = check_counit(pres)  # before completing: it refuses a dump with no structure
     if system is None:
         system = system_for(pres, degree)
-    out += check_coproduct(pres, degree, system)
+    out += check_coproduct(pres, system)
     if pres.structure.antipode is not None:
-        out += check_antipode(pres, degree, system)
+        out += check_antipode(pres, system)
     return out
 
 
 def check_left_inverse_identity(
-    pres: Presentation,
-    wt: MultilinearForm,
-    degree: int,
-    system: RewriteSystem | None = None,
+    pres: Presentation, wt: MultilinearForm, system: RewriteSystem
 ) -> list[CheckResult]:
     """In the bialgebra of the form, the polar tensor provides an explicit
     left inverse for the generator matrix A: P A - I must reduce to zero."""
     a, n, fam = pres.alphabet, pres.n, pres.families()[0]
     left_inverse = _polar_matrix(a, _form_of(pres), wt, fam) @ PolyMatrix.family(a, fam, n)
-    if system is None:
-        system = system_for(pres, degree)
     return _verdicts("leftinv", (left_inverse - PolyMatrix.identity(a, n)).entries(), system)
 
 
@@ -758,9 +748,9 @@ def _iso_suite(
     """Both directions of an identification of hw with another presentation,
     then ``label``: the entries of ``vanish``, which must vanish in hw."""
     fwd, back = homs
-    out = check_hom(fwd, degree, system_for(fwd.target, degree))
+    out = check_hom(fwd, system_for(fwd.target, degree))
     hw_system = system_for(back.target, degree)
-    out += check_hom(back, degree, hw_system)
+    out += check_hom(back, hw_system)
     return out + _verdicts(label, vanish.entries(), hw_system)
 
 
@@ -789,13 +779,9 @@ class HomCandidate:
     images: dict[Generator, NcPoly]
 
 
-def check_hom(
-    hom: HomCandidate, degree: int, system: RewriteSystem | None = None
-) -> list[CheckResult]:
+def check_hom(hom: HomCandidate, system: RewriteSystem) -> list[CheckResult]:
     """An assignment extends to the quotients iff every source relation
-    lands in the target ideal."""
-    if system is None:
-        system = system_for(hom.target, degree)
+    lands in the target ideal, the quotient by ``system``."""
     image = _images(hom.images, hom.target.alphabet)
     return _rows(hom.label, hom.source, "normal form", image, system)
 
@@ -840,33 +826,17 @@ def m2_iso_homs(b: MultilinearForm) -> tuple[HomCandidate, HomCandidate]:
     return _from_hw("hw->hb", hw, hb), HomCandidate("hb->hw", hb, hw, back)
 
 
-@dataclass
-class RepresentationReport:
-    results: list[CheckResult]
-    witness_images: tuple[NcPoly, NcPoly] | None
-    witness_distinct: bool | None
-
-    def ok(self) -> bool:
-        return all_pass(self.results)
-
-
 def check_representation(
-    pres: Presentation,
-    images: Mapping[Generator, NcPoly],
-    witness: tuple[NcPoly, NcPoly] | None = None,
-) -> RepresentationReport:
+    pres: Presentation, images: Mapping[Generator, NcPoly]
+) -> list[CheckResult]:
     """Validate an assignment into a free algebra (exact, no completion):
-    every relation must map to the zero polynomial on the nose.  A witness
-    pair with distinct images certifies distinctness in the quotient."""
+    every relation must map to the zero polynomial on the nose."""
     if not images:
         raise ValueError("a representation needs generator images, and none is given")
     target = next(iter(images.values())).alphabet
     if any(g.family != "free" for g in target.generators):
         raise ValueError("representation targets must be free algebras")
-    results = _rows("rep", pres, "image", _images(images, target))
-    wimg = None if witness is None else tuple(substitute(w, images) for w in witness)
-    distinct = None if wimg is None else wimg[0] != wimg[1]
-    return RepresentationReport(results, wimg, distinct)
+    return _rows("rep", pres, "image", _images(images, target))
 
 
 def unitriangular_free_images(pres: Presentation) -> dict[Generator, NcPoly]:
@@ -886,20 +856,13 @@ def unitriangular_free_images(pres: Presentation) -> dict[Generator, NcPoly]:
     return (one + nil).images("u") | (one - nil).images("s")
 
 
-@dataclass
-class ProbeReport:
-    witness_ok: bool
-    commutator_certified: bool
-    degree: int
-    verdict: str
-    details: list[CheckResult] = field(default_factory=list)
+def _crossed(alphabet: Alphabet, family: str) -> tuple[NcPoly, NcPoly]:
+    """The monomials g[1,2] g[1,3] and g[1,3] g[1,2] of the family g."""
+    g12, g13 = Generator(family, 1, 2), Generator(family, 1, 3)
+    return NcPoly.from_gens(alphabet, [g12, g13]), NcPoly.from_gens(alphabet, [g13, g12])
 
 
-def _probe_verdict(certified: bool, degree: int) -> str:
-    return "noninjective certified" if certified else f"inconclusive at degree {degree}"
-
-
-def noninjectivity_probe(w: MultilinearForm, wt: MultilinearForm, degree: int) -> ProbeReport:
+def noninjectivity_probe(w: MultilinearForm, wt: MultilinearForm, degree: int) -> list[CheckResult]:
     """Semidecision that the canonical map from the u/s presentation to the
     single-matrix one is not injective for the alternating 3x3 instance.
 
@@ -908,25 +871,22 @@ def noninjectivity_probe(w: MultilinearForm, wt: MultilinearForm, degree: int) -
     truncated reduction showing the corresponding commutator vanishes in the
     single-matrix quotient.  (a) is decided exactly; (b) is a certificate
     when it succeeds and 'inconclusive at this degree' when it does not --
-    the truncation may simply be too small.
+    the truncation may simply be too small.  The rows are the representation's,
+    then one for (a) and one for (b): all pass exactly when it certifies.
     """
     if w != make_signature(3):
         raise ValueError("the probe is stated for the alternating 3x3 instance")
     hw = build_hw(w)
     images = unitriangular_free_images(hw)
-    wit_l = NcPoly.from_gens(hw.alphabet, [Generator("u", 1, 2), Generator("u", 1, 3)])
-    wit_r = NcPoly.from_gens(hw.alphabet, [Generator("u", 1, 3), Generator("u", 1, 2)])
-    rep = check_representation(hw, images, witness=(wit_l, wit_r))
-    witness_ok = rep.ok() and bool(rep.witness_distinct)
+    out = check_representation(hw, images)
+    left, right = (substitute(p, images) for p in _crossed(hw.alphabet, "u"))
+    witness_ok = all_pass(out) and left != right
 
     hww = build_hww(w, wt)
     system = system_for(hww, degree)
-    comm = NcPoly.from_gens(
-        hww.alphabet, [Generator("v", 1, 2), Generator("v", 1, 3)]
-    ) - NcPoly.from_gens(hww.alphabet, [Generator("v", 1, 3), Generator("v", 1, 2)])
-    certified = ideal_member(comm, system)
-    verdict = _probe_verdict(witness_ok and certified, degree)
-    details = rep.results + [
+    left, right = _crossed(hww.alphabet, "v")
+    certified = ideal_member(left - right, system)
+    return out + [
         CheckResult("probe:witness-distinct", Status.PASS if witness_ok else Status.FAIL),
         CheckResult(
             "probe:commutator",
@@ -934,7 +894,6 @@ def noninjectivity_probe(w: MultilinearForm, wt: MultilinearForm, degree: int) -
             "" if certified else "nonzero normal form at this truncation",
         ),
     ]
-    return ProbeReport(witness_ok, certified, degree, verdict, details)
 
 
 # ---------------------------------------------------------------------------
@@ -1037,9 +996,7 @@ def _axioms(inputs: SuiteInputs) -> list[CheckResult]:
     wt = _polar_choice(inputs.form, inputs.polar)
     _refuse_unless_polar(wt, inputs.form)
     system = system_for(pres, degree)
-    return hopf_axiom_suite(pres, degree, system) + check_left_inverse_identity(
-        pres, wt, degree, system
-    )
+    return hopf_axiom_suite(pres, degree, system) + check_left_inverse_identity(pres, wt, system)
 
 
 def _derived(inputs: SuiteInputs) -> list[CheckResult]:
@@ -1092,12 +1049,13 @@ def _bilinear_iso(inputs: SuiteInputs) -> list[CheckResult]:
 def _noninjectivity(inputs: SuiteInputs) -> list[CheckResult]:
     w = inputs.form_or_alternating3()
     wt = _polar_choice(w, inputs.polar)
-    return noninjectivity_probe(w, wt, inputs.degree_for(w.arity)).details
+    return noninjectivity_probe(w, wt, inputs.degree_for(w.arity))
 
 
 def _noninjectivity_verdict(results: list[CheckResult], inputs: SuiteInputs) -> str:
-    arity = inputs.form_or_alternating3().arity
-    return _probe_verdict(all_pass(results), inputs.degree_for(arity))
+    if all_pass(results):
+        return "noninjective certified"
+    return f"inconclusive at degree {inputs.degree_for(inputs.form_or_alternating3().arity)}"
 
 
 SUITES: dict[str, Suite] = {

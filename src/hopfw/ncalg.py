@@ -58,7 +58,7 @@ from itertools import accumulate, chain, islice, repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .exactnum import (
-    ONE, Matrix, Scalar, ZERO, add_terms, fraction_terms, lean, parse_rational, rat,
+    ONE, Matrix, Scalar, ZERO, add_terms, fraction_terms, lean, parse_rational, rat, read_int,
 )
 
 _FAMILY_RANK = {"u": 0, "s": 1, "a": 2, "v": 3, "free": 4}
@@ -129,7 +129,7 @@ def parse_generator_token(text: str) -> Generator:
     t = text.strip()
     m = _TOKEN_RE.match(t)
     if m:
-        return Generator(m.group(1), int(m.group(2)), int(m.group(3)))
+        return Generator(m.group(1), *(read_int(i, "generator index") for i in m.group(2, 3)))
     if _NAME_RE.match(t) and t not in MATRIC_FAMILIES:
         return Generator.free(t)
     raise ValueError(f"not a generator token: {text!r}")
@@ -267,7 +267,7 @@ def _read_monomial(alphabet: Alphabet, text: str) -> tuple[str, int | Scalar]:
     coeff: int | Scalar = 1
     m = _COEFFICIENT.match(head)
     if m:
-        coeff = lean(parse_rational(m[0])) if "/" in m[0] else int(m[0])
+        coeff = lean(parse_rational(m[0])) if "/" in m[0] else read_int(m[0], "coefficient")
         # a token may follow without "*"; a coefficient alone is c*1
         tokens[0] = head[m.end() :].lstrip() or "1"
     try:

@@ -159,6 +159,7 @@ the same relations in any order yields the identical rule list.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import operator
 import os
@@ -167,7 +168,9 @@ from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Sequence
 from itertools import chain
 
-from .exactnum import Scalar, cleared_terms, fraction_quotients, fraction_terms, lean, lean_terms
+from .exactnum import (
+    Scalar, cleared_terms, fraction_quotients, fraction_terms, lean, lean_terms, read_int,
+)
 from .ncalg import (
     Alphabet,
     NcPoly,
@@ -650,7 +653,9 @@ class RewriteSystem:
 
 
 # the header of a system dump and the reader of each field
-_FIELDS = {"system": _no_value, "degree": int, "complete_through": int}
+_FIELDS = {"system": _no_value} | {
+    f: functools.partial(read_int, what=f) for f in ("degree", "complete_through")
+}
 
 
 def _read_rule_lines_at_once(text: str) -> tuple[dict, Alphabet, dict[str, _Terms]]:

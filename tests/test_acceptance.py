@@ -31,8 +31,10 @@ from hopfw.forms import (
     polar,
 )
 from hopfw.hopf import (
+    SUITES,
     Generator,
     Status,
+    SuiteInputs,
     all_pass,
     bilinear_iso_suite,
     build_ahmn,
@@ -49,7 +51,7 @@ from hopfw.hopf import (
     system_for,
     unitriangular_free_images,
 )
-from hopfw.ncalg import Alphabet, NcPoly
+from hopfw.ncalg import Alphabet, NcPoly, substitute
 from hopfw.rewrite import complete, ideal_member, unresolved_overlaps
 from span_oracle import SpanOracle
 
@@ -186,7 +188,7 @@ def test_criterion_04_hopf_axiom_suites():
     bw2 = build_bw(W2)
     bw_system = system_for(bw2, 6)
     results = hopf_axiom_suite(bw2, 6, bw_system)
-    results += check_left_inverse_identity(bw2, polar(W2).particular, 6, bw_system)
+    results += check_left_inverse_identity(bw2, polar(W2).particular, bw_system)
     _check(failures, all_pass(results), "bialgebra axioms or left inverse fail")
 
     ah = build_ahmn(3, 2)
@@ -205,14 +207,14 @@ def test_criterion_05_exact_representation_with_distinct_witnesses():
     images = unitriangular_free_images(pres)
     wit_l = NcPoly.from_gens(pres.alphabet, [Generator("u", 1, 2), Generator("u", 1, 3)])
     wit_r = NcPoly.from_gens(pres.alphabet, [Generator("u", 1, 3), Generator("u", 1, 2)])
-    report = check_representation(pres, images, witness=(wit_l, wit_r))
+    rows = check_representation(pres, images)
     _check(
         failures,
-        report.ok(),
-        "failing relations: "
-        + ", ".join(r.name for r in report.results if r.status is not Status.PASS),
+        all_pass(rows),
+        "failing relations: " + ", ".join(r.name for r in rows if r.status is not Status.PASS),
     )
-    _check(failures, report.witness_distinct is True, "witness images coincide")
+    witness = tuple(substitute(w, images).to_str() for w in (wit_l, wit_r))
+    _check(failures, witness == ("x*y", "y*x"), f"witness images are {witness}")
     elapsed = time.perf_counter() - t0
     _check(failures, elapsed < 1.0, f"representation check took {elapsed:.2f}s")
     _verdict(5, failures)
@@ -328,20 +330,13 @@ def test_criterion_09_membership_agrees_with_the_span_oracle():
 
 def test_criterion_10_noninjectivity_semidecision_and_exit_codes(capsys):
     failures: list[str] = []
-    certified = noninjectivity_probe(EPS3, WT3, 4)
-    _check(
-        failures,
-        certified.verdict == "noninjective certified",
-        f"unexpected verdict {certified.verdict!r}",
-    )
-    _check(failures, certified.witness_ok, "free-algebra witness not wired in")
-    inconclusive = noninjectivity_probe(EPS3, WT3, 3)
-    _check(
-        failures,
-        inconclusive.verdict == "inconclusive at degree 3",
-        f"unexpected verdict {inconclusive.verdict!r}",
-    )
-    _check(failures, inconclusive.witness_ok, "witness half must still be exact")
+    probe = SUITES["noninjectivity"]
+    for degree, expected in ((4, "noninjective certified"), (3, "inconclusive at degree 3")):
+        rows = noninjectivity_probe(EPS3, WT3, degree)
+        verdict = probe.verdict(rows, SuiteInputs(degree=degree))
+        _check(failures, verdict == expected, f"unexpected verdict {verdict!r}")
+        witness = {r.name: r.status for r in rows}.get("probe:witness-distinct")
+        _check(failures, witness is Status.PASS, f"free-algebra witness {witness} at {degree}")
 
     # the command-line wiring: certified -> 0, inconclusive -> 2 (nonzero and
     # distinct from the refutation code 1)

@@ -584,6 +584,61 @@ def test_a_count_past_the_digit_limit_is_refused_before_anything_is_built(
     assert capsys.readouterr() == ("", f"hopfw: error: {message}\n")
 
 
+@pytest.fixture(scope="module")
+def cyclic2_dumps():
+    """The hw(cyclic2) presentation dump and its system dump at D=3."""
+    pres = build_hw(MultilinearForm(2, 3, {(1, 1, 2): 1, (1, 2, 1): 1, (2, 1, 1): 1}))
+    return {"presentation": dump_presentation(pres), "system": system_for(pres, 3).dump()}
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["analyze", "FILE"], '{"dim": 2, "arity": NINES, "entries": []}', "arity"),
+        (
+            ["analyze", "FILE"],
+            '{"dim": 2, "arity": 2, "entries": [{"idx": [1, 1], "c": "NINES"}]}',
+            "entry 0: coefficient",
+        ),
+        (["gb", "FILE"], ("presentation", "\nn 2\n", "\nn NINES\n"), "line 2: n"),
+        (
+            ["nf", "FILE", "--poly", "u[1,1]"],
+            ("system", "degree 3", "degree NINES"),
+            "line 2: degree",
+        ),
+        (["nf", "FILE", "--poly", "NINES*u[1,1]"], ("system", "", ""), "--poly: coefficient"),
+        (["example", "orthogonal-0-NINES"], None, None),
+        (["example", "orthogonal-00-NINES"], None, None),
+    ],
+    ids=["form-arity", "form-coefficient", "dump-n", "dump-degree", "poly", "orth-0", "orth-00"],
+)
+def test_a_numeral_past_the_digit_limit_is_refused_in_our_words(
+    argv, text, message, cyclic2_dumps, tmp_path, capsys
+):
+    # Python reads no integer of more digits than its limit (4 300 unless
+    # set otherwise), which stays as it is: each reader names what it read
+    # and how many digits it had; an orthogonal example of dimension 0 is
+    # refused as such before its arity is read
+    path = tmp_path / "input"
+    if isinstance(text, tuple):
+        which, old, new = text
+        text = cyclic2_dumps[which].replace(old, new)
+    if text is not None:
+        path.write_text(text.replace("NINES", _NINES))
+    argv = [a.replace("FILE", str(path)).replace("NINES", _NINES) for a in argv]
+    if message is None:
+        message = "dimension must be at least 2"
+    else:
+        limit = sys.get_int_max_str_digits()
+        message += f" has 5000 digits, more than the {limit} Python reads"
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"hopfw: error: {message}\n")
+    assert "set_int_max_str_digits" not in out + err
+
+
 @pytest.mark.parametrize(
     "arity, count",
     [(2048, str(2**2048)), (2049, "1 * 2^2049"), (20000, "1 * 2^20000")],

@@ -491,8 +491,6 @@ GOLDEN = {
         "PolarSolution": "(particular, kernel_basis)",
         "PolyMatrix": "(alphabet, rows)",
         "Presentation": "(kind, n, m, alphabet, generators, relations, relation_labels, structure=None, form=None)",
-        "ProbeReport": "(witness_ok, commutator_certified, degree, verdict, details=<factory>)",
-        "RepresentationReport": "(results, witness_images, witness_distinct)",
         "RewriteSystem": "(alphabet, rules, degree_bound, complete_through)",
         "Rule": "(lead, tail)",
         "SUITES": "dict",
@@ -513,14 +511,14 @@ GOLDEN = {
         "build_hb": "(b)",
         "build_hw": "(w)",
         "build_hww": "(w, wt)",
-        "check_antipode": "(pres, degree, system=None)",
+        "check_antipode": "(pres, system)",
         "check_condition_i_prime": "(w)",
-        "check_coproduct": "(pres, degree, system=None)",
+        "check_coproduct": "(pres, system)",
         "check_counit": "(pres)",
-        "check_hom": "(hom, degree, system=None)",
+        "check_hom": "(hom, system)",
         "check_invariance": "(w, q)",
-        "check_left_inverse_identity": "(pres, wt, degree, system=None)",
-        "check_representation": "(pres, images, witness=None)",
+        "check_left_inverse_identity": "(pres, wt, system)",
+        "check_representation": "(pres, images)",
         "complete": "(relations, degree_bound, on_progress=None)",
         "coproduct_image": "(p, images, *, target=None)",
         "default_degree": "(m)",

@@ -13,6 +13,7 @@ from hopfw import forms, hopf
 from hopfw.formats import dump_presentation, parse_presentation
 from hopfw.forms import MultilinearForm, make_bilinear, make_orthogonal, make_signature
 from hopfw.hopf import (
+    SUITES,
     CheckResult,
     HomCandidate,
     HopfStructure,
@@ -38,15 +39,17 @@ from hopfw.hopf import (
     diagonal_iso_suite,
     hopf_axiom_suite,
     hw_to_hww_hom,
+    m2_iso_homs,
     manin_suite,
     noninjectivity_probe,
     pair_reduction_suite,
+    run_suite,
     system_for,
     theta_iso_homs,
     unitriangular_free_images,
     worst_status,
 )
-from hopfw.ncalg import Alphabet, Generator, NcPoly, PolyMatrix, TensorSquare
+from hopfw.ncalg import Alphabet, Generator, NcPoly, PolyMatrix, TensorSquare, substitute
 from hopfw.rewrite import RewriteSystem, complete, normal_form
 from test_golden import PRESENTATIONS
 
@@ -487,8 +490,8 @@ def test_axiom_suite_form_presentation_and_left_inverse():
     assert len(results) == 16
     assert all_pass(results)
     with pytest.raises(ValueError, match="no antipode"):
-        check_antipode(bw2, 6, system)
-    inv = check_left_inverse_identity(bw2, WT2, 6, system)
+        check_antipode(bw2, system)
+    inv = check_left_inverse_identity(bw2, WT2, system)
     assert [r.name for r in inv] == [
         "leftinv[1,1]",
         "leftinv[1,2]",
@@ -501,21 +504,22 @@ def test_axiom_suite_form_presentation_and_left_inverse():
 def test_left_inverse_needs_a_polar_member():
     bw2 = build_bw(W2)
     with pytest.raises(ValueError, match="polar"):
-        check_left_inverse_identity(bw2, W2, 6)
+        check_left_inverse_identity(bw2, W2, system_for(bw2, 6))
 
 
 def test_polar_refusals_come_before_any_completion(monkeypatch, hw2):
     def no_completion(*_):
         raise AssertionError("a refused tensor reached completion")
 
-    monkeypatch.setattr(hopf, "complete", no_completion)
     bw2 = build_bw(W2)
+    bw2_system = system_for(bw2, 6)
+    monkeypatch.setattr(hopf, "complete", no_completion)
     # W2 itself is not polar; EPS3 has the wrong dimension
     for wt, message in ((W2, "polar affine space"), (EPS3, "shape mismatch")):
         with pytest.raises(ValueError, match=message):
             build_hww(W2, wt)
         with pytest.raises(ValueError, match=message):
-            check_left_inverse_identity(bw2, wt, 6)
+            check_left_inverse_identity(bw2, wt, bw2_system)
         with pytest.raises(ValueError, match=message):
             derived_relations_suite(hw2, wt, 6)
 
@@ -529,7 +533,7 @@ def test_checks_on_a_parsed_presentation_need_its_form():
     with pytest.raises(ValueError, match=message):
         pair_reduction_suite(hw2, 4)
     with pytest.raises(ValueError, match=message):
-        check_left_inverse_identity(bw2, WT2, 4)
+        check_left_inverse_identity(bw2, WT2, system_for(bw2, 4))
 
 
 def _without_lines(pres, heads):
@@ -543,6 +547,7 @@ def test_axiom_checks_on_a_dump_without_structure_are_refused(monkeypatch):
     # lines is legal and has no structure to check
     bare = parse_presentation(_without_lines(build_hw(W2), {"delta", "counit", "antipode"}))
     assert bare.structure is None
+    system = system_for(bare, 4)
 
     def refuse(*args, **kwargs):
         raise AssertionError("completed a presentation that has no structure to check")
@@ -550,8 +555,8 @@ def test_axiom_checks_on_a_dump_without_structure_are_refused(monkeypatch):
     monkeypatch.setattr(hopf, "complete", refuse)
     for call, part in (
         (lambda: check_counit(bare), "counit"),
-        (lambda: check_coproduct(bare, 4), "delta"),
-        (lambda: check_antipode(bare, 4), "antipode"),
+        (lambda: check_coproduct(bare, system), "delta"),
+        (lambda: check_antipode(bare, system), "antipode"),
         (lambda: hopf_axiom_suite(bare, 4), "counit"),
     ):
         with pytest.raises(ValueError, match=rf"hw\[n=2,m=3\] has no {part} data"):
@@ -566,17 +571,43 @@ def test_hom_into_a_dump_without_antipode_is_refused():
 
 
 @pytest.mark.parametrize("degree", [3, 4])
-def test_checks_without_a_system_complete_their_own(hw2, degree):
-    # at D=3 some antipode rows fail and at D=4 all pass: either way a check
-    # given no system reads the one system_for completes
-    for check, pres, args in (
-        (check_coproduct, hw2, ()),
-        (check_antipode, hw2, ()),
-        (check_left_inverse_identity, build_bw(W2), (WT2,)),
-    ):
-        own = check(pres, *args, degree)
-        assert own == check(pres, *args, degree, system_for(pres, degree))
-        assert len(own) >= 4
+def test_checks_reduce_only_in_the_system_they_are_handed(monkeypatch, hw2, degree):
+    # at D=3 some antipode rows fail and at D=4 all pass: either way each
+    # check, handed a system built beforehand, completes nothing and gives
+    # the rows its suite gives
+    bw2 = build_bw(W2)
+    axioms = hopf_axiom_suite(hw2, degree)
+    bw_axioms = run_suite("axioms", SuiteInputs(form=W2, algebra="bw", polar=WT2, degree=degree))
+    iso = bilinear_iso_suite(B, degree)
+    fwd, back = m2_iso_homs(B)
+    hw_sys, bw_sys, hb_sys, hwb_sys = (
+        system_for(p, degree) for p in (hw2, bw2, fwd.target, back.target)
+    )
+
+    def no_completion(*_):
+        raise AssertionError("a check completed")
+
+    monkeypatch.setattr(hopf, "complete", no_completion)
+
+    def prefixed(rows, *prefixes):
+        return [r for r in rows if r.name.startswith(prefixes)]
+
+    rows = (
+        check_coproduct(hw2, hw_sys),
+        check_antipode(hw2, hw_sys),
+        check_left_inverse_identity(bw2, WT2, bw_sys),
+        check_hom(fwd, hb_sys) + check_hom(back, hwb_sys),
+    )
+    assert rows == (
+        prefixed(axioms, "coproduct:"),
+        prefixed(axioms, "antipode-"),
+        prefixed(bw_axioms, "leftinv["),
+        prefixed(iso, "hw->hb:", "hb->hw:"),
+    )
+    assert tuple(map(len, rows)) == (16, 32, 4, 20)
+    # a system over another alphabet is refused at the first row
+    with pytest.raises(ValueError, match="alphabet does not match"):
+        check_coproduct(hw2, bw_sys)
 
 
 def test_axiom_suite_bilinear_presentation():
@@ -630,7 +661,7 @@ def test_suites_are_uncertified_above_a_dumps_complete_through(hw2):
     text = system_for(hw2, 4).dump().replace("complete_through 4\n", "complete_through 2\n")
     loose = RewriteSystem.parse(text)
     assert (loose.degree_bound, loose.complete_through) == (4, 2)
-    results = check_coproduct(hw2, 4, loose)
+    results = check_coproduct(hw2, loose)
     assert status_counts(results) == {Status.PASS: 8, Status.UNCERTIFIED: 8}
     uncertified = [r for r in results if r.status is Status.UNCERTIFIED]
     assert {r.detail for r in uncertified} == {"needs degree 3, certified 2"}
@@ -681,7 +712,7 @@ def test_antipode_left_and_right_sums_are_told_apart():
     # g, not a left one, so only S(g) g - 1 and h S(h) - 1 are left over
     grouplike = {"g": "g#g", "h": "h#h"}
     pres = _free_presentation(["g*h - 1"], grouplike, {"g": 1, "h": 1}, {"g": "h", "h": "g"})
-    rows = {r.name: (r.status, r.detail) for r in check_antipode(pres, 2)}
+    rows = {r.name: (r.status, r.detail) for r in check_antipode(pres, system_for(pres, 2))}
     assert rows == {
         "antipode-ideal:r0": (Status.PASS, ""),
         "antipode-left:g": (Status.FAIL, "normal form h*g - 1"),
@@ -713,8 +744,8 @@ def test_exact_images_with_denominators_show_their_fraction_values():
         (NcPoly.unit(target, Fraction(2, 3)), Status.PASS, ""),
         (NcPoly.from_gens(target, [x], Fraction(1, 3)), Status.FAIL, "image 1/6*x - 1/3"),
     ):
-        report = check_representation(pres, {u: image})
-        assert [(r.name, r.status, r.detail) for r in report.results] == [("rep:r", status, detail)]
+        rows = check_representation(pres, {u: image})
+        assert [(r.name, r.status, r.detail) for r in rows] == [("rep:r", status, detail)]
 
 
 def test_coproduct_residue_names_the_degree_that_term_by_term_reduction_meets():
@@ -722,18 +753,19 @@ def test_coproduct_residue_names_the_degree_that_term_by_term_reduction_meets():
     # above the certified degree is UNCERTIFIED exactly when its left word
     # does not vanish, even when the left words summed at it cancel
     pres = _free_presentation(["x - y"], {"x": "x#z*z", "y": "y#z*z", "z": "z#z"})
-    (row,) = check_coproduct(pres, 1)
+    (row,) = check_coproduct(pres, system_for(pres, 1))
     assert (row.status, row.detail) == (Status.UNCERTIFIED, "needs degree 2, certified 1")
     # the left word x vanishes, so its right word is never reduced
     pres = _free_presentation(["x"], {"x": "x#y*y", "y": "y#y"})
-    assert [(r.status, r.detail) for r in check_coproduct(pres, 1)] == [(Status.PASS, "")]
+    rows = check_coproduct(pres, system_for(pres, 1))
+    assert [(r.status, r.detail) for r in rows] == [(Status.PASS, "")]
     # a left word above it comes first in term order
     pres = _free_presentation(["x - y"], {"x": "x*x#1", "y": "y#z*z*z", "z": "z#z"})
-    (row,) = check_coproduct(pres, 1)
+    (row,) = check_coproduct(pres, system_for(pres, 1))
     assert (row.status, row.detail) == (Status.UNCERTIFIED, "needs degree 2, certified 1")
     # within the certified degree the residue is the normal form of both legs
     pres = _free_presentation(["x - y"], {"x": "x#z + 2*y#x", "y": "y#z", "z": "z#1"})
-    (row,) = check_coproduct(pres, 1)
+    (row,) = check_coproduct(pres, system_for(pres, 1))
     assert (row.status, row.detail) == (Status.FAIL, "residue 2*x#x")
 
 
@@ -742,18 +774,18 @@ def test_a_failing_coproduct_residue_shows_its_fraction_values():
     # which the right sums must keep: the residue of y - z is
     # 1/2*x#x - 1/2*x#(1/2*x) = 1/4*x#x
     pres = _free_presentation(["2*y - x", "y - z"], {"x": "x#x", "y": "y#x", "z": "z#z"})
-    rows = check_coproduct(pres, 1)
+    rows = check_coproduct(pres, system_for(pres, 1))
     assert [(r.status, r.detail) for r in rows] == [
         (Status.PASS, ""),
         (Status.FAIL, "residue 1/4*x#x"),
     ]
     # the same with the relations scaled: the residue scales with them
     pres = _free_presentation(["2/3*y - 1/3*x", "3*y - 3*z"], {"x": "x#x", "y": "y#x", "z": "z#z"})
-    assert [r.detail for r in check_coproduct(pres, 1)] == ["", "residue 3/4*x#x"]
+    assert [r.detail for r in check_coproduct(pres, system_for(pres, 1))] == ["", "residue 3/4*x#x"]
     # a delta with a denominator: the residue of x - y under y -> x is
     # 1/2*x#z + x#x - x#z
     pres = _free_presentation(["x - y"], {"x": "1/2*x#z + y#x", "y": "y#z", "z": "z#1"})
-    (row,) = check_coproduct(pres, 1)
+    (row,) = check_coproduct(pres, system_for(pres, 1))
     assert (row.status, row.detail) == (Status.FAIL, "residue -1/2*x#z + x#x")
 
 
@@ -842,7 +874,7 @@ def test_coproduct_rows_match_the_definitional_oracle():
         )
         assert (loose.degree_bound, loose.complete_through) == (3, 2)
         for system in (d2, d3, loose):
-            rows = check_coproduct(pres, system.degree_bound, system)
+            rows = check_coproduct(pres, system)
             expected = [
                 _definitional_coproduct_row(pres, label, rel, system)
                 for label, rel in zip(pres.relation_labels, pres.relations)
@@ -858,7 +890,7 @@ def test_the_coproduct_walk_certifies_only_through_the_reduction_entry(monkeypat
     pres = _free_presentation(["x*x*x - y*y*y"], {"x": "x#x", "y": "y#y"})
     d3 = system_for(pres, 3)
     loose = RewriteSystem.parse(d3.dump().replace("complete_through 3\n", "complete_through 2\n"))
-    (row,) = check_coproduct(pres, 3, loose)
+    (row,) = check_coproduct(pres, loose)
     assert (row.status, row.detail) == (Status.UNCERTIFIED, "needs degree 3, certified 2")
     # an entry that certifies every degree makes the same walk a verdict:
     # x^3 (x) x^3 - y^3 (x) y^3 reduces to zero under y^3 -> x^3
@@ -870,7 +902,7 @@ def test_the_coproduct_walk_certifies_only_through_the_reduction_entry(monkeypat
         return reduce(wide, alphabet, terms)
 
     monkeypatch.setattr(hopf, "_reduce", certify_every_degree)
-    assert check_coproduct(pres, 3, loose) == [CheckResult("coproduct:r0", Status.PASS)]
+    assert check_coproduct(pres, loose) == [CheckResult("coproduct:r0", Status.PASS)]
 
 
 def test_a_failing_normal_form_shows_the_normal_form(hw2, hw2_sys6):
@@ -1044,7 +1076,7 @@ def test_hom_into_single_matrix_presentation(hw3):
     hom = hw_to_hww_hom(hw3, hww)
     assert hom.label == "hw->hww"
     assert len(hom.images) == 18
-    results = check_hom(hom, 4)
+    results = check_hom(hom, system_for(hww, 4))
     assert len(results) == 45
     assert results[0].name == "hw->hww:us[1,1]"
     assert all_pass(results)
@@ -1088,7 +1120,7 @@ def test_check_hom_flags_a_wrong_assignment():
     hb = build_hb(B)
     zero = NcPoly.zero(hb.alphabet)
     broken = HomCandidate("broken", hwb, hb, {g: zero for g in hwb.generators})
-    by_name = {r.name: r for r in check_hom(broken, 4)}
+    by_name = {r.name: r for r in check_hom(broken, system_for(hb, 4))}
     # the inhomogeneous relations survive: their images are nonzero constants
     assert by_name["broken:us[1,1]"].status is Status.FAIL
     assert by_name["broken:us[1,1]"].detail == "normal form -1"
@@ -1096,7 +1128,8 @@ def test_check_hom_flags_a_wrong_assignment():
     # images with denominators: u -> u/2 and s -> s/2 send U S - I to
     # U S / 4 - I, whose normal form -3/4 is shown divided by d e
     halves = {g: NcPoly.from_gens(hwb.alphabet, [g]).scale(Fraction(1, 2)) for g in hwb.generators}
-    by_name = {r.name: r for r in check_hom(HomCandidate("half", hwb, hwb, halves), 4)}
+    rows = check_hom(HomCandidate("half", hwb, hwb, halves), system_for(hwb, 4))
+    by_name = {r.name: r for r in rows}
     assert by_name["half:us[1,1]"].detail == "normal form -3/4"
     assert by_name["half:us[1,2]"].status is Status.PASS
 
@@ -1109,24 +1142,22 @@ def test_unitriangular_representation(hw3):
     assert len(images) == 18
     wit_l = NcPoly.from_gens(hw3.alphabet, [Generator("u", 1, 2), Generator("u", 1, 3)])
     wit_r = NcPoly.from_gens(hw3.alphabet, [Generator("u", 1, 3), Generator("u", 1, 2)])
-    report = check_representation(hw3, images, witness=(wit_l, wit_r))
-    assert report.ok()
-    assert len(report.results) == 45
-    assert report.results[0].name == "rep:us[1,1]"
-    assert report.witness_images[0].to_str() == "x*y"
-    assert report.witness_images[1].to_str() == "y*x"
-    assert report.witness_distinct is True
+    rows = check_representation(hw3, images)
+    assert all_pass(rows)
+    assert len(rows) == 45
+    assert rows[0].name == "rep:us[1,1]"
+    assert substitute(wit_l, images).to_str() == "x*y"
+    assert substitute(wit_r, images).to_str() == "y*x"
 
 
 def test_representation_flags_failing_relations(hw3):
     target = Alphabet([Generator.free("x")])
     zero = NcPoly.zero(target)
-    report = check_representation(hw3, {g: zero for g in hw3.generators})
-    assert not report.ok()
-    by_name = {r.name: r for r in report.results}
+    rows = check_representation(hw3, {g: zero for g in hw3.generators})
+    assert not all_pass(rows)
+    by_name = {r.name: r for r in rows}
     assert by_name["rep:us[1,1]"].status is Status.FAIL
     assert by_name["rep:us[1,1]"].detail == "image -1"
-    assert report.witness_images is None and report.witness_distinct is None
 
 
 def test_representation_requires_free_targets(hw3):
@@ -1149,24 +1180,25 @@ def test_unitriangular_images_are_instance_specific(hw2):
 
 
 def test_noninjectivity_probe_certifies():
-    report = noninjectivity_probe(EPS3, WT3, 4)
-    assert report.verdict == "noninjective certified"
-    assert report.witness_ok and report.commutator_certified
-    assert report.degree == 4
-    assert len(report.details) == 47
-    assert report.details[-2].name == "probe:witness-distinct"
-    assert report.details[-2].status is Status.PASS
-    assert report.details[-1].name == "probe:commutator"
-    assert report.details[-1].status is Status.PASS
+    rows = noninjectivity_probe(EPS3, WT3, 4)
+    verdict = SUITES["noninjectivity"].verdict(rows, SuiteInputs(degree=4))
+    assert verdict == "noninjective certified"
+    assert all_pass(rows)
+    assert len(rows) == 47
+    assert rows[-2].name == "probe:witness-distinct"
+    assert rows[-2].status is Status.PASS
+    assert rows[-1].name == "probe:commutator"
+    assert rows[-1].status is Status.PASS
 
 
 def test_noninjectivity_probe_inconclusive_at_low_degree():
-    report = noninjectivity_probe(EPS3, WT3, 3)
-    assert report.verdict == "inconclusive at degree 3"
-    assert report.witness_ok is True
-    assert report.commutator_certified is False
-    assert report.details[-1].status is Status.UNCERTIFIED
-    assert report.details[-1].detail == "nonzero normal form at this truncation"
+    rows = noninjectivity_probe(EPS3, WT3, 3)
+    verdict = SUITES["noninjectivity"].verdict(rows, SuiteInputs(degree=3))
+    assert verdict == "inconclusive at degree 3"
+    assert all_pass(rows[:-1])
+    assert rows[-2].status is Status.PASS
+    assert rows[-1].status is Status.UNCERTIFIED
+    assert rows[-1].detail == "nonzero normal form at this truncation"
 
 
 def test_noninjectivity_probe_rejects_other_forms():
