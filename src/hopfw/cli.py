@@ -48,9 +48,10 @@ import math
 import operator
 import re
 import sys
+from collections.abc import Callable, Iterable
 from itertools import accumulate
 
-from .exactnum import format_matrix, format_rational, is_invertible, rat
+from .exactnum import DigitLimitError, format_matrix, format_rational, is_invertible, rat, read_int
 from .formats import (
     FormFileError,
     dump_form,
@@ -111,6 +112,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _int_flag(what: str) -> Callable[[str], int]:
+    """argparse's type for an integer flag, read by ``read_int``: a numeral
+    of more digits than Python reads is refused in its words, never echoed,
+    and any other bad value as argparse words it for ``int``."""
+
+    def read(text: str) -> int:
+        try:
+            return read_int(text, what)
+        except DigitLimitError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    read.__name__ = "int"
+    return read
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="hopfw", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -123,14 +139,14 @@ def _build_parser() -> _Parser:
     pp.add_argument("--algebra", required=True, choices=tuple(_ALGEBRAS))
     pp.add_argument("--form", help="form file (all algebras except ahmn)")
     pp.add_argument("--polar", help="polar tensor file (hww; default: canonical member)")
-    pp.add_argument("--m", type=int, help="arity (ahmn)")
-    pp.add_argument("--n", type=int, help="dimension (ahmn)")
+    pp.add_argument("--m", type=_int_flag("m"), help="arity (ahmn)")
+    pp.add_argument("--n", type=_int_flag("n"), help="dimension (ahmn)")
     pp.add_argument("--out", help="output file (default stdout)")
     pp.set_defaults(func=_cmd_present)
 
     pg = sub.add_parser("gb", help="complete a presentation through a degree bound")
     pg.add_argument("presentation", help="presentation dump file")
-    pg.add_argument("--degree", type=int, help="truncation degree")
+    pg.add_argument("--degree", type=_int_flag("degree"), help="truncation degree")
     pg.add_argument("--out", help="output file (default stdout)")
     pg.set_defaults(func=_cmd_gb)
 
@@ -144,9 +160,9 @@ def _build_parser() -> _Parser:
     pv.add_argument("form", nargs="?", help="form file (suite-dependent)")
     pv.add_argument("--algebra", choices=tuple(_ALGEBRAS), help="axioms (default hw)")
     pv.add_argument("--polar", help="polar tensor file")
-    pv.add_argument("--degree", type=int)
-    pv.add_argument("--m", type=int, help="arity (ahmn / diagonal-iso)")
-    pv.add_argument("--n", type=int, help="dimension (ahmn / diagonal-iso)")
+    pv.add_argument("--degree", type=_int_flag("degree"))
+    pv.add_argument("--m", type=_int_flag("m"), help="arity (ahmn / diagonal-iso)")
+    pv.add_argument("--n", type=_int_flag("n"), help="dimension (ahmn / diagonal-iso)")
     pv.set_defaults(func=_cmd_verify)
 
     pe = sub.add_parser("example", help="write a built-in example form")
@@ -159,12 +175,14 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _write_out(text: str, out: str | None) -> None:
+def _write_out(lines: Iterable[str], out: str | None) -> None:
+    """Write the lines to ``out`` or stdout one at a time: lines that are
+    made one at a time are never all held."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _resolve_degree(flag: int | None) -> int | None:
@@ -229,7 +247,7 @@ def _inputs(args, suite: str | None = None, degree: int | None = None) -> SuiteI
 
 
 def _cmd_present(args) -> int:
-    _write_out(dump_presentation(build_algebra(_inputs(args))), args.out)
+    _write_out([dump_presentation(build_algebra(_inputs(args)))], args.out)
     return OK
 
 
@@ -242,7 +260,7 @@ def _cmd_gb(args) -> int:
         print(f"degree {deg}: {nrules} rules", file=sys.stderr)
 
     system = system_for(pres, degree, on_progress=progress)
-    _write_out(system.dump(), args.out)
+    _write_out(system.dump_lines(), args.out)
     return OK
 
 
@@ -331,7 +349,7 @@ def _example_form(name: str) -> MultilinearForm:
 
 def _cmd_example(args) -> int:
     w = _example_form(args.name)
-    _write_out(dump_form(w), args.out)
+    _write_out([dump_form(w)], args.out)
     return OK
 
 

@@ -48,16 +48,21 @@ def rat(num, den: int = 1) -> Scalar:
     return Scalar(num, den)
 
 
+class DigitLimitError(ValueError):
+    """A numeral of more digits than Python reads as an int."""
+
+
 def read_int(text: str, what: str) -> int:
     """``int(text)``, the integer read of every text reader: a numeral of
-    more digits than Python reads is refused as ``what``, in these words."""
+    more digits than Python reads is refused as ``what``, in these words,
+    with a DigitLimitError."""
     try:
         return int(text)
     except ValueError:
         limit, digits = getattr(sys, "get_int_max_str_digits", int)(), sum(map(str.isdecimal, text))
         if not limit or digits <= limit:
             raise
-    raise ValueError(f"{what} has {digits} digits, more than the {limit} Python reads")
+    raise DigitLimitError(f"{what} has {digits} digits, more than the {limit} Python reads")
 
 
 def parse_rational(text: str) -> Scalar:

@@ -35,7 +35,8 @@ and a system dump (``RewriteSystem.dump``)::
     rule u[2,1]*u[1,1] -> -u[1,1]*u[2,1] + s[2,1]
 
 Polynomials and tensors are written in the text grammar of :mod:`hopfw.ncalg`,
-whose ``read_dump`` and ``write_dump`` read and write both dumps; the
+whose ``read_dump`` reads both dumps and ``dump_lines`` writes them a line
+at a time; the
 polynomials of a dump as it is written are read all at once, and of any
 other dump line by line (``parse_presentation``, ``RewriteSystem.parse``).
 Every fact is stated once: a header field, the one ``generators`` line
@@ -61,12 +62,12 @@ from .ncalg import (
     NcPoly,
     TensorSquare,
     _read_canonical_terms,
+    dump_lines,
     matric_family,
     parse_generator_token,
     parse_poly,
     parse_tensor,
     read_dump,
-    write_dump,
 )
 
 
@@ -230,7 +231,7 @@ def dump_presentation(pres: Presentation) -> str:
             if images is not None:
                 facts += (f"{head} {g.token()} -> {show(images[g])}" for g in pres.generators)
     header = [f"algebra {pres.kind}", f"n {pres.n}", f"m {pres.m}"]
-    return write_dump(header, pres.generators, facts)
+    return "".join(dump_lines(header, pres.generators, facts))
 
 
 def parse_presentation(text: str) -> Presentation:

@@ -55,7 +55,7 @@ import operator
 import re
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .exactnum import (
     ONE, Matrix, Scalar, ZERO, add_terms, fraction_terms, lean, parse_rational, rat, read_int,
@@ -65,7 +65,11 @@ _FAMILY_RANK = {"u": 0, "s": 1, "a": 2, "v": 3, "free": 4}
 
 MATRIC_FAMILIES = ("u", "s", "a", "v")
 
-_CHAR_BASE = 0x100  # words never collide with printable syntax
+# the lowest letter, one above the line break: the only characters that
+# meet letters in one string are the tab and the line break (see
+# :class:`Alphabet`), so the words of an alphabet of up to 117 letters are
+# ASCII, of up to 245 Latin-1, and both are held at one byte a letter
+_CHAR_BASE = 0x0B
 
 
 class MissingImageError(KeyError):
@@ -146,7 +150,17 @@ class Alphabet:
     with no translation: the rewriting engine keeps one heap of bare words
     per length and pops the longest length first.  ``rank_spelling`` undoes
     the numbering for the one place that wants deglex ascending as a
-    string, the completion queue."""
+    string, the completion queue.
+
+    A letter may be any character from ``chr(_CHAR_BASE)`` up: a space, a
+    digit, ``*``, ``#`` or a line separator to ``str.splitlines``, such as
+    ``\\v`` or ``\\x1c``.  No reader or writer parses a string that holds
+    letters: ``spell`` translates words joined on a line break into tokens,
+    and ``_letters`` translates tokens into words opened by a tab or a line
+    break and a tab, and its callers split them on those.  Those two are
+    the only characters a letter must avoid, and both are below
+    ``_CHAR_BASE``.  Text goes through ``str.strip`` or ``splitlines``
+    only as tokens, never as letters."""
 
     __slots__ = (
         "generators", "_keys", "_char_of", "_letter_of", "_spell", "_top", "_every_letter", "_rank"
@@ -690,13 +704,14 @@ def parse_tensor(alphabet: Alphabet, text: str) -> TensorSquare:
     return TensorSquare._parse(alphabet, text)
 
 
-def write_dump(
+def dump_lines(
     header: Iterable[str], generators: Iterable[Generator], facts: Iterable[str]
-) -> str:
-    """The line dump :func:`read_dump` reads: the header lines, the
-    ``generators`` line, then the fact lines."""
-    lines = [*header, "generators " + " ".join(g.token() for g in generators), *facts]
-    return "\n".join(lines) + "\n"
+) -> Iterator[str]:
+    """The lines of the dump :func:`read_dump` reads, each with its line
+    break, made one at a time: the header lines, the ``generators`` line,
+    then the fact lines."""
+    for line in chain(header, ["generators " + " ".join(g.token() for g in generators)], facts):
+        yield line + "\n"
 
 
 def read_dump(

@@ -165,7 +165,7 @@ import operator
 import os
 import sys
 from dataclasses import dataclass
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain
 
 from .exactnum import (
@@ -178,9 +178,9 @@ from .ncalg import (
     _read_canonical_words,
     _read_monomial,
     _read_terms,
+    dump_lines,
     natural_key,
     read_dump,
-    write_dump,
 )
 
 
@@ -615,8 +615,13 @@ class RewriteSystem:
         return self._index.reduce_terms({word: 1}) == {word: 1}
 
     def dump(self) -> str:
+        return "".join(self.dump_lines())
+
+    def dump_lines(self) -> Iterator[str]:
+        """The lines of ``dump``, each with its line break, made one at a
+        time, so that a writer never holds the whole text."""
         word = self.alphabet.word_token
-        return write_dump(
+        return dump_lines(
             ["system", f"degree {self.degree_bound}", f"complete_through {self.complete_through}"],
             self.alphabet.generators,
             # a wrapper only to render: an int prints as its Fraction does

@@ -1028,6 +1028,59 @@ def test_gb_rejects_nonpositive_degree(cyclic2, tmp_path, capsys):
     assert "--degree must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gb", "hw.txt", "--degree", _NINES], "degree"),
+        (["verify", "--suite", "axioms", "--algebra", "ahmn", "--m", _NINES, "--n", "2"], "m"),
+    ],
+    ids=["gb-degree", "verify-m"],
+)
+def test_an_integer_flag_past_the_digit_limit_is_refused_in_our_words(argv, flag, capsys):
+    # argparse echoes a value it cannot read; a numeral past the digit
+    # limit is refused in read_int's words, its digits never shown
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    out, err = capsys.readouterr()
+    limit = sys.get_int_max_str_digits()
+    assert out == "" and err.splitlines()[-1] == (
+        f"hopfw {argv[0]}: error: argument --{flag}:"
+        f" {flag} has 5000 digits, more than the {limit} Python reads"
+    )
+    assert "99999" not in err
+    # any other value that is no integer is worded as argparse words it
+    with pytest.raises(SystemExit):
+        main([a.replace(_NINES, "4x") for a in argv])
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"argument --{flag}: invalid int value: '4x'"
+    )
+
+
+@pytest.mark.parametrize("example, degree", [("cyclic2", 6), ("signature-4", 4)])
+def test_gb_writes_the_system_dump_line_by_line(example, degree, tmp_path, capsys, monkeypatch):
+    """Stdout and ``--out`` both get the bytes of ``system.dump()``, written
+    a line at a time, with no whole text built.  The 32 letters of
+    hw(signature-4) run from \\v up to ``*``."""
+    form, pres, out = tmp_path / "w.json", tmp_path / "hw.txt", tmp_path / "hw.gb"
+    assert main(["example", example, "--out", str(form)]) == 0
+    assert main(["present", "--algebra", "hw", "--form", str(form), "--out", str(pres)]) == 0
+    system = system_for(parse_presentation(pres.read_text()), degree)
+    want = system.dump()
+    if example == "signature-4":
+        assert "*" in system.alphabet.word(system.alphabet.generators)
+    capsys.readouterr()
+
+    def whole_text(self):
+        raise AssertionError("the whole dump was built")
+
+    monkeypatch.setattr(RewriteSystem, "dump", whole_text)
+    assert main(["gb", str(pres), "--degree", str(degree)]) == 0
+    assert capsys.readouterr().out == want
+    assert main(["gb", str(pres), "--degree", str(degree), "--out", str(out)]) == 0
+    assert out.read_bytes() == want.encode()
+
+
 def test_degree_env_override(cyclic2, tmp_path, monkeypatch):
     pres = tmp_path / "hw.txt"
     main(["present", "--algebra", "hw", "--form", cyclic2, "--out", str(pres)])

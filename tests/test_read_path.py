@@ -31,6 +31,7 @@ from hopfw.ncalg import (
     Alphabet,
     Generator,
     NcPoly,
+    TensorSquare,
     parse_generator_token,
     parse_poly,
     parse_tensor,
@@ -598,3 +599,113 @@ def test_a_refused_presentation_dump_names_the_line_it_meets_first(bad, message)
     with pytest.raises(ValueError) as info:
         parse_presentation(bad)
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# letters that are also syntax
+#
+# A letter is any character from chr(0x0B) up, so the letters of a large
+# alphabet are spaces, digits, signs, ``*``, ``#`` and the characters that
+# ``str.splitlines`` breaks lines at.  No text that a reader parses or a
+# writer joins holds a letter, and these pin that every dump survives it.
+
+
+def _free_alphabet(size: int) -> Alphabet:
+    return Alphabet(Generator.free(f"g{i:03d}") for i in range(size))
+
+
+def _syntax_letter_system(alphabet: Alphabet, rng: random.Random) -> RewriteSystem:
+    """A system whose leads and tails between them spell every letter: the
+    i-th generator leads a two-letter lead, each with a tail of one-letter
+    words, the empty word and a two-letter word below it, with coefficients
+    of every kind."""
+    gens = alphabet.generators
+    rules = []
+    for i, g in enumerate(gens):
+        lead = alphabet.word([g, gens[(7 * i + 3) % len(gens)]])
+        below = [w for w in (alphabet.word(rng.sample(gens, 2)) for _ in range(4)) if w > lead]
+        words = [*below, alphabet.char(gens[-1 - i]), alphabet.char(rng.choice(gens)), ""]
+        tail = NcPoly(alphabet, {w: rng.choice(_COEFFICIENTS) for w in words})
+        rules.append(Rule(lead, tail))
+    return RewriteSystem(alphabet, rules, 2, 2)
+
+
+def _syntax_letter_presentation(alphabet: Alphabet, rng: random.Random) -> Presentation:
+    """Relations over every letter, and each generator group-like: its
+    coproduct g#g, counit 1 and antipode the generator itself."""
+    gens = alphabet.generators
+    relations = tuple(
+        NcPoly(
+            alphabet,
+            {
+                alphabet.word(rng.choices(gens, k=rng.randint(0, 3))): rng.choice(_COEFFICIENTS)
+                for _ in range(3)
+            } | {alphabet.char(g): Fraction(-1)},
+        )
+        for g in gens
+    )
+    one = NcPoly.from_word
+    structure = HopfStructure(
+        {g: TensorSquare.of(one(alphabet, alphabet.char(g)), one(alphabet, alphabet.char(g)))
+         for g in gens},
+        {g: Fraction(1) for g in gens},
+        {g: one(alphabet, alphabet.char(g)) for g in gens},
+    )
+    return Presentation(
+        "hw", 1, 1, alphabet, gens, relations, tuple(f"r[{i}]" for i in range(len(gens))),
+        structure,
+    )
+
+
+@pytest.mark.parametrize("size", [130, 260])
+def test_dumps_over_letters_that_are_syntax_round_trip(size):
+    """130 letters run from \\v through every syntax character to past 0x80,
+    260 past 0x100; each dump reads back, by the bulk reader and line by
+    line, to itself byte for byte."""
+    alphabet = _free_alphabet(size)
+    letters = alphabet.word(alphabet.generators)
+    syntax = "\v\f\r\x1c\x1d\x1e\x1f #*+-/0123456789"
+    assert set(syntax) <= set(letters) and max(letters) >= ("\x80" if size < 256 else "\u0100")
+    assert not set("\t\n") & set(letters)
+    rng = random.Random(f"syntax letters {size}")
+
+    system = _syntax_letter_system(alphabet, rng)
+    text = system.dump()
+    assert {c for w in system._index.by_word for c in w} == set(letters)
+    assert _assert_loads_as_reference(text) == system
+
+    pres = _syntax_letter_presentation(alphabet, rng)
+    text = dump_presentation(pres)
+    assert {c for p in pres.relations for w in p.terms for c in w} == set(letters)
+    assert _assert_reads_as_line_by_line(text) == pres
+    for at_once in (True, False):
+        assert dump_presentation(formats._read_presentation(text, at_once)) == text
+
+
+@pytest.mark.parametrize("size", [130, 260])
+def test_words_of_letters_that_are_syntax_spell_their_tokens(size):
+    alphabet = _free_alphabet(size)
+    gens = alphabet.generators
+    rng = random.Random(f"spell {size}")
+    words = [rng.choices(gens, k=rng.randint(0, 5)) for _ in range(200)] + [[g] for g in gens]
+    spelled = alphabet.spell([alphabet.word(w) for w in words])
+    assert spelled == ["*".join(g.token() for g in w) for w in words]
+    for w in words:
+        word = alphabet.word(w)
+        assert alphabet.word_token(word) == ("*".join(g.token() for g in w) or "1")
+        assert alphabet.letters(word) == tuple(w)
+        assert parse_poly(alphabet, alphabet.word_token(word)).terms == {word: 1}
+
+
+@pytest.mark.parametrize("size", [1, 32, 117])
+def test_every_word_of_at_most_117_letters_is_ascii(size):
+    for alphabet in (_free_alphabet(size), _free_alphabet(118)):
+        assert alphabet.word(alphabet.generators).isascii() is (len(alphabet) <= 117)
+
+
+@pytest.mark.parametrize("key", sorted(PRESENTATIONS))
+def test_every_word_of_a_golden_system_is_ascii(key):
+    system = _golden_system(key)
+    assert len(system.alphabet) <= 117
+    words = [w for lead, tail in system._index.by_word.items() for w in (lead, *tail)]
+    assert all(map(str.isascii, words))

@@ -565,11 +565,17 @@ def test_constructor_refuses_a_tail_from_another_alphabet():
         RewriteSystem(a, [rule], 2, 2)
 
 
-@pytest.mark.parametrize("lead", ["\u0105", "\u0100\u0102", "\u00ff"])
-def test_constructor_refuses_a_lead_outside_the_alphabet(lead):
-    # the letters of x and y are chr(0x101) and chr(0x100); the others spell
-    # no generator, and a dump of the rule would drop them from its lead
+@pytest.mark.parametrize("which", ["letter and non-letter", "above the top", "below the lowest"])
+def test_constructor_refuses_a_lead_outside_the_alphabet(which):
+    # characters just outside the letters of x and y spell no generator, and
+    # a dump of the rule would drop them from its lead
     a = free_alphabet("x", "y")
+    low, high = sorted(a.word(a.generators))
+    lead = {
+        "letter and non-letter": low + chr(ord(high) + 1),
+        "above the top": chr(ord(high) + 1),
+        "below the lowest": chr(ord(low) - 1),
+    }[which]
     message = re.escape(f"rule lead {lead!r} is not spelled in the alphabet")
     with pytest.raises(ValueError, match=message):
         RewriteSystem(a, [Rule(lead, NcPoly.zero(a))], 2, 2)
