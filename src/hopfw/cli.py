@@ -89,9 +89,9 @@ REFUTED = 1
 UNCERTIFIED = 2
 USAGE = 3
 
-# the most entries ``analyze`` builds: the m flattenings of a form of dim n
-# and arity m hold m * n^m entries.  signature-6 holds 279 936 of them and
-# runs in under a second; signature-7 would hold 5 764 801
+# the largest form ``analyze`` takes, counted as the m * n^m cells of the m
+# flattenings of a form of dim n and arity m (only their nonzero rows are
+# built).  signature-6 has 279 936 cells; signature-7 would have 5 764 801
 ANALYZE_MAX_ENTRIES = 1_000_000
 
 # the most entries ``example`` writes: signature-M has M! of them and

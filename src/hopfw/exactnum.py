@@ -3,7 +3,8 @@
 Everything downstream (form analysis, rewriting, presentation checks) runs on
 these: no floats, no rounding, anywhere.  ``Scalar`` is an arbitrary-precision
 rational kept in lowest terms with positive denominator; ``Matrix`` is a small
-immutable dense matrix of scalars with plain Gauss-Jordan elimination on top.
+immutable dense matrix of scalars, row-reduced by one sparse elimination over
+the ints (:func:`_rref_rows`) that makes Scalars only of its result.
 
 A coefficient has two forms, converted here alone: the rewriting engine's,
 an ``int`` when integral (:func:`lean`, :func:`lean_terms`), and the
@@ -260,40 +261,73 @@ def mat_vec(a: Matrix, v: Sequence) -> tuple:
     )
 
 
+def _eliminate(r: dict, p: int, prow: dict) -> dict:
+    """a r - b prow over the ints, a and b the least that cancel column p,
+    divided by its content."""
+    g = math.gcd(r[p], prow[p])
+    a, b = prow[p] // g, -r[p] // g
+    out = add_terms({c: x * a for c, x in r.items()}, ((c, x * b) for c, x in prow.items()))
+    g = math.gcd(*out.values())
+    return {c: x // g for c, x in out.items()} if g > 1 else out
+
+
+def _rref_rows(rows: Iterable[dict]) -> list[tuple[int, dict]]:
+    """The nonzero rows of the reduced row echelon form of the matrix of the
+    given sparse rows ({column: nonzero int or Scalar}), as (pivot column,
+    {column: Scalar}) in increasing pivot order.
+
+    Each row, cleared of denominators, has the pivot columns it holds
+    eliminated over the ints; what is left is a new pivot row, its first
+    column the pivot, eliminated from every earlier pivot row.  So each stays
+    an int multiple of its row of the RREF, which is unique, and is divided
+    by its pivot into Scalars only at the end.
+    """
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        r = cleared_terms(row)[0]
+        for p in [c for c in r if c in pivots]:
+            r = _eliminate(r, p, pivots[p])
+        if r:
+            p = min(r)
+            for q, prow in pivots.items():
+                if p in prow:
+                    pivots[q] = _eliminate(prow, p, r)
+            pivots[p] = r
+    return [(p, fraction_quotients(r, r[p])) for p, r in sorted(pivots.items())]
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Reduced row echelon form.
 
     Returns ``(R, pivots, rank)`` where ``pivots`` lists pivot column indices
-    in increasing order.  Standard Gauss-Jordan: for each column, the first
-    row below the current one with a nonzero entry is swapped up, scaled to a
-    unit pivot, and eliminated from every other row.
+    in increasing order: R holds the rows of :func:`_rref_rows`, a sparse
+    elimination over the ints, then zero rows.
     """
-    rows = [list(m.row(i)) for i in range(m.rows)]
-    nr, nc = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        pr = None
-        for i in range(r, nr):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    flat = [x for row in rows for x in row]
-    return Matrix(nr, nc, flat), tuple(pivots), len(pivots)
+    red = _rref_rows({c: x for c, x in enumerate(m.row(i)) if x} for i in range(m.rows))
+    flat = [row.get(c, ZERO) for _, row in red for c in range(m.cols)]
+    flat += [ZERO] * (m.rows * m.cols - len(flat))
+    return Matrix(m.rows, m.cols, flat), tuple(p for p, _ in red), len(red)
+
+
+def _solve_rows(rows: Iterable[dict], n: int) -> tuple[list | None, tuple[dict, ...]]:
+    """:func:`solve` from the sparse rows of ``[a | b]``, ``a`` of n columns:
+    the pivot rows of its RREF (x's row at each pivot is the row's columns n
+    and up), or None when ``b`` is out of reach, and the kernel of ``a``."""
+    red = _rref_rows(rows)
+    # the pivots of [a | b] left of column n are those of a, and come first
+    a_rows = [(p, row) for p, row in red if p < n]
+    kernel = {fc: {fc: ONE} for fc in sorted(set(range(n)).difference(p for p, _ in a_rows))}
+    for p, row in a_rows:
+        for c, x in row.items():
+            if c in kernel:
+                kernel[c][p] = -x
+    return (a_rows if len(a_rows) == len(red) else None), tuple(kernel.values())
+
+
+def _particular(rows: list[tuple[int, dict]], n: int, cols: int) -> Matrix:
+    """The n x cols solution of :func:`_solve_rows`, free variables 0."""
+    x = {p * cols + c - n: v for p, row in rows for c, v in row.items() if c >= n}
+    return Matrix(n, cols, [x.get(i, ZERO) for i in range(n * cols)])
 
 
 def solve(a: Matrix, b: Matrix) -> tuple[Matrix | None, tuple[dict[int, Scalar], ...]]:
@@ -310,24 +344,9 @@ def solve(a: Matrix, b: Matrix) -> tuple[Matrix | None, tuple[dict[int, Scalar],
     if b.rows != a.rows:
         raise ValueError("right-hand side row count mismatch")
     n = a.cols
-    aug = [x for i in range(a.rows) for x in (*a.row(i), *b.row(i))]
-    red, pivots, _ = rref(Matrix(a.rows, n + b.cols, aug))
-    # the pivots of [a | b] left of column n are those of a, in its first rows
-    a_pivots = [p for p in pivots if p < n]
-    rows = [red.row(i) for i in range(len(a_pivots))]
-    kernel = []
-    for fc in sorted(set(range(n)).difference(a_pivots)):
-        v = {fc: ONE}
-        for pc, row in zip(a_pivots, rows):
-            if row[fc]:
-                v[pc] = -row[fc]
-        kernel.append(v)
-    if len(a_pivots) < len(pivots):
-        return None, tuple(kernel)
-    x = [ZERO] * (n * b.cols)
-    for pc, row in zip(a_pivots, rows):
-        x[pc * b.cols : (pc + 1) * b.cols] = row[n:]
-    return Matrix(n, b.cols, x), tuple(kernel)
+    aug = ({c: x for c, x in enumerate(a.row(i) + b.row(i)) if x} for i in range(a.rows))
+    rows, kernel = _solve_rows(aug, n)
+    return (None if rows is None else _particular(rows, n, b.cols)), kernel
 
 
 def kernel_basis(a: Matrix) -> tuple[tuple, ...]:
@@ -360,7 +379,4 @@ def mat_inv(m: Matrix) -> Matrix:
 
 
 def is_invertible(m: Matrix) -> bool:
-    if m.rows != m.cols:
-        return False
-    _, _, rank = rref(m)
-    return rank == m.rows
+    return m.rows == m.cols and rref(m)[2] == m.rows

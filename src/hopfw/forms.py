@@ -14,15 +14,16 @@ operations answer three questions exactly, over the rationals:
 
 "Preregular" = one-site nondegenerate + a (then unique) invertible Q.
 
-All three are equations on two flattenings of w, each solved with one row
-reduction.  With G the first-slot flattening (G[J, j] = w_{j J}), F the
-last-slot one (F[J, l] = w_{J l}) and T the n x n^(m-1) matrix
-T[k, J] = wt^{k J}, twisted cyclicity is G.Q = F, polarity is
-F^T.T^T = I, and for a polar wt the inverse twist is Q^-1 = T.G.  The
-polar space is the particular solution plus the kernel e_k (x) v for
-k = 1..n and each canonical kernel vector v of F^T in order, which is the
-canonical basis of the whole system: it is block-diagonal in the first
-index of wt, and its reduced row echelon form is unique.
+All three are equations on two flattenings of w.  With G the first-slot
+flattening (G[J, j] = w_{j J}), F the last-slot one (F[J, l] = w_{J l}) and
+T the n x n^(m-1) matrix T[k, J] = wt^{k J}, twisted cyclicity is G.Q = F,
+polarity is F^T.T^T = I, and for a polar wt the inverse twist is
+Q^-1 = T.G.  Each is solved with one sparse row reduction of the rows that
+w's nonzero entries fill, no flattening built whole; an RREF is unique, so
+no result can depend on how it is reached.  The polar space is the
+particular solution plus the kernel e_k (x) v for k = 1..n and each
+canonical kernel vector v of F^T in order, which is the canonical basis of
+the whole system, as it is block-diagonal in the first index of wt.
 
 Membership in the polar family is tested over the ints: with d and e the
 least common multiples of the denominators of wt and w, wt is polar
@@ -48,12 +49,13 @@ from .exactnum import (
     Scalar,
     SingularMatrixError,
     ZERO,
+    _particular,
+    _rref_rows,
+    _solve_rows,
     add_terms,
     cleared_terms,
     is_invertible,
     rat,
-    rref,
-    solve,
 )
 
 Index = tuple[int, ...]
@@ -98,6 +100,16 @@ class MultilinearForm:
                 clean[idx] = c
         object.__setattr__(self, "entries", clean)
         object.__setattr__(self, "_last_slot", None)
+
+    @classmethod
+    def _trusted(cls, dim: int, arity: int, entries: dict[Index, Scalar]) -> "MultilinearForm":
+        """A form of clean entries (in-range indices to nonzero Scalars), unchecked."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "dim", dim)
+        object.__setattr__(w, "arity", arity)
+        object.__setattr__(w, "entries", entries)
+        object.__setattr__(w, "_last_slot", None)
+        return w
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("MultilinearForm is immutable")
@@ -150,25 +162,38 @@ def flattening(w: MultilinearForm, slot: int) -> Matrix:
     and the remaining slots, in order, as the row index."""
     if not 1 <= slot <= w.arity:
         raise ValueError("slot out of range")
-    n, m = w.dim, w.arity
-    others = list(_all_indices(n, m - 1))
-    entries = []
-    for rest in others:
-        for j in range(1, n + 1):
-            idx = rest[: slot - 1] + (j,) + rest[slot - 1 :]
-            entries.append(w[idx])
-    return Matrix(len(others), n, entries)
+    rows, others = _flattening_rows(w, slot), list(_all_indices(w.dim, w.arity - 1))
+    entries = [rows.get(rest, {}).get(j, ZERO) for rest in others for j in range(w.dim)]
+    return Matrix(len(others), w.dim, entries)
+
+
+def _flattening_rows(w: MultilinearForm, slot: int, transpose: bool = False) -> dict:
+    """The nonzero rows of ``flattening(w, slot)``, read off w's entries alone:
+    {the other slots' index: {0-based column: value}}.  With ``transpose``,
+    those of its transpose: {0-based column: {row: value}}, a row numbered
+    by its index's place in lexicographic order."""
+    n, rows = w.dim, {}
+    for idx, c in w.entries.items():
+        rest, col = idx[: slot - 1] + idx[slot:], idx[slot - 1] - 1
+        if transpose:
+            rest, col = col, sum((i - 1) * n**k for k, i in enumerate(reversed(rest)))
+        rows.setdefault(rest, {})[col] = c
+    return rows
+
+
+def _rank(w: MultilinearForm, slot: int) -> int:
+    """The rank of ``flattening(w, slot)``."""
+    return len(_rref_rows(_flattening_rows(w, slot).values()))
 
 
 def is_one_site_nondegenerate(w: MultilinearForm) -> bool:
     """Full column rank of the last-slot flattening."""
-    _, _, rank = rref(flattening(w, w.arity))
-    return rank == w.dim
+    return _rank(w, w.arity) == w.dim
 
 
 def check_condition_i_prime(w: MultilinearForm) -> bool:
     """Nondegeneracy in every slot, not just the last."""
-    return all(rref(flattening(w, slot))[2] == w.dim for slot in range(1, w.arity + 1))
+    return all(_rank(w, slot) == w.dim for slot in range(1, w.arity + 1))
 
 
 def twisting_element(w: MultilinearForm) -> Matrix | None:
@@ -178,14 +203,12 @@ def twisting_element(w: MultilinearForm) -> Matrix | None:
     raises :class:`AmbiguousTwistError` when the solution space has positive
     dimension (never silently picks one).
     """
-    q, kern = solve(flattening(w, 1), flattening(w, w.arity))
-    if q is None:
-        return None
-    if kern:
+    report, nullity = _twist_report(False, w)
+    if report.twist_ambiguous:
         raise AmbiguousTwistError(
-            f"twisting element underdetermined: {w.dim * len(kern)} free parameters"
+            f"twisting element underdetermined: {w.dim * nullity} free parameters"
         )
-    return q
+    return report.q
 
 
 def is_q_cyclic(w: MultilinearForm, q: Matrix) -> bool:
@@ -201,16 +224,16 @@ class TwistReport:
     twist_ambiguous: bool = False
 
 
-def _twist_report(
-    nondegenerate: bool, first: Matrix, last: Matrix
-) -> tuple[TwistReport, int]:
-    """The report of :func:`analyze` from the one-site verdict and the first
-    and last flattenings, with the nullity of the first flattening, which
-    the one row reduction of G.Q = F gives as well."""
-    q, kern = solve(first, last)
-    ambiguous = q is not None and bool(kern)
-    if ambiguous:
-        q = None
+def _twist_report(nondegenerate: bool, w: MultilinearForm) -> tuple[TwistReport, int]:
+    """The report of :func:`analyze` from the one-site verdict, with the
+    nullity of G, from the one row reduction of [G | F]."""
+    n = w.dim
+    rows = _flattening_rows(w, 1)
+    for rest, row in _flattening_rows(w, w.arity).items():
+        rows.setdefault(rest, {}).update({n + l: c for l, c in row.items()})
+    pivot_rows, kern = _solve_rows(rows.values(), n)
+    ambiguous = pivot_rows is not None and bool(kern)
+    q = None if pivot_rows is None or ambiguous else _particular(pivot_rows, n, n)
     prereg = bool(nondegenerate and q is not None and is_invertible(q))
     return TwistReport(nondegenerate, q, prereg, ambiguous), len(kern)
 
@@ -221,17 +244,15 @@ def analyze(w: MultilinearForm) -> TwistReport:
     Preregular means: one-site nondegenerate, the twisting element exists
     (unique then), and it is invertible -- all verified exactly.
     """
-    last = flattening(w, w.arity)
-    return _twist_report(rref(last)[2] == w.dim, flattening(w, 1), last)[0]
+    return _twist_report(is_one_site_nondegenerate(w), w)[0]
 
 
 def _analyze_every_slot(w: MultilinearForm) -> tuple[TwistReport, bool]:
     """:func:`analyze` and :func:`check_condition_i_prime` at once, each
-    flattening built and row-reduced once: the first slot's rank is read off
-    the twist's row reduction."""
-    flats = [flattening(w, slot) for slot in range(1, w.arity + 1)]
-    ranks = [rref(f)[2] for f in flats[1:]]
-    report, nullity = _twist_report(ranks[-1] == w.dim, flats[0], flats[-1])
+    flattening row-reduced once: the first slot's rank is read off the
+    twist's row reduction."""
+    ranks = [_rank(w, slot) for slot in range(2, w.arity + 1)]
+    report, nullity = _twist_report(ranks[-1] == w.dim, w)
     return report, nullity == 0 and all(r == w.dim for r in ranks)
 
 
@@ -266,18 +287,19 @@ def polar(w: MultilinearForm) -> PolarSolution | None:
     (free variables zeroed) and the kernel basis are canonical.
     """
     n, m = w.dim, w.arity
-    part, kern = solve(flattening(w, m).transpose(), Matrix.identity(n))
-    if part is None:
+    size, cols = n ** (m - 1), _flattening_rows(w, m, transpose=True)
+    # F^T.X = I for X = T^T: row l of [F^T | I] holds a 1 in column size + l
+    rows, kern = _solve_rows((cols.get(l, {}) | {size + l: ONE} for l in range(n)), size)
+    if rows is None:
         return None
-    t = part.transpose()  # T[k, J] = wt^{k J}, row-major in index order
-    particular = MultilinearForm(n, m, dict(zip(_all_indices(n, m), t.entries)))
     mids = list(_all_indices(n, m - 1))
+    particular = {(k + 1,) + mids[p]: x for k in range(n) for p, r in rows if (x := r.get(size + k))}
     kernel = tuple(
-        MultilinearForm(n, m, {(k,) + mids[i]: c for i, c in v.items()})
+        MultilinearForm._trusted(n, m, {(k,) + mids[i]: c for i, c in v.items()})
         for k in range(1, n + 1)
         for v in kern
     )
-    return PolarSolution(particular, kernel)
+    return PolarSolution(MultilinearForm._trusted(n, m, particular), kernel)
 
 
 def _slot_index(w: MultilinearForm, slot: int) -> tuple[dict[Index, list[tuple[int, int]]], int]:

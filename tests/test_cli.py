@@ -386,6 +386,42 @@ def test_analyze_alternating_form(sig3, capsys):
     assert "self_scale[1/3]: mismatch" in out
 
 
+def test_analyze_signature_5(tmp_path, capsys):
+    path = tmp_path / "sig5.json"
+    assert main(["example", "signature-5", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "dim: 5",
+        "arity: 5",
+        "one_site_nondegenerate: true",
+        "all_slots_nondegenerate: true",
+        "twist: [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]",
+        "twist_invertible: true",
+        "preregular: true",
+        "polar_affine_dimension: 3100",
+        "self_scale[1/24]: member",
+        "self_scale[1/5]: mismatch",
+    ]
+
+
+@pytest.mark.parametrize("name", ["signature-4", "signature-5", "orthogonal-2-8"])
+def test_analyze_builds_no_flattening(name, tmp_path, capsys, monkeypatch):
+    # hopfw analyze reads the form's nonzero entries only: with every dense
+    # flattening refused, it prints the same lines
+    path = tmp_path / "w.json"
+    assert main(["example", name, "--out", str(path)]) == 0
+    assert main(["analyze", str(path)]) == 0
+    want = capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("a dense flattening was built")
+
+    monkeypatch.setattr(forms, "flattening", refuse)
+    assert main(["analyze", str(path)]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_analyze_signature_6(tmp_path, capsys):
     path = tmp_path / "sig6.json"
     assert main(["example", "signature-6", "--out", str(path)]) == 0

@@ -30,6 +30,8 @@ from hopfw.forms import (
     q_inverse_from_polar,
     twisting_element,
 )
+from hopfw.forms import TwistReport, _analyze_every_slot
+from test_exactnum import dense_rref, dense_solve
 from test_golden import FORM_KEYS, _form_by_key
 
 # the running 2-dimensional example: the cyclic sum of the (1,1,2) indicator
@@ -171,6 +173,129 @@ def test_signature_6_twist_and_polar():
     # sign (-1)^(m-1) and 1/(m-1)! for m = 6
     assert in_polar(w.scale(rat(-1, 120)), w)
     assert not in_polar(w.scale(rat(1, 120)), w)
+
+
+# ---------------------------------------------------------------------------
+# the dense reference: the analysis as it was, on whole flattenings built by
+# looking up every one of their n^m cells, each row-reduced by dense
+# Gauss-Jordan over Fractions
+
+
+def dense_flattening(w, slot):
+    others = list(itertools.product(range(1, w.dim + 1), repeat=w.arity - 1))
+    cells = [w[rest[: slot - 1] + (j,) + rest[slot - 1 :]] for rest in others for j in range(1, w.dim + 1)]
+    return Matrix(len(others), w.dim, cells)
+
+
+def _dense_twist_report(nondegenerate, w):
+    q, kern = dense_solve(dense_flattening(w, 1), dense_flattening(w, w.arity))
+    ambiguous = q is not None and bool(kern)
+    if ambiguous:
+        q = None
+    prereg = bool(nondegenerate and q is not None and dense_rref(q)[2] == w.dim)
+    return TwistReport(nondegenerate, q, prereg, ambiguous), len(kern)
+
+
+def _dense_rank(w, slot):
+    return dense_rref(dense_flattening(w, slot))[2]
+
+
+def dense_analysis(w):
+    """(analyze, _analyze_every_slot, the twist's text, polar) of w."""
+    ranks = [_dense_rank(w, slot) for slot in range(1, w.arity + 1)]
+    report, nullity = _dense_twist_report(ranks[-1] == w.dim, w)
+    every = (report, all(r == w.dim for r in ranks))
+    assert (nullity == 0) == (ranks[0] == w.dim)
+    if report.twist_ambiguous:
+        twist = f"AmbiguousTwistError: twisting element underdetermined: {w.dim * nullity} free parameters"
+    else:
+        twist = report.q
+    n, m = w.dim, w.arity
+    part, kern = dense_solve(dense_flattening(w, m).transpose(), Matrix.identity(n))
+    if part is None:
+        return report, every, twist, None
+    indices = itertools.product(range(1, n + 1), repeat=m)
+    particular = MultilinearForm(n, m, dict(zip(indices, part.transpose().entries)))
+    mids = list(itertools.product(range(1, n + 1), repeat=m - 1))
+    kernel = [MultilinearForm(n, m, {(k,) + mids[i]: c for i, c in v.items()})
+              for k in range(1, n + 1) for v in kern]
+    return report, every, twist, (particular, kernel)
+
+
+def _twist_outcome(w):
+    try:
+        return twisting_element(w)
+    except AmbiguousTwistError as exc:
+        return f"AmbiguousTwistError: {exc}"
+
+
+def _entries_text(w):
+    # the values, their types and the insertion order of every entry
+    return [(idx, type(c), c) for idx, c in w.entries.items()]
+
+
+def _random_ladder_form(rng, dim, arity):
+    """A sparse form summed over cyclic rotations of its slots, of the
+    shapes the forms benchmark draws."""
+    entries = {}
+    for _ in range(dim + 2):
+        idx = tuple(rng.randint(1, dim) for _ in range(arity))
+        c = Fraction(rng.choice((-2, -1, 1, 2)))
+        for k in range(arity):
+            entries[idx[k:] + idx[:k]] = c
+    return MultilinearForm(dim, arity, entries)
+
+
+ORACLE_FORMS = {key: (lambda key=key: _form_by_key(key)) for key in FORM_KEYS} | {
+    f"ladder-{dim}-{arity}-{seed}": (lambda dim=dim, arity=arity, seed=seed:
+                                     _random_ladder_form(random.Random(seed), dim, arity))
+    for dim, arity in ((3, 4), (4, 4), (2, 7)) for seed in (1, 2, 3)
+}
+
+
+@pytest.mark.parametrize("key", sorted(ORACLE_FORMS))
+def test_analysis_and_polar_agree_with_dense_flattenings(key):
+    w = ORACLE_FORMS[key]()
+    report, every, twist, pol = dense_analysis(w)
+    assert analyze(w) == report
+    assert _analyze_every_slot(w) == every
+    assert is_one_site_nondegenerate(w) == report.nondegenerate
+    assert check_condition_i_prime(w) == every[1]
+    assert _twist_outcome(w) == twist
+    for slot in range(1, w.arity + 1):
+        assert flattening(w, slot) == dense_flattening(w, slot)
+    sol = polar(w)
+    if pol is None:
+        assert sol is None
+        return
+    particular, kernel = pol
+    assert _entries_text(sol.particular) == _entries_text(particular)
+    assert [_entries_text(k) for k in sol.kernel_basis] == [_entries_text(k) for k in kernel]
+    assert sol == forms.PolarSolution(particular, tuple(kernel))
+
+
+def test_oracle_forms_cover_every_outcome():
+    outcomes = [dense_analysis(ORACLE_FORMS[key]()) for key in ORACLE_FORMS]
+    assert {type(twist) for _, _, twist, _ in outcomes} == {Matrix, str, type(None)}
+    assert {pol is None for _, _, _, pol in outcomes} == {True, False}
+    assert {every[1] for _, every, _, _ in outcomes} == {True, False}
+
+
+@pytest.mark.parametrize("name", ["signature-4", "signature-5", "orthogonal-2-8"])
+def test_the_analysis_builds_no_flattening(name, monkeypatch):
+    # analyze, the every-slot check, the twist and polar read w's nonzero
+    # entries only: none of them builds a flattening of all n^m cells
+    from hopfw.cli import _example_form
+
+    w = _example_form(name)
+    want = (analyze(w), check_condition_i_prime(w), _analyze_every_slot(w), twisting_element(w), polar(w))
+
+    def refuse(*args):
+        raise AssertionError("a dense flattening was built")
+
+    monkeypatch.setattr(forms, "flattening", refuse)
+    got = (analyze(w), check_condition_i_prime(w), _analyze_every_slot(w), twisting_element(w), polar(w))
+    assert got == want
 
 
 def test_polar_contraction_shape_mismatch():
