@@ -463,7 +463,7 @@ def build_ahmn(m: int, n: int) -> Presentation:
 def _polar_choice(w: MultilinearForm, wt: MultilinearForm | None) -> MultilinearForm:
     """``wt`` when given, else the canonical (particular) polar member.
     Every caller builds the form relations of ``w``, so an oversized form is
-    refused before ``polar`` flattens it."""
+    refused before ``polar`` solves for it."""
     if wt is not None:
         return wt
     sol = polar(_bounded(w))
